@@ -39,6 +39,7 @@ from .spectra import (
     SpectrumSeries,
     detection_observable,
     detection_projection,
+    directional_spectra,
     spectrum,
     leading_order_peaks,
     mean_scattering_cross_section,
@@ -74,7 +75,7 @@ __all__ = [
     "survival_filter", "angular_average", "gamma_omega_averages",
     "average_state", "averaged_solution", "mean_inverse_xi_squared",
     "SpectrumSeries", "detection_observable", "detection_projection",
-    "spectrum", "leading_order_peaks", "mean_scattering_cross_section",
+    "directional_spectra", "spectrum", "leading_order_peaks", "mean_scattering_cross_section",
     "mean_free_path", "dipole_from_gamma", "gamma_from_dipole",
     "pulse_area_from_energy",
     "IntegrationError", "MonteCarloResult", "OracleRun",

@@ -182,6 +182,6 @@ def apply_factorized(m1: np.ndarray, m2: np.ndarray, coeffs: np.ndarray) -> np.n
     axes are batch axes, so the product costs O(16^3) per vector
     instead of O(256^2).
     """
-    c = coeffs.reshape((NUM_OPS, NUM_OPS) + coeffs.shape[1:])
-    out = np.einsum("ik,kl...,jl->ij...", m1, c, m2, optimize=True)
-    return out.reshape(coeffs.shape)
+    c = coeffs.reshape(NUM_OPS, NUM_OPS, -1)
+    left = (m1 @ c.reshape(NUM_OPS, -1)).reshape(c.shape)
+    return np.matmul(m2, left).reshape(coeffs.shape)

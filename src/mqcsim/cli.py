@@ -54,6 +54,8 @@ from .oracle import (
     monte_carlo_spectrum,
 )
 from .spectra import (
+    DETECTION_DIRECTIONS,
+    directional_spectra,
     leading_order_peaks,
     mean_free_path,
     mean_scattering_cross_section,
@@ -71,6 +73,9 @@ FIT_AREAS = (0.006 * np.pi, 0.01 * np.pi, 0.014 * np.pi)
 #: relative tolerances at the two checked separations
 ORACLE_ORDERS = (0, 1, 2, 3)
 ORACLE_POINTS = ((1000.0, 1e-4), (80.0, 2e-2))
+
+#: interaction orders of the sampled chain in mc-average
+MC_ORDERS = (0, 1, 2)
 
 #: chance that one mc-average run of correct code reports a failure, the
 #: two-sided three-sigma level
@@ -173,12 +178,11 @@ def run_spectrum(config: RunConfig, preset: str = None) -> int:
         mode = "level_shift_only" if gamma_to_zero else "full"
         for kappa in config.kappas:
             for channel in config.channels:
-                for direction in ("x", "y"):
-                    series = spectrum(
-                        kappa, channel, direction, theta,
-                        config.detunings(), xi_bar=xi_bar,
-                        average_mode=mode,
-                        fast=not config.interactions_between_pulses)
+                pair = directional_spectra(
+                    kappa, channel, DETECTION_DIRECTIONS, theta,
+                    config.detunings(), xi_bar=xi_bar, average_mode=mode,
+                    fast=not config.interactions_between_pulses)
+                for direction, series in zip(DETECTION_DIRECTIONS, pair):
                     suffix = "_gamma0" if gamma_to_zero else ""
                     name = (f"spectrum_k{kappa}_{channel}_"
                             f"{direction}{suffix}.tsv")
@@ -349,13 +353,17 @@ def run_mc_average(config: RunConfig) -> int:
     written = []
     for kappa in config.kappas:
         for channel in config.channels:
-            for direction in ("x", "y"):
+            # seed- and direction-independent: built once per channel
+            table = demodulated_term_table(MC_ORDERS, theta, channel, kappa,
+                                           1j * detunings)
+            closed_pair = directional_spectra(
+                kappa, channel, DETECTION_DIRECTIONS, theta, detunings,
+                window=window)
+            for direction, closed in zip(DETECTION_DIRECTIONS, closed_pair):
                 sampled = monte_carlo_spectrum(
                     kappa, channel, direction, theta, config.mc_samples,
                     seed=config.seed, window=window, detunings=detunings,
-                    mode=config.tensor_mode)
-                closed = spectrum(kappa, channel, direction, theta,
-                                  detunings, window=window)
+                    mode=config.tensor_mode, table=table)
                 difference = sampled.series.values[center] \
                     - closed.values[center]
                 error = sampled.series.errors[center]

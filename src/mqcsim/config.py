@@ -18,6 +18,8 @@ so the data files themselves are byte-identical across reruns.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -41,8 +43,26 @@ TENSOR_MODES = ("exact", "far_field")
 SEPARATION_CONSISTENCY = 0.01
 
 
+#: fields holding a real number, where given; every one must be finite
+REAL_FIELDS = ("gamma", "wavelength", "delta_bar", "density", "theta",
+               "pulse_energy", "pulse_duration", "beam_cross_section",
+               "xi_bar", "mean_separation", "detuning_half_range")
+INTEGER_FIELDS = ("detuning_count", "mc_samples", "seed",
+                  "oracle_directions")
+FLAG_FIELDS = ("gamma_to_zero", "interactions_between_pulses")
+
+
 class ConfigError(ValueError):
     """Raised when a run configuration is incomplete or inconsistent."""
+
+
+def _is_finite_real(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -86,6 +106,27 @@ class RunConfig:
         self.validate()
 
     def validate(self) -> None:
+        for name in REAL_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not _is_finite_real(value):
+                raise ConfigError(
+                    f"{name} must be a finite number, got {value!r}")
+        for name in INTEGER_FIELDS:
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in FLAG_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ConfigError(f"{name} must be true or false, "
+                                  f"got {value!r}")
+        if not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir must be a path, "
+                              f"got {self.output_dir!r}")
+        if (len(self.window) != 2
+                or not all(_is_finite_real(v) for v in self.window)):
+            raise ConfigError(f"window must be two finite numbers, "
+                              f"got {self.window!r}")
         for name in ("gamma", "wavelength", "delta_bar", "density",
                      "pulse_energy", "pulse_duration", "beam_cross_section",
                      "xi_bar", "mean_separation"):
@@ -115,7 +156,7 @@ class RunConfig:
                     f"(implied {implied:.4g} m, off by {mismatch:.1%})")
         if not self.kappas:
             raise ConfigError("kappas must not be empty")
-        if any(k not in (1, 2) for k in self.kappas):
+        if any(not _is_integer(k) or k not in (1, 2) for k in self.kappas):
             raise ConfigError(f"kappas must be drawn from (1, 2), "
                               f"got {self.kappas!r}")
         if not self.channels:
@@ -138,6 +179,8 @@ class RunConfig:
                               f"got {self.window!r}")
         if self.oracle_directions < 1:
             raise ConfigError("oracle_directions must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
 
     def resolved_theta(self) -> float:
         """Pulse area, computed from the energy budget if not direct."""
@@ -207,10 +250,10 @@ class RunConfig:
         for key, value in overrides.items():
             if value is not None:
                 values[key] = value
-        for key in ("channels", "kappas", "window"):
-            if key in values:
-                values[key] = tuple(values[key])
         try:
+            for key in ("channels", "kappas", "window"):
+                if key in values:
+                    values[key] = tuple(values[key])
             return cls(**values)
         except TypeError as err:
             raise ConfigError(str(err)) from err

@@ -34,8 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import NUM_OPS_PAIR
-from .coupling import interaction_pieces
+from .coupling import sparse_interaction_pieces
 from .expansion import (
     PhaseMonomial,
     PhaseTaggedVector,
@@ -132,19 +131,18 @@ def gamma_omega_averages(inv_xi_squared: float, gamma: float = 1.0) -> KernelSec
 
 def _effective_final_insertions(inv_xi_squared: float, gamma: float,
                                 mode: str) -> dict:
-    """Per open factor, the matrix performing the last insertion and the
-    factor-pair average in one step: sum over closing factors of the
+    """Per open factor, the CSR matrix performing the last insertion and
+    the factor-pair average in one step: sum over closing factors of the
     averaged pair weight times that factor's insertion piece."""
-    pieces = interaction_pieces("state")
+    pieces = sparse_interaction_pieces("state")
     out = {}
     for first in pieces:
-        acc = np.zeros((NUM_OPS_PAIR, NUM_OPS_PAIR), dtype=complex)
-        for second, piece in pieces.items():
-            weight = angular_average((first, second), inv_xi_squared, gamma,
-                                     mode)
-            if weight != 0.0:
-                acc += weight * piece
-        out[first] = acc
+        weights = {second: angular_average((first, second), inv_xi_squared,
+                                           gamma, mode)
+                   for second in pieces}
+        out[first] = sum(weight * pieces[second]
+                         for second, weight in weights.items()
+                         if weight != 0.0)
     return out
 
 

@@ -26,17 +26,41 @@ an optional exact projection of the stationary (both atoms ground)
 direction that keeps z = 0 evaluations finite.  That direction carries
 no fluorescence, so restricted resolvents are exact for every detected
 quantity.
+
+The decay eigendecomposition is block structured in the operator
+basis.  Twelve of the sixteen single-atom decay modes are basis
+elements themselves: the optical coherences sigma_1k, sigma_k1 (basis
+indices 4-9, rate -1/2) and the Zeeman coherences sigma_kl (indices
+10-15, rate -1).  The other four modes, sigma_11 (rate 0) and
+sigma_kk - sigma_11 (rate -1), span only the diagonal indices 0-3.  The
+pair resolvent therefore needs no dense change of basis: a 4x4 map on
+the diagonal block of each atom index, one elementwise multiply by
+1/(z - r_i - r_j), and the inverse 4x4 maps.  The interaction pieces
+hold a few hundred nonzeros out of 65,536 and are applied as sparse
+matrices.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .atom import PoleError, decay_eigensystem, kick_decomposition
-from .basis import NUM_OPS_PAIR, apply_factorized, expand, matrix_unit, pair_operator
-from .coupling import interaction_pieces, tensor_tag_value
+from .basis import (
+    NUM_OPS,
+    NUM_OPS_PAIR,
+    apply_factorized,
+    expand,
+    matrix_unit,
+    pair_operator,
+)
+from .coupling import sparse_interaction_pieces, tensor_tag_value
+
+#: basis indices spanned by the population decay modes; every other
+#: basis element is a decay mode on its own
+POPULATION_BLOCK = 4
 
 
 @dataclass(frozen=True)
@@ -175,43 +199,51 @@ def apply_kick(vector: PhaseTaggedVector, pulse_index: int, theta: float,
     return out
 
 
-def _resolvent_coeffs(coeffs: np.ndarray, z, gamma: float,
-                      restrict_stationary: bool) -> np.ndarray:
-    """Exact pair resolvent of the free decay generator on one coefficient
-    vector, via the analytic single-atom eigendecomposition.
+@functools.cache
+def _decay_blocks():
+    """Block form of the single-atom decay eigensystem.
 
-    ``coeffs`` may carry one trailing batch axis and ``z`` may be an
-    array; the two broadcast against each other, so a whole frequency
-    grid costs a single pass.
+    Returns ``(to_eigen, from_eigen, rates)``: the 4x4 maps between the
+    diagonal basis indices 0-3 and the population modes (the stationary
+    mode sigma_11 first), and the decay rate of every basis index, with
+    the population-mode rates in the first four places.
     """
     eig = decay_eigensystem()
-    rates = gamma * eig.rates
-    z_arr = np.asarray(z, dtype=complex)
-    scalar_out = coeffs.ndim == 1 and z_arr.ndim == 0
-    block = coeffs.reshape(16, 16, -1)
-    eigen = np.einsum("ik,klv,jl->ijv", eig.inverse, block, eig.inverse,
-                      optimize=True)
-    pair_rates = rates[:, None] + rates[None, :]
-    denom = z_arr.reshape((1, 1) + z_arr.shape) - pair_rates[:, :, None]
-    if restrict_stationary:
-        eigen[0, 0] = 0.0
-        denom[0, 0] = 1.0
-    on_pole = np.abs(denom) < 1e-12
-    if np.any(on_pole):
-        scale = max(np.max(np.abs(eigen)), 1e-300)
-        if np.any(on_pole & (np.abs(eigen) > 1e-9 * scale)):
-            raise PoleError(f"pair resolvent evaluated on a pole at z = {z}")
-        eigen = np.where(on_pole, 0.0, eigen)
-        denom = np.where(on_pole, 1.0, denom)
-    eigen = eigen / denom
-    out = np.einsum("ik,klv,jl->ijv", eig.modes, eigen, eig.modes,
-                    optimize=True)
-    return out.reshape(-1) if scalar_out else out.reshape(256, -1)
+    population = [m for m in range(NUM_OPS)
+                  if not np.any(eig.modes[POPULATION_BLOCK:, m])]
+    rates = np.empty(NUM_OPS)
+    rates[:POPULATION_BLOCK] = eig.rates[population]
+    for m in sorted(set(range(NUM_OPS)) - set(population)):
+        (n,) = np.flatnonzero(eig.modes[:, m])
+        rates[n] = eig.rates[m]
+    from_eigen = eig.modes[:POPULATION_BLOCK, population]
+    return np.linalg.inv(from_eigen), from_eigen, rates
 
 
-def apply_resolvent(vector: PhaseTaggedVector, z: complex, gamma: float = 1.0,
+def _map_population_block(matrix: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Apply ``matrix`` to the population indices of both atoms, in place.
+
+    ``block`` has shape (16, 16, V): atom 1 index, atom 2 index, batch.
+    """
+    p = POPULATION_BLOCK
+    block[:p] = (matrix @ block[:p].reshape(p, -1)).reshape(block[:p].shape)
+    block[:, :p] = np.matmul(matrix, block[:, :p])
+    return block
+
+
+def apply_resolvent(vector: PhaseTaggedVector, z, gamma: float = 1.0,
                     restrict_stationary: bool = False) -> PhaseTaggedVector:
     """Laplace-domain free evolution of every component (state picture).
+
+    The exact pair resolvent (z - L1 - L2)^-1 in the block form of the
+    decay eigensystem (see the module docstring): the population block
+    of each atom index is mapped to decay modes, every entry is divided
+    by z - r_i - r_j, and the maps are undone.  The denominators and
+    the pole mask are computed once per call for all components.
+
+    ``z`` may be a scalar or a 1d grid; coefficients may carry one
+    trailing batch axis, which broadcasts against the grid, so a whole
+    frequency grid costs a single pass per component.
 
     With ``restrict_stationary`` the both-atoms-ground stationary
     direction is projected out before inverting, which keeps z = 0
@@ -221,31 +253,66 @@ def apply_resolvent(vector: PhaseTaggedVector, z: complex, gamma: float = 1.0,
     delay-independent background), which later kicks can redistribute.
     The discarded direction itself is invisible to fluorescence
     detection and annihilated by the pair interaction.
+
+    Raises:
+        PoleError: a component has weight, above 1e-9 of its largest
+            decay-mode entry, in a sector whose rate sum equals some z
+            of the grid.  Negligible weight on a pole is dropped.
     """
-    return PhaseTaggedVector(
-        {m: _resolvent_coeffs(c, z, gamma, restrict_stationary)
-         for m, c in vector.items()})
+    to_eigen, from_eigen, rates = _decay_blocks()
+    z_arr = np.asarray(z, dtype=complex)
+    denom = z_arr.reshape(1, 1, -1) - gamma * (rates[:, None, None]
+                                               + rates[None, :, None])
+    if restrict_stationary:
+        denom[0, 0] = 1.0
+    on_pole = np.abs(denom) < 1e-12
+    any_pole = bool(np.any(on_pole))
+    inverse = 1.0 / np.where(on_pole, 1.0, denom)
+    inverse[on_pole] = 0.0
+    if restrict_stationary:
+        inverse[0, 0] = 0.0
+    out = PhaseTaggedVector()
+    for monomial, coeffs in vector.items():
+        block = np.array(coeffs, dtype=complex).reshape(NUM_OPS, NUM_OPS, -1)
+        eigen = _map_population_block(to_eigen, block)
+        if any_pole:
+            magnitude = np.abs(eigen)
+            if restrict_stationary:
+                magnitude[0, 0] = 0.0
+            scale = max(np.max(magnitude), 1e-300)
+            if np.any(on_pole & (magnitude > 1e-9 * scale)):
+                raise PoleError(
+                    f"pair resolvent evaluated on a pole at z = {z}")
+        solved = _map_population_block(from_eigen, eigen * inverse)
+        scalar_out = coeffs.ndim == 1 and z_arr.ndim == 0
+        out.terms[monomial] = (solved.reshape(-1) if scalar_out
+                               else solved.reshape(NUM_OPS_PAIR, -1))
+    return out
 
 
 def apply_free(vector: PhaseTaggedVector, t: float, gamma: float = 1.0) -> PhaseTaggedVector:
-    """Time-domain free decay of every component (state picture)."""
-    eig = decay_eigensystem()
-    rates = gamma * eig.rates
-    scales = np.exp((rates[:, None] + rates[None, :]) * t)
-    out = {}
+    """Time-domain free decay of every component (state picture), in
+    the block form of the decay eigensystem that ``apply_resolvent``
+    uses."""
+    to_eigen, from_eigen, rates = _decay_blocks()
+    scales = np.exp(gamma * (rates[:, None, None] + rates[None, :, None]) * t)
+    out = PhaseTaggedVector()
     for monomial, coeffs in vector.items():
-        eigen = eig.inverse @ coeffs.reshape(16, 16) @ eig.inverse.T
-        out[monomial] = (eig.modes @ (scales * eigen) @ eig.modes.T).reshape(-1)
-    return PhaseTaggedVector(out)
+        block = np.array(coeffs, dtype=complex).reshape(NUM_OPS, NUM_OPS, -1)
+        eigen = _map_population_block(to_eigen, block)
+        out.terms[monomial] = _map_population_block(
+            from_eigen, eigen * scales).reshape(coeffs.shape)
+    return out
 
 
 def apply_interaction(vector: PhaseTaggedVector, picture: str = "state") -> PhaseTaggedVector:
     """One pair-interaction insertion, branching over coupling factors.
 
     Each component acquires one symbolic tensor factor per canonical
-    tag, with the matching 256x256 piece applied to its coefficients.
+    tag, with the matching 256x256 piece (held sparse) applied to its
+    coefficients.
     """
-    pieces = interaction_pieces(picture)
+    pieces = sparse_interaction_pieces(picture)
     out = PhaseTaggedVector()
     for monomial, coeffs in vector.items():
         for tag, piece in pieces.items():

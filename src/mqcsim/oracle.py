@@ -277,30 +277,10 @@ def demodulated_term_table(orders, theta: float, channel: str, kappa: int,
     )
 
 
-def _tensor_batch(xi: np.ndarray, n_hat: np.ndarray, gamma: float,
-                  mode: str) -> np.ndarray:
-    """Coupling tensors for a batch of configurations, shape (B, 3, 3)."""
-    xi = np.asarray(xi, dtype=float)[:, None, None]
-    n = np.asarray(n_hat, dtype=float)
-    dyadic = n[:, :, None] * n[:, None, :]
-    transverse = np.eye(3) - dyadic
-    quasistatic = np.eye(3) - 3.0 * dyadic
-    scale = 3.0 * gamma / 4.0
-    if mode == "exact":
-        return scale * np.exp(-1j * xi) * ((1j / xi) * transverse
-                                           + (1.0 / xi**2 - 1j / xi**3)
-                                           * quasistatic)
-    if mode == "far_field":
-        return scale * (1j * np.exp(-1j * xi) / xi) * transverse
-    if mode == "near_field":
-        return scale * (-1j / xi**3) * quasistatic
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def _term_weights(table: TermTable, xi: np.ndarray, n_hat: np.ndarray,
                   gamma: float, mode: str) -> np.ndarray:
     """Numeric weight of every table term per configuration, (T, B)."""
-    tensors = _tensor_batch(xi, n_hat, gamma, mode)
+    tensors = coupling_tensor(xi, n_hat, gamma, mode)
     position = np.asarray(xi) * np.asarray(n_hat)[:, 2]
     weights = np.empty((len(table.tags), len(position)), dtype=complex)
     for t, (exponent, tags) in enumerate(zip(table.phase_exponents,
@@ -501,7 +481,8 @@ def monte_carlo_spectrum(kappa: int, channel: str, direction, theta: float,
                          gamma: float = 1.0, mode: str = "exact",
                          orders=(0, 1, 2), terms: str = "surviving",
                          batch_size: int = 4096,
-                         keep_traces: int = 0) -> MonteCarloResult:
+                         keep_traces: int = 0,
+                         table: TermTable = None) -> MonteCarloResult:
     """Monte-Carlo disorder average of per-configuration spectra.
 
     Each sampled configuration (separation, axis direction) is priced
@@ -524,6 +505,10 @@ def monte_carlo_spectrum(kappa: int, channel: str, direction, theta: float,
             over orders of magnitude, which is itself an observable
             effect worth reproducing; pass terms="complete" so the
             traces carry the full chain).
+        table: precomputed term table of the chain on this detuning
+            grid (from :func:`demodulated_term_table`), reused across
+            seeds and detection directions; ``orders`` is then ignored
+            and ``terms`` applies to the passed table.
     """
     if n_samples < 1:
         raise ValueError("need at least one configuration")
@@ -533,8 +518,11 @@ def monte_carlo_spectrum(kappa: int, channel: str, direction, theta: float,
         detunings = DEFAULT_DETUNINGS.copy()
     detunings = np.asarray(detunings, dtype=float)
     z1 = 1j * detunings * gamma
-    table = demodulated_term_table(orders, theta, channel, kappa, z1,
-                                   0.0, gamma)
+    if table is None:
+        table = demodulated_term_table(orders, theta, channel, kappa, z1,
+                                       0.0, gamma)
+    elif not np.array_equal(table.z1_values, z1):
+        raise ValueError("term table was built on a different detuning grid")
     if terms == "surviving":
         table = surviving_term_table(table)
     covector = _detection_covector(direction).conj()
@@ -594,7 +582,7 @@ def monte_carlo_pair_averages(pairs, n_samples: int, *, seed: int,
     pairs = [(a, b, m) for a, b, m in pairs]
     rng = np.random.default_rng(seed)
     xi, n_hat = sample_configurations(rng, n_samples, window)
-    tensors = _tensor_batch(xi, n_hat, gamma, mode)
+    tensors = coupling_tensor(xi, n_hat, gamma, mode)
     position = xi * n_hat[:, 2]
 
     def factor(tag):

@@ -153,6 +153,28 @@ def spectrum(kappa: int, channel: str, direction, theta: float,
     Returns:
         SpectrumSeries over the requested grid.
     """
+    (series,) = directional_spectra(
+        kappa, channel, (direction,), theta, detunings, xi_bar=xi_bar,
+        window=window, average_mode=average_mode, fast=fast, orders=orders,
+        gamma=gamma)
+    return series
+
+
+def directional_spectra(kappa: int, channel: str, directions, theta: float,
+                        detunings=None, *, xi_bar: float = None,
+                        window=None, average_mode: str = "full",
+                        fast: bool = False, orders=(0, 2),
+                        gamma: float = 1.0) -> tuple:
+    """:func:`spectrum` for several detection directions at once.
+
+    The averaged pair state does not depend on the detector, so it is
+    computed once and projected onto each direction.  Arguments are
+    those of :func:`spectrum`, with ``directions`` a sequence of
+    directions.
+
+    Returns:
+        tuple of SpectrumSeries, one per direction in order.
+    """
     if kappa not in DEMODULATION_ORDERS:
         raise ValueError(f"kappa must be one of {DEMODULATION_ORDERS}, "
                          f"got {kappa!r}")
@@ -171,16 +193,19 @@ def spectrum(kappa: int, channel: str, direction, theta: float,
             order, z1, theta, channel=channel, kappa=kappa,
             inv_xi_squared=inv_xi_squared, gamma=gamma, mode=average_mode,
             fast=fast)
-    projected = detection_projection(averaged, direction)
-    raw = projected.get(kappa)
-    if raw is None:
-        values = np.zeros(detunings.size, dtype=complex)
-    else:
-        values = np.broadcast_to(raw, (detunings.size,)).astype(complex)
-    values = values / np.sqrt(2.0 * np.pi)
-    label = direction if isinstance(direction, str) else repr(direction)
-    return SpectrumSeries(detunings=detunings, values=values, kappa=kappa,
-                          channel=channel, direction=label)
+    out = []
+    for direction in directions:
+        raw = detection_projection(averaged, direction).get(kappa)
+        if raw is None:
+            values = np.zeros(detunings.size, dtype=complex)
+        else:
+            values = np.broadcast_to(raw, (detunings.size,)).astype(complex)
+        values = values / np.sqrt(2.0 * np.pi)
+        label = direction if isinstance(direction, str) else repr(direction)
+        out.append(SpectrumSeries(detunings=detunings, values=values,
+                                  kappa=kappa, channel=channel,
+                                  direction=label))
+    return tuple(out)
 
 
 def leading_order_peaks(theta: float, xi_bar: float) -> dict:

@@ -45,6 +45,34 @@ def test_invalid_configuration_exits_with_two(tmp_path, capsys):
     assert "invalid configuration" in capsys.readouterr().err
 
 
+SMALL_SPECTRUM = ["spectrum", "--kappas", "2", "--channels", "parallel",
+                  "--detuning-count", "5"]
+
+
+@pytest.mark.parametrize("argv,config", [
+    (SMALL_SPECTRUM + ["--theta", "nan"], None),
+    (SMALL_SPECTRUM + ["--detuning-half-range", "nan"], None),
+    (["mc-average", "--kappas", "2", "--channels", "parallel",
+      "--detuning-count", "5", "--window", "1", "inf",
+      "--mc-samples", "10"], None),
+    (["spectrum"], {"detuning_count": 5.5}),
+    (["cross-section", "--delta-bar", "inf"], None),
+])
+def test_bad_inputs_exit_with_two(tmp_path, capsys, argv, config):
+    argv = argv + ["--output-dir", str(tmp_path / "run")]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("invalid configuration: ")
+    assert not (tmp_path / "run").exists()
+
+
 def test_spectrum_writes_selected_series(tmp_path):
     out = tmp_path / "run"
     assert main(["spectrum", "--kappas", "1", "--channels", "parallel",

@@ -79,6 +79,16 @@ def test_separation_sources_resolve_and_conflict():
     {"window": (92.8, 67.2)},
     {"window": (-1.0, 5.0)},
     {"oracle_directions": 0},
+    {"theta": float("nan")},
+    {"delta_bar": float("inf")},
+    {"detuning_count": 5.5},
+    {"mc_samples": True},
+    {"seed": -1},
+    {"kappas": (1.0,)},
+    {"window": (1.0, float("inf"))},
+    {"window": (1.0, 2.0, 3.0)},
+    {"gamma_to_zero": "yes"},
+    {"output_dir": 5},
 ])
 def test_invalid_fields_are_rejected(fields):
     with pytest.raises(ConfigError):

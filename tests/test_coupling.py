@@ -42,6 +42,18 @@ def test_tensor_symmetry_and_axis_parity():
                                atol=1e-14)
 
 
+@pytest.mark.parametrize("mode", ["exact", "far_field", "near_field"])
+def test_coupling_tensor_batch_matches_single_calls(mode):
+    rng = np.random.default_rng(3)
+    xi = rng.uniform(5.0, 100.0, 6)
+    n_hat = rng.normal(size=(6, 3))
+    batch = coupling_tensor(xi, n_hat, gamma=1.7, mode=mode)
+    assert batch.shape == (6, 3, 3)
+    for b in range(6):
+        single = coupling_tensor(xi[b], n_hat[b], gamma=1.7, mode=mode)
+        np.testing.assert_allclose(batch[b], single, rtol=1e-14, atol=0)
+
+
 def test_far_field_limit_and_decomposition():
     n = np.array([0.3, -0.8, 0.52])
     xi = 2.0e4

@@ -182,6 +182,24 @@ def test_resolvent_pole_handling():
     assert np.allclose(coeffs, 0.0, atol=1e-14)
 
 
+def test_resolvent_pole_guard_on_a_grid():
+    gamma = 1.3
+    zs = np.array([0.2j, -gamma / 2.0, 0.1 - 0.4j])
+    # sigma_14 on atom 1 decays at gamma/2 while atom 2 stays in sigma_11
+    optical = expand(pair_operator(matrix_unit(1, 4), matrix_unit(1, 1)))
+    vec = PhaseTaggedVector({PhaseMonomial((1, 0, 0, 0)): optical})
+    with pytest.raises(PoleError):
+        apply_resolvent(vec, zs, gamma=gamma)
+    with pytest.raises(PoleError):
+        apply_resolvent(vec, zs, gamma=gamma, restrict_stationary=True)
+    # sigma_14 on both atoms decays at gamma and has no weight on the pole
+    both = expand(pair_operator(matrix_unit(1, 4), matrix_unit(1, 4)))
+    vec = PhaseTaggedVector({PhaseMonomial((1, 0, 1, 0)): both})
+    [(_, got)] = apply_resolvent(vec, zs, gamma=gamma).items()
+    assert np.all(np.isfinite(got))
+    assert np.allclose(got, both[:, None] / (zs + gamma), atol=1e-14)
+
+
 def test_resolvent_broadcasts_over_a_grid_of_z_values():
     rng = np.random.default_rng(7)
     coeffs = rng.normal(size=256) + 1j * rng.normal(size=256)

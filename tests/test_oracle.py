@@ -357,6 +357,24 @@ def test_monte_carlo_is_deterministic_and_keeps_traces():
     assert single.window == WINDOW
 
 
+def test_monte_carlo_reuses_a_passed_term_table():
+    detunings = np.linspace(-2.0, 2.0, 5)
+    table = demodulated_term_table((0, 1, 2), THETA, "parallel", 1,
+                                   1j * detunings)
+    for terms in ("surviving", "complete"):
+        built = monte_carlo_spectrum(1, "parallel", "x", THETA, 300, seed=11,
+                                     detunings=detunings, terms=terms)
+        passed = monte_carlo_spectrum(1, "parallel", "x", THETA, 300,
+                                      seed=11, detunings=detunings,
+                                      terms=terms, table=table)
+        assert np.array_equal(built.series.values, passed.series.values)
+        assert np.array_equal(built.series.errors, passed.series.errors)
+    with pytest.raises(ValueError):
+        monte_carlo_spectrum(1, "parallel", "x", THETA, 300, seed=11,
+                             detunings=np.linspace(-1.0, 1.0, 5),
+                             table=table)
+
+
 def test_monte_carlo_matches_closed_form_average():
     detunings = np.linspace(-3.0, 3.0, 9)
     for kappa, channel, direction in ((1, "parallel", "y"),

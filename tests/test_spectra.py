@@ -88,6 +88,26 @@ def test_averaged_solution_matches_reference_chain(order, kappa, channel, mode):
         assert np.allclose(a, b, atol=1e-12)
 
 
+@pytest.mark.parametrize("kappa,channel", [
+    (1, "parallel"),
+    (2, "perpendicular"),
+])
+def test_fast_averaged_solution_matches_reference_chain(kappa, channel):
+    theta = 0.8
+    z1 = np.array([-0.7j, 0.3 + 0.2j, 1.1j])
+    inv2 = mean_inverse_xi_squared(xi_bar=80.0)
+    got = averaged_solution(2, z1, theta, channel=channel, kappa=kappa,
+                            inv_xi_squared=inv2, fast=True)
+    full = scattering_solution(2, z1, 0.0, theta, channel=channel,
+                               kappa=kappa, fast=True)
+    want = average_state(full, inv2)
+    assert len(want) > 0
+    for monomial in set(got.terms) | set(want.terms):
+        a = got.terms.get(monomial, np.zeros((256, 3)))
+        b = want.terms.get(monomial, np.zeros((256, 3)))
+        assert np.allclose(a, b, atol=1e-12)
+
+
 def test_spectrum_independent_atom_peak_value():
     theta = 0.6
     s = spectrum(1, "parallel", "y", theta, detunings=np.array([0.0]),
