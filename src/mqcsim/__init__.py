@@ -30,7 +30,6 @@ from .expansion import (
 from .disorder import (
     survival_filter,
     angular_average,
-    gamma_omega_averages,
     average_state,
     averaged_solution,
     mean_inverse_xi_squared,
@@ -72,7 +71,7 @@ __all__ = [
     "coupling_tensor", "interaction_matrices", "interaction_pieces",
     "PhaseMonomial", "PhaseTaggedVector", "initial_vector",
     "apply_kick", "apply_resolvent", "apply_interaction", "scattering_solution",
-    "survival_filter", "angular_average", "gamma_omega_averages",
+    "survival_filter", "angular_average",
     "average_state", "averaged_solution", "mean_inverse_xi_squared",
     "SpectrumSeries", "detection_observable", "detection_projection",
     "directional_spectra", "spectrum", "leading_order_peaks", "mean_scattering_cross_section",

@@ -37,18 +37,12 @@ import numpy as np
 from .basis import (
     HILBERT_DIM,
     NUM_OPS,
-    build_single_atom_basis,
     expand,
     matrix_unit,
     sandwich_matrix,
 )
 
 _SQRT2 = np.sqrt(2.0)
-
-#: spherical unit vectors over the Cartesian (x, y, z) components
-SPHERICAL_MINUS = np.array([1.0, -1.0j, 0.0]) / _SQRT2
-SPHERICAL_ZERO = np.array([0.0, 0.0, 1.0], dtype=complex)
-SPHERICAL_PLUS = -np.array([1.0, 1.0j, 0.0]) / _SQRT2
 
 _CART_LABELS = {"x": 0, "y": 1, "z": 2}
 
@@ -229,23 +223,6 @@ def free_propagator(t: float, gamma: float = 1.0, picture: str = "observable") -
     return cross * half + gg + ee * full + feed * (1.0 - full)
 
 
-@functools.cache
-def _stationary_projector(picture: str) -> np.ndarray:
-    """Coefficient-space projector onto the zero-decay-rate sector.
-
-    State picture: rho -> sigma_11 Tr{rho}.  Observable picture:
-    Q -> Id <1|Q|1>.
-    """
-    b = build_single_atom_basis()
-    if picture == "state":
-        target = expand(matrix_unit(1, 1))
-        weights = np.array([np.trace(q) for q in b])
-    else:
-        target = expand(np.eye(HILBERT_DIM, dtype=complex))
-        weights = np.array([q[0, 0] for q in b])
-    return np.outer(target, weights)
-
-
 def resolvent(z: complex, gamma: float = 1.0, picture: str = "observable",
               restrict_stationary: bool = False) -> np.ndarray:
     """Laplace transform of the decay propagator, 16x16.
@@ -282,14 +259,12 @@ class DecayEigensystem:
     """Diagonalized density-operator decay generator (gamma = 1 units).
 
     ``modes`` columns are coefficient vectors of the eigen-operators,
-    ``rates`` the matching eigenvalues (0, -1/2, -1 patterns), and
-    ``inverse`` maps coefficients to eigen-coordinates.  The stationary
-    mode sigma_11 sits first.
+    ``rates`` the matching eigenvalues (0, -1/2, -1 patterns).  The
+    stationary mode sigma_11 sits first.
     """
 
     modes: np.ndarray
     rates: np.ndarray
-    inverse: np.ndarray
 
 
 @functools.cache
@@ -309,5 +284,4 @@ def decay_eigensystem() -> DecayEigensystem:
         ops.append(matrix_unit(k, k) - matrix_unit(1, 1))
         rates.append(-1.0)
     modes = np.stack([expand(op) for op in ops], axis=1)
-    return DecayEigensystem(modes=modes, rates=np.array(rates),
-                            inverse=np.linalg.inv(modes))
+    return DecayEigensystem(modes=modes, rates=np.array(rates))

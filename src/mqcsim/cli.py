@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +37,6 @@ from .config import (
     ConfigError,
     RunConfig,
     TENSOR_MODES,
-    worker_count,
     write_report,
     write_series,
     write_sidecar,
@@ -154,11 +152,6 @@ def _prepare_output(config: RunConfig) -> Path:
     return directory
 
 
-def _print(lines) -> None:
-    for line in lines:
-        print(line)
-
-
 def run_spectrum(config: RunConfig, preset: str = None) -> int:
     """Compute disorder-averaged spectra and write one file per series."""
     if preset == "fig4":
@@ -191,7 +184,7 @@ def run_spectrum(config: RunConfig, preset: str = None) -> int:
                     written.append(name)
     write_sidecar(directory / "spectrum.json",
                   {"config": metadata, "preset": preset, "files": written})
-    _print(f"wrote {name}" for name in written)
+    print("\n".join(f"wrote {name}" for name in written))
     return 0
 
 
@@ -256,21 +249,6 @@ def run_table1(config: RunConfig) -> int:
     return 0
 
 
-def _oracle_case(task):
-    """One (separation, orientation) comparison for every channel pair."""
-    xi, axis, theta, z1_grid, tables = task
-    values = {}
-    for (kappa, channel), table in tables.items():
-        exact = demodulated_laplace(xi, axis, theta, channel, kappa, z1_grid)
-        approx = fixed_configuration_components(
-            xi, axis, theta, channel, kappa, z1_grid, table=table)
-        for direction in ("x", "y"):
-            residual = np.max(np.abs(approx[direction] - exact[direction]))
-            scale = np.max(np.abs(exact[direction]))
-            values[kappa, channel, direction] = (residual, scale)
-    return values
-
-
 def run_oracle_check(config: RunConfig) -> int:
     """Compare analytic demodulated components with the exact oracle."""
     directory = _prepare_output(config)
@@ -286,21 +264,26 @@ def run_oracle_check(config: RunConfig) -> int:
     }
     lines, failed = [], False
     for xi, tolerance in ORACLE_POINTS:
-        tasks = [(xi, axis, theta, z1_grid, tables) for axis in axes]
-        with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-            cases = list(pool.map(_oracle_case, tasks))
         # A channel's signal can pass through an orientation zero while the
         # truncation remainder stays finite, so a per-orientation ratio is
         # unbounded there for any truncation order.  Each residual is
         # therefore measured against the channel's signal scale over the
         # whole orientation sample.
-        worst = 0.0
-        for key in cases[0]:
-            scale = max(case[key][1] for case in cases)
-            if scale == 0.0:
-                continue
-            worst = max(worst,
-                        max(case[key][0] for case in cases) / scale)
+        residual, scale = {}, {}
+        for axis in axes:
+            for (kappa, channel), table in tables.items():
+                exact = demodulated_laplace(xi, axis, theta, channel, kappa,
+                                            z1_grid)
+                approx = fixed_configuration_components(
+                    xi, axis, theta, channel, kappa, z1_grid, table=table)
+                for d in DETECTION_DIRECTIONS:
+                    key = (kappa, channel, d)
+                    residual[key] = max(residual.get(key, 0.0),
+                                        np.max(np.abs(approx[d] - exact[d])))
+                    scale[key] = max(scale.get(key, 0.0),
+                                     np.max(np.abs(exact[d])))
+        worst = max([residual[key] / scale[key] for key in scale
+                     if scale[key] != 0.0], default=0.0)
         ok = worst <= tolerance
         failed = failed or not ok
         lines.append(f"{'PASS' if ok else 'FAIL'} oracle xi={xi:g} "
@@ -312,7 +295,7 @@ def run_oracle_check(config: RunConfig) -> int:
     write_sidecar(directory / "oracle_check.json",
                   {"config": metadata, "lines": lines,
                    "files": ["oracle_check.txt"]})
-    _print(lines)
+    print("\n".join(lines))
     return EXIT_FAILED_CHECK if failed else 0
 
 
@@ -385,7 +368,7 @@ def run_mc_average(config: RunConfig) -> int:
     write_sidecar(directory / "mc_average.json",
                   {"config": metadata, "lines": lines,
                    "files": ["mc_average.txt"] + written})
-    _print(lines)
+    print("\n".join(lines))
     return EXIT_FAILED_CHECK if failed else 0
 
 
@@ -429,25 +412,18 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_config_flags(sub)
     sub.set_defaults(handler=lambda cfg, args: run_spectrum(cfg, args.preset))
 
-    sub = commands.add_parser(
-        "table1", help="closed-form peaks next to fitted coefficients")
-    _add_config_flags(sub)
-    sub.set_defaults(handler=lambda cfg, args: run_table1(cfg))
-
-    sub = commands.add_parser(
-        "oracle-check", help="perturbative chain against the exact oracle")
-    _add_config_flags(sub)
-    sub.set_defaults(handler=lambda cfg, args: run_oracle_check(cfg))
-
-    sub = commands.add_parser(
-        "mc-average", help="Monte-Carlo averages against closed forms")
-    _add_config_flags(sub)
-    sub.set_defaults(handler=lambda cfg, args: run_mc_average(cfg))
-
-    sub = commands.add_parser(
-        "cross-section", help="Doppler-averaged scattering cross-section")
-    _add_config_flags(sub)
-    sub.set_defaults(handler=lambda cfg, args: run_cross_section(cfg))
+    for name, run, text in (
+            ("table1", run_table1,
+             "closed-form peaks next to fitted coefficients"),
+            ("oracle-check", run_oracle_check,
+             "perturbative chain against the exact oracle"),
+            ("mc-average", run_mc_average,
+             "Monte-Carlo averages against closed forms"),
+            ("cross-section", run_cross_section,
+             "Doppler-averaged scattering cross-section")):
+        sub = commands.add_parser(name, help=text)
+        _add_config_flags(sub)
+        sub.set_defaults(handler=lambda cfg, args, run=run: run(cfg))
     return parser
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import os
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -127,11 +126,9 @@ class RunConfig:
                 or not all(_is_finite_real(v) for v in self.window)):
             raise ConfigError(f"window must be two finite numbers, "
                               f"got {self.window!r}")
-        for name in ("gamma", "wavelength", "delta_bar", "density",
-                     "pulse_energy", "pulse_duration", "beam_cross_section",
-                     "xi_bar", "mean_separation"):
+        for name in REAL_FIELDS:
             value = getattr(self, name)
-            if value is not None and not value > 0:
+            if value is not None and name != "theta" and not value > 0:
                 raise ConfigError(f"{name} must be positive, got {value!r}")
         area_fields = (self.pulse_energy, self.pulse_duration,
                        self.beam_cross_section)
@@ -167,8 +164,6 @@ class RunConfig:
         if self.tensor_mode not in TENSOR_MODES:
             raise ConfigError(f"tensor_mode must be one of {TENSOR_MODES}, "
                               f"got {self.tensor_mode!r}")
-        if self.detuning_half_range <= 0:
-            raise ConfigError("detuning_half_range must be positive")
         if self.detuning_count < 3:
             raise ConfigError("detuning_count must be at least 3")
         if self.mc_samples < 1:
@@ -181,6 +176,12 @@ class RunConfig:
             raise ConfigError("oracle_directions must be at least 1")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
+        # the spectra scale with <1/xi^2>, which must be a finite number
+        xi_bar = self.resolved_xi_bar()
+        square = xi_bar * xi_bar
+        if square == 0.0 or not math.isfinite(1.0 / square):
+            raise ConfigError(f"mean separation xi_bar = {xi_bar:.3g} "
+                              "is too small")
 
     def resolved_theta(self) -> float:
         """Pulse area, computed from the energy budget if not direct."""
@@ -257,19 +258,6 @@ class RunConfig:
             return cls(**values)
         except TypeError as err:
             raise ConfigError(str(err)) from err
-
-
-def worker_count() -> int:
-    """Number of parallel workers, from the MQCSIM_WORKERS variable."""
-    raw = os.environ.get("MQCSIM_WORKERS", "1")
-    try:
-        count = int(raw)
-    except ValueError as err:
-        raise ConfigError(f"MQCSIM_WORKERS must be an integer, "
-                          f"got {raw!r}") from err
-    if count < 1:
-        raise ConfigError("MQCSIM_WORKERS must be at least 1")
-    return count
 
 
 def _format_header(metadata: dict) -> str:

@@ -83,10 +83,11 @@ def coupling_tensor(xi, n_hat, gamma: float = 1.0, mode: str = "exact") -> np.nd
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def tensor_tag_value(tensor: np.ndarray, tag) -> complex:
-    """Numeric value of a formal tensor factor (kind, k, l)."""
+def tensor_tag_value(tensor: np.ndarray, tag):
+    """Numeric value of a formal tensor factor (kind, k, l), one per
+    tensor of a (..., 3, 3) batch."""
     kind, k, l = tag
-    value = tensor[k, l]
+    value = tensor[..., k, l]
     return np.conj(value) if kind == "conj" else value
 
 

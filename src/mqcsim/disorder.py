@@ -26,23 +26,22 @@ collapses every component to a tag-free monomial with a scalar weight.
 imaginary part before averaging (the collective-decay part of the
 coupling switched off); same-kind pairs then survive with weight
 -<Omega Omega> because only half of each product oscillates.
+
+:func:`averaged_solution` runs the split driver of the expansion,
+:func:`mqcsim.expansion.two_pulse_chain`, with the average interleaved.
+The driver builds each interpulse prefix once and runs the splits from
+the longest prefix down, freeing each prefix once used, which keeps the
+peak memory low.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-import numpy as np
 
 from .coupling import sparse_interaction_pieces
 from .expansion import (
     PhaseMonomial,
     PhaseTaggedVector,
-    apply_interaction,
-    apply_kick,
-    apply_resolvent,
     demodulation_keep,
-    initial_vector,
+    two_pulse_chain,
 )
 
 AVERAGE_MODES = ("full", "level_shift_only")
@@ -105,30 +104,6 @@ def angular_average(tags, inv_xi_squared: float, gamma: float = 1.0,
     return (0.5 if mixed else -0.5) * scale * moment
 
 
-@dataclass(frozen=True)
-class KernelSecondMoments:
-    """Isotropic second moments of the decay and shift kernels.
-
-    Entries are (3, 3, 3, 3) arrays indexed (k, l, m, n); the decay and
-    shift kernels contribute identical halves of the factor-conjugate
-    average and their cross moment vanishes.
-    """
-
-    decay_decay: np.ndarray
-    shift_shift: np.ndarray
-    decay_shift: np.ndarray
-
-
-def gamma_omega_averages(inv_xi_squared: float, gamma: float = 1.0) -> KernelSecondMoments:
-    """Second moments of Re/Im of the far-field coupling tensor."""
-    moment = np.array([[[[isotropic_projector_moment(k, l, m, n)
-                          for n in range(3)] for m in range(3)]
-                        for l in range(3)] for k in range(3)])
-    half = 0.5 * (0.75 * gamma) ** 2 * inv_xi_squared * moment
-    return KernelSecondMoments(decay_decay=half, shift_shift=half.copy(),
-                               decay_shift=np.zeros_like(half))
-
-
 def _effective_final_insertions(inv_xi_squared: float, gamma: float,
                                 mode: str) -> dict:
     """Per open factor, the CSR matrix performing the last insertion and
@@ -143,18 +118,6 @@ def _effective_final_insertions(inv_xi_squared: float, gamma: float,
         out[first] = sum(weight * pieces[second]
                          for second, weight in weights.items()
                          if weight != 0.0)
-    return out
-
-
-def _insert(vector: PhaseTaggedVector, final: dict, last: bool) -> PhaseTaggedVector:
-    if not last:
-        return apply_interaction(vector)
-    out = PhaseTaggedVector()
-    for monomial, coeffs in vector.items():
-        (tag,) = monomial.tags
-        new = final[tag] @ coeffs
-        if np.any(new):
-            out.add_term(PhaseMonomial(monomial.powers), new)
     return out
 
 
@@ -174,28 +137,15 @@ def averaged_solution(order: int, z1, theta: float, channel: str = "parallel",
     """
     if order not in (0, 2):
         raise ValueError("averaged chains support interaction orders 0 and 2")
-    second_pol = {"parallel": "x", "perpendicular": "y"}[channel]
     demod = demodulation_keep(kappa)
-    keep1 = lambda m: m.pulse_net[0] == -kappa
-    keep2 = lambda m: demod(m) and m.atom_net == (0, 0)
-    final = (_effective_final_insertions(inv_xi_squared, gamma, mode)
-             if order else None)
-    after_first = apply_kick(initial_vector(), 1, theta, "x", keep=keep1)
-    interpulse = apply_resolvent(after_first, z1, gamma, restrict_stationary)
-    splits = (0,) if fast else tuple(range(order + 1))
-    total = PhaseTaggedVector()
-    for between in splits:
-        part = interpulse
-        for step in range(between):
-            part = _insert(part, final, last=step == order - 1)
-            part = apply_resolvent(part, z1, gamma, restrict_stationary)
-        part = apply_kick(part, 2, theta, second_pol, keep=keep2)
-        part = apply_resolvent(part, z2, gamma, restrict_stationary)
-        for step in range(between, order):
-            part = _insert(part, final, last=step == order - 1)
-            part = apply_resolvent(part, z2, gamma, restrict_stationary)
-        total = total + part
-    return total
+    closing = (_effective_final_insertions(inv_xi_squared, gamma, mode)
+               if order else None)
+    return two_pulse_chain(
+        order, z1, z2, theta, channel,
+        keep1=lambda m: m.pulse_net[0] == -kappa,
+        keep2=lambda m: demod(m) and m.atom_net == (0, 0),
+        closing=closing, fast=fast, gamma=gamma,
+        restrict_stationary=restrict_stationary)
 
 
 def average_state(vector: PhaseTaggedVector, inv_xi_squared: float,

@@ -38,6 +38,14 @@ the diagonal block of each atom index, one elementwise multiply by
 1/(z - r_i - r_j), and the inverse 4x4 maps.  The interaction pieces
 hold a few hundred nonzeros out of 65,536 and are applied as sparse
 matrices.
+
+One driver, :func:`two_pulse_chain`, sums over the splits of the
+insertions between the two windows, for :func:`scattering_solution` and
+:func:`mqcsim.disorder.averaged_solution` alike.  It builds each
+interpulse prefix once and runs the splits from the longest prefix
+down, freeing each prefix as its split uses it; in the other order a
+tagged prefix would stay alive through the next split's detection
+stage, where the working set peaks, and raise the peak memory.
 """
 
 from __future__ import annotations
@@ -137,16 +145,9 @@ class PhaseTaggedVector:
             out.add_term(monomial, coeffs)
         return out
 
-    def scaled(self, factor: complex) -> "PhaseTaggedVector":
-        return PhaseTaggedVector({m: factor * c for m, c in self.items()})
-
     def filtered(self, keep) -> "PhaseTaggedVector":
         """Vector restricted to monomials satisfying ``keep(monomial)``."""
         return PhaseTaggedVector({m: c for m, c in self.items() if keep(m)})
-
-    def apply_matrix(self, matrix: np.ndarray) -> "PhaseTaggedVector":
-        """Apply a phase-free superoperator matrix to every coefficient."""
-        return PhaseTaggedVector({m: matrix @ c for m, c in self.items()})
 
     def evaluate(self, phases, tensor=None) -> np.ndarray:
         """Contract symbols with numbers: 256-entry coefficient vector.
@@ -290,21 +291,6 @@ def apply_resolvent(vector: PhaseTaggedVector, z, gamma: float = 1.0,
     return out
 
 
-def apply_free(vector: PhaseTaggedVector, t: float, gamma: float = 1.0) -> PhaseTaggedVector:
-    """Time-domain free decay of every component (state picture), in
-    the block form of the decay eigensystem that ``apply_resolvent``
-    uses."""
-    to_eigen, from_eigen, rates = _decay_blocks()
-    scales = np.exp(gamma * (rates[:, None, None] + rates[None, :, None]) * t)
-    out = PhaseTaggedVector()
-    for monomial, coeffs in vector.items():
-        block = np.array(coeffs, dtype=complex).reshape(NUM_OPS, NUM_OPS, -1)
-        eigen = _map_population_block(to_eigen, block)
-        out.terms[monomial] = _map_population_block(
-            from_eigen, eigen * scales).reshape(coeffs.shape)
-    return out
-
-
 def apply_interaction(vector: PhaseTaggedVector, picture: str = "state") -> PhaseTaggedVector:
     """One pair-interaction insertion, branching over coupling factors.
 
@@ -326,6 +312,55 @@ def apply_interaction(vector: PhaseTaggedVector, picture: str = "state") -> Phas
 def demodulation_keep(kappa: int):
     """Predicate selecting monomials read out at demodulation harmonic kappa."""
     return lambda monomial: monomial.pulse_net == (-kappa, kappa)
+
+
+def two_pulse_chain(order: int, z1, z2, theta: float, channel: str, *,
+                    keep1=None, keep2=None, closing=None, fast: bool = False,
+                    gamma: float = 1.0, initial=None,
+                    restrict_stationary: bool = True) -> PhaseTaggedVector:
+    """Sum over interaction splits of the two-pulse chain.
+
+    Split ``between`` puts that many of the ``order`` insertions before
+    the second kick (resolvents at ``z1``) and the rest after it (at
+    ``z2``).  Each split's result goes in front of the running sum, so
+    the monomials keep the order of an increasing-split sum.
+    ``keep1`` and ``keep2`` optionally filter the monomials of the two
+    kicks.  ``closing`` optionally maps, per tag, the last insertion of
+    every split to a tag-free monomial (the averaged chain); otherwise
+    every insertion is :func:`apply_interaction`.  The other arguments
+    are those of :func:`scattering_solution`.
+    """
+    second_pol = {"parallel": "x", "perpendicular": "y"}[channel]
+    if initial is None:
+        initial = initial_vector()
+
+    def insert(vector, step):
+        if closing is None or step < order - 1:
+            return apply_interaction(vector)
+        out = PhaseTaggedVector()
+        for monomial, coeffs in vector.items():
+            (tag,) = monomial.tags
+            new = closing[tag] @ coeffs
+            if np.any(new):
+                out.add_term(PhaseMonomial(monomial.powers), new)
+        return out
+
+    splits = (0,) if fast else tuple(range(order + 1))
+    prefixes = [apply_resolvent(apply_kick(initial, 1, theta, "x", keep=keep1),
+                                z1, gamma, restrict_stationary)]
+    for step in range(splits[-1]):
+        prefixes.append(apply_resolvent(insert(prefixes[-1], step), z1,
+                                        gamma, restrict_stationary))
+    total = PhaseTaggedVector()
+    for between in reversed(splits):
+        part = apply_kick(prefixes.pop(), 2, theta, second_pol, keep=keep2)
+        part = apply_resolvent(part, z2, gamma, restrict_stationary)
+        for step in range(between, order):
+            # two statements, so that the uninserted part is freed first
+            part = insert(part, step)
+            part = apply_resolvent(part, z2, gamma, restrict_stationary)
+        total = part + total
+    return total
 
 
 def scattering_solution(order: int, z1: complex, z2: complex, theta: float,
@@ -359,26 +394,11 @@ def scattering_solution(order: int, z1: complex, z2: complex, theta: float,
         PhaseTaggedVector of the doubly Laplace-transformed state; the
         sum over interaction splits is already performed.
     """
-    second_pol = {"parallel": "x", "perpendicular": "y"}[channel]
-    if initial is None:
-        initial = initial_vector()
     keep1 = keep2 = None
     if kappa is not None:
         keep1 = lambda m: m.pulse_net[0] == -kappa
         keep2 = demodulation_keep(kappa)
-    after_first = apply_kick(initial, 1, theta, "x", keep=keep1)
-    interpulse = apply_resolvent(after_first, z1, gamma, restrict_stationary)
-    splits = (0,) if fast else tuple(range(order + 1))
-    total = PhaseTaggedVector()
-    for between in splits:
-        part = interpulse
-        for _ in range(between):
-            part = apply_interaction(part)
-            part = apply_resolvent(part, z1, gamma, restrict_stationary)
-        part = apply_kick(part, 2, theta, second_pol, keep=keep2)
-        part = apply_resolvent(part, z2, gamma, restrict_stationary)
-        for _ in range(order - between):
-            part = apply_interaction(part)
-            part = apply_resolvent(part, z2, gamma, restrict_stationary)
-        total = total + part
-    return total
+    return two_pulse_chain(order, z1, z2, theta, channel, keep1=keep1,
+                           keep2=keep2, fast=fast, gamma=gamma,
+                           initial=initial,
+                           restrict_stationary=restrict_stationary)

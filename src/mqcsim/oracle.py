@@ -37,10 +37,11 @@ from scipy.linalg import expm
 
 from .atom import dipole_components, dipole_lowering
 from .basis import NUM_OPS_PAIR, build_single_atom_basis, matrix_unit
-from .coupling import coupling_tensor
+from .coupling import TAG_KEYS, coupling_tensor, tensor_tag_value
 from .expansion import scattering_solution
 from .spectra import (
     DEFAULT_DETUNINGS,
+    DETECTION_DIRECTIONS,
     SpectrumSeries,
     _detection_covector,
     detection_observable,
@@ -137,16 +138,6 @@ def pair_basis_columns() -> np.ndarray:
     return out
 
 
-def vec_from_coefficients(coeffs: np.ndarray) -> np.ndarray:
-    """Vectorized pair state from operator-basis coefficients."""
-    return pair_basis_columns() @ coeffs
-
-
-def coefficients_from_vec(vec: np.ndarray) -> np.ndarray:
-    """Operator-basis coefficients of a vectorized pair state."""
-    return pair_basis_columns().conj().T @ vec
-
-
 def pulse_unitary(theta: float, polarization, phase: float) -> np.ndarray:
     """Single-atom pulse unitary at a given optical phase, via expm."""
     low = dipole_lowering(polarization)
@@ -241,8 +232,9 @@ class TermTable:
     The chain is built once per (orders, pulse, demodulation) choice;
     a configuration then only supplies the numeric weight of each term:
     the position-phase factor e^{i m xi n_z} and the product of coupling
-    factors.  ``coeffs[t]`` holds the operator-basis coefficients of
-    term t over the z1 grid, shape (256, len(z1)).
+    factors.  ``coeffs[t]`` holds the detected rows of term t: its
+    operator-basis coefficients projected on the detection covector of
+    each direction in ``DETECTION_DIRECTIONS``, shape (2, len(z1)).
     """
 
     phase_exponents: tuple
@@ -254,8 +246,11 @@ class TermTable:
 def demodulated_term_table(orders, theta: float, channel: str, kappa: int,
                            z1_values, z2: complex = 0.0,
                            gamma: float = 1.0) -> TermTable:
-    """Collect the demodulated perturbative chain into a term table."""
+    """Collect the demodulated perturbative chain into a term table,
+    projecting each monomial on the detectors as it is merged."""
     z1_arr = np.atleast_1d(np.asarray(z1_values, dtype=complex))
+    covectors = np.stack([_detection_covector(d).conj()
+                          for d in DETECTION_DIRECTIONS])
     merged: dict = {}
     for order in orders:
         solution = scattering_solution(order, z1_arr, z2, theta,
@@ -263,11 +258,11 @@ def demodulated_term_table(orders, theta: float, channel: str, kappa: int,
                                        gamma=gamma)
         for monomial, coeffs in solution.items():
             key = (monomial.atom_net[0], monomial.tags)
-            block = coeffs.reshape(NUM_OPS_PAIR, -1)
+            rows = covectors @ coeffs.reshape(NUM_OPS_PAIR, -1)
             if key in merged:
-                merged[key] = merged[key] + block
+                merged[key] = merged[key] + rows
             else:
-                merged[key] = block
+                merged[key] = rows
     keys = sorted(merged, key=repr)
     return TermTable(
         phase_exponents=tuple(k[0] for k in keys),
@@ -281,14 +276,14 @@ def _term_weights(table: TermTable, xi: np.ndarray, n_hat: np.ndarray,
                   gamma: float, mode: str) -> np.ndarray:
     """Numeric weight of every table term per configuration, (T, B)."""
     tensors = coupling_tensor(xi, n_hat, gamma, mode)
+    factors = {tag: tensor_tag_value(tensors, tag) for tag in TAG_KEYS}
     position = np.asarray(xi) * np.asarray(n_hat)[:, 2]
     weights = np.empty((len(table.tags), len(position)), dtype=complex)
     for t, (exponent, tags) in enumerate(zip(table.phase_exponents,
                                              table.tags)):
         w = np.exp(1j * exponent * position)
-        for kind, k, l in tags:
-            value = tensors[:, k, l]
-            w = w * (np.conj(value) if kind == "conj" else value)
+        for tag in tags:
+            w = w * factors[tag]
         weights[t] = w
     return weights
 
@@ -311,8 +306,8 @@ def fixed_configuration_components(xi: float, n_hat, theta: float,
     n = np.asarray(n_hat, dtype=float)
     n = n / np.linalg.norm(n)
     weights = _term_weights(table, np.array([xi]), n[None, :], gamma, mode)
-    state = np.tensordot(weights[:, 0], table.coeffs, axes=(0, 0))
-    return {d: _detection_covector(d).conj() @ state for d in ("x", "y")}
+    values = np.tensordot(weights[:, 0], table.coeffs, axes=(0, 0))
+    return dict(zip(DETECTION_DIRECTIONS, values))
 
 
 @dataclass(frozen=True)
@@ -492,6 +487,8 @@ def monte_carlo_spectrum(kappa: int, channel: str, direction, theta: float,
     computes in closed form.
 
     Args:
+        direction: detector label, one of ``DETECTION_DIRECTIONS``; it
+            selects a row of the term table.
         terms: "surviving" (default) samples only the phase monomials
             the closed-form average keeps (see
             :func:`surviving_term_table`), so the mean is an unbiased
@@ -514,6 +511,8 @@ def monte_carlo_spectrum(kappa: int, channel: str, direction, theta: float,
         raise ValueError("need at least one configuration")
     if terms not in ("surviving", "complete"):
         raise ValueError(f"unknown term selection {terms!r}")
+    if not isinstance(direction, str) or direction not in DETECTION_DIRECTIONS:
+        raise ValueError(f"unknown detection direction {direction!r}")
     if detunings is None:
         detunings = DEFAULT_DETUNINGS.copy()
     detunings = np.asarray(detunings, dtype=float)
@@ -525,13 +524,14 @@ def monte_carlo_spectrum(kappa: int, channel: str, direction, theta: float,
         raise ValueError("term table was built on a different detuning grid")
     if terms == "surviving":
         table = surviving_term_table(table)
-    covector = _detection_covector(direction).conj()
-    rows = np.tensordot(covector, table.coeffs, axes=(0, 1))
+    rows = table.coeffs[:, DETECTION_DIRECTIONS.index(direction)]
     rng = np.random.default_rng(seed)
     norm = np.sqrt(2.0 * np.pi)
     total = np.zeros(len(detunings), dtype=complex)
-    total_re2 = np.zeros(len(detunings))
-    total_im2 = np.zeros(len(detunings))
+    # running mean and centred sums of squares of (Re, Im), combined batch
+    # by batch with the pairwise update of Chan, Golub and LeVeque
+    running_mean = np.zeros(len(detunings), dtype=complex)
+    squares = np.zeros((2, len(detunings)))
     traces = np.zeros((keep_traces, len(detunings)), dtype=complex)
     done = 0
     while done < n_samples:
@@ -540,24 +540,25 @@ def monte_carlo_spectrum(kappa: int, channel: str, direction, theta: float,
         weights = _term_weights(table, xi, n_hat, gamma, mode)
         batch = (rows.T @ weights) / norm
         total += batch.sum(axis=1)
-        total_re2 += (batch.real**2).sum(axis=1)
-        total_im2 += (batch.imag**2).sum(axis=1)
+        batch_mean = batch.mean(axis=1)
+        centred = batch - batch_mean[:, None]
+        delta = batch_mean - running_mean
+        pooled = done * count / (done + count)
+        squares[0] += (centred.real**2).sum(axis=1) + pooled * delta.real**2
+        squares[1] += (centred.imag**2).sum(axis=1) + pooled * delta.imag**2
+        running_mean += delta * (count / (done + count))
         if done < keep_traces:
             take = min(keep_traces - done, count)
             traces[done:done + take] = batch[:, :take].T
         done += count
     mean = total / n_samples
     if n_samples > 1:
-        var_re = (total_re2 / n_samples - mean.real**2) * (
-            n_samples / (n_samples - 1.0))
-        var_im = (total_im2 / n_samples - mean.imag**2) * (
-            n_samples / (n_samples - 1.0))
-        errors = (np.sqrt(np.maximum(var_re, 0.0) / n_samples)
-                  + 1j * np.sqrt(np.maximum(var_im, 0.0) / n_samples))
+        error_re, error_im = np.sqrt(squares / ((n_samples - 1.0) * n_samples))
+        errors = error_re + 1j * error_im
     else:
         errors = np.full(len(detunings), np.nan + 1j * np.nan)
     series = SpectrumSeries(detunings=detunings, values=mean, kappa=kappa,
-                            channel=channel, direction=str(direction),
+                            channel=channel, direction=direction,
                             errors=errors)
     return MonteCarloResult(series=series, traces=traces,
                             n_samples=n_samples, seed=seed,
@@ -585,15 +586,11 @@ def monte_carlo_pair_averages(pairs, n_samples: int, *, seed: int,
     tensors = coupling_tensor(xi, n_hat, gamma, mode)
     position = xi * n_hat[:, 2]
 
-    def factor(tag):
-        kind, k, l = tag
-        value = tensors[:, k, l]
-        return np.conj(value) if kind == "conj" else value
-
     out = {}
     for tag_a, tag_b, exponent in pairs:
-        sample = factor(tag_a) * factor(tag_b) * np.exp(
-            1j * exponent * position)
+        sample = (tensor_tag_value(tensors, tag_a)
+                  * tensor_tag_value(tensors, tag_b)
+                  * np.exp(1j * exponent * position))
         mean = sample.mean()
         se = (sample.real.std(ddof=1) + 1j * sample.imag.std(ddof=1)
               ) / np.sqrt(n_samples)

@@ -36,6 +36,13 @@ def test_version_flag_reports_package_version(capsys):
     assert __version__ in capsys.readouterr().out
 
 
+def test_every_exported_name_resolves():
+    import mqcsim
+
+    missing = [name for name in mqcsim.__all__ if not hasattr(mqcsim, name)]
+    assert not missing
+
+
 def test_invalid_configuration_exits_with_two(tmp_path, capsys):
     assert main(["spectrum", "--gamma", "-1"]) == 2
     assert main(["spectrum", "--kappas"]) == 2
@@ -57,6 +64,9 @@ SMALL_SPECTRUM = ["spectrum", "--kappas", "2", "--channels", "parallel",
       "--mc-samples", "10"], None),
     (["spectrum"], {"detuning_count": 5.5}),
     (["cross-section", "--delta-bar", "inf"], None),
+    (SMALL_SPECTRUM + ["--xi-bar", "1e-200"], None),
+    (SMALL_SPECTRUM + ["--mean-separation", "1e-250"], None),
+    (SMALL_SPECTRUM + ["--xi-bar", "1e-160"], None),
 ])
 def test_bad_inputs_exit_with_two(tmp_path, capsys, argv, config):
     argv = argv + ["--output-dir", str(tmp_path / "run")]

@@ -9,7 +9,6 @@ from mqcsim.config import (
     ConfigError,
     PACKING_CONSTANT,
     RunConfig,
-    worker_count,
     write_series,
     write_sidecar,
     write_table,
@@ -126,19 +125,6 @@ def test_metadata_is_json_serializable_and_complete():
     assert metadata["version"]
     assert metadata["resolved_theta"] == pytest.approx(0.14 * np.pi)
     assert metadata["resolved_xi_bar"] == pytest.approx(80.0)
-
-
-def test_worker_count_reads_environment(monkeypatch):
-    monkeypatch.delenv("MQCSIM_WORKERS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("MQCSIM_WORKERS", "6")
-    assert worker_count() == 6
-    monkeypatch.setenv("MQCSIM_WORKERS", "zero")
-    with pytest.raises(ConfigError):
-        worker_count()
-    monkeypatch.setenv("MQCSIM_WORKERS", "0")
-    with pytest.raises(ConfigError):
-        worker_count()
 
 
 def test_write_table_is_byte_identical_and_parseable(tmp_path):

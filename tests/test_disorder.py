@@ -1,5 +1,5 @@
 """Checks for the geometry average: survival filtering, the isotropic
-projector moment, the factor-pair collapse, and kernel second moments."""
+projector moment, and the factor-pair collapse."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from mqcsim.coupling import coupling_tensor
 from mqcsim.disorder import (
     angular_average,
     average_state,
-    gamma_omega_averages,
     isotropic_projector_moment,
     mean_inverse_xi_squared,
     survival_filter,
@@ -145,31 +144,6 @@ def test_level_shift_only_average_matches_quadrature():
                                mode="level_shift_only")
         # the asymptotic weight ignores the oscillatory half of cos^2
         assert got == pytest.approx(want, rel=5e-2)
-
-
-def test_gamma_omega_averages_structure():
-    inv2 = mean_inverse_xi_squared(window=WINDOW)
-    gamma = 1.3
-    moments = gamma_omega_averages(inv2, gamma)
-    assert moments.decay_decay.shape == (3, 3, 3, 3)
-    np.testing.assert_allclose(moments.decay_decay, moments.shift_shift)
-    np.testing.assert_allclose(moments.decay_shift, 0.0)
-    # the two halves reassemble the full factor-conjugate average
-    mixed = angular_average((("direct", 0, 1), ("conj", 0, 1)), inv2, gamma)
-    total = moments.decay_decay[0, 1, 0, 1] + moments.shift_shift[0, 1, 0, 1]
-    assert total == pytest.approx(mixed)
-
-
-def test_gamma_omega_averages_match_quadrature():
-    inv2 = mean_inverse_xi_squared(window=WINDOW)
-    moments = gamma_omega_averages(inv2)
-    got_gg = _window_pair_average(0, 0, 0, 0, conjugate_second=True,
-                                  transform=lambda t: t.real)
-    assert got_gg == pytest.approx(moments.decay_decay[0, 0, 0, 0], rel=5e-2)
-    got_go = _window_pair_average(0, 0, 0, 0, conjugate_second=True,
-                                  transform=None)
-    cross = got_go.imag  # Im <T T*> = <Omega Gamma> - <Gamma Omega> = 0
-    assert abs(cross) < 0.05 * abs(moments.decay_decay[0, 0, 0, 0])
 
 
 def test_average_state_collapses_factor_pairs():

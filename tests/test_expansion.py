@@ -10,13 +10,11 @@ from mqcsim.basis import (
     expand,
     matrix_unit,
     pair_operator,
-    pair_trace,
 )
 from mqcsim.coupling import coupling_tensor, interaction_matrices
 from mqcsim.expansion import (
     PhaseMonomial,
     PhaseTaggedVector,
-    apply_free,
     apply_interaction,
     apply_kick,
     apply_resolvent,
@@ -104,7 +102,8 @@ def _dense_phase_evaluation(theta, channel, phases, tensor, order, z1, z2, gamma
     return total
 
 
-@pytest.mark.parametrize("order,channel", [(0, "parallel"), (2, "perpendicular")])
+@pytest.mark.parametrize("order,channel", [(0, "parallel"), (2, "perpendicular"),
+                                           (3, "parallel")])
 def test_scattering_solution_matches_dense_fixed_configuration(order, channel):
     theta, gamma = 0.7, 1.0
     z1, z2 = 0.3 + 0.2j, 0.17 - 0.4j
@@ -225,14 +224,6 @@ def test_scattering_solution_accepts_a_vector_of_z1_values():
             col = zero if got is None else got[:, i]
             want = single.terms.get(monomial, zero)
             assert np.allclose(col, want, atol=1e-12)
-
-
-def test_apply_free_preserves_trace_and_matches_kick_composition():
-    phases = np.array([0.3, 0.0, -0.7, 0.0])
-    vec = apply_kick(initial_vector(), 1, 1.1, "x")
-    assert np.isclose(pair_trace(vec.evaluate(phases)), 1.0, atol=1e-13)
-    evolved = apply_free(vec, 0.8)
-    assert np.isclose(pair_trace(evolved.evaluate(phases)), 1.0, atol=1e-13)
 
 
 def test_apply_interaction_matches_assembled_generator():

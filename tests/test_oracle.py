@@ -14,7 +14,6 @@ from mqcsim.oracle import (
     IntegrationError,
     OracleRun,
     _deflated_solve,
-    _detection_covector,
     _propagate,
     _term_weights,
     binned_kick,
@@ -357,6 +356,27 @@ def test_monte_carlo_is_deterministic_and_keeps_traces():
     assert single.window == WINDOW
 
 
+@pytest.mark.parametrize("batch_size", [None, 128])
+def test_monte_carlo_errors_are_the_sample_standard_error(batch_size):
+    """Batched centred sums reproduce the two-pass standard error."""
+    kwargs = {} if batch_size is None else {"batch_size": batch_size}
+    result = monte_carlo_spectrum(1, "parallel", "y", THETA, 600, seed=5,
+                                  detunings=np.linspace(-2.0, 2.0, 5),
+                                  keep_traces=600, **kwargs)
+    root_n = np.sqrt(600)
+    for part in (np.real, np.imag):
+        want = part(result.traces).std(axis=0, ddof=1) / root_n
+        np.testing.assert_allclose(part(result.series.errors), want,
+                                   rtol=1e-10, atol=0)
+
+
+def test_monte_carlo_takes_a_detector_label():
+    for direction in ("z", (0.0, 1.0, 0.0)):
+        with pytest.raises(ValueError):
+            monte_carlo_spectrum(1, "parallel", direction, THETA, 10, seed=5,
+                                 detunings=np.linspace(-2.0, 2.0, 5))
+
+
 def test_monte_carlo_reuses_a_passed_term_table():
     detunings = np.linspace(-2.0, 2.0, 5)
     table = demodulated_term_table((0, 1, 2), THETA, "parallel", 1,
@@ -427,8 +447,7 @@ def test_surviving_families_average_to_closed_form_exactly():
             batch = _term_weights(table, np.full(len(n_hat), xi), n_hat,
                                   1.0, "far_field")
             averaged += weight * (batch @ weights_sphere)
-        covector = _detection_covector("x").conj()
-        rows = np.tensordot(covector, table.coeffs, axes=(0, 1))[:, 0]
+        rows = table.coeffs[:, 0, 0]
         return (averaged @ rows) / np.sqrt(2.0 * np.pi)
 
     closed = spectrum(2, "perpendicular", "x", THETA, np.array([0.0]),
