@@ -46,6 +46,9 @@ _SQRT2 = np.sqrt(2.0)
 
 _CART_LABELS = {"x": 0, "y": 1, "z": 2}
 
+#: polarization of the second pulse in each channel; the first is always x
+SECOND_POLARIZATION = {"parallel": "x", "perpendicular": "y"}
+
 
 class PoleError(ValueError):
     """Raised when a resolvent is evaluated on one of its poles."""
@@ -179,7 +182,7 @@ def two_pulse_pure_states(theta: float, channel: str, phi1: float, phi2: float):
         (|1>, |2>, |3>, |4>) basis and the 16-component operator-basis
         expansion of |psi><psi|.  Used as a cross-check of composed kicks.
     """
-    second = {"parallel": "x", "perpendicular": "y"}[channel]
+    second = SECOND_POLARIZATION[channel]
     ground = np.zeros(HILBERT_DIM, dtype=complex)
     ground[0] = 1.0
     u1 = kick_decomposition(theta, "x").unitary(phi1)

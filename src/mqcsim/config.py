@@ -28,13 +28,14 @@ import numpy as np
 from scipy.constants import c as _C_LIGHT
 
 from . import __version__
-from .spectra import dipole_from_gamma, pulse_area_from_energy
+from .disorder import mean_inverse_xi_squared
+from .spectra import (POLARIZATION_CHANNELS, dipole_from_gamma,
+                      pulse_area_from_energy)
 
 #: mean nearest-neighbour distance in a uniform gas of density rho
 #: is approximately PACKING_CONSTANT * rho^(-1/3)
 PACKING_CONSTANT = 0.554
 
-CHANNELS = ("parallel", "perpendicular")
 TENSOR_MODES = ("exact", "far_field")
 
 #: relative mismatch tolerated between a given mean separation and the
@@ -86,7 +87,7 @@ class RunConfig:
     xi_bar: float = None
     mean_separation: float = None
     # spectrum selection
-    channels: tuple = CHANNELS
+    channels: tuple = POLARIZATION_CHANNELS
     kappas: tuple = (1, 2)
     detuning_half_range: float = 10.0
     detuning_count: int = 801
@@ -110,6 +111,8 @@ class RunConfig:
             if value is not None and not _is_finite_real(value):
                 raise ConfigError(
                     f"{name} must be a finite number, got {value!r}")
+            if value is not None and name != "theta" and not value > 0:
+                raise ConfigError(f"{name} must be positive, got {value!r}")
         for name in INTEGER_FIELDS:
             value = getattr(self, name)
             if not _is_integer(value):
@@ -126,10 +129,6 @@ class RunConfig:
                 or not all(_is_finite_real(v) for v in self.window)):
             raise ConfigError(f"window must be two finite numbers, "
                               f"got {self.window!r}")
-        for name in REAL_FIELDS:
-            value = getattr(self, name)
-            if value is not None and name != "theta" and not value > 0:
-                raise ConfigError(f"{name} must be positive, got {value!r}")
         area_fields = (self.pulse_energy, self.pulse_duration,
                        self.beam_cross_section)
         if any(f is not None for f in area_fields):
@@ -158,9 +157,9 @@ class RunConfig:
                               f"got {self.kappas!r}")
         if not self.channels:
             raise ConfigError("channels must not be empty")
-        if any(c not in CHANNELS for c in self.channels):
-            raise ConfigError(f"channels must be drawn from {CHANNELS}, "
-                              f"got {self.channels!r}")
+        if any(c not in POLARIZATION_CHANNELS for c in self.channels):
+            raise ConfigError(f"channels must be drawn from "
+                              f"{POLARIZATION_CHANNELS}, got {self.channels}")
         if self.tensor_mode not in TENSOR_MODES:
             raise ConfigError(f"tensor_mode must be one of {TENSOR_MODES}, "
                               f"got {self.tensor_mode!r}")
@@ -176,12 +175,14 @@ class RunConfig:
             raise ConfigError("oracle_directions must be at least 1")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        # the spectra scale with <1/xi^2>, which must be a finite number
-        xi_bar = self.resolved_xi_bar()
-        square = xi_bar * xi_bar
-        if square == 0.0 or not math.isfinite(1.0 / square):
-            raise ConfigError(f"mean separation xi_bar = {xi_bar:.3g} "
-                              "is too small")
+        # the spectra scale with theta and <1/xi^2>: both must be finite
+        try:
+            theta = self.resolved_theta()
+            mean_inverse_xi_squared(xi_bar=self.resolved_xi_bar())
+        except (ValueError, ArithmeticError) as err:
+            raise ConfigError(f"out of range: {err}") from None
+        if not math.isfinite(theta):
+            raise ConfigError(f"pulse area theta = {theta} is not finite")
 
     def resolved_theta(self) -> float:
         """Pulse area, computed from the energy budget if not direct."""

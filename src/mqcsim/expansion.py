@@ -55,7 +55,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atom import PoleError, decay_eigensystem, kick_decomposition
+from .atom import (SECOND_POLARIZATION, PoleError, decay_eigensystem,
+                   kick_decomposition)
 from .basis import (
     NUM_OPS,
     NUM_OPS_PAIR,
@@ -330,7 +331,7 @@ def two_pulse_chain(order: int, z1, z2, theta: float, channel: str, *,
     every insertion is :func:`apply_interaction`.  The other arguments
     are those of :func:`scattering_solution`.
     """
-    second_pol = {"parallel": "x", "perpendicular": "y"}[channel]
+    second_pol = SECOND_POLARIZATION[channel]
     if initial is None:
         initial = initial_vector()
 

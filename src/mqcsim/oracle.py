@@ -35,7 +35,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from .atom import dipole_components, dipole_lowering
+from .atom import SECOND_POLARIZATION, dipole_components, dipole_lowering
 from .basis import NUM_OPS_PAIR, build_single_atom_basis, matrix_unit
 from .coupling import TAG_KEYS, coupling_tensor, tensor_tag_value
 from .expansion import scattering_solution
@@ -54,14 +54,6 @@ _EYE256 = np.eye(NUM_OPS_PAIR, dtype=complex)
 
 class IntegrationError(RuntimeError):
     """Raised when the transient integrator fails to converge."""
-
-
-def _atom1(op: np.ndarray) -> np.ndarray:
-    return np.kron(op, _EYE4)
-
-
-def _atom2(op: np.ndarray) -> np.ndarray:
-    return np.kron(_EYE4, op)
 
 
 def _left_right(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -83,7 +75,7 @@ def detection_covector_vec(direction) -> np.ndarray:
     ``direction``, i.e. Tr(rho (O x Id + Id x O)).
     """
     single = detection_observable(direction)
-    pair = _atom1(single) + _atom2(single)
+    pair = np.kron(single, _EYE4) + np.kron(_EYE4, single)
     return pair.T.reshape(-1)
 
 
@@ -94,33 +86,28 @@ def pair_generator(xi: float, n_hat, gamma: float = 1.0,
     Contains the independent-atom decay of both atoms and the complete
     dipole-dipole coupling for the given geometry; no perturbative
     truncation.  ``mode`` selects the coupling-tensor variant.
+
+    With the six pair lowering operators L_a, a = (atom, Cartesian
+    axis), and the 6x6 rate matrix A holding gamma/2 * I on the two
+    same-atom blocks and the coupling tensor T on both cross blocks,
+
+        rho -> sum_ab [2 Re A_ab L_b rho L_a^dag
+                       - A_ab rho L_a^dag L_b - A_ab^* L_a^dag L_b rho].
     """
     dips = dipole_components()
-    gen = np.zeros((NUM_OPS_PAIR, NUM_OPS_PAIR), dtype=complex)
-    for place in (_atom1, _atom2):
-        for k in range(3):
-            low = place(dips[k])
-            number = low.conj().T @ low
-            gen += gamma * _left_right(low, low.conj().T)
-            gen -= 0.5 * gamma * (_left_right(number, _EYE16)
-                                  + _left_right(_EYE16, number))
+    lowering = np.concatenate([np.kron(dips, _EYE4[None]),
+                               np.kron(_EYE4[None], dips)])
     tensor = coupling_tensor(xi, n_hat, gamma, mode)
-    for k in range(3):
-        for l in range(3):
-            raise1 = _atom1(dips[k]).conj().T
-            raise2 = _atom2(dips[k]).conj().T
-            lower1 = _atom1(dips[l])
-            lower2 = _atom2(dips[l])
-            value = tensor[k, l]
-            gen += value * (_left_right(lower2, raise1)
-                            + _left_right(lower1, raise2)
-                            - _left_right(_EYE16, raise1 @ lower2)
-                            - _left_right(_EYE16, raise2 @ lower1))
-            gen += np.conj(value) * (_left_right(lower1, raise2)
-                                     + _left_right(lower2, raise1)
-                                     - _left_right(raise2 @ lower1, _EYE16)
-                                     - _left_right(raise1 @ lower2, _EYE16))
-    return gen
+    rates = np.block([[0.5 * gamma * np.eye(3), tensor],
+                      [tensor, 0.5 * gamma * np.eye(3)]])
+    # vec(L_b rho L_a^dag) = (L_b kron conj(L_a)) vec(rho), row-major
+    weighted = np.einsum("ab,ajl->bjl", 2.0 * rates.real, lowering.conj())
+    jump = np.einsum("bik,bjl->ijkl", lowering, weighted)
+    right = np.einsum("ab,aji,bjk->ik", rates, lowering.conj(), lowering)
+    left = np.einsum("ab,aji,bjk->ik", rates.conj(), lowering.conj(),
+                     lowering)
+    return (jump.reshape(NUM_OPS_PAIR, NUM_OPS_PAIR)
+            - _left_right(_EYE16, right) - _left_right(left, _EYE16))
 
 
 @functools.cache
@@ -192,36 +179,40 @@ def _deflated_solve(generator: np.ndarray, z: complex, rhs: np.ndarray,
     return np.linalg.solve(z * _EYE256 - generator + deflation, rhs)
 
 
-def demodulated_laplace(xi: float, n_hat, theta: float, channel: str,
-                        kappa: int, z1_values, z2: complex = 0.0,
-                        gamma: float = 1.0, mode: str = "exact") -> dict:
+def demodulated_laplace(xi: float, n_hat, theta: float, kappas, channels,
+                        z1_values, z2: complex = 0.0, gamma: float = 1.0,
+                        mode: str = "exact") -> dict:
     """Demodulated detected Laplace components of the full dynamics.
 
     Computes, without any perturbative truncation, the coefficient of
     e^{i kappa (phase_2 - phase_1)} in the doubly Laplace-transformed
     fluorescence intensity: the pulse phases are removed by harmonic
     binning of the exact kick matrices and the two time integrals are
-    exact resolvent solves of the full generator.
+    exact resolvent solves of the full generator.  One generator serves
+    every (kappa, channel), and each kappa's z1 solves are the
+    right-hand side block of one z2 solve per channel.
 
     Returns:
-        dict mapping detection direction ("x", "y") to an array of
+        dict mapping (kappa, channel, direction) to an array of
         components over ``z1_values``.
     """
-    second_pol = {"parallel": "x", "perpendicular": "y"}[channel]
     n = np.asarray(n_hat, dtype=float)
     position = xi * n[2] / np.linalg.norm(n)
     generator = pair_generator(xi, n, gamma, mode)
-    kick1 = binned_kick(theta, "x", -kappa, position)
-    kick2 = binned_kick(theta, second_pol, kappa, position)
-    first = kick1 @ ground_pair_vec()
-    covectors = {d: detection_covector_vec(d) for d in ("x", "y")}
+    covectors = np.stack([detection_covector_vec(d)
+                          for d in DETECTION_DIRECTIONS])
     z1_arr = np.atleast_1d(np.asarray(z1_values, dtype=complex))
-    out = {d: np.zeros(z1_arr.shape, dtype=complex) for d in covectors}
-    for i, z1 in enumerate(z1_arr):
-        mid = kick2 @ _deflated_solve(generator, z1, first, gamma)
-        final = _deflated_solve(generator, z2, mid, gamma)
-        for d, w in covectors.items():
-            out[d][i] = w @ final
+    out = {}
+    for kappa in kappas:
+        first = binned_kick(theta, "x", -kappa, position) @ ground_pair_vec()
+        between = np.stack([_deflated_solve(generator, z1, first, gamma)
+                            for z1 in z1_arr], axis=1)
+        for channel in channels:
+            kick2 = binned_kick(theta, SECOND_POLARIZATION[channel], kappa,
+                                position)
+            final = _deflated_solve(generator, z2, kick2 @ between, gamma)
+            for d, row in zip(DETECTION_DIRECTIONS, covectors @ final):
+                out[(kappa, channel, d)] = row
     return out
 
 
@@ -378,7 +369,7 @@ def time_domain_evolve(run: OracleRun) -> dict:
         dict mapping direction to a real array of shape
         (len(phi_samples), len(tau_grid), len(t_fl_grid)).
     """
-    second_pol = {"parallel": "x", "perpendicular": "y"}[run.channel]
+    second_pol = SECOND_POLARIZATION[run.channel]
     n = np.asarray(run.n_hat, dtype=float)
     n = n / np.linalg.norm(n)
     position = run.xi * n[2]

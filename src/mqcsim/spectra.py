@@ -23,13 +23,13 @@ from scipy.constants import hbar as _HBAR
 from scipy.constants import mu_0 as _MU_0
 from scipy.special import erfcx
 
-from .atom import dipole_components
+from .atom import SECOND_POLARIZATION, dipole_components
 from .basis import expand, pair_operator
 from .disorder import averaged_solution, mean_inverse_xi_squared
 from .expansion import PhaseTaggedVector
 
 DETECTION_DIRECTIONS = ("x", "y")
-POLARIZATION_CHANNELS = ("parallel", "perpendicular")
+POLARIZATION_CHANNELS = tuple(SECOND_POLARIZATION)
 DEMODULATION_ORDERS = (1, 2)
 
 #: default detuning grid (units of gamma), wide enough to resolve the

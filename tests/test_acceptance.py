@@ -144,8 +144,10 @@ def test_criterion_7_monte_carlo_average(tmp_path):
     """Tensor moments and spectrum peaks within the family-wise limit.
 
     ``mc-average`` holds all its real z-scores to one Bonferroni limit
-    (4.17 for 88 scores) that keeps the chance of a false alarm per run
-    at the two-sided three-sigma level, 0.0027.
+    (4.15 for 80 scores: a real and an imaginary one per tensor moment,
+    a real one per spectrum peak, whose imaginary part vanishes at
+    resonance) that keeps the chance of a false alarm per run at the
+    two-sided three-sigma level, 0.0027.
     """
     config = RunConfig(mc_samples=100000, detuning_count=3,
                        output_dir=str(tmp_path))

@@ -1,9 +1,11 @@
 """Run-configuration validation, resolution rules, and file writers."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mqcsim.config import (
     ConfigError,
@@ -13,6 +15,7 @@ from mqcsim.config import (
     write_sidecar,
     write_table,
 )
+from mqcsim.disorder import mean_inverse_xi_squared
 from mqcsim.spectra import dipole_from_gamma, pulse_area_from_energy
 from scipy.constants import c as C_LIGHT
 
@@ -92,6 +95,40 @@ def test_separation_sources_resolve_and_conflict():
 def test_invalid_fields_are_rejected(fields):
     with pytest.raises(ConfigError):
         RunConfig(**fields)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_MAYBE = st.none() | _FINITE
+
+
+@settings(max_examples=200, deadline=None)
+@given(xi_bar=_MAYBE, mean_separation=_MAYBE, density=_MAYBE,
+       wavelength=_MAYBE, theta=_MAYBE,
+       pulse=st.none() | st.tuples(_FINITE, _FINITE, _FINITE))
+@example(xi_bar=1e200, mean_separation=None, density=None,
+         wavelength=None, theta=None, pulse=None)
+@example(xi_bar=None, mean_separation=1e200, density=None,
+         wavelength=None, theta=None, pulse=None)
+@example(xi_bar=None, mean_separation=None, density=None,
+         wavelength=None, theta=None, pulse=(1e300, 1e300, 1e-300))
+@example(xi_bar=None, mean_separation=None, density=None,
+         wavelength=1e300, theta=None, pulse=(1.0, 1.0, 1.0))
+def test_accepted_configurations_resolve_to_finite_scales(
+        xi_bar, mean_separation, density, wavelength, theta, pulse):
+    # any finite input is either refused as a configuration error or
+    # resolves to a finite pulse area and a usable <1/xi^2>
+    fields = dict(xi_bar=xi_bar, mean_separation=mean_separation,
+                  density=density, wavelength=wavelength, theta=theta)
+    if pulse is not None:
+        fields.update(zip(("pulse_energy", "pulse_duration",
+                           "beam_cross_section"), pulse))
+    try:
+        config = RunConfig.from_sources(None, **fields)
+    except ConfigError:
+        return
+    assert math.isfinite(config.resolved_theta())
+    inverse = mean_inverse_xi_squared(xi_bar=config.resolved_xi_bar())
+    assert 0.0 < inverse < math.inf
 
 
 def test_from_sources_merges_file_and_overrides(tmp_path):

@@ -52,16 +52,18 @@ def _uncoupled_generator() -> np.ndarray:
     return pair_generator(1e9, np.array([0.0, 0.0, 1.0]), mode="near_field")
 
 
-def test_pair_generator_matches_operator_basis_assembly():
-    # the oracle builds the generator from raw Kronecker blocks; the
-    # pipeline builds it over the trace-orthonormal operator basis; the
-    # unitary basis map must carry one exactly onto the other
+@pytest.mark.parametrize("mode", ["exact", "far_field", "near_field"])
+def test_pair_generator_matches_operator_basis_assembly(mode):
+    # the oracle builds the generator from the rate matrix over
+    # vectorized states; the pipeline builds it over the
+    # trace-orthonormal operator basis; the unitary basis map must carry
+    # one exactly onto the other
     xi, n_hat = 7.3, _random_axis(0)
-    gen = pair_generator(xi, n_hat)
+    gen = pair_generator(xi, n_hat, mode=mode)
     decay = decay_generator(picture="state")
     eye = np.eye(16)
     basis_space = np.kron(decay, eye) + np.kron(eye, decay)
-    tensor = coupling_tensor(xi, n_hat)
+    tensor = coupling_tensor(xi, n_hat, mode=mode)
     basis_space = basis_space + interaction_matrices(tensor, picture="state").total
     columns = pair_basis_columns()
     mapped = columns @ basis_space @ columns.conj().T
@@ -132,14 +134,17 @@ def test_binned_kick_is_exact_at_band_limit():
 
 
 def test_deflated_solve_is_exact_resolvent_on_trace_free_input():
+    # two right-hand sides at once, as the oracle passes a z1 block
     gen = pair_generator(30.0, _random_axis(3))
-    rhs = binned_kick(THETA, "x", -1, 12.0) @ ground_pair_vec()
+    rhs = np.stack([binned_kick(THETA, "x", -kappa, 12.0) @ ground_pair_vec()
+                    for kappa in (1, 2)], axis=1)
     trace_covector = np.eye(16, dtype=complex).reshape(-1)
-    assert abs(trace_covector @ rhs) < 1e-14
+    assert np.max(np.abs(trace_covector @ rhs)) < 1e-14
     for z in (0.0, 0.3 + 1.1j):
         solution = _deflated_solve(gen, z, rhs, 1.0)
+        assert solution.shape == rhs.shape
         assert np.max(np.abs((z * solution - gen @ solution) - rhs)) < 1e-12
-        assert abs(trace_covector @ solution) < 1e-12
+        assert np.max(np.abs(trace_covector @ solution)) < 1e-12
 
 
 def test_time_domain_evolve_matches_matrix_exponential():
@@ -293,13 +298,13 @@ def test_time_integral_of_transient_matches_resolvent_component():
     kicked = binned_kick(THETA, "x", kappa, position) @ between
     deflation = np.outer(ground_pair_vec(), np.eye(16).reshape(-1))
     collected = np.linalg.solve(-gen + deflation, kicked)
-    reference = demodulated_laplace(xi, n_hat, THETA, "parallel", kappa,
-                                    np.array([z1]))
+    reference = demodulated_laplace(xi, n_hat, THETA, (kappa,),
+                                    ("parallel",), np.array([z1]))
     for direction in ("x", "y"):
         integrand = (detection_covector_vec(direction) @ collected
                      * np.exp(-z1 * tau))
         numeric = simpson(integrand, x=tau)
-        exact = reference[direction][0]
+        exact = reference[(kappa, "parallel", direction)][0]
         assert abs(numeric - exact) < 1e-5 * abs(exact)
 
 
@@ -307,19 +312,22 @@ def test_demodulated_laplace_matches_truncated_chain():
     # at large separation the perturbative chain through second order
     # reproduces the untruncated Laplace components; residuals are the
     # neglected third-and-higher photon exchanges
+    # one call serves every (kappa, channel) pair
     n_hat = _random_axis(9)
     z1 = 1j * np.array([-2.0, -0.5, 0.0, 0.7, 2.3])
-    exact = demodulated_laplace(1000.0, n_hat, THETA, "parallel", 1, z1)
+    exact = demodulated_laplace(1000.0, n_hat, THETA, (1, 2),
+                                ("parallel", "perpendicular"), z1)
     approx = fixed_configuration_components(1000.0, n_hat, THETA,
                                             "parallel", 1, z1)
-    scale = np.max(np.abs(exact["y"]))
-    assert np.max(np.abs(approx["y"] - exact["y"])) < 1e-6 * scale
-    exact = demodulated_laplace(1000.0, n_hat, THETA, "perpendicular", 2, z1)
+    scale = np.max(np.abs(exact[(1, "parallel", "y")]))
+    assert np.max(np.abs(approx["y"] - exact[(1, "parallel", "y")])) \
+        < 1e-6 * scale
     approx = fixed_configuration_components(1000.0, n_hat, THETA,
                                             "perpendicular", 2, z1)
     for direction in ("x", "y"):
-        scale = np.max(np.abs(exact[direction]))
-        assert np.max(np.abs(approx[direction] - exact[direction])) < 1e-4 * scale
+        reference = exact[(2, "perpendicular", direction)]
+        scale = np.max(np.abs(reference))
+        assert np.max(np.abs(approx[direction] - reference)) < 1e-4 * scale
 
 
 def test_single_exchange_component_is_even_in_axis_sign():
