@@ -15,9 +15,10 @@ density operators splits exactly into five harmonics e^{i p phi},
 p = -2..2; carrying the harmonics symbolically is what lets later stages
 select demodulation orders without scanning the phase numerically.
 
-Free evolution is spontaneous decay at rate gamma: optical coherences
-decay at gamma/2, excited populations and Zeeman coherences at gamma, and
-the ground population collects the emitted weight.  The propagator and its
+Free evolution is spontaneous decay at rate gamma, which sets the unit
+of time and frequency throughout (gamma = 1): optical coherences decay
+at 1/2, excited populations and Zeeman coherences at 1, and the ground
+population collects the emitted weight.  The propagator and its
 Laplace transform (the resolvent) are exact five-term expressions.
 
 Maps come in two pictures.  Density-operator (Schrodinger) maps evolve
@@ -212,35 +213,34 @@ def _propagator_pieces(picture: str):
     return cross, gg, ee, feed
 
 
-def free_propagator(t: float, gamma: float = 1.0, picture: str = "observable") -> np.ndarray:
+def free_propagator(t: float, picture: str = "observable") -> np.ndarray:
     """Exact decay propagator over the operator basis, 16x16.
 
-    In the observable picture Q(t) = Pe Q Pg e^{-gamma t/2} + Pg Q Pe
-    e^{-gamma t/2} + Pg Q Pg + Pe Q Pe e^{-gamma t} + (sum_k D_k^dag Q D_k)
-    (1 - e^{-gamma t}); the state picture is the adjoint (the feed term
-    runs the other way).
+    In the observable picture Q(t) = Pe Q Pg e^{-t/2} + Pg Q Pe e^{-t/2}
+    + Pg Q Pg + Pe Q Pe e^{-t} + (sum_k D_k^dag Q D_k) (1 - e^{-t}); the
+    state picture is the adjoint (the feed term runs the other way).
     """
     cross, gg, ee, feed = _propagator_pieces(picture)
-    half = np.exp(-gamma * t / 2.0)
-    full = np.exp(-gamma * t)
+    half = np.exp(-t / 2.0)
+    full = np.exp(-t)
     return cross * half + gg + ee * full + feed * (1.0 - full)
 
 
-def resolvent(z: complex, gamma: float = 1.0, picture: str = "observable",
+def resolvent(z: complex, picture: str = "observable",
               restrict_stationary: bool = False) -> np.ndarray:
     """Laplace transform of the decay propagator, 16x16.
 
-    Poles sit at z = 0, -gamma/2, -gamma.  With ``restrict_stationary``
+    Poles sit at z = 0, -1/2, -1.  With ``restrict_stationary``
     the rank-one stationary component (pole at z = 0) is projected out,
     which is the exact resolvent on the complement and stays finite at
     z = 0; composing it with maps that annihilate the stationary sector
     reproduces the full resolvent there.
     """
     cross, gg, ee, feed = _propagator_pieces(picture)
-    for pole in (-gamma / 2.0, -gamma):
+    for pole in (-0.5, -1.0):
         if np.isclose(complex(z), pole):
             raise PoleError(f"resolvent evaluated at decaying-sector pole z = {pole}")
-    base = cross / (z + gamma / 2.0) + ee / (z + gamma) - feed / (z + gamma)
+    base = cross / (z + 0.5) + ee / (z + 1.0) - feed / (z + 1.0)
     if restrict_stationary:
         return base
     # gg + feed joins the stationary projector to form the z = 0 pole
@@ -249,17 +249,17 @@ def resolvent(z: complex, gamma: float = 1.0, picture: str = "observable",
     return base + (gg + feed) / z
 
 
-def decay_generator(gamma: float = 1.0, picture: str = "observable") -> np.ndarray:
+def decay_generator(picture: str = "observable") -> np.ndarray:
     """Matrix of the spontaneous-decay generator over the operator basis."""
     pe = excited_projector()
     eye = np.eye(HILBERT_DIM, dtype=complex)
     anti = sandwich_matrix(pe, eye) + sandwich_matrix(eye, pe)
-    return gamma * (_feed_matrix(picture) - anti / 2.0)
+    return _feed_matrix(picture) - anti / 2.0
 
 
 @dataclass(frozen=True)
 class DecayEigensystem:
-    """Diagonalized density-operator decay generator (gamma = 1 units).
+    """Diagonalized density-operator decay generator.
 
     ``modes`` columns are coefficient vectors of the eigen-operators,
     ``rates`` the matching eigenvalues (0, -1/2, -1 patterns).  The

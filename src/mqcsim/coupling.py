@@ -46,15 +46,15 @@ TAG_KEYS = tuple((kind, k, l) for kind in TAG_KINDS
                  for k in range(3) for l in range(k, 3))
 
 
-def coupling_tensor(xi, n_hat, gamma: float = 1.0, mode: str = "exact") -> np.ndarray:
-    """Dipole-dipole coupling tensor, 3x3 complex symmetric.
+def coupling_tensor(xi, n_hat, mode: str = "exact") -> np.ndarray:
+    """Dipole-dipole coupling tensor, 3x3 complex symmetric, in units
+    of the single-atom decay rate.
 
     Args:
         xi: separation in units of the resonant wavenumber, xi = k0 r;
             a scalar, or shape (B,) for a batch of configurations.
         n_hat: unit vector along the interatomic axis (normalized here);
             shape (3,), or (B, 3) with a batch of separations.
-        gamma: single-atom decay rate setting the overall scale.
         mode: "exact" keeps all retardation orders; "far_field" keeps the
             1/xi transverse term only; "near_field" keeps the 1/xi^3
             quasistatic term only.
@@ -72,7 +72,7 @@ def coupling_tensor(xi, n_hat, gamma: float = 1.0, mode: str = "exact") -> np.nd
     dyadic = n[..., :, None] * n[..., None, :]
     transverse = np.eye(3) - dyadic
     quasistatic = np.eye(3) - 3.0 * dyadic
-    scale = 3.0 * gamma / 4.0
+    scale = 0.75
     if mode == "exact":
         return scale * np.exp(-1j * xi) * ((1j / xi) * transverse
                                            + (1.0 / xi**2 - 1j / xi**3) * quasistatic)
@@ -164,15 +164,16 @@ def interaction_pieces(picture: str = "observable"):
 
 
 @functools.cache
-def sparse_interaction_pieces(picture: str = "observable"):
-    """``interaction_pieces`` as CSR matrices, for applying them to
-    coefficient vectors: each piece holds 160-640 nonzeros of 65,536."""
+def sparse_interaction_pieces():
+    """State-picture ``interaction_pieces`` as CSR matrices, for applying
+    them to coefficient vectors: each piece holds 160-640 nonzeros of
+    65,536."""
     # imported on first use: loading scipy.sparse ahead of scipy.integrate
     # (which loads it anyway) adds about 0.1 s to every CLI start
     from scipy.sparse import csr_array
 
     return {tag: csr_array(piece)
-            for tag, piece in interaction_pieces(picture).items()}
+            for tag, piece in interaction_pieces("state").items()}
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,9 @@ expansion:
     surviving single- and double-scattering average keeps exactly the
     monomials with zero net exponent on each atom;
   * products of two coupling-tensor factors: in the far field each
-    factor is (3 gamma / 4 xi) e^{-i xi} times a transverse projector
-    entry, so factor-conjugate pairs lose their xi oscillation and
-    average to (3 gamma / 4)^2 <1/xi^2> times a universal isotropic
+    factor is (3 / 4 xi) e^{-i xi} times a transverse projector entry
+    (gamma = 1 units), so factor-conjugate pairs lose their xi oscillation
+    and average to (3 / 4)^2 <1/xi^2> times a universal isotropic
     fourth-moment of the projector, while same-kind pairs keep an
     e^{+-2 i xi} oscillation and average away.
 
@@ -83,14 +83,13 @@ def isotropic_projector_moment(k: int, l: int, m: int, n: int) -> float:
             + (delta(k, m) * delta(l, n) + delta(k, n) * delta(l, m)) / 15.0)
 
 
-def angular_average(tags, inv_xi_squared: float, gamma: float = 1.0,
+def angular_average(tags, inv_xi_squared: float,
                     mode: str = "full") -> complex:
     """Mean of a product of two far-field coupling factors.
 
     Args:
         tags: pair of tensor tags ((kind, k, l), (kind, m, n)).
         inv_xi_squared: <1/xi^2> of the separation distribution.
-        gamma: single-atom decay rate.
         mode: "full" averages the factors as they stand;
             "level_shift_only" averages them with the decay part
             removed (factor -> i Im factor).
@@ -101,7 +100,7 @@ def angular_average(tags, inv_xi_squared: float, gamma: float = 1.0,
     if mode not in AVERAGE_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     (kind1, k, l), (kind2, m, n) = tags
-    scale = (0.75 * gamma) ** 2 * inv_xi_squared
+    scale = 0.75 ** 2 * inv_xi_squared
     moment = isotropic_projector_moment(k, l, m, n)
     mixed = kind1 != kind2
     if mode == "full":
@@ -109,16 +108,15 @@ def angular_average(tags, inv_xi_squared: float, gamma: float = 1.0,
     return (0.5 if mixed else -0.5) * scale * moment
 
 
-def _effective_final_insertions(inv_xi_squared: float, gamma: float,
-                                mode: str) -> dict:
+def _effective_final_insertions(inv_xi_squared: float, mode: str) -> dict:
     """Per open factor, the CSR matrix performing the last insertion and
     the factor-pair average in one step: sum over closing factors of the
     averaged pair weight times that factor's insertion piece."""
-    pieces = sparse_interaction_pieces("state")
+    pieces = sparse_interaction_pieces()
     out = {}
     for first in pieces:
         weights = {second: angular_average((first, second), inv_xi_squared,
-                                           gamma, mode)
+                                           mode)
                    for second in pieces}
         out[first] = sum(weight * pieces[second]
                          for second, weight in weights.items()
@@ -128,8 +126,7 @@ def _effective_final_insertions(inv_xi_squared: float, gamma: float,
 
 def averaged_solution(order: int, z1, theta: float, channel: str = "parallel",
                       kappa: int = 1, *, inv_xi_squared: float, z2=0.0,
-                      gamma: float = 1.0, mode: str = "full",
-                      fast: bool = False,
+                      mode: str = "full", fast: bool = False,
                       restrict_stationary: bool = True) -> PhaseTaggedVector:
     """Geometry-averaged demodulated pair state after both pulses.
 
@@ -143,18 +140,18 @@ def averaged_solution(order: int, z1, theta: float, channel: str = "parallel",
     if order not in (0, 2):
         raise ValueError("averaged chains support interaction orders 0 and 2")
     demod = demodulation_keep(kappa)
-    closing = (_effective_final_insertions(inv_xi_squared, gamma, mode)
+    closing = (_effective_final_insertions(inv_xi_squared, mode)
                if order else None)
     return two_pulse_chain(
         order, z1, z2, theta, channel,
         keep1=lambda m: m.pulse_net[0] == -kappa,
         keep2=lambda m: demod(m) and m.atom_net == (0, 0),
-        closing=closing, fast=fast, gamma=gamma,
+        closing=closing, fast=fast,
         restrict_stationary=restrict_stationary)
 
 
 def average_state(vector: PhaseTaggedVector, inv_xi_squared: float,
-                  gamma: float = 1.0, mode: str = "full") -> PhaseTaggedVector:
+                  mode: str = "full") -> PhaseTaggedVector:
     """Disorder-average a vector: collapse factor pairs, drop the rest.
 
     Components with a single factor or with surviving position phases
@@ -172,7 +169,7 @@ def average_state(vector: PhaseTaggedVector, inv_xi_squared: float,
         if monomial.degree > 2:
             raise ValueError("average supports at most two coupling factors, "
                              f"got {monomial.degree}")
-        weight = angular_average(monomial.tags, inv_xi_squared, gamma, mode)
+        weight = angular_average(monomial.tags, inv_xi_squared, mode)
         if weight == 0.0:
             continue
         out.add_term(PhaseMonomial(monomial.powers), weight * coeffs)

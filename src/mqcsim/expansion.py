@@ -233,7 +233,7 @@ def _map_population_block(matrix: np.ndarray, block: np.ndarray) -> np.ndarray:
     return block
 
 
-def apply_resolvent(vector: PhaseTaggedVector, z, gamma: float = 1.0,
+def apply_resolvent(vector: PhaseTaggedVector, z,
                     restrict_stationary: bool = False) -> PhaseTaggedVector:
     """Laplace-domain free evolution of every component (state picture).
 
@@ -263,8 +263,8 @@ def apply_resolvent(vector: PhaseTaggedVector, z, gamma: float = 1.0,
     """
     to_eigen, from_eigen, rates = _decay_blocks()
     z_arr = np.asarray(z, dtype=complex)
-    denom = z_arr.reshape(1, 1, -1) - gamma * (rates[:, None, None]
-                                               + rates[None, :, None])
+    denom = z_arr.reshape(1, 1, -1) - (rates[:, None, None]
+                                       + rates[None, :, None])
     if restrict_stationary:
         denom[0, 0] = 1.0
     on_pole = np.abs(denom) < 1e-12
@@ -292,14 +292,14 @@ def apply_resolvent(vector: PhaseTaggedVector, z, gamma: float = 1.0,
     return out
 
 
-def apply_interaction(vector: PhaseTaggedVector, picture: str = "state") -> PhaseTaggedVector:
+def apply_interaction(vector: PhaseTaggedVector) -> PhaseTaggedVector:
     """One pair-interaction insertion, branching over coupling factors.
 
     Each component acquires one symbolic tensor factor per canonical
     tag, with the matching 256x256 piece (held sparse) applied to its
     coefficients.
     """
-    pieces = sparse_interaction_pieces(picture)
+    pieces = sparse_interaction_pieces()
     out = PhaseTaggedVector()
     for monomial, coeffs in vector.items():
         for tag, piece in pieces.items():
@@ -317,7 +317,7 @@ def demodulation_keep(kappa: int):
 
 def two_pulse_chain(order: int, z1, z2, theta: float, channel: str, *,
                     keep1=None, keep2=None, closing=None, fast: bool = False,
-                    gamma: float = 1.0, initial=None,
+                    initial=None,
                     restrict_stationary: bool = True) -> PhaseTaggedVector:
     """Sum over interaction splits of the two-pulse chain.
 
@@ -348,25 +348,25 @@ def two_pulse_chain(order: int, z1, z2, theta: float, channel: str, *,
 
     splits = (0,) if fast else tuple(range(order + 1))
     prefixes = [apply_resolvent(apply_kick(initial, 1, theta, "x", keep=keep1),
-                                z1, gamma, restrict_stationary)]
+                                z1, restrict_stationary)]
     for step in range(splits[-1]):
         prefixes.append(apply_resolvent(insert(prefixes[-1], step), z1,
-                                        gamma, restrict_stationary))
+                                        restrict_stationary))
     total = PhaseTaggedVector()
     for between in reversed(splits):
         part = apply_kick(prefixes.pop(), 2, theta, second_pol, keep=keep2)
-        part = apply_resolvent(part, z2, gamma, restrict_stationary)
+        part = apply_resolvent(part, z2, restrict_stationary)
         for step in range(between, order):
             # two statements, so that the uninserted part is freed first
             part = insert(part, step)
-            part = apply_resolvent(part, z2, gamma, restrict_stationary)
+            part = apply_resolvent(part, z2, restrict_stationary)
         total = part + total
     return total
 
 
 def scattering_solution(order: int, z1: complex, z2: complex, theta: float,
                         channel: str = "parallel", kappa=None, fast: bool = False,
-                        gamma: float = 1.0, initial=None,
+                        initial=None,
                         restrict_stationary: bool = True) -> PhaseTaggedVector:
     """Pair state after both pulses, expanded to a fixed interaction order.
 
@@ -384,7 +384,6 @@ def scattering_solution(order: int, z1: complex, z2: complex, theta: float,
         fast: place all interaction insertions after the second pulse
             (detection stage only) instead of summing every split
             between the two evolution windows.
-        gamma: single-atom decay rate.
         initial: starting vector, default both atoms ground.
         restrict_stationary: use stationary-restricted resolvents,
             finite at z = 0.  Demodulated components come out exact up
@@ -400,6 +399,5 @@ def scattering_solution(order: int, z1: complex, z2: complex, theta: float,
         keep1 = lambda m: m.pulse_net[0] == -kappa
         keep2 = demodulation_keep(kappa)
     return two_pulse_chain(order, z1, z2, theta, channel, keep1=keep1,
-                           keep2=keep2, fast=fast, gamma=gamma,
-                           initial=initial,
+                           keep2=keep2, fast=fast, initial=initial,
                            restrict_stationary=restrict_stationary)

@@ -79,8 +79,7 @@ def detection_covector_vec(direction) -> np.ndarray:
     return pair.T.reshape(-1)
 
 
-def pair_generator(xi: float, n_hat, gamma: float = 1.0,
-                   mode: str = "exact") -> np.ndarray:
+def pair_generator(xi: float, n_hat, mode: str = "exact") -> np.ndarray:
     """Full master-equation generator on vectorized pair states, 256x256.
 
     Contains the independent-atom decay of both atoms and the complete
@@ -88,7 +87,7 @@ def pair_generator(xi: float, n_hat, gamma: float = 1.0,
     truncation.  ``mode`` selects the coupling-tensor variant.
 
     With the six pair lowering operators L_a, a = (atom, Cartesian
-    axis), and the 6x6 rate matrix A holding gamma/2 * I on the two
+    axis), and the 6x6 rate matrix A holding I/2 on the two
     same-atom blocks and the coupling tensor T on both cross blocks,
 
         rho -> sum_ab [2 Re A_ab L_b rho L_a^dag
@@ -97,9 +96,9 @@ def pair_generator(xi: float, n_hat, gamma: float = 1.0,
     dips = dipole_components()
     lowering = np.concatenate([np.kron(dips, _EYE4[None]),
                                np.kron(_EYE4[None], dips)])
-    tensor = coupling_tensor(xi, n_hat, gamma, mode)
-    rates = np.block([[0.5 * gamma * np.eye(3), tensor],
-                      [tensor, 0.5 * gamma * np.eye(3)]])
+    tensor = coupling_tensor(xi, n_hat, mode)
+    rates = np.block([[0.5 * np.eye(3), tensor],
+                      [tensor, 0.5 * np.eye(3)]])
     # vec(L_b rho L_a^dag) = (L_b kron conj(L_a)) vec(rho), row-major
     weighted = np.einsum("ab,ajl->bjl", 2.0 * rates.real, lowering.conj())
     jump = np.einsum("bik,bjl->ijkl", lowering, weighted)
@@ -165,22 +164,22 @@ def binned_kick(theta: float, polarization, harmonic: int,
     return out / samples
 
 
-def _deflated_solve(generator: np.ndarray, z: complex, rhs: np.ndarray,
-                    gamma: float) -> np.ndarray:
+def _deflated_solve(generator: np.ndarray, z: complex,
+                    rhs: np.ndarray) -> np.ndarray:
     """Solve (z - generator) x = rhs with the stationary pole removed.
 
     The generator annihilates the ground-pair state and preserves the
-    trace, so shifting that single eigenvalue by a rank-one update makes
-    the system regular at z = 0 while leaving the solution unchanged on
-    trace-free right-hand sides (which is all the demodulated harmonics
-    produce).
+    trace, so shifting that single eigenvalue by one with a rank-one
+    update makes the system regular at z = 0 while leaving the solution
+    unchanged on trace-free right-hand sides (which is all the
+    demodulated harmonics produce); any nonzero shift would do.
     """
-    deflation = gamma * np.outer(ground_pair_vec(), _EYE16.reshape(-1))
+    deflation = np.outer(ground_pair_vec(), _EYE16.reshape(-1))
     return np.linalg.solve(z * _EYE256 - generator + deflation, rhs)
 
 
 def demodulated_laplace(xi: float, n_hat, theta: float, kappas, channels,
-                        z1_values, z2: complex = 0.0, gamma: float = 1.0,
+                        z1_values, z2: complex = 0.0,
                         mode: str = "exact") -> dict:
     """Demodulated detected Laplace components of the full dynamics.
 
@@ -198,19 +197,19 @@ def demodulated_laplace(xi: float, n_hat, theta: float, kappas, channels,
     """
     n = np.asarray(n_hat, dtype=float)
     position = xi * n[2] / np.linalg.norm(n)
-    generator = pair_generator(xi, n, gamma, mode)
+    generator = pair_generator(xi, n, mode)
     covectors = np.stack([detection_covector_vec(d)
                           for d in DETECTION_DIRECTIONS])
     z1_arr = np.atleast_1d(np.asarray(z1_values, dtype=complex))
     out = {}
     for kappa in kappas:
         first = binned_kick(theta, "x", -kappa, position) @ ground_pair_vec()
-        between = np.stack([_deflated_solve(generator, z1, first, gamma)
+        between = np.stack([_deflated_solve(generator, z1, first)
                             for z1 in z1_arr], axis=1)
         for channel in channels:
             kick2 = binned_kick(theta, SECOND_POLARIZATION[channel], kappa,
                                 position)
-            final = _deflated_solve(generator, z2, kick2 @ between, gamma)
+            final = _deflated_solve(generator, z2, kick2 @ between)
             for d, row in zip(DETECTION_DIRECTIONS, covectors @ final):
                 out[(kappa, channel, d)] = row
     return out
@@ -235,8 +234,7 @@ class TermTable:
 
 
 def demodulated_term_table(orders, theta: float, channel: str, kappa: int,
-                           z1_values, z2: complex = 0.0,
-                           gamma: float = 1.0) -> TermTable:
+                           z1_values, z2: complex = 0.0) -> TermTable:
     """Collect the demodulated perturbative chain into a term table,
     projecting each monomial on the detectors as it is merged."""
     z1_arr = np.atleast_1d(np.asarray(z1_values, dtype=complex))
@@ -245,8 +243,7 @@ def demodulated_term_table(orders, theta: float, channel: str, kappa: int,
     merged: dict = {}
     for order in orders:
         solution = scattering_solution(order, z1_arr, z2, theta,
-                                       channel=channel, kappa=kappa,
-                                       gamma=gamma)
+                                       channel=channel, kappa=kappa)
         for monomial, coeffs in solution.items():
             key = (monomial.atom_net[0], monomial.tags)
             rows = covectors @ coeffs.reshape(NUM_OPS_PAIR, -1)
@@ -264,9 +261,9 @@ def demodulated_term_table(orders, theta: float, channel: str, kappa: int,
 
 
 def _term_weights(table: TermTable, xi: np.ndarray, n_hat: np.ndarray,
-                  gamma: float, mode: str) -> np.ndarray:
+                  mode: str) -> np.ndarray:
     """Numeric weight of every table term per configuration, (T, B)."""
-    tensors = coupling_tensor(xi, n_hat, gamma, mode)
+    tensors = coupling_tensor(xi, n_hat, mode)
     factors = {tag: tensor_tag_value(tensors, tag) for tag in TAG_KEYS}
     position = np.asarray(xi) * np.asarray(n_hat)[:, 2]
     weights = np.empty((len(table.tags), len(position)), dtype=complex)
@@ -281,8 +278,8 @@ def _term_weights(table: TermTable, xi: np.ndarray, n_hat: np.ndarray,
 
 def fixed_configuration_components(xi: float, n_hat, theta: float,
                                    channel: str, kappa: int, z1_values,
-                                   z2: complex = 0.0, gamma: float = 1.0,
-                                   mode: str = "exact", orders=(0, 1, 2),
+                                   z2: complex = 0.0, mode: str = "exact",
+                                   orders=(0, 1, 2),
                                    table: TermTable = None) -> dict:
     """Demodulated detected components of the truncated chain at one
     configuration; the perturbative counterpart of
@@ -293,10 +290,10 @@ def fixed_configuration_components(xi: float, n_hat, theta: float,
     """
     if table is None:
         table = demodulated_term_table(orders, theta, channel, kappa,
-                                       z1_values, z2, gamma)
+                                       z1_values, z2)
     n = np.asarray(n_hat, dtype=float)
     n = n / np.linalg.norm(n)
-    weights = _term_weights(table, np.array([xi]), n[None, :], gamma, mode)
+    weights = _term_weights(table, np.array([xi]), n[None, :], mode)
     values = np.tensordot(weights[:, 0], table.coeffs, axes=(0, 0))
     return dict(zip(DETECTION_DIRECTIONS, values))
 
@@ -317,7 +314,6 @@ class OracleRun:
     tau_grid: np.ndarray
     t_fl_grid: np.ndarray
     phi_samples: np.ndarray
-    gamma: float = 1.0
     mode: str = "exact"
     method: str = "DOP853"
     rtol: float = 1e-10
@@ -373,7 +369,7 @@ def time_domain_evolve(run: OracleRun) -> dict:
     n = np.asarray(run.n_hat, dtype=float)
     n = n / np.linalg.norm(n)
     position = run.xi * n[2]
-    generator = pair_generator(run.xi, n, run.gamma, run.mode)
+    generator = pair_generator(run.xi, n, run.mode)
     tau = np.asarray(run.tau_grid, dtype=float)
     t_fl = np.asarray(run.t_fl_grid, dtype=float)
     phis = np.asarray(run.phi_samples, dtype=float)
@@ -464,7 +460,7 @@ def surviving_term_table(table: TermTable) -> TermTable:
 def monte_carlo_spectrum(kappa: int, channel: str, direction, theta: float,
                          n_samples: int, *, seed: int,
                          window=(67.2, 92.8), detunings=None,
-                         gamma: float = 1.0, mode: str = "exact",
+                         mode: str = "exact",
                          orders=(0, 1, 2), terms: str = "surviving",
                          batch_size: int = 4096,
                          keep_traces: int = 0,
@@ -507,10 +503,9 @@ def monte_carlo_spectrum(kappa: int, channel: str, direction, theta: float,
     if detunings is None:
         detunings = DEFAULT_DETUNINGS.copy()
     detunings = np.asarray(detunings, dtype=float)
-    z1 = 1j * detunings * gamma
+    z1 = 1j * detunings
     if table is None:
-        table = demodulated_term_table(orders, theta, channel, kappa, z1,
-                                       0.0, gamma)
+        table = demodulated_term_table(orders, theta, channel, kappa, z1)
     elif not np.array_equal(table.z1_values, z1):
         raise ValueError("term table was built on a different detuning grid")
     if terms == "surviving":
@@ -528,7 +523,7 @@ def monte_carlo_spectrum(kappa: int, channel: str, direction, theta: float,
     while done < n_samples:
         count = min(batch_size, n_samples - done)
         xi, n_hat = sample_configurations(rng, count, window)
-        weights = _term_weights(table, xi, n_hat, gamma, mode)
+        weights = _term_weights(table, xi, n_hat, mode)
         batch = (rows.T @ weights) / norm
         total += batch.sum(axis=1)
         batch_mean = batch.mean(axis=1)
@@ -557,7 +552,7 @@ def monte_carlo_spectrum(kappa: int, channel: str, direction, theta: float,
 
 
 def monte_carlo_pair_averages(pairs, n_samples: int, *, seed: int,
-                              window=(67.2, 92.8), gamma: float = 1.0,
+                              window=(67.2, 92.8),
                               mode: str = "far_field") -> dict:
     """Monte-Carlo estimates of coupling-factor pair averages.
 
@@ -574,7 +569,7 @@ def monte_carlo_pair_averages(pairs, n_samples: int, *, seed: int,
     pairs = [(a, b, m) for a, b, m in pairs]
     rng = np.random.default_rng(seed)
     xi, n_hat = sample_configurations(rng, n_samples, window)
-    tensors = coupling_tensor(xi, n_hat, gamma, mode)
+    tensors = coupling_tensor(xi, n_hat, mode)
     position = xi * n_hat[:, 2]
 
     out = {}

@@ -130,7 +130,7 @@ class SpectrumSeries:
 def spectrum(kappa: int, channel: str, direction, theta: float,
              detunings=None, *, xi_bar: float = None, window=None,
              average_mode: str = "full", fast: bool = False,
-             orders=(0, 2), gamma: float = 1.0) -> SpectrumSeries:
+             orders=(0, 2)) -> SpectrumSeries:
     """Disorder-averaged demodulated emission spectrum.
 
     Args:
@@ -148,23 +148,20 @@ def spectrum(kappa: int, channel: str, direction, theta: float,
         fast: restrict interaction insertions to the detection stage.
         orders: interaction orders to sum (the order-0 term is exactly
             zero for kappa = 2, so the default covers both cases).
-        gamma: single-atom decay rate (sets the unit system).
 
     Returns:
         SpectrumSeries over the requested grid.
     """
     (series,) = directional_spectra(
         kappa, channel, (direction,), theta, detunings, xi_bar=xi_bar,
-        window=window, average_mode=average_mode, fast=fast, orders=orders,
-        gamma=gamma)
+        window=window, average_mode=average_mode, fast=fast, orders=orders)
     return series
 
 
 def directional_spectra(kappa: int, channel: str, directions, theta: float,
                         detunings=None, *, xi_bar: float = None,
                         window=None, average_mode: str = "full",
-                        fast: bool = False, orders=(0, 2),
-                        gamma: float = 1.0) -> tuple:
+                        fast: bool = False, orders=(0, 2)) -> tuple:
     """:func:`spectrum` for several detection directions at once.
 
     The averaged pair state does not depend on the detector, so it is
@@ -186,13 +183,12 @@ def directional_spectra(kappa: int, channel: str, directions, theta: float,
     if detunings.ndim != 1 or detunings.size == 0:
         raise ValueError("detunings must be a non-empty 1d grid")
     inv_xi_squared = mean_inverse_xi_squared(xi_bar=xi_bar, window=window)
-    z1 = 1j * detunings * gamma
+    z1 = 1j * detunings
     averaged = PhaseTaggedVector()
     for order in orders:
         averaged = averaged + averaged_solution(
             order, z1, theta, channel=channel, kappa=kappa,
-            inv_xi_squared=inv_xi_squared, gamma=gamma, mode=average_mode,
-            fast=fast)
+            inv_xi_squared=inv_xi_squared, mode=average_mode, fast=fast)
     out = []
     for direction in directions:
         raw = detection_projection(averaged, direction).get(kappa)

@@ -135,9 +135,9 @@ def test_in_phase_half_pulses_compose_to_full_pulse():
 def test_propagator_identity_semigroup_and_adjoint():
     for picture in ("state", "observable"):
         assert np.allclose(free_propagator(0.0, picture=picture), np.eye(16), atol=1e-14)
-        p1 = free_propagator(0.35, gamma=1.3, picture=picture)
-        p2 = free_propagator(1.1, gamma=1.3, picture=picture)
-        p12 = free_propagator(1.45, gamma=1.3, picture=picture)
+        p1 = free_propagator(0.35, picture=picture)
+        p2 = free_propagator(1.1, picture=picture)
+        p12 = free_propagator(1.45, picture=picture)
         assert np.allclose(p1 @ p2, p12, atol=1e-10)
     obs = free_propagator(0.8, picture="observable")
     sta = free_propagator(0.8, picture="state")
@@ -145,15 +145,15 @@ def test_propagator_identity_semigroup_and_adjoint():
 
 
 def test_propagator_moves_population_to_ground():
-    t, gamma = 0.6, 1.0
-    decayed = np.exp(-gamma * t)
+    t = 0.6
+    decayed = np.exp(-t)
     # state picture: an excited population relaxes into the ground state
     rho0 = expand(matrix_unit(3, 3))
-    rho_t = reconstruct(free_propagator(t, gamma, picture="state") @ rho0)
+    rho_t = reconstruct(free_propagator(t, picture="state") @ rho0)
     want = decayed * matrix_unit(3, 3) + (1 - decayed) * matrix_unit(1, 1)
     assert np.allclose(rho_t, want, atol=1e-13)
     # observable picture: the ground projector climbs onto excited states
-    q_t = reconstruct(free_propagator(t, gamma, picture="observable")
+    q_t = reconstruct(free_propagator(t, picture="observable")
                       @ expand(matrix_unit(1, 1)))
     want = matrix_unit(1, 1) + (1 - decayed) * (np.eye(4) - matrix_unit(1, 1))
     assert np.allclose(q_t, want, atol=1e-13)
@@ -163,8 +163,8 @@ def test_propagator_matches_generator_exponential():
     from scipy.linalg import expm
 
     for picture in ("state", "observable"):
-        gen = decay_generator(0.9, picture=picture)
-        assert np.allclose(expm(gen * 0.77), free_propagator(0.77, 0.9, picture=picture),
+        gen = decay_generator(picture=picture)
+        assert np.allclose(expm(gen * 0.77), free_propagator(0.77, picture=picture),
                            atol=1e-12)
 
 
@@ -176,8 +176,8 @@ def test_resolvent_inverts_generator(seed):
     if min(abs(z), abs(z + 0.5), abs(z + 1.0)) < 1e-3:
         z += 0.01
     for picture in ("state", "observable"):
-        gen = decay_generator(1.0, picture=picture)
-        g = resolvent(z, 1.0, picture=picture)
+        gen = decay_generator(picture=picture)
+        g = resolvent(z, picture=picture)
         assert np.allclose((z * np.eye(16) - gen) @ g, np.eye(16), atol=1e-10)
 
 
@@ -187,7 +187,7 @@ def test_resolvent_poles_and_stationary_restriction():
     with pytest.raises(PoleError):
         resolvent(-0.5)
     with pytest.raises(PoleError):
-        resolvent(-1.0, gamma=1.0)
+        resolvent(-1.0)
     # the restricted resolvent is finite at z = 0 and differs from the
     # full one by exactly the stationary pole
     z = 0.3 + 0.2j
@@ -225,7 +225,7 @@ def test_resolvent_is_laplace_transform():
 
 def test_decay_eigensystem_diagonalizes_generator():
     eig = decay_eigensystem()
-    gen = decay_generator(1.0, picture="state")
+    gen = decay_generator(picture="state")
     assert np.allclose(gen @ eig.modes, eig.modes * eig.rates, atol=1e-13)
     assert np.isclose(eig.rates[0], 0.0)
     assert np.allclose(reconstruct(eig.modes[:, 0]), matrix_unit(1, 1))

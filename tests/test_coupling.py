@@ -36,9 +36,9 @@ def _atom_ops(k):
 def test_tensor_symmetry_and_axis_parity():
     for n in RNG_DIRECTIONS:
         for mode in ("exact", "far_field", "near_field"):
-            t = coupling_tensor(3.7, n, gamma=1.4, mode=mode)
+            t = coupling_tensor(3.7, n, mode=mode)
             assert np.allclose(t, t.T, atol=1e-14)
-            assert np.allclose(t, coupling_tensor(3.7, -n, gamma=1.4, mode=mode),
+            assert np.allclose(t, coupling_tensor(3.7, -n, mode=mode),
                                atol=1e-14)
 
 
@@ -47,10 +47,10 @@ def test_coupling_tensor_batch_matches_single_calls(mode):
     rng = np.random.default_rng(3)
     xi = rng.uniform(5.0, 100.0, 6)
     n_hat = rng.normal(size=(6, 3))
-    batch = coupling_tensor(xi, n_hat, gamma=1.7, mode=mode)
+    batch = coupling_tensor(xi, n_hat, mode=mode)
     assert batch.shape == (6, 3, 3)
     for b in range(6):
-        single = coupling_tensor(xi[b], n_hat[b], gamma=1.7, mode=mode)
+        single = coupling_tensor(xi[b], n_hat[b], mode=mode)
         np.testing.assert_allclose(batch[b], single, rtol=1e-14, atol=0)
 
 
@@ -62,10 +62,10 @@ def test_far_field_limit_and_decomposition():
     assert np.linalg.norm(exact - far) < 5.0 / xi * np.linalg.norm(far)
     # transverse kernel: decay part ~ sin(xi)/xi, shift part ~ cos(xi)/xi
     xi = 7.3
-    far = coupling_tensor(xi, n, gamma=2.0, mode="far_field")
+    far = coupling_tensor(xi, n, mode="far_field")
     transverse = np.eye(3) - np.outer(n, n) / np.dot(n, n)
-    assert np.allclose(far.real, (3 * 2.0 / 4) * np.sin(xi) / xi * transverse, atol=1e-12)
-    assert np.allclose(far.imag, (3 * 2.0 / 4) * np.cos(xi) / xi * transverse, atol=1e-12)
+    assert np.allclose(far.real, (3 / 4) * np.sin(xi) / xi * transverse, atol=1e-12)
+    assert np.allclose(far.imag, (3 / 4) * np.cos(xi) / xi * transverse, atol=1e-12)
 
 
 def test_near_field_limit():
@@ -206,7 +206,7 @@ def test_pieces_contract_to_assembled_generator():
 
 def test_state_picture_properties():
     rng = np.random.default_rng(29)
-    tensor = coupling_tensor(3.1, RNG_DIRECTIONS[2], gamma=0.8)
+    tensor = coupling_tensor(3.1, RNG_DIRECTIONS[2])
     v_state = interaction_matrices(tensor, picture="state").total
     # both atoms in the ground state radiate nothing: the generator
     # annihilates the ground-ground projector
@@ -222,7 +222,7 @@ def test_state_picture_properties():
 def test_state_picture_matches_standard_master_equation_form():
     """Independent cross-check against the textbook two-atom master equation
     with collective shift Hamiltonian and collective-decay dissipator."""
-    tensor = coupling_tensor(2.2, RNG_DIRECTIONS[3], gamma=1.0)
+    tensor = coupling_tensor(2.2, RNG_DIRECTIONS[3])
     omega, gamma_t = tensor.imag, tensor.real
     eye4 = np.eye(4, dtype=complex)
     eye16 = np.eye(16, dtype=complex)

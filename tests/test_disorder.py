@@ -87,21 +87,20 @@ def test_projector_moment_matches_sphere_quadrature():
 
 def test_angular_average_values_and_symmetry():
     inv2 = mean_inverse_xi_squared(window=WINDOW)
-    gamma = 2.0
-    scale = (0.75 * gamma) ** 2 * inv2
+    scale = 0.75 ** 2 * inv2
     mixed = (("direct", 0, 0), ("conj", 0, 0))
-    assert angular_average(mixed, inv2, gamma) == pytest.approx(scale * 8.0 / 15.0)
-    assert angular_average(mixed[::-1], inv2, gamma) == pytest.approx(
-        angular_average(mixed, inv2, gamma))
+    assert angular_average(mixed, inv2) == pytest.approx(scale * 8.0 / 15.0)
+    assert angular_average(mixed[::-1], inv2) == pytest.approx(
+        angular_average(mixed, inv2))
     same = (("direct", 0, 1), ("direct", 0, 1))
-    assert angular_average(same, inv2, gamma) == 0.0
+    assert angular_average(same, inv2) == 0.0
     # removing the decay kernel halves the mixed pair and revives same-kind
-    assert angular_average(mixed, inv2, gamma, mode="level_shift_only") == (
+    assert angular_average(mixed, inv2, mode="level_shift_only") == (
         pytest.approx(0.5 * scale * 8.0 / 15.0))
-    assert angular_average(same, inv2, gamma, mode="level_shift_only") == (
+    assert angular_average(same, inv2, mode="level_shift_only") == (
         pytest.approx(-0.5 * scale / 15.0))
     with pytest.raises(ValueError):
-        angular_average(mixed, inv2, gamma, mode="bogus")
+        angular_average(mixed, inv2, mode="bogus")
 
 
 def _window_pair_average(k, l, m, n, conjugate_second, transform=None):

@@ -69,12 +69,12 @@ def test_kick_keep_filter_prunes_monomials():
     assert {m.powers for m, _ in vec.items()} == {(-1, 0, -1, 0)}
 
 
-def _dense_phase_evaluation(theta, channel, phases, tensor, order, z1, z2, gamma):
+def _dense_phase_evaluation(theta, channel, phases, tensor, order, z1, z2):
     """Reference chain with phases and tensor entries as plain numbers."""
     from scipy.linalg import inv
 
     second_pol = {"parallel": "x", "perpendicular": "y"}[channel]
-    gen = decay_generator(gamma, picture="state")
+    gen = decay_generator(picture="state")
     pair_gen = np.kron(gen, np.eye(16)) + np.kron(np.eye(16), gen)
 
     def resolvent_mat(z):
@@ -105,14 +105,14 @@ def _dense_phase_evaluation(theta, channel, phases, tensor, order, z1, z2, gamma
 @pytest.mark.parametrize("order,channel", [(0, "parallel"), (2, "perpendicular"),
                                            (3, "parallel")])
 def test_scattering_solution_matches_dense_fixed_configuration(order, channel):
-    theta, gamma = 0.7, 1.0
+    theta = 0.7
     z1, z2 = 0.3 + 0.2j, 0.17 - 0.4j
     phases = np.array([0.4, -1.1, 2.2, 0.9])
-    tensor = coupling_tensor(5.3, [0.2, -0.5, 0.84], gamma=gamma)
+    tensor = coupling_tensor(5.3, [0.2, -0.5, 0.84])
     symbolic = scattering_solution(order, z1, z2, theta, channel=channel,
-                                   restrict_stationary=False, gamma=gamma)
+                                   restrict_stationary=False)
     got = symbolic.evaluate(phases, tensor)
-    want = _dense_phase_evaluation(theta, channel, phases, tensor, order, z1, z2, gamma)
+    want = _dense_phase_evaluation(theta, channel, phases, tensor, order, z1, z2)
     assert np.allclose(got, want, atol=1e-12)
 
 
@@ -162,9 +162,9 @@ def test_resolvent_inverts_pair_generator():
     rng = np.random.default_rng(4)
     coeffs = rng.normal(size=256) + 1j * rng.normal(size=256)
     vec = PhaseTaggedVector({PhaseMonomial((1, 0, -1, 0)): coeffs})
-    z, gamma = 0.4 - 0.7j, 1.3
-    out = apply_resolvent(vec, z, gamma=gamma)
-    gen = decay_generator(gamma, picture="state")
+    z = 0.4 - 0.7j
+    out = apply_resolvent(vec, z)
+    gen = decay_generator(picture="state")
     pair_gen = np.kron(gen, np.eye(16)) + np.kron(np.eye(16), gen)
     [(_, transformed)] = out.items()
     assert np.allclose((z * np.eye(256) - pair_gen) @ transformed, coeffs, atol=1e-10)
@@ -182,21 +182,20 @@ def test_resolvent_pole_handling():
 
 
 def test_resolvent_pole_guard_on_a_grid():
-    gamma = 1.3
-    zs = np.array([0.2j, -gamma / 2.0, 0.1 - 0.4j])
-    # sigma_14 on atom 1 decays at gamma/2 while atom 2 stays in sigma_11
+    zs = np.array([0.2j, -0.5, 0.1 - 0.4j])
+    # sigma_14 on atom 1 decays at 1/2 while atom 2 stays in sigma_11
     optical = expand(pair_operator(matrix_unit(1, 4), matrix_unit(1, 1)))
     vec = PhaseTaggedVector({PhaseMonomial((1, 0, 0, 0)): optical})
     with pytest.raises(PoleError):
-        apply_resolvent(vec, zs, gamma=gamma)
+        apply_resolvent(vec, zs)
     with pytest.raises(PoleError):
-        apply_resolvent(vec, zs, gamma=gamma, restrict_stationary=True)
-    # sigma_14 on both atoms decays at gamma and has no weight on the pole
+        apply_resolvent(vec, zs, restrict_stationary=True)
+    # sigma_14 on both atoms decays at 1 and has no weight on the pole
     both = expand(pair_operator(matrix_unit(1, 4), matrix_unit(1, 4)))
     vec = PhaseTaggedVector({PhaseMonomial((1, 0, 1, 0)): both})
-    [(_, got)] = apply_resolvent(vec, zs, gamma=gamma).items()
+    [(_, got)] = apply_resolvent(vec, zs).items()
     assert np.all(np.isfinite(got))
-    assert np.allclose(got, both[:, None] / (zs + gamma), atol=1e-14)
+    assert np.allclose(got, both[:, None] / (zs + 1.0), atol=1e-14)
 
 
 def test_resolvent_broadcasts_over_a_grid_of_z_values():
@@ -204,10 +203,10 @@ def test_resolvent_broadcasts_over_a_grid_of_z_values():
     coeffs = rng.normal(size=256) + 1j * rng.normal(size=256)
     vec = PhaseTaggedVector({PhaseMonomial((-1, 1, 0, 0)): coeffs})
     zs = 0.05 + 1j * np.linspace(-3.0, 3.0, 7)
-    [(_, got)] = apply_resolvent(vec, zs, gamma=1.2).items()
+    [(_, got)] = apply_resolvent(vec, zs).items()
     assert got.shape == (256, 7)
     for i, z in enumerate(zs):
-        [(_, single)] = apply_resolvent(vec, z, gamma=1.2).items()
+        [(_, single)] = apply_resolvent(vec, z).items()
         assert np.allclose(got[:, i], single, atol=1e-13)
 
 

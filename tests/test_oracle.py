@@ -141,7 +141,7 @@ def test_deflated_solve_is_exact_resolvent_on_trace_free_input():
     trace_covector = np.eye(16, dtype=complex).reshape(-1)
     assert np.max(np.abs(trace_covector @ rhs)) < 1e-14
     for z in (0.0, 0.3 + 1.1j):
-        solution = _deflated_solve(gen, z, rhs, 1.0)
+        solution = _deflated_solve(gen, z, rhs)
         assert solution.shape == rhs.shape
         assert np.max(np.abs((z * solution - gen @ solution) - rhs)) < 1e-12
         assert np.max(np.abs(trace_covector @ solution)) < 1e-12
@@ -428,7 +428,7 @@ def test_surviving_families_average_to_closed_form_exactly():
     """
     z1 = np.array([0.0 + 0.0j])
     full = demodulated_term_table((0, 1, 2), THETA, "perpendicular", 2,
-                                  z1, 0.0, 1.0)
+                                  z1, 0.0)
     kept = surviving_term_table(full)
     assert 0 < len(kept.tags) < len(full.tags)
     for exponent, tags in zip(kept.phase_exponents, kept.tags):
@@ -453,7 +453,7 @@ def test_surviving_families_average_to_closed_form_exactly():
         averaged = np.zeros(len(table.tags), dtype=complex)
         for xi, weight in zip(xi_nodes, weights_xi):
             batch = _term_weights(table, np.full(len(n_hat), xi), n_hat,
-                                  1.0, "far_field")
+                                  "far_field")
             averaged += weight * (batch @ weights_sphere)
         rows = table.coeffs[:, 0, 0]
         return (averaged @ rows) / np.sqrt(2.0 * np.pi)

@@ -74,14 +74,14 @@ def test_detection_projection_rejects_unfinished_components():
     (2, 1, "parallel", "level_shift_only"),
 ])
 def test_averaged_solution_matches_reference_chain(order, kappa, channel, mode):
-    theta, gamma = 0.8, 1.0
+    theta = 0.8
     z1, z2 = 0.3 + 0.2j, 0.05
     inv2 = mean_inverse_xi_squared(xi_bar=80.0)
     got = averaged_solution(order, z1, theta, channel=channel, kappa=kappa,
-                            inv_xi_squared=inv2, z2=z2, gamma=gamma, mode=mode)
+                            inv_xi_squared=inv2, z2=z2, mode=mode)
     full = scattering_solution(order, z1, z2, theta, channel=channel,
-                               kappa=kappa, gamma=gamma)
-    want = average_state(full, inv2, gamma=gamma, mode=mode)
+                               kappa=kappa)
+    want = average_state(full, inv2, mode=mode)
     for monomial in set(got.terms) | set(want.terms):
         a = got.terms.get(monomial, np.zeros(256))
         b = want.terms.get(monomial, np.zeros(256))
