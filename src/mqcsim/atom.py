@@ -35,13 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import (
-    HILBERT_DIM,
-    NUM_OPS,
-    expand,
-    matrix_unit,
-    sandwich_matrix,
-)
+from .basis import HILBERT_DIM, expand, matrix_unit, sandwich_matrix
 
 _SQRT2 = np.sqrt(2.0)
 

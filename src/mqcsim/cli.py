@@ -94,7 +94,9 @@ def family_z_limit(count: int) -> float:
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, metavar="FILE",
                         help="JSON file with RunConfig fields; flags override")
-    parser.add_argument("--gamma", type=float, help="decay rate (rad/s)")
+    parser.add_argument("--gamma", type=float,
+                        help="SI decay rate (rad/s), used by cross-section "
+                             "and the pulse energy budget")
     parser.add_argument("--wavelength", type=float,
                         help="transition wavelength (m)")
     parser.add_argument("--delta-bar", type=float,

@@ -30,6 +30,7 @@ from scipy.constants import c as _C_LIGHT
 from . import __version__
 from .disorder import mean_inverse_xi_squared
 from .spectra import (POLARIZATION_CHANNELS, dipole_from_gamma,
+                      mean_free_path, mean_scattering_cross_section,
                       pulse_area_from_energy)
 
 #: mean nearest-neighbour distance in a uniform gas of density rho
@@ -175,14 +176,25 @@ class RunConfig:
             raise ConfigError("oracle_directions must be at least 1")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        # the spectra scale with theta and <1/xi^2>: both must be finite
+        # the spectra scale with theta and <1/xi^2>, which must be finite;
+        # the averaged cross-section and the mean free path derived from
+        # it must be positive and finite
         try:
             theta = self.resolved_theta()
             mean_inverse_xi_squared(xi_bar=self.resolved_xi_bar())
+            scales = {"averaged cross-section": mean_scattering_cross_section(
+                self.wavelength, self.gamma, self.delta_bar)}
+            if self.density is not None:
+                scales["mean free path"] = mean_free_path(
+                    self.density, scales["averaged cross-section"])
         except (ValueError, ArithmeticError) as err:
             raise ConfigError(f"out of range: {err}") from None
         if not math.isfinite(theta):
             raise ConfigError(f"pulse area theta = {theta} is not finite")
+        for name, value in scales.items():
+            if not 0.0 < value < math.inf:
+                raise ConfigError(f"{name} = {value} is not a positive "
+                                  "finite number")
 
     def resolved_theta(self) -> float:
         """Pulse area, computed from the energy budget if not direct."""
@@ -211,12 +223,6 @@ class RunConfig:
         """Detuning grid in units of gamma, symmetric about resonance."""
         return np.linspace(-self.detuning_half_range,
                            self.detuning_half_range, self.detuning_count)
-
-    @property
-    def average_mode(self) -> str:
-        """Disorder-average variant: the full interaction or, in the
-        vanishing-linewidth limit, its level-shift part only."""
-        return "level_shift_only" if self.gamma_to_zero else "full"
 
     def as_metadata(self) -> dict:
         """Flat JSON-serializable dict of every field, plus the version."""

@@ -29,7 +29,7 @@ so its pulse phases are offset by xi * n_hat_z.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -225,12 +225,30 @@ class TermTable:
     factors.  ``coeffs[t]`` holds the detected rows of term t: its
     operator-basis coefficients projected on the detection covector of
     each direction in ``DETECTION_DIRECTIONS``, shape (2, len(z1)).
+    ``kappa``, ``channel`` and ``theta`` record the chain it was built
+    for, so that a reused table can be checked against the call.
     """
 
     phase_exponents: tuple
     tags: tuple
     coeffs: np.ndarray
     z1_values: np.ndarray
+    kappa: int
+    channel: str
+    theta: float
+
+    def check_matches(self, kappa: int, channel: str, theta: float,
+                      z1_values) -> None:
+        """Raise ValueError unless the table was built for this chain
+        on this z1 grid."""
+        built = (self.kappa, self.channel, self.theta)
+        if built != (kappa, channel, theta):
+            raise ValueError(f"term table was built for (kappa, channel, "
+                             f"theta) = {built}, not "
+                             f"{(kappa, channel, theta)}")
+        if not np.array_equal(self.z1_values, np.atleast_1d(z1_values)):
+            raise ValueError("term table was built on a different "
+                             "detuning grid")
 
 
 def demodulated_term_table(orders, theta: float, channel: str, kappa: int,
@@ -257,6 +275,9 @@ def demodulated_term_table(orders, theta: float, channel: str, kappa: int,
         tags=tuple(k[1] for k in keys),
         coeffs=np.stack([merged[k] for k in keys]),
         z1_values=z1_arr,
+        kappa=kappa,
+        channel=channel,
+        theta=theta,
     )
 
 
@@ -286,11 +307,15 @@ def fixed_configuration_components(xi: float, n_hat, theta: float,
     :func:`demodulated_laplace`.
 
     Pass a precomputed ``table`` (from :func:`demodulated_term_table`)
-    to amortize the symbolic chain over many configurations.
+    to amortize the symbolic chain over many configurations; a table
+    built for another kappa, channel, theta or z1 grid raises
+    ValueError.
     """
     if table is None:
         table = demodulated_term_table(orders, theta, channel, kappa,
                                        z1_values, z2)
+    else:
+        table.check_matches(kappa, channel, theta, z1_values)
     n = np.asarray(n_hat, dtype=float)
     n = n / np.linalg.norm(n)
     weights = _term_weights(table, np.array([xi]), n[None, :], mode)
@@ -449,11 +474,11 @@ def surviving_term_table(table: TermTable) -> TermTable:
             if exponent == 0 and (
                 len(tags) == 0
                 or (len(tags) == 2 and tags[0][0] != tags[1][0]))]
-    return TermTable(
+    return replace(
+        table,
         phase_exponents=tuple(table.phase_exponents[t] for t in keep),
         tags=tuple(table.tags[t] for t in keep),
         coeffs=table.coeffs[keep],
-        z1_values=table.z1_values,
     )
 
 
@@ -492,7 +517,9 @@ def monte_carlo_spectrum(kappa: int, channel: str, direction, theta: float,
         table: precomputed term table of the chain on this detuning
             grid (from :func:`demodulated_term_table`), reused across
             seeds and detection directions; ``orders`` is then ignored
-            and ``terms`` applies to the passed table.
+            and ``terms`` applies to the passed table.  A table built
+            for another kappa, channel, theta or grid raises
+            ValueError.
     """
     if n_samples < 1:
         raise ValueError("need at least one configuration")
@@ -506,8 +533,8 @@ def monte_carlo_spectrum(kappa: int, channel: str, direction, theta: float,
     z1 = 1j * detunings
     if table is None:
         table = demodulated_term_table(orders, theta, channel, kappa, z1)
-    elif not np.array_equal(table.z1_values, z1):
-        raise ValueError("term table was built on a different detuning grid")
+    else:
+        table.check_matches(kappa, channel, theta, z1)
     if terms == "surviving":
         table = surviving_term_table(table)
     rows = table.coeffs[:, DETECTION_DIRECTIONS.index(direction)]

@@ -14,7 +14,8 @@ thermal-vapour experiment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.constants import c as _C_LIGHT
@@ -248,13 +249,17 @@ def mean_scattering_cross_section(wavelength: float, gamma: float,
         raise ValueError("wavelength and gamma must be positive")
     if delta_bar < 0:
         raise ValueError("delta_bar must be non-negative")
-    peak = 3.0 * wavelength**2 / (2.0 * np.pi)
+    peak = 3.0 * (wavelength * wavelength) / (2.0 * np.pi)
     if delta_bar == 0.0:
         return peak
     half_width = 0.5 * gamma
-    spread = np.sqrt(3.0) * delta_bar
-    u = half_width / (np.sqrt(2.0) * spread)
-    return peak * (half_width / spread) * np.sqrt(0.5 * np.pi) * erfcx(u)
+    spread = math.sqrt(3.0) * delta_bar
+    ratio = half_width / spread
+    if not math.isfinite(ratio):
+        # u erfcx(u) -> 1/sqrt(pi) as u -> inf: the cold limit
+        return peak
+    u = half_width / (math.sqrt(2.0) * spread)
+    return float(peak * ratio * np.sqrt(0.5 * np.pi) * erfcx(u))
 
 
 def mean_free_path(density: float, cross_section: float) -> float:

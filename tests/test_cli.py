@@ -1,10 +1,12 @@
 """Command-line interface: exit codes, file layout, determinism."""
 
+import inspect
 import json
 
 import numpy as np
 import pytest
 
+import mqcsim
 from mqcsim import __version__
 from mqcsim.cli import family_z_limit, main
 from mqcsim.config import RunConfig
@@ -43,6 +45,41 @@ def test_every_exported_name_resolves():
     assert not missing
 
 
+#: the only functions taking an SI decay rate; everything else works in
+#: units of the decay rate
+SI_HELPERS = ("mean_scattering_cross_section", "dipole_from_gamma",
+              "gamma_from_dipole")
+
+
+@pytest.mark.parametrize("name", [
+    name for name in mqcsim.__all__ if name not in SI_HELPERS
+] + ["oracle.demodulated_term_table"])
+def test_only_the_si_helpers_take_gamma(name):
+    target = mqcsim
+    for part in name.split("."):
+        target = getattr(target, part)
+    try:
+        parameters = inspect.signature(target).parameters
+    except ValueError:   # exception classes have no introspectable signature
+        parameters = {}
+    assert "gamma" not in parameters
+
+
+def test_gamma_flag_leaves_spectrum_data_unchanged(tmp_path):
+    # --gamma is the SI rate of the cross-section and the energy budget;
+    # the spectra are computed in units of the decay rate
+    rows = {}
+    for label, extra in (("default", []), ("gamma", ["--gamma", "1e3"])):
+        out = tmp_path / label
+        assert main(SMALL_SPECTRUM + extra + ["--output-dir", str(out)]) == 0
+        rows[label] = {
+            path.name: [line for line in path.read_text().splitlines()
+                        if not line.startswith("# ")]
+            for path in sorted(out.glob("*.tsv"))}
+    assert len(rows["default"]) == 2
+    assert rows["gamma"] == rows["default"]
+
+
 def test_invalid_configuration_exits_with_two(tmp_path, capsys):
     assert main(["spectrum", "--gamma", "-1"]) == 2
     assert main(["spectrum", "--kappas"]) == 2
@@ -71,6 +108,9 @@ SMALL_SPECTRUM = ["spectrum", "--kappas", "2", "--channels", "parallel",
     (SMALL_SPECTRUM + ["--mean-separation", "1e200"], None),
     (SMALL_SPECTRUM + ["--pulse-energy", "1e300", "--pulse-duration", "1e300",
                        "--beam-cross-section", "1e-300"], None),
+    (["cross-section", "--wavelength", "1e160"], None),
+    (["cross-section", "--gamma", "1e-320"], None),
+    (["cross-section", "--density", "1e-300"], None),
 ])
 def test_bad_inputs_exit_with_two(tmp_path, capsys, argv, config):
     argv = argv + ["--output-dir", str(tmp_path / "run")]

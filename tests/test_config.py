@@ -16,7 +16,9 @@ from mqcsim.config import (
     write_table,
 )
 from mqcsim.disorder import mean_inverse_xi_squared
-from mqcsim.spectra import dipole_from_gamma, pulse_area_from_energy
+from mqcsim.spectra import (dipole_from_gamma, mean_free_path,
+                            mean_scattering_cross_section,
+                            pulse_area_from_energy)
 from scipy.constants import c as C_LIGHT
 
 
@@ -24,7 +26,6 @@ def test_defaults_resolve_to_reference_parameters():
     config = RunConfig()
     assert config.resolved_theta() == pytest.approx(0.14 * np.pi)
     assert config.resolved_xi_bar() == pytest.approx(80.0)
-    assert config.average_mode == "full"
     grid = config.detunings()
     assert len(grid) == config.detuning_count
     assert grid[0] == -config.detuning_half_range
@@ -116,7 +117,8 @@ _MAYBE = st.none() | _FINITE
 def test_accepted_configurations_resolve_to_finite_scales(
         xi_bar, mean_separation, density, wavelength, theta, pulse):
     # any finite input is either refused as a configuration error or
-    # resolves to a finite pulse area and a usable <1/xi^2>
+    # resolves to a finite pulse area, a usable <1/xi^2>, and a positive
+    # finite cross-section and mean free path
     fields = dict(xi_bar=xi_bar, mean_separation=mean_separation,
                   density=density, wavelength=wavelength, theta=theta)
     if pulse is not None:
@@ -129,6 +131,11 @@ def test_accepted_configurations_resolve_to_finite_scales(
     assert math.isfinite(config.resolved_theta())
     inverse = mean_inverse_xi_squared(xi_bar=config.resolved_xi_bar())
     assert 0.0 < inverse < math.inf
+    sigma = mean_scattering_cross_section(config.wavelength, config.gamma,
+                                          config.delta_bar)
+    assert 0.0 < sigma < math.inf
+    if config.density is not None:
+        assert 0.0 < mean_free_path(config.density, sigma) < math.inf
 
 
 def test_from_sources_merges_file_and_overrides(tmp_path):

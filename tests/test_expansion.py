@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mqcsim.atom import PoleError, decay_generator, kick_decomposition
-from mqcsim.basis import (
-    apply_factorized,
-    expand,
-    matrix_unit,
-    pair_operator,
-)
+from mqcsim.basis import expand, matrix_unit, pair_operator
 from mqcsim.coupling import coupling_tensor, interaction_matrices
 from mqcsim.expansion import (
     PhaseMonomial,

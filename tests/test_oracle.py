@@ -7,7 +7,6 @@ from scipy.integrate import simpson
 from scipy.linalg import expm
 
 from mqcsim.atom import decay_generator, free_propagator, kick_decomposition
-from mqcsim.basis import NUM_OPS_PAIR
 from mqcsim.coupling import coupling_tensor, interaction_matrices
 from mqcsim.disorder import angular_average, mean_inverse_xi_squared
 from mqcsim.oracle import (
@@ -401,6 +400,25 @@ def test_monte_carlo_reuses_a_passed_term_table():
         monte_carlo_spectrum(1, "parallel", "x", THETA, 300, seed=11,
                              detunings=np.linspace(-1.0, 1.0, 5),
                              table=table)
+    # a table built for another chain is refused, not relabelled, and
+    # restricting it keeps the record of its chain
+    assert surviving_term_table(table).kappa == 1
+    for kappa, channel, theta in ((2, "parallel", THETA),
+                                  (1, "perpendicular", THETA),
+                                  (1, "parallel", 3.0)):
+        for passed in (table, surviving_term_table(table)):
+            with pytest.raises(ValueError):
+                monte_carlo_spectrum(kappa, channel, "x", theta, 300,
+                                     seed=11, detunings=detunings,
+                                     table=passed)
+            with pytest.raises(ValueError):
+                fixed_configuration_components(
+                    80.0, _random_axis(1), theta, channel, kappa,
+                    1j * detunings, table=passed)
+    with pytest.raises(ValueError):
+        fixed_configuration_components(80.0, _random_axis(1), THETA,
+                                       "parallel", 1, 1j * detunings[:3],
+                                       table=table)
 
 
 def test_monte_carlo_matches_closed_form_average():

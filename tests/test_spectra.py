@@ -221,6 +221,16 @@ def test_mean_scattering_cross_section_matches_quadrature():
         mean_scattering_cross_section(-1.0, gamma, delta_bar)
 
 
+@pytest.mark.parametrize("delta_bar", [1e-300, 1e-305, 1e-320])
+def test_mean_scattering_cross_section_reaches_cold_limit(delta_bar):
+    # at a vanishing spread half_width / spread overflows, and
+    # u erfcx(u) -> 1/sqrt(pi) leaves the bare resonant cross-section
+    wavelength, gamma = 790e-9, 2 * np.pi * 6e6
+    cold = mean_scattering_cross_section(wavelength, gamma, 0.0)
+    got = mean_scattering_cross_section(wavelength, gamma, delta_bar)
+    assert got == pytest.approx(cold, rel=1e-12)
+
+
 def test_mean_free_path_inverts_density_times_cross_section():
     assert mean_free_path(1e14, 2e-15) == pytest.approx(1.0 / (1e14 * 2e-15))
     with pytest.raises(ValueError):
