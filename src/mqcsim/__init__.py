@@ -15,7 +15,6 @@ from .atom import (
     kick_decomposition,
     two_pulse_pure_states,
     free_propagator,
-    resolvent,
 )
 from .coupling import coupling_tensor, interaction_matrices, interaction_pieces
 from .expansion import (
@@ -67,7 +66,7 @@ __version__ = "0.1.0"
 __all__ = [
     "build_single_atom_basis", "expand", "reconstruct",
     "dipole_lowering", "kick_decomposition", "two_pulse_pure_states",
-    "free_propagator", "resolvent",
+    "free_propagator",
     "coupling_tensor", "interaction_matrices", "interaction_pieces",
     "PhaseMonomial", "PhaseTaggedVector", "initial_vector",
     "apply_kick", "apply_resolvent", "apply_interaction", "scattering_solution",

@@ -18,14 +18,14 @@ select demodulation orders without scanning the phase numerically.
 Free evolution is spontaneous decay at rate gamma, which sets the unit
 of time and frequency throughout (gamma = 1): optical coherences decay
 at 1/2, excited populations and Zeeman coherences at 1, and the ground
-population collects the emitted weight.  The propagator and its
-Laplace transform (the resolvent) are exact five-term expressions.
+population collects the emitted weight.  The propagator is an exact
+five-term expression; its Laplace transform, the resolvent that the
+perturbative chain applies, is :func:`mqcsim.expansion.apply_resolvent`.
 
-Maps come in two pictures.  Density-operator (Schrodinger) maps evolve
-states; observable (Heisenberg) maps evolve operators and are the
-Hilbert-Schmidt adjoints of the former, which in the trace-orthonormal
-basis is simply the conjugate transpose of the matrix.  ``picture`` is
-"observable" or "state" throughout.
+Every map here acts on density-operator coefficients (the Schrodinger
+picture).  The map that evolves observables instead is its
+Hilbert-Schmidt adjoint, which in the trace-orthonormal basis is the
+conjugate transpose of the matrix.
 """
 
 from __future__ import annotations
@@ -65,27 +65,12 @@ def dipole_components() -> np.ndarray:
     return out
 
 
-def dipole_lowering(pol) -> np.ndarray:
-    """Lowering operator along a linear polarization direction.
-
-    Args:
-        pol: 'x', 'y', 'z', or a real 3-vector (normalized internally).
-
-    Returns:
-        4x4 matrix sum_k pol_k |1><k|.
-    """
-    if isinstance(pol, str):
-        try:
-            vec = np.eye(3)[_CART_LABELS[pol]]
-        except KeyError:
-            raise ValueError(f"unknown polarization label {pol!r}") from None
-    else:
-        vec = np.asarray(pol, dtype=float)
-        norm = np.linalg.norm(vec)
-        if norm == 0:
-            raise ValueError("polarization vector must be nonzero")
-        vec = vec / norm
-    return np.tensordot(vec, dipole_components(), axes=(0, 0))
+def dipole_lowering(pol: str) -> np.ndarray:
+    """Lowering operator |1><k| along a Cartesian axis label 'x', 'y' or 'z'."""
+    try:
+        return dipole_components()[_CART_LABELS[pol]]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown polarization label {pol!r}") from None
 
 
 @functools.cache
@@ -186,69 +171,40 @@ def two_pulse_pure_states(theta: float, channel: str, phi1: float, phi2: float):
     return psi, expand(np.outer(psi, psi.conj()))
 
 
-def _feed_matrix(picture: str) -> np.ndarray:
+def _feed_matrix() -> np.ndarray:
     """Map collecting decayed excited weight into the ground sector."""
-    dips = dipole_components()
-    if picture == "state":
-        return sum(sandwich_matrix(d, d.conj().T) for d in dips)
-    if picture == "observable":
-        return sum(sandwich_matrix(d.conj().T, d) for d in dips)
-    raise ValueError(f"unknown picture {picture!r}")
+    return sum(sandwich_matrix(d, d.conj().T) for d in dipole_components())
 
 
 @functools.cache
-def _propagator_pieces(picture: str):
+def _propagator_pieces():
     pe = excited_projector()
     pg = ground_projector()
     cross = sandwich_matrix(pe, pg) + sandwich_matrix(pg, pe)
     gg = sandwich_matrix(pg, pg)
     ee = sandwich_matrix(pe, pe)
-    feed = _feed_matrix(picture)
+    feed = _feed_matrix()
     return cross, gg, ee, feed
 
 
-def free_propagator(t: float, picture: str = "observable") -> np.ndarray:
+def free_propagator(t: float) -> np.ndarray:
     """Exact decay propagator over the operator basis, 16x16.
 
-    In the observable picture Q(t) = Pe Q Pg e^{-t/2} + Pg Q Pe e^{-t/2}
-    + Pg Q Pg + Pe Q Pe e^{-t} + (sum_k D_k^dag Q D_k) (1 - e^{-t}); the
-    state picture is the adjoint (the feed term runs the other way).
+    rho(t) = Pe rho Pg e^{-t/2} + Pg rho Pe e^{-t/2} + Pg rho Pg
+    + Pe rho Pe e^{-t} + (sum_k D_k rho D_k^dag) (1 - e^{-t}).
     """
-    cross, gg, ee, feed = _propagator_pieces(picture)
+    cross, gg, ee, feed = _propagator_pieces()
     half = np.exp(-t / 2.0)
     full = np.exp(-t)
     return cross * half + gg + ee * full + feed * (1.0 - full)
 
 
-def resolvent(z: complex, picture: str = "observable",
-              restrict_stationary: bool = False) -> np.ndarray:
-    """Laplace transform of the decay propagator, 16x16.
-
-    Poles sit at z = 0, -1/2, -1.  With ``restrict_stationary``
-    the rank-one stationary component (pole at z = 0) is projected out,
-    which is the exact resolvent on the complement and stays finite at
-    z = 0; composing it with maps that annihilate the stationary sector
-    reproduces the full resolvent there.
-    """
-    cross, gg, ee, feed = _propagator_pieces(picture)
-    for pole in (-0.5, -1.0):
-        if np.isclose(complex(z), pole):
-            raise PoleError(f"resolvent evaluated at decaying-sector pole z = {pole}")
-    base = cross / (z + 0.5) + ee / (z + 1.0) - feed / (z + 1.0)
-    if restrict_stationary:
-        return base
-    # gg + feed joins the stationary projector to form the z = 0 pole
-    if np.isclose(complex(z), 0.0):
-        raise PoleError("resolvent has a pole at z = 0; use restrict_stationary")
-    return base + (gg + feed) / z
-
-
-def decay_generator(picture: str = "observable") -> np.ndarray:
+def decay_generator() -> np.ndarray:
     """Matrix of the spontaneous-decay generator over the operator basis."""
     pe = excited_projector()
     eye = np.eye(HILBERT_DIM, dtype=complex)
     anti = sandwich_matrix(pe, eye) + sandwich_matrix(eye, pe)
-    return _feed_matrix(picture) - anti / 2.0
+    return _feed_matrix() - anti / 2.0
 
 
 @dataclass(frozen=True)
@@ -266,7 +222,7 @@ class DecayEigensystem:
 
 @functools.cache
 def decay_eigensystem() -> DecayEigensystem:
-    """Exact eigen-decomposition of the state-picture decay generator."""
+    """Exact eigen-decomposition of the decay generator."""
     ops = [matrix_unit(1, 1)]
     rates = [0.0]
     for k in (2, 3, 4):

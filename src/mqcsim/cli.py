@@ -18,7 +18,7 @@ Subcommands:
   resulting mean free path.
 
 Exit codes: 0 success, 1 validation-suite failure, 2 invalid
-configuration, 3 numeric failure.
+configuration, 3 numeric or any other unexpected failure.
 """
 
 from __future__ import annotations
@@ -103,7 +103,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         help="rms Doppler shift per velocity component "
                              "(same units as gamma)")
     parser.add_argument("--density", type=float, help="gas density (m^-3)")
-    parser.add_argument("--theta", type=float, help="pulse area (rad)")
+    parser.add_argument("--theta", type=float,
+                        help="pulse area (rad), |theta| <= 4 pi; -theta "
+                             "gives the same spectra as theta")
     parser.add_argument("--pulse-energy", type=float,
                         help="energy per pulse (J)")
     parser.add_argument("--pulse-duration", type=float,
@@ -439,6 +441,13 @@ def main(argv=None) -> int:
         return EXIT_INVALID_CONFIG
     except (IntegrationError, PoleError, np.linalg.LinAlgError) as err:
         print(f"numeric failure: {err}", file=sys.stderr)
+        return EXIT_NUMERIC_FAILURE
+    except Exception as err:
+        # exit 1 means a failed check; nothing else may end in it, nor in
+        # a traceback
+        message = " ".join(str(err).split())
+        print(f"unexpected failure: {type(err).__name__}: {message}",
+              file=sys.stderr)
         return EXIT_NUMERIC_FAILURE
 
 

@@ -43,6 +43,12 @@ TENSOR_MODES = ("exact", "far_field")
 #: one implied by the given density
 SEPARATION_CONSISTENCY = 0.01
 
+#: largest pulse area |theta|.  A pulse depends on its area only through
+#: sin(theta/2) and cos(theta/2), so a larger area names no new pulse and
+#: only loses digits.  A negative area is a pi shift of both pulse
+#: phases, which demodulation cancels: it gives the same spectra.
+MAX_PULSE_AREA = 4.0 * np.pi
+
 
 #: fields holding a real number, where given; every one must be finite
 REAL_FIELDS = ("gamma", "wavelength", "delta_bar", "density", "theta",
@@ -176,12 +182,14 @@ class RunConfig:
             raise ConfigError("oracle_directions must be at least 1")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        # the spectra scale with theta and <1/xi^2>, which must be finite;
-        # the averaged cross-section and the mean free path derived from
-        # it must be positive and finite
+        # the spectra scale with theta and <1/xi^2>, which must be finite,
+        # for the mean separation and the Monte-Carlo window alike; the
+        # averaged cross-section and the mean free path derived from it
+        # must be positive and finite
         try:
             theta = self.resolved_theta()
             mean_inverse_xi_squared(xi_bar=self.resolved_xi_bar())
+            mean_inverse_xi_squared(window=self.window)
             scales = {"averaged cross-section": mean_scattering_cross_section(
                 self.wavelength, self.gamma, self.delta_bar)}
             if self.density is not None:
@@ -189,8 +197,9 @@ class RunConfig:
                     self.density, scales["averaged cross-section"])
         except (ValueError, ArithmeticError) as err:
             raise ConfigError(f"out of range: {err}") from None
-        if not math.isfinite(theta):
-            raise ConfigError(f"pulse area theta = {theta} is not finite")
+        if not abs(theta) <= MAX_PULSE_AREA:
+            raise ConfigError(f"pulse area theta = {theta} must be finite "
+                              f"with |theta| <= 4 pi")
         for name, value in scales.items():
             if not 0.0 < value < math.inf:
                 raise ConfigError(f"{name} = {value} is not a positive "

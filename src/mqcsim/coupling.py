@@ -8,13 +8,14 @@ is the collective-decay kernel, its imaginary part the coherent
 (level-shift) kernel.
 
 The induced generator splits into two physically distinct parts.  The
-level-shift part multiplies from one side by the complex operator
-sum_kl T_kl (D_alpha^dag)_k (D_beta)_l (and from the other side by its
-conjugate-tensor partner): it moves excitation from one atom to the
-other within the same side of the operator.  The cross-feed part
-sandwiches the operator between raising and lowering operators of
-different atoms, weighted by twice the decay kernel: it is the
-collective analogue of the single-atom decay feed.
+level-shift part multiplies the density operator from the right by the
+complex operator sum_kl T_kl (D_alpha^dag)_k (D_beta)_l (and from the
+left by its adjoint, the conjugate-tensor partner): it moves excitation
+from one atom to the other within the same side of the operator.  The
+cross-feed part sandwiches the density operator between lowering
+operators of different atoms, D_k rho D_l^dag, weighted by twice the
+decay kernel: it is the collective analogue of the single-atom decay
+feed.
 
 For the perturbative expansion the generator is kept symbolic in the
 tensor entries: ``interaction_pieces`` returns, per formal factor
@@ -23,9 +24,10 @@ the symmetric partner folded in), the 256x256 matrix multiplying that
 factor.  Contracting the pieces with a concrete tensor reproduces the
 assembled generator, which is what ``interaction_matrices`` does.
 
-Superoperator matrices follow the conventions of :mod:`mqcsim.basis`;
-``picture`` is "observable" (as the generator acts on observables) or
-"state" (its adjoint, acting on density operators).
+Superoperator matrices follow the conventions of :mod:`mqcsim.basis`
+and act on density-operator coefficients, as the master equation does.
+The generator acting on observables is their Hilbert-Schmidt adjoint,
+the conjugate transpose of the matrix.
 """
 
 from __future__ import annotations
@@ -97,83 +99,61 @@ def _pair_map(left1, right1, left2, right2) -> np.ndarray:
                         sandwich_matrix(left2, right2))
 
 
-@functools.cache
-def _ordered_pieces():
-    """Observable-picture shift/feed matrices per ordered tensor index (k, l).
-
-    Returns (shift_direct, shift_conj, feed): each a (3, 3) object array of
-    256x256 matrices for the ordered, un-symmetrized index pair, with both
-    atom orderings summed.
-    """
+def _ordered_pieces(kind: str, k: int, l: int):
+    """Shift and feed matrices for the ordered, un-symmetrized index pair
+    (k, l) and factor kind, with both atom orderings summed."""
     dips = dipole_components()
+    dk, dl_dag = dips[k], dips[l].conj().T
     eye = np.eye(4, dtype=complex)
-    shift_direct = np.empty((3, 3), dtype=object)
-    shift_conj = np.empty((3, 3), dtype=object)
-    feed = np.empty((3, 3), dtype=object)
-    for k in range(3):
-        dk_dag = dips[k].conj().T
-        for l in range(3):
-            dl = dips[l]
-            # atom orderings (alpha, beta) = (1, 2) and (2, 1); the raising
-            # operator always sits on atom alpha
-            shift_direct[k, l] = -(_pair_map(dk_dag, eye, dl, eye)
-                                   + _pair_map(dl, eye, dk_dag, eye))
-            shift_conj[k, l] = -(_pair_map(eye, dk_dag, eye, dl)
-                                 + _pair_map(eye, dl, eye, dk_dag))
-            feed[k, l] = (_pair_map(dk_dag, eye, eye, dl)
-                          + _pair_map(eye, dl, dk_dag, eye))
-    return shift_direct, shift_conj, feed
+    # atom orderings (alpha, beta) = (1, 2) and (2, 1); the lowering
+    # operator always sits on atom alpha, left of the density operator
+    # for the conjugate factor and right of it for the direct one
+    if kind == "conj":
+        shift = -(_pair_map(dk, eye, dl_dag, eye)
+                  + _pair_map(dl_dag, eye, dk, eye))
+    else:
+        shift = -(_pair_map(eye, dk, eye, dl_dag)
+                  + _pair_map(eye, dl_dag, eye, dk))
+    feed = _pair_map(dk, eye, eye, dl_dag) + _pair_map(eye, dl_dag, dk, eye)
+    return shift, feed
 
 
-@functools.cache
-def _split_pieces(picture: str):
-    """Canonical tag -> (shift, feed) matrices in the requested picture.
+def _split_pieces():
+    """Canonical tag -> (shift, feed) matrices.
 
     Canonicalization folds the symmetric partner (l, k) into the (k, l)
-    piece.  The state picture is the Hilbert-Schmidt adjoint, which also
-    swaps the "direct" and "conj" factor kinds.
+    piece.
     """
-    if picture == "state":
-        swapped = {"direct": "conj", "conj": "direct"}
-        obs = _split_pieces("observable")
-        return {(kind, k, l): tuple(m.conj().T for m in obs[(swapped[kind], k, l)])
-                for (kind, k, l) in TAG_KEYS}
-    if picture != "observable":
-        raise ValueError(f"unknown picture {picture!r}")
-    shift_direct, shift_conj, feed = _ordered_pieces()
-    shift_of = {"direct": shift_direct, "conj": shift_conj}
     out = {}
     for kind, k, l in TAG_KEYS:
-        shift = shift_of[kind][k, l].copy()
-        fd = feed[k, l].copy()
+        shift, feed = _ordered_pieces(kind, k, l)
         if k != l:
-            shift += shift_of[kind][l, k]
-            fd += feed[l, k]
-        out[(kind, k, l)] = (shift, fd)
+            shift_lk, feed_lk = _ordered_pieces(kind, l, k)
+            shift += shift_lk
+            feed += feed_lk
+        out[(kind, k, l)] = (shift, feed)
     return out
 
 
-@functools.cache
-def interaction_pieces(picture: str = "observable"):
+def interaction_pieces():
     """Canonical tag -> 256x256 matrix multiplying that formal factor.
 
     The generator is sum over tags of (tensor factor value) x (piece);
     see ``tensor_tag_value`` for the factor values.
     """
-    return {tag: shift + fd for tag, (shift, fd) in _split_pieces(picture).items()}
+    return {tag: shift + fd for tag, (shift, fd) in _split_pieces().items()}
 
 
 @functools.cache
 def sparse_interaction_pieces():
-    """State-picture ``interaction_pieces`` as CSR matrices, for applying
-    them to coefficient vectors: each piece holds 160-640 nonzeros of
-    65,536."""
+    """``interaction_pieces`` as CSR matrices, for applying them to
+    coefficient vectors: each piece holds 160-640 nonzeros of 65,536."""
     # imported on first use: loading scipy.sparse ahead of scipy.integrate
     # (which loads it anyway) adds about 0.1 s to every CLI start
     from scipy.sparse import csr_array
 
     return {tag: csr_array(piece)
-            for tag, piece in interaction_pieces("state").items()}
+            for tag, piece in interaction_pieces().items()}
 
 
 @dataclass(frozen=True)
@@ -189,11 +169,11 @@ class InteractionMatrices:
     cross_feed: np.ndarray
 
 
-def interaction_matrices(tensor: np.ndarray, picture: str = "observable") -> InteractionMatrices:
+def interaction_matrices(tensor: np.ndarray) -> InteractionMatrices:
     """Contract the symbolic pieces with a concrete coupling tensor."""
     shift = np.zeros((NUM_OPS_PAIR, NUM_OPS_PAIR), dtype=complex)
     fd = np.zeros_like(shift)
-    pieces = _split_pieces(picture)
+    pieces = _split_pieces()
     for tag in TAG_KEYS:
         value = tensor_tag_value(tensor, tag)
         shift += value * pieces[tag][0]

@@ -52,16 +52,16 @@ def mean_inverse_xi_squared(xi_bar: float = None, window=None) -> float:
     if (xi_bar is None) == (window is None):
         raise ValueError("give exactly one of xi_bar or window")
     if xi_bar is not None:
-        square = xi_bar * xi_bar
-        value = 1.0 / square if xi_bar > 0 and square > 0 else 0.0
-        if not 0.0 < value < float("inf"):
-            raise ValueError(f"mean separation xi_bar = {xi_bar!r} must be "
-                             "positive with a positive finite 1/xi_bar^2")
-        return value
-    lo, hi = window
-    if not 0 < lo < hi:
-        raise ValueError(f"invalid window {window!r}")
-    return 1.0 / (lo * hi)
+        source = f"mean separation xi_bar = {xi_bar!r} must be positive"
+        valid, product = xi_bar > 0, xi_bar * xi_bar
+    else:
+        lo, hi = window
+        source = f"window {window!r} must satisfy 0 < lo < hi"
+        valid, product = 0 < lo < hi, lo * hi
+    value = 1.0 / product if valid and product > 0 else 0.0
+    if not 0.0 < value < float("inf"):
+        raise ValueError(f"{source} with a positive finite <1/xi^2>")
+    return value
 
 
 def survival_filter(vector: PhaseTaggedVector) -> PhaseTaggedVector:

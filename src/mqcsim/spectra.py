@@ -38,23 +38,15 @@ DEMODULATION_ORDERS = (1, 2)
 DEFAULT_DETUNINGS = np.linspace(-10.0, 10.0, 801)
 
 
-def _direction_vector(direction) -> np.ndarray:
-    if isinstance(direction, str):
-        try:
-            return np.eye(3)[DETECTION_DIRECTIONS.index(direction)]
-        except ValueError:
-            raise ValueError(f"unknown detection direction {direction!r}") from None
-    vec = np.asarray(direction, dtype=float)
-    if vec.shape != (3,):
-        raise ValueError("detection direction must be a label or a 3-vector")
-    norm = np.linalg.norm(vec)
-    if norm == 0:
-        raise ValueError("detection direction must be nonzero")
-    return vec / norm
+def _direction_vector(direction: str) -> np.ndarray:
+    if not isinstance(direction, str) or direction not in DETECTION_DIRECTIONS:
+        raise ValueError(f"unknown detection direction {direction!r}")
+    return np.eye(3)[DETECTION_DIRECTIONS.index(direction)]
 
 
-def detection_observable(direction) -> np.ndarray:
-    """Single-atom observable seen by a detector along ``direction``.
+def detection_observable(direction: str) -> np.ndarray:
+    """Single-atom observable seen by a detector along ``direction``, a
+    label in ``DETECTION_DIRECTIONS``.
 
     Emission toward the detector couples to the dipole components
     transverse to the line of sight, so the observable is the sum of
@@ -198,10 +190,9 @@ def directional_spectra(kappa: int, channel: str, directions, theta: float,
         else:
             values = np.broadcast_to(raw, (detunings.size,)).astype(complex)
         values = values / np.sqrt(2.0 * np.pi)
-        label = direction if isinstance(direction, str) else repr(direction)
         out.append(SpectrumSeries(detunings=detunings, values=values,
                                   kappa=kappa, channel=channel,
-                                  direction=label))
+                                  direction=direction))
     return tuple(out)
 
 

@@ -45,6 +45,17 @@ def test_every_exported_name_resolves():
     assert not missing
 
 
+def _parameters(name):
+    """Parameter names of the dotted ``name`` under ``mqcsim``."""
+    target = mqcsim
+    for part in name.split("."):
+        target = getattr(target, part)
+    try:
+        return inspect.signature(target).parameters
+    except ValueError:   # exception classes have no introspectable signature
+        return {}
+
+
 #: the only functions taking an SI decay rate; everything else works in
 #: units of the decay rate
 SI_HELPERS = ("mean_scattering_cross_section", "dipole_from_gamma",
@@ -55,14 +66,13 @@ SI_HELPERS = ("mean_scattering_cross_section", "dipole_from_gamma",
     name for name in mqcsim.__all__ if name not in SI_HELPERS
 ] + ["oracle.demodulated_term_table"])
 def test_only_the_si_helpers_take_gamma(name):
-    target = mqcsim
-    for part in name.split("."):
-        target = getattr(target, part)
-    try:
-        parameters = inspect.signature(target).parameters
-    except ValueError:   # exception classes have no introspectable signature
-        parameters = {}
-    assert "gamma" not in parameters
+    assert "gamma" not in _parameters(name)
+
+
+@pytest.mark.parametrize("name", mqcsim.__all__)
+def test_no_function_takes_a_picture(name):
+    # every superoperator acts on density-operator coefficients
+    assert "picture" not in _parameters(name)
 
 
 def test_gamma_flag_leaves_spectrum_data_unchanged(tmp_path):
@@ -111,6 +121,14 @@ SMALL_SPECTRUM = ["spectrum", "--kappas", "2", "--channels", "parallel",
     (["cross-section", "--wavelength", "1e160"], None),
     (["cross-section", "--gamma", "1e-320"], None),
     (["cross-section", "--density", "1e-300"], None),
+    (["mc-average", "--window", "1e-200", "1e-150", "--kappas", "2",
+      "--channels", "parallel", "--detuning-count", "3",
+      "--mc-samples", "10"], None),
+    (["mc-average", "--window", "1e200", "1e250", "--kappas", "2",
+      "--channels", "parallel", "--detuning-count", "3",
+      "--mc-samples", "10"], None),
+    (SMALL_SPECTRUM + ["--theta", "1e200"], None),
+    (SMALL_SPECTRUM + ["--theta", "13"], None),
 ])
 def test_bad_inputs_exit_with_two(tmp_path, capsys, argv, config):
     argv = argv + ["--output-dir", str(tmp_path / "run")]
@@ -125,6 +143,19 @@ def test_bad_inputs_exit_with_two(tmp_path, capsys, argv, config):
     assert len(lines) == 1
     assert lines[0].startswith("invalid configuration: ")
     assert not (tmp_path / "run").exists()
+
+
+def test_unexpected_exceptions_exit_with_three(tmp_path, capsys,
+                                              monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("unexpected\nstate")
+
+    monkeypatch.setattr("mqcsim.cli.directional_spectra", fail)
+    assert main(SMALL_SPECTRUM + ["--output-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == ["unexpected failure: RuntimeError: "
+                                "unexpected state"]
 
 
 def test_spectrum_writes_selected_series(tmp_path):

@@ -79,7 +79,8 @@ def test_near_field_limit():
 
 
 def _dense_generator(tensor):
-    """Direct 16x16-operator-algebra build of the observable-picture parts.
+    """Direct 16x16-operator-algebra build of the parts acting on
+    observables, the adjoints of the density-operator maps.
 
     Uses pair-space matrix products and two-sided sandwich matrices only,
     bypassing the per-atom factorized construction under test.
@@ -109,17 +110,17 @@ def _dense_generator(tensor):
 def test_generator_matches_direct_operator_algebra(seed):
     rng = np.random.default_rng(seed)
     tensor = _random_symmetric_tensor(rng)
-    got = interaction_matrices(tensor, picture="observable")
+    got = interaction_matrices(tensor)
     level_shift, feed = _dense_generator(tensor)
-    assert np.allclose(got.level_shift, level_shift, atol=1e-12)
-    assert np.allclose(got.cross_feed, feed, atol=1e-12)
+    assert np.allclose(got.level_shift.conj().T, level_shift, atol=1e-12)
+    assert np.allclose(got.cross_feed.conj().T, feed, atol=1e-12)
     assert np.allclose(got.total, got.level_shift + got.cross_feed, atol=1e-12)
 
 
 def test_pure_level_shift_tensor_kills_cross_feed():
     rng = np.random.default_rng(5)
     tensor = 1j * _random_symmetric_tensor(rng).imag
-    got = interaction_matrices(tensor, picture="observable")
+    got = interaction_matrices(tensor)
     assert np.allclose(got.cross_feed, 0.0, atol=1e-14)
     assert np.allclose(got.total, got.level_shift, atol=1e-14)
 
@@ -130,7 +131,7 @@ def test_level_shift_action_on_ground_excited_projector():
     # -i Omega_rf - Gamma_rf, plus their conjugate partners
     rng = np.random.default_rng(9)
     tensor = _random_symmetric_tensor(rng)
-    v1 = interaction_matrices(tensor, picture="observable").level_shift
+    v1 = interaction_matrices(tensor).level_shift.conj().T
     for f in range(3):
         raise_f, lower_f = _atom_ops(f)
         start = expand(pair_operator(matrix_unit(1, 1), raise_f @ lower_f))
@@ -147,7 +148,7 @@ def test_level_shift_action_on_ground_excited_projector():
 def test_level_shift_transfers_excitation_between_atoms():
     rng = np.random.default_rng(13)
     tensor = _random_symmetric_tensor(rng)
-    v1 = interaction_matrices(tensor, picture="observable").level_shift
+    v1 = interaction_matrices(tensor).level_shift.conj().T
     raise_x, _ = _atom_ops(0)
     start = expand(pair_operator(raise_x, matrix_unit(1, 1)))
     got = reconstruct(v1 @ start)
@@ -161,7 +162,7 @@ def test_level_shift_transfers_excitation_between_atoms():
 def test_cross_feed_action_on_pair_coherence():
     rng = np.random.default_rng(17)
     tensor = _random_symmetric_tensor(rng)
-    v2 = interaction_matrices(tensor, picture="observable").cross_feed
+    v2 = interaction_matrices(tensor).cross_feed.conj().T
     j, r = 1, 2
     _, lower_j = _atom_ops(j)
     raise_r, _ = _atom_ops(r)
@@ -177,37 +178,18 @@ def test_cross_feed_action_on_pair_coherence():
     assert np.allclose(got, want, atol=1e-12)
 
 
-def test_state_picture_is_adjoint_with_conjugated_tensor():
-    rng = np.random.default_rng(21)
-    tensor = _random_symmetric_tensor(rng)
-    state = interaction_matrices(tensor, picture="state")
-    obs = interaction_matrices(tensor, picture="observable")
-    assert np.allclose(state.total, obs.total.conj().T, atol=1e-13)
-    pieces_s = interaction_pieces("state")
-    pieces_o = interaction_pieces("observable")
-    for _, k, l in TAG_KEYS[:6]:
-        assert np.allclose(pieces_s[("direct", k, l)],
-                           pieces_o[("conj", k, l)].conj().T, atol=1e-14)
-        assert np.allclose(pieces_s[("conj", k, l)],
-                           pieces_o[("direct", k, l)].conj().T, atol=1e-14)
-    with pytest.raises(ValueError):
-        interaction_pieces("bogus")
-
-
 def test_pieces_contract_to_assembled_generator():
     rng = np.random.default_rng(23)
     tensor = _random_symmetric_tensor(rng)
-    for picture in ("observable", "state"):
-        pieces = interaction_pieces(picture)
-        total = sum(tensor_tag_value(tensor, tag) * pieces[tag] for tag in TAG_KEYS)
-        assert np.allclose(total, interaction_matrices(tensor, picture).total,
-                           atol=1e-12)
+    pieces = interaction_pieces()
+    total = sum(tensor_tag_value(tensor, tag) * pieces[tag] for tag in TAG_KEYS)
+    assert np.allclose(total, interaction_matrices(tensor).total, atol=1e-12)
 
 
 def test_state_picture_properties():
     rng = np.random.default_rng(29)
     tensor = coupling_tensor(3.1, RNG_DIRECTIONS[2])
-    v_state = interaction_matrices(tensor, picture="state").total
+    v_state = interaction_matrices(tensor).total
     # both atoms in the ground state radiate nothing: the generator
     # annihilates the ground-ground projector
     ground_pair = expand(pair_operator(matrix_unit(1, 1), matrix_unit(1, 1)))
@@ -252,5 +234,5 @@ def test_state_picture_matches_standard_master_equation_form():
     relax = dissipator - (sandwich_matrix(anticomm, eye16)
                           + sandwich_matrix(eye16, anticomm))
     want = commutator + relax
-    got = interaction_matrices(tensor, picture="state").total
+    got = interaction_matrices(tensor).total
     assert np.allclose(got, want, atol=1e-12)

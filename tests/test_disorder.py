@@ -37,6 +37,10 @@ def test_mean_inverse_xi_squared_validation():
         mean_inverse_xi_squared(window=(5.0, 2.0))
     with pytest.raises(ValueError):
         mean_inverse_xi_squared(window=(-1.0, 2.0))
+    # windows whose 1/(lo hi) is infinite or zero
+    for window in ((1e-200, 1e-150), (1e200, 1e250)):
+        with pytest.raises(ValueError):
+            mean_inverse_xi_squared(window=window)
     # a separation whose 1/xi^2 is zero, infinite or undefined
     for xi_bar in (0.0, 1e-200, 1e200):
         with pytest.raises(ValueError):

@@ -69,7 +69,7 @@ def _dense_phase_evaluation(theta, channel, phases, tensor, order, z1, z2):
     from scipy.linalg import inv
 
     second_pol = {"parallel": "x", "perpendicular": "y"}[channel]
-    gen = decay_generator(picture="state")
+    gen = decay_generator()
     pair_gen = np.kron(gen, np.eye(16)) + np.kron(np.eye(16), gen)
 
     def resolvent_mat(z):
@@ -83,7 +83,7 @@ def _dense_phase_evaluation(theta, channel, phases, tensor, order, z1, z2):
             m1, m2 = kick.as_matrix(phases[1]), kick.as_matrix(phases[3])
         return np.kron(m1, m2)
 
-    v_total = interaction_matrices(tensor, picture="state").total
+    v_total = interaction_matrices(tensor).total
     state = kick_mat(1, "x") @ expand(pair_operator(matrix_unit(1, 1), matrix_unit(1, 1)))
     total = np.zeros(256, dtype=complex)
     for between in range(order + 1):
@@ -159,7 +159,7 @@ def test_resolvent_inverts_pair_generator():
     vec = PhaseTaggedVector({PhaseMonomial((1, 0, -1, 0)): coeffs})
     z = 0.4 - 0.7j
     out = apply_resolvent(vec, z)
-    gen = decay_generator(picture="state")
+    gen = decay_generator()
     pair_gen = np.kron(gen, np.eye(16)) + np.kron(np.eye(16), gen)
     [(_, transformed)] = out.items()
     assert np.allclose((z * np.eye(256) - pair_gen) @ transformed, coeffs, atol=1e-10)
@@ -229,7 +229,7 @@ def test_apply_interaction_matches_assembled_generator():
     for monomial, _ in tagged.items():
         assert monomial.degree == 1
     got = tagged.evaluate(phases, tensor)
-    want = interaction_matrices(tensor, picture="state").total @ vec.evaluate(phases)
+    want = interaction_matrices(tensor).total @ vec.evaluate(phases)
     assert np.allclose(got, want, atol=1e-12)
 
 

@@ -59,11 +59,11 @@ def test_pair_generator_matches_operator_basis_assembly(mode):
     # one exactly onto the other
     xi, n_hat = 7.3, _random_axis(0)
     gen = pair_generator(xi, n_hat, mode=mode)
-    decay = decay_generator(picture="state")
+    decay = decay_generator()
     eye = np.eye(16)
     basis_space = np.kron(decay, eye) + np.kron(eye, decay)
     tensor = coupling_tensor(xi, n_hat, mode=mode)
-    basis_space = basis_space + interaction_matrices(tensor, picture="state").total
+    basis_space = basis_space + interaction_matrices(tensor).total
     columns = pair_basis_columns()
     mapped = columns @ basis_space @ columns.conj().T
     assert np.max(np.abs(gen - mapped)) < 1e-12
@@ -95,7 +95,7 @@ def test_decay_part_matches_closed_form_free_propagator():
     state = pair_kick(0.7, "y", 0.1, 0.0) @ ground_pair_vec()
     dt = 1e-6
     def free_pair(t):
-        single = free_propagator(t, picture="state")
+        single = free_propagator(t)
         return columns @ np.kron(single, single) @ columns.conj().T
     derivative = (free_pair(dt) - free_pair(-dt)) @ state / (2.0 * dt)
     assert np.max(np.abs(derivative - gen @ state)) < 1e-8
