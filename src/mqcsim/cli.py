@@ -49,6 +49,7 @@ from .oracle import (
     fixed_configuration_components,
     monte_carlo_pair_averages,
     monte_carlo_spectrum,
+    surviving_term_table,
 )
 from .spectra import (
     DETECTION_DIRECTIONS,
@@ -278,8 +279,7 @@ def run_oracle_check(config: RunConfig) -> int:
             exact = demodulated_laplace(xi, axis, theta, config.kappas,
                                         config.channels, z1_grid)
             for (kappa, channel), table in tables.items():
-                approx = fixed_configuration_components(
-                    xi, axis, theta, channel, kappa, z1_grid, table=table)
+                approx = fixed_configuration_components(table, xi, axis)
                 for d in DETECTION_DIRECTIONS:
                     key = (kappa, channel, d)
                     residual[key] = max(residual.get(key, 0.0),
@@ -340,17 +340,17 @@ def run_mc_average(config: RunConfig) -> int:
     written = []
     for kappa in config.kappas:
         for channel in config.channels:
-            # seed- and direction-independent: built once per channel
-            table = demodulated_term_table(MC_ORDERS, theta, channel, kappa,
-                                           1j * detunings)
+            # seed- and direction-independent: built once per channel,
+            # restricted to the families the closed-form average keeps
+            table = surviving_term_table(demodulated_term_table(
+                MC_ORDERS, theta, channel, kappa, 1j * detunings))
             closed_pair = directional_spectra(
                 kappa, channel, DETECTION_DIRECTIONS, theta, detunings,
                 window=window)
             for direction, closed in zip(DETECTION_DIRECTIONS, closed_pair):
                 sampled = monte_carlo_spectrum(
-                    kappa, channel, direction, theta, config.mc_samples,
-                    seed=config.seed, window=window, detunings=detunings,
-                    mode=config.tensor_mode, table=table)
+                    table, direction, config.mc_samples, seed=config.seed,
+                    window=window, mode=config.tensor_mode)
                 difference = sampled.series.values[center] \
                     - closed.values[center]
                 error = sampled.series.errors[center]

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -172,8 +173,18 @@ class RunConfig:
                               f"got {self.tensor_mode!r}")
         if self.detuning_count < 3:
             raise ConfigError("detuning_count must be at least 3")
-        if self.mc_samples < 1:
-            raise ConfigError("mc_samples must be at least 1")
+        # the grid spacing, found without building the grid, must be a
+        # normal number: a wider grid overflows, a narrower one collapses
+        # onto subnormal points
+        span = 2.0 * self.detuning_half_range
+        if not (math.isfinite(span) and span / (self.detuning_count - 1)
+                >= sys.float_info.min):
+            raise ConfigError(
+                f"detuning_half_range = {self.detuning_half_range!r} over "
+                f"{self.detuning_count} points gives no usable grid spacing")
+        if self.mc_samples < 2:
+            raise ConfigError("mc_samples must be at least 2 for a "
+                              "standard error")
         lo, hi = self.window
         if not 0 < lo < hi:
             raise ConfigError(f"window must satisfy 0 < lo < hi, "

@@ -17,8 +17,9 @@ Three layers build on that:
     result is directly comparable to the perturbative chain, the only
     difference being the neglected interaction orders;
   * Monte-Carlo configuration averages: per-configuration perturbative
-    spectra (all phase monomials kept, coupling factors numeric)
-    sampled over random geometry and averaged with standard errors.
+    spectra (the phase monomials of a term table, coupling factors
+    numeric) sampled over random geometry and averaged with standard
+    errors.
 
 Geometry conventions: both pulses propagate along +z with linear
 polarizations in the x-y plane, atom 2 sits at the origin, and atom 1
@@ -40,7 +41,6 @@ from .basis import NUM_OPS_PAIR, build_single_atom_basis, matrix_unit
 from .coupling import TAG_KEYS, coupling_tensor, tensor_tag_value
 from .expansion import scattering_solution
 from .spectra import (
-    DEFAULT_DETUNINGS,
     DETECTION_DIRECTIONS,
     SpectrumSeries,
     _detection_covector,
@@ -179,8 +179,7 @@ def _deflated_solve(generator: np.ndarray, z: complex,
 
 
 def demodulated_laplace(xi: float, n_hat, theta: float, kappas, channels,
-                        z1_values, z2: complex = 0.0,
-                        mode: str = "exact") -> dict:
+                        z1_values, z2: complex = 0.0) -> dict:
     """Demodulated detected Laplace components of the full dynamics.
 
     Computes, without any perturbative truncation, the coefficient of
@@ -197,7 +196,7 @@ def demodulated_laplace(xi: float, n_hat, theta: float, kappas, channels,
     """
     n = np.asarray(n_hat, dtype=float)
     position = xi * n[2] / np.linalg.norm(n)
-    generator = pair_generator(xi, n, mode)
+    generator = pair_generator(xi, n)
     covectors = np.stack([detection_covector_vec(d)
                           for d in DETECTION_DIRECTIONS])
     z1_arr = np.atleast_1d(np.asarray(z1_values, dtype=complex))
@@ -225,8 +224,8 @@ class TermTable:
     factors.  ``coeffs[t]`` holds the detected rows of term t: its
     operator-basis coefficients projected on the detection covector of
     each direction in ``DETECTION_DIRECTIONS``, shape (2, len(z1)).
-    ``kappa``, ``channel`` and ``theta`` record the chain it was built
-    for, so that a reused table can be checked against the call.
+    The table is the only record of its chain: readers take ``kappa``,
+    ``channel`` and the ``z1_values`` grid from it.
     """
 
     phase_exponents: tuple
@@ -235,20 +234,6 @@ class TermTable:
     z1_values: np.ndarray
     kappa: int
     channel: str
-    theta: float
-
-    def check_matches(self, kappa: int, channel: str, theta: float,
-                      z1_values) -> None:
-        """Raise ValueError unless the table was built for this chain
-        on this z1 grid."""
-        built = (self.kappa, self.channel, self.theta)
-        if built != (kappa, channel, theta):
-            raise ValueError(f"term table was built for (kappa, channel, "
-                             f"theta) = {built}, not "
-                             f"{(kappa, channel, theta)}")
-        if not np.array_equal(self.z1_values, np.atleast_1d(z1_values)):
-            raise ValueError("term table was built on a different "
-                             "detuning grid")
 
 
 def demodulated_term_table(orders, theta: float, channel: str, kappa: int,
@@ -277,7 +262,6 @@ def demodulated_term_table(orders, theta: float, channel: str, kappa: int,
         z1_values=z1_arr,
         kappa=kappa,
         channel=channel,
-        theta=theta,
     )
 
 
@@ -297,28 +281,16 @@ def _term_weights(table: TermTable, xi: np.ndarray, n_hat: np.ndarray,
     return weights
 
 
-def fixed_configuration_components(xi: float, n_hat, theta: float,
-                                   channel: str, kappa: int, z1_values,
-                                   z2: complex = 0.0, mode: str = "exact",
-                                   orders=(0, 1, 2),
-                                   table: TermTable = None) -> dict:
-    """Demodulated detected components of the truncated chain at one
-    configuration; the perturbative counterpart of
-    :func:`demodulated_laplace`.
-
-    Pass a precomputed ``table`` (from :func:`demodulated_term_table`)
-    to amortize the symbolic chain over many configurations; a table
-    built for another kappa, channel, theta or z1 grid raises
-    ValueError.
+def fixed_configuration_components(table: TermTable, xi: float,
+                                   n_hat) -> dict:
+    """Demodulated detected components of the truncated chain held in
+    ``table`` (from :func:`demodulated_term_table`) at one
+    configuration, on the table's z1 grid, with the exact coupling
+    tensor; the perturbative counterpart of :func:`demodulated_laplace`.
     """
-    if table is None:
-        table = demodulated_term_table(orders, theta, channel, kappa,
-                                       z1_values, z2)
-    else:
-        table.check_matches(kappa, channel, theta, z1_values)
     n = np.asarray(n_hat, dtype=float)
     n = n / np.linalg.norm(n)
-    weights = _term_weights(table, np.array([xi]), n[None, :], mode)
+    weights = _term_weights(table, np.array([xi]), n[None, :], "exact")
     values = np.tensordot(weights[:, 0], table.coeffs, axes=(0, 0))
     return dict(zip(DETECTION_DIRECTIONS, values))
 
@@ -340,41 +312,25 @@ class OracleRun:
     t_fl_grid: np.ndarray
     phi_samples: np.ndarray
     mode: str = "exact"
-    method: str = "DOP853"
     rtol: float = 1e-10
 
 
 def _propagate(generator: np.ndarray, start: np.ndarray, grid: np.ndarray,
-               method: str, rtol: float) -> np.ndarray:
-    """Integrate y' = generator y from t = 0, states on the grid (D, N).
-
-    The grid must be nonnegative and strictly increasing.  Implicit
-    integrators in scipy work on real systems only, so for those the
-    complex system is embedded as its doubled real form.
+               rtol: float) -> np.ndarray:
+    """Integrate y' = generator y from t = 0 with DOP853, states on the
+    grid (D, N).  The grid must be nonnegative and strictly increasing.
     """
     grid = np.asarray(grid, dtype=float)
     if grid[0] < 0 or np.any(np.diff(grid) <= 0):
         raise ValueError("time grid must be nonnegative and increasing")
     if grid[-1] == 0.0:
         return start[:, None].copy()
-    dim = generator.shape[0]
-    if method in ("Radau", "BDF", "LSODA"):
-        big = np.block([[generator.real, -generator.imag],
-                        [generator.imag, generator.real]])
-        y0 = np.concatenate([start.real, start.imag])
-        matrix, jac = big, big
-    else:
-        y0, matrix, jac = start, generator, None
-    kwargs = {"jac": lambda *_: jac} if jac is not None else {}
-    result = solve_ivp(lambda _, y: matrix @ y, (0.0, grid[-1]), y0,
-                       t_eval=grid, method=method, rtol=rtol, atol=1e-14,
-                       **kwargs)
+    result = solve_ivp(lambda _, y: generator @ y, (0.0, grid[-1]), start,
+                       t_eval=grid, method="DOP853", rtol=rtol, atol=1e-14)
     if not result.success:
         raise IntegrationError(
             f"transient integration failed: {result.message} "
             f"(reached t = {result.t[-1] if len(result.t) else 0.0})")
-    if method in ("Radau", "BDF", "LSODA"):
-        return result.y[:dim] + 1j * result.y[dim:]
     return result.y
 
 
@@ -401,12 +357,12 @@ def time_domain_evolve(run: OracleRun) -> dict:
     covectors = {d: detection_covector_vec(d) for d in ("x", "y")}
     out = {d: np.empty((len(phis), len(tau), len(t_fl))) for d in covectors}
     first = pair_kick(run.theta, "x", 0.0, position) @ ground_pair_vec()
-    between = _propagate(generator, first, tau, run.method, run.rtol)
+    between = _propagate(generator, first, tau, run.rtol)
     for i, phi in enumerate(phis):
         kick2 = pair_kick(run.theta, second_pol, phi, position)
         for j in range(len(tau)):
             states = _propagate(generator, kick2 @ between[:, j], t_fl,
-                                run.method, run.rtol)
+                                run.rtol)
             for d, w in covectors.items():
                 out[d][i, j] = (w @ states).real
     return out
@@ -482,61 +438,49 @@ def surviving_term_table(table: TermTable) -> TermTable:
     )
 
 
-def monte_carlo_spectrum(kappa: int, channel: str, direction, theta: float,
-                         n_samples: int, *, seed: int,
-                         window=(67.2, 92.8), detunings=None,
-                         mode: str = "exact",
-                         orders=(0, 1, 2), terms: str = "surviving",
-                         batch_size: int = 4096,
-                         keep_traces: int = 0,
-                         table: TermTable = None) -> MonteCarloResult:
+def monte_carlo_spectrum(table: TermTable, direction, n_samples: int, *,
+                         seed: int, window=(67.2, 92.8),
+                         mode: str = "exact", batch_size: int = 4096,
+                         keep_traces: int = 0) -> MonteCarloResult:
     """Monte-Carlo disorder average of per-configuration spectra.
 
     Each sampled configuration (separation, axis direction) is priced
-    through the perturbative chain with the coupling factors at their
-    numeric values; the batch mean and standard error estimate the
+    through the chain held in ``table`` with the coupling factors at
+    their numeric values; the batch mean and standard error estimate the
     disorder-averaged spectrum that :func:`mqcsim.spectra.spectrum`
-    computes in closed form.
+    computes in closed form.  The series takes its kappa and channel
+    from the table and its detunings from the table's z1 grid, which
+    must be purely imaginary.
 
     Args:
+        table: term table from :func:`demodulated_term_table`.  Pass
+            :func:`surviving_term_table` of it to sample only the phase
+            monomials the closed-form average keeps, so the mean is an
+            unbiased estimate of the closed form.  The full table
+            samples the whole truncated chain; its mean retains
+            window-endpoint residues of the oscillating families, a
+            relative bias of order 1/(xi window width) that the small
+            perpendicular two-quantum channel resolves at the percent
+            level.
         direction: detector label, one of ``DETECTION_DIRECTIONS``; it
             selects a row of the term table.
-        terms: "surviving" (default) samples only the phase monomials
-            the closed-form average keeps (see
-            :func:`surviving_term_table`), so the mean is an unbiased
-            estimate of the closed form.  "complete" samples the whole
-            truncated chain; its mean retains window-endpoint residues
-            of the oscillating families, a relative bias of order
-            1/(xi window width) that the small perpendicular
-            two-quantum channel resolves at the percent level.
+        n_samples: configuration count, at least two so that the
+            standard error is defined.
         keep_traces: number of unaveraged per-configuration spectra to
             return alongside the average (single realizations scatter
             over orders of magnitude, which is itself an observable
-            effect worth reproducing; pass terms="complete" so the
-            traces carry the full chain).
-        table: precomputed term table of the chain on this detuning
-            grid (from :func:`demodulated_term_table`), reused across
-            seeds and detection directions; ``orders`` is then ignored
-            and ``terms`` applies to the passed table.  A table built
-            for another kappa, channel, theta or grid raises
-            ValueError.
+            effect worth reproducing; pass the full table so the traces
+            carry the full chain).
     """
-    if n_samples < 1:
-        raise ValueError("need at least one configuration")
-    if terms not in ("surviving", "complete"):
-        raise ValueError(f"unknown term selection {terms!r}")
+    if n_samples < 2:
+        raise ValueError("need at least two configurations for a "
+                         "standard error")
     if not isinstance(direction, str) or direction not in DETECTION_DIRECTIONS:
         raise ValueError(f"unknown detection direction {direction!r}")
-    if detunings is None:
-        detunings = DEFAULT_DETUNINGS.copy()
-    detunings = np.asarray(detunings, dtype=float)
-    z1 = 1j * detunings
-    if table is None:
-        table = demodulated_term_table(orders, theta, channel, kappa, z1)
-    else:
-        table.check_matches(kappa, channel, theta, z1)
-    if terms == "surviving":
-        table = surviving_term_table(table)
+    if np.any(table.z1_values.real != 0.0):
+        raise ValueError("term table z1 grid must be purely imaginary "
+                         "(i times the detunings)")
+    detunings = table.z1_values.imag.copy()
     rows = table.coeffs[:, DETECTION_DIRECTIONS.index(direction)]
     rng = np.random.default_rng(seed)
     norm = np.sqrt(2.0 * np.pi)
@@ -565,14 +509,11 @@ def monte_carlo_spectrum(kappa: int, channel: str, direction, theta: float,
             traces[done:done + take] = batch[:, :take].T
         done += count
     mean = total / n_samples
-    if n_samples > 1:
-        error_re, error_im = np.sqrt(squares / ((n_samples - 1.0) * n_samples))
-        errors = error_re + 1j * error_im
-    else:
-        errors = np.full(len(detunings), np.nan + 1j * np.nan)
-    series = SpectrumSeries(detunings=detunings, values=mean, kappa=kappa,
-                            channel=channel, direction=direction,
-                            errors=errors)
+    error_re, error_im = np.sqrt(squares / ((n_samples - 1.0) * n_samples))
+    series = SpectrumSeries(detunings=detunings, values=mean,
+                            kappa=table.kappa, channel=table.channel,
+                            direction=direction,
+                            errors=error_re + 1j * error_im)
     return MonteCarloResult(series=series, traces=traces,
                             n_samples=n_samples, seed=seed,
                             window=tuple(window))

@@ -92,6 +92,7 @@ def test_separation_sources_resolve_and_conflict():
     {"window": (1.0, 2.0, 3.0)},
     {"gamma_to_zero": "yes"},
     {"output_dir": 5},
+    {"mc_samples": 1},
 ])
 def test_invalid_fields_are_rejected(fields):
     with pytest.raises(ConfigError):

@@ -82,7 +82,7 @@ def test_pair_generator_matches_finite_difference_of_propagator():
     gen = pair_generator(11.0, _random_axis(2))
     state = pair_kick(0.9, "x", 0.3, 2.0) @ ground_pair_vec()
     dt = 1e-6
-    cols = _propagate(gen, state, np.array([dt, 2.0 * dt]), "DOP853", 1e-12)
+    cols = _propagate(gen, state, np.array([dt, 2.0 * dt]), 1e-12)
     derivative = (4.0 * cols[:, 0] - cols[:, 1] - 3.0 * state) / (2.0 * dt)
     assert np.max(np.abs(derivative - gen @ state)) < 1e-8
 
@@ -179,7 +179,7 @@ def test_single_pulse_population_decay_without_coupling():
     population = (np.kron(number, np.eye(4))
                   + np.kron(np.eye(4), number)).T.reshape(-1)
     grid = np.array([0.0, 0.4, 1.3, 2.7])
-    cols = _propagate(gen, state, grid, "DOP853", 1e-10)
+    cols = _propagate(gen, state, grid, 1e-10)
     expected = 2.0 * np.sin(theta / 2.0) ** 2 * np.exp(-grid)
     assert np.max(np.abs((population @ cols).real - expected)) < 1e-10
 
@@ -193,28 +193,19 @@ def test_zero_pulse_area_gives_zero_intensity():
     assert max(np.max(np.abs(out[d])) for d in ("x", "y")) < 1e-14
 
 
-def test_implicit_integrator_agrees_with_explicit():
-    gen = pair_generator(25.0, _random_axis(5))
-    state = pair_kick(0.6, "x", 0.2, 1.0) @ ground_pair_vec()
-    grid = np.array([0.3, 1.0, 2.4])
-    explicit = _propagate(gen, state, grid, "DOP853", 1e-10)
-    implicit = _propagate(gen, state, grid, "Radau", 1e-10)
-    assert np.max(np.abs(explicit - implicit)) < 1e-8
-
-
 def test_propagate_validates_grid_and_reports_failure():
     gen = -np.eye(2, dtype=complex)
     with pytest.raises(ValueError):
         _propagate(gen, np.ones(2, dtype=complex), np.array([0.5, 0.2]),
-                   "DOP853", 1e-10)
+                   1e-10)
     with pytest.raises(ValueError):
         _propagate(gen, np.ones(2, dtype=complex), np.array([-0.1, 0.2]),
-                   "DOP853", 1e-10)
+                   1e-10)
     blowup = np.array([[1e9 + 0.0j]])
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(IntegrationError):
             _propagate(blowup, np.ones(1, dtype=complex), np.array([1.0]),
-                       "DOP853", 1e-10)
+                       1e-10)
 
 
 def test_state_stays_physical_along_coupled_trajectory():
@@ -223,8 +214,7 @@ def test_state_stays_physical_along_coupled_trajectory():
     kick1 = pair_kick(0.44, "x", 0.0, xi * n_hat[2])
     kick2 = pair_kick(0.44, "y", 1.3, xi * n_hat[2])
     mid = kick2 @ expm(gen * 0.9) @ kick1 @ ground_pair_vec()
-    trajectory = _propagate(gen, mid, np.linspace(0.0, 3.0, 7),
-                            "DOP853", 1e-10)
+    trajectory = _propagate(gen, mid, np.linspace(0.0, 3.0, 7), 1e-10)
     for column in trajectory.T:
         rho = column.reshape(16, 16)
         assert abs(np.trace(rho) - 1.0) < 1e-10
@@ -293,7 +283,7 @@ def test_time_integral_of_transient_matches_resolvent_component():
     gen = pair_generator(xi, n_hat)
     first = binned_kick(THETA, "x", -kappa, position) @ ground_pair_vec()
     tau = np.linspace(0.0, 30.0, 1201)
-    between = _propagate(gen, first, tau, "DOP853", 1e-12)
+    between = _propagate(gen, first, tau, 1e-12)
     kicked = binned_kick(THETA, "x", kappa, position) @ between
     deflation = np.outer(ground_pair_vec(), np.eye(16).reshape(-1))
     collected = np.linalg.solve(-gen + deflation, kicked)
@@ -316,13 +306,13 @@ def test_demodulated_laplace_matches_truncated_chain():
     z1 = 1j * np.array([-2.0, -0.5, 0.0, 0.7, 2.3])
     exact = demodulated_laplace(1000.0, n_hat, THETA, (1, 2),
                                 ("parallel", "perpendicular"), z1)
-    approx = fixed_configuration_components(1000.0, n_hat, THETA,
-                                            "parallel", 1, z1)
+    table = demodulated_term_table((0, 1, 2), THETA, "parallel", 1, z1)
+    approx = fixed_configuration_components(table, 1000.0, n_hat)
     scale = np.max(np.abs(exact[(1, "parallel", "y")]))
     assert np.max(np.abs(approx["y"] - exact[(1, "parallel", "y")])) \
         < 1e-6 * scale
-    approx = fixed_configuration_components(1000.0, n_hat, THETA,
-                                            "perpendicular", 2, z1)
+    table = demodulated_term_table((0, 1, 2), THETA, "perpendicular", 2, z1)
+    approx = fixed_configuration_components(table, 1000.0, n_hat)
     for direction in ("x", "y"):
         reference = exact[(2, "perpendicular", direction)]
         scale = np.max(np.abs(reference))
@@ -336,40 +326,39 @@ def test_single_exchange_component_is_even_in_axis_sign():
     n_hat = _random_axis(10)
     z1 = 1j * np.linspace(-3.0, 3.0, 7)
     table = demodulated_term_table((1,), THETA, "parallel", 1, z1)
-    plus = fixed_configuration_components(80.0, n_hat, THETA, "parallel", 1,
-                                          z1, table=table)
-    minus = fixed_configuration_components(80.0, -n_hat, THETA, "parallel", 1,
-                                           z1, table=table)
+    plus = fixed_configuration_components(table, 80.0, n_hat)
+    minus = fixed_configuration_components(table, 80.0, -n_hat)
     scale = np.max(np.abs(plus["y"]))
     assert scale > 1e-4
     assert np.max(np.abs(plus["y"] - minus["y"])) < 1e-10 * scale
 
 
+def _surviving_table(kappa, channel, detunings):
+    return surviving_term_table(demodulated_term_table(
+        (0, 1, 2), THETA, channel, kappa, 1j * detunings))
+
+
 def test_monte_carlo_is_deterministic_and_keeps_traces():
-    kwargs = dict(detunings=np.linspace(-2.0, 2.0, 5), keep_traces=2)
-    first = monte_carlo_spectrum(1, "parallel", "y", THETA, 400, seed=5,
-                                 **kwargs)
-    second = monte_carlo_spectrum(1, "parallel", "y", THETA, 400, seed=5,
-                                  **kwargs)
+    table = _surviving_table(1, "parallel", np.linspace(-2.0, 2.0, 5))
+    first = monte_carlo_spectrum(table, "y", 400, seed=5, keep_traces=2)
+    second = monte_carlo_spectrum(table, "y", 400, seed=5, keep_traces=2)
     assert np.array_equal(first.series.values, second.series.values)
     assert np.array_equal(first.series.errors, second.series.errors)
     assert np.array_equal(first.traces, second.traces)
     assert first.traces.shape == (2, 5)
-    single = monte_carlo_spectrum(2, "perpendicular", "x", THETA, 1, seed=9,
-                                  detunings=np.linspace(-2.0, 2.0, 5),
-                                  keep_traces=1)
-    assert np.allclose(single.traces[0], single.series.values)
-    assert single.n_samples == 1
-    assert single.window == WINDOW
+    assert first.window == WINDOW
+    # one configuration has no standard error
+    with pytest.raises(ValueError):
+        monte_carlo_spectrum(table, "x", 1, seed=9, keep_traces=1)
 
 
 @pytest.mark.parametrize("batch_size", [None, 128])
 def test_monte_carlo_errors_are_the_sample_standard_error(batch_size):
     """Batched centred sums reproduce the two-pass standard error."""
     kwargs = {} if batch_size is None else {"batch_size": batch_size}
-    result = monte_carlo_spectrum(1, "parallel", "y", THETA, 600, seed=5,
-                                  detunings=np.linspace(-2.0, 2.0, 5),
-                                  keep_traces=600, **kwargs)
+    table = _surviving_table(1, "parallel", np.linspace(-2.0, 2.0, 5))
+    result = monte_carlo_spectrum(table, "y", 600, seed=5, keep_traces=600,
+                                  **kwargs)
     root_n = np.sqrt(600)
     for part in (np.real, np.imag):
         want = part(result.traces).std(axis=0, ddof=1) / root_n
@@ -378,55 +367,34 @@ def test_monte_carlo_errors_are_the_sample_standard_error(batch_size):
 
 
 def test_monte_carlo_takes_a_detector_label():
+    table = _surviving_table(1, "parallel", np.linspace(-2.0, 2.0, 5))
     for direction in ("z", (0.0, 1.0, 0.0)):
         with pytest.raises(ValueError):
-            monte_carlo_spectrum(1, "parallel", direction, THETA, 10, seed=5,
-                                 detunings=np.linspace(-2.0, 2.0, 5))
+            monte_carlo_spectrum(table, direction, 10, seed=5)
 
 
-def test_monte_carlo_reuses_a_passed_term_table():
+def test_monte_carlo_series_takes_its_chain_from_the_table():
     detunings = np.linspace(-2.0, 2.0, 5)
-    table = demodulated_term_table((0, 1, 2), THETA, "parallel", 1,
-                                   1j * detunings)
-    for terms in ("surviving", "complete"):
-        built = monte_carlo_spectrum(1, "parallel", "x", THETA, 300, seed=11,
-                                     detunings=detunings, terms=terms)
-        passed = monte_carlo_spectrum(1, "parallel", "x", THETA, 300,
-                                      seed=11, detunings=detunings,
-                                      terms=terms, table=table)
-        assert np.array_equal(built.series.values, passed.series.values)
-        assert np.array_equal(built.series.errors, passed.series.errors)
-    with pytest.raises(ValueError):
-        monte_carlo_spectrum(1, "parallel", "x", THETA, 300, seed=11,
-                             detunings=np.linspace(-1.0, 1.0, 5),
-                             table=table)
-    # a table built for another chain is refused, not relabelled, and
-    # restricting it keeps the record of its chain
-    assert surviving_term_table(table).kappa == 1
-    for kappa, channel, theta in ((2, "parallel", THETA),
-                                  (1, "perpendicular", THETA),
-                                  (1, "parallel", 3.0)):
+    for kappa, channel in ((1, "perpendicular"), (2, "parallel")):
+        table = demodulated_term_table((0, 1, 2), THETA, channel, kappa,
+                                       1j * detunings)
         for passed in (table, surviving_term_table(table)):
-            with pytest.raises(ValueError):
-                monte_carlo_spectrum(kappa, channel, "x", theta, 300,
-                                     seed=11, detunings=detunings,
-                                     table=passed)
-            with pytest.raises(ValueError):
-                fixed_configuration_components(
-                    80.0, _random_axis(1), theta, channel, kappa,
-                    1j * detunings, table=passed)
+            series = monte_carlo_spectrum(passed, "x", 10, seed=11).series
+            assert (series.kappa, series.channel) == (kappa, channel)
+            assert np.array_equal(series.detunings, detunings)
+    # a z1 grid off the imaginary axis names no detunings
+    shifted = demodulated_term_table((0,), THETA, "parallel", 1,
+                                     0.5 + 1j * detunings)
     with pytest.raises(ValueError):
-        fixed_configuration_components(80.0, _random_axis(1), THETA,
-                                       "parallel", 1, 1j * detunings[:3],
-                                       table=table)
+        monte_carlo_spectrum(shifted, "x", 10, seed=11)
 
 
 def test_monte_carlo_matches_closed_form_average():
     detunings = np.linspace(-3.0, 3.0, 9)
     for kappa, channel, direction in ((1, "parallel", "y"),
                                       (2, "perpendicular", "x")):
-        sampled = monte_carlo_spectrum(kappa, channel, direction, THETA,
-                                       20000, seed=42, detunings=detunings)
+        table = _surviving_table(kappa, channel, detunings)
+        sampled = monte_carlo_spectrum(table, direction, 20000, seed=42)
         closed = spectrum(kappa, channel, direction, THETA, detunings,
                           window=WINDOW)
         difference = sampled.series.values - closed.values
@@ -485,9 +453,7 @@ def test_surviving_families_average_to_closed_form_exactly():
     assert 0.01 < abs(residue) < 0.035
     assert residue.real < 0
 
-    sampled = monte_carlo_spectrum(2, "perpendicular", "x", THETA, 20000,
-                                   seed=7, detunings=np.array([0.0]),
-                                   terms="complete")
+    sampled = monte_carlo_spectrum(full, "x", 20000, seed=7)
     gap = sampled.series.values[0] - complete
     assert abs(gap.real) < 3.0 * sampled.series.errors[0].real
     assert abs(gap.imag) < 3.0 * sampled.series.errors[0].imag
