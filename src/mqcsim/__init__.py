@@ -48,7 +48,6 @@ from .spectra import (
 )
 from .oracle import (
     IntegrationError,
-    MonteCarloResult,
     OracleRun,
     demodulated_laplace,
     fixed_configuration_components,
@@ -76,7 +75,7 @@ __all__ = [
     "directional_spectra", "spectrum", "leading_order_peaks", "mean_scattering_cross_section",
     "mean_free_path", "dipole_from_gamma", "gamma_from_dipole",
     "pulse_area_from_energy",
-    "IntegrationError", "MonteCarloResult", "OracleRun",
+    "IntegrationError", "OracleRun",
     "demodulated_laplace", "fixed_configuration_components",
     "monte_carlo_pair_averages", "monte_carlo_spectrum",
     "numeric_demodulate", "pair_generator", "sample_configurations",

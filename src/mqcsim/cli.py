@@ -43,7 +43,6 @@ from .config import (
 )
 from .disorder import angular_average, mean_inverse_xi_squared
 from .oracle import (
-    IntegrationError,
     demodulated_laplace,
     demodulated_term_table,
     fixed_configuration_components,
@@ -200,11 +199,12 @@ def run_table1(config: RunConfig) -> int:
     y-detector peak equals theta squared; coefficients and scaling
     exponents are then fitted over several small pulse areas.
     """
-    directory = _prepare_output(config)
     xi_bar = config.resolved_xi_bar()
     theta = config.resolved_theta()
     closed = leading_order_peaks(theta, xi_bar)
-    exponents = {1: 2.0, 2: 4.0}
+    # the closed forms are monomials in theta: their coefficients are the
+    # values at theta = 1, which no small area can underflow
+    coefficients = leading_order_peaks(1.0, xi_bar)
 
     def normalized_peaks(area):
         # only the resonance point matters for peak amplitudes
@@ -217,7 +217,12 @@ def run_table1(config: RunConfig) -> int:
                                            resonance, xi_bar=xi_bar)
                 for direction, series in zip(DETECTION_DIRECTIONS, pair):
                     raw[(kappa, direction, channel)] = series.values.real[0]
-        scale = area ** 2 / raw[(1, "y", "parallel")]
+        reference = raw[(1, "y", "parallel")]
+        if reference == 0.0:
+            raise ConfigError(
+                f"pulse area theta = {area!r} gives no one-quantum peak to "
+                "normalize the table by")
+        scale = area ** 2 / reference
         return {key: value * scale for key, value in raw.items()}
 
     sampled = {area: normalized_peaks(area) for area in FIT_AREAS}
@@ -242,10 +247,10 @@ def run_table1(config: RunConfig) -> int:
         columns["closed_form"].append(float(closed_value))
         columns["computed"].append(float(computed_here[key]))
         columns["fitted_coefficient"].append(float(coefficient))
-        columns["closed_coefficient"].append(
-            float(closed_value / theta ** exponents[kappa]))
+        columns["closed_coefficient"].append(float(coefficients[key]))
         columns["fitted_exponent"].append(float(slope))
     metadata = config.as_metadata()
+    directory = _prepare_output(config)
     write_table(directory / "table1.tsv", columns, metadata)
     write_sidecar(directory / "table1.json",
                   {"config": metadata, "files": ["table1.tsv"]})
@@ -351,9 +356,8 @@ def run_mc_average(config: RunConfig) -> int:
                 sampled = monte_carlo_spectrum(
                     table, direction, config.mc_samples, seed=config.seed,
                     window=window, mode=config.tensor_mode)
-                difference = sampled.series.values[center] \
-                    - closed.values[center]
-                error = sampled.series.errors[center]
+                difference = sampled.values[center] - closed.values[center]
+                error = sampled.errors[center]
                 # Im S vanishes at resonance up to roundoff, so only the
                 # real part carries a score
                 z = abs(difference.real) / max(error.real, 1e-300)
@@ -364,7 +368,7 @@ def run_mc_average(config: RunConfig) -> int:
                     f"channel={channel} direction={direction} "
                     f"peak_z={z:.2f} limit={limit:.2f}")
                 name = f"mc_k{kappa}_{channel}_{direction}.tsv"
-                write_series(directory / name, sampled.series,
+                write_series(directory / name, sampled,
                              config.as_metadata())
                 written.append(name)
     lines.append(f"seed = {config.seed}")
@@ -439,7 +443,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"invalid configuration: {err}", file=sys.stderr)
         return EXIT_INVALID_CONFIG
-    except (IntegrationError, PoleError, np.linalg.LinAlgError) as err:
+    except (PoleError, np.linalg.LinAlgError) as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC_FAILURE
     except Exception as err:

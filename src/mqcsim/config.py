@@ -50,6 +50,13 @@ SEPARATION_CONSISTENCY = 0.01
 #: phases, which demodulation cancels: it gives the same spectra.
 MAX_PULSE_AREA = 4.0 * np.pi
 
+#: largest detuning grid.  The chain carries the whole grid through every
+#: monomial, about 90 kB per point: a kappa = 2 parallel spectrum peaked
+#: at 155 MB for 801 points and 872 MB for 8,001 (one BLAS thread), so
+#: 10,001 points keep a run near 1 GB.  At the default half range of 10
+#: that is a spacing of 0.002 gamma.
+MAX_DETUNING_COUNT = 10001
+
 
 #: fields holding a real number, where given; every one must be finite
 REAL_FIELDS = ("gamma", "wavelength", "delta_bar", "density", "theta",
@@ -171,8 +178,10 @@ class RunConfig:
         if self.tensor_mode not in TENSOR_MODES:
             raise ConfigError(f"tensor_mode must be one of {TENSOR_MODES}, "
                               f"got {self.tensor_mode!r}")
-        if self.detuning_count < 3:
-            raise ConfigError("detuning_count must be at least 3")
+        if not 3 <= self.detuning_count <= MAX_DETUNING_COUNT:
+            raise ConfigError(f"detuning_count must be between 3 and "
+                              f"{MAX_DETUNING_COUNT}, got "
+                              f"{self.detuning_count}")
         # the grid spacing, found without building the grid, must be a
         # normal number: a wider grid overflows, a narrower one collapses
         # onto subnormal points

@@ -125,9 +125,9 @@ def _effective_final_insertions(inv_xi_squared: float, mode: str) -> dict:
 
 
 def averaged_solution(order: int, z1, theta: float, channel: str = "parallel",
-                      kappa: int = 1, *, inv_xi_squared: float, z2=0.0,
-                      mode: str = "full", fast: bool = False,
-                      restrict_stationary: bool = True) -> PhaseTaggedVector:
+                      kappa: int = 1, *, inv_xi_squared: float,
+                      mode: str = "full",
+                      fast: bool = False) -> PhaseTaggedVector:
     """Geometry-averaged demodulated pair state after both pulses.
 
     Equal to the full expansion followed by ``average_state``, but the
@@ -136,6 +136,8 @@ def averaged_solution(order: int, z1, theta: float, channel: str = "parallel",
     never change the phase exponents), and the final insertion of each
     split applies the factor-pair weights directly, so the working set
     stays small enough to batch a whole frequency grid through ``z1``.
+    The detection stage is integrated over time (z2 = 0), as in
+    :func:`mqcsim.expansion.scattering_solution`.
     """
     if order not in (0, 2):
         raise ValueError("averaged chains support interaction orders 0 and 2")
@@ -143,11 +145,10 @@ def averaged_solution(order: int, z1, theta: float, channel: str = "parallel",
     closing = (_effective_final_insertions(inv_xi_squared, mode)
                if order else None)
     return two_pulse_chain(
-        order, z1, z2, theta, channel,
+        order, z1, theta, channel,
         keep1=lambda m: m.pulse_net[0] == -kappa,
         keep2=lambda m: demod(m) and m.atom_net == (0, 0),
-        closing=closing, fast=fast,
-        restrict_stationary=restrict_stationary)
+        closing=closing, fast=fast)
 
 
 def average_state(vector: PhaseTaggedVector, inv_xi_squared: float,

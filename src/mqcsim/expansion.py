@@ -21,11 +21,15 @@ Everything here works in the state picture: components are pieces of
 the density operator, and the free resolvent, interaction, and kick
 maps act on them from the left.  Time dependence is handled in the
 Laplace domain; the exact free resolvent is applied through the
-analytic eigendecomposition of the single-atom decay generator, with
-an optional exact projection of the stationary (both atoms ground)
-direction that keeps z = 0 evaluations finite.  That direction carries
-no fluorescence, so restricted resolvents are exact for every detected
-quantity.
+analytic eigendecomposition of the single-atom decay generator.
+
+The chain computes only what is detected: fluorescence integrated over
+the detection time, which is the detection-stage Laplace variable at
+z2 = 0.  Every resolvent projects out the stationary (both atoms
+ground) decay mode, which keeps z = 0 regular.  That mode carries no
+fluorescence and the pair interaction annihilates it; demodulated
+components (kappa != 0) are trace-free and have no weight on it at
+all, so for them the projection is exact.
 
 The decay eigendecomposition is block structured in the operator
 basis.  Twelve of the sixteen single-atom decay modes are basis
@@ -233,8 +237,7 @@ def _map_population_block(matrix: np.ndarray, block: np.ndarray) -> np.ndarray:
     return block
 
 
-def apply_resolvent(vector: PhaseTaggedVector, z,
-                    restrict_stationary: bool = False) -> PhaseTaggedVector:
+def apply_resolvent(vector: PhaseTaggedVector, z) -> PhaseTaggedVector:
     """Laplace-domain free evolution of every component (state picture).
 
     The exact pair resolvent (z - L1 - L2)^-1 in the block form of the
@@ -247,14 +250,13 @@ def apply_resolvent(vector: PhaseTaggedVector, z,
     trailing batch axis, which broadcasts against the grid, so a whole
     frequency grid costs a single pass per component.
 
-    With ``restrict_stationary`` the both-atoms-ground stationary
-    direction is projected out before inverting, which keeps z = 0
-    regular.  Components whose phase exponents do not all cancel carry
-    no stationary weight, so the restriction is exact for them; in the
-    fully cancelled sector it discards a genuine z = 0 pole (the
-    delay-independent background), which later kicks can redistribute.
-    The discarded direction itself is invisible to fluorescence
-    detection and annihilated by the pair interaction.
+    The stationary (both atoms ground) decay mode is projected out
+    before inverting: with P0 = |ground pair><trace|, the map is
+    (z - L1 - L2 + P0)^-1 (1 - P0), regular at z = 0.  Trace-free
+    components, which are all that demodulation at kappa != 0 reads,
+    have no weight on that mode, so for them it is the plain resolvent.
+    Only the unmodulated background sector loses its z = 0 pole, and
+    the discarded mode is invisible to fluorescence detection.
 
     Raises:
         PoleError: a component has weight, above 1e-9 of its largest
@@ -265,22 +267,19 @@ def apply_resolvent(vector: PhaseTaggedVector, z,
     z_arr = np.asarray(z, dtype=complex)
     denom = z_arr.reshape(1, 1, -1) - (rates[:, None, None]
                                        + rates[None, :, None])
-    if restrict_stationary:
-        denom[0, 0] = 1.0
+    denom[0, 0] = 1.0
     on_pole = np.abs(denom) < 1e-12
     any_pole = bool(np.any(on_pole))
     inverse = 1.0 / np.where(on_pole, 1.0, denom)
     inverse[on_pole] = 0.0
-    if restrict_stationary:
-        inverse[0, 0] = 0.0
+    inverse[0, 0] = 0.0
     out = PhaseTaggedVector()
     for monomial, coeffs in vector.items():
         block = np.array(coeffs, dtype=complex).reshape(NUM_OPS, NUM_OPS, -1)
         eigen = _map_population_block(to_eigen, block)
         if any_pole:
             magnitude = np.abs(eigen)
-            if restrict_stationary:
-                magnitude[0, 0] = 0.0
+            magnitude[0, 0] = 0.0
             scale = max(np.max(magnitude), 1e-300)
             if np.any(on_pole & (magnitude > 1e-9 * scale)):
                 raise PoleError(
@@ -315,25 +314,23 @@ def demodulation_keep(kappa: int):
     return lambda monomial: monomial.pulse_net == (-kappa, kappa)
 
 
-def two_pulse_chain(order: int, z1, z2, theta: float, channel: str, *,
-                    keep1=None, keep2=None, closing=None, fast: bool = False,
-                    initial=None,
-                    restrict_stationary: bool = True) -> PhaseTaggedVector:
+def two_pulse_chain(order: int, z1, theta: float, channel: str, *,
+                    keep1=None, keep2=None, closing=None,
+                    fast: bool = False) -> PhaseTaggedVector:
     """Sum over interaction splits of the two-pulse chain.
 
     Split ``between`` puts that many of the ``order`` insertions before
-    the second kick (resolvents at ``z1``) and the rest after it (at
-    ``z2``).  Each split's result goes in front of the running sum, so
-    the monomials keep the order of an increasing-split sum.
-    ``keep1`` and ``keep2`` optionally filter the monomials of the two
-    kicks.  ``closing`` optionally maps, per tag, the last insertion of
-    every split to a tag-free monomial (the averaged chain); otherwise
-    every insertion is :func:`apply_interaction`.  The other arguments
-    are those of :func:`scattering_solution`.
+    the second kick (resolvents at ``z1``) and the rest after it, in
+    the detection stage (resolvents at z2 = 0).  Each split's result
+    goes in front of the running sum, so the monomials keep the order
+    of an increasing-split sum.  ``keep1`` and ``keep2`` optionally
+    filter the monomials of the two kicks.  ``closing`` optionally
+    maps, per tag, the last insertion of every split to a tag-free
+    monomial (the averaged chain); otherwise every insertion is
+    :func:`apply_interaction`.  The other arguments are those of
+    :func:`scattering_solution`.
     """
     second_pol = SECOND_POLARIZATION[channel]
-    if initial is None:
-        initial = initial_vector()
 
     def insert(vector, step):
         if closing is None or step < order - 1:
@@ -347,35 +344,42 @@ def two_pulse_chain(order: int, z1, z2, theta: float, channel: str, *,
         return out
 
     splits = (0,) if fast else tuple(range(order + 1))
-    prefixes = [apply_resolvent(apply_kick(initial, 1, theta, "x", keep=keep1),
-                                z1, restrict_stationary)]
+    prefixes = [apply_resolvent(
+        apply_kick(initial_vector(), 1, theta, "x", keep=keep1), z1)]
     for step in range(splits[-1]):
-        prefixes.append(apply_resolvent(insert(prefixes[-1], step), z1,
-                                        restrict_stationary))
+        prefixes.append(apply_resolvent(insert(prefixes[-1], step), z1))
     total = PhaseTaggedVector()
     for between in reversed(splits):
         part = apply_kick(prefixes.pop(), 2, theta, second_pol, keep=keep2)
-        part = apply_resolvent(part, z2, restrict_stationary)
+        part = apply_resolvent(part, 0.0)
         for step in range(between, order):
             # two statements, so that the uninserted part is freed first
             part = insert(part, step)
-            part = apply_resolvent(part, z2, restrict_stationary)
+            part = apply_resolvent(part, 0.0)
         total = part + total
     return total
 
 
-def scattering_solution(order: int, z1: complex, z2: complex, theta: float,
-                        channel: str = "parallel", kappa=None, fast: bool = False,
-                        initial=None,
-                        restrict_stationary: bool = True) -> PhaseTaggedVector:
+def scattering_solution(order: int, z1, theta: float,
+                        channel: str = "parallel", kappa=None,
+                        fast: bool = False) -> PhaseTaggedVector:
     """Pair state after both pulses, expanded to a fixed interaction order.
+
+    The state is Laplace transformed in the interpulse delay (at ``z1``)
+    and integrated over the detection time (z2 = 0), from both atoms
+    ground.  Every resolvent projects out the stationary ground-pair
+    mode (see :func:`apply_resolvent`), which keeps z2 = 0 regular.
+    Components demodulated at kappa != 0 are trace-free, so for them
+    the projection is exact; only the unmodulated background sector
+    (kappa = 0, reachable with ``kappa=None``) is truly altered, by a
+    mode that no detector sees.
 
     Args:
         order: total number of pair-interaction insertions (0 keeps the
             atoms independent, 2 adds the leading interaction effect on
             demodulated signals).
-        z1: Laplace variable conjugate to the interpulse delay.
-        z2: Laplace variable conjugate to the detection time.
+        z1: Laplace variable conjugate to the interpulse delay, a
+            scalar or a 1d grid.
         theta: pulse area (both pulses).
         channel: "parallel" for x,x pulse polarizations, "perpendicular"
             for x,y.
@@ -384,20 +388,14 @@ def scattering_solution(order: int, z1: complex, z2: complex, theta: float,
         fast: place all interaction insertions after the second pulse
             (detection stage only) instead of summing every split
             between the two evolution windows.
-        initial: starting vector, default both atoms ground.
-        restrict_stationary: use stationary-restricted resolvents,
-            finite at z = 0.  Demodulated components come out exact up
-            to a piece along the detection-null ground-pair direction;
-            only the unmodulated background sector is truly altered.
 
     Returns:
-        PhaseTaggedVector of the doubly Laplace-transformed state; the
-        sum over interaction splits is already performed.
+        PhaseTaggedVector of the transformed state; the sum over
+        interaction splits is already performed.
     """
     keep1 = keep2 = None
     if kappa is not None:
         keep1 = lambda m: m.pulse_net[0] == -kappa
         keep2 = demodulation_keep(kappa)
-    return two_pulse_chain(order, z1, z2, theta, channel, keep1=keep1,
-                           keep2=keep2, fast=fast, initial=initial,
-                           restrict_stationary=restrict_stationary)
+    return two_pulse_chain(order, z1, theta, channel, keep1=keep1,
+                           keep2=keep2, fast=fast)

@@ -51,6 +51,11 @@ _EYE4 = np.eye(4, dtype=complex)
 _EYE16 = np.eye(16, dtype=complex)
 _EYE256 = np.eye(NUM_OPS_PAIR, dtype=complex)
 
+#: configurations drawn and priced together by :func:`monte_carlo_spectrum`;
+#: it bounds the (terms, MC_BATCH) weights and (detunings, MC_BATCH)
+#: spectra held at once
+MC_BATCH = 4096
+
 
 class IntegrationError(RuntimeError):
     """Raised when the transient integrator fails to converge."""
@@ -179,16 +184,17 @@ def _deflated_solve(generator: np.ndarray, z: complex,
 
 
 def demodulated_laplace(xi: float, n_hat, theta: float, kappas, channels,
-                        z1_values, z2: complex = 0.0) -> dict:
+                        z1_values) -> dict:
     """Demodulated detected Laplace components of the full dynamics.
 
     Computes, without any perturbative truncation, the coefficient of
-    e^{i kappa (phase_2 - phase_1)} in the doubly Laplace-transformed
-    fluorescence intensity: the pulse phases are removed by harmonic
-    binning of the exact kick matrices and the two time integrals are
-    exact resolvent solves of the full generator.  One generator serves
-    every (kappa, channel), and each kappa's z1 solves are the
-    right-hand side block of one z2 solve per channel.
+    e^{i kappa (phase_2 - phase_1)} in the fluorescence intensity,
+    Laplace transformed in the interpulse delay and integrated over the
+    detection time: the pulse phases are removed by harmonic binning of
+    the exact kick matrices and the two time integrals are exact
+    resolvent solves of the full generator, the second at z2 = 0.  One
+    generator serves every (kappa, channel), and each kappa's z1 solves
+    are the right-hand side block of one z2 solve per channel.
 
     Returns:
         dict mapping (kappa, channel, direction) to an array of
@@ -208,7 +214,7 @@ def demodulated_laplace(xi: float, n_hat, theta: float, kappas, channels,
         for channel in channels:
             kick2 = binned_kick(theta, SECOND_POLARIZATION[channel], kappa,
                                 position)
-            final = _deflated_solve(generator, z2, kick2 @ between)
+            final = _deflated_solve(generator, 0.0, kick2 @ between)
             for d, row in zip(DETECTION_DIRECTIONS, covectors @ final):
                 out[(kappa, channel, d)] = row
     return out
@@ -237,15 +243,19 @@ class TermTable:
 
 
 def demodulated_term_table(orders, theta: float, channel: str, kappa: int,
-                           z1_values, z2: complex = 0.0) -> TermTable:
+                           z1_values) -> TermTable:
     """Collect the demodulated perturbative chain into a term table,
-    projecting each monomial on the detectors as it is merged."""
+    projecting each monomial on the detectors as it is merged.
+
+    A chain that keeps no monomial (a zero pulse area prunes them all)
+    gives a table of no terms, with ``coeffs`` of shape (0, 2, len(z1)).
+    """
     z1_arr = np.atleast_1d(np.asarray(z1_values, dtype=complex))
     covectors = np.stack([_detection_covector(d).conj()
                           for d in DETECTION_DIRECTIONS])
     merged: dict = {}
     for order in orders:
-        solution = scattering_solution(order, z1_arr, z2, theta,
+        solution = scattering_solution(order, z1_arr, theta,
                                        channel=channel, kappa=kappa)
         for monomial, coeffs in solution.items():
             key = (monomial.atom_net[0], monomial.tags)
@@ -255,10 +265,11 @@ def demodulated_term_table(orders, theta: float, channel: str, kappa: int,
             else:
                 merged[key] = rows
     keys = sorted(merged, key=repr)
+    shape = (len(keys), len(DETECTION_DIRECTIONS), len(z1_arr))
     return TermTable(
         phase_exponents=tuple(k[0] for k in keys),
         tags=tuple(k[1] for k in keys),
-        coeffs=np.stack([merged[k] for k in keys]),
+        coeffs=np.array([merged[k] for k in keys], complex).reshape(shape),
         z1_values=z1_arr,
         kappa=kappa,
         channel=channel,
@@ -384,23 +395,6 @@ def numeric_demodulate(intensities: np.ndarray, harmonic: int,
     return np.tensordot(weights, intensities, axes=(0, axis))
 
 
-@dataclass(frozen=True)
-class MonteCarloResult:
-    """Configuration-averaged spectrum with sampling metadata.
-
-    ``series.errors`` holds the standard error of the mean, real and
-    imaginary parts packed as a complex number.  ``traces`` are the
-    first few unaveraged per-configuration spectra (empty unless
-    requested).
-    """
-
-    series: SpectrumSeries
-    traces: np.ndarray
-    n_samples: int
-    seed: int
-    window: tuple
-
-
 def sample_configurations(rng: np.random.Generator, count: int,
                           window) -> tuple:
     """Draw separations uniform on the window and isotropic directions."""
@@ -440,17 +434,18 @@ def surviving_term_table(table: TermTable) -> TermTable:
 
 def monte_carlo_spectrum(table: TermTable, direction, n_samples: int, *,
                          seed: int, window=(67.2, 92.8),
-                         mode: str = "exact", batch_size: int = 4096,
-                         keep_traces: int = 0) -> MonteCarloResult:
+                         mode: str = "exact") -> SpectrumSeries:
     """Monte-Carlo disorder average of per-configuration spectra.
 
     Each sampled configuration (separation, axis direction) is priced
     through the chain held in ``table`` with the coupling factors at
-    their numeric values; the batch mean and standard error estimate the
-    disorder-averaged spectrum that :func:`mqcsim.spectra.spectrum`
-    computes in closed form.  The series takes its kappa and channel
-    from the table and its detunings from the table's z1 grid, which
-    must be purely imaginary.
+    their numeric values; the mean estimates the disorder-averaged
+    spectrum that :func:`mqcsim.spectra.spectrum` computes in closed
+    form.  Configurations are drawn and priced ``MC_BATCH`` at a time.
+    The series takes its kappa and channel from the table and its
+    detunings from the table's z1 grid, which must be purely imaginary;
+    its ``errors`` hold the standard error of the mean, real and
+    imaginary parts packed as a complex number.
 
     Args:
         table: term table from :func:`demodulated_term_table`.  Pass
@@ -466,11 +461,6 @@ def monte_carlo_spectrum(table: TermTable, direction, n_samples: int, *,
             selects a row of the term table.
         n_samples: configuration count, at least two so that the
             standard error is defined.
-        keep_traces: number of unaveraged per-configuration spectra to
-            return alongside the average (single realizations scatter
-            over orders of magnitude, which is itself an observable
-            effect worth reproducing; pass the full table so the traces
-            carry the full chain).
     """
     if n_samples < 2:
         raise ValueError("need at least two configurations for a "
@@ -489,10 +479,9 @@ def monte_carlo_spectrum(table: TermTable, direction, n_samples: int, *,
     # by batch with the pairwise update of Chan, Golub and LeVeque
     running_mean = np.zeros(len(detunings), dtype=complex)
     squares = np.zeros((2, len(detunings)))
-    traces = np.zeros((keep_traces, len(detunings)), dtype=complex)
     done = 0
     while done < n_samples:
-        count = min(batch_size, n_samples - done)
+        count = min(MC_BATCH, n_samples - done)
         xi, n_hat = sample_configurations(rng, count, window)
         weights = _term_weights(table, xi, n_hat, mode)
         batch = (rows.T @ weights) / norm
@@ -504,19 +493,13 @@ def monte_carlo_spectrum(table: TermTable, direction, n_samples: int, *,
         squares[0] += (centred.real**2).sum(axis=1) + pooled * delta.real**2
         squares[1] += (centred.imag**2).sum(axis=1) + pooled * delta.imag**2
         running_mean += delta * (count / (done + count))
-        if done < keep_traces:
-            take = min(keep_traces - done, count)
-            traces[done:done + take] = batch[:, :take].T
         done += count
     mean = total / n_samples
     error_re, error_im = np.sqrt(squares / ((n_samples - 1.0) * n_samples))
-    series = SpectrumSeries(detunings=detunings, values=mean,
-                            kappa=table.kappa, channel=table.channel,
-                            direction=direction,
-                            errors=error_re + 1j * error_im)
-    return MonteCarloResult(series=series, traces=traces,
-                            n_samples=n_samples, seed=seed,
-                            window=tuple(window))
+    return SpectrumSeries(detunings=detunings, values=mean,
+                          kappa=table.kappa, channel=table.channel,
+                          direction=direction,
+                          errors=error_re + 1j * error_im)
 
 
 def monte_carlo_pair_averages(pairs, n_samples: int, *, seed: int,

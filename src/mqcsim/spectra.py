@@ -122,9 +122,13 @@ class SpectrumSeries:
 
 def spectrum(kappa: int, channel: str, direction, theta: float,
              detunings=None, *, xi_bar: float = None, window=None,
-             average_mode: str = "full", fast: bool = False,
-             orders=(0, 2)) -> SpectrumSeries:
+             average_mode: str = "full",
+             fast: bool = False) -> SpectrumSeries:
     """Disorder-averaged demodulated emission spectrum.
+
+    The spectrum sums interaction orders 0 and 2, the single- and
+    double-scattering terms that survive the average (the order-0 term
+    is exactly zero for kappa = 2).
 
     Args:
         kappa: demodulation order, 1 (one-quantum) or 2 (two-quantum).
@@ -139,22 +143,20 @@ def spectrum(kappa: int, channel: str, direction, theta: float,
         average_mode: "full" keeps the complete coupling, or
             "level_shift_only" drops its collective-decay part.
         fast: restrict interaction insertions to the detection stage.
-        orders: interaction orders to sum (the order-0 term is exactly
-            zero for kappa = 2, so the default covers both cases).
 
     Returns:
         SpectrumSeries over the requested grid.
     """
     (series,) = directional_spectra(
         kappa, channel, (direction,), theta, detunings, xi_bar=xi_bar,
-        window=window, average_mode=average_mode, fast=fast, orders=orders)
+        window=window, average_mode=average_mode, fast=fast)
     return series
 
 
 def directional_spectra(kappa: int, channel: str, directions, theta: float,
                         detunings=None, *, xi_bar: float = None,
                         window=None, average_mode: str = "full",
-                        fast: bool = False, orders=(0, 2)) -> tuple:
+                        fast: bool = False) -> tuple:
     """:func:`spectrum` for several detection directions at once.
 
     The averaged pair state does not depend on the detector, so it is
@@ -178,7 +180,7 @@ def directional_spectra(kappa: int, channel: str, directions, theta: float,
     inv_xi_squared = mean_inverse_xi_squared(xi_bar=xi_bar, window=window)
     z1 = 1j * detunings
     averaged = PhaseTaggedVector()
-    for order in orders:
+    for order in (0, 2):
         averaged = averaged + averaged_solution(
             order, z1, theta, channel=channel, kappa=kappa,
             inv_xi_squared=inv_xi_squared, mode=average_mode, fast=fast)

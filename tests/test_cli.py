@@ -13,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 import mqcsim
 from mqcsim import __version__
 from mqcsim.cli import family_z_limit, main
-from mqcsim.config import RunConfig
+from mqcsim.config import MAX_DETUNING_COUNT, RunConfig
 from mqcsim.spectra import (
+    leading_order_peaks,
     mean_free_path,
     mean_scattering_cross_section,
     spectrum,
@@ -79,6 +80,24 @@ def test_no_function_takes_a_picture(name):
     assert "picture" not in _parameters(name)
 
 
+#: settings of the chain and its readers that no run varies: the chain
+#: computes only the detected signal, integrated over the detection time
+#: (z2 = 0, stationary mode projected out), summed over orders 0 and 2,
+#: and sampled in fixed batches
+FIXED_SETTINGS = ("z2", "restrict_stationary", "initial", "orders",
+                  "batch_size", "keep_traces")
+
+
+@pytest.mark.parametrize("name", mqcsim.__all__ + [
+    "expansion.two_pulse_chain", "oracle.demodulated_term_table"])
+def test_no_function_takes_a_fixed_setting(name):
+    fixed = set(FIXED_SETTINGS)
+    if name == "oracle.demodulated_term_table":
+        # oracle-check and mc-average build their tables to different orders
+        fixed.discard("orders")
+    assert not fixed & set(_parameters(name))
+
+
 def test_gamma_flag_leaves_spectrum_data_unchanged(tmp_path):
     # --gamma is the SI rate of the cross-section and the energy budget;
     # the spectra are computed in units of the decay rate
@@ -137,6 +156,9 @@ SMALL_SPECTRUM = ["spectrum", "--kappas", "2", "--channels", "parallel",
       "--detuning-count", "3", "--mc-samples", "1"], None),
     (SMALL_SPECTRUM + ["--detuning-half-range", "1e-320"], None),
     (SMALL_SPECTRUM + ["--detuning-half-range", "1e308"], None),
+    (["spectrum", "--kappas", "2", "--channels", "parallel",
+      "--detuning-count", "100000000000000000000"], None),
+    (SMALL_SPECTRUM + ["--detuning-count", str(MAX_DETUNING_COUNT + 1)], None),
 ])
 def test_bad_inputs_exit_with_two(tmp_path, capsys, argv, config):
     argv = argv + ["--output-dir", str(tmp_path / "run")]
@@ -331,6 +353,29 @@ def test_table1_reports_closed_and_fitted_coefficients(tmp_path):
                        data["closed_coefficient"][nonzero], rtol=0.02)
 
 
+@pytest.mark.parametrize("theta,code", [("0", 2), ("1e-200", 2),
+                                        ("1e-100", 0)])
+def test_table1_at_vanishing_pulse_areas(tmp_path, capsys, theta, code):
+    # at 0 and 1e-200 the one-quantum peak that normalizes the table is 0
+    # (theta^2 underflows); at 1e-100 it is not, and the closed-form
+    # coefficients do not depend on theta
+    out = tmp_path / "table"
+    assert main(["table1", "--theta", theta, "--output-dir", str(out)]) == code
+    if code == 2:
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: ")
+        assert not out.exists()
+        return
+    data = read_data(out / "table1.tsv")
+    closed = leading_order_peaks(1.0, 80.0)
+    for row in data:
+        key = (int(row["kappa"]), str(row["direction"]), str(row["channel"]))
+        assert row["closed_coefficient"] == closed[key]
+    nonzero = data["closed_form"] != 0.0
+    assert np.allclose(data["fitted_coefficient"][nonzero],
+                       data["closed_coefficient"][nonzero], rtol=0.02)
+
+
 def test_cross_section_matches_library_values(tmp_path):
     out = tmp_path / "xs"
     assert main(["cross-section", "--density", "1e14",
@@ -400,6 +445,24 @@ def test_mc_average_failure_exits_with_one(tmp_path):
     report = (out / "mc_average.txt").read_text()
     assert "PASS tensor_moments" in report
     assert report.count("FAIL mc_peak") == 2
+
+
+def test_zero_pulse_area_checks_pass_with_zero_signal(tmp_path):
+    # a zero area prunes every monomial: the term tables hold no terms
+    for argv in (["oracle-check", "--oracle-directions", "1"],
+                 ["mc-average", "--mc-samples", "100",
+                  "--detuning-count", "3"]):
+        out = tmp_path / argv[0]
+        assert main(argv + ["--theta", "0", "--output-dir", str(out)]) == 0
+        (report,) = out.glob("*.txt")
+        checks = [line for line in report.read_text().splitlines()
+                  if line.startswith(("PASS", "FAIL"))]
+        assert checks and all(c.startswith("PASS") for c in checks)
+    series = sorted((tmp_path / "mc-average").glob("mc_*.tsv"))
+    assert len(series) == 8
+    for path in series:
+        data = read_data(path)
+        assert not np.any(data["Re_S"]) and not np.any(data["Im_S"])
 
 
 def test_oracle_check_passes_at_one_orientation(tmp_path):

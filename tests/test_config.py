@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from mqcsim.config import (
     ConfigError,
+    MAX_DETUNING_COUNT,
     PACKING_CONSTANT,
     RunConfig,
     write_series,
@@ -93,10 +94,17 @@ def test_separation_sources_resolve_and_conflict():
     {"gamma_to_zero": "yes"},
     {"output_dir": 5},
     {"mc_samples": 1},
+    {"detuning_count": 10**20},
+    {"detuning_count": MAX_DETUNING_COUNT + 1},
 ])
 def test_invalid_fields_are_rejected(fields):
     with pytest.raises(ConfigError):
         RunConfig(**fields)
+
+
+def test_largest_detuning_grid_is_accepted():
+    grid = RunConfig(detuning_count=MAX_DETUNING_COUNT).detunings()
+    assert grid.size == MAX_DETUNING_COUNT
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)

@@ -187,7 +187,7 @@ def test_average_state_rejects_higher_orders():
 
 def test_average_state_on_demodulated_chain():
     inv2 = mean_inverse_xi_squared(xi_bar=80.0)
-    vec = scattering_solution(2, 0.3 + 0.1j, 0.2, 0.4, channel="parallel",
+    vec = scattering_solution(2, 0.3 + 0.1j, 0.4, channel="parallel",
                               kappa=1)
     out = average_state(vec, inv2)
     # demodulation plus survival pin the exponents: per pulse -1/+1 net,

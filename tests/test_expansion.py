@@ -64,89 +64,118 @@ def test_kick_keep_filter_prunes_monomials():
     assert {m.powers for m, _ in vec.items()} == {(-1, 0, -1, 0)}
 
 
-def _dense_phase_evaluation(theta, channel, phases, tensor, order, z1, z2):
-    """Reference chain with phases and tensor entries as plain numbers."""
-    from scipy.linalg import inv
-
-    second_pol = {"parallel": "x", "perpendicular": "y"}[channel]
+def _pair_generator():
     gen = decay_generator()
-    pair_gen = np.kron(gen, np.eye(16)) + np.kron(np.eye(16), gen)
+    return np.kron(gen, np.eye(16)) + np.kron(np.eye(16), gen)
 
-    def resolvent_mat(z):
-        return inv(z * np.eye(256) - pair_gen)
 
-    def kick_mat(pulse, pol):
-        kick = kick_decomposition(theta, pol)
-        if pulse == 1:
-            m1, m2 = kick.as_matrix(phases[0]), kick.as_matrix(phases[2])
-        else:
-            m1, m2 = kick.as_matrix(phases[1]), kick.as_matrix(phases[3])
-        return np.kron(m1, m2)
+def _stationary_projector():
+    """P0 = |ground pair><trace|, the pair's stationary decay mode."""
+    ground = expand(pair_operator(matrix_unit(1, 1), matrix_unit(1, 1)))
+    trace = expand(pair_operator(np.eye(4), np.eye(4)))
+    return np.outer(ground, trace.conj())
 
+
+def _restricted_resolvent(z):
+    """Dense (z - L + P0)^-1 (1 - P0): the resolvent without its
+    stationary mode, regular at z = 0."""
+    p0 = _stationary_projector()
+    shifted = z * np.eye(256) - _pair_generator() + p0
+    return lambda v: np.linalg.solve(shifted, v - p0 @ v)
+
+
+def _dense_kick(theta, polarization, phase1, phase2, net):
+    """Pair kick at the two atoms' phases; with ``net``, only the
+    harmonics (p1, p2) with p1 + p2 == net."""
+    kick = kick_decomposition(theta, polarization)
+    if net is None:
+        return np.kron(kick.as_matrix(phase1), kick.as_matrix(phase2))
+    return sum(np.exp(1j * (p1 * phase1 + p2 * phase2))
+               * np.kron(kick.harmonic(p1), kick.harmonic(p2))
+               for p1 in range(-2, 3) for p2 in range(-2, 3)
+               if p1 + p2 == net)
+
+
+def _dense_phase_evaluation(theta, channel, phases, tensor, order, solve1,
+                            solve2, kappa=None):
+    """Reference chain with phases and tensor entries as plain numbers.
+
+    ``solve1`` and ``solve2`` apply the interpulse and detection-stage
+    resolvents; ``kappa`` keeps only the kick harmonics that reach that
+    demodulation order.
+    """
+    second_pol = {"parallel": "x", "perpendicular": "y"}[channel]
+    net1, net2 = (None, None) if kappa is None else (-kappa, kappa)
+    kick1 = _dense_kick(theta, "x", phases[0], phases[2], net1)
+    kick2 = _dense_kick(theta, second_pol, phases[1], phases[3], net2)
     v_total = interaction_matrices(tensor).total
-    state = kick_mat(1, "x") @ expand(pair_operator(matrix_unit(1, 1), matrix_unit(1, 1)))
+    state = kick1 @ expand(pair_operator(matrix_unit(1, 1), matrix_unit(1, 1)))
     total = np.zeros(256, dtype=complex)
     for between in range(order + 1):
-        part = resolvent_mat(z1) @ state
+        part = solve1(state)
         for _ in range(between):
-            part = resolvent_mat(z1) @ (v_total @ part)
-        part = resolvent_mat(z2) @ (kick_mat(2, second_pol) @ part)
+            part = solve1(v_total @ part)
+        part = solve2(kick2 @ part)
         for _ in range(order - between):
-            part = resolvent_mat(z2) @ (v_total @ part)
+            part = solve2(v_total @ part)
         total += part
     return total
+
+
+PHASES = np.array([0.4, -1.1, 2.2, 0.9])
 
 
 @pytest.mark.parametrize("order,channel", [(0, "parallel"), (2, "perpendicular"),
                                            (3, "parallel")])
 def test_scattering_solution_matches_dense_fixed_configuration(order, channel):
-    theta = 0.7
-    z1, z2 = 0.3 + 0.2j, 0.17 - 0.4j
-    phases = np.array([0.4, -1.1, 2.2, 0.9])
+    theta, z1 = 0.7, 0.3 + 0.2j
     tensor = coupling_tensor(5.3, [0.2, -0.5, 0.84])
-    symbolic = scattering_solution(order, z1, z2, theta, channel=channel,
-                                   restrict_stationary=False)
-    got = symbolic.evaluate(phases, tensor)
-    want = _dense_phase_evaluation(theta, channel, phases, tensor, order, z1, z2)
+    symbolic = scattering_solution(order, z1, theta, channel=channel)
+    got = symbolic.evaluate(PHASES, tensor)
+    want = _dense_phase_evaluation(theta, channel, PHASES, tensor, order,
+                                   _restricted_resolvent(z1),
+                                   _restricted_resolvent(0.0))
     assert np.allclose(got, want, atol=1e-12)
 
 
 def test_scattering_solution_restriction_spares_demodulated_components():
-    theta = 0.9
-    z1, z2 = 0.21 + 0.5j, 0.33
-    full = scattering_solution(0, z1, z2, theta, restrict_stationary=False)
-    restricted = scattering_solution(0, z1, z2, theta, restrict_stationary=True)
-    ground = expand(pair_operator(matrix_unit(1, 1), matrix_unit(1, 1)))
-    ground /= np.linalg.norm(ground)
-    checked_exact = checked_ground = 0
-    for monomial, coeffs in full.items():
-        if monomial.pulse_net[0] == 0:
-            # unmodulated-background sector, restriction genuinely differs
-            continue
-        other = restricted.terms.get(monomial, np.zeros(256))
-        diff = coeffs - other
-        if sum(monomial.powers) != 0:
-            # no stationary weight anywhere along the chain
-            assert np.allclose(diff, 0.0, atol=1e-13)
-            checked_exact += 1
-        else:
-            # stationary weight can appear only at the final resolvent,
-            # so the mismatch stays in the detection-null ground direction
-            assert np.allclose(diff - np.vdot(ground, diff) * ground, 0.0,
-                               atol=1e-13)
-            checked_ground += 1
-    assert checked_exact > 0 and checked_ground > 0
+    # the reference inverts z1 - L plainly and solves the deflated
+    # (0 - L + P0) at z2 = 0 on the unprojected vector, so weight that the
+    # chain's projection discarded would show up as a mismatch
+    theta, z1 = 0.9, 0.21 + 0.5j
+    tensor = coupling_tensor(6.1, [0.3, 0.6, -0.4])
+    generator = _pair_generator()
+    free = z1 * np.eye(256) - generator
+    shifted = _stationary_projector() - generator
+    plain = lambda v: np.linalg.solve(free, v)
+    deflated = lambda v: np.linalg.solve(shifted, v)
+    for kappa, channel in ((1, "parallel"), (2, "perpendicular")):
+        for order in (0, 2, 3):
+            symbolic = scattering_solution(order, z1, theta, channel=channel,
+                                           kappa=kappa)
+            got = symbolic.evaluate(PHASES, tensor)
+            want = _dense_phase_evaluation(theta, channel, PHASES, tensor,
+                                           order, plain, deflated, kappa)
+            scale = np.max(np.abs(want))
+            assert scale > 1e-7
+            assert np.allclose(got, want, atol=1e-10 * scale)
+    # the unmodulated background does carry stationary weight, which the
+    # same reference keeps and the chain projects out
+    background = scattering_solution(0, z1, theta).evaluate(PHASES)
+    want = _dense_phase_evaluation(theta, "parallel", PHASES, tensor, 0,
+                                   plain, deflated)
+    assert not np.allclose(background, want, atol=1e-6)
 
 
 def test_demodulation_pruning_keeps_reachable_monomials():
-    vec = scattering_solution(0, 0.2, 0.1, 0.8, channel="parallel", kappa=2)
+    vec = scattering_solution(0, 0.2, 0.8, channel="parallel", kappa=2)
     assert len(vec) > 0
     for monomial, _ in vec.items():
         assert monomial.pulse_net == (-2, 2)
     # the two-atom product pathway contributes a (-1, +1) x (-1, +1) monomial
     assert any(m.powers == (-1, 1, -1, 1) for m, _ in vec.items())
     # pruned chains agree with post-filtered unpruned chains
-    unpruned = scattering_solution(0, 0.2, 0.1, 0.8, channel="parallel")
+    unpruned = scattering_solution(0, 0.2, 0.8, channel="parallel")
     filtered = unpruned.filtered(demodulation_keep(2))
     assert set(filtered.terms) == set(vec.terms)
     for monomial, coeffs in vec.items():
@@ -154,22 +183,22 @@ def test_demodulation_pruning_keeps_reachable_monomials():
 
 
 def test_resolvent_inverts_pair_generator():
+    # random coefficients carry stationary weight, which the resolvent
+    # projects out: (z - L + P0) x = (1 - P0) coeffs
     rng = np.random.default_rng(4)
     coeffs = rng.normal(size=256) + 1j * rng.normal(size=256)
     vec = PhaseTaggedVector({PhaseMonomial((1, 0, -1, 0)): coeffs})
-    z = 0.4 - 0.7j
-    out = apply_resolvent(vec, z)
-    gen = decay_generator()
-    pair_gen = np.kron(gen, np.eye(16)) + np.kron(np.eye(16), gen)
-    [(_, transformed)] = out.items()
-    assert np.allclose((z * np.eye(256) - pair_gen) @ transformed, coeffs, atol=1e-10)
+    p0 = _stationary_projector()
+    for z in (0.4 - 0.7j, 0.0):
+        [(_, transformed)] = apply_resolvent(vec, z).items()
+        shifted = z * np.eye(256) - _pair_generator() + p0
+        assert np.allclose(shifted @ transformed, coeffs - p0 @ coeffs,
+                           atol=1e-10)
+    assert np.max(np.abs(p0 @ coeffs)) > 0.1
 
 
 def test_resolvent_pole_handling():
-    vec = initial_vector()
-    with pytest.raises(PoleError):
-        apply_resolvent(vec, 0.0)
-    restricted = apply_resolvent(vec, 0.0, restrict_stationary=True)
+    restricted = apply_resolvent(initial_vector(), 0.0)
     [(_, coeffs)] = restricted.items()
     assert np.all(np.isfinite(coeffs))
     # the initial state is purely stationary, so restriction empties it
@@ -183,8 +212,6 @@ def test_resolvent_pole_guard_on_a_grid():
     vec = PhaseTaggedVector({PhaseMonomial((1, 0, 0, 0)): optical})
     with pytest.raises(PoleError):
         apply_resolvent(vec, zs)
-    with pytest.raises(PoleError):
-        apply_resolvent(vec, zs, restrict_stationary=True)
     # sigma_14 on both atoms decays at 1 and has no weight on the pole
     both = expand(pair_operator(matrix_unit(1, 4), matrix_unit(1, 4)))
     vec = PhaseTaggedVector({PhaseMonomial((1, 0, 1, 0)): both})
@@ -207,10 +234,10 @@ def test_resolvent_broadcasts_over_a_grid_of_z_values():
 
 def test_scattering_solution_accepts_a_vector_of_z1_values():
     zs = 1j * np.array([-0.5, 0.0, 1.5])
-    batched = scattering_solution(2, zs, 0.0, 0.6, channel="parallel", kappa=1)
+    batched = scattering_solution(2, zs, 0.6, channel="parallel", kappa=1)
     zero = np.zeros(256, dtype=complex)
     for i, z in enumerate(zs):
-        single = scattering_solution(2, z, 0.0, 0.6, channel="parallel", kappa=1)
+        single = scattering_solution(2, z, 0.6, channel="parallel", kappa=1)
         # exact-zero pruning may keep roundoff-dust keys on one side only,
         # so compare over the union with absent entries read as zero
         for monomial in set(single.terms) | set(batched.terms):
@@ -233,27 +260,12 @@ def test_apply_interaction_matches_assembled_generator():
     assert np.allclose(got, want, atol=1e-12)
 
 
-def test_scattering_solution_is_linear_in_initial_vector():
-    rng = np.random.default_rng(11)
-    c1 = rng.normal(size=256) + 1j * rng.normal(size=256)
-    c2 = rng.normal(size=256) + 1j * rng.normal(size=256)
-    mon = PhaseMonomial((0, 0, 0, 0))
-    kwargs = dict(order=0, z1=0.3, z2=0.2 + 0.1j, theta=0.7)
-    out1 = scattering_solution(initial=PhaseTaggedVector({mon: c1}), **kwargs)
-    out2 = scattering_solution(initial=PhaseTaggedVector({mon: c2}), **kwargs)
-    combo = scattering_solution(
-        initial=PhaseTaggedVector({mon: 2.0 * c1 - 1.5j * c2}), **kwargs)
-    phases = np.array([0.2, -0.4, 1.3, 0.6])
-    want = 2.0 * out1.evaluate(phases) - 1.5j * out2.evaluate(phases)
-    assert np.allclose(combo.evaluate(phases), want, atol=1e-11)
-
-
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=10, deadline=None)
 def test_total_grade_equals_total_phase_exponent(seed):
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.2, 1.4)
-    vec = scattering_solution(2, 0.4, 0.3, theta, channel="perpendicular",
+    vec = scattering_solution(2, 0.4, theta, channel="perpendicular",
                               kappa=int(rng.integers(1, 3)))
     total_grade = (BASIS_GRADES[:, None] + BASIS_GRADES[None, :]).reshape(-1)
     for monomial, coeffs in vec.items():

@@ -10,6 +10,7 @@ from mqcsim.atom import decay_generator, free_propagator, kick_decomposition
 from mqcsim.coupling import coupling_tensor, interaction_matrices
 from mqcsim.disorder import angular_average, mean_inverse_xi_squared
 from mqcsim.oracle import (
+    MC_BATCH,
     IntegrationError,
     OracleRun,
     _deflated_solve,
@@ -338,32 +339,46 @@ def _surviving_table(kappa, channel, detunings):
         (0, 1, 2), THETA, channel, kappa, 1j * detunings))
 
 
-def test_monte_carlo_is_deterministic_and_keeps_traces():
+def test_monte_carlo_is_deterministic():
     table = _surviving_table(1, "parallel", np.linspace(-2.0, 2.0, 5))
-    first = monte_carlo_spectrum(table, "y", 400, seed=5, keep_traces=2)
-    second = monte_carlo_spectrum(table, "y", 400, seed=5, keep_traces=2)
-    assert np.array_equal(first.series.values, second.series.values)
-    assert np.array_equal(first.series.errors, second.series.errors)
-    assert np.array_equal(first.traces, second.traces)
-    assert first.traces.shape == (2, 5)
-    assert first.window == WINDOW
+    first = monte_carlo_spectrum(table, "y", 400, seed=5)
+    second = monte_carlo_spectrum(table, "y", 400, seed=5)
+    assert np.array_equal(first.values, second.values)
+    assert np.array_equal(first.errors, second.errors)
+    other = monte_carlo_spectrum(table, "y", 400, seed=6)
+    assert not np.array_equal(first.values, other.values)
     # one configuration has no standard error
     with pytest.raises(ValueError):
-        monte_carlo_spectrum(table, "x", 1, seed=9, keep_traces=1)
+        monte_carlo_spectrum(table, "x", 1, seed=9)
 
 
-@pytest.mark.parametrize("batch_size", [None, 128])
-def test_monte_carlo_errors_are_the_sample_standard_error(batch_size):
-    """Batched centred sums reproduce the two-pass standard error."""
-    kwargs = {} if batch_size is None else {"batch_size": batch_size}
+@pytest.mark.parametrize("n_samples", [600, MC_BATCH + 904])
+def test_monte_carlo_errors_are_the_sample_standard_error(n_samples):
+    """Batched centred sums reproduce the two-pass mean and standard error.
+
+    The per-configuration spectra are priced one at a time from the same
+    seed's draws, taken in the batches the sampler takes; past one batch
+    the batches' sums combine.
+    """
     table = _surviving_table(1, "parallel", np.linspace(-2.0, 2.0, 5))
-    result = monte_carlo_spectrum(table, "y", 600, seed=5, keep_traces=600,
-                                  **kwargs)
-    root_n = np.sqrt(600)
+    result = monte_carlo_spectrum(table, "y", n_samples, seed=5)
+    rng = np.random.default_rng(5)
+    traces = []
+    for start in range(0, n_samples, MC_BATCH):
+        count = min(MC_BATCH, n_samples - start)
+        for xi, n_hat in zip(*sample_configurations(rng, count, WINDOW)):
+            components = fixed_configuration_components(table, xi, n_hat)
+            traces.append(components["y"] / np.sqrt(2.0 * np.pi))
+    traces = np.array(traces)
+    np.testing.assert_allclose(result.values, traces.mean(axis=0),
+                               rtol=1e-10, atol=0)
+    root_n = np.sqrt(n_samples)
     for part in (np.real, np.imag):
-        want = part(result.traces).std(axis=0, ddof=1) / root_n
-        np.testing.assert_allclose(part(result.series.errors), want,
-                                   rtol=1e-10, atol=0)
+        want = part(traces).std(axis=0, ddof=1) / root_n
+        # Im S at resonance is roundoff in every configuration, and so is
+        # its error, which the two pricings round differently
+        np.testing.assert_allclose(part(result.errors), want, rtol=1e-10,
+                                   atol=1e-10 * np.max(want))
 
 
 def test_monte_carlo_takes_a_detector_label():
@@ -379,7 +394,7 @@ def test_monte_carlo_series_takes_its_chain_from_the_table():
         table = demodulated_term_table((0, 1, 2), THETA, channel, kappa,
                                        1j * detunings)
         for passed in (table, surviving_term_table(table)):
-            series = monte_carlo_spectrum(passed, "x", 10, seed=11).series
+            series = monte_carlo_spectrum(passed, "x", 10, seed=11)
             assert (series.kappa, series.channel) == (kappa, channel)
             assert np.array_equal(series.detunings, detunings)
     # a z1 grid off the imaginary axis names no detunings
@@ -397,9 +412,9 @@ def test_monte_carlo_matches_closed_form_average():
         sampled = monte_carlo_spectrum(table, direction, 20000, seed=42)
         closed = spectrum(kappa, channel, direction, THETA, detunings,
                           window=WINDOW)
-        difference = sampled.series.values - closed.values
-        sigma_re = np.maximum(sampled.series.errors.real, 1e-300)
-        sigma_im = np.maximum(sampled.series.errors.imag, 1e-300)
+        difference = sampled.values - closed.values
+        sigma_re = np.maximum(sampled.errors.real, 1e-300)
+        sigma_im = np.maximum(sampled.errors.imag, 1e-300)
         assert np.max(np.abs(difference.real) / sigma_re) < 3.0
         assert np.max(np.abs(difference.imag) / sigma_im) < 3.0
 
@@ -413,8 +428,7 @@ def test_surviving_families_average_to_closed_form_exactly():
     perpendicular two-quantum channel resolves at the percent level.
     """
     z1 = np.array([0.0 + 0.0j])
-    full = demodulated_term_table((0, 1, 2), THETA, "perpendicular", 2,
-                                  z1, 0.0)
+    full = demodulated_term_table((0, 1, 2), THETA, "perpendicular", 2, z1)
     kept = surviving_term_table(full)
     assert 0 < len(kept.tags) < len(full.tags)
     for exponent, tags in zip(kept.phase_exponents, kept.tags):
@@ -454,9 +468,9 @@ def test_surviving_families_average_to_closed_form_exactly():
     assert residue.real < 0
 
     sampled = monte_carlo_spectrum(full, "x", 20000, seed=7)
-    gap = sampled.series.values[0] - complete
-    assert abs(gap.real) < 3.0 * sampled.series.errors[0].real
-    assert abs(gap.imag) < 3.0 * sampled.series.errors[0].imag
+    gap = sampled.values[0] - complete
+    assert abs(gap.real) < 3.0 * sampled.errors[0].real
+    assert abs(gap.imag) < 3.0 * sampled.errors[0].imag
 
 
 def test_monte_carlo_pair_averages_match_isotropic_moments():
