@@ -44,6 +44,9 @@ _CART_LABELS = {"x": 0, "y": 1, "z": 2}
 #: polarization of the second pulse in each channel; the first is always x
 SECOND_POLARIZATION = {"parallel": "x", "perpendicular": "y"}
 
+#: detector labels: a detector looks along one Cartesian axis
+DETECTION_DIRECTIONS = ("x", "y")
+
 
 class PoleError(ValueError):
     """Raised when a resolvent is evaluated on one of its poles."""
@@ -71,6 +74,29 @@ def dipole_lowering(pol: str) -> np.ndarray:
         return dipole_components()[_CART_LABELS[pol]]
     except (KeyError, TypeError):
         raise ValueError(f"unknown polarization label {pol!r}") from None
+
+
+def detector_index(direction) -> int:
+    """Position of a detector label in ``DETECTION_DIRECTIONS``, which
+    is also its row in every array of detected rows."""
+    if not isinstance(direction, str) or direction not in DETECTION_DIRECTIONS:
+        raise ValueError(f"unknown detection direction {direction!r}")
+    return DETECTION_DIRECTIONS.index(direction)
+
+
+def detection_observable(direction: str) -> np.ndarray:
+    """Single-atom observable seen by a detector along ``direction``, a
+    label in ``DETECTION_DIRECTIONS``.
+
+    Emission toward the detector couples to the dipole components
+    transverse to the line of sight, so the observable is the sum of
+    the two excited-sublevel populations whose dipoles are transverse:
+    sum_kl (delta_kl - e_k e_l) D_k^dag D_l.
+    """
+    e_hat = np.eye(3)[detector_index(direction)]
+    transverse = np.eye(3) - np.outer(e_hat, e_hat)
+    dips = dipole_components()
+    return np.einsum("kl,kba,lbc->ac", transverse, dips.conj(), dips)
 
 
 @functools.cache

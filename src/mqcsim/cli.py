@@ -345,17 +345,19 @@ def run_mc_average(config: RunConfig) -> int:
     written = []
     for kappa in config.kappas:
         for channel in config.channels:
-            # seed- and direction-independent: built once per channel,
-            # restricted to the families the closed-form average keeps
+            # seed-independent: built once per channel, restricted to the
+            # families the closed-form average keeps; one draw prices
+            # both detectors
             table = surviving_term_table(demodulated_term_table(
                 MC_ORDERS, theta, channel, kappa, 1j * detunings))
             closed_pair = directional_spectra(
                 kappa, channel, DETECTION_DIRECTIONS, theta, detunings,
                 window=window)
-            for direction, closed in zip(DETECTION_DIRECTIONS, closed_pair):
-                sampled = monte_carlo_spectrum(
-                    table, direction, config.mc_samples, seed=config.seed,
-                    window=window, mode=config.tensor_mode)
+            sampled_pair = monte_carlo_spectrum(
+                table, config.mc_samples, seed=config.seed, window=window,
+                mode=config.tensor_mode)
+            for direction, closed, sampled in zip(
+                    DETECTION_DIRECTIONS, closed_pair, sampled_pair):
                 difference = sampled.values[center] - closed.values[center]
                 error = sampled.errors[center]
                 # Im S vanishes at resonance up to roundoff, so only the

@@ -12,7 +12,9 @@ command-line flags.
 Data files are UTF-8 delimited text with a ``#``-prefixed metadata
 header; every run also writes a JSON sidecar carrying the full
 configuration, the package version, and the only timestamp of the run,
-so the data files themselves are byte-identical across reruns.
+so the data files themselves are byte-identical across reruns.  Every
+file is written to a temporary file in its directory and renamed onto
+its name, so no output is ever left half written.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -302,13 +305,27 @@ def _format_header(metadata: dict) -> str:
     return "\n".join(lines)
 
 
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file beside it and a
+    rename, so that a failed or interrupted write leaves no partial file
+    and an earlier file of that name intact."""
+    path = Path(path)
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
 def write_table(path, columns: dict, metadata: dict) -> None:
     """Write named columns as delimited text under a metadata header.
 
     ``columns`` maps column names to equal-length sequences; floats are
     rendered in full double precision so reruns are byte-identical.
     """
-    path = Path(path)
     names = list(columns)
     rows = zip(*(columns[name] for name in names))
     body = ["\t".join(names)]
@@ -316,7 +333,8 @@ def write_table(path, columns: dict, metadata: dict) -> None:
         body.append("\t".join(
             f"{value:.17g}" if isinstance(value, float) else str(value)
             for value in row))
-    path.write_text(_format_header(metadata) + "\n" + "\n".join(body) + "\n")
+    _write_text(path,
+                _format_header(metadata) + "\n" + "\n".join(body) + "\n")
 
 
 def write_series(path, series, metadata: dict) -> None:
@@ -337,12 +355,12 @@ def write_series(path, series, metadata: dict) -> None:
 
 def write_report(path, lines, metadata: dict) -> None:
     """Write pass/fail report lines under a metadata header."""
-    Path(path).write_text(
-        _format_header(metadata) + "\n" + "\n".join(lines) + "\n")
+    _write_text(path,
+                _format_header(metadata) + "\n" + "\n".join(lines) + "\n")
 
 
 def write_sidecar(path, payload: dict) -> None:
     """Write the JSON sidecar; the run timestamp lives only here."""
     record = dict(payload)
     record["timestamp"] = datetime.now(timezone.utc).isoformat()
-    Path(path).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(record, indent=2, sort_keys=True) + "\n")

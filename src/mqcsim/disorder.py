@@ -28,14 +28,22 @@ coupling switched off); same-kind pairs then survive with weight
 -<Omega Omega> because only half of each product oscillates.
 
 :func:`averaged_solution` runs the split driver of the expansion,
-:func:`mqcsim.expansion.two_pulse_chain`, with the average interleaved.
-The driver builds each interpulse prefix once and runs the splits from
-the longest prefix down, freeing each prefix once used, which keeps the
-peak memory low.
+:func:`mqcsim.expansion.two_pulse_chain`, with the average interleaved,
+and returns the detected rows.  The second kick keeps only the harmonic
+pair that cancels the position phases, and the last insertion of every
+split carries the factor-pair weights
+(:func:`_effective_final_insertions`).  In the detection stage, which
+the driver runs backward from the detectors, that insertion is the
+first matrix of every tail: a tail of one insertion is tagged by the
+factor it still needs, and the next insertion, or an interpulse prefix
+carrying that factor, closes it.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+from .atom import DETECTION_DIRECTIONS
 from .coupling import sparse_interaction_pieces
 from .expansion import (
     PhaseMonomial,
@@ -126,29 +134,36 @@ def _effective_final_insertions(inv_xi_squared: float, mode: str) -> dict:
 
 def averaged_solution(order: int, z1, theta: float, channel: str = "parallel",
                       kappa: int = 1, *, inv_xi_squared: float,
-                      mode: str = "full",
-                      fast: bool = False) -> PhaseTaggedVector:
-    """Geometry-averaged demodulated pair state after both pulses.
+                      mode: str = "full", fast: bool = False) -> np.ndarray:
+    """Detected rows of the geometry-averaged demodulated pair state.
 
-    Equal to the full expansion followed by ``average_state``, but the
-    average is interleaved with the chain: the second kick keeps only
-    components whose position phases already cancel (later insertions
-    never change the phase exponents), and the final insertion of each
-    split applies the factor-pair weights directly, so the working set
-    stays small enough to batch a whole frequency grid through ``z1``.
-    The detection stage is integrated over time (z2 = 0), as in
+    Equal to the full expansion followed by ``average_state`` and the
+    detector projection, but the average is interleaved with the chain:
+    the second kick keeps only the harmonic pair that cancels the
+    position phases (p1 = -a, p2 = -c; later insertions never change the
+    phase exponents), and the last insertion of each split applies the
+    factor-pair weights directly, as the first matrix of every detection
+    tail or as the last of the interpulse prefix.  The detection stage
+    is integrated over time (z2 = 0), as in
     :func:`mqcsim.expansion.scattering_solution`.
+
+    Returns:
+        array of shape (len(DETECTION_DIRECTIONS), len(z1)): the
+        detected value per detector (rows in ``DETECTION_DIRECTIONS``
+        order) over the z1 grid.
     """
     if order not in (0, 2):
         raise ValueError("averaged chains support interaction orders 0 and 2")
     demod = demodulation_keep(kappa)
     closing = (_effective_final_insertions(inv_xi_squared, mode)
                if order else None)
-    return two_pulse_chain(
+    rows = two_pulse_chain(
         order, z1, theta, channel,
         keep1=lambda m: m.pulse_net[0] == -kappa,
         keep2=lambda m: demod(m) and m.atom_net == (0, 0),
         closing=closing, fast=fast)
+    shape = (len(DETECTION_DIRECTIONS), np.size(z1))
+    return sum(rows.values(), np.zeros(shape, dtype=complex))
 
 
 def average_state(vector: PhaseTaggedVector, inv_xi_squared: float,

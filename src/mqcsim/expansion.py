@@ -19,8 +19,9 @@ disorder average to replacing factor multisets by scalar weights
 
 Everything here works in the state picture: components are pieces of
 the density operator, and the free resolvent, interaction, and kick
-maps act on them from the left.  Time dependence is handled in the
-Laplace domain; the exact free resolvent is applied through the
+maps act on them from the left; the detection tails below apply the
+same matrices to covectors, from the right.  Time dependence is handled
+in the Laplace domain; the exact free resolvent is applied through the
 analytic eigendecomposition of the single-atom decay generator.
 
 The chain computes only what is detected: fluorescence integrated over
@@ -43,13 +44,20 @@ the diagonal block of each atom index, one elementwise multiply by
 hold a few hundred nonzeros out of 65,536 and are applied as sparse
 matrices.
 
-One driver, :func:`two_pulse_chain`, sums over the splits of the
-insertions between the two windows, for :func:`scattering_solution` and
-:func:`mqcsim.disorder.averaged_solution` alike.  It builds each
-interpulse prefix once and runs the splits from the longest prefix
-down, freeing each prefix as its split uses it; in the other order a
-tagged prefix would stay alive through the next split's detection
-stage, where the working set peaks, and raise the peak memory.
+One driver, :func:`two_pulse_chain`, yields the detected rows of the
+chain for :func:`mqcsim.oracle.demodulated_term_table` and
+:func:`mqcsim.disorder.averaged_solution` alike; it sums over the splits
+of the insertions between the two windows.  The interpulse stage runs
+forward on the z1 grid: each prefix, the state after kick 1 and some
+insertions, is built once from the one before.  The detection stage does
+not depend on z1, so it runs once from the other end: the conjugated
+detector rows times R(0) are pulled back through one insertion (a
+transposed sparse piece) and one R(0) per step, with no z1 axis.  These
+tails are merged by the sorted multiset of their tags: 1, 12, 78 and 364
+of them for 0-3 insertions.  Each prefix monomial meets all tails of the
+remaining length, through every kick-2 harmonic pair, in one stacked
+matrix product.  :func:`scattering_solution` keeps the whole forward
+state and is the reference that the tests check the driver against.
 """
 
 from __future__ import annotations
@@ -59,7 +67,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atom import (SECOND_POLARIZATION, PoleError, decay_eigensystem,
+from .atom import (DETECTION_DIRECTIONS, SECOND_POLARIZATION, PoleError,
+                   decay_eigensystem, detection_observable,
                    kick_decomposition)
 from .basis import (
     NUM_OPS,
@@ -74,6 +83,9 @@ from .coupling import sparse_interaction_pieces, tensor_tag_value
 #: basis indices spanned by the population decay modes; every other
 #: basis element is a decay mode on its own
 POPULATION_BLOCK = 4
+
+#: kick harmonics (p_atom1, p_atom2) of one pulse on the pair
+_HARMONIC_PAIRS = tuple((p1, p2) for p1 in range(-2, 3) for p2 in range(-2, 3))
 
 
 @dataclass(frozen=True)
@@ -314,50 +326,195 @@ def demodulation_keep(kappa: int):
     return lambda monomial: monomial.pulse_net == (-kappa, kappa)
 
 
+def _detection_covector(direction) -> np.ndarray:
+    """Coefficients of the observable a detector along ``direction``
+    reads, summed over both atoms; a state's detected value is the
+    conjugate covector times its coefficients."""
+    single = detection_observable(direction)
+    identity = np.eye(4, dtype=complex)
+    pair = pair_operator(single, identity) + pair_operator(identity, single)
+    return expand(pair)
+
+
+@functools.cache
+def _detection_resolvent() -> tuple:
+    """R(0) transposed, and the detector rows times R(0), transposed.
+
+    R(0) is :func:`apply_resolvent` at z = 0 applied to the identity, so
+    the detection tails project out the stationary mode exactly as the
+    forward chain does.  The detector rows are the conjugated detection
+    covectors in ``DETECTION_DIRECTIONS`` order, and the second array,
+    of shape (256, 2), starts every tail.
+    """
+    identity = PhaseTaggedVector(
+        {PhaseMonomial((0, 0, 0, 0)): np.eye(NUM_OPS_PAIR, dtype=complex)})
+    [(_, resolvent)] = apply_resolvent(identity, 0.0).items()
+    transposed = np.ascontiguousarray(resolvent.T)
+    rows = np.stack([_detection_covector(d).conj()
+                     for d in DETECTION_DIRECTIONS])
+    return transposed, transposed @ rows.T
+
+
+@functools.cache
+def _transposed_pieces() -> dict:
+    """Interaction pieces as transposed CSR matrices, for covectors."""
+    return {tag: piece.T.tocsr()
+            for tag, piece in sparse_interaction_pieces().items()}
+
+
+def _grow_tails(tails: dict, steps) -> dict:
+    """Tails one insertion longer: ``steps(tags)`` yields the new tag
+    tuple and the transposed insertion matrix of every way to extend a
+    tail tagged ``tags``; the extended tails are merged by tag tuple and
+    multiplied by R(0), all in one product."""
+    resolvent, _ = _detection_resolvent()
+    grown = {}
+    for tags, block in tails.items():
+        for key, piece in steps(tags):
+            new = piece @ block
+            grown[key] = grown[key] + new if key in grown else new
+    keys = list(grown)
+    stacked = resolvent @ np.concatenate([grown[k] for k in keys], axis=1)
+    return {key: stacked[:, 2 * i:2 * i + 2] for i, key in enumerate(keys)}
+
+
+@functools.cache
+def _interaction_tails(length: int) -> dict:
+    """Tails of ``length`` plain insertions, merged by the sorted
+    multiset of their tags; they depend on nothing else, so every chain
+    shares them."""
+    if length == 0:
+        return {(): _detection_resolvent()[1]}
+    pieces = _transposed_pieces()
+    return _grow_tails(
+        _interaction_tails(length - 1),
+        lambda tags: ((tuple(sorted(tags + (tag,))), piece)
+                      for tag, piece in pieces.items()))
+
+
+def _detection_tails(length: int, closing=None) -> list:
+    """Detector rows pulled back through the detection stage.
+
+    Entry n maps tag tuples to the transposed covectors (256, 2) of all
+    tails of n insertions, detector rows times R(0) (V R(0))^n, merged
+    by the sorted multiset of the insertions' tags.  With ``closing``
+    (the averaged chain), the insertion nearest the detector is
+    ``closing[t]`` and the tail's tag (t,) names the factor it still
+    needs; the next insertion, V_t, closes it to a tag-free tail.
+    """
+    if closing is None:
+        return [_interaction_tails(n) for n in range(length + 1)]
+    pieces = _transposed_pieces()
+
+    def steps(tags):
+        if tags:
+            return (((), pieces[tags[0]]),)
+        return (((tag,), matrix.T) for tag, matrix in closing.items())
+
+    tails = [_interaction_tails(0)]
+    for _ in range(length):
+        tails.append(_grow_tails(tails[-1], steps))
+    return tails
+
+
 def two_pulse_chain(order: int, z1, theta: float, channel: str, *,
                     keep1=None, keep2=None, closing=None,
-                    fast: bool = False) -> PhaseTaggedVector:
-    """Sum over interaction splits of the two-pulse chain.
+                    fast: bool = False) -> dict:
+    """Detected rows of the two-pulse chain, summed over interaction splits.
 
     Split ``between`` puts that many of the ``order`` insertions before
     the second kick (resolvents at ``z1``) and the rest after it, in
-    the detection stage (resolvents at z2 = 0).  Each split's result
-    goes in front of the running sum, so the monomials keep the order
-    of an increasing-split sum.  ``keep1`` and ``keep2`` optionally
-    filter the monomials of the two kicks.  ``closing`` optionally
-    maps, per tag, the last insertion of every split to a tag-free
-    monomial (the averaged chain); otherwise every insertion is
-    :func:`apply_interaction`.  The other arguments are those of
-    :func:`scattering_solution`.
+    the detection stage (resolvents at z2 = 0).  The interpulse prefixes
+    run forward on the z1 grid, each built once from the one before;
+    the detection stage runs backward from the detectors once, with no
+    z1 axis (:func:`_detection_tails`).  Every prefix monomial of split
+    s is kicked into all tails of ``order`` - s insertions by one
+    stacked product per kick-2 harmonic pair (p1, p2).
+
+    ``keep1`` and ``keep2`` optionally filter the monomials of the two
+    kicks.  ``closing`` optionally maps, per tag, the last insertion of
+    every split to a tag-free monomial (the averaged chain); otherwise
+    every insertion is :func:`apply_interaction`.  The other arguments
+    are those of :func:`scattering_solution`.
+
+    Returns:
+        dict mapping (net atom-1 phase exponent, sorted tags) to the
+        detected rows, shape (len(DETECTION_DIRECTIONS), len(z1)), of
+        the monomials with that key.  Keys whose rows cancel to zero may
+        be present.
     """
-    second_pol = SECOND_POLARIZATION[channel]
+    z1 = np.atleast_1d(np.asarray(z1, dtype=complex))
+    splits = (0,) if fast else tuple(range(order + 1))
+    tails = _detection_tails(order, closing)
+    harmonics = kick_decomposition(theta, SECOND_POLARIZATION[channel])
+    transposed = {p: harmonics.harmonic(p).T for p in range(-2, 3)}
+
+    def join(prefix_tags, tail_tags):
+        if closing is None:
+            return tuple(sorted(prefix_tags + tail_tags))
+        return () if prefix_tags == tail_tags else None
+
+    out = {}
+
+    def contract(prefix, length):
+        # every prefix monomial against all tails it joins, for each kick-2
+        # pair, over the basis rows where the monomial is nonzero; the
+        # rows are summed per key once the split's keys are known
+        tail_tags = list(tails[length])
+        block = np.concatenate([tails[length][t] for t in tail_tags], axis=1)
+        joined, kept, kicked, index, pending = {}, {}, {}, {}, []
+        for monomial, coeffs in prefix.items():
+            if monomial.tags not in joined:
+                targets = [(i, join(monomial.tags, t))
+                           for i, t in enumerate(tail_tags)]
+                targets = [(i, key) for i, key in targets if key is not None]
+                chosen = (slice(None) if len(targets) == len(tail_tags)
+                          else [i for i, _ in targets])
+                joined[monomial.tags] = chosen, [key for _, key in targets]
+            chosen, keys = joined[monomial.tags]
+            if monomial.powers not in kept:
+                kept[monomial.powers] = [
+                    pair for pair in _HARMONIC_PAIRS if keep2 is None
+                    or keep2(monomial.kicked(2, *pair))]
+            support = np.flatnonzero(np.any(coeffs, axis=1))
+            for p1, p2 in kept[monomial.powers] if keys else ():
+                if (p1, p2) not in kicked:
+                    kicked[(p1, p2)] = np.ascontiguousarray(apply_factorized(
+                        transposed[p1], transposed[p2], block).T).reshape(
+                            len(tail_tags), -1, NUM_OPS_PAIR)
+                rows = kicked[(p1, p2)][chosen].reshape(
+                    -1, NUM_OPS_PAIR)[:, support] @ coeffs[support]
+                a = monomial.powers[0] + p1
+                pending.append((
+                    [index.setdefault((a, tags), len(index)) for tags in keys],
+                    rows))
+        sums = np.zeros((len(index), len(DETECTION_DIRECTIONS), z1.size),
+                        dtype=complex)
+        for rows_at, rows in pending:
+            sums[rows_at] += rows.reshape(len(rows_at), -1, z1.size)
+        for key, i in index.items():
+            out[key] = out[key] + sums[i] if key in out else sums[i]
 
     def insert(vector, step):
         if closing is None or step < order - 1:
             return apply_interaction(vector)
-        out = PhaseTaggedVector()
+        closed = PhaseTaggedVector()
         for monomial, coeffs in vector.items():
             (tag,) = monomial.tags
             new = closing[tag] @ coeffs
             if np.any(new):
-                out.add_term(PhaseMonomial(monomial.powers), new)
-        return out
+                closed.add_term(PhaseMonomial(monomial.powers), new)
+        return closed
 
-    splits = (0,) if fast else tuple(range(order + 1))
-    prefixes = [apply_resolvent(
-        apply_kick(initial_vector(), 1, theta, "x", keep=keep1), z1)]
-    for step in range(splits[-1]):
-        prefixes.append(apply_resolvent(insert(prefixes[-1], step), z1))
-    total = PhaseTaggedVector()
-    for between in reversed(splits):
-        part = apply_kick(prefixes.pop(), 2, theta, second_pol, keep=keep2)
-        part = apply_resolvent(part, 0.0)
-        for step in range(between, order):
-            # two statements, so that the uninserted part is freed first
-            part = insert(part, step)
-            part = apply_resolvent(part, 0.0)
-        total = part + total
-    return total
+    prefix = apply_resolvent(
+        apply_kick(initial_vector(), 1, theta, "x", keep=keep1), z1)
+    contract(prefix, order)
+    for between in splits[1:]:
+        # two statements, so that the shorter prefix is freed first
+        prefix = insert(prefix, between - 1)
+        prefix = apply_resolvent(prefix, z1)
+        contract(prefix, order - between)
+    return out
 
 
 def scattering_solution(order: int, z1, theta: float,
@@ -397,5 +554,18 @@ def scattering_solution(order: int, z1, theta: float,
     if kappa is not None:
         keep1 = lambda m: m.pulse_net[0] == -kappa
         keep2 = demodulation_keep(kappa)
-    return two_pulse_chain(order, z1, theta, channel, keep1=keep1,
-                           keep2=keep2, fast=fast)
+    second_pol = SECOND_POLARIZATION[channel]
+    splits = (0,) if fast else tuple(range(order + 1))
+    prefixes = [apply_resolvent(
+        apply_kick(initial_vector(), 1, theta, "x", keep=keep1), z1)]
+    for _ in range(splits[-1]):
+        prefixes.append(apply_resolvent(apply_interaction(prefixes[-1]), z1))
+    total = PhaseTaggedVector()
+    for between in splits:
+        part = apply_resolvent(
+            apply_kick(prefixes[between], 2, theta, second_pol, keep=keep2),
+            0.0)
+        for _ in range(between, order):
+            part = apply_resolvent(apply_interaction(part), 0.0)
+        total = total + part
+    return total

@@ -36,16 +36,12 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from .atom import SECOND_POLARIZATION, dipole_components, dipole_lowering
+from .atom import (DETECTION_DIRECTIONS, SECOND_POLARIZATION,
+                   detection_observable, dipole_components, dipole_lowering)
 from .basis import NUM_OPS_PAIR, build_single_atom_basis, matrix_unit
 from .coupling import TAG_KEYS, coupling_tensor, tensor_tag_value
-from .expansion import scattering_solution
-from .spectra import (
-    DETECTION_DIRECTIONS,
-    SpectrumSeries,
-    _detection_covector,
-    detection_observable,
-)
+from .expansion import demodulation_keep, two_pulse_chain
+from .spectra import SpectrumSeries
 
 _EYE4 = np.eye(4, dtype=complex)
 _EYE16 = np.eye(16, dtype=complex)
@@ -244,27 +240,24 @@ class TermTable:
 
 def demodulated_term_table(orders, theta: float, channel: str, kappa: int,
                            z1_values) -> TermTable:
-    """Collect the demodulated perturbative chain into a term table,
-    projecting each monomial on the detectors as it is merged.
+    """Collect the detected rows of the demodulated perturbative chain
+    into a term table, one term per (phase exponent, tags) key.
 
-    A chain that keeps no monomial (a zero pulse area prunes them all)
-    gives a table of no terms, with ``coeffs`` of shape (0, 2, len(z1)).
+    Keys whose rows are all exactly zero contribute nothing to any
+    configuration and are left out; a chain that keeps no monomial (a
+    zero pulse area prunes them all) gives a table of no terms, with
+    ``coeffs`` of shape (0, 2, len(z1)).
     """
     z1_arr = np.atleast_1d(np.asarray(z1_values, dtype=complex))
-    covectors = np.stack([_detection_covector(d).conj()
-                          for d in DETECTION_DIRECTIONS])
     merged: dict = {}
     for order in orders:
-        solution = scattering_solution(order, z1_arr, theta,
-                                       channel=channel, kappa=kappa)
-        for monomial, coeffs in solution.items():
-            key = (monomial.atom_net[0], monomial.tags)
-            rows = covectors @ coeffs.reshape(NUM_OPS_PAIR, -1)
-            if key in merged:
-                merged[key] = merged[key] + rows
-            else:
-                merged[key] = rows
-    keys = sorted(merged, key=repr)
+        rows = two_pulse_chain(order, z1_arr, theta, channel,
+                               keep1=lambda m: m.pulse_net[0] == -kappa,
+                               keep2=demodulation_keep(kappa))
+        for key, value in rows.items():
+            merged[key] = merged[key] + value if key in merged else value
+    keys = sorted((key for key, value in merged.items() if np.any(value)),
+                  key=repr)
     shape = (len(keys), len(DETECTION_DIRECTIONS), len(z1_arr))
     return TermTable(
         phase_exponents=tuple(k[0] for k in keys),
@@ -432,19 +425,19 @@ def surviving_term_table(table: TermTable) -> TermTable:
     )
 
 
-def monte_carlo_spectrum(table: TermTable, direction, n_samples: int, *,
-                         seed: int, window=(67.2, 92.8),
-                         mode: str = "exact") -> SpectrumSeries:
+def monte_carlo_spectrum(table: TermTable, n_samples: int, *, seed: int,
+                         window=(67.2, 92.8), mode: str = "exact") -> tuple:
     """Monte-Carlo disorder average of per-configuration spectra.
 
     Each sampled configuration (separation, axis direction) is priced
     through the chain held in ``table`` with the coupling factors at
     their numeric values; the mean estimates the disorder-averaged
     spectrum that :func:`mqcsim.spectra.spectrum` computes in closed
-    form.  Configurations are drawn and priced ``MC_BATCH`` at a time.
-    The series takes its kappa and channel from the table and its
+    form.  Configurations are drawn and priced ``MC_BATCH`` at a time,
+    and every draw prices both detectors: one series per table row.
+    The series take their kappa and channel from the table and their
     detunings from the table's z1 grid, which must be purely imaginary;
-    its ``errors`` hold the standard error of the mean, real and
+    their ``errors`` hold the standard error of the mean, real and
     imaginary parts packed as a complex number.
 
     Args:
@@ -457,49 +450,54 @@ def monte_carlo_spectrum(table: TermTable, direction, n_samples: int, *,
             relative bias of order 1/(xi window width) that the small
             perpendicular two-quantum channel resolves at the percent
             level.
-        direction: detector label, one of ``DETECTION_DIRECTIONS``; it
-            selects a row of the term table.
         n_samples: configuration count, at least two so that the
             standard error is defined.
+
+    Returns:
+        tuple of SpectrumSeries, one per direction in
+        ``DETECTION_DIRECTIONS`` order.
     """
     if n_samples < 2:
         raise ValueError("need at least two configurations for a "
                          "standard error")
-    if not isinstance(direction, str) or direction not in DETECTION_DIRECTIONS:
-        raise ValueError(f"unknown detection direction {direction!r}")
     if np.any(table.z1_values.real != 0.0):
         raise ValueError("term table z1 grid must be purely imaginary "
                          "(i times the detunings)")
     detunings = table.z1_values.imag.copy()
-    rows = table.coeffs[:, DETECTION_DIRECTIONS.index(direction)]
+    directions = len(DETECTION_DIRECTIONS)
     rng = np.random.default_rng(seed)
     norm = np.sqrt(2.0 * np.pi)
-    total = np.zeros(len(detunings), dtype=complex)
+    total = np.zeros((directions, len(detunings)), dtype=complex)
     # running mean and centred sums of squares of (Re, Im), combined batch
     # by batch with the pairwise update of Chan, Golub and LeVeque
-    running_mean = np.zeros(len(detunings), dtype=complex)
-    squares = np.zeros((2, len(detunings)))
+    running_mean = np.zeros((directions, len(detunings)), dtype=complex)
+    squares = np.zeros((directions, 2, len(detunings)))
     done = 0
     while done < n_samples:
         count = min(MC_BATCH, n_samples - done)
         xi, n_hat = sample_configurations(rng, count, window)
         weights = _term_weights(table, xi, n_hat, mode)
-        batch = (rows.T @ weights) / norm
-        total += batch.sum(axis=1)
-        batch_mean = batch.mean(axis=1)
-        centred = batch - batch_mean[:, None]
-        delta = batch_mean - running_mean
         pooled = done * count / (done + count)
-        squares[0] += (centred.real**2).sum(axis=1) + pooled * delta.real**2
-        squares[1] += (centred.imag**2).sum(axis=1) + pooled * delta.imag**2
-        running_mean += delta * (count / (done + count))
+        for d in range(directions):
+            batch = (table.coeffs[:, d].T @ weights) / norm
+            total[d] += batch.sum(axis=1)
+            batch_mean = batch.mean(axis=1)
+            centred = batch - batch_mean[:, None]
+            delta = batch_mean - running_mean[d]
+            squares[d, 0] += ((centred.real**2).sum(axis=1)
+                              + pooled * delta.real**2)
+            squares[d, 1] += ((centred.imag**2).sum(axis=1)
+                              + pooled * delta.imag**2)
+            running_mean[d] += delta * (count / (done + count))
         done += count
     mean = total / n_samples
-    error_re, error_im = np.sqrt(squares / ((n_samples - 1.0) * n_samples))
-    return SpectrumSeries(detunings=detunings, values=mean,
-                          kappa=table.kappa, channel=table.channel,
-                          direction=direction,
-                          errors=error_re + 1j * error_im)
+    errors = np.sqrt(squares / ((n_samples - 1.0) * n_samples))
+    return tuple(
+        SpectrumSeries(detunings=detunings, values=mean[d],
+                       kappa=table.kappa, channel=table.channel,
+                       direction=direction,
+                       errors=errors[d, 0] + 1j * errors[d, 1])
+        for d, direction in enumerate(DETECTION_DIRECTIONS))
 
 
 def monte_carlo_pair_averages(pairs, n_samples: int, *, seed: int,

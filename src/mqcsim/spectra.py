@@ -1,10 +1,11 @@
 """Fluorescence observables of the driven atom pair.
 
 Assembles the disorder-averaged demodulated emission spectra from the
-symbolic two-pulse expansion: evaluate the doubly Laplace-transformed
-pair state at z1 = i * detuning along the interpulse delay and z2 = 0
-along the detection time, average over pair geometry, then contract
-with the excited-population observable seen by a detector.  Also
+symbolic two-pulse expansion: the doubly Laplace-transformed pair state
+at z1 = i * detuning along the interpulse delay and z2 = 0 along the
+detection time, averaged over pair geometry and read by the
+excited-population observable of each detector, all in one chain
+(:func:`mqcsim.disorder.averaged_solution`).  Also
 provides the closed-form small-area peak amplitudes the spectra reduce
 to, and the dimensional helpers (pulse area from pulse energy, dipole
 moment from the decay rate, Doppler-averaged scattering cross-section
@@ -24,46 +25,18 @@ from scipy.constants import hbar as _HBAR
 from scipy.constants import mu_0 as _MU_0
 from scipy.special import erfcx
 
-from .atom import SECOND_POLARIZATION, dipole_components
-from .basis import expand, pair_operator
+# the detector labels and observable are re-exported with the spectra
+from .atom import (DETECTION_DIRECTIONS, SECOND_POLARIZATION,
+                   detection_observable, detector_index)
 from .disorder import averaged_solution, mean_inverse_xi_squared
-from .expansion import PhaseTaggedVector
+from .expansion import PhaseTaggedVector, _detection_covector
 
-DETECTION_DIRECTIONS = ("x", "y")
 POLARIZATION_CHANNELS = tuple(SECOND_POLARIZATION)
 DEMODULATION_ORDERS = (1, 2)
 
 #: default detuning grid (units of gamma), wide enough to resolve the
 #: gamma/2-scale line shapes with margin
 DEFAULT_DETUNINGS = np.linspace(-10.0, 10.0, 801)
-
-
-def _direction_vector(direction: str) -> np.ndarray:
-    if not isinstance(direction, str) or direction not in DETECTION_DIRECTIONS:
-        raise ValueError(f"unknown detection direction {direction!r}")
-    return np.eye(3)[DETECTION_DIRECTIONS.index(direction)]
-
-
-def detection_observable(direction: str) -> np.ndarray:
-    """Single-atom observable seen by a detector along ``direction``, a
-    label in ``DETECTION_DIRECTIONS``.
-
-    Emission toward the detector couples to the dipole components
-    transverse to the line of sight, so the observable is the sum of
-    the two excited-sublevel populations whose dipoles are transverse:
-    sum_kl (delta_kl - e_k e_l) D_k^dag D_l.
-    """
-    e_hat = _direction_vector(direction)
-    transverse = np.eye(3) - np.outer(e_hat, e_hat)
-    dips = dipole_components()
-    return np.einsum("kl,kba,lbc->ac", transverse, dips.conj(), dips)
-
-
-def _detection_covector(direction) -> np.ndarray:
-    single = detection_observable(direction)
-    identity = np.eye(4, dtype=complex)
-    pair = pair_operator(single, identity) + pair_operator(identity, single)
-    return expand(pair)
 
 
 def detection_projection(vector: PhaseTaggedVector, direction) -> dict:
@@ -159,8 +132,8 @@ def directional_spectra(kappa: int, channel: str, directions, theta: float,
                         fast: bool = False) -> tuple:
     """:func:`spectrum` for several detection directions at once.
 
-    The averaged pair state does not depend on the detector, so it is
-    computed once and projected onto each direction.  Arguments are
+    The averaged chain yields the rows of every detector at once, so
+    this costs the same as one :func:`spectrum` call.  Arguments are
     those of :func:`spectrum`, with ``directions`` a sequence of
     directions.
 
@@ -178,24 +151,16 @@ def directional_spectra(kappa: int, channel: str, directions, theta: float,
     if detunings.ndim != 1 or detunings.size == 0:
         raise ValueError("detunings must be a non-empty 1d grid")
     inv_xi_squared = mean_inverse_xi_squared(xi_bar=xi_bar, window=window)
-    z1 = 1j * detunings
-    averaged = PhaseTaggedVector()
-    for order in (0, 2):
-        averaged = averaged + averaged_solution(
-            order, z1, theta, channel=channel, kappa=kappa,
-            inv_xi_squared=inv_xi_squared, mode=average_mode, fast=fast)
-    out = []
-    for direction in directions:
-        raw = detection_projection(averaged, direction).get(kappa)
-        if raw is None:
-            values = np.zeros(detunings.size, dtype=complex)
-        else:
-            values = np.broadcast_to(raw, (detunings.size,)).astype(complex)
-        values = values / np.sqrt(2.0 * np.pi)
-        out.append(SpectrumSeries(detunings=detunings, values=values,
-                                  kappa=kappa, channel=channel,
-                                  direction=direction))
-    return tuple(out)
+    indices = [detector_index(direction) for direction in directions]
+    rows = sum(averaged_solution(order, 1j * detunings, theta,
+                                 channel=channel, kappa=kappa,
+                                 inv_xi_squared=inv_xi_squared,
+                                 mode=average_mode, fast=fast)
+               for order in (0, 2)) / np.sqrt(2.0 * np.pi)
+    return tuple(SpectrumSeries(detunings=detunings, values=rows[index],
+                                kappa=kappa, channel=channel,
+                                direction=direction)
+                 for index, direction in zip(indices, directions))
 
 
 def leading_order_peaks(theta: float, xi_bar: float) -> dict:
@@ -292,6 +257,8 @@ def pulse_area_from_energy(pulse_energy: float, duration: float,
     """
     if min(pulse_energy, duration, beam_cross_section, dipole) <= 0:
         raise ValueError("all pulse parameters must be positive")
+    # Python floats: a budget that overflows gives an infinite area, which
+    # the configuration refuses, without a numpy overflow warning
     return 2.0 * dipole * np.sqrt(
-        duration * _C_LIGHT * _MU_0 * pulse_energy * np.sqrt(np.pi)
+        duration * _C_LIGHT * _MU_0 * pulse_energy * math.sqrt(math.pi)
         / beam_cross_section) / _HBAR

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from mqcsim.config import (
     MAX_DETUNING_COUNT,
     PACKING_CONSTANT,
     RunConfig,
+    write_report,
     write_series,
     write_sidecar,
     write_table,
@@ -123,6 +125,8 @@ _MAYBE = st.none() | _FINITE
          wavelength=None, theta=None, pulse=(1e300, 1e300, 1e-300))
 @example(xi_bar=None, mean_separation=None, density=None,
          wavelength=1e300, theta=None, pulse=(1.0, 1.0, 1.0))
+@example(xi_bar=None, mean_separation=None, density=None,
+         wavelength=None, theta=None, pulse=(1.0, 1.0, 5e-324))
 def test_accepted_configurations_resolve_to_finite_scales(
         xi_bar, mean_separation, density, wavelength, theta, pulse):
     # any finite input is either refused as a configuration error or
@@ -194,6 +198,36 @@ def test_write_table_is_byte_identical_and_parseable(tmp_path):
     assert body[0].split("\t") == ["name", "value"]
     # full double precision survives the round trip
     assert float(body[1].split("\t")[1]) == 1.0 / 3.0
+
+
+@pytest.mark.parametrize("write", [
+    lambda path, text: write_table(path, {"name": ["ok", text]}, {"seed": 1}),
+    lambda path, text: write_report(path, ["PASS ok", text], {"seed": 1}),
+], ids=["table", "report"])
+def test_failed_write_leaves_no_partial_file(tmp_path, write):
+    # a lone surrogate has no UTF-8 encoding, so the write fails after the
+    # file is opened
+    target = tmp_path / "out.tsv"
+    with pytest.raises(UnicodeEncodeError):
+        write(target, "\ud800")
+    assert list(tmp_path.iterdir()) == []
+    # an earlier file of that name survives a failed write unchanged
+    write(target, "fine")
+    before = target.read_bytes()
+    with pytest.raises(UnicodeEncodeError):
+        write(target, "\ud800")
+    assert target.read_bytes() == before
+    assert [path.name for path in tmp_path.iterdir()] == ["out.tsv"]
+
+
+def test_failed_rename_leaves_no_sidecar(tmp_path, monkeypatch):
+    def refuse(source, target):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError):
+        write_sidecar(tmp_path / "run.json", {"config": {"seed": 3}})
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_write_series_emits_error_columns_when_present(tmp_path):

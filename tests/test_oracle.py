@@ -33,7 +33,8 @@ from mqcsim.oracle import (
     surviving_term_table,
     time_domain_evolve,
 )
-from mqcsim.spectra import spectrum
+from mqcsim.expansion import _detection_covector, scattering_solution
+from mqcsim.spectra import DETECTION_DIRECTIONS, spectrum
 
 #: pulse area and geometry used throughout unless a test needs otherwise
 THETA = 0.14 * np.pi
@@ -334,6 +335,70 @@ def test_single_exchange_component_is_even_in_axis_sign():
     assert np.max(np.abs(plus["y"] - minus["y"])) < 1e-10 * scale
 
 
+def _forward_rows(order, z1, kappa, channel):
+    """Term-table rows of the forward chain: every monomial of
+    ``scattering_solution`` projected on the conjugated detector
+    covectors and merged by (atom-1 phase exponent, tags)."""
+    covectors = np.stack([_detection_covector(d).conj()
+                          for d in DETECTION_DIRECTIONS])
+    merged = {}
+    for monomial, coeffs in scattering_solution(
+            order, z1, THETA, channel=channel, kappa=kappa).items():
+        key = (monomial.atom_net[0], monomial.tags)
+        merged[key] = merged.get(key, 0.0) + covectors @ coeffs
+    return merged
+
+
+@pytest.mark.parametrize("kappa", [1, 2])
+@pytest.mark.parametrize("channel", ["parallel", "perpendicular"])
+def test_term_table_matches_forward_chain(kappa, channel):
+    """The detector-first table against the forward chain, order by order.
+
+    Both builds leave some keys whose rows are roundoff of the order of
+    1e-17 of the table's peak where the other build cancels them
+    exactly, so the key sets are compared above 1e-13 of the peak and
+    the rows over the union, absent rows reading as zero.
+    """
+    z1 = 0.25 + 1j * np.linspace(-2.0, 2.0, 5)
+    wanted = {order: _forward_rows(order, z1, kappa, channel)
+              for order in (0, 1, 2, 3)}
+    peaks = {order: max(np.max(np.abs(rows)) for rows in want.values())
+             for order, want in wanted.items()}
+    overall = max(peaks.values())
+    assert overall > 1e-4
+    zero = np.zeros((len(DETECTION_DIRECTIONS), len(z1)))
+    for order, want in wanted.items():
+        table = demodulated_term_table((order,), THETA, channel, kappa, z1)
+        got = dict(zip(zip(table.phase_exponents, table.tags), table.coeffs))
+        if peaks[order] < 1e-14 * overall:
+            # a vanishing order (the order-0 perpendicular one-quantum
+            # signal, say) is roundoff in both builds
+            assert all(np.max(np.abs(rows)) < 1e-14 * overall
+                       for rows in got.values())
+            continue
+        peak = peaks[order]
+
+        def significant(rows):
+            return {key for key, value in rows.items()
+                    if np.max(np.abs(value)) > 1e-13 * peak}
+
+        assert significant(got) == significant(want)
+        for key in set(got) | set(want):
+            difference = got.get(key, zero) - want.get(key, zero)
+            assert np.max(np.abs(difference)) <= 1e-12 * peak, (order, key)
+
+
+def test_term_table_holds_only_contributing_terms():
+    z1 = 1j * np.linspace(-3.0, 3.0, 7)
+    for kappa, channel in ((1, "parallel"), (2, "perpendicular")):
+        table = demodulated_term_table((0, 1, 2), THETA, channel, kappa, z1)
+        assert len(table.tags) > 0
+        for rows in table.coeffs:
+            assert np.any(rows != 0.0)
+        assert len(set(zip(table.phase_exponents, table.tags))) == len(
+            table.tags)
+
+
 def _surviving_table(kappa, channel, detunings):
     return surviving_term_table(demodulated_term_table(
         (0, 1, 2), THETA, channel, kappa, 1j * detunings))
@@ -341,15 +406,16 @@ def _surviving_table(kappa, channel, detunings):
 
 def test_monte_carlo_is_deterministic():
     table = _surviving_table(1, "parallel", np.linspace(-2.0, 2.0, 5))
-    first = monte_carlo_spectrum(table, "y", 400, seed=5)
-    second = monte_carlo_spectrum(table, "y", 400, seed=5)
-    assert np.array_equal(first.values, second.values)
-    assert np.array_equal(first.errors, second.errors)
-    other = monte_carlo_spectrum(table, "y", 400, seed=6)
-    assert not np.array_equal(first.values, other.values)
+    first = monte_carlo_spectrum(table, 400, seed=5)
+    second = monte_carlo_spectrum(table, 400, seed=5)
+    other = monte_carlo_spectrum(table, 400, seed=6)
+    for a, b, c in zip(first, second, other):
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.errors, b.errors)
+        assert not np.array_equal(a.values, c.values)
     # one configuration has no standard error
     with pytest.raises(ValueError):
-        monte_carlo_spectrum(table, "x", 1, seed=9)
+        monte_carlo_spectrum(table, 1, seed=9)
 
 
 @pytest.mark.parametrize("n_samples", [600, MC_BATCH + 904])
@@ -358,34 +424,39 @@ def test_monte_carlo_errors_are_the_sample_standard_error(n_samples):
 
     The per-configuration spectra are priced one at a time from the same
     seed's draws, taken in the batches the sampler takes; past one batch
-    the batches' sums combine.
+    the batches' sums combine.  Both detectors come from the same draws.
     """
     table = _surviving_table(1, "parallel", np.linspace(-2.0, 2.0, 5))
-    result = monte_carlo_spectrum(table, "y", n_samples, seed=5)
+    result = monte_carlo_spectrum(table, n_samples, seed=5)
     rng = np.random.default_rng(5)
     traces = []
     for start in range(0, n_samples, MC_BATCH):
         count = min(MC_BATCH, n_samples - start)
         for xi, n_hat in zip(*sample_configurations(rng, count, WINDOW)):
             components = fixed_configuration_components(table, xi, n_hat)
-            traces.append(components["y"] / np.sqrt(2.0 * np.pi))
+            traces.append([components[d] / np.sqrt(2.0 * np.pi)
+                           for d in DETECTION_DIRECTIONS])
     traces = np.array(traces)
-    np.testing.assert_allclose(result.values, traces.mean(axis=0),
-                               rtol=1e-10, atol=0)
     root_n = np.sqrt(n_samples)
-    for part in (np.real, np.imag):
-        want = part(traces).std(axis=0, ddof=1) / root_n
-        # Im S at resonance is roundoff in every configuration, and so is
-        # its error, which the two pricings round differently
-        np.testing.assert_allclose(part(result.errors), want, rtol=1e-10,
-                                   atol=1e-10 * np.max(want))
+    for d, series in enumerate(result):
+        np.testing.assert_allclose(series.values, traces[:, d].mean(axis=0),
+                                   rtol=1e-10, atol=0)
+        for part in (np.real, np.imag):
+            want = part(traces[:, d]).std(axis=0, ddof=1) / root_n
+            # Im S at resonance is roundoff in every configuration, and so
+            # is its error, which the two pricings round differently
+            np.testing.assert_allclose(part(series.errors), want,
+                                       rtol=1e-10, atol=1e-10 * np.max(want))
 
 
-def test_monte_carlo_takes_a_detector_label():
+def test_monte_carlo_prices_every_detector():
     table = _surviving_table(1, "parallel", np.linspace(-2.0, 2.0, 5))
-    for direction in ("z", (0.0, 1.0, 0.0)):
-        with pytest.raises(ValueError):
-            monte_carlo_spectrum(table, direction, 10, seed=5)
+    series = monte_carlo_spectrum(table, 10, seed=5)
+    assert tuple(s.direction for s in series) == DETECTION_DIRECTIONS
+    # the y detector sees the one-quantum parallel line, the x detector
+    # only its small interaction part
+    x, y = (np.max(np.abs(s.values)) for s in series)
+    assert 0.0 < x < 1e-3 * y
 
 
 def test_monte_carlo_series_takes_its_chain_from_the_table():
@@ -394,14 +465,14 @@ def test_monte_carlo_series_takes_its_chain_from_the_table():
         table = demodulated_term_table((0, 1, 2), THETA, channel, kappa,
                                        1j * detunings)
         for passed in (table, surviving_term_table(table)):
-            series = monte_carlo_spectrum(passed, "x", 10, seed=11)
-            assert (series.kappa, series.channel) == (kappa, channel)
-            assert np.array_equal(series.detunings, detunings)
+            for series in monte_carlo_spectrum(passed, 10, seed=11):
+                assert (series.kappa, series.channel) == (kappa, channel)
+                assert np.array_equal(series.detunings, detunings)
     # a z1 grid off the imaginary axis names no detunings
     shifted = demodulated_term_table((0,), THETA, "parallel", 1,
                                      0.5 + 1j * detunings)
     with pytest.raises(ValueError):
-        monte_carlo_spectrum(shifted, "x", 10, seed=11)
+        monte_carlo_spectrum(shifted, 10, seed=11)
 
 
 def test_monte_carlo_matches_closed_form_average():
@@ -409,7 +480,8 @@ def test_monte_carlo_matches_closed_form_average():
     for kappa, channel, direction in ((1, "parallel", "y"),
                                       (2, "perpendicular", "x")):
         table = _surviving_table(kappa, channel, detunings)
-        sampled = monte_carlo_spectrum(table, direction, 20000, seed=42)
+        sampled = monte_carlo_spectrum(table, 20000, seed=42)[
+            DETECTION_DIRECTIONS.index(direction)]
         closed = spectrum(kappa, channel, direction, THETA, detunings,
                           window=WINDOW)
         difference = sampled.values - closed.values
@@ -467,7 +539,8 @@ def test_surviving_families_average_to_closed_form_exactly():
     assert 0.01 < abs(residue) < 0.035
     assert residue.real < 0
 
-    sampled = monte_carlo_spectrum(full, "x", 20000, seed=7)
+    sampled = monte_carlo_spectrum(full, 20000, seed=7)[
+        DETECTION_DIRECTIONS.index("x")]
     gap = sampled.values[0] - complete
     assert abs(gap.real) < 3.0 * sampled.errors[0].real
     assert abs(gap.imag) < 3.0 * sampled.errors[0].imag
