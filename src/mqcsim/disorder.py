@@ -41,6 +41,8 @@ carrying that factor, closes it.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .atom import DETECTION_DIRECTIONS
@@ -116,10 +118,12 @@ def angular_average(tags, inv_xi_squared: float,
     return (0.5 if mixed else -0.5) * scale * moment
 
 
+@functools.cache
 def _effective_final_insertions(inv_xi_squared: float, mode: str) -> dict:
     """Per open factor, the CSR matrix performing the last insertion and
     the factor-pair average in one step: sum over closing factors of the
-    averaged pair weight times that factor's insertion piece."""
+    averaged pair weight times that factor's insertion piece.  Cached per
+    argument pair; callers only read the matrices."""
     pieces = sparse_interaction_pieces()
     out = {}
     for first in pieces:

@@ -48,15 +48,22 @@ One driver, :func:`two_pulse_chain`, yields the detected rows of the
 chain for :func:`mqcsim.oracle.demodulated_term_table` and
 :func:`mqcsim.disorder.averaged_solution` alike; it sums over the splits
 of the insertions between the two windows.  The interpulse stage runs
-forward on the z1 grid: each prefix, the state after kick 1 and some
-insertions, is built once from the one before.  The detection stage does
-not depend on z1, so it runs once from the other end: the conjugated
-detector rows times R(0) are pulled back through one insertion (a
-transposed sparse piece) and one R(0) per step, with no z1 axis.  These
-tails are merged by the sorted multiset of their tags: 1, 12, 78 and 364
-of them for 0-3 insertions.  Each prefix monomial meets all tails of the
-remaining length, through every kick-2 harmonic pair, in one stacked
-matrix product.  :func:`scattering_solution` keeps the whole forward
+forward along z1: each prefix, the state after kick 1 and some
+insertions, is built once from the one before.  With the stationary mode
+projected out, a resolvent has poles only at the rate sums -1/2, -1,
+-3/2 and -2, so a chain of M z1 resolvents is an exact sum of
+c / (z1 - p)^m with m <= M.  The prefixes therefore carry z1 as the
+K = 1 + 4 M coefficients of these partial fractions
+(:class:`PoleBasis`) whenever that is shorter than the requested grid,
+and the rows are evaluated on the grid only at the end; a short grid,
+or one with a point on a pole, is carried as it is.  The detection
+stage does not depend on z1, so it runs once from the other end: the
+conjugated detector rows times R(0) are pulled back through one
+insertion (a transposed sparse piece) and one R(0) per step, with no z1
+axis.  These tails are merged by the sorted multiset of their tags: 1,
+12, 78 and 364 of them for 0-3 insertions.  Each prefix monomial meets
+all tails of the remaining length, through every kick-2 harmonic pair,
+in one stacked matrix product.  :func:`scattering_solution` keeps the whole forward
 state and is the reference that the tests check the driver against.
 """
 
@@ -249,18 +256,145 @@ def _map_population_block(matrix: np.ndarray, block: np.ndarray) -> np.ndarray:
     return block
 
 
+@functools.cache
+def _pole_rates() -> tuple:
+    """The rate sums r_i + r_j of the pair's decay sectors, without the
+    stationary sector (0, 0): the only poles a resolvent leaves on the
+    z axis, in increasing order."""
+    _, _, rates = _decay_blocks()
+    sums = np.unique(rates[:, None] + rates[None, :])
+    return tuple(float(r) for r in sums if r != 0.0)
+
+
+@dataclass(frozen=True)
+class PoleBasis:
+    """Exact partial-fraction labels of a z axis, in place of a grid.
+
+    With the stationary mode projected out, every resolvent has poles
+    only at :func:`_pole_rates`, so a chain of at most ``multiplicity``
+    resolvents is exactly c_0 + sum over poles p and m <= multiplicity
+    of c_{p,m} / (z - p)^m.  Coefficients carry these K labels on their
+    trailing axis: the constant first, then (p, 1), ..., (p,
+    multiplicity) for each pole in turn.  ``size`` is K, the length of
+    that axis.
+    """
+
+    multiplicity: int
+
+    @property
+    def size(self) -> int:
+        return 1 + len(_pole_rates()) * self.multiplicity
+
+    def label(self, pole: int, power: int) -> int:
+        """Axis index of 1 / (z - _pole_rates()[pole])^power."""
+        return 1 + pole * self.multiplicity + power - 1
+
+    def evaluation(self, z) -> np.ndarray:
+        """(K, len(z)) matrix taking label coefficients to values at z."""
+        z = np.atleast_1d(np.asarray(z, dtype=complex))
+        out = np.ones((self.size, z.size), dtype=complex)
+        for i, pole in enumerate(_pole_rates()):
+            for m in range(1, self.multiplicity + 1):
+                out[self.label(i, m)] = (z - pole) ** -m
+        return out
+
+
+@functools.cache
+def _pole_sectors(basis: PoleBasis) -> tuple:
+    """The division f -> f / (z - r) of every decay sector on ``basis``.
+
+    One entry per pole r: the flat pair indices of its sector, the K x K
+    matrix ``step`` with  (coeffs @ step)  the labels of f / (z - r),
+    and the label (r, multiplicity), whose weight would overflow:
+
+      1 -> (r, 1);   (r, m) -> (r, m + 1);
+      (q, m) -> d^-m (r, 1) - sum_{k=1..m} d^-(m-k+1) (q, k),  d = r - q.
+    """
+    _, _, rates = _decay_blocks()
+    sums = (rates[:, None] + rates[None, :]).reshape(-1)
+    poles, top = _pole_rates(), basis.multiplicity
+    out = []
+    for i, r in enumerate(poles):
+        step = np.zeros((basis.size, basis.size))
+        step[0, basis.label(i, 1)] = 1.0
+        for m in range(1, top):
+            step[basis.label(i, m), basis.label(i, m + 1)] = 1.0
+        for j, q in enumerate(poles):
+            if j == i:
+                continue
+            d = r - q
+            for m in range(1, top + 1):
+                row = basis.label(j, m)
+                step[row, basis.label(i, 1)] = d ** -m
+                for k in range(1, m + 1):
+                    step[row, basis.label(j, k)] = -d ** -(m - k + 1)
+        out.append((np.flatnonzero(sums == r), step, basis.label(i, top)))
+    return tuple(out)
+
+
+def _pole_division(basis: PoleBasis):
+    """Division of decay-mode coefficients (16, 16, K) by z - r_i - r_j
+    on the labels of ``basis``, with the stationary sector sent to 0 and
+    the overflow guard of :func:`apply_resolvent`."""
+    sectors = _pole_sectors(basis)
+
+    def divide(eigen):
+        flat = eigen.reshape(NUM_OPS_PAIR, basis.size)
+        out = np.zeros_like(flat)
+        for rows, step, top in sectors:
+            part = flat[rows]
+            if np.any(part[:, top]):
+                raise PoleError(
+                    f"pole multiplicity above {basis.multiplicity} of {basis}")
+            out[rows] = part @ step
+        return out.reshape(eigen.shape)
+
+    return divide
+
+
+def _grid_division(z):
+    """Elementwise division of decay-mode coefficients (16, 16, ...) by
+    z - r_i - r_j over the grid ``z``, with the stationary sector sent
+    to 0 and the pole guard of :func:`apply_resolvent`."""
+    _, _, rates = _decay_blocks()
+    denom = np.asarray(z, dtype=complex).reshape(1, 1, -1) - (
+        rates[:, None, None] + rates[None, :, None])
+    denom[0, 0] = 1.0
+    on_pole = np.abs(denom) < 1e-12
+    any_pole = bool(np.any(on_pole))
+    inverse = 1.0 / np.where(on_pole, 1.0, denom)
+    inverse[on_pole] = 0.0
+    inverse[0, 0] = 0.0
+
+    def divide(eigen):
+        if any_pole:
+            magnitude = np.abs(eigen)
+            magnitude[0, 0] = 0.0
+            scale = max(np.max(magnitude), 1e-300)
+            if np.any(on_pole & (magnitude > 1e-9 * scale)):
+                raise PoleError(
+                    f"pair resolvent evaluated on a pole at z = {z}")
+        return eigen * inverse
+
+    return divide
+
+
 def apply_resolvent(vector: PhaseTaggedVector, z) -> PhaseTaggedVector:
     """Laplace-domain free evolution of every component (state picture).
 
     The exact pair resolvent (z - L1 - L2)^-1 in the block form of the
     decay eigensystem (see the module docstring): the population block
     of each atom index is mapped to decay modes, every entry is divided
-    by z - r_i - r_j, and the maps are undone.  The denominators and
-    the pole mask are computed once per call for all components.
+    by z - r_i - r_j, and the maps are undone.
 
-    ``z`` may be a scalar or a 1d grid; coefficients may carry one
-    trailing batch axis, which broadcasts against the grid, so a whole
-    frequency grid costs a single pass per component.
+    ``z`` is a scalar, a 1d grid, or a :class:`PoleBasis`.  On a grid,
+    coefficients may carry one trailing batch axis, which broadcasts
+    against the grid, and the division is elementwise, with the
+    denominators and the pole mask computed once per call.  On a pole
+    basis, coefficients carry its K labels on their trailing axis
+    (coefficients without one are constant in z), and the division of
+    each rate sector r is the exact K x K map of f -> f / (z - r)
+    (:func:`_pole_sectors`).
 
     The stationary (both atoms ground) decay mode is projected out
     before inverting: with P0 = |ground pair><trace|, the map is
@@ -271,33 +405,26 @@ def apply_resolvent(vector: PhaseTaggedVector, z) -> PhaseTaggedVector:
     the discarded mode is invisible to fluorescence detection.
 
     Raises:
-        PoleError: a component has weight, above 1e-9 of its largest
-            decay-mode entry, in a sector whose rate sum equals some z
-            of the grid.  Negligible weight on a pole is dropped.
+        PoleError: on a grid, a component has weight, above 1e-9 of its
+            largest decay-mode entry, in a sector whose rate sum equals
+            some z of the grid (negligible weight on a pole is dropped);
+            on a pole basis, a component has weight on the label
+            (r, multiplicity) of its own sector r, which the division
+            would raise past the basis.
     """
-    to_eigen, from_eigen, rates = _decay_blocks()
-    z_arr = np.asarray(z, dtype=complex)
-    denom = z_arr.reshape(1, 1, -1) - (rates[:, None, None]
-                                       + rates[None, :, None])
-    denom[0, 0] = 1.0
-    on_pole = np.abs(denom) < 1e-12
-    any_pole = bool(np.any(on_pole))
-    inverse = 1.0 / np.where(on_pole, 1.0, denom)
-    inverse[on_pole] = 0.0
-    inverse[0, 0] = 0.0
+    to_eigen, from_eigen, _ = _decay_blocks()
+    basis = z if isinstance(z, PoleBasis) else None
+    divide = _grid_division(z) if basis is None else _pole_division(basis)
     out = PhaseTaggedVector()
     for monomial, coeffs in vector.items():
+        if basis is not None and coeffs.ndim == 1:
+            constant = np.zeros((NUM_OPS_PAIR, basis.size), dtype=complex)
+            constant[:, 0] = coeffs
+            coeffs = constant
         block = np.array(coeffs, dtype=complex).reshape(NUM_OPS, NUM_OPS, -1)
         eigen = _map_population_block(to_eigen, block)
-        if any_pole:
-            magnitude = np.abs(eigen)
-            magnitude[0, 0] = 0.0
-            scale = max(np.max(magnitude), 1e-300)
-            if np.any(on_pole & (magnitude > 1e-9 * scale)):
-                raise PoleError(
-                    f"pair resolvent evaluated on a pole at z = {z}")
-        solved = _map_population_block(from_eigen, eigen * inverse)
-        scalar_out = coeffs.ndim == 1 and z_arr.ndim == 0
+        solved = _map_population_block(from_eigen, divide(eigen))
+        scalar_out = coeffs.ndim == 1 and np.ndim(z) == 0
         out.terms[monomial] = (solved.reshape(-1) if scalar_out
                                else solved.reshape(NUM_OPS_PAIR, -1))
     return out
@@ -417,6 +544,16 @@ def _detection_tails(length: int, closing=None) -> list:
     return tails
 
 
+def _interpulse_axis(z1: np.ndarray, resolvents: int):
+    """The z1 axis a chain of ``resolvents`` z1 resolvents carries: the
+    exact :class:`PoleBasis` when it has fewer labels than the grid has
+    points and no grid point lies on a pole, otherwise the grid itself,
+    whose pole guard then reports a point on a pole."""
+    basis = PoleBasis(resolvents)
+    on_pole = np.abs(z1[:, None] - np.array(_pole_rates())) < 1e-12
+    return basis if basis.size < z1.size and not on_pole.any() else z1
+
+
 def two_pulse_chain(order: int, z1, theta: float, channel: str, *,
                     keep1=None, keep2=None, closing=None,
                     fast: bool = False) -> dict:
@@ -425,11 +562,17 @@ def two_pulse_chain(order: int, z1, theta: float, channel: str, *,
     Split ``between`` puts that many of the ``order`` insertions before
     the second kick (resolvents at ``z1``) and the rest after it, in
     the detection stage (resolvents at z2 = 0).  The interpulse prefixes
-    run forward on the z1 grid, each built once from the one before;
+    run forward along z1, each built once from the one before;
     the detection stage runs backward from the detectors once, with no
     z1 axis (:func:`_detection_tails`).  Every prefix monomial of split
     s is kicked into all tails of ``order`` - s insertions by one
     stacked product per kick-2 harmonic pair (p1, p2).
+
+    The z1 axis is chosen once (:func:`_interpulse_axis`): the exact
+    :class:`PoleBasis` of as many resolvents as there are splits when
+    it has fewer labels than ``z1`` has points and no point of ``z1``
+    lies on a pole, and the grid ``z1`` otherwise.  On the pole basis,
+    each key's rows are evaluated on ``z1`` after the last contraction.
 
     ``keep1`` and ``keep2`` optionally filter the monomials of the two
     kicks.  ``closing`` optionally maps, per tag, the last insertion of
@@ -445,6 +588,7 @@ def two_pulse_chain(order: int, z1, theta: float, channel: str, *,
     """
     z1 = np.atleast_1d(np.asarray(z1, dtype=complex))
     splits = (0,) if fast else tuple(range(order + 1))
+    axis = _interpulse_axis(z1, len(splits))
     tails = _detection_tails(order, closing)
     harmonics = kick_decomposition(theta, SECOND_POLARIZATION[channel])
     transposed = {p: harmonics.harmonic(p).T for p in range(-2, 3)}
@@ -488,10 +632,10 @@ def two_pulse_chain(order: int, z1, theta: float, channel: str, *,
                 pending.append((
                     [index.setdefault((a, tags), len(index)) for tags in keys],
                     rows))
-        sums = np.zeros((len(index), len(DETECTION_DIRECTIONS), z1.size),
+        sums = np.zeros((len(index), len(DETECTION_DIRECTIONS), axis.size),
                         dtype=complex)
         for rows_at, rows in pending:
-            sums[rows_at] += rows.reshape(len(rows_at), -1, z1.size)
+            sums[rows_at] += rows.reshape(len(rows_at), -1, axis.size)
         for key, i in index.items():
             out[key] = out[key] + sums[i] if key in out else sums[i]
 
@@ -507,14 +651,17 @@ def two_pulse_chain(order: int, z1, theta: float, channel: str, *,
         return closed
 
     prefix = apply_resolvent(
-        apply_kick(initial_vector(), 1, theta, "x", keep=keep1), z1)
+        apply_kick(initial_vector(), 1, theta, "x", keep=keep1), axis)
     contract(prefix, order)
     for between in splits[1:]:
         # two statements, so that the shorter prefix is freed first
         prefix = insert(prefix, between - 1)
-        prefix = apply_resolvent(prefix, z1)
+        prefix = apply_resolvent(prefix, axis)
         contract(prefix, order - between)
-    return out
+    if axis is z1 or not out:
+        return out
+    values = np.stack(list(out.values())) @ axis.evaluation(z1)
+    return dict(zip(out, values))
 
 
 def scattering_solution(order: int, z1, theta: float,

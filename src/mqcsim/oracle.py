@@ -47,10 +47,13 @@ _EYE4 = np.eye(4, dtype=complex)
 _EYE16 = np.eye(16, dtype=complex)
 _EYE256 = np.eye(NUM_OPS_PAIR, dtype=complex)
 
-#: configurations drawn and priced together by :func:`monte_carlo_spectrum`;
-#: it bounds the (terms, MC_BATCH) weights and (detunings, MC_BATCH)
-#: spectra held at once
+#: configurations drawn and weighed together by :func:`monte_carlo_spectrum`;
+#: it bounds the (terms, MC_BATCH) weights held at once
 MC_BATCH = 4096
+
+#: term-table keys with no row entry above this fraction of the table's
+#: largest entry are roundoff where the exact value is zero
+TERM_FLOOR = 1e-13
 
 
 class IntegrationError(RuntimeError):
@@ -243,10 +246,10 @@ def demodulated_term_table(orders, theta: float, channel: str, kappa: int,
     """Collect the detected rows of the demodulated perturbative chain
     into a term table, one term per (phase exponent, tags) key.
 
-    Keys whose rows are all exactly zero contribute nothing to any
-    configuration and are left out; a chain that keeps no monomial (a
-    zero pulse area prunes them all) gives a table of no terms, with
-    ``coeffs`` of shape (0, 2, len(z1)).
+    Keys with no row entry above ``TERM_FLOOR`` of the table's largest
+    entry are roundoff of exactly cancelling terms and are left out; a
+    chain that keeps no monomial (a zero pulse area prunes them all)
+    gives a table of no terms, with ``coeffs`` of shape (0, 2, len(z1)).
     """
     z1_arr = np.atleast_1d(np.asarray(z1_values, dtype=complex))
     merged: dict = {}
@@ -256,7 +259,10 @@ def demodulated_term_table(orders, theta: float, channel: str, kappa: int,
                                keep2=demodulation_keep(kappa))
         for key, value in rows.items():
             merged[key] = merged[key] + value if key in merged else value
-    keys = sorted((key for key, value in merged.items() if np.any(value)),
+    largest = {key: np.max(np.abs(value), initial=0.0)
+               for key, value in merged.items()}
+    floor = TERM_FLOOR * max(largest.values(), default=0.0)
+    keys = sorted((key for key, value in largest.items() if value > floor),
                   key=repr)
     shape = (len(keys), len(DETECTION_DIRECTIONS), len(z1_arr))
     return TermTable(
@@ -433,12 +439,18 @@ def monte_carlo_spectrum(table: TermTable, n_samples: int, *, seed: int,
     through the chain held in ``table`` with the coupling factors at
     their numeric values; the mean estimates the disorder-averaged
     spectrum that :func:`mqcsim.spectra.spectrum` computes in closed
-    form.  Configurations are drawn and priced ``MC_BATCH`` at a time,
-    and every draw prices both detectors: one series per table row.
-    The series take their kappa and channel from the table and their
-    detunings from the table's z1 grid, which must be purely imaginary;
-    their ``errors`` hold the standard error of the mean, real and
-    imaginary parts packed as a complex number.
+    form.  A spectrum is linear in the T term weights w, so only the
+    weights are sampled: configurations are drawn ``MC_BATCH`` at a
+    time, and the running mean and the 2T x 2T centred scatter matrix of
+    (Re w, Im w) are accumulated.  The mean spectrum is the mean weight
+    times the table's rows; the variances of Re S and Im S are the
+    quadratic forms of the scatter matrix with [Re c, -Im c] and
+    [Im c, Re c], c a row.  Neither cost nor memory of the sampling
+    depends on the detuning count.  Every draw prices both detectors:
+    one series per table row.  The series take their kappa and channel
+    from the table and their detunings from the table's z1 grid, which
+    must be purely imaginary; their ``errors`` hold the standard error
+    of the mean, real and imaginary parts packed as a complex number.
 
     Args:
         table: term table from :func:`demodulated_term_table`.  Pass
@@ -464,39 +476,44 @@ def monte_carlo_spectrum(table: TermTable, n_samples: int, *, seed: int,
         raise ValueError("term table z1 grid must be purely imaginary "
                          "(i times the detunings)")
     detunings = table.z1_values.imag.copy()
-    directions = len(DETECTION_DIRECTIONS)
+    terms = len(table.tags)
     rng = np.random.default_rng(seed)
-    norm = np.sqrt(2.0 * np.pi)
-    total = np.zeros((directions, len(detunings)), dtype=complex)
-    # running mean and centred sums of squares of (Re, Im), combined batch
-    # by batch with the pairwise update of Chan, Golub and LeVeque
-    running_mean = np.zeros((directions, len(detunings)), dtype=complex)
-    squares = np.zeros((directions, 2, len(detunings)))
+    # running mean and centred scatter matrix of (Re w, Im w), combined
+    # batch by batch with the pairwise update of Chan, Golub and LeVeque
+    running_mean = np.zeros(2 * terms)
+    scatter = np.zeros((2 * terms, 2 * terms))
     done = 0
     while done < n_samples:
         count = min(MC_BATCH, n_samples - done)
         xi, n_hat = sample_configurations(rng, count, window)
         weights = _term_weights(table, xi, n_hat, mode)
-        pooled = done * count / (done + count)
-        for d in range(directions):
-            batch = (table.coeffs[:, d].T @ weights) / norm
-            total[d] += batch.sum(axis=1)
-            batch_mean = batch.mean(axis=1)
-            centred = batch - batch_mean[:, None]
-            delta = batch_mean - running_mean[d]
-            squares[d, 0] += ((centred.real**2).sum(axis=1)
-                              + pooled * delta.real**2)
-            squares[d, 1] += ((centred.imag**2).sum(axis=1)
-                              + pooled * delta.imag**2)
-            running_mean[d] += delta * (count / (done + count))
+        features = np.concatenate([weights.real, weights.imag])
+        batch_mean = features.mean(axis=1)
+        centred = features - batch_mean[:, None]
+        delta = batch_mean - running_mean
+        scatter += (centred @ centred.T
+                    + (done * count / (done + count)) * np.outer(delta, delta))
+        running_mean += delta * (count / (done + count))
         done += count
-    mean = total / n_samples
-    errors = np.sqrt(squares / ((n_samples - 1.0) * n_samples))
+    rows = table.coeffs / np.sqrt(2.0 * np.pi)
+    mean_weight = running_mean[:terms] + 1j * running_mean[terms:]
+    mean = np.tensordot(mean_weight, rows, axes=(0, 0))
+
+    def variance(forms):
+        # forms (2T, directions, detunings): one quadratic form per column
+        return np.sum(forms * np.tensordot(scatter, forms, axes=(1, 0)),
+                      axis=0)
+
+    spread = (variance(np.concatenate([rows.real, -rows.imag]))
+              + 1j * variance(np.concatenate([rows.imag, rows.real])))
+    # the forms cancel to roundoff where a part vanishes in every sample
+    scale = (n_samples - 1.0) * n_samples
+    errors = (np.sqrt(np.maximum(spread.real, 0.0) / scale)
+              + 1j * np.sqrt(np.maximum(spread.imag, 0.0) / scale))
     return tuple(
         SpectrumSeries(detunings=detunings, values=mean[d],
                        kappa=table.kappa, channel=table.channel,
-                       direction=direction,
-                       errors=errors[d, 0] + 1j * errors[d, 1])
+                       direction=direction, errors=errors[d])
         for d, direction in enumerate(DETECTION_DIRECTIONS))
 
 

@@ -10,12 +10,16 @@ from mqcsim.coupling import coupling_tensor, interaction_matrices
 from mqcsim.expansion import (
     PhaseMonomial,
     PhaseTaggedVector,
+    PoleBasis,
+    _interpulse_axis,
+    _pole_sectors,
     apply_interaction,
     apply_kick,
     apply_resolvent,
     demodulation_keep,
     initial_vector,
     scattering_solution,
+    two_pulse_chain,
 )
 
 #: ket-minus-bra excitation grade of each single-atom basis element
@@ -218,6 +222,136 @@ def test_resolvent_pole_guard_on_a_grid():
     [(_, got)] = apply_resolvent(vec, zs).items()
     assert np.all(np.isfinite(got))
     assert np.allclose(got, both[:, None] / (zs + 1.0), atol=1e-14)
+
+
+#: the pair's decay-rate sums other than the stationary 0, in the label
+#: order of PoleBasis
+POLES = (-2.0, -1.5, -1.0, -0.5)
+
+
+def _partial_fractions(coeffs, multiplicity, z):
+    """c_0 + sum c_{p,m} / (z - p)^m at each z, from the documented label
+    layout: the constant, then (p, 1..multiplicity) for each pole."""
+    z = np.atleast_1d(z)
+    out = np.multiply.outer(coeffs[..., 0], np.ones_like(z))
+    for i, pole in enumerate(POLES):
+        for m in range(1, multiplicity + 1):
+            out = out + np.multiply.outer(coeffs[..., 1 + i * multiplicity
+                                                 + m - 1], (z - pole) ** -m)
+    return out
+
+
+def _off_axis_points(rng, count=5):
+    return rng.uniform(-3.0, 1.0, count) + 1j * rng.uniform(-3.0, 3.0, count)
+
+
+@pytest.mark.parametrize("multiplicity", [1, 2, 3, 4])
+def test_pole_basis_labels_and_evaluation(multiplicity):
+    basis = PoleBasis(multiplicity)
+    assert basis.size == np.size(basis) == 1 + 4 * multiplicity
+    assert repr(basis) == f"PoleBasis(multiplicity={multiplicity})"
+    rng = np.random.default_rng(multiplicity)
+    coeffs = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+    z = _off_axis_points(rng)
+    np.testing.assert_allclose(coeffs @ basis.evaluation(z),
+                               _partial_fractions(coeffs, multiplicity, z),
+                               rtol=1e-13)
+
+
+def _sector_rates():
+    """Rate sum of every flat pair index in decay-mode coordinates, from
+    the dense single-atom decay generator: the population block (basis
+    indices 0-3) holds the stationary mode first and three of rate -1,
+    and every other basis element is a decay mode of its own."""
+    generator = decay_generator()
+    block = np.sort(np.linalg.eigvals(generator[:4, :4]).real)[::-1]
+    np.testing.assert_allclose(block, [0.0, -1.0, -1.0, -1.0], atol=1e-12)
+    for n in range(4, 16):
+        assert np.count_nonzero(generator[:, n]) == 1
+    single = np.concatenate([block, np.diag(generator).real[4:]])
+    return (single[:, None] + single[None, :]).reshape(-1)
+
+
+@pytest.mark.parametrize("multiplicity", [1, 2, 3, 4])
+def test_pole_sector_matrices_divide_by_z_minus_r(multiplicity):
+    basis = PoleBasis(multiplicity)
+    rng = np.random.default_rng(10 + multiplicity)
+    z = _off_axis_points(rng)
+    sectors = _pole_sectors(basis)
+    assert len(sectors) == len(POLES)
+    rates = _sector_rates()
+    for r, (rows, step, top) in zip(POLES, sectors):
+        # the sector holds exactly the pair indices of rate sum r
+        assert np.array_equal(rows, np.flatnonzero(np.isclose(rates, r)))
+        assert top == 1 + POLES.index(r) * multiplicity + multiplicity - 1
+        coeffs = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+        coeffs[top] = 0.0
+        f = _partial_fractions(coeffs, multiplicity, z)
+        got = _partial_fractions(coeffs @ step, multiplicity, z)
+        np.testing.assert_allclose(got, f / (z - r), rtol=1e-11)
+
+
+def test_pole_basis_resolvent_inverts_pair_generator():
+    # random label coefficients below the top multiplicity: the resolvent
+    # on the labels, evaluated anywhere off the poles, solves
+    # (z - L + P0) x = (1 - P0) coeffs there
+    basis = PoleBasis(3)
+    rng = np.random.default_rng(21)
+    coeffs = rng.normal(size=(256, basis.size)) + 1j * rng.normal(
+        size=(256, basis.size))
+    coeffs[:, [1 + i * 3 + 2 for i in range(len(POLES))]] = 0.0
+    constant = rng.normal(size=256) + 1j * rng.normal(size=256)
+    vec = PhaseTaggedVector({PhaseMonomial((1, 0, -1, 0)): coeffs,
+                             PhaseMonomial((0, 0, 0, 0)): constant})
+    solved = apply_resolvent(vec, basis)
+    assert all(c.shape == (256, basis.size) for _, c in solved.items())
+    p0 = _stationary_projector()
+    generator = _pair_generator()
+    for z in _off_axis_points(rng, 3):
+        shifted = z * np.eye(256) - generator + p0
+        for monomial, before in vec.items():
+            start = (before if before.ndim == 1
+                     else _partial_fractions(before, 3, z)[:, 0])
+            after = _partial_fractions(solved.terms[monomial], 3, z)[:, 0]
+            np.testing.assert_allclose(shifted @ after, start - p0 @ start,
+                                       atol=1e-10)
+
+
+@pytest.mark.parametrize("multiplicity", [1, 2])
+def test_pole_basis_overflow_raises(multiplicity):
+    # sigma_14 on atom 1 stays in the rate -1/2 sector: every resolvent
+    # raises its multiplicity there by one
+    optical = expand(pair_operator(matrix_unit(1, 4), matrix_unit(1, 1)))
+    vec = PhaseTaggedVector({PhaseMonomial((1, 0, 0, 0)): optical})
+    basis = PoleBasis(multiplicity)
+    for _ in range(multiplicity):
+        vec = apply_resolvent(vec, basis)
+    with pytest.raises(PoleError):
+        apply_resolvent(vec, basis)
+
+
+def test_interpulse_axis_is_chosen_by_size_and_poles():
+    grid = 1j * np.linspace(-2.0, 2.0, 41)
+    assert _interpulse_axis(grid, 3) == PoleBasis(3)
+    # a grid no longer than the basis, or with a point on a pole, is kept
+    short = grid[:13]
+    assert _interpulse_axis(short, 3) is short
+    on_pole = grid.copy()
+    on_pole[5] = -1.5
+    assert _interpulse_axis(on_pole, 3) is on_pole
+
+
+def test_long_grid_with_a_point_on_a_pole_raises_as_before():
+    grid = 1j * np.linspace(-2.0, 2.0, 41)
+    keep1 = lambda m: m.pulse_net[0] == -1
+    rows = two_pulse_chain(2, grid, 0.7, "parallel", keep1=keep1,
+                           keep2=demodulation_keep(1))
+    assert rows
+    # kick 1 leaves optical coherences of rate sum -1/2 in the prefix
+    grid[5] = -0.5
+    with pytest.raises(PoleError):
+        two_pulse_chain(2, grid, 0.7, "parallel", keep1=keep1,
+                        keep2=demodulation_keep(1))
 
 
 def test_resolvent_broadcasts_over_a_grid_of_z_values():

@@ -11,6 +11,7 @@ from mqcsim.coupling import coupling_tensor, interaction_matrices
 from mqcsim.disorder import angular_average, mean_inverse_xi_squared
 from mqcsim.oracle import (
     MC_BATCH,
+    TERM_FLOOR,
     IntegrationError,
     OracleRun,
     _deflated_solve,
@@ -357,46 +358,66 @@ def test_term_table_matches_forward_chain(kappa, channel):
     Both builds leave some keys whose rows are roundoff of the order of
     1e-17 of the table's peak where the other build cancels them
     exactly, so the key sets are compared above 1e-13 of the peak and
-    the rows over the union, absent rows reading as zero.
+    the rows over the union, absent rows reading as zero.  The table is
+    built on the reference's five points, where every order carries the
+    grid, and on a 41-point grid holding them as every tenth point, where
+    every order carries exact pole labels and is evaluated at the end.
     """
-    z1 = 0.25 + 1j * np.linspace(-2.0, 2.0, 5)
-    wanted = {order: _forward_rows(order, z1, kappa, channel)
+    grid = 0.25 + 1j * np.linspace(-2.0, 2.0, 5)
+    wanted = {order: _forward_rows(order, grid, kappa, channel)
               for order in (0, 1, 2, 3)}
     peaks = {order: max(np.max(np.abs(rows)) for rows in want.values())
              for order, want in wanted.items()}
     overall = max(peaks.values())
     assert overall > 1e-4
-    zero = np.zeros((len(DETECTION_DIRECTIONS), len(z1)))
-    for order, want in wanted.items():
-        table = demodulated_term_table((order,), THETA, channel, kappa, z1)
-        got = dict(zip(zip(table.phase_exponents, table.tags), table.coeffs))
-        if peaks[order] < 1e-14 * overall:
-            # a vanishing order (the order-0 perpendicular one-quantum
-            # signal, say) is roundoff in both builds
-            assert all(np.max(np.abs(rows)) < 1e-14 * overall
-                       for rows in got.values())
-            continue
-        peak = peaks[order]
+    zero = np.zeros((len(DETECTION_DIRECTIONS), len(grid)))
+    for z1, every in ((grid, 1),
+                      (0.25 + 1j * np.linspace(-2.0, 2.0, 41), 10)):
+        np.testing.assert_allclose(z1[::every], grid, rtol=0, atol=1e-15)
+        for order, want in wanted.items():
+            table = demodulated_term_table((order,), THETA, channel, kappa,
+                                           z1)
+            got = dict(zip(zip(table.phase_exponents, table.tags),
+                           table.coeffs[:, :, ::every]))
+            if peaks[order] < 1e-14 * overall:
+                # a vanishing order (the order-0 perpendicular one-quantum
+                # signal, say) is roundoff in both builds
+                assert all(np.max(np.abs(rows)) < 1e-14 * overall
+                           for rows in got.values())
+                continue
+            peak = peaks[order]
 
-        def significant(rows):
-            return {key for key, value in rows.items()
-                    if np.max(np.abs(value)) > 1e-13 * peak}
+            def significant(rows):
+                return {key for key, value in rows.items()
+                        if np.max(np.abs(value)) > 1e-13 * peak}
 
-        assert significant(got) == significant(want)
-        for key in set(got) | set(want):
-            difference = got.get(key, zero) - want.get(key, zero)
-            assert np.max(np.abs(difference)) <= 1e-12 * peak, (order, key)
+            assert significant(got) == significant(want)
+            for key in set(got) | set(want):
+                difference = got.get(key, zero) - want.get(key, zero)
+                assert np.max(np.abs(difference)) <= 1e-12 * peak, (
+                    len(z1), order, key)
 
 
 def test_term_table_holds_only_contributing_terms():
+    """Every kept key has a row entry above TERM_FLOOR of the table's
+    largest entry; the roundoff of exactly cancelling keys is left out."""
     z1 = 1j * np.linspace(-3.0, 3.0, 7)
     for kappa, channel in ((1, "parallel"), (2, "perpendicular")):
         table = demodulated_term_table((0, 1, 2), THETA, channel, kappa, z1)
         assert len(table.tags) > 0
+        peak = np.max(np.abs(table.coeffs))
         for rows in table.coeffs:
-            assert np.any(rows != 0.0)
+            assert np.max(np.abs(rows)) > TERM_FLOOR * peak
         assert len(set(zip(table.phase_exponents, table.tags))) == len(
             table.tags)
+        # the forward chain's keys above the floor are exactly the table's
+        forward = {}
+        for order in (0, 1, 2):
+            for key, rows in _forward_rows(order, z1, kappa, channel).items():
+                forward[key] = forward.get(key, 0.0) + rows
+        assert {key for key, rows in forward.items()
+                if np.max(np.abs(rows)) > TERM_FLOOR * peak} == set(
+                    zip(table.phase_exponents, table.tags))
 
 
 def _surviving_table(kappa, channel, detunings):
@@ -447,6 +468,34 @@ def test_monte_carlo_errors_are_the_sample_standard_error(n_samples):
             # is its error, which the two pricings round differently
             np.testing.assert_allclose(part(series.errors), want,
                                        rtol=1e-10, atol=1e-10 * np.max(want))
+
+
+def test_monte_carlo_matches_per_sample_spectra_of_the_full_table():
+    """Mean and standard error from the weights' scatter matrix against
+    the spectra priced one configuration at a time, on whole tables,
+    whose terms include the oscillating families and nearly cancel."""
+    detunings = np.linspace(-3.0, 3.0, 9)
+    n_samples = 200
+    for kappa, channel in ((1, "parallel"), (2, "perpendicular")):
+        table = demodulated_term_table((0, 1, 2), THETA, channel, kappa,
+                                       1j * detunings)
+        result = monte_carlo_spectrum(table, n_samples, seed=8)
+        rng = np.random.default_rng(8)
+        traces = np.array([
+            [fixed_configuration_components(table, xi, n_hat)[d]
+             / np.sqrt(2.0 * np.pi) for d in DETECTION_DIRECTIONS]
+            for xi, n_hat in zip(*sample_configurations(rng, n_samples,
+                                                        WINDOW))])
+        for d, series in enumerate(result):
+            mean = traces[:, d].mean(axis=0)
+            np.testing.assert_allclose(series.values, mean, rtol=1e-10,
+                                       atol=1e-10 * np.max(np.abs(mean)))
+            for part in (np.real, np.imag):
+                want = part(traces[:, d]).std(axis=0, ddof=1) / np.sqrt(
+                    n_samples)
+                np.testing.assert_allclose(part(series.errors), want,
+                                           rtol=1e-10,
+                                           atol=1e-10 * np.max(want))
 
 
 def test_monte_carlo_prices_every_detector():

@@ -86,18 +86,23 @@ def _reference_rows(order, z1, theta, channel, kappa, inv2, mode="full",
     (2, 1, "parallel", "level_shift_only"),
 ])
 def test_averaged_solution_matches_reference_chain(order, kappa, channel, mode):
+    """At one point, and on fig4's 801-point grid, which the chain
+    carries as exact pole labels; the forward reference there is taken
+    at every hundredth point."""
     theta = 0.8
-    z1 = 0.3 + 0.2j
     inv2 = mean_inverse_xi_squared(xi_bar=80.0)
-    got = averaged_solution(order, z1, theta, channel=channel, kappa=kappa,
-                            inv_xi_squared=inv2, mode=mode)
-    want = _reference_rows(order, z1, theta, channel, kappa, inv2, mode)
-    assert got.shape == want.shape == (2, 1)
     # no single atom holds a two-quantum coherence, and crossed pulses
     # leave no one-quantum signal: those rows are zero up to roundoff
     vanishing = (order, kappa) == (0, 2) or (kappa, channel) == (
         1, "perpendicular")
-    _assert_rows_match(got, want, vanishing)
+    for z1, every in ((np.array([0.3 + 0.2j]), 1),
+                      (1j * np.linspace(-10.0, 10.0, 801), 100)):
+        got = averaged_solution(order, z1, theta, channel=channel,
+                                kappa=kappa, inv_xi_squared=inv2, mode=mode)
+        assert got.shape == (2, len(z1))
+        want = _reference_rows(order, z1[::every], theta, channel, kappa,
+                               inv2, mode)
+        _assert_rows_match(got[:, ::every], want, vanishing)
 
 
 def _assert_rows_match(got, want, vanishing=False):
