@@ -19,7 +19,6 @@ from .atom import (
 from .coupling import coupling_tensor, interaction_matrices, interaction_pieces
 from .expansion import (
     PhaseMonomial,
-    PhaseTaggedVector,
     initial_vector,
     apply_kick,
     apply_resolvent,
@@ -67,7 +66,7 @@ __all__ = [
     "dipole_lowering", "kick_decomposition", "two_pulse_pure_states",
     "free_propagator",
     "coupling_tensor", "interaction_matrices", "interaction_pieces",
-    "PhaseMonomial", "PhaseTaggedVector", "initial_vector",
+    "PhaseMonomial", "initial_vector",
     "apply_kick", "apply_resolvent", "apply_interaction", "scattering_solution",
     "survival_filter", "angular_average",
     "average_state", "averaged_solution", "mean_inverse_xi_squared",

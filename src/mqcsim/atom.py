@@ -31,7 +31,7 @@ conjugate transpose of the matrix.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,55 +113,27 @@ def ground_projector() -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class KickDecomposition:
-    """Phase-harmonic split of an impulsive pulse acting on one atom.
+def kick_decomposition(theta: float, polarization: str = "x") -> dict:
+    """Split an impulsive pulse into its five optical-phase harmonics.
 
     The density-operator map of a pulse with optical phase phi is
-    sum_p e^{i p phi} R_p with p = -2..2; ``harmonic(p)`` returns the
-    16x16 matrix of R_p over the operator basis.  The harmonics are
-    phase-free; all phi dependence is in the prefactors.
-    """
-
-    theta: float
-    polarization: str
-    _harmonics: dict = field(repr=False)
-    _lowering: np.ndarray = field(repr=False)
-
-    def harmonic(self, p: int) -> np.ndarray:
-        """Matrix of the e^{i p phi} harmonic, p in -2..2."""
-        return self._harmonics[p]
-
-    def unitary(self, phi: float) -> np.ndarray:
-        """The 4x4 pulse unitary at optical phase phi."""
-        s_op = self._lowering
-        half = self.theta / 2.0
-        proj = s_op.conj().T @ s_op + s_op @ s_op.conj().T
-        drive = s_op.conj().T * np.exp(1j * phi) + s_op * np.exp(-1j * phi)
-        return (np.eye(HILBERT_DIM) - proj + np.cos(half) * proj
-                - 1j * np.sin(half) * drive)
-
-    def as_matrix(self, phi: float) -> np.ndarray:
-        """Assembled density-operator map sum_p e^{i p phi} R_p."""
-        return sum(np.exp(1j * p * phi) * self._harmonics[p] for p in range(-2, 3))
-
-
-def kick_decomposition(theta: float, polarization: str = "x") -> KickDecomposition:
-    """Split an impulsive pulse into its five optical-phase harmonics.
+    sum_p e^{i p phi} R_p with p = -2..2; the harmonics R_p are
+    phase-free, so all phi dependence is in the prefactors.
 
     Args:
         theta: pulse area.
         polarization: 'x', 'y' or 'z'.
 
     Returns:
-        KickDecomposition with density-operator harmonic matrices.
+        dict mapping p to the 16x16 matrix of R_p over the operator
+        basis.
     """
     s_op = dipole_lowering(polarization)
     s_bar = np.sin(theta / 2.0) * s_op
     proj = s_op.conj().T @ s_op + s_op @ s_op.conj().T
     cap = np.eye(HILBERT_DIM) - proj + np.cos(theta / 2.0) * proj
     s_dag = s_bar.conj().T
-    harmonics = {
+    return {
         0: (sandwich_matrix(cap, cap) + sandwich_matrix(s_dag, s_bar)
             + sandwich_matrix(s_bar, s_dag)),
         +1: 1j * (sandwich_matrix(cap, s_dag) - sandwich_matrix(s_dag, cap)),
@@ -169,8 +141,17 @@ def kick_decomposition(theta: float, polarization: str = "x") -> KickDecompositi
         +2: sandwich_matrix(s_dag, s_dag),
         -2: sandwich_matrix(s_bar, s_bar),
     }
-    return KickDecomposition(theta=theta, polarization=polarization,
-                             _harmonics=harmonics, _lowering=s_op)
+
+
+def _pulse_unitary(theta: float, polarization: str, phi: float) -> np.ndarray:
+    """The 4x4 pulse unitary at optical phase phi, in closed form
+    (S^2 = 0 truncates the exponential)."""
+    s_op = dipole_lowering(polarization)
+    half = theta / 2.0
+    proj = s_op.conj().T @ s_op + s_op @ s_op.conj().T
+    drive = s_op.conj().T * np.exp(1j * phi) + s_op * np.exp(-1j * phi)
+    return (np.eye(HILBERT_DIM) - proj + np.cos(half) * proj
+            - 1j * np.sin(half) * drive)
 
 
 def two_pulse_pure_states(theta: float, channel: str, phi1: float, phi2: float):
@@ -191,8 +172,8 @@ def two_pulse_pure_states(theta: float, channel: str, phi1: float, phi2: float):
     second = SECOND_POLARIZATION[channel]
     ground = np.zeros(HILBERT_DIM, dtype=complex)
     ground[0] = 1.0
-    u1 = kick_decomposition(theta, "x").unitary(phi1)
-    u2 = kick_decomposition(theta, second).unitary(phi2)
+    u1 = _pulse_unitary(theta, "x", phi1)
+    u2 = _pulse_unitary(theta, second, phi2)
     psi = u2 @ (u1 @ ground)
     return psi, expand(np.outer(psi, psi.conj()))
 

@@ -79,6 +79,10 @@ MC_ORDERS = (0, 1, 2)
 #: two-sided three-sigma level
 MC_FALSE_ALARM = 0.0027
 
+#: the only configuration fields a spectrum preset takes from the command
+#: line; it sets every other one itself
+PRESET_FIELDS = ("seed", "output_dir")
+
 
 def family_z_limit(count: int) -> float:
     """|z| limit for ``count`` real z-scores judged together.
@@ -149,6 +153,21 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     overrides = {key: value for key, value in vars(args).items()
                  if key in fields}
     return RunConfig.from_sources(args.config, **overrides)
+
+
+def _spectrum_config(args: argparse.Namespace, flags: dict) -> RunConfig:
+    """The spectrum run's configuration; with a preset, any config flag
+    (``flags`` maps destinations to flag names) other than those of
+    ``PRESET_FIELDS`` is refused rather than silently dropped."""
+    if args.preset is not None:
+        given = [flag for dest, flag in flags.items()
+                 if dest not in PRESET_FIELDS
+                 and getattr(args, dest, None) is not None]
+        if given:
+            raise ConfigError(
+                f"--preset {args.preset} sets every parameter but --seed "
+                f"and --output-dir; drop {' '.join(given)}")
+    return _config_from_args(args)
 
 
 def _prepare_output(config: RunConfig) -> Path:
@@ -419,9 +438,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser(
         "spectrum", help="disorder-averaged spectra, one file per series")
     sub.add_argument("--preset", choices=("fig4",),
-                     help="named parameter set")
+                     help="named parameter set; of the other flags it "
+                          "takes only --seed and --output-dir")
     _add_config_flags(sub)
-    sub.set_defaults(handler=lambda cfg, args: run_spectrum(cfg, args.preset))
+    flags = {action.dest: action.option_strings[0]
+             for action in sub._actions if action.dest != "preset"}
+    sub.set_defaults(handler=lambda args: run_spectrum(
+        _spectrum_config(args, flags), args.preset))
 
     for name, run, text in (
             ("table1", run_table1,
@@ -434,14 +457,15 @@ def _build_parser() -> argparse.ArgumentParser:
              "Doppler-averaged scattering cross-section")):
         sub = commands.add_parser(name, help=text)
         _add_config_flags(sub)
-        sub.set_defaults(handler=lambda cfg, args, run=run: run(cfg))
+        sub.set_defaults(
+            handler=lambda args, run=run: run(_config_from_args(args)))
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(_config_from_args(args), args)
+        return args.handler(args)
     except ConfigError as err:
         print(f"invalid configuration: {err}", file=sys.stderr)
         return EXIT_INVALID_CONFIG

@@ -28,9 +28,11 @@ coupling switched off); same-kind pairs then survive with weight
 -<Omega Omega> because only half of each product oscillates.
 
 :func:`averaged_solution` runs the split driver of the expansion,
-:func:`mqcsim.expansion.two_pulse_chain`, with the average interleaved,
-and returns the detected rows.  The second kick keeps only the harmonic
-pair that cancels the position phases, and the last insertion of every
+:func:`mqcsim.expansion.two_pulse_chain`, at interaction orders 0 and 2
+with the average interleaved, and returns the sum of their detected
+rows.  Passing the averaged closing insertions makes the second kick
+keep only the harmonic pairs that cancel the position phases, and the
+last insertion of every
 split carries the factor-pair weights
 (:func:`_effective_final_insertions`).  In the detection stage, which
 the driver runs backward from the detectors, that insertion is the
@@ -47,12 +49,7 @@ import numpy as np
 
 from .atom import DETECTION_DIRECTIONS
 from .coupling import sparse_interaction_pieces
-from .expansion import (
-    PhaseMonomial,
-    PhaseTaggedVector,
-    demodulation_keep,
-    two_pulse_chain,
-)
+from .expansion import PhaseMonomial, _merge, two_pulse_chain
 
 AVERAGE_MODES = ("full", "level_shift_only")
 
@@ -74,9 +71,9 @@ def mean_inverse_xi_squared(xi_bar: float = None, window=None) -> float:
     return value
 
 
-def survival_filter(vector: PhaseTaggedVector) -> PhaseTaggedVector:
+def survival_filter(vector: dict) -> dict:
     """Keep only monomials whose position phases cancel on both atoms."""
-    return vector.filtered(lambda m: m.atom_net == (0, 0))
+    return {m: c for m, c in vector.items() if m.atom_net == (0, 0)}
 
 
 def isotropic_projector_moment(k: int, l: int, m: int, n: int) -> float:
@@ -136,16 +133,19 @@ def _effective_final_insertions(inv_xi_squared: float, mode: str) -> dict:
     return out
 
 
-def averaged_solution(order: int, z1, theta: float, channel: str = "parallel",
+def averaged_solution(z1, theta: float, channel: str = "parallel",
                       kappa: int = 1, *, inv_xi_squared: float,
                       mode: str = "full", fast: bool = False) -> np.ndarray:
-    """Detected rows of the geometry-averaged demodulated pair state.
+    """Detected rows of the geometry-averaged demodulated pair state,
+    summed over interaction orders 0 and 2: the single- and
+    double-scattering terms that survive the average.
 
-    Equal to the full expansion followed by ``average_state`` and the
-    detector projection, but the average is interleaved with the chain:
-    the second kick keeps only the harmonic pair that cancels the
-    position phases (p1 = -a, p2 = -c; later insertions never change the
-    phase exponents), and the last insertion of each split applies the
+    Equal to the full expansion of each order followed by
+    ``average_state`` and the detector projection, but the average is
+    interleaved with the chain: the second kick keeps only the harmonic
+    pair that cancels the position phases (p1 = -a, p2 = -c; later
+    insertions never change the phase exponents), and the last
+    insertion of each split applies the
     factor-pair weights directly, as the first matrix of every detection
     tail or as the last of the interpulse prefix.  The detection stage
     is integrated over time (z2 = 0), as in
@@ -156,22 +156,18 @@ def averaged_solution(order: int, z1, theta: float, channel: str = "parallel",
         detected value per detector (rows in ``DETECTION_DIRECTIONS``
         order) over the z1 grid.
     """
-    if order not in (0, 2):
-        raise ValueError("averaged chains support interaction orders 0 and 2")
-    demod = demodulation_keep(kappa)
-    closing = (_effective_final_insertions(inv_xi_squared, mode)
-               if order else None)
-    rows = two_pulse_chain(
-        order, z1, theta, channel,
-        keep1=lambda m: m.pulse_net[0] == -kappa,
-        keep2=lambda m: demod(m) and m.atom_net == (0, 0),
-        closing=closing, fast=fast)
+    closing = _effective_final_insertions(inv_xi_squared, mode)
     shape = (len(DETECTION_DIRECTIONS), np.size(z1))
-    return sum(rows.values(), np.zeros(shape, dtype=complex))
+    single, double = (
+        sum(two_pulse_chain(order, z1, theta, channel, kappa,
+                            closing=closing, fast=fast).values(),
+            np.zeros(shape, dtype=complex))
+        for order in (0, 2))
+    return single + double
 
 
-def average_state(vector: PhaseTaggedVector, inv_xi_squared: float,
-                  mode: str = "full") -> PhaseTaggedVector:
+def average_state(vector: dict, inv_xi_squared: float,
+                  mode: str = "full") -> dict:
     """Disorder-average a vector: collapse factor pairs, drop the rest.
 
     Components with a single factor or with surviving position phases
@@ -179,10 +175,10 @@ def average_state(vector: PhaseTaggedVector, inv_xi_squared: float,
     components pass through.  Components with more than two factors are
     outside the single-plus-double-scattering average and raise.
     """
-    out = PhaseTaggedVector()
+    out = {}
     for monomial, coeffs in survival_filter(vector).items():
         if monomial.degree == 0:
-            out.add_term(monomial, coeffs)
+            _merge(out, monomial, coeffs)
             continue
         if monomial.degree == 1:
             continue
@@ -192,5 +188,5 @@ def average_state(vector: PhaseTaggedVector, inv_xi_squared: float,
         weight = angular_average(monomial.tags, inv_xi_squared, mode)
         if weight == 0.0:
             continue
-        out.add_term(PhaseMonomial(monomial.powers), weight * coeffs)
+        _merge(out, PhaseMonomial(monomial.powers), weight * coeffs)
     return out

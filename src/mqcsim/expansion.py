@@ -6,12 +6,13 @@ phase harmonics per atom (:func:`mqcsim.atom.kick_decomposition`), and
 the pair interaction is linear in the coupling-tensor entries
 (:func:`mqcsim.coupling.interaction_pieces`).  Rather than evaluating
 phases and tensor entries numerically, the pipeline carries them as
-symbols: a vector of components, each holding
+symbols.  A vector is a plain dict mapping
 
-  * a :class:`PhaseMonomial` recording the integer exponents of the four
-    pulse phases (pulse j at atom alpha) and the multiset of coupling
-    factors picked up from interaction insertions, and
-  * a 256-entry coefficient vector over the two-atom operator basis.
+  * a :class:`PhaseMonomial`, the integer exponents of the four pulse
+    phases (pulse j at atom alpha) and the multiset of coupling factors
+    picked up from interaction insertions, to
+  * its coefficients over the two-atom operator basis (256 entries,
+    optionally with a trailing z axis).
 
 Demodulation then reduces to selecting exponent combinations, and the
 disorder average to replacing factor multisets by scalar weights
@@ -85,7 +86,7 @@ from .basis import (
     matrix_unit,
     pair_operator,
 )
-from .coupling import sparse_interaction_pieces, tensor_tag_value
+from .coupling import sparse_interaction_pieces
 
 #: basis indices spanned by the population decay modes; every other
 #: basis element is a decay mode on its own
@@ -142,64 +143,21 @@ class PhaseMonomial:
         return PhaseMonomial(self.powers, tuple(sorted(self.tags + (tag,))))
 
 
-class PhaseTaggedVector:
-    """Linear combination of phase monomials with operator-basis coefficients."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms: dict = dict(terms) if terms else {}
-
-    def add_term(self, monomial: PhaseMonomial, coeffs: np.ndarray) -> None:
-        """Accumulate a component, merging with an existing monomial."""
-        if monomial in self.terms:
-            self.terms[monomial] = self.terms[monomial] + coeffs
-        else:
-            self.terms[monomial] = coeffs
-
-    def items(self):
-        return self.terms.items()
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __add__(self, other: "PhaseTaggedVector") -> "PhaseTaggedVector":
-        out = PhaseTaggedVector(self.terms)
-        for monomial, coeffs in other.items():
-            out.add_term(monomial, coeffs)
-        return out
-
-    def filtered(self, keep) -> "PhaseTaggedVector":
-        """Vector restricted to monomials satisfying ``keep(monomial)``."""
-        return PhaseTaggedVector({m: c for m, c in self.items() if keep(m)})
-
-    def evaluate(self, phases, tensor=None) -> np.ndarray:
-        """Contract symbols with numbers: 256-entry coefficient vector.
-
-        Args:
-            phases: the four pulse phase values (phi_11, phi_21, phi_12,
-                phi_22) matching the monomial exponent order.
-            tensor: 3x3 coupling tensor for the collected factors; may be
-                omitted for factor-free vectors.
-        """
-        phases = np.asarray(phases, dtype=float)
-        out = np.zeros(NUM_OPS_PAIR, dtype=complex)
-        for monomial, coeffs in self.items():
-            weight = np.exp(1j * np.dot(monomial.powers, phases))
-            for tag in monomial.tags:
-                weight *= tensor_tag_value(tensor, tag)
-            out += weight * coeffs
-        return out
+def _merge(terms: dict, key, value) -> None:
+    """Accumulate ``value`` into ``terms`` under ``key``, adding it to a
+    value already there: a component onto the coefficients of an equal
+    monomial, or rows onto rows of an equal key."""
+    terms[key] = terms[key] + value if key in terms else value
 
 
-def initial_vector() -> PhaseTaggedVector:
+def initial_vector() -> dict:
     """Both atoms in the ground state, no phase exponents, no factors."""
     ground = expand(pair_operator(matrix_unit(1, 1), matrix_unit(1, 1)))
-    return PhaseTaggedVector({PhaseMonomial((0, 0, 0, 0)): ground})
+    return {PhaseMonomial((0, 0, 0, 0)): ground}
 
 
-def apply_kick(vector: PhaseTaggedVector, pulse_index: int, theta: float,
-               polarization: str, keep=None) -> PhaseTaggedVector:
+def apply_kick(vector: dict, pulse_index: int, theta: float,
+               polarization: str, keep=None) -> dict:
     """Kick both atoms with one pulse, branching over phase harmonics.
 
     The pulse reaches the atoms with individual phases (the monomials
@@ -208,9 +166,8 @@ def apply_kick(vector: PhaseTaggedVector, pulse_index: int, theta: float,
     optional ``keep`` predicate on the resulting monomial and by exact
     structural zeros.
     """
-    harmonics = kick_decomposition(theta, polarization)
-    mats = {p: harmonics.harmonic(p) for p in range(-2, 3)}
-    out = PhaseTaggedVector()
+    mats = kick_decomposition(theta, polarization)
+    out = {}
     for monomial, coeffs in vector.items():
         for p1 in range(-2, 3):
             for p2 in range(-2, 3):
@@ -220,7 +177,7 @@ def apply_kick(vector: PhaseTaggedVector, pulse_index: int, theta: float,
                 new = apply_factorized(mats[p1], mats[p2], coeffs)
                 if not np.any(new):
                     continue
-                out.add_term(kicked, new)
+                _merge(out, kicked, new)
     return out
 
 
@@ -379,7 +336,7 @@ def _grid_division(z):
     return divide
 
 
-def apply_resolvent(vector: PhaseTaggedVector, z) -> PhaseTaggedVector:
+def apply_resolvent(vector: dict, z) -> dict:
     """Laplace-domain free evolution of every component (state picture).
 
     The exact pair resolvent (z - L1 - L2)^-1 in the block form of the
@@ -415,7 +372,7 @@ def apply_resolvent(vector: PhaseTaggedVector, z) -> PhaseTaggedVector:
     to_eigen, from_eigen, _ = _decay_blocks()
     basis = z if isinstance(z, PoleBasis) else None
     divide = _grid_division(z) if basis is None else _pole_division(basis)
-    out = PhaseTaggedVector()
+    out = {}
     for monomial, coeffs in vector.items():
         if basis is not None and coeffs.ndim == 1:
             constant = np.zeros((NUM_OPS_PAIR, basis.size), dtype=complex)
@@ -425,12 +382,12 @@ def apply_resolvent(vector: PhaseTaggedVector, z) -> PhaseTaggedVector:
         eigen = _map_population_block(to_eigen, block)
         solved = _map_population_block(from_eigen, divide(eigen))
         scalar_out = coeffs.ndim == 1 and np.ndim(z) == 0
-        out.terms[monomial] = (solved.reshape(-1) if scalar_out
-                               else solved.reshape(NUM_OPS_PAIR, -1))
+        out[monomial] = (solved.reshape(-1) if scalar_out
+                         else solved.reshape(NUM_OPS_PAIR, -1))
     return out
 
 
-def apply_interaction(vector: PhaseTaggedVector) -> PhaseTaggedVector:
+def apply_interaction(vector: dict) -> dict:
     """One pair-interaction insertion, branching over coupling factors.
 
     Each component acquires one symbolic tensor factor per canonical
@@ -438,19 +395,14 @@ def apply_interaction(vector: PhaseTaggedVector) -> PhaseTaggedVector:
     coefficients.
     """
     pieces = sparse_interaction_pieces()
-    out = PhaseTaggedVector()
+    out = {}
     for monomial, coeffs in vector.items():
         for tag, piece in pieces.items():
             new = piece @ coeffs
             if not np.any(new):
                 continue
-            out.add_term(monomial.tagged(tag), new)
+            _merge(out, monomial.tagged(tag), new)
     return out
-
-
-def demodulation_keep(kappa: int):
-    """Predicate selecting monomials read out at demodulation harmonic kappa."""
-    return lambda monomial: monomial.pulse_net == (-kappa, kappa)
 
 
 def _detection_covector(direction) -> np.ndarray:
@@ -473,8 +425,8 @@ def _detection_resolvent() -> tuple:
     covectors in ``DETECTION_DIRECTIONS`` order, and the second array,
     of shape (256, 2), starts every tail.
     """
-    identity = PhaseTaggedVector(
-        {PhaseMonomial((0, 0, 0, 0)): np.eye(NUM_OPS_PAIR, dtype=complex)})
+    identity = {PhaseMonomial((0, 0, 0, 0)):
+                np.eye(NUM_OPS_PAIR, dtype=complex)}
     [(_, resolvent)] = apply_resolvent(identity, 0.0).items()
     transposed = np.ascontiguousarray(resolvent.T)
     rows = np.stack([_detection_covector(d).conj()
@@ -498,8 +450,7 @@ def _grow_tails(tails: dict, steps) -> dict:
     grown = {}
     for tags, block in tails.items():
         for key, piece in steps(tags):
-            new = piece @ block
-            grown[key] = grown[key] + new if key in grown else new
+            _merge(grown, key, piece @ block)
     keys = list(grown)
     stacked = resolvent @ np.concatenate([grown[k] for k in keys], axis=1)
     return {key: stacked[:, 2 * i:2 * i + 2] for i, key in enumerate(keys)}
@@ -554,9 +505,8 @@ def _interpulse_axis(z1: np.ndarray, resolvents: int):
     return basis if basis.size < z1.size and not on_pole.any() else z1
 
 
-def two_pulse_chain(order: int, z1, theta: float, channel: str, *,
-                    keep1=None, keep2=None, closing=None,
-                    fast: bool = False) -> dict:
+def two_pulse_chain(order: int, z1, theta: float, channel: str, kappa: int,
+                    *, closing=None, fast: bool = False) -> dict:
     """Detected rows of the two-pulse chain, summed over interaction splits.
 
     Split ``between`` puts that many of the ``order`` insertions before
@@ -574,11 +524,15 @@ def two_pulse_chain(order: int, z1, theta: float, channel: str, *,
     lies on a pole, and the grid ``z1`` otherwise.  On the pole basis,
     each key's rows are evaluated on ``z1`` after the last contraction.
 
-    ``keep1`` and ``keep2`` optionally filter the monomials of the two
-    kicks.  ``closing`` optionally maps, per tag, the last insertion of
-    every split to a tag-free monomial (the averaged chain); otherwise
-    every insertion is :func:`apply_interaction`.  The other arguments
-    are those of :func:`scattering_solution`.
+    Only the monomials read out at demodulation harmonic ``kappa`` are
+    kept: kick 1 keeps net pulse-1 exponent -kappa, kick 2 net pulse
+    exponents (-kappa, kappa).  ``closing`` optionally maps, per tag, the
+    last insertion of every split to a tag-free monomial (the averaged
+    chain); its pair weights assume that the position phases have
+    averaged away, so with it kick 2 also keeps only zero net exponent
+    on each atom.  Without it, every insertion is
+    :func:`apply_interaction`.  The other arguments are those of
+    :func:`scattering_solution`.
 
     Returns:
         dict mapping (net atom-1 phase exponent, sorted tags) to the
@@ -590,8 +544,12 @@ def two_pulse_chain(order: int, z1, theta: float, channel: str, *,
     splits = (0,) if fast else tuple(range(order + 1))
     axis = _interpulse_axis(z1, len(splits))
     tails = _detection_tails(order, closing)
-    harmonics = kick_decomposition(theta, SECOND_POLARIZATION[channel])
-    transposed = {p: harmonics.harmonic(p).T for p in range(-2, 3)}
+    transposed = {p: harmonic.T for p, harmonic in kick_decomposition(
+        theta, SECOND_POLARIZATION[channel]).items()}
+
+    def keep2(monomial):
+        return monomial.pulse_net == (-kappa, kappa) and (
+            closing is None or monomial.atom_net == (0, 0))
 
     def join(prefix_tags, tail_tags):
         if closing is None:
@@ -618,8 +576,8 @@ def two_pulse_chain(order: int, z1, theta: float, channel: str, *,
             chosen, keys = joined[monomial.tags]
             if monomial.powers not in kept:
                 kept[monomial.powers] = [
-                    pair for pair in _HARMONIC_PAIRS if keep2 is None
-                    or keep2(monomial.kicked(2, *pair))]
+                    pair for pair in _HARMONIC_PAIRS
+                    if keep2(monomial.kicked(2, *pair))]
             support = np.flatnonzero(np.any(coeffs, axis=1))
             for p1, p2 in kept[monomial.powers] if keys else ():
                 if (p1, p2) not in kicked:
@@ -637,21 +595,22 @@ def two_pulse_chain(order: int, z1, theta: float, channel: str, *,
         for rows_at, rows in pending:
             sums[rows_at] += rows.reshape(len(rows_at), -1, axis.size)
         for key, i in index.items():
-            out[key] = out[key] + sums[i] if key in out else sums[i]
+            _merge(out, key, sums[i])
 
     def insert(vector, step):
         if closing is None or step < order - 1:
             return apply_interaction(vector)
-        closed = PhaseTaggedVector()
+        closed = {}
         for monomial, coeffs in vector.items():
             (tag,) = monomial.tags
             new = closing[tag] @ coeffs
             if np.any(new):
-                closed.add_term(PhaseMonomial(monomial.powers), new)
+                _merge(closed, PhaseMonomial(monomial.powers), new)
         return closed
 
-    prefix = apply_resolvent(
-        apply_kick(initial_vector(), 1, theta, "x", keep=keep1), axis)
+    prefix = apply_resolvent(apply_kick(
+        initial_vector(), 1, theta, "x",
+        keep=lambda monomial: monomial.pulse_net[0] == -kappa), axis)
     contract(prefix, order)
     for between in splits[1:]:
         # two statements, so that the shorter prefix is freed first
@@ -666,7 +625,7 @@ def two_pulse_chain(order: int, z1, theta: float, channel: str, *,
 
 def scattering_solution(order: int, z1, theta: float,
                         channel: str = "parallel", kappa=None,
-                        fast: bool = False) -> PhaseTaggedVector:
+                        fast: bool = False) -> dict:
     """Pair state after both pulses, expanded to a fixed interaction order.
 
     The state is Laplace transformed in the interpulse delay (at ``z1``)
@@ -694,25 +653,27 @@ def scattering_solution(order: int, z1, theta: float,
             between the two evolution windows.
 
     Returns:
-        PhaseTaggedVector of the transformed state; the sum over
-        interaction splits is already performed.
+        dict mapping each :class:`PhaseMonomial` of the transformed state
+        to its coefficients; the sum over interaction splits is already
+        performed.
     """
     keep1 = keep2 = None
     if kappa is not None:
         keep1 = lambda m: m.pulse_net[0] == -kappa
-        keep2 = demodulation_keep(kappa)
+        keep2 = lambda m: m.pulse_net == (-kappa, kappa)
     second_pol = SECOND_POLARIZATION[channel]
     splits = (0,) if fast else tuple(range(order + 1))
     prefixes = [apply_resolvent(
         apply_kick(initial_vector(), 1, theta, "x", keep=keep1), z1)]
     for _ in range(splits[-1]):
         prefixes.append(apply_resolvent(apply_interaction(prefixes[-1]), z1))
-    total = PhaseTaggedVector()
+    total = {}
     for between in splits:
         part = apply_resolvent(
             apply_kick(prefixes[between], 2, theta, second_pol, keep=keep2),
             0.0)
         for _ in range(between, order):
             part = apply_resolvent(apply_interaction(part), 0.0)
-        total = total + part
+        for monomial, coeffs in part.items():
+            _merge(total, monomial, coeffs)
     return total

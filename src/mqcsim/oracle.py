@@ -1,25 +1,32 @@
 """Brute-force validation of the perturbative pipeline.
 
-Everything here deliberately avoids the symbolic machinery it checks.
+Two layers here share no code with the symbolic machinery they check.
 States are vectorized 16x16 pair density matrices (row-major), the
 master-equation generator and the pulse kicks are assembled from
 Kronecker products of explicit 4x4 blocks, and time evolution runs
-through an adaptive ODE integrator or through direct linear solves.
-Three layers build on that:
+through an adaptive ODE integrator or through direct linear solves:
 
-  * fixed-configuration transients: integrate the full 256-dimensional
-    linear system between exact matrix kicks and read the fluorescence
-    intensity on a time grid, then demodulate numerically over the
-    pulse-phase difference;
-  * fixed-configuration Laplace components: the same generator, but the
-    time integrals are done exactly as resolvent solves, with the pulse
+  * fixed-configuration transients (:func:`time_domain_evolve`):
+    integrate the full 256-dimensional linear system between exact
+    matrix kicks and read the fluorescence intensity on a time grid,
+    then demodulate numerically over the pulse-phase difference;
+  * fixed-configuration Laplace components
+    (:func:`demodulated_laplace`): the same generator, but the time
+    integrals are done exactly as resolvent solves, with the pulse
     phases removed by harmonic binning of the kick matrices, so the
     result is directly comparable to the perturbative chain, the only
-    difference being the neglected interaction orders;
-  * Monte-Carlo configuration averages: per-configuration perturbative
-    spectra (the phase monomials of a term table, coupling factors
-    numeric) sampled over random geometry and averaged with standard
-    errors.
+    difference being the neglected interaction orders.
+
+The perturbative side of every comparison is built on the chain it is
+compared with, :func:`mqcsim.expansion.two_pulse_chain`:
+
+  * term tables (:func:`demodulated_term_table`) hold the chain's
+    detected rows per phase exponent and coupling-factor multiset, and
+    :func:`fixed_configuration_components` prices one at a single
+    configuration;
+  * Monte-Carlo configuration averages (:func:`monte_carlo_spectrum`)
+    price a term table over random geometry and average it with
+    standard errors.
 
 Geometry conventions: both pulses propagate along +z with linear
 polarizations in the x-y plane, atom 2 sits at the origin, and atom 1
@@ -40,7 +47,7 @@ from .atom import (DETECTION_DIRECTIONS, SECOND_POLARIZATION,
                    detection_observable, dipole_components, dipole_lowering)
 from .basis import NUM_OPS_PAIR, build_single_atom_basis, matrix_unit
 from .coupling import TAG_KEYS, coupling_tensor, tensor_tag_value
-from .expansion import demodulation_keep, two_pulse_chain
+from .expansion import _merge, two_pulse_chain
 from .spectra import SpectrumSeries
 
 _EYE4 = np.eye(4, dtype=complex)
@@ -54,6 +61,10 @@ MC_BATCH = 4096
 #: term-table keys with no row entry above this fraction of the table's
 #: largest entry are roundoff where the exact value is zero
 TERM_FLOOR = 1e-13
+
+#: laser phases sampled by :func:`binned_kick`; the pair kick is
+#: band-limited to harmonics |p| <= 4, so nine samples bin it exactly
+KICK_PHASES = 9
 
 
 class IntegrationError(RuntimeError):
@@ -148,24 +159,30 @@ def pair_kick(theta: float, polarization, laser_phase: float,
     return _left_right(u_pair, u_pair.conj().T)
 
 
-def binned_kick(theta: float, polarization, harmonic: int,
-                position_phase: float, samples: int = 9) -> np.ndarray:
-    """Laser-phase harmonic of the kick superoperator.
+def binned_kick(theta: float, polarization, harmonics,
+                position_phase: float) -> dict:
+    """Laser-phase harmonics of the kick superoperator.
 
     Each of the four unitary factors (two atoms, ket and bra side)
     carries the laser phase through at most one unit, so the pair kick
     is band-limited to harmonics |p| <= 4 and a discrete Fourier
-    transform over ``samples`` >= 9 equally spaced phases extracts the
-    e^{i harmonic phase} coefficient exactly.
+    transform over ``KICK_PHASES`` = 9 equally spaced phases extracts
+    the e^{i p phase} coefficient exactly.  One pass over the phases
+    serves every requested p; only their sums are held.
+
+    Returns:
+        dict mapping each p in ``harmonics`` to its 256x256 coefficient.
     """
-    if samples < 9:
-        raise ValueError("need at least 9 phase samples for an exact bin")
-    out = np.zeros((NUM_OPS_PAIR, NUM_OPS_PAIR), dtype=complex)
-    for j in range(samples):
-        phase = 2.0 * np.pi * j / samples
-        out += np.exp(-1j * harmonic * phase) * pair_kick(
-            theta, polarization, phase, position_phase)
-    return out / samples
+    out = {p: np.zeros((NUM_OPS_PAIR, NUM_OPS_PAIR), dtype=complex)
+           for p in harmonics}
+    for j in range(KICK_PHASES):
+        phase = 2.0 * np.pi * j / KICK_PHASES
+        kick = pair_kick(theta, polarization, phase, position_phase)
+        for p, total in out.items():
+            total += np.exp(-1j * p * phase) * kick
+    for total in out.values():
+        total /= KICK_PHASES
+    return out
 
 
 def _deflated_solve(generator: np.ndarray, z: complex,
@@ -192,8 +209,10 @@ def demodulated_laplace(xi: float, n_hat, theta: float, kappas, channels,
     detection time: the pulse phases are removed by harmonic binning of
     the exact kick matrices and the two time integrals are exact
     resolvent solves of the full generator, the second at z2 = 0.  One
-    generator serves every (kappa, channel), and each kappa's z1 solves
-    are the right-hand side block of one z2 solve per channel.
+    generator serves every (kappa, channel), each kappa's z1 solves
+    are the right-hand side block of one z2 solve per channel, and one
+    :func:`binned_kick` per pulse polarization bins every harmonic the
+    pulses need: -kappa of the x pulse 1, +kappa of each pulse 2.
 
     Returns:
         dict mapping (kappa, channel, direction) to an array of
@@ -205,14 +224,19 @@ def demodulated_laplace(xi: float, n_hat, theta: float, kappas, channels,
     covectors = np.stack([detection_covector_vec(d)
                           for d in DETECTION_DIRECTIONS])
     z1_arr = np.atleast_1d(np.asarray(z1_values, dtype=complex))
+    wanted = {"x": [-kappa for kappa in kappas]}
+    for channel in channels:
+        wanted.setdefault(SECOND_POLARIZATION[channel], []).extend(kappas)
+    kicks = {polarization: binned_kick(theta, polarization,
+                                       sorted(set(harmonics)), position)
+             for polarization, harmonics in wanted.items()}
     out = {}
     for kappa in kappas:
-        first = binned_kick(theta, "x", -kappa, position) @ ground_pair_vec()
+        first = kicks["x"][-kappa] @ ground_pair_vec()
         between = np.stack([_deflated_solve(generator, z1, first)
                             for z1 in z1_arr], axis=1)
         for channel in channels:
-            kick2 = binned_kick(theta, SECOND_POLARIZATION[channel], kappa,
-                                position)
+            kick2 = kicks[SECOND_POLARIZATION[channel]][kappa]
             final = _deflated_solve(generator, 0.0, kick2 @ between)
             for d, row in zip(DETECTION_DIRECTIONS, covectors @ final):
                 out[(kappa, channel, d)] = row
@@ -254,11 +278,9 @@ def demodulated_term_table(orders, theta: float, channel: str, kappa: int,
     z1_arr = np.atleast_1d(np.asarray(z1_values, dtype=complex))
     merged: dict = {}
     for order in orders:
-        rows = two_pulse_chain(order, z1_arr, theta, channel,
-                               keep1=lambda m: m.pulse_net[0] == -kappa,
-                               keep2=demodulation_keep(kappa))
-        for key, value in rows.items():
-            merged[key] = merged[key] + value if key in merged else value
+        for key, value in two_pulse_chain(order, z1_arr, theta, channel,
+                                          kappa).items():
+            _merge(merged, key, value)
     largest = {key: np.max(np.abs(value), initial=0.0)
                for key, value in merged.items()}
     floor = TERM_FLOOR * max(largest.values(), default=0.0)

@@ -4,12 +4,13 @@ Assembles the disorder-averaged demodulated emission spectra from the
 symbolic two-pulse expansion: the doubly Laplace-transformed pair state
 at z1 = i * detuning along the interpulse delay and z2 = 0 along the
 detection time, averaged over pair geometry and read by the
-excited-population observable of each detector, all in one chain
-(:func:`mqcsim.disorder.averaged_solution`).  Also
-provides the closed-form small-area peak amplitudes the spectra reduce
-to, and the dimensional helpers (pulse area from pulse energy, dipole
-moment from the decay rate, Doppler-averaged scattering cross-section
-and photon mean free path) that connect the dimensionless model to a
+excited-population observable of each detector, summed over the
+single- and double-scattering orders 0 and 2, all in one call
+(:func:`mqcsim.disorder.averaged_solution`).  Also provides the
+closed-form small-area peak amplitudes the spectra reduce to, and the
+dimensional helpers (pulse area from pulse energy, dipole moment from
+the decay rate, Doppler-averaged scattering cross-section and photon
+mean free path) that connect the dimensionless model to a
 thermal-vapour experiment.
 """
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.constants import c as _C_LIGHT
@@ -29,7 +31,7 @@ from scipy.special import erfcx
 from .atom import (DETECTION_DIRECTIONS, SECOND_POLARIZATION,
                    detection_observable, detector_index)
 from .disorder import averaged_solution, mean_inverse_xi_squared
-from .expansion import PhaseTaggedVector, _detection_covector
+from .expansion import _detection_covector
 
 POLARIZATION_CHANNELS = tuple(SECOND_POLARIZATION)
 DEMODULATION_ORDERS = (1, 2)
@@ -39,7 +41,7 @@ DEMODULATION_ORDERS = (1, 2)
 DEFAULT_DETUNINGS = np.linspace(-10.0, 10.0, 801)
 
 
-def detection_projection(vector: PhaseTaggedVector, direction) -> dict:
+def detection_projection(vector: dict, direction) -> dict:
     """Demodulated fluorescence amplitude per extraction order.
 
     Contracts tensor-free components with the single-atom detection
@@ -72,16 +74,17 @@ class SpectrumSeries:
     """One demodulated emission spectrum on a detuning grid.
 
     ``detunings`` holds omega - kappa*omega0 in units of gamma; values
-    are spectral densities integrated over the detection time, in units
-    of the collection factor squared over gamma squared.
+    are spectral densities integrated over the detection time, in
+    ``units``: the collection factor squared over gamma squared.
     """
+
+    units: ClassVar[str] = "f^2/gamma^2"
 
     detunings: np.ndarray
     values: np.ndarray
     kappa: int
     channel: str
     direction: str
-    units: str = "f^2/gamma^2"
     errors: np.ndarray = None
 
     def __post_init__(self):
@@ -152,11 +155,10 @@ def directional_spectra(kappa: int, channel: str, directions, theta: float,
         raise ValueError("detunings must be a non-empty 1d grid")
     inv_xi_squared = mean_inverse_xi_squared(xi_bar=xi_bar, window=window)
     indices = [detector_index(direction) for direction in directions]
-    rows = sum(averaged_solution(order, 1j * detunings, theta,
-                                 channel=channel, kappa=kappa,
-                                 inv_xi_squared=inv_xi_squared,
-                                 mode=average_mode, fast=fast)
-               for order in (0, 2)) / np.sqrt(2.0 * np.pi)
+    rows = averaged_solution(
+        1j * detunings, theta, channel=channel, kappa=kappa,
+        inv_xi_squared=inv_xi_squared, mode=average_mode,
+        fast=fast) / np.sqrt(2.0 * np.pi)
     return tuple(SpectrumSeries(detunings=detunings, values=rows[index],
                                 kappa=kappa, channel=channel,
                                 direction=direction)

@@ -336,6 +336,30 @@ def test_fig4_preset_emits_sixteen_series(tmp_path):
     assert len(sidecar["files"]) == 16
 
 
+def test_fig4_preset_refuses_every_other_parameter(tmp_path, capsys):
+    # the preset sets every parameter but the seed and the output
+    # directory; any other flag, or a config file, exits 2 naming the
+    # flags instead of being dropped
+    out = tmp_path / "fig4"
+    config = tmp_path / "run.json"
+    config.write_text("{}")
+    for extra, named in (
+            (["--kappas", "1", "--channels", "parallel",
+              "--detuning-count", "5", "--theta", "0.3",
+              "--no-interactions-between-pulses"],
+             ("--kappas", "--channels", "--detuning-count", "--theta",
+              "--no-interactions-between-pulses")),
+            (["--config", str(config)], ("--config",)),
+            (["--seed", "3", "--gamma-to-zero"], ("--gamma-to-zero",))):
+        assert main(["spectrum", "--preset", "fig4", *extra,
+                     "--output-dir", str(out)]) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("invalid configuration: ")
+        assert all(flag in line for flag in named)
+        assert "--seed" not in line.split("drop")[-1]
+    assert not out.exists()
+
+
 def test_table1_reports_closed_and_fitted_coefficients(tmp_path):
     out = tmp_path / "table"
     assert main(["table1", "--output-dir", str(out)]) == 0

@@ -14,7 +14,7 @@ from mqcsim.disorder import (
     mean_inverse_xi_squared,
     survival_filter,
 )
-from mqcsim.expansion import PhaseMonomial, PhaseTaggedVector, scattering_solution
+from mqcsim.expansion import PhaseMonomial, scattering_solution
 
 WINDOW = (67.2, 92.8)
 
@@ -48,11 +48,9 @@ def test_mean_inverse_xi_squared_validation():
 
 
 def test_survival_filter_keeps_cancelling_position_phases():
-    vec = PhaseTaggedVector()
     kept = [(0, 0, 0, 0), (-1, 1, 0, 0), (0, 0, -1, 1), (-1, 1, -1, 1)]
     dropped = [(-1, 0, 0, 1), (1, 0, 0, 0), (-1, -1, 1, 1)]
-    for powers in kept + dropped:
-        vec.add_term(PhaseMonomial(powers), np.ones(256))
+    vec = {PhaseMonomial(powers): np.ones(256) for powers in kept + dropped}
     out = survival_filter(vec)
     assert {m.powers for m, _ in out.items()} == set(kept)
 
@@ -155,34 +153,33 @@ def test_level_shift_only_average_matches_quadrature():
 
 def test_average_state_collapses_factor_pairs():
     inv2 = mean_inverse_xi_squared(xi_bar=80.0)
-    vec = PhaseTaggedVector()
     bare = PhaseMonomial((-1, 1, 0, 0))
-    vec.add_term(bare, np.arange(256.0))
-    vec.add_term(PhaseMonomial((1, 0, 0, 0)), np.ones(256))  # fails survival
-    vec.add_term(bare.tagged(("direct", 0, 0)), np.ones(256))  # single factor
     pair_a = bare.tagged(("direct", 0, 0)).tagged(("conj", 0, 0))
     pair_b = bare.tagged(("direct", 0, 1)).tagged(("conj", 0, 1))
     same = bare.tagged(("direct", 0, 0)).tagged(("direct", 0, 0))
-    vec.add_term(pair_a, np.full(256, 2.0))
-    vec.add_term(pair_b, np.full(256, 3.0))
-    vec.add_term(same, np.ones(256))
+    vec = {
+        bare: np.arange(256.0),
+        PhaseMonomial((1, 0, 0, 0)): np.ones(256),  # fails survival
+        bare.tagged(("direct", 0, 0)): np.ones(256),  # single factor
+        pair_a: np.full(256, 2.0),
+        pair_b: np.full(256, 3.0),
+        same: np.ones(256),
+    }
     out = average_state(vec, inv2)
     assert {m.powers for m, _ in out.items()} == {bare.powers}
     assert all(m.tags == () for m, _ in out.items())
     weight_a = angular_average(pair_a.tags, inv2)
     weight_b = angular_average(pair_b.tags, inv2)
     want = np.arange(256.0) + 2.0 * weight_a + 3.0 * weight_b
-    np.testing.assert_allclose(out.terms[bare], want, atol=1e-15)
+    np.testing.assert_allclose(out[bare], want, atol=1e-15)
 
 
 def test_average_state_rejects_higher_orders():
-    vec = PhaseTaggedVector()
     triple = PhaseMonomial((0, 0, 0, 0))
     for _ in range(3):
         triple = triple.tagged(("direct", 0, 0))
-    vec.add_term(triple, np.ones(256))
     with pytest.raises(ValueError):
-        average_state(vec, 1.0 / 6400.0)
+        average_state({triple: np.ones(256)}, 1.0 / 6400.0)
 
 
 def test_average_state_on_demodulated_chain():

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 from scipy.linalg import expm
 
-from mqcsim.atom import decay_generator, free_propagator, kick_decomposition
+from mqcsim.atom import _pulse_unitary, decay_generator, free_propagator
 from mqcsim.coupling import coupling_tensor, interaction_matrices
 from mqcsim.disorder import angular_average, mean_inverse_xi_squared
 from mqcsim.oracle import (
@@ -105,10 +105,10 @@ def test_decay_part_matches_closed_form_free_propagator():
 
 
 def test_pulse_unitary_matches_kick_decomposition():
-    decomposition = kick_decomposition(0.8, "x")
+    # the expm unitary against the closed form behind the kick harmonics
     for phi in (0.0, 0.9, 4.1):
         assert np.allclose(pulse_unitary(0.8, "x", phi),
-                           decomposition.unitary(phi), atol=1e-12)
+                           _pulse_unitary(0.8, "x", phi), atol=1e-12)
 
 
 def test_pair_kick_factorizes_over_atoms():
@@ -124,22 +124,30 @@ def test_pair_kick_factorizes_over_atoms():
 
 
 def test_binned_kick_is_exact_at_band_limit():
-    args = (0.44, "x", -1, 0.7)
-    reference = binned_kick(*args, samples=64)
-    assert np.max(np.abs(binned_kick(*args) - reference)) < 1e-13
-    with pytest.raises(ValueError):
-        binned_kick(*args, samples=5)
-    # the pair kick really does carry the +-4 harmonic that makes fewer
-    # than nine samples alias
-    assert np.max(np.abs(binned_kick(0.44, "x", 4, 0.7, samples=16))) > 1e-5
-    assert np.max(np.abs(binned_kick(0.44, "x", 5, 0.7, samples=32))) < 1e-14
+    # a 64-sample discrete Fourier transform of the pair kick resolves
+    # every harmonic up to 31 without aliasing
+    phases = 2.0 * np.pi * np.arange(64) / 64
+    kicks = np.stack([pair_kick(0.44, "x", phase, 0.7) for phase in phases])
+    reference = {p: np.tensordot(np.exp(-1j * p * phases), kicks, axes=1) / 64
+                 for p in range(-5, 6)}
+    binned = binned_kick(0.44, "x", range(-4, 5), 0.7)
+    assert sorted(binned) == list(range(-4, 5))
+    for p, harmonic in binned.items():
+        assert np.max(np.abs(harmonic - reference[p])) < 1e-13
+    # the pair kick really does carry the +-4 harmonics that make fewer
+    # than nine phases alias, and nothing beyond them
+    for p in (-4, 4):
+        assert np.max(np.abs(reference[p])) > 1e-5
+    for p in (-5, 5):
+        assert np.max(np.abs(reference[p])) < 1e-14
 
 
 def test_deflated_solve_is_exact_resolvent_on_trace_free_input():
     # two right-hand sides at once, as the oracle passes a z1 block
     gen = pair_generator(30.0, _random_axis(3))
-    rhs = np.stack([binned_kick(THETA, "x", -kappa, 12.0) @ ground_pair_vec()
-                    for kappa in (1, 2)], axis=1)
+    kicks = binned_kick(THETA, "x", (-1, -2), 12.0)
+    rhs = np.stack([kicks[-kappa] @ ground_pair_vec() for kappa in (1, 2)],
+                   axis=1)
     trace_covector = np.eye(16, dtype=complex).reshape(-1)
     assert np.max(np.abs(trace_covector @ rhs)) < 1e-14
     for z in (0.0, 0.3 + 1.1j):
@@ -284,10 +292,11 @@ def test_time_integral_of_transient_matches_resolvent_component():
     z1 = 0.4 + 0.9j
     position = xi * n_hat[2]
     gen = pair_generator(xi, n_hat)
-    first = binned_kick(THETA, "x", -kappa, position) @ ground_pair_vec()
+    kicks = binned_kick(THETA, "x", (-kappa, kappa), position)
+    first = kicks[-kappa] @ ground_pair_vec()
     tau = np.linspace(0.0, 30.0, 1201)
     between = _propagate(gen, first, tau, 1e-12)
-    kicked = binned_kick(THETA, "x", kappa, position) @ between
+    kicked = kicks[kappa] @ between
     deflation = np.outer(ground_pair_vec(), np.eye(16).reshape(-1))
     collected = np.linalg.solve(-gen + deflation, kicked)
     reference = demodulated_laplace(xi, n_hat, THETA, (kappa,),

@@ -1,6 +1,8 @@
 """Checks for the detection projection, the averaged spectra, and the
 closed-form observables."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -8,7 +10,7 @@ from scipy.integrate import quad
 from mqcsim.atom import dipole_lowering
 from mqcsim.basis import expand, matrix_unit, pair_operator
 from mqcsim.disorder import average_state, averaged_solution, mean_inverse_xi_squared
-from mqcsim.expansion import PhaseMonomial, PhaseTaggedVector, scattering_solution
+from mqcsim.expansion import PhaseMonomial, scattering_solution
 from mqcsim.spectra import (
     DETECTION_DIRECTIONS,
     SpectrumSeries,
@@ -27,7 +29,7 @@ from mqcsim.spectra import (
 
 def _single_state_vector(atom1, atom2):
     coeffs = expand(pair_operator(atom1, atom2))
-    return PhaseTaggedVector({PhaseMonomial((0, 0, 0, 0)): coeffs})
+    return {PhaseMonomial((0, 0, 0, 0)): coeffs}
 
 
 def test_detection_observable_reads_transverse_populations():
@@ -56,12 +58,11 @@ def test_detection_projection_single_atom_examples():
 
 
 def test_detection_projection_rejects_unfinished_components():
-    vec = PhaseTaggedVector()
-    vec.add_term(PhaseMonomial((0, 0, 0, 0)).tagged(("direct", 0, 0)),
-                 np.ones(256))
+    tagged = {PhaseMonomial((0, 0, 0, 0)).tagged(("direct", 0, 0)):
+              np.ones(256)}
     with pytest.raises(ValueError):
-        detection_projection(vec, "x")
-    unbalanced = PhaseTaggedVector({PhaseMonomial((1, 0, 0, 0)): np.ones(256)})
+        detection_projection(tagged, "x")
+    unbalanced = {PhaseMonomial((1, 0, 0, 0)): np.ones(256)}
     with pytest.raises(ValueError):
         detection_projection(unbalanced, "x")
 
@@ -78,38 +79,48 @@ def _reference_rows(order, z1, theta, channel, kappa, inv2, mode="full",
         for d in DETECTION_DIRECTIONS])
 
 
-@pytest.mark.parametrize("order,kappa,channel,mode", [
-    (0, 1, "parallel", "full"),
-    (0, 2, "perpendicular", "full"),
-    (2, 1, "perpendicular", "full"),
-    (2, 2, "parallel", "full"),
-    (2, 1, "parallel", "level_shift_only"),
+def _assert_matches_summed_references(z1, every, theta, channel, kappa, inv2,
+                                      mode, fast, vanishing):
+    """``averaged_solution`` on ``z1`` against the sum over orders 0 and 2
+    of the averaged forward chain, taken at every ``every``-th point."""
+    got = averaged_solution(z1, theta, channel=channel, kappa=kappa,
+                            inv_xi_squared=inv2, mode=mode, fast=fast)
+    assert got.shape == (2, len(z1))
+    want = sum(_reference_rows(order, z1[::every], theta, channel, kappa,
+                               inv2, mode, fast) for order in (0, 2))
+    _assert_rows_match(got[:, ::every], want, vanishing)
+
+
+#: one point off the axis, and fig4's 801-point grid, which the chain
+#: carries as exact pole labels; the forward reference there is taken at
+#: every hundredth point
+GRIDS = ((np.array([0.3 + 0.2j]), 1),
+         (1j * np.linspace(-10.0, 10.0, 801), 100))
+
+
+@pytest.mark.parametrize("kappa,channel,mode", [
+    (1, "parallel", "full"),
+    (2, "perpendicular", "full"),
+    (1, "perpendicular", "full"),
+    (2, "parallel", "full"),
+    (1, "parallel", "level_shift_only"),
 ])
-def test_averaged_solution_matches_reference_chain(order, kappa, channel, mode):
-    """At one point, and on fig4's 801-point grid, which the chain
-    carries as exact pole labels; the forward reference there is taken
-    at every hundredth point."""
-    theta = 0.8
+def test_averaged_solution_matches_reference_chain(kappa, channel, mode):
     inv2 = mean_inverse_xi_squared(xi_bar=80.0)
-    # no single atom holds a two-quantum coherence, and crossed pulses
-    # leave no one-quantum signal: those rows are zero up to roundoff
-    vanishing = (order, kappa) == (0, 2) or (kappa, channel) == (
-        1, "perpendicular")
-    for z1, every in ((np.array([0.3 + 0.2j]), 1),
-                      (1j * np.linspace(-10.0, 10.0, 801), 100)):
-        got = averaged_solution(order, z1, theta, channel=channel,
-                                kappa=kappa, inv_xi_squared=inv2, mode=mode)
-        assert got.shape == (2, len(z1))
-        want = _reference_rows(order, z1[::every], theta, channel, kappa,
-                               inv2, mode)
-        _assert_rows_match(got[:, ::every], want, vanishing)
+    # crossed pulses leave no one-quantum signal: those rows are roundoff,
+    # about 1e-17 from order 0 (against an order-0 parallel peak of 0.3)
+    # and 1e-21 from order 2
+    vanishing = 1e-16 if (kappa, channel) == (1, "perpendicular") else None
+    for z1, every in GRIDS:
+        _assert_matches_summed_references(
+            z1, every, 0.8, channel, kappa, inv2, mode, False, vanishing)
 
 
-def _assert_rows_match(got, want, vanishing=False):
+def _assert_rows_match(got, want, vanishing=None):
     """Rows agree to 1e-12 of the reference's peak; a vanishing signal
-    must be roundoff on both sides."""
-    if vanishing:
-        assert max(np.max(np.abs(got)), np.max(np.abs(want))) < 1e-18
+    must be roundoff below ``vanishing`` on both sides."""
+    if vanishing is not None:
+        assert max(np.max(np.abs(got)), np.max(np.abs(want))) < vanishing
         return
     scale = np.max(np.abs(want))
     assert scale > 1e-9
@@ -122,25 +133,22 @@ def _assert_rows_match(got, want, vanishing=False):
     (2, "perpendicular"),
 ])
 def test_fast_averaged_solution_matches_reference_chain(kappa, channel):
-    theta = 0.8
-    z1 = np.array([-0.7j, 0.3 + 0.2j, 1.1j])
     inv2 = mean_inverse_xi_squared(xi_bar=80.0)
-    for mode in ("full", "level_shift_only"):
-        got = averaged_solution(2, z1, theta, channel=channel, kappa=kappa,
-                                inv_xi_squared=inv2, mode=mode, fast=True)
-        want = _reference_rows(2, z1, theta, channel, kappa, inv2, mode,
-                               fast=True)
-        # with every insertion after the second pulse and no collective
-        # decay, crossed pulses leave no two-quantum signal
-        _assert_rows_match(got, want, (kappa, channel, mode) == (
-            2, "perpendicular", "level_shift_only"))
+    for z1, every in GRIDS + ((np.array([-0.7j, 0.3 + 0.2j, 1.1j]), 1),):
+        for mode in ("full", "level_shift_only"):
+            # with every insertion after the second pulse and no collective
+            # decay, crossed pulses leave no two-quantum signal
+            vanishing = 1e-18 if (kappa, channel, mode) == (
+                2, "perpendicular", "level_shift_only") else None
+            _assert_matches_summed_references(
+                z1, every, 0.8, channel, kappa, inv2, mode, True, vanishing)
 
 
 def _independent_atom_values(kappa, theta, detunings):
-    """Order-0 (independent-atom) part of a parallel y spectrum, read off
-    the averaged chain directly."""
-    rows = averaged_solution(0, 1j * np.asarray(detunings), theta,
-                             kappa=kappa, inv_xi_squared=1.0 / 6400.0)
+    """Order-0 (independent-atom) part of a parallel y spectrum, from the
+    forward chain."""
+    rows = _reference_rows(0, 1j * np.asarray(detunings), theta, "parallel",
+                           kappa, 1.0 / 6400.0)
     return rows[DETECTION_DIRECTIONS.index("y")] / np.sqrt(2.0 * np.pi)
 
 
@@ -226,6 +234,8 @@ def test_spectrum_metadata_and_default_grid():
                  detunings=np.linspace(-1, 1, 11))
     assert (s.kappa, s.channel, s.direction) == (2, "perpendicular", "x")
     assert s.units == "f^2/gamma^2"
+    # a class constant, not a field a caller could set
+    assert "units" not in {f.name for f in dataclasses.fields(s)}
     default = spectrum(1, "parallel", "y", 0.05, xi_bar=80.0)
     assert default.detunings.size == 801
     assert default.detunings[0] == -10.0 and default.detunings[-1] == 10.0
