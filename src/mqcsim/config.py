@@ -178,6 +178,14 @@ class RunConfig:
         if any(c not in POLARIZATION_CHANNELS for c in self.channels):
             raise ConfigError(f"channels must be drawn from "
                               f"{POLARIZATION_CHANNELS}, got {self.channels}")
+        # a repeated selection would redo its series and, in mc-average,
+        # count twice in the family-wise limit
+        for name in ("kappas", "channels"):
+            values = getattr(self, name)
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ConfigError(f"{name} must not repeat a value, "
+                                  f"got {tuple(repeated)!r} more than once")
         if self.tensor_mode not in TENSOR_MODES:
             raise ConfigError(f"tensor_mode must be one of {TENSOR_MODES}, "
                               f"got {self.tensor_mode!r}")

@@ -28,15 +28,14 @@ coupling switched off); same-kind pairs then survive with weight
 -<Omega Omega> because only half of each product oscillates.
 
 :func:`averaged_solution` runs the split driver of the expansion,
-:func:`mqcsim.expansion.two_pulse_chain`, at interaction orders 0 and 2
-with the average interleaved, and returns the sum of their detected
-rows.  Passing the averaged closing insertions makes the second kick
-keep only the harmonic pairs that cancel the position phases, and the
-last insertion of every
-split carries the factor-pair weights
-(:func:`_effective_final_insertions`).  In the detection stage, which
-the driver runs backward from the detectors, that insertion is the
-first matrix of every tail: a tail of one insertion is tagged by the
+:func:`mqcsim.expansion.two_pulse_chain`, once over interaction orders
+0 and 2 with the average interleaved, and returns the sum of their
+detected rows.  Passing the averaged closing insertions makes the
+second kick keep only the harmonic pairs that cancel the position
+phases, and the last insertion of every split carries the factor-pair
+weights (:func:`_effective_final_insertions`).  In the detection stage,
+which the driver runs backward from the detectors, that insertion is
+the first matrix of every tail: a tail of one insertion is tagged by the
 factor it still needs, and the next insertion, or an interpulse prefix
 carrying that factor, closes it.
 """
@@ -141,29 +140,25 @@ def averaged_solution(z1, theta: float, channel: str = "parallel",
     double-scattering terms that survive the average.
 
     Equal to the full expansion of each order followed by
-    ``average_state`` and the detector projection, but the average is
-    interleaved with the chain: the second kick keeps only the harmonic
-    pair that cancels the position phases (p1 = -a, p2 = -c; later
-    insertions never change the phase exponents), and the last
-    insertion of each split applies the
+    ``average_state`` and the detector projection, but both orders share
+    one chain call and the average is interleaved with it: the second
+    kick keeps only the harmonic pair that cancels the position phases
+    (p1 = -a, p2 = -c; later insertions never change the phase
+    exponents), and the last insertion of each split applies the
     factor-pair weights directly, as the first matrix of every detection
-    tail or as the last of the interpulse prefix.  The detection stage
-    is integrated over time (z2 = 0), as in
-    :func:`mqcsim.expansion.scattering_solution`.
+    tail or as the last of the interpulse prefix.  The detection stage is integrated over time
+    (z2 = 0), as in :func:`mqcsim.expansion.scattering_solution`.
 
     Returns:
         array of shape (len(DETECTION_DIRECTIONS), len(z1)): the
         detected value per detector (rows in ``DETECTION_DIRECTIONS``
         order) over the z1 grid.
     """
-    closing = _effective_final_insertions(inv_xi_squared, mode)
-    shape = (len(DETECTION_DIRECTIONS), np.size(z1))
-    single, double = (
-        sum(two_pulse_chain(order, z1, theta, channel, kappa,
-                            closing=closing, fast=fast).values(),
-            np.zeros(shape, dtype=complex))
-        for order in (0, 2))
-    return single + double
+    rows = two_pulse_chain(
+        (0, 2), z1, theta, channel, kappa,
+        closing=_effective_final_insertions(inv_xi_squared, mode), fast=fast)
+    return sum(rows.values(), np.zeros((len(DETECTION_DIRECTIONS),
+                                        np.size(z1)), dtype=complex))
 
 
 def average_state(vector: dict, inv_xi_squared: float,

@@ -47,25 +47,25 @@ matrices.
 
 One driver, :func:`two_pulse_chain`, yields the detected rows of the
 chain for :func:`mqcsim.oracle.demodulated_term_table` and
-:func:`mqcsim.disorder.averaged_solution` alike; it sums over the splits
-of the insertions between the two windows.  The interpulse stage runs
-forward along z1: each prefix, the state after kick 1 and some
-insertions, is built once from the one before.  With the stationary mode
-projected out, a resolvent has poles only at the rate sums -1/2, -1,
--3/2 and -2, so a chain of M z1 resolvents is an exact sum of
-c / (z1 - p)^m with m <= M.  The prefixes therefore carry z1 as the
-K = 1 + 4 M coefficients of these partial fractions
-(:class:`PoleBasis`) whenever that is shorter than the requested grid,
-and the rows are evaluated on the grid only at the end; a short grid,
-or one with a point on a pole, is carried as it is.  The detection
-stage does not depend on z1, so it runs once from the other end: the
-conjugated detector rows times R(0) are pulled back through one
-insertion (a transposed sparse piece) and one R(0) per step, with no z1
-axis.  These tails are merged by the sorted multiset of their tags: 1,
-12, 78 and 364 of them for 0-3 insertions.  Each prefix monomial meets
-all tails of the remaining length, through every kick-2 harmonic pair,
-in one stacked matrix product.  :func:`scattering_solution` keeps the whole forward
-state and is the reference that the tests check the driver against.
+:func:`mqcsim.disorder.averaged_solution` alike, over the set of orders
+each sums, split by split.  The interpulse stage runs forward along z1:
+kick 1 runs once, and each prefix, the state after kick 1 and s
+insertions, is built once from the one before and serves every order.
+With the stationary mode projected out, a resolvent has poles only at
+the rate sums -1/2, -1, -3/2 and -2, so a chain of M z1 resolvents is an
+exact sum of c / (z1 - p)^m with m <= M.  The prefixes therefore carry
+z1 as the K = 1 + 4 M coefficients of these partial fractions
+(:class:`PoleBasis`, M set by the highest order) when that is shorter
+than the grid, and the rows are evaluated on it only at the end; a short
+grid, or one with a point on a pole, is carried as it is.  The detection stage does not depend on z1, so it runs once
+from the other end: the conjugated detector rows times R(0) are pulled
+back through one insertion (a transposed sparse piece) and one R(0) per
+step, with no z1 axis.  These tails are merged by the sorted multiset of
+their tags: 1, 12, 78 and 364 of them for 0-3 insertions.  Each prefix
+monomial meets all tails of every remaining length, through every kick-2
+harmonic pair, in one stacked matrix product per length.
+:func:`scattering_solution` keeps the whole forward state of one order
+and is the reference that the tests check the driver against.
 """
 
 from __future__ import annotations
@@ -496,41 +496,43 @@ def _detection_tails(length: int, closing=None) -> list:
 
 
 def _interpulse_axis(z1: np.ndarray, resolvents: int):
-    """The z1 axis a chain of ``resolvents`` z1 resolvents carries: the
-    exact :class:`PoleBasis` when it has fewer labels than the grid has
-    points and no grid point lies on a pole, otherwise the grid itself,
-    whose pole guard then reports a point on a pole."""
+    """The z1 axis of every prefix of a chain whose longest prefix has
+    ``resolvents`` z1 resolvents: the exact :class:`PoleBasis` when it
+    has fewer labels than the grid has points and no grid point lies on
+    a pole, otherwise the grid, whose pole guard then reports a pole."""
     basis = PoleBasis(resolvents)
     on_pole = np.abs(z1[:, None] - np.array(_pole_rates())) < 1e-12
     return basis if basis.size < z1.size and not on_pole.any() else z1
 
 
-def two_pulse_chain(order: int, z1, theta: float, channel: str, kappa: int,
+def two_pulse_chain(orders, z1, theta: float, channel: str, kappa: int,
                     *, closing=None, fast: bool = False) -> dict:
-    """Detected rows of the two-pulse chain, summed over interaction splits.
+    """Detected rows of the two-pulse chain over ``orders``, summed over
+    interaction splits and merged by key.
 
-    Split ``between`` puts that many of the ``order`` insertions before
-    the second kick (resolvents at ``z1``) and the rest after it, in
-    the detection stage (resolvents at z2 = 0).  The interpulse prefixes
-    run forward along z1, each built once from the one before;
-    the detection stage runs backward from the detectors once, with no
-    z1 axis (:func:`_detection_tails`).  Every prefix monomial of split
-    s is kicked into all tails of ``order`` - s insertions by one
-    stacked product per kick-2 harmonic pair (p1, p2).
+    Split s of order n puts s of its n insertions before the second kick
+    (resolvents at ``z1``) and the rest after it, in the detection stage
+    (resolvents at z2 = 0, run backward from the detectors once with no
+    z1 axis, :func:`_detection_tails`).  Kick 1 runs once, and prefix s,
+    s insertions each followed by a z1 resolvent, is built once from
+    prefix s - 1; each of its monomials meets the tails of n - s
+    insertions of every order n >= s by one stacked product per kick-2
+    harmonic pair (p1, p2).
 
-    The z1 axis is chosen once (:func:`_interpulse_axis`): the exact
-    :class:`PoleBasis` of as many resolvents as there are splits when
-    it has fewer labels than ``z1`` has points and no point of ``z1``
-    lies on a pole, and the grid ``z1`` otherwise.  On the pole basis,
-    each key's rows are evaluated on ``z1`` after the last contraction.
+    All orders share the z1 axis (:func:`_interpulse_axis`) of the
+    splits of the highest order: its exact :class:`PoleBasis` when that
+    has fewer labels than ``z1`` has points and no point of ``z1`` lies
+    on a pole, the grid ``z1`` otherwise.  On the pole basis, each key's
+    rows are evaluated on ``z1`` at the end.
 
     Only the monomials read out at demodulation harmonic ``kappa`` are
     kept: kick 1 keeps net pulse-1 exponent -kappa, kick 2 net pulse
     exponents (-kappa, kappa).  ``closing`` optionally maps, per tag, the
     last insertion of every split to a tag-free monomial (the averaged
-    chain); its pair weights assume that the position phases have
-    averaged away, so with it kick 2 also keeps only zero net exponent
-    on each atom.  Without it, every insertion is
+    chain; a full-length prefix is then prefix n - 1 closed and carried
+    through one more z1 resolvent).  Its pair weights assume that the
+    position phases have averaged away, so with it kick 2 also keeps
+    only zero net exponent on each atom.  Without it, every insertion is
     :func:`apply_interaction`.  The other arguments are those of
     :func:`scattering_solution`.
 
@@ -541,9 +543,10 @@ def two_pulse_chain(order: int, z1, theta: float, channel: str, kappa: int,
         be present.
     """
     z1 = np.atleast_1d(np.asarray(z1, dtype=complex))
-    splits = (0,) if fast else tuple(range(order + 1))
+    top = max(orders)
+    splits = (0,) if fast else tuple(range(top + 1))
     axis = _interpulse_axis(z1, len(splits))
-    tails = _detection_tails(order, closing)
+    tails = _detection_tails(top, closing)
     transposed = {p: harmonic.T for p, harmonic in kick_decomposition(
         theta, SECOND_POLARIZATION[channel]).items()}
 
@@ -597,9 +600,7 @@ def two_pulse_chain(order: int, z1, theta: float, channel: str, kappa: int,
         for key, i in index.items():
             _merge(out, key, sums[i])
 
-    def insert(vector, step):
-        if closing is None or step < order - 1:
-            return apply_interaction(vector)
+    def close(vector):
         closed = {}
         for monomial, coeffs in vector.items():
             (tag,) = monomial.tags
@@ -611,12 +612,17 @@ def two_pulse_chain(order: int, z1, theta: float, channel: str, kappa: int,
     prefix = apply_resolvent(apply_kick(
         initial_vector(), 1, theta, "x",
         keep=lambda monomial: monomial.pulse_net[0] == -kappa), axis)
-    contract(prefix, order)
-    for between in splits[1:]:
-        # two statements, so that the shorter prefix is freed first
-        prefix = insert(prefix, between - 1)
-        prefix = apply_resolvent(prefix, axis)
-        contract(prefix, order - between)
+    # with closing, no order needs the plain prefix of top insertions
+    for between in splits if closing is None else splits[:max(top, 1)]:
+        if between:
+            # two statements, so that the shorter prefix is freed first
+            prefix = apply_interaction(prefix)
+            prefix = apply_resolvent(prefix, axis)
+        for n in orders:
+            if n > between or n == between and (closing is None or n == 0):
+                contract(prefix, n - between)
+        if closing is not None and not fast and between + 1 in orders:
+            contract(apply_resolvent(close(prefix), axis), 0)
     if axis is z1 or not out:
         return out
     values = np.stack(list(out.values())) @ axis.evaluation(z1)

@@ -47,7 +47,7 @@ from .atom import (DETECTION_DIRECTIONS, SECOND_POLARIZATION,
                    detection_observable, dipole_components, dipole_lowering)
 from .basis import NUM_OPS_PAIR, build_single_atom_basis, matrix_unit
 from .coupling import TAG_KEYS, coupling_tensor, tensor_tag_value
-from .expansion import _merge, two_pulse_chain
+from .expansion import two_pulse_chain
 from .spectra import SpectrumSeries
 
 _EYE4 = np.eye(4, dtype=complex)
@@ -270,17 +270,15 @@ def demodulated_term_table(orders, theta: float, channel: str, kappa: int,
     """Collect the detected rows of the demodulated perturbative chain
     into a term table, one term per (phase exponent, tags) key.
 
-    Keys with no row entry above ``TERM_FLOOR`` of the table's largest
+    One :func:`mqcsim.expansion.two_pulse_chain` call runs every order
+    in ``orders`` on shared interpulse prefixes and one z1 axis; keys of
+    different orders differ in their number of tags.  Keys with no row entry above ``TERM_FLOOR`` of the table's largest
     entry are roundoff of exactly cancelling terms and are left out; a
     chain that keeps no monomial (a zero pulse area prunes them all)
     gives a table of no terms, with ``coeffs`` of shape (0, 2, len(z1)).
     """
     z1_arr = np.atleast_1d(np.asarray(z1_values, dtype=complex))
-    merged: dict = {}
-    for order in orders:
-        for key, value in two_pulse_chain(order, z1_arr, theta, channel,
-                                          kappa).items():
-            _merge(merged, key, value)
+    merged = two_pulse_chain(orders, z1_arr, theta, channel, kappa)
     largest = {key: np.max(np.abs(value), initial=0.0)
                for key, value in merged.items()}
     floor = TERM_FLOOR * max(largest.values(), default=0.0)

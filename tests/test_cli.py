@@ -1,10 +1,12 @@
 """Command-line interface: exit codes, file layout, determinism."""
 
+import ast
 import contextlib
 import inspect
 import io
 import json
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,10 +94,23 @@ FIXED_SETTINGS = ("z2", "restrict_stationary", "initial", "orders",
     "expansion.two_pulse_chain", "oracle.demodulated_term_table"])
 def test_no_function_takes_a_fixed_setting(name):
     fixed = set(FIXED_SETTINGS)
-    if name == "oracle.demodulated_term_table":
-        # oracle-check and mc-average build their tables to different orders
+    if name in ("oracle.demodulated_term_table", "expansion.two_pulse_chain"):
+        # the chain runs to different orders in different runs: spectrum
+        # (0, 2), mc-average 0-2 and oracle-check 0-3
         fixed.discard("orders")
     assert not fixed & set(_parameters(name))
+
+
+@pytest.mark.parametrize("path", sorted(
+    p for p in Path(mqcsim.__file__).parent.glob("*.py") if p.name != "cli.py"),
+    ids=lambda p: p.name)
+def test_no_library_module_calls_print(path):
+    # only the command line prints its report; the library logs
+    tree = ast.parse(path.read_text(), filename=str(path))
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "print"]
+    assert not calls, f"print called at {path.name} lines {calls}"
 
 
 def test_gamma_flag_leaves_spectrum_data_unchanged(tmp_path):
@@ -159,6 +174,15 @@ SMALL_SPECTRUM = ["spectrum", "--kappas", "2", "--channels", "parallel",
     (["spectrum", "--kappas", "2", "--channels", "parallel",
       "--detuning-count", "100000000000000000000"], None),
     (SMALL_SPECTRUM + ["--detuning-count", str(MAX_DETUNING_COUNT + 1)], None),
+    # a repeated selection would redo its series
+    (["spectrum", "--kappas", "1", "1", "--channels", "parallel", "parallel",
+      "--detuning-count", "5"], None),
+    (["mc-average", "--kappas", "2", "2", "--channels", "parallel",
+      "--detuning-count", "3", "--mc-samples", "10"], None),
+    (["oracle-check", "--kappas", "1", "--channels", "perpendicular",
+      "perpendicular", "--oracle-directions", "1"], None),
+    (["spectrum"], {"kappas": [2, 1, 2], "channels": ["parallel"],
+                    "detuning_count": 5}),
 ])
 def test_bad_inputs_exit_with_two(tmp_path, capsys, argv, config):
     argv = argv + ["--output-dir", str(tmp_path / "run")]

@@ -98,10 +98,19 @@ def test_separation_sources_resolve_and_conflict():
     {"mc_samples": 1},
     {"detuning_count": 10**20},
     {"detuning_count": MAX_DETUNING_COUNT + 1},
+    {"kappas": (1, 1)},
+    {"channels": ("parallel", "perpendicular", "parallel")},
 ])
 def test_invalid_fields_are_rejected(fields):
     with pytest.raises(ConfigError):
         RunConfig(**fields)
+
+
+def test_repeated_selections_are_named():
+    with pytest.raises(ConfigError, match=r"kappas .*\(2,\)"):
+        RunConfig(kappas=(2, 1, 2))
+    with pytest.raises(ConfigError, match="channels .*'perpendicular'"):
+        RunConfig(channels=("perpendicular", "perpendicular"))
 
 
 def test_largest_detuning_grid_is_accepted():

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mqcsim import expansion
 from mqcsim.atom import PoleError, decay_generator, kick_decomposition
 from mqcsim.basis import expand, matrix_unit, pair_operator
 from mqcsim.coupling import (coupling_tensor, interaction_matrices,
                              tensor_tag_value)
+from mqcsim.disorder import _effective_final_insertions
 from mqcsim.expansion import (
     PhaseMonomial,
     PoleBasis,
+    _detection_resolvent,
     _interpulse_axis,
     _pole_sectors,
     apply_interaction,
@@ -354,12 +357,50 @@ def test_interpulse_axis_is_chosen_by_size_and_poles():
 
 def test_long_grid_with_a_point_on_a_pole_raises_as_before():
     grid = 1j * np.linspace(-2.0, 2.0, 41)
-    rows = two_pulse_chain(2, grid, 0.7, "parallel", 1)
+    rows = two_pulse_chain((2,), grid, 0.7, "parallel", 1)
     assert rows
     # kick 1 leaves optical coherences of rate sum -1/2 in the prefix
     grid[5] = -0.5
     with pytest.raises(PoleError):
-        two_pulse_chain(2, grid, 0.7, "parallel", 1)
+        two_pulse_chain((2,), grid, 0.7, "parallel", 1)
+
+
+def _count_chain_steps(monkeypatch, *args, **kwargs):
+    """Rows of ``two_pulse_chain(*args, **kwargs)`` and the kicks, z1
+    resolvents and plain insertions it makes.  The detection stage's
+    only resolvent, R(0), is cached before counting."""
+    _detection_resolvent()
+    counts = {"kicks": 0, "z1_resolvents": 0, "insertions": 0}
+
+    def counted(name, original):
+        def call(*call_args, **call_kwargs):
+            counts[name] += 1
+            return original(*call_args, **call_kwargs)
+        return call
+
+    for name, original in (("kicks", apply_kick),
+                           ("z1_resolvents", apply_resolvent),
+                           ("insertions", apply_interaction)):
+        monkeypatch.setattr(expansion, original.__name__,
+                            counted(name, original))
+    return two_pulse_chain(*args, **kwargs), counts
+
+
+@pytest.mark.parametrize("points", [7, 41])
+def test_each_interpulse_prefix_is_built_once(monkeypatch, points):
+    """A chain over several orders runs kick 1 once and builds prefix s
+    once, from prefix s - 1, on the grid and on pole labels alike."""
+    z1 = 1j * np.linspace(-3.0, 3.0, points)
+    rows, counts = _count_chain_steps(
+        monkeypatch, (0, 1, 2, 3), z1, 0.7, "parallel", 1)
+    assert rows
+    assert counts == {"kicks": 1, "z1_resolvents": 4, "insertions": 3}
+    # the averaged chain closes its order-2 prefix instead of inserting
+    rows, counts = _count_chain_steps(
+        monkeypatch, (0, 2), z1, 0.7, "parallel", 1,
+        closing=_effective_final_insertions(1e-2, "full"))
+    assert rows
+    assert counts == {"kicks": 1, "z1_resolvents": 3, "insertions": 1}
 
 
 def test_resolvent_broadcasts_over_a_grid_of_z_values():

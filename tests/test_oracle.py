@@ -362,7 +362,9 @@ def _forward_rows(order, z1, kappa, channel):
 @pytest.mark.parametrize("kappa", [1, 2])
 @pytest.mark.parametrize("channel", ["parallel", "perpendicular"])
 def test_term_table_matches_forward_chain(kappa, channel):
-    """The detector-first table against the forward chain, order by order.
+    """The detector-first table against the forward chain, order by order
+    and over all four orders at once, where the orders share their
+    prefixes and one z1 axis.
 
     Both builds leave some keys whose rows are roundoff of the order of
     1e-17 of the table's peak where the other build cancels them
@@ -373,28 +375,30 @@ def test_term_table_matches_forward_chain(kappa, channel):
     every order carries exact pole labels and is evaluated at the end.
     """
     grid = 0.25 + 1j * np.linspace(-2.0, 2.0, 5)
-    wanted = {order: _forward_rows(order, grid, kappa, channel)
+    wanted = {(order,): _forward_rows(order, grid, kappa, channel)
               for order in (0, 1, 2, 3)}
-    peaks = {order: max(np.max(np.abs(rows)) for rows in want.values())
-             for order, want in wanted.items()}
+    # keys of different orders differ in their number of tags
+    wanted[(0, 1, 2, 3)] = {key: rows for want in list(wanted.values())
+                            for key, rows in want.items()}
+    peaks = {orders: max(np.max(np.abs(rows)) for rows in want.values())
+             for orders, want in wanted.items()}
     overall = max(peaks.values())
     assert overall > 1e-4
     zero = np.zeros((len(DETECTION_DIRECTIONS), len(grid)))
     for z1, every in ((grid, 1),
                       (0.25 + 1j * np.linspace(-2.0, 2.0, 41), 10)):
         np.testing.assert_allclose(z1[::every], grid, rtol=0, atol=1e-15)
-        for order, want in wanted.items():
-            table = demodulated_term_table((order,), THETA, channel, kappa,
-                                           z1)
+        for orders, want in wanted.items():
+            table = demodulated_term_table(orders, THETA, channel, kappa, z1)
             got = dict(zip(zip(table.phase_exponents, table.tags),
                            table.coeffs[:, :, ::every]))
-            if peaks[order] < 1e-14 * overall:
+            if peaks[orders] < 1e-14 * overall:
                 # a vanishing order (the order-0 perpendicular one-quantum
                 # signal, say) is roundoff in both builds
                 assert all(np.max(np.abs(rows)) < 1e-14 * overall
                            for rows in got.values())
                 continue
-            peak = peaks[order]
+            peak = peaks[orders]
 
             def significant(rows):
                 return {key for key, value in rows.items()
@@ -404,7 +408,7 @@ def test_term_table_matches_forward_chain(kappa, channel):
             for key in set(got) | set(want):
                 difference = got.get(key, zero) - want.get(key, zero)
                 assert np.max(np.abs(difference)) <= 1e-12 * peak, (
-                    len(z1), order, key)
+                    len(z1), orders, key)
 
 
 def test_term_table_holds_only_contributing_terms():
