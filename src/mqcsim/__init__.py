@@ -9,6 +9,8 @@ non-perturbative time-domain integration and Monte Carlo configuration
 averages.
 """
 
+import importlib
+
 from .basis import build_single_atom_basis, expand, reconstruct
 from .atom import (
     dipole_lowering,
@@ -45,19 +47,28 @@ from .spectra import (
     gamma_from_dipole,
     pulse_area_from_energy,
 )
-from .oracle import (
-    IntegrationError,
-    OracleRun,
-    demodulated_laplace,
-    fixed_configuration_components,
-    monte_carlo_pair_averages,
-    monte_carlo_spectrum,
-    numeric_demodulate,
-    pair_generator,
-    sample_configurations,
-    surviving_term_table,
-    time_domain_evolve,
-)
+
+#: names loaded on first access (PEP 562) and their modules: the oracle
+#: needs scipy.linalg and the transients scipy.integrate, which no
+#: spectrum run should pay for
+_LAZY = {
+    **dict.fromkeys(("demodulated_laplace", "fixed_configuration_components",
+                     "monte_carlo_pair_averages", "monte_carlo_spectrum",
+                     "pair_generator", "sample_configurations",
+                     "surviving_term_table"), "oracle"),
+    **dict.fromkeys(("IntegrationError", "OracleRun", "numeric_demodulate",
+                     "time_domain_evolve"), "transient"),
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"
 

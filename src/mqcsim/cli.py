@@ -28,7 +28,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import __version__
 from .atom import PoleError
@@ -42,14 +41,6 @@ from .config import (
     write_table,
 )
 from .disorder import angular_average, mean_inverse_xi_squared
-from .oracle import (
-    demodulated_laplace,
-    demodulated_term_table,
-    fixed_configuration_components,
-    monte_carlo_pair_averages,
-    monte_carlo_spectrum,
-    surviving_term_table,
-)
 from .spectra import (
     DETECTION_DIRECTIONS,
     POLARIZATION_CHANNELS,
@@ -92,6 +83,8 @@ def family_z_limit(count: int) -> float:
     the limit on correct code is at most ``MC_FALSE_ALARM``, however the
     scores are correlated.
     """
+    from scipy.special import ndtri
+
     return float(-ndtri(MC_FALSE_ALARM / (2.0 * count)))
 
 
@@ -280,6 +273,9 @@ def run_table1(config: RunConfig) -> int:
 
 def run_oracle_check(config: RunConfig) -> int:
     """Compare analytic demodulated components with the exact oracle."""
+    from .oracle import (demodulated_laplace, demodulated_term_table,
+                         fixed_configuration_components)
+
     directory = _prepare_output(config)
     theta = config.resolved_theta()
     z1_grid = 1j * np.linspace(-3.0, 3.0, 7)
@@ -329,6 +325,9 @@ def run_oracle_check(config: RunConfig) -> int:
 
 def run_mc_average(config: RunConfig) -> int:
     """Monte-Carlo averages against their closed forms, within errors."""
+    from .oracle import (demodulated_term_table, monte_carlo_pair_averages,
+                         monte_carlo_spectrum, surviving_term_table)
+
     directory = _prepare_output(config)
     theta = config.resolved_theta()
     window = tuple(config.window)

@@ -29,11 +29,10 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-from scipy.constants import c as _C_LIGHT
 
 from . import __version__
 from .disorder import mean_inverse_xi_squared
-from .spectra import (POLARIZATION_CHANNELS, dipole_from_gamma,
+from .spectra import (_C_LIGHT, POLARIZATION_CHANNELS, dipole_from_gamma,
                       mean_free_path, mean_scattering_cross_section,
                       pulse_area_from_energy)
 

@@ -18,11 +18,13 @@ decay kernel: it is the collective analogue of the single-atom decay
 feed.
 
 For the perturbative expansion the generator is kept symbolic in the
-tensor entries: ``interaction_pieces`` returns, per formal factor
+tensor entries: ``sparse_interaction_pieces`` returns, per formal factor
 (the tensor entry itself or its complex conjugate, indices k <= l with
-the symmetric partner folded in), the 256x256 matrix multiplying that
-factor.  Contracting the pieces with a concrete tensor reproduces the
-assembled generator, which is what ``interaction_matrices`` does.
+the symmetric partner folded in), the 256x256 CSR matrix multiplying
+that factor, built as sparse Kronecker products of single-atom sandwich
+maps.  ``interaction_pieces`` is its dense view.  Contracting the pieces
+with a concrete tensor reproduces the assembled generator, which is what
+``interaction_matrices`` does.
 
 Superoperator matrices follow the conventions of :mod:`mqcsim.basis`
 and act on density-operator coefficients, as the master equation does.
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atom import dipole_components
-from .basis import NUM_OPS_PAIR, kron_superop, sandwich_matrix
+from .basis import sandwich_matrix
 
 #: formal factor kinds: the tensor entry itself or its complex conjugate
 TAG_KINDS = ("direct", "conj")
@@ -93,18 +95,42 @@ def tensor_tag_value(tensor: np.ndarray, tag):
     return np.conj(value) if kind == "conj" else value
 
 
-def _pair_map(left1, right1, left2, right2) -> np.ndarray:
-    """256x256 matrix of O1 x O2 -> (L1 O1 R1) x (L2 O2 R2)."""
-    return kron_superop(sandwich_matrix(left1, right1),
-                        sandwich_matrix(left2, right2))
+@functools.cache
+def _sandwich_maps():
+    """Sparse 16x16 maps O -> X O Y of one atom, by (X, Y) label.
+
+    Labels: ("low", k) for D_k, ("raise", l) for D_l^dag and "eye" for
+    the identity; only the sides the pieces use are built.
+    """
+    # scipy.sparse is imported on first use here and in _pair_map, so
+    # that --version and cross-section, which build no piece, do not
+    # pay about 0.1 s for loading it
+    from scipy.sparse import csr_array
+
+    dips = dipole_components()
+    ops = {"eye": np.eye(4, dtype=complex)}
+    for k in range(3):
+        ops[("low", k)] = dips[k]
+        ops[("raise", k)] = dips[k].conj().T
+    return {(left, right): csr_array(sandwich_matrix(ops[left], ops[right]))
+            for left in ops for right in ops
+            if (left == "eye") != (right == "eye")}
+
+
+@functools.cache
+def _pair_map(left1, right1, left2, right2):
+    """CSR matrix of O1 x O2 -> (L1 O1 R1) x (L2 O2 R2), by labels; the
+    feed parts of the two factor kinds share theirs."""
+    from scipy.sparse import kron
+
+    maps = _sandwich_maps()
+    return kron(maps[(left1, right1)], maps[(left2, right2)], format="csr")
 
 
 def _ordered_pieces(kind: str, k: int, l: int):
     """Shift and feed matrices for the ordered, un-symmetrized index pair
     (k, l) and factor kind, with both atom orderings summed."""
-    dips = dipole_components()
-    dk, dl_dag = dips[k], dips[l].conj().T
-    eye = np.eye(4, dtype=complex)
+    dk, dl_dag, eye = ("low", k), ("raise", l), "eye"
     # atom orderings (alpha, beta) = (1, 2) and (2, 1); the lowering
     # operator always sits on atom alpha, left of the density operator
     # for the conjugate factor and right of it for the direct one
@@ -118,8 +144,9 @@ def _ordered_pieces(kind: str, k: int, l: int):
     return shift, feed
 
 
-def _split_pieces():
-    """Canonical tag -> (shift, feed) matrices.
+@functools.cache
+def _sparse_split_pieces():
+    """Canonical tag -> (shift, feed) CSR matrices.
 
     Canonicalization folds the symmetric partner (l, k) into the (k, l)
     piece.
@@ -129,10 +156,19 @@ def _split_pieces():
         shift, feed = _ordered_pieces(kind, k, l)
         if k != l:
             shift_lk, feed_lk = _ordered_pieces(kind, l, k)
-            shift += shift_lk
-            feed += feed_lk
+            shift = shift + shift_lk
+            feed = feed + feed_lk
         out[(kind, k, l)] = (shift, feed)
     return out
+
+
+@functools.cache
+def sparse_interaction_pieces():
+    """Canonical tag -> CSR matrix multiplying that formal factor, for
+    applying it to coefficient vectors: each piece holds 160-640
+    nonzeros of 65,536."""
+    return {tag: shift + feed
+            for tag, (shift, feed) in _sparse_split_pieces().items()}
 
 
 def interaction_pieces():
@@ -141,19 +177,8 @@ def interaction_pieces():
     The generator is sum over tags of (tensor factor value) x (piece);
     see ``tensor_tag_value`` for the factor values.
     """
-    return {tag: shift + fd for tag, (shift, fd) in _split_pieces().items()}
-
-
-@functools.cache
-def sparse_interaction_pieces():
-    """``interaction_pieces`` as CSR matrices, for applying them to
-    coefficient vectors: each piece holds 160-640 nonzeros of 65,536."""
-    # imported on first use: loading scipy.sparse ahead of scipy.integrate
-    # (which loads it anyway) adds about 0.1 s to every CLI start
-    from scipy.sparse import csr_array
-
-    return {tag: csr_array(piece)
-            for tag, piece in interaction_pieces().items()}
+    return {tag: piece.toarray()
+            for tag, piece in sparse_interaction_pieces().items()}
 
 
 @dataclass(frozen=True)
@@ -171,11 +196,7 @@ class InteractionMatrices:
 
 def interaction_matrices(tensor: np.ndarray) -> InteractionMatrices:
     """Contract the symbolic pieces with a concrete coupling tensor."""
-    shift = np.zeros((NUM_OPS_PAIR, NUM_OPS_PAIR), dtype=complex)
-    fd = np.zeros_like(shift)
-    pieces = _split_pieces()
-    for tag in TAG_KEYS:
-        value = tensor_tag_value(tensor, tag)
-        shift += value * pieces[tag][0]
-        fd += value * pieces[tag][1]
+    pieces = _sparse_split_pieces()
+    shift, fd = (sum(tensor_tag_value(tensor, tag) * pieces[tag][part]
+                     for tag in TAG_KEYS).toarray() for part in (0, 1))
     return InteractionMatrices(total=shift + fd, level_shift=shift, cross_feed=fd)

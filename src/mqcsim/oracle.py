@@ -1,21 +1,16 @@
 """Brute-force validation of the perturbative pipeline.
 
-Two layers here share no code with the symbolic machinery they check.
-States are vectorized 16x16 pair density matrices (row-major), the
-master-equation generator and the pulse kicks are assembled from
-Kronecker products of explicit 4x4 blocks, and time evolution runs
-through an adaptive ODE integrator or through direct linear solves:
-
-  * fixed-configuration transients (:func:`time_domain_evolve`):
-    integrate the full 256-dimensional linear system between exact
-    matrix kicks and read the fluorescence intensity on a time grid,
-    then demodulate numerically over the pulse-phase difference;
-  * fixed-configuration Laplace components
-    (:func:`demodulated_laplace`): the same generator, but the time
-    integrals are done exactly as resolvent solves, with the pulse
-    phases removed by harmonic binning of the kick matrices, so the
-    result is directly comparable to the perturbative chain, the only
-    difference being the neglected interaction orders.
+The Laplace oracle here shares no code with the symbolic machinery it
+checks.  States are vectorized 16x16 pair density matrices (row-major),
+the master-equation generator and the pulse kicks are assembled from
+Kronecker products of explicit 4x4 blocks, and the two time integrals
+are direct linear solves: :func:`demodulated_laplace` computes the
+fixed-configuration Laplace components as resolvent solves, with the
+pulse phases removed by harmonic binning of the kick matrices, so the
+result is directly comparable to the perturbative chain, the only
+difference being the neglected interaction orders.  The time-domain
+transients on the same generator and kicks live in
+:mod:`mqcsim.transient`.
 
 The perturbative side of every comparison is built on the chain it is
 compared with, :func:`mqcsim.expansion.two_pulse_chain`:
@@ -40,7 +35,6 @@ import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from .atom import (DETECTION_DIRECTIONS, SECOND_POLARIZATION,
@@ -65,10 +59,6 @@ TERM_FLOOR = 1e-13
 #: laser phases sampled by :func:`binned_kick`; the pair kick is
 #: band-limited to harmonics |p| <= 4, so nine samples bin it exactly
 KICK_PHASES = 9
-
-
-class IntegrationError(RuntimeError):
-    """Raised when the transient integrator fails to converge."""
 
 
 def _left_right(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -323,95 +313,6 @@ def fixed_configuration_components(table: TermTable, xi: float,
     weights = _term_weights(table, np.array([xi]), n[None, :], "exact")
     values = np.tensordot(weights[:, 0], table.coeffs, axes=(0, 0))
     return dict(zip(DETECTION_DIRECTIONS, values))
-
-
-@dataclass(frozen=True)
-class OracleRun:
-    """One fixed-configuration transient computation.
-
-    ``tau_grid`` are interpulse delays, ``t_fl_grid`` fluorescence
-    collection times, ``phi_samples`` the sampled values of the pulse
-    phase difference; the first pulse carries phase zero.
-    """
-
-    xi: float
-    n_hat: tuple
-    theta: float
-    channel: str
-    tau_grid: np.ndarray
-    t_fl_grid: np.ndarray
-    phi_samples: np.ndarray
-    mode: str = "exact"
-    rtol: float = 1e-10
-
-
-def _propagate(generator: np.ndarray, start: np.ndarray, grid: np.ndarray,
-               rtol: float) -> np.ndarray:
-    """Integrate y' = generator y from t = 0 with DOP853, states on the
-    grid (D, N).  The grid must be nonnegative and strictly increasing.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid[0] < 0 or np.any(np.diff(grid) <= 0):
-        raise ValueError("time grid must be nonnegative and increasing")
-    if grid[-1] == 0.0:
-        return start[:, None].copy()
-    result = solve_ivp(lambda _, y: generator @ y, (0.0, grid[-1]), start,
-                       t_eval=grid, method="DOP853", rtol=rtol, atol=1e-14)
-    if not result.success:
-        raise IntegrationError(
-            f"transient integration failed: {result.message} "
-            f"(reached t = {result.t[-1] if len(result.t) else 0.0})")
-    return result.y
-
-
-def time_domain_evolve(run: OracleRun) -> dict:
-    """Transient fluorescence intensities of the untruncated dynamics.
-
-    Applies the first kick to the ground pair, integrates the full
-    linear system across the interpulse grid, applies the second kick at
-    every delay, integrates again over the collection grid, and reads
-    the detected intensity for both detector directions.
-
-    Returns:
-        dict mapping direction to a real array of shape
-        (len(phi_samples), len(tau_grid), len(t_fl_grid)).
-    """
-    second_pol = SECOND_POLARIZATION[run.channel]
-    n = np.asarray(run.n_hat, dtype=float)
-    n = n / np.linalg.norm(n)
-    position = run.xi * n[2]
-    generator = pair_generator(run.xi, n, run.mode)
-    tau = np.asarray(run.tau_grid, dtype=float)
-    t_fl = np.asarray(run.t_fl_grid, dtype=float)
-    phis = np.asarray(run.phi_samples, dtype=float)
-    covectors = {d: detection_covector_vec(d) for d in ("x", "y")}
-    out = {d: np.empty((len(phis), len(tau), len(t_fl))) for d in covectors}
-    first = pair_kick(run.theta, "x", 0.0, position) @ ground_pair_vec()
-    between = _propagate(generator, first, tau, run.rtol)
-    for i, phi in enumerate(phis):
-        kick2 = pair_kick(run.theta, second_pol, phi, position)
-        for j in range(len(tau)):
-            states = _propagate(generator, kick2 @ between[:, j], t_fl,
-                                run.rtol)
-            for d, w in covectors.items():
-                out[d][i, j] = (w @ states).real
-    return out
-
-
-def numeric_demodulate(intensities: np.ndarray, harmonic: int,
-                       axis: int = 0) -> np.ndarray:
-    """Extract one phase harmonic from equally spaced phase samples.
-
-    The samples are assumed to sit at 2 pi j / N, j = 0..N-1, along
-    ``axis``; the result is the coefficient of e^{i harmonic phi}.  It
-    is exact when no other harmonic congruent to it modulo N is
-    present, which for the band limit |l| <= 2 of two-pulse signals
-    means any N >= 5.
-    """
-    count = intensities.shape[axis]
-    phases = 2.0 * np.pi * np.arange(count) / count
-    weights = np.exp(-1j * harmonic * phases) / count
-    return np.tensordot(weights, intensities, axes=(0, axis))
 
 
 def sample_configurations(rng: np.random.Generator, count: int,

@@ -11,6 +11,7 @@ from mqcsim.coupling import (
     coupling_tensor,
     interaction_matrices,
     interaction_pieces,
+    sparse_interaction_pieces,
     tensor_tag_value,
 )
 
@@ -184,6 +185,25 @@ def test_pieces_contract_to_assembled_generator():
     pieces = interaction_pieces()
     total = sum(tensor_tag_value(tensor, tag) * pieces[tag] for tag in TAG_KEYS)
     assert np.allclose(total, interaction_matrices(tensor).total, atol=1e-12)
+
+
+def test_sparse_pieces_match_direct_operator_algebra():
+    # the direct build is real-linear in the tensor: on a unit symmetric
+    # tensor E it gives the adjoints of both factor kinds' pieces summed,
+    # and on iE i times the conj piece's adjoint minus the direct one's
+    for kind, k, l in TAG_KEYS:
+        unit = np.zeros((3, 3), dtype=complex)
+        unit[k, l] = unit[l, k] = 1.0
+        real, imaginary = (sum(_dense_generator(scale * unit))
+                           for scale in (1.0, 1j))
+        adjoint = (real + (1j if kind == "direct" else -1j) * imaginary) / 2
+        piece = sparse_interaction_pieces()[(kind, k, l)]
+        assert piece.format == "csr" and piece.has_sorted_indices
+        for row in range(piece.shape[0]):
+            columns = piece.indices[piece.indptr[row]:piece.indptr[row + 1]]
+            assert np.all(np.diff(columns) > 0)
+        np.testing.assert_allclose(piece.toarray(), adjoint.conj().T,
+                                   rtol=0, atol=1e-15)
 
 
 def test_state_picture_properties():

@@ -1,0 +1,81 @@
+"""What each entry point loads, checked in fresh interpreters.
+
+A run pays at start-up for every module its imports pull in.  The
+command line loads the oracle only for the subcommands that compare
+against it, no subcommand loads the transient integrator
+(``scipy.integrate``, which pulls in ``scipy.optimize``), and the SI
+constants are literals.  The package re-exports the oracle and transient
+names lazily, so ``import mqcsim`` loads neither.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: modules no spectrum-side run needs
+SPECTRUM_FREE = ("scipy.integrate", "scipy.optimize", "scipy.constants",
+                 "mqcsim.oracle")
+
+#: small runs of each subcommand kind and the modules each must not load
+RUNS = {
+    "spectrum": (["spectrum", "--detuning-count", "5", "--kappas", "2",
+                  "--channels", "parallel"], SPECTRUM_FREE),
+    "table1": (["table1"], SPECTRUM_FREE),
+    "cross-section": (["cross-section"], SPECTRUM_FREE),
+    "oracle-check": (["oracle-check", "--oracle-directions", "1"],
+                     ("scipy.integrate", "scipy.optimize")),
+}
+
+
+def _fresh(code: str) -> dict:
+    """Run ``code`` in a new interpreter; it ends by printing one JSON
+    line, which is returned."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def _loaded_after(statements: str, watched) -> dict:
+    return _fresh(f"import json, sys\n{statements}\n"
+                  f"print(json.dumps([m for m in {list(watched)!r} "
+                  f"if m in sys.modules]))")
+
+
+def test_importing_the_cli_loads_no_oracle_and_no_scipy_extras():
+    watched = SPECTRUM_FREE + ("scipy.special", "mqcsim.transient")
+    assert _loaded_after("import mqcsim.cli", watched) == []
+
+
+@pytest.mark.parametrize("kind", sorted(RUNS))
+def test_a_run_loads_only_what_its_subcommand_uses(kind, tmp_path):
+    argv, unwanted = RUNS[kind]
+    argv = argv + ["--output-dir", str(tmp_path)]
+    statements = ("from mqcsim.cli import main\n"
+                  f"assert main({argv!r}) == 0")
+    assert _loaded_after(statements, unwanted) == []
+
+
+def test_lazy_package_names_resolve():
+    resolved = _fresh(
+        "import json, sys\n"
+        "import mqcsim\n"
+        "eager = [m for m in ('mqcsim.oracle', 'mqcsim.transient')\n"
+        "         if m in sys.modules]\n"
+        "from mqcsim import OracleRun, time_domain_evolve, "
+        "monte_carlo_spectrum\n"
+        "from mqcsim.oracle import monte_carlo_spectrum as oracle_mc\n"
+        "from mqcsim.transient import OracleRun as transient_run\n"
+        "same = OracleRun is transient_run and monte_carlo_spectrum is oracle_mc\n"
+        "missing = [n for n in mqcsim.__all__ if not hasattr(mqcsim, n)]\n"
+        "print(json.dumps({'eager': eager, 'same': same, "
+        "'missing': missing}))")
+    assert resolved == {"eager": [], "same": True, "missing": []}

@@ -12,10 +12,7 @@ from mqcsim.disorder import angular_average, mean_inverse_xi_squared
 from mqcsim.oracle import (
     MC_BATCH,
     TERM_FLOOR,
-    IntegrationError,
-    OracleRun,
     _deflated_solve,
-    _propagate,
     _term_weights,
     binned_kick,
     demodulated_laplace,
@@ -25,17 +22,17 @@ from mqcsim.oracle import (
     ground_pair_vec,
     monte_carlo_pair_averages,
     monte_carlo_spectrum,
-    numeric_demodulate,
     pair_basis_columns,
     pair_generator,
     pair_kick,
     pulse_unitary,
     sample_configurations,
     surviving_term_table,
-    time_domain_evolve,
 )
 from mqcsim.expansion import _detection_covector, scattering_solution
 from mqcsim.spectra import DETECTION_DIRECTIONS, spectrum
+from mqcsim.transient import (IntegrationError, OracleRun, _propagate,
+                              numeric_demodulate, time_domain_evolve)
 
 #: pulse area and geometry used throughout unless a test needs otherwise
 THETA = 0.14 * np.pi

@@ -5,12 +5,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy import constants
 from scipy.integrate import quad
 
 from mqcsim.atom import dipole_lowering
 from mqcsim.basis import expand, matrix_unit, pair_operator
 from mqcsim.disorder import average_state, averaged_solution, mean_inverse_xi_squared
 from mqcsim.expansion import PhaseMonomial, scattering_solution
+from mqcsim import spectra
 from mqcsim.spectra import (
     DETECTION_DIRECTIONS,
     SpectrumSeries,
@@ -293,6 +295,15 @@ def test_mean_free_path_inverts_density_times_cross_section():
     assert mean_free_path(1e14, 2e-15) == pytest.approx(1.0 / (1e14 * 2e-15))
     with pytest.raises(ValueError):
         mean_free_path(0.0, 1e-16)
+
+
+def test_si_literals_equal_scipy_constants():
+    # the literals spare every run the import of scipy.constants; a new
+    # CODATA release there must show up here, not as silent drift
+    assert spectra._C_LIGHT == constants.c
+    assert spectra._EPSILON_0 == constants.epsilon_0
+    assert spectra._HBAR == constants.hbar
+    assert spectra._MU_0 == constants.mu_0
 
 
 def test_dipole_round_trip():
