@@ -48,9 +48,9 @@ from .spectra import (
     pulse_area_from_energy,
 )
 
-#: names loaded on first access (PEP 562) and their modules: the oracle
-#: needs scipy.linalg and the transients scipy.integrate, which no
-#: spectrum run should pay for
+#: names loaded on first access (PEP 562) and their modules: no
+#: spectrum run should pay for the oracle, nor any run for the
+#: transients' scipy.integrate
 _LAZY = {
     **dict.fromkeys(("demodulated_laplace", "fixed_configuration_components",
                      "monte_carlo_pair_averages", "monte_carlo_spectrum",

@@ -146,14 +146,6 @@ def pair_operator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
-def pair_trace(coeffs: np.ndarray) -> complex:
-    """Trace of the two-atom operator with these coefficients.
-
-    Only the (Id/2)(x)(Id/2) component carries trace, Tr = 4 c_0.
-    """
-    return 4.0 * coeffs[..., 0]
-
-
 def sandwich_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Coefficient-space matrix of the linear map O -> X O Y.
 
@@ -167,16 +159,11 @@ def sandwich_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.conj(flat) @ np.kron(x, y.T) @ flat.T
 
 
-def kron_superop(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """Two-atom map acting as m1 on atom 1's basis index and m2 on atom 2's.
-
-    With the flat convention n = 16*i + j this is exactly np.kron(m1, m2).
-    """
-    return np.kron(m1, m2)
-
-
 def apply_factorized(m1: np.ndarray, m2: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Apply kron_superop(m1, m2) to one or more coefficient vectors.
+    """Apply np.kron(m1, m2) to one or more coefficient vectors.
+
+    With the flat pair index n = 16*i + j, that map acts as m1 on atom
+    1's basis index i and as m2 on atom 2's index j.
 
     The leading axis (length 256) splits into (16, 16); any trailing
     axes are batch axes, so the product costs O(16^3) per vector

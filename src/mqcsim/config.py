@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .disorder import mean_inverse_xi_squared
+from .disorder import SEPARATION_WINDOW, mean_inverse_xi_squared
 from .spectra import (_C_LIGHT, POLARIZATION_CHANNELS, dipole_from_gamma,
                       mean_free_path, mean_scattering_cross_section,
                       pulse_area_from_energy)
@@ -53,10 +53,10 @@ SEPARATION_CONSISTENCY = 0.01
 MAX_PULSE_AREA = 4.0 * np.pi
 
 #: largest detuning grid.  A grid longer than the chain's pole labels
-#: costs only its final evaluation and its files: at 10,001 points all
-#: 16 spectra peaked at 123 MB, and mc-average with 2e4 samples at
-#: 244 MB (one BLAS thread).  At the default half range of 10 that is a
-#: spacing of 0.002 gamma.
+#: costs only its final evaluation and its files: at 10,001 points a
+#: spectrum run of 8 series peaked at 68 MB, and mc-average with 2e4
+#: samples at 205 MB (one BLAS thread).  At the default half range of
+#: 10 that is a spacing of 0.002 gamma.
 MAX_DETUNING_COUNT = 10001
 
 
@@ -113,7 +113,7 @@ class RunConfig:
     interactions_between_pulses: bool = True
     # Monte Carlo and oracle checks
     mc_samples: int = 100000
-    window: tuple = (67.2, 92.8)
+    window: tuple = SEPARATION_WINDOW
     seed: int = 20260814
     oracle_directions: int = 10
     # output

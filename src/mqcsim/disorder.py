@@ -52,6 +52,10 @@ from .expansion import PhaseMonomial, _merge, two_pulse_chain
 
 AVERAGE_MODES = ("full", "level_shift_only")
 
+#: default uniform window (lo, hi) of the scaled separation xi for
+#: configuration averages: 80 +- 16 %
+SEPARATION_WINDOW = (67.2, 92.8)
+
 
 def mean_inverse_xi_squared(xi_bar: float = None, window=None) -> float:
     """<1/xi^2> for a sharp separation xi_bar or a uniform window (lo, hi)."""

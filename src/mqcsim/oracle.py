@@ -35,12 +35,12 @@ import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm
 
 from .atom import (DETECTION_DIRECTIONS, SECOND_POLARIZATION,
                    detection_observable, dipole_components, dipole_lowering)
 from .basis import NUM_OPS_PAIR, build_single_atom_basis, matrix_unit
 from .coupling import TAG_KEYS, coupling_tensor, tensor_tag_value
+from .disorder import SEPARATION_WINDOW
 from .expansion import two_pulse_chain
 from .spectra import SpectrumSeries
 
@@ -48,7 +48,7 @@ _EYE4 = np.eye(4, dtype=complex)
 _EYE16 = np.eye(16, dtype=complex)
 _EYE256 = np.eye(NUM_OPS_PAIR, dtype=complex)
 
-#: configurations drawn and weighed together by :func:`monte_carlo_spectrum`;
+#: configurations drawn and weighed together by every Monte-Carlo estimate;
 #: it bounds the (terms, MC_BATCH) weights held at once
 MC_BATCH = 4096
 
@@ -130,10 +130,13 @@ def pair_basis_columns() -> np.ndarray:
 
 
 def pulse_unitary(theta: float, polarization, phase: float) -> np.ndarray:
-    """Single-atom pulse unitary at a given optical phase, via expm."""
+    """Single-atom pulse unitary at a given optical phase, via eigh, as
+    Id + V (e^{-i theta lambda / 2} - 1) V^dag: exactly Id at theta = 0."""
     low = dipole_lowering(polarization)
     drive = low.conj().T * np.exp(1j * phase) + low * np.exp(-1j * phase)
-    return expm(-0.5j * theta * drive)
+    values, vectors = np.linalg.eigh(drive)
+    shift = np.exp(-0.5j * theta * values) - 1.0
+    return _EYE4 + (vectors * shift) @ vectors.conj().T
 
 
 def pair_kick(theta: float, polarization, laser_phase: float,
@@ -285,17 +288,17 @@ def demodulated_term_table(orders, theta: float, channel: str, kappa: int,
     )
 
 
-def _term_weights(table: TermTable, xi: np.ndarray, n_hat: np.ndarray,
+def _term_weights(phase_exponents, tags, xi: np.ndarray, n_hat: np.ndarray,
                   mode: str) -> np.ndarray:
-    """Numeric weight of every table term per configuration, (T, B)."""
+    """Numeric weight of every term per configuration, (T, B): its phase
+    e^{i m xi n_z} times the product of its coupling factors."""
     tensors = coupling_tensor(xi, n_hat, mode)
     factors = {tag: tensor_tag_value(tensors, tag) for tag in TAG_KEYS}
     position = np.asarray(xi) * np.asarray(n_hat)[:, 2]
-    weights = np.empty((len(table.tags), len(position)), dtype=complex)
-    for t, (exponent, tags) in enumerate(zip(table.phase_exponents,
-                                             table.tags)):
+    weights = np.empty((len(tags), len(position)), dtype=complex)
+    for t, (exponent, term) in enumerate(zip(phase_exponents, tags)):
         w = np.exp(1j * exponent * position)
-        for tag in tags:
+        for tag in term:
             w = w * factors[tag]
         weights[t] = w
     return weights
@@ -310,7 +313,8 @@ def fixed_configuration_components(table: TermTable, xi: float,
     """
     n = np.asarray(n_hat, dtype=float)
     n = n / np.linalg.norm(n)
-    weights = _term_weights(table, np.array([xi]), n[None, :], "exact")
+    weights = _term_weights(table.phase_exponents, table.tags,
+                            np.array([xi]), n[None, :], "exact")
     values = np.tensordot(weights[:, 0], table.coeffs, axes=(0, 0))
     return dict(zip(DETECTION_DIRECTIONS, values))
 
@@ -352,8 +356,36 @@ def surviving_term_table(table: TermTable) -> TermTable:
     )
 
 
+def _weight_moments(phase_exponents, tags, n_samples: int, seed: int,
+                    window, mode: str) -> tuple:
+    """Mean weight w per term and 2T x 2T centred scatter of (Re w, Im w),
+    combined over ``MC_BATCH`` draws at a time as Chan, Golub and LeVeque."""
+    if n_samples < 2:
+        raise ValueError("need at least two configurations for a "
+                         "standard error")
+    terms = len(tags)
+    rng = np.random.default_rng(seed)
+    running_mean = np.zeros(2 * terms)
+    scatter = np.zeros((2 * terms, 2 * terms))
+    done = 0
+    while done < n_samples:
+        count = min(MC_BATCH, n_samples - done)
+        xi, n_hat = sample_configurations(rng, count, window)
+        weights = _term_weights(phase_exponents, tags, xi, n_hat, mode)
+        features = np.concatenate([weights.real, weights.imag])
+        batch_mean = features.mean(axis=1)
+        centred = features - batch_mean[:, None]
+        delta = batch_mean - running_mean
+        scatter += (centred @ centred.T
+                    + (done * count / (done + count)) * np.outer(delta, delta))
+        running_mean += delta * (count / (done + count))
+        done += count
+    return running_mean[:terms] + 1j * running_mean[terms:], scatter
+
+
 def monte_carlo_spectrum(table: TermTable, n_samples: int, *, seed: int,
-                         window=(67.2, 92.8), mode: str = "exact") -> tuple:
+                         window=SEPARATION_WINDOW,
+                         mode: str = "exact") -> tuple:
     """Monte-Carlo disorder average of per-configuration spectra.
 
     Each sampled configuration (separation, axis direction) is priced
@@ -361,11 +393,9 @@ def monte_carlo_spectrum(table: TermTable, n_samples: int, *, seed: int,
     their numeric values; the mean estimates the disorder-averaged
     spectrum that :func:`mqcsim.spectra.spectrum` computes in closed
     form.  A spectrum is linear in the T term weights w, so only the
-    weights are sampled: configurations are drawn ``MC_BATCH`` at a
-    time, and the running mean and the 2T x 2T centred scatter matrix of
-    (Re w, Im w) are accumulated.  The mean spectrum is the mean weight
-    times the table's rows; the variances of Re S and Im S are the
-    quadratic forms of the scatter matrix with [Re c, -Im c] and
+    weights are sampled, by :func:`_weight_moments`: the mean spectrum
+    is the mean weight times the table's rows, the variances of Re S and
+    Im S the quadratic forms of the scatter matrix with [Re c, -Im c] and
     [Im c, Re c], c a row.  Neither cost nor memory of the sampling
     depends on the detuning count.  Every draw prices both detectors:
     one series per table row.  The series take their kappa and channel
@@ -390,34 +420,13 @@ def monte_carlo_spectrum(table: TermTable, n_samples: int, *, seed: int,
         tuple of SpectrumSeries, one per direction in
         ``DETECTION_DIRECTIONS`` order.
     """
-    if n_samples < 2:
-        raise ValueError("need at least two configurations for a "
-                         "standard error")
     if np.any(table.z1_values.real != 0.0):
         raise ValueError("term table z1 grid must be purely imaginary "
                          "(i times the detunings)")
     detunings = table.z1_values.imag.copy()
-    terms = len(table.tags)
-    rng = np.random.default_rng(seed)
-    # running mean and centred scatter matrix of (Re w, Im w), combined
-    # batch by batch with the pairwise update of Chan, Golub and LeVeque
-    running_mean = np.zeros(2 * terms)
-    scatter = np.zeros((2 * terms, 2 * terms))
-    done = 0
-    while done < n_samples:
-        count = min(MC_BATCH, n_samples - done)
-        xi, n_hat = sample_configurations(rng, count, window)
-        weights = _term_weights(table, xi, n_hat, mode)
-        features = np.concatenate([weights.real, weights.imag])
-        batch_mean = features.mean(axis=1)
-        centred = features - batch_mean[:, None]
-        delta = batch_mean - running_mean
-        scatter += (centred @ centred.T
-                    + (done * count / (done + count)) * np.outer(delta, delta))
-        running_mean += delta * (count / (done + count))
-        done += count
+    mean_weight, scatter = _weight_moments(
+        table.phase_exponents, table.tags, n_samples, seed, window, mode)
     rows = table.coeffs / np.sqrt(2.0 * np.pi)
-    mean_weight = running_mean[:terms] + 1j * running_mean[terms:]
     mean = np.tensordot(mean_weight, rows, axes=(0, 0))
 
     def variance(forms):
@@ -439,7 +448,7 @@ def monte_carlo_spectrum(table: TermTable, n_samples: int, *, seed: int,
 
 
 def monte_carlo_pair_averages(pairs, n_samples: int, *, seed: int,
-                              window=(67.2, 92.8),
+                              window=SEPARATION_WINDOW,
                               mode: str = "far_field") -> dict:
     """Monte-Carlo estimates of coupling-factor pair averages.
 
@@ -453,19 +462,10 @@ def monte_carlo_pair_averages(pairs, n_samples: int, *, seed: int,
         dict mapping each triple to (mean, standard_error), the error
         covering real and imaginary parts as a complex pair.
     """
-    pairs = [(a, b, m) for a, b, m in pairs]
-    rng = np.random.default_rng(seed)
-    xi, n_hat = sample_configurations(rng, n_samples, window)
-    tensors = coupling_tensor(xi, n_hat, mode)
-    position = xi * n_hat[:, 2]
-
-    out = {}
-    for tag_a, tag_b, exponent in pairs:
-        sample = (tensor_tag_value(tensors, tag_a)
-                  * tensor_tag_value(tensors, tag_b)
-                  * np.exp(1j * exponent * position))
-        mean = sample.mean()
-        se = (sample.real.std(ddof=1) + 1j * sample.imag.std(ddof=1)
-              ) / np.sqrt(n_samples)
-        out[(tag_a, tag_b, exponent)] = (mean, se)
-    return out
+    keys = [(tag_a, tag_b, exponent) for tag_a, tag_b, exponent in pairs]
+    mean, scatter = _weight_moments([key[2] for key in keys],
+                                    [key[:2] for key in keys],
+                                    n_samples, seed, window, mode)
+    spread = np.sqrt(np.diag(scatter) / (n_samples * (n_samples - 1.0)))
+    errors = spread[:len(keys)] + 1j * spread[len(keys):]
+    return {key: (mean[t], errors[t]) for t, key in enumerate(keys)}

@@ -1,7 +1,6 @@
 """Structural checks of the one- and two-atom operator bases."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -88,12 +87,6 @@ def test_hermitian_coefficient_symmetry(seed):
     assert np.allclose(c[p], np.conj(c), atol=1e-12)
 
 
-def test_pair_trace():
-    rng = np.random.default_rng(11)
-    op = random_op(rng, 16)
-    assert basis.pair_trace(basis.expand(op)) == pytest.approx(np.trace(op), abs=1e-12)
-
-
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=10, deadline=None)
 def test_sandwich_matrix_single(seed):
@@ -115,12 +108,12 @@ def test_kron_superop_and_factorized_apply():
     m1 = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     m2 = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     c = rng.standard_normal(256) + 1j * rng.standard_normal(256)
-    full = basis.kron_superop(m1, m2) @ c
+    full = np.kron(m1, m2) @ c
     fast = basis.apply_factorized(m1, m2, c)
     assert np.allclose(full, fast, atol=1e-10)
     batch = rng.standard_normal((256, 3)) + 1j * rng.standard_normal((256, 3))
     assert np.allclose(basis.apply_factorized(m1, m2, batch),
-                       basis.kron_superop(m1, m2) @ batch, atol=1e-10)
+                       np.kron(m1, m2) @ batch, atol=1e-10)
     # and the index convention: kron acts as m1 on atom 1's slot
     a, b = (rng.standard_normal((4, 4)) for _ in range(2))
     ca, cb = basis.expand(a.astype(complex)), basis.expand(b.astype(complex))

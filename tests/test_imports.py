@@ -3,9 +3,10 @@
 A run pays at start-up for every module its imports pull in.  The
 command line loads the oracle only for the subcommands that compare
 against it, no subcommand loads the transient integrator
-(``scipy.integrate``, which pulls in ``scipy.optimize``), and the SI
-constants are literals.  The package re-exports the oracle and transient
-names lazily, so ``import mqcsim`` loads neither.
+(``scipy.integrate``, which pulls in ``scipy.optimize``) or
+``scipy.linalg``, and the SI constants are literals.  The package
+re-exports the oracle and transient names lazily, so ``import mqcsim``
+loads neither.
 """
 
 import json
@@ -18,9 +19,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
+#: modules no subcommand needs
+UNUSED = ("scipy.integrate", "scipy.optimize", "scipy.constants",
+          "scipy.linalg")
+
 #: modules no spectrum-side run needs
-SPECTRUM_FREE = ("scipy.integrate", "scipy.optimize", "scipy.constants",
-                 "mqcsim.oracle")
+SPECTRUM_FREE = UNUSED + ("mqcsim.oracle",)
 
 #: small runs of each subcommand kind and the modules each must not load
 RUNS = {
@@ -28,8 +32,10 @@ RUNS = {
                   "--channels", "parallel"], SPECTRUM_FREE),
     "table1": (["table1"], SPECTRUM_FREE),
     "cross-section": (["cross-section"], SPECTRUM_FREE),
-    "oracle-check": (["oracle-check", "--oracle-directions", "1"],
-                     ("scipy.integrate", "scipy.optimize")),
+    "oracle-check": (["oracle-check", "--oracle-directions", "1"], UNUSED),
+    "mc-average": (["mc-average", "--mc-samples", "200", "--kappas", "2",
+                    "--channels", "parallel", "--detuning-count", "5"],
+                   UNUSED),
 }
 
 

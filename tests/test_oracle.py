@@ -7,7 +7,8 @@ from scipy.integrate import simpson
 from scipy.linalg import expm
 
 from mqcsim.atom import _pulse_unitary, decay_generator, free_propagator
-from mqcsim.coupling import coupling_tensor, interaction_matrices
+from mqcsim.coupling import (coupling_tensor, interaction_matrices,
+                             tensor_tag_value)
 from mqcsim.disorder import angular_average, mean_inverse_xi_squared
 from mqcsim.oracle import (
     MC_BATCH,
@@ -102,7 +103,7 @@ def test_decay_part_matches_closed_form_free_propagator():
 
 
 def test_pulse_unitary_matches_kick_decomposition():
-    # the expm unitary against the closed form behind the kick harmonics
+    # the eigh unitary against the closed form behind the kick harmonics
     for phi in (0.0, 0.9, 4.1):
         assert np.allclose(pulse_unitary(0.8, "x", phi),
                            _pulse_unitary(0.8, "x", phi), atol=1e-12)
@@ -583,8 +584,8 @@ def test_surviving_families_average_to_closed_form_exactly():
     def quadrature(table):
         averaged = np.zeros(len(table.tags), dtype=complex)
         for xi, weight in zip(xi_nodes, weights_xi):
-            batch = _term_weights(table, np.full(len(n_hat), xi), n_hat,
-                                  "far_field")
+            batch = _term_weights(table.phase_exponents, table.tags,
+                                  np.full(len(n_hat), xi), n_hat, "far_field")
             averaged += weight * (batch @ weights_sphere)
         rows = table.coeffs[:, 0, 0]
         return (averaged @ rows) / np.sqrt(2.0 * np.pi)
@@ -624,6 +625,38 @@ def test_monte_carlo_pair_averages_match_isotropic_moments():
                                                    seed=4).values():
         assert abs(mean.real) < 3.0 * error.real
         assert abs(mean.imag) < 3.0 * error.imag
+
+
+def test_monte_carlo_pair_averages_are_the_sample_standard_error():
+    """Pair estimates are the two-pass mean and standard error of the
+    factor products over the same seed's draws, taken in the batches the
+    sampler takes; past one batch the batches' sums combine."""
+    pairs = [(("direct", 0, 1), ("conj", 1, 2), 0),
+             (("direct", 0, 0), ("direct", 2, 2), 2)]
+    n_samples = MC_BATCH + 904
+    results = monte_carlo_pair_averages(pairs, n_samples, seed=12)
+    rng = np.random.default_rng(12)
+    draws = [sample_configurations(rng, count, WINDOW)
+             for count in (MC_BATCH, 904)]
+    xi = np.concatenate([batch[0] for batch in draws])
+    n_hat = np.concatenate([batch[1] for batch in draws])
+    tensors = coupling_tensor(xi, n_hat, "far_field")
+    for tag_a, tag_b, exponent in pairs:
+        sample = (tensor_tag_value(tensors, tag_a)
+                  * tensor_tag_value(tensors, tag_b)
+                  * np.exp(1j * exponent * xi * n_hat[:, 2]))
+        mean, error = results[(tag_a, tag_b, exponent)]
+        np.testing.assert_allclose(mean, sample.mean(), rtol=1e-10, atol=0)
+        for part, got in ((sample.real, error.real),
+                          (sample.imag, error.imag)):
+            want = part.std(ddof=1) / np.sqrt(n_samples)
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+
+
+def test_monte_carlo_pair_averages_need_two_samples():
+    pairs = [(("direct", 0, 0), ("conj", 0, 0), 0)]
+    with pytest.raises(ValueError):
+        monte_carlo_pair_averages(pairs, 1, seed=3)
 
 
 def test_sample_configurations_cover_window_isotropically():
