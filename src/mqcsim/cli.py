@@ -84,9 +84,9 @@ def family_z_limit(count: int) -> float:
     the limit on correct code is at most ``MC_FALSE_ALARM``, however the
     scores are correlated.
     """
-    from scipy.special import ndtri
+    from statistics import NormalDist
 
-    return float(-ndtri(MC_FALSE_ALARM / (2.0 * count)))
+    return -NormalDist().inv_cdf(MC_FALSE_ALARM / (2.0 * count))
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:

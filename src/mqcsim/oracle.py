@@ -56,9 +56,13 @@ MC_BATCH = 4096
 #: largest entry are roundoff where the exact value is zero
 TERM_FLOOR = 1e-13
 
-#: laser phases sampled by :func:`binned_kick`; the pair kick is
-#: band-limited to harmonics |p| <= 4, so nine samples bin it exactly
+#: laser phases sampled by :func:`binned_kick`; the pair unitary is
+#: band-limited to harmonics |q| <= 2, so nine samples bin it exactly
 KICK_PHASES = 9
+
+#: harmonics of the pair unitary: each atom's unitary carries the laser
+#: phase through at most one unit
+UNITARY_HARMONICS = range(-2, 3)
 
 
 def _left_right(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -156,25 +160,36 @@ def binned_kick(theta: float, polarization, harmonics,
                 position_phase: float) -> dict:
     """Laser-phase harmonics of the kick superoperator.
 
-    Each of the four unitary factors (two atoms, ket and bra side)
-    carries the laser phase through at most one unit, so the pair kick
-    is band-limited to harmonics |p| <= 4 and a discrete Fourier
-    transform over ``KICK_PHASES`` = 9 equally spaced phases extracts
-    the e^{i p phase} coefficient exactly.  One pass over the phases
-    serves every requested p; only their sums are held.
+    The pair unitary u(phase) = u1(phase + position) kron u2(phase) is
+    band-limited to harmonics |q| <= 2, so a discrete Fourier transform
+    over ``KICK_PHASES`` = 9 equally spaced phases gives its 16x16
+    harmonics U_q exactly.  The kick is u kron conj(u), so its harmonic
+    p is K_p = sum_q U_q kron conj(U_{q-p}) over |q|, |q - p| <= 2
+    (zero for |p| > 4): one (256 x n_q)(n_q x 256) product of the
+    flattened factors, then one axis transpose into Kronecker order.
 
     Returns:
         dict mapping each p in ``harmonics`` to its 256x256 coefficient.
     """
-    out = {p: np.zeros((NUM_OPS_PAIR, NUM_OPS_PAIR), dtype=complex)
-           for p in harmonics}
-    for j in range(KICK_PHASES):
-        phase = 2.0 * np.pi * j / KICK_PHASES
-        kick = pair_kick(theta, polarization, phase, position_phase)
-        for p, total in out.items():
-            total += np.exp(-1j * p * phase) * kick
-    for total in out.values():
-        total /= KICK_PHASES
+    phases = 2.0 * np.pi * np.arange(KICK_PHASES) / KICK_PHASES
+    samples = np.stack([
+        np.kron(pulse_unitary(theta, polarization, phase + position_phase),
+                pulse_unitary(theta, polarization, phase))
+        for phase in phases])
+    unitary = {q: np.tensordot(np.exp(-1j * q * phases), samples, axes=1)
+               / KICK_PHASES for q in UNITARY_HARMONICS}
+    out = {}
+    for p in harmonics:
+        qs = [q for q in UNITARY_HARMONICS if q - p in unitary]
+        # a 16x16 factor flattens to NUM_OPS_PAIR entries
+        left = np.array([unitary[q] for q in qs]).reshape(len(qs),
+                                                          NUM_OPS_PAIR)
+        right = np.array([unitary[q - p].conj() for q in qs]).reshape(
+            len(qs), NUM_OPS_PAIR)
+        # (i j),(k l) -> (i k),(j l): kron(A, B)[ik, jl] = A[ij] B[kl]
+        product = (left.T @ right).reshape(16, 16, 16, 16)
+        out[p] = product.transpose(0, 2, 1, 3).reshape(NUM_OPS_PAIR,
+                                                       NUM_OPS_PAIR)
     return out
 
 
@@ -202,10 +217,13 @@ def demodulated_laplace(xi: float, n_hat, theta: float, kappas, channels,
     detection time: the pulse phases are removed by harmonic binning of
     the exact kick matrices and the two time integrals are exact
     resolvent solves of the full generator, the second at z2 = 0.  One
-    generator serves every (kappa, channel), each kappa's z1 solves
-    are the right-hand side block of one z2 solve per channel, and one
-    :func:`binned_kick` per pulse polarization bins every harmonic the
-    pulses need: -kappa of the x pulse 1, +kappa of each pulse 2.
+    :func:`binned_kick` per pulse polarization gives every harmonic the
+    pulses need (-kappa of the x pulse 1, +kappa of each pulse 2) from
+    the harmonics of the 16x16 pair unitary.  One generator serves
+    every (kappa, channel); each z1 point takes one solve, whose
+    right-hand sides are the pulse-1 states of every kappa, and one
+    z2 = 0 solve takes every (kappa, channel) block of z1 columns as
+    right-hand sides: len(z1_values) + 1 solves in all.
 
     Returns:
         dict mapping (kappa, channel, direction) to an array of
@@ -223,17 +241,21 @@ def demodulated_laplace(xi: float, n_hat, theta: float, kappas, channels,
     kicks = {polarization: binned_kick(theta, polarization,
                                        sorted(set(harmonics)), position)
              for polarization, harmonics in wanted.items()}
-    out = {}
-    for kappa in kappas:
-        first = kicks["x"][-kappa] @ ground_pair_vec()
-        between = np.stack([_deflated_solve(generator, z1, first)
-                            for z1 in z1_arr], axis=1)
-        for channel in channels:
-            kick2 = kicks[SECOND_POLARIZATION[channel]][kappa]
-            final = _deflated_solve(generator, 0.0, kick2 @ between)
-            for d, row in zip(DETECTION_DIRECTIONS, covectors @ final):
-                out[(kappa, channel, d)] = row
-    return out
+    first = np.stack([kicks["x"][-kappa] @ ground_pair_vec()
+                      for kappa in kappas], axis=1)
+    # between[:, k, j]: pulse 1's -kappas[k] harmonic resolved at z1_arr[j]
+    between = np.stack([_deflated_solve(generator, z1, first)
+                        for z1 in z1_arr], axis=2)
+    blocks = [(k, kappa, channel) for k, kappa in enumerate(kappas)
+              for channel in channels]
+    rhs = np.concatenate([kicks[SECOND_POLARIZATION[channel]][kappa]
+                          @ between[:, k] for k, kappa, channel in blocks],
+                         axis=1)
+    detected = (covectors @ _deflated_solve(generator, 0.0, rhs)).reshape(
+        len(DETECTION_DIRECTIONS), len(blocks), len(z1_arr))
+    return {(kappa, channel, d): detected[i, b]
+            for b, (_, kappa, channel) in enumerate(blocks)
+            for i, d in enumerate(DETECTION_DIRECTIONS)}
 
 
 @dataclass(frozen=True)
@@ -265,10 +287,11 @@ def demodulated_term_table(orders, theta: float, channel: str, kappa: int,
 
     One :func:`mqcsim.expansion.two_pulse_chain` call runs every order
     in ``orders`` on shared interpulse prefixes and one z1 axis; keys of
-    different orders differ in their number of tags.  Keys with no row entry above ``TERM_FLOOR`` of the table's largest
-    entry are roundoff of exactly cancelling terms and are left out; a
-    chain that keeps no monomial (a zero pulse area prunes them all)
-    gives a table of no terms, with ``coeffs`` of shape (0, 2, len(z1)).
+    different orders differ in their number of tags.  Keys with no row
+    entry above ``TERM_FLOOR`` of the table's largest entry are roundoff
+    of exactly cancelling terms and are left out; a chain that keeps no
+    monomial (a zero pulse area prunes them all) gives a table of no
+    terms, with ``coeffs`` of shape (0, 2, len(z1)).
     """
     z1_arr = np.atleast_1d(np.asarray(z1_values, dtype=complex))
     merged = two_pulse_chain(orders, z1_arr, theta, channel, kappa)

@@ -37,6 +37,15 @@ _EPSILON_0 = 8.8541878188e-12
 _HBAR = 1.0545718176461565e-34
 _MU_0 = 1.25663706127e-06
 
+#: below this argument erfcx is exp(u^2) erfc(u) directly; above it the
+#: continued fraction, which converges faster the larger u is, takes over
+#: before erfc(u) underflows
+_ERFCX_SPLIT = 3.0
+
+#: depth of the erfcx continued fraction; from u = 3 up it agrees with
+#: scipy.special.erfcx to about 1e-15
+_ERFCX_TERMS = 200
+
 POLARIZATION_CHANNELS = tuple(SECOND_POLARIZATION)
 DEMODULATION_ORDERS = (1, 2)
 
@@ -190,6 +199,21 @@ def leading_order_peaks(theta: float, xi_bar: float) -> dict:
     }
 
 
+def _erfcx(u: float) -> float:
+    """Scaled complementary error function exp(u^2) erfc(u), u >= 0.
+
+    Above ``_ERFCX_SPLIT`` it is Laplace's continued fraction
+    1 / (sqrt(pi) (u + (1/2)/(u + 1/(u + (3/2)/(u + ...))))), evaluated
+    from its ``_ERFCX_TERMS``-th partial numerator back to the first.
+    """
+    if u < _ERFCX_SPLIT:
+        return math.exp(u * u) * math.erfc(u)
+    fraction = u
+    for k in range(_ERFCX_TERMS, 0, -1):
+        fraction = u + 0.5 * k / fraction
+    return 1.0 / (math.sqrt(math.pi) * fraction)
+
+
 def mean_scattering_cross_section(wavelength: float, gamma: float,
                                   delta_bar: float) -> float:
     """Doppler-averaged elastic photon scattering cross-section.
@@ -209,8 +233,6 @@ def mean_scattering_cross_section(wavelength: float, gamma: float,
     sqrt(3) delta_bar (at the default parameters 1.9922e-15 m^2 rather
     than 1.1523e-15 m^2).  The sum-of-components convention is kept.
     """
-    from scipy.special import erfcx
-
     if wavelength <= 0 or gamma <= 0:
         raise ValueError("wavelength and gamma must be positive")
     if delta_bar < 0:
@@ -225,7 +247,7 @@ def mean_scattering_cross_section(wavelength: float, gamma: float,
         # u erfcx(u) -> 1/sqrt(pi) as u -> inf: the cold limit
         return peak
     u = half_width / (math.sqrt(2.0) * spread)
-    return float(peak * ratio * np.sqrt(0.5 * np.pi) * erfcx(u))
+    return float(peak * ratio * np.sqrt(0.5 * np.pi) * _erfcx(u))
 
 
 def mean_free_path(density: float, cross_section: float) -> float:

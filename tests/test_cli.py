@@ -11,10 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import ndtri
 
 import mqcsim
 from mqcsim import __version__
-from mqcsim.cli import family_z_limit, main
+from mqcsim.cli import MC_FALSE_ALARM, family_z_limit, main
 from mqcsim.config import MAX_DETUNING_COUNT, RunConfig
 from mqcsim.spectra import (
     leading_order_peaks,
@@ -479,6 +480,12 @@ def test_family_z_limit_holds_a_run_at_three_sigma():
     assert abs(family_z_limit(1) - 3.0) < 1e-3
     assert round(family_z_limit(72), 2) == 4.12
     assert round(family_z_limit(88), 2) == 4.17
+
+
+@pytest.mark.parametrize("count", [1, 98, 1000])
+def test_family_z_limit_matches_scipy_ndtri(count):
+    reference = -ndtri(MC_FALSE_ALARM / (2.0 * count))
+    assert abs(family_z_limit(count) - reference) < 1e-14
 
 
 def test_mc_average_failure_exits_with_one(tmp_path):

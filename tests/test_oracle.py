@@ -140,6 +140,18 @@ def test_binned_kick_is_exact_at_band_limit():
         assert np.max(np.abs(reference[p])) < 1e-14
 
 
+@pytest.mark.parametrize("polarization", ["x", "y"])
+def test_kick_harmonics_resum_to_the_pair_kick_off_grid(polarization):
+    # the harmonics assembled from the pair unitary's rebuild the kick at
+    # a phase none of the nine samples sits on
+    theta, phase, position = 0.44, 0.3, 0.7
+    harmonics = binned_kick(theta, polarization, range(-4, 5), position)
+    resummed = sum(kick * np.exp(1j * p * phase)
+                   for p, kick in harmonics.items())
+    direct = pair_kick(theta, polarization, phase, position)
+    assert np.max(np.abs(resummed - direct)) < 1e-13
+
+
 def test_deflated_solve_is_exact_resolvent_on_trace_free_input():
     # two right-hand sides at once, as the oracle passes a z1 block
     gen = pair_generator(30.0, _random_axis(3))
@@ -327,6 +339,48 @@ def test_demodulated_laplace_matches_truncated_chain():
         reference = exact[(2, "perpendicular", direction)]
         scale = np.max(np.abs(reference))
         assert np.max(np.abs(approx[direction] - reference)) < 1e-4 * scale
+
+
+def test_stacked_laplace_equals_one_call_per_column():
+    # one call stacks every kappa's pulse-1 state per z1 solve and every
+    # (kappa, channel) block in the z2 solve; one call per column shares
+    # no block layout with it.  The kappa = 2 perpendicular components
+    # are 1e-10 of the largest, a cancellation whose roundoff is relative
+    # to the cancelling parts, so their bound is per entry and looser.
+    xi, n_hat = 80.0, _random_axis(9)
+    kappas, channels = (1, 2), ("parallel", "perpendicular")
+    z1 = np.array([0.3 - 1.2j, -0.5j, 0.0, 0.7j, 1.0 + 2.3j])
+    stacked = demodulated_laplace(xi, n_hat, THETA, kappas, channels, z1)
+    assert sorted(stacked) == sorted(
+        (kappa, channel, d) for kappa in kappas for channel in channels
+        for d in DETECTION_DIRECTIONS)
+    scale = max(np.max(np.abs(row)) for row in stacked.values())
+    for kappa in kappas:
+        for channel in channels:
+            for j in range(len(z1)):
+                single = demodulated_laplace(xi, n_hat, THETA, (kappa,),
+                                             (channel,), z1[j:j + 1])
+                for d in DETECTION_DIRECTIONS:
+                    got = stacked[(kappa, channel, d)][j]
+                    want = single[(kappa, channel, d)][0]
+                    assert abs(got - want) < 1e-12 * scale
+                    assert abs(got - want) < 1e-8 * abs(want)
+
+
+def test_demodulated_laplace_solves_once_per_z1_and_once_at_z2(monkeypatch):
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(matrix, rhs):
+        calls.append(rhs.shape)
+        return solve(matrix, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    z1 = 1j * np.linspace(-3.0, 3.0, 7)
+    demodulated_laplace(80.0, _random_axis(2), THETA, (1, 2),
+                        ("parallel", "perpendicular"), z1)
+    # seven z1 solves of both kappas, one z2 solve of 4 blocks of 7
+    assert calls == [(256, 2)] * 7 + [(256, 28)]
 
 
 def test_single_exchange_component_is_even_in_axis_sign():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import constants
 from scipy.integrate import quad
+from scipy.special import erfcx
 
 from mqcsim.atom import dipole_lowering
 from mqcsim.basis import expand, matrix_unit, pair_operator
@@ -279,6 +280,19 @@ def test_mean_scattering_cross_section_matches_quadrature():
         pytest.approx(peak))
     with pytest.raises(ValueError):
         mean_scattering_cross_section(-1.0, gamma, delta_bar)
+
+
+@pytest.mark.parametrize("u", [2e-3, 1.0, 2.9, 3.1, 30.0, 1e6])
+def test_mean_scattering_cross_section_matches_scipy_erfcx(u):
+    # on both sides of the switch from exp(u^2) erfc(u) to the continued
+    # fraction, against the closed form with scipy's erfcx
+    wavelength, gamma = 790e-9, 1.0
+    delta_bar = 0.5 * gamma / (np.sqrt(6.0) * u)
+    ratio = 0.5 * gamma / (np.sqrt(3.0) * delta_bar)
+    closed = (3.0 * wavelength**2 / (2.0 * np.pi) * ratio
+              * np.sqrt(0.5 * np.pi) * erfcx(u))
+    got = mean_scattering_cross_section(wavelength, gamma, delta_bar)
+    assert got == pytest.approx(closed, rel=1e-14)
 
 
 @pytest.mark.parametrize("delta_bar", [1e-300, 1e-305, 1e-320])
