@@ -59,6 +59,18 @@ MAX_PULSE_AREA = 4.0 * np.pi
 #: 10 that is a spacing of 0.002 gamma.
 MAX_DETUNING_COUNT = 10001
 
+#: largest oracle-check orientation sample.  An orientation costs about
+#: 0.04 s (two exact Laplace calls and their chain components; 2-core
+#: Xeon VM, one BLAS thread), so a run at the cap takes about 7 minutes;
+#: an uncapped count such as 1e11 would fail allocating its axes.
+MAX_ORACLE_DIRECTIONS = 10000
+
+#: largest Monte-Carlo sample.  Memory does not grow with the count
+#: (``oracle.MC_BATCH`` draws at a time) but time does, by about 6 us a
+#: sample in mc-average: about 10 minutes at the cap (2-core Xeon VM,
+#: one BLAS thread).
+MAX_MC_SAMPLES = 10**8
+
 
 #: fields holding a real number, where given; every one must be finite
 REAL_FIELDS = ("gamma", "wavelength", "delta_bar", "density", "theta",
@@ -204,12 +216,17 @@ class RunConfig:
         if self.mc_samples < 2:
             raise ConfigError("mc_samples must be at least 2 for a "
                               "standard error")
+        if self.mc_samples > MAX_MC_SAMPLES:
+            raise ConfigError(f"mc_samples must be at most "
+                              f"{MAX_MC_SAMPLES}, got {self.mc_samples}")
         lo, hi = self.window
         if not 0 < lo < hi:
             raise ConfigError(f"window must satisfy 0 < lo < hi, "
                               f"got {self.window!r}")
-        if self.oracle_directions < 1:
-            raise ConfigError("oracle_directions must be at least 1")
+        if not 1 <= self.oracle_directions <= MAX_ORACLE_DIRECTIONS:
+            raise ConfigError(f"oracle_directions must be between 1 and "
+                              f"{MAX_ORACLE_DIRECTIONS}, got "
+                              f"{self.oracle_directions}")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         # the spectra scale with theta and <1/xi^2>, which must be finite,

@@ -8,8 +8,13 @@ are direct linear solves: :func:`demodulated_laplace` computes the
 fixed-configuration Laplace components as resolvent solves, with the
 pulse phases removed by harmonic binning of the kick matrices, so the
 result is directly comparable to the perturbative chain, the only
-difference being the neglected interaction orders.  The time-domain
-transients on the same generator and kicks live in
+difference being the neglected interaction orders.  Each solve runs on
+the coherence orders n(a) - n(b) of the entries rho_ab that its states
+occupy (:func:`coherence_orders`): the generator conserves the order
+and kick harmonic p shifts it by p, so the interpulse states of
+harmonic -kappa lie in order -kappa and the detected states in order 0;
+for kappas (1, 2) the solves take 69 and 118 of the 256 entries.  The
+time-domain transients on the same generator and kicks live in
 :mod:`mqcsim.transient`.
 
 The perturbative side of every comparison is built on the chain it is
@@ -46,7 +51,6 @@ from .spectra import SpectrumSeries
 
 _EYE4 = np.eye(4, dtype=complex)
 _EYE16 = np.eye(16, dtype=complex)
-_EYE256 = np.eye(NUM_OPS_PAIR, dtype=complex)
 
 #: configurations drawn and weighed together by every Monte-Carlo estimate;
 #: it bounds the (terms, MC_BATCH) weights held at once
@@ -108,14 +112,20 @@ def pair_generator(xi: float, n_hat, mode: str = "exact") -> np.ndarray:
     tensor = coupling_tensor(xi, n_hat, mode)
     rates = np.block([[0.5 * np.eye(3), tensor],
                       [tensor, 0.5 * np.eye(3)]])
-    # vec(L_b rho L_a^dag) = (L_b kron conj(L_a)) vec(rho), row-major
+    # vec(L_b rho L_a^dag) = (L_b kron conj(L_a)) vec(rho), row-major;
+    # out[i, k, j, l] is the entry (16 i + j, 16 k + l)
     weighted = np.einsum("ab,ajl->bjl", 2.0 * rates.real, lowering.conj())
-    jump = np.einsum("bik,bjl->ijkl", lowering, weighted)
-    right = np.einsum("ab,aji,bjk->ik", rates, lowering.conj(), lowering)
-    left = np.einsum("ab,aji,bjk->ik", rates.conj(), lowering.conj(),
-                     lowering)
-    return (jump.reshape(NUM_OPS_PAIR, NUM_OPS_PAIR)
-            - _left_right(_EYE16, right) - _left_right(left, _EYE16))
+    out = np.tensordot(lowering, weighted, axes=(0, 0))
+    # sum_ab A_ab L_a^dag L_b, summed over a and the rows of L_a
+    daggered = lowering.conj().reshape(-1, 16).T
+    right = daggered @ np.tensordot(rates, lowering, axes=1).reshape(-1, 16)
+    left = daggered @ np.tensordot(rates.conj(), lowering,
+                                   axes=1).reshape(-1, 16)
+    diagonal = np.arange(16)
+    # rho -> rho right and rho -> left rho
+    out[diagonal, diagonal] -= right.T
+    out[:, :, diagonal, diagonal] -= left[:, :, None]
+    return out.transpose(0, 2, 1, 3).reshape(NUM_OPS_PAIR, NUM_OPS_PAIR)
 
 
 @functools.cache
@@ -193,18 +203,42 @@ def binned_kick(theta: float, polarization, harmonics,
     return out
 
 
-def _deflated_solve(generator: np.ndarray, z: complex,
-                    rhs: np.ndarray) -> np.ndarray:
-    """Solve (z - generator) x = rhs with the stationary pole removed.
+@functools.cache
+def coherence_orders() -> np.ndarray:
+    """Coherence order of each entry of a vectorized pair state, length 256.
 
-    The generator annihilates the ground-pair state and preserves the
-    trace, so shifting that single eigenvalue by one with a rank-one
-    update makes the system regular at z = 0 while leaving the solution
-    unchanged on trace-free right-hand sides (which is all the
-    demodulated harmonics produce); any nonzero shift would do.
+    Entry 16 a + b of a row-major vectorized state is rho_ab, with the
+    pair state a = 4 a1 + a2 holding atom 1 in level a1 and atom 2 in
+    level a2.  Its order is n(a) - n(b), where n counts the atoms
+    outside the ground level |1>.
     """
-    deflation = np.outer(ground_pair_vec(), _EYE16.reshape(-1))
-    return np.linalg.solve(z * _EYE256 - generator + deflation, rhs)
+    excited = np.array([0, 1, 1, 1])
+    pair = np.add.outer(excited, excited).reshape(-1)
+    out = np.subtract.outer(pair, pair).reshape(-1)
+    out.flags.writeable = False
+    return out
+
+
+def _deflated_solve(generator: np.ndarray, z: complex, rhs: np.ndarray,
+                    sector: np.ndarray) -> np.ndarray:
+    """Solve (z - generator) x = rhs on the entries ``sector``, with the
+    stationary pole removed.
+
+    ``rhs`` and the solution hold only the entries ``sector``: every
+    entry of one or more coherence orders (:func:`coherence_orders`).
+    The generator conserves the order, so its restriction to such a
+    union is exact.  It annihilates the ground-pair state and
+    preserves the trace, so shifting that single eigenvalue by one with
+    a rank-one update makes the system regular at z = 0 while leaving
+    the solution unchanged on trace-free right-hand sides (which is all
+    the demodulated harmonics produce); any nonzero shift would do.
+    Both vectors of the update lie in order 0, so it vanishes on every
+    other order.
+    """
+    deflation = np.outer(ground_pair_vec()[sector],
+                         _EYE16.reshape(-1)[sector])
+    block = generator[np.ix_(sector, sector)]
+    return np.linalg.solve(z * np.eye(len(sector)) - block + deflation, rhs)
 
 
 def demodulated_laplace(xi: float, n_hat, theta: float, kappas, channels,
@@ -219,11 +253,25 @@ def demodulated_laplace(xi: float, n_hat, theta: float, kappas, channels,
     resolvent solves of the full generator, the second at z2 = 0.  One
     :func:`binned_kick` per pulse polarization gives every harmonic the
     pulses need (-kappa of the x pulse 1, +kappa of each pulse 2) from
-    the harmonics of the 16x16 pair unitary.  One generator serves
-    every (kappa, channel); each z1 point takes one solve, whose
-    right-hand sides are the pulse-1 states of every kappa, and one
-    z2 = 0 solve takes every (kappa, channel) block of z1 columns as
-    right-hand sides: len(z1_values) + 1 solves in all.
+    the harmonics of the 16x16 pair unitary.
+
+    Each solve runs on the coherence orders its states occupy.  The
+    rotating-wave generator conserves the order n(a) - n(b): a jump
+    L_b rho L_a^dag lowers both sides by one excitation, and
+    L_a^dag L_b keeps one side's count.  Kick harmonic p shifts the
+    order by exactly p: each atom's unitary carries the laser phase as
+    e^{+i phase} per raising and e^{-i phase} per lowering, so U_q
+    changes the excitation count by q and U_q kron conj(U_{q-p}) the
+    order by p.  Pulse 1's harmonic -kappa takes the ground pair to
+    order -kappa (60 entries for kappa = 1, 9 for kappa = 2), and each
+    pulse 2's +kappa takes it back to order 0 (118 entries), where the
+    detector covectors and the deflation live.  One generator serves
+    every (kappa, channel); each z1 point takes one solve on the union
+    of the -kappa orders, whose right-hand sides are the pulse-1 states
+    of every kappa, and one z2 = 0 solve on order 0 takes every
+    (kappa, channel) block of z1 columns as right-hand sides:
+    len(z1_values) + 1 solves in all, 69x69 and 118x118 for
+    kappas (1, 2).
 
     Returns:
         dict mapping (kappa, channel, direction) to an array of
@@ -232,8 +280,11 @@ def demodulated_laplace(xi: float, n_hat, theta: float, kappas, channels,
     n = np.asarray(n_hat, dtype=float)
     position = xi * n[2] / np.linalg.norm(n)
     generator = pair_generator(xi, n)
+    orders = coherence_orders()
+    detected = np.flatnonzero(orders == 0)
+    interpulse = np.flatnonzero(np.isin(orders, [-kappa for kappa in kappas]))
     covectors = np.stack([detection_covector_vec(d)
-                          for d in DETECTION_DIRECTIONS])
+                          for d in DETECTION_DIRECTIONS])[:, detected]
     z1_arr = np.atleast_1d(np.asarray(z1_values, dtype=complex))
     wanted = {"x": [-kappa for kappa in kappas]}
     for channel in channels:
@@ -241,19 +292,21 @@ def demodulated_laplace(xi: float, n_hat, theta: float, kappas, channels,
     kicks = {polarization: binned_kick(theta, polarization,
                                        sorted(set(harmonics)), position)
              for polarization, harmonics in wanted.items()}
-    first = np.stack([kicks["x"][-kappa] @ ground_pair_vec()
+    first = np.stack([kicks["x"][-kappa][interpulse] @ ground_pair_vec()
                       for kappa in kappas], axis=1)
     # between[:, k, j]: pulse 1's -kappas[k] harmonic resolved at z1_arr[j]
-    between = np.stack([_deflated_solve(generator, z1, first)
+    between = np.stack([_deflated_solve(generator, z1, first, interpulse)
                         for z1 in z1_arr], axis=2)
     blocks = [(k, kappa, channel) for k, kappa in enumerate(kappas)
               for channel in channels]
-    rhs = np.concatenate([kicks[SECOND_POLARIZATION[channel]][kappa]
+    second = np.ix_(detected, interpulse)
+    rhs = np.concatenate([kicks[SECOND_POLARIZATION[channel]][kappa][second]
                           @ between[:, k] for k, kappa, channel in blocks],
                          axis=1)
-    detected = (covectors @ _deflated_solve(generator, 0.0, rhs)).reshape(
+    values = (covectors @ _deflated_solve(generator, 0.0, rhs,
+                                          detected)).reshape(
         len(DETECTION_DIRECTIONS), len(blocks), len(z1_arr))
-    return {(kappa, channel, d): detected[i, b]
+    return {(kappa, channel, d): values[i, b]
             for b, (_, kappa, channel) in enumerate(blocks)
             for i, d in enumerate(DETECTION_DIRECTIONS)}
 

@@ -16,7 +16,8 @@ from scipy.special import ndtri
 import mqcsim
 from mqcsim import __version__
 from mqcsim.cli import MC_FALSE_ALARM, family_z_limit, main
-from mqcsim.config import MAX_DETUNING_COUNT, RunConfig
+from mqcsim.config import (MAX_DETUNING_COUNT, MAX_MC_SAMPLES,
+                           MAX_ORACLE_DIRECTIONS, RunConfig)
 from mqcsim.spectra import (
     leading_order_peaks,
     mean_free_path,
@@ -184,6 +185,13 @@ SMALL_SPECTRUM = ["spectrum", "--kappas", "2", "--channels", "parallel",
       "perpendicular", "--oracle-directions", "1"], None),
     (["spectrum"], {"kappas": [2, 1, 2], "channels": ["parallel"],
                     "detuning_count": 5}),
+    # counts above their caps are refused before anything is allocated
+    (["oracle-check", "--oracle-directions", "100000000000"], None),
+    (["oracle-check", "--oracle-directions",
+      str(MAX_ORACLE_DIRECTIONS + 1)], None),
+    (["mc-average", "--kappas", "2", "--channels", "parallel",
+      "--detuning-count", "3", "--mc-samples", str(MAX_MC_SAMPLES + 1)],
+     None),
 ])
 def test_bad_inputs_exit_with_two(tmp_path, capsys, argv, config):
     argv = argv + ["--output-dir", str(tmp_path / "run")]
@@ -197,6 +205,18 @@ def test_bad_inputs_exit_with_two(tmp_path, capsys, argv, config):
     lines = err.strip().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("invalid configuration: ")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("subcommand,flag,cap", [
+    ("oracle-check", "--oracle-directions", MAX_ORACLE_DIRECTIONS),
+    ("mc-average", "--mc-samples", MAX_MC_SAMPLES),
+])
+def test_count_caps_are_named(tmp_path, capsys, subcommand, flag, cap):
+    # validation only: the count is refused before anything runs
+    assert main([subcommand, flag, str(cap + 1),
+                 "--output-dir", str(tmp_path / "run")]) == 2
+    assert f"{cap}, got {cap + 1}" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 

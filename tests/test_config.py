@@ -11,6 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 from mqcsim.config import (
     ConfigError,
     MAX_DETUNING_COUNT,
+    MAX_MC_SAMPLES,
+    MAX_ORACLE_DIRECTIONS,
     PACKING_CONSTANT,
     RunConfig,
     write_report,
@@ -100,6 +102,9 @@ def test_separation_sources_resolve_and_conflict():
     {"detuning_count": MAX_DETUNING_COUNT + 1},
     {"kappas": (1, 1)},
     {"channels": ("parallel", "perpendicular", "parallel")},
+    {"mc_samples": MAX_MC_SAMPLES + 1},
+    {"oracle_directions": MAX_ORACLE_DIRECTIONS + 1},
+    {"oracle_directions": 10**11},
 ])
 def test_invalid_fields_are_rejected(fields):
     with pytest.raises(ConfigError):
@@ -116,6 +121,15 @@ def test_repeated_selections_are_named():
 def test_largest_detuning_grid_is_accepted():
     grid = RunConfig(detuning_count=MAX_DETUNING_COUNT).detunings()
     assert grid.size == MAX_DETUNING_COUNT
+
+
+def test_count_caps_admit_the_defaults_and_themselves():
+    # validation only: nothing is sampled or solved here
+    defaults = RunConfig()
+    assert defaults.mc_samples <= MAX_MC_SAMPLES
+    assert defaults.oracle_directions <= MAX_ORACLE_DIRECTIONS
+    RunConfig(mc_samples=MAX_MC_SAMPLES,
+              oracle_directions=MAX_ORACLE_DIRECTIONS)
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 from scipy.linalg import expm
 
-from mqcsim.atom import _pulse_unitary, decay_generator, free_propagator
+from mqcsim.atom import (_pulse_unitary, decay_generator, excited_projector,
+                         free_propagator)
 from mqcsim.coupling import (coupling_tensor, interaction_matrices,
                              tensor_tag_value)
 from mqcsim.disorder import angular_average, mean_inverse_xi_squared
@@ -16,6 +17,7 @@ from mqcsim.oracle import (
     _deflated_solve,
     _term_weights,
     binned_kick,
+    coherence_orders,
     demodulated_laplace,
     demodulated_term_table,
     detection_covector_vec,
@@ -152,19 +154,83 @@ def test_kick_harmonics_resum_to_the_pair_kick_off_grid(polarization):
     assert np.max(np.abs(resummed - direct)) < 1e-13
 
 
+def test_coherence_orders_are_the_excitation_number_commutator():
+    # rho -> [N, rho], N the pair's excitation number, is diagonal on
+    # vectorized states with the coherence orders on its diagonal
+    excited = excited_projector()
+    number = np.kron(excited, np.eye(4)) + np.kron(np.eye(4), excited)
+    eye = np.eye(16)
+    commutator = np.kron(number, eye) - np.kron(eye, number.T)
+    assert np.array_equal(commutator, np.diag(coherence_orders()))
+    orders, sizes = np.unique(coherence_orders(), return_counts=True)
+    assert dict(zip(orders, sizes)) == {-2: 9, -1: 60, 0: 118, 1: 60, 2: 9}
+
+
+@pytest.mark.parametrize("mode", ["exact", "far_field", "near_field"])
+def test_pair_generator_conserves_coherence_order(mode):
+    # exact zeros between different orders, not roundoff: the solves
+    # restricted to one order drop nothing
+    orders = coherence_orders()
+    across = orders[:, None] != orders[None, :]
+    for seed, xi in enumerate((0.7, 3.1, 42.0, 1000.0)):
+        gen = pair_generator(xi, _random_axis(20 + seed), mode=mode)
+        assert np.all(gen[across] == 0.0)
+        assert np.max(np.abs(gen[~across])) > 0.0
+
+
+def test_detection_and_deflation_lie_in_order_zero():
+    outside = coherence_orders() != 0
+    for direction in DETECTION_DIRECTIONS:
+        assert np.all(detection_covector_vec(direction)[outside] == 0.0)
+    assert np.all(ground_pair_vec()[outside] == 0.0)
+    assert np.all(np.eye(16).reshape(-1)[outside] == 0.0)
+
+
+@pytest.mark.parametrize("polarization", ["x", "y"])
+def test_kick_harmonics_shift_coherence_order_by_their_index(polarization):
+    # harmonic p moves a state's order by exactly p; the part it puts
+    # anywhere else is the binning's roundoff, relative to the kick it
+    # bins (measured up to 1.1e-15, or 1.2e-14 of the in-order part of
+    # the small kappa = 2 harmonic at THETA)
+    orders = coherence_orders()
+    for theta in (THETA, 0.9, 2.5):
+        for position in (0.0, 12.0, -37.3):
+            kicks = binned_kick(theta, polarization, (-2, -1, 1, 2),
+                                position)
+            scale = np.max(np.abs(pair_kick(theta, polarization, 0.0,
+                                            position)))
+            for kappa in (1, 2):
+                first = kicks[-kappa] @ ground_pair_vec()
+                second = kicks[kappa][:, orders == -kappa]
+                assert np.max(np.abs(first[orders != -kappa])) \
+                    < 1e-14 * scale
+                assert np.max(np.abs(second[orders != 0])) < 1e-14 * scale
+                assert np.max(np.abs(first)) > 1e-3 * scale
+                assert np.max(np.abs(second)) > 1e-3 * scale
+
+
 def test_deflated_solve_is_exact_resolvent_on_trace_free_input():
-    # two right-hand sides at once, as the oracle passes a z1 block
+    # the two pulse-1 states at once on orders -1 and -2, as the oracle
+    # passes a z1 block, and their pulse-2 states on order 0, where the
+    # deflation acts; each solution, put back into the full space,
+    # solves the full resolvent equation
     gen = pair_generator(30.0, _random_axis(3))
-    kicks = binned_kick(THETA, "x", (-1, -2), 12.0)
-    rhs = np.stack([kicks[-kappa] @ ground_pair_vec() for kappa in (1, 2)],
-                   axis=1)
+    kicks = binned_kick(THETA, "x", (-2, -1, 1, 2), 12.0)
     trace_covector = np.eye(16, dtype=complex).reshape(-1)
-    assert np.max(np.abs(trace_covector @ rhs)) < 1e-14
-    for z in (0.0, 0.3 + 1.1j):
-        solution = _deflated_solve(gen, z, rhs)
-        assert solution.shape == rhs.shape
-        assert np.max(np.abs((z * solution - gen @ solution) - rhs)) < 1e-12
-        assert np.max(np.abs(trace_covector @ solution)) < 1e-12
+    first = np.stack([kicks[-kappa] @ ground_pair_vec() for kappa in (1, 2)],
+                     axis=1)
+    second = np.stack([kicks[kappa] @ first[:, k]
+                       for k, kappa in enumerate((1, 2))], axis=1)
+    orders = coherence_orders()
+    for rhs, sector in ((first, np.flatnonzero(orders < 0)),
+                        (second, np.flatnonzero(orders == 0))):
+        assert np.max(np.abs(trace_covector @ rhs)) < 1e-14
+        for z in (0.0, 0.3 + 1.1j):
+            solution = np.zeros_like(rhs)
+            solution[sector] = _deflated_solve(gen, z, rhs[sector], sector)
+            residual = z * solution - gen @ solution - rhs
+            assert np.max(np.abs(residual)) < 1e-12
+            assert np.max(np.abs(trace_covector @ solution)) < 1e-12
 
 
 def test_time_domain_evolve_matches_matrix_exponential():
@@ -379,8 +445,37 @@ def test_demodulated_laplace_solves_once_per_z1_and_once_at_z2(monkeypatch):
     z1 = 1j * np.linspace(-3.0, 3.0, 7)
     demodulated_laplace(80.0, _random_axis(2), THETA, (1, 2),
                         ("parallel", "perpendicular"), z1)
-    # seven z1 solves of both kappas, one z2 solve of 4 blocks of 7
-    assert calls == [(256, 2)] * 7 + [(256, 28)]
+    # seven z1 solves of both kappas on orders -1 and -2 (60 + 9
+    # entries), one z2 solve of 4 blocks of 7 on order 0
+    assert calls == [(69, 2)] * 7 + [(118, 28)]
+
+
+def test_sector_laplace_matches_full_space_solve():
+    # every component against the deflated resolvent on all 256 entries
+    xi, n_hat = 12.0, _random_axis(11)
+    kappas, channels = (1, 2), ("parallel", "perpendicular")
+    z1 = np.array([0.0, -2.0j, 0.8j, 0.5 - 1.3j, 2.0 + 0.4j])
+    got = demodulated_laplace(xi, n_hat, THETA, kappas, channels, z1)
+    gen = pair_generator(xi, n_hat)
+    deflation = np.outer(ground_pair_vec(), np.eye(16).reshape(-1))
+    kicks = {pol: binned_kick(THETA, pol, (-2, -1, 1, 2), xi * n_hat[2])
+             for pol in ("x", "y")}
+    second = {"parallel": "x", "perpendicular": "y"}
+    # the kappa = 2 perpendicular components are a cancellation far
+    # below the others, so the bound is relative to the largest one
+    scale = max(np.max(np.abs(row)) for row in got.values())
+    for kappa in kappas:
+        first = kicks["x"][-kappa] @ ground_pair_vec()
+        between = np.stack([np.linalg.solve(z * np.eye(256) - gen
+                                            + deflation, first)
+                            for z in z1], axis=1)
+        for channel in channels:
+            collected = np.linalg.solve(
+                -gen + deflation, kicks[second[channel]][kappa] @ between)
+            for direction in DETECTION_DIRECTIONS:
+                want = detection_covector_vec(direction) @ collected
+                assert np.max(np.abs(got[(kappa, channel, direction)]
+                                     - want)) < 1e-12 * scale
 
 
 def test_single_exchange_component_is_even_in_axis_sign():
