@@ -11,14 +11,9 @@ averages.
 
 import importlib
 
-from .basis import build_single_atom_basis, expand, reconstruct
-from .atom import (
-    dipole_lowering,
-    kick_decomposition,
-    two_pulse_pure_states,
-    free_propagator,
-)
-from .coupling import coupling_tensor, interaction_matrices, interaction_pieces
+from .basis import build_single_atom_basis, expand
+from .atom import dipole_lowering, kick_decomposition
+from .coupling import coupling_tensor
 from .expansion import (
     PhaseMonomial,
     initial_vector,
@@ -44,7 +39,6 @@ from .spectra import (
     mean_scattering_cross_section,
     mean_free_path,
     dipole_from_gamma,
-    gamma_from_dipole,
     pulse_area_from_energy,
 )
 
@@ -73,17 +67,16 @@ def __getattr__(name):
 __version__ = "0.1.0"
 
 __all__ = [
-    "build_single_atom_basis", "expand", "reconstruct",
-    "dipole_lowering", "kick_decomposition", "two_pulse_pure_states",
-    "free_propagator",
-    "coupling_tensor", "interaction_matrices", "interaction_pieces",
+    "build_single_atom_basis", "expand",
+    "dipole_lowering", "kick_decomposition",
+    "coupling_tensor",
     "PhaseMonomial", "initial_vector",
     "apply_kick", "apply_resolvent", "apply_interaction", "scattering_solution",
     "survival_filter", "angular_average",
     "average_state", "averaged_solution", "mean_inverse_xi_squared",
     "SpectrumSeries", "detection_observable", "detection_projection",
     "directional_spectra", "spectrum", "leading_order_peaks", "mean_scattering_cross_section",
-    "mean_free_path", "dipole_from_gamma", "gamma_from_dipole",
+    "mean_free_path", "dipole_from_gamma",
     "pulse_area_from_energy",
     "IntegrationError", "OracleRun",
     "demodulated_laplace", "fixed_configuration_components",

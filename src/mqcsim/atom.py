@@ -18,9 +18,10 @@ select demodulation orders without scanning the phase numerically.
 Free evolution is spontaneous decay at rate gamma, which sets the unit
 of time and frequency throughout (gamma = 1): optical coherences decay
 at 1/2, excited populations and Zeeman coherences at 1, and the ground
-population collects the emitted weight.  The propagator is an exact
-five-term expression; its Laplace transform, the resolvent that the
-perturbative chain applies, is :func:`mqcsim.expansion.apply_resolvent`.
+population collects the emitted weight.  :func:`decay_eigensystem`
+diagonalizes that generator exactly; the resolvent that the
+perturbative chain applies through it is
+:func:`mqcsim.expansion.apply_resolvent`.
 
 Every map here acts on density-operator coefficients (the Schrodinger
 picture).  The map that evolves observables instead is its
@@ -99,20 +100,6 @@ def detection_observable(direction: str) -> np.ndarray:
     return np.einsum("kl,kba,lbc->ac", transverse, dips.conj(), dips)
 
 
-@functools.cache
-def excited_projector() -> np.ndarray:
-    out = np.diag(np.array([0, 1, 1, 1], dtype=complex))
-    out.flags.writeable = False
-    return out
-
-
-@functools.cache
-def ground_projector() -> np.ndarray:
-    out = np.diag(np.array([1, 0, 0, 0], dtype=complex))
-    out.flags.writeable = False
-    return out
-
-
 def kick_decomposition(theta: float, polarization: str = "x") -> dict:
     """Split an impulsive pulse into its five optical-phase harmonics.
 
@@ -141,77 +128,6 @@ def kick_decomposition(theta: float, polarization: str = "x") -> dict:
         +2: sandwich_matrix(s_dag, s_dag),
         -2: sandwich_matrix(s_bar, s_bar),
     }
-
-
-def _pulse_unitary(theta: float, polarization: str, phi: float) -> np.ndarray:
-    """The 4x4 pulse unitary at optical phase phi, in closed form
-    (S^2 = 0 truncates the exponential)."""
-    s_op = dipole_lowering(polarization)
-    half = theta / 2.0
-    proj = s_op.conj().T @ s_op + s_op @ s_op.conj().T
-    drive = s_op.conj().T * np.exp(1j * phi) + s_op * np.exp(-1j * phi)
-    return (np.eye(HILBERT_DIM) - proj + np.cos(half) * proj
-            - 1j * np.sin(half) * drive)
-
-
-def two_pulse_pure_states(theta: float, channel: str, phi1: float, phi2: float):
-    """Pure state after two impulsive pulses on a ground-state atom.
-
-    Channel 'parallel' drives x then x; 'perpendicular' drives x then y.
-    Closed forms (c = cos(theta/2), s = sin(theta/2)):
-
-        parallel:       (c^2 - e^{i(phi1-phi2)} s^2)|1>
-                        - i (e^{i phi1} + e^{i phi2}) s c |x>
-        perpendicular:  c^2 |1> - i e^{i phi1} s |x> - i e^{i phi2} s c |y>
-
-    Returns:
-        (amplitudes, coefficients): the 4-component state vector in the
-        (|1>, |2>, |3>, |4>) basis and the 16-component operator-basis
-        expansion of |psi><psi|.  Used as a cross-check of composed kicks.
-    """
-    second = SECOND_POLARIZATION[channel]
-    ground = np.zeros(HILBERT_DIM, dtype=complex)
-    ground[0] = 1.0
-    u1 = _pulse_unitary(theta, "x", phi1)
-    u2 = _pulse_unitary(theta, second, phi2)
-    psi = u2 @ (u1 @ ground)
-    return psi, expand(np.outer(psi, psi.conj()))
-
-
-def _feed_matrix() -> np.ndarray:
-    """Map collecting decayed excited weight into the ground sector."""
-    return sum(sandwich_matrix(d, d.conj().T) for d in dipole_components())
-
-
-@functools.cache
-def _propagator_pieces():
-    pe = excited_projector()
-    pg = ground_projector()
-    cross = sandwich_matrix(pe, pg) + sandwich_matrix(pg, pe)
-    gg = sandwich_matrix(pg, pg)
-    ee = sandwich_matrix(pe, pe)
-    feed = _feed_matrix()
-    return cross, gg, ee, feed
-
-
-def free_propagator(t: float) -> np.ndarray:
-    """Exact decay propagator over the operator basis, 16x16.
-
-    rho(t) = Pe rho Pg e^{-t/2} + Pg rho Pe e^{-t/2} + Pg rho Pg
-    + Pe rho Pe e^{-t} + (sum_k D_k rho D_k^dag) (1 - e^{-t}).
-    """
-    cross, gg, ee, feed = _propagator_pieces()
-    half = np.exp(-t / 2.0)
-    full = np.exp(-t)
-    return cross * half + gg + ee * full + feed * (1.0 - full)
-
-
-def decay_generator() -> np.ndarray:
-    """Matrix of the spontaneous-decay generator over the operator basis."""
-    pe = excited_projector()
-    eye = np.eye(HILBERT_DIM, dtype=complex)
-    anti = sandwich_matrix(pe, eye) + sandwich_matrix(eye, pe)
-    return _feed_matrix() - anti / 2.0
 
 
 @dataclass(frozen=True)

@@ -77,11 +77,6 @@ def _flat_pair() -> np.ndarray:
     return out
 
 
-def pair_index(i: int, j: int) -> int:
-    """Flat two-atom basis index of Q_i (x) Q_j."""
-    return NUM_OPS * i + j
-
-
 def _flat_for_dim(dim: int) -> np.ndarray:
     if dim == HILBERT_DIM:
         return _flat_single()
@@ -99,46 +94,6 @@ def expand(op: np.ndarray) -> np.ndarray:
     flat = _flat_for_dim(op.shape[-1])
     vec = op.reshape(op.shape[:-2] + (-1,))
     return vec @ np.conj(flat).T
-
-
-def reconstruct(coeffs: np.ndarray) -> np.ndarray:
-    """Operator sum_n c_n Q_n from its coefficient vector."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs.shape[-1] == NUM_OPS:
-        dim = HILBERT_DIM
-    elif coeffs.shape[-1] == NUM_OPS_PAIR:
-        dim = HILBERT_DIM**2
-    else:
-        raise ValueError(f"coefficient length {coeffs.shape[-1]} not recognized")
-    flat = _flat_for_dim(dim)
-    return (coeffs @ flat).reshape(coeffs.shape[:-1] + (dim, dim))
-
-
-def dagger_permutation(pair: bool = False) -> np.ndarray:
-    """Permutation p with Q_{p[n]} = Q_n^dag.
-
-    For any operator O with coefficients c, the coefficients of O^dag are
-    conj(c)[p].  Hermitian operators therefore satisfy c[p] = conj(c).
-    """
-    if pair:
-        p = dagger_permutation(False)
-        return np.array([pair_index(p[i], p[j])
-                         for i in range(NUM_OPS) for j in range(NUM_OPS)])
-    b = build_single_atom_basis()
-    perm = []
-    for q in b:
-        target = q.conj().T
-        hits = [m for m in range(NUM_OPS) if np.array_equal(b[m], target)]
-        if len(hits) != 1:
-            raise RuntimeError("basis is not closed under Hermitian conjugation")
-        perm.append(hits[0])
-    return np.array(perm)
-
-
-def gram_matrix(pair: bool = False) -> np.ndarray:
-    """Hilbert-Schmidt Gram matrix Tr{Q_m^dag Q_n} of the basis."""
-    flat = _flat_pair() if pair else _flat_single()
-    return np.conj(flat) @ flat.T
 
 
 def pair_operator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

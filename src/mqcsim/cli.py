@@ -166,7 +166,13 @@ def _spectrum_config(args: argparse.Namespace, flags: dict) -> RunConfig:
 
 def _prepare_output(config: RunConfig) -> Path:
     directory = Path(config.output_dir)
-    directory.mkdir(parents=True, exist_ok=True)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        # an existing file on the path, or no permission: a bad
+        # configuration, not a numeric failure
+        raise ConfigError(f"output_dir {config.output_dir!r} cannot be "
+                          f"made a directory: {err.strerror or err}") from None
     return directory
 
 
@@ -238,12 +244,15 @@ def run_table1(config: RunConfig) -> int:
         scale = area ** 2 / reference
         return {key: value * scale for key, value in raw.items()}
 
+    # an area without a peak to normalize by is refused before the
+    # directory is made, and a bad directory before the fitted areas run
+    computed_here = normalized_peaks(theta)
+    directory = _prepare_output(config)
     sampled = {area: normalized_peaks(area) for area in FIT_AREAS}
     columns = {key: [] for key in
                ("kappa", "direction", "channel", "closed_form",
                 "computed", "fitted_coefficient", "closed_coefficient",
                 "fitted_exponent")}
-    computed_here = normalized_peaks(theta)
     for key, closed_value in closed.items():
         kappa, direction, channel = key
         areas = np.array(FIT_AREAS)
@@ -263,7 +272,6 @@ def run_table1(config: RunConfig) -> int:
         columns["closed_coefficient"].append(float(coefficients[key]))
         columns["fitted_exponent"].append(float(slope))
     metadata = config.as_metadata()
-    directory = _prepare_output(config)
     write_table(directory / "table1.tsv", columns, metadata)
     write_sidecar(directory / "table1.json",
                   {"config": metadata, "files": ["table1.tsv"]})

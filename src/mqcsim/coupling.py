@@ -22,9 +22,8 @@ tensor entries: ``sparse_interaction_pieces`` returns, per formal factor
 (the tensor entry itself or its complex conjugate, indices k <= l with
 the symmetric partner folded in), the 256x256 CSR matrix multiplying
 that factor, built as sparse Kronecker products of single-atom sandwich
-maps.  ``interaction_pieces`` is its dense view.  Contracting the pieces
-with a concrete tensor reproduces the assembled generator, which is what
-``interaction_matrices`` does.
+maps.  Contracting the pieces with a concrete tensor, each piece times
+its factor's value, reproduces the assembled generator.
 
 Superoperator matrices follow the conventions of :mod:`mqcsim.basis`
 and act on density-operator coefficients, as the master equation does.
@@ -35,7 +34,6 @@ the conjugate transpose of the matrix.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,8 +125,8 @@ def _pair_map(left1, right1, left2, right2):
     return kron(maps[(left1, right1)], maps[(left2, right2)], format="csr")
 
 
-def _ordered_pieces(kind: str, k: int, l: int):
-    """Shift and feed matrices for the ordered, un-symmetrized index pair
+def _ordered_piece(kind: str, k: int, l: int):
+    """Shift plus feed matrix for the ordered, un-symmetrized index pair
     (k, l) and factor kind, with both atom orderings summed."""
     dk, dl_dag, eye = ("low", k), ("raise", l), "eye"
     # atom orderings (alpha, beta) = (1, 2) and (2, 1); the lowering
@@ -141,62 +139,23 @@ def _ordered_pieces(kind: str, k: int, l: int):
         shift = -(_pair_map(eye, dk, eye, dl_dag)
                   + _pair_map(eye, dl_dag, eye, dk))
     feed = _pair_map(dk, eye, eye, dl_dag) + _pair_map(eye, dl_dag, dk, eye)
-    return shift, feed
-
-
-@functools.cache
-def _sparse_split_pieces():
-    """Canonical tag -> (shift, feed) CSR matrices.
-
-    Canonicalization folds the symmetric partner (l, k) into the (k, l)
-    piece.
-    """
-    out = {}
-    for kind, k, l in TAG_KEYS:
-        shift, feed = _ordered_pieces(kind, k, l)
-        if k != l:
-            shift_lk, feed_lk = _ordered_pieces(kind, l, k)
-            shift = shift + shift_lk
-            feed = feed + feed_lk
-        out[(kind, k, l)] = (shift, feed)
-    return out
+    return shift + feed
 
 
 @functools.cache
 def sparse_interaction_pieces():
     """Canonical tag -> CSR matrix multiplying that formal factor, for
     applying it to coefficient vectors: each piece holds 160-640
-    nonzeros of 65,536."""
-    return {tag: shift + feed
-            for tag, (shift, feed) in _sparse_split_pieces().items()}
-
-
-def interaction_pieces():
-    """Canonical tag -> 256x256 matrix multiplying that formal factor.
+    nonzeros of 65,536.
 
     The generator is sum over tags of (tensor factor value) x (piece);
-    see ``tensor_tag_value`` for the factor values.
+    see ``tensor_tag_value`` for the factor values.  Canonicalization
+    folds the symmetric partner (l, k) into the (k, l) piece.
     """
-    return {tag: piece.toarray()
-            for tag, piece in sparse_interaction_pieces().items()}
-
-
-@dataclass(frozen=True)
-class InteractionMatrices:
-    """Assembled pair-interaction generator over the two-atom basis.
-
-    ``total = level_shift + cross_feed``; the cross-feed part carries the
-    collective decay (it vanishes when the tensor is purely imaginary).
-    """
-
-    total: np.ndarray
-    level_shift: np.ndarray
-    cross_feed: np.ndarray
-
-
-def interaction_matrices(tensor: np.ndarray) -> InteractionMatrices:
-    """Contract the symbolic pieces with a concrete coupling tensor."""
-    pieces = _sparse_split_pieces()
-    shift, fd = (sum(tensor_tag_value(tensor, tag) * pieces[tag][part]
-                     for tag in TAG_KEYS).toarray() for part in (0, 1))
-    return InteractionMatrices(total=shift + fd, level_shift=shift, cross_feed=fd)
+    out = {}
+    for kind, k, l in TAG_KEYS:
+        piece = _ordered_piece(kind, k, l)
+        if k != l:
+            piece = piece + _ordered_piece(kind, l, k)
+        out[(kind, k, l)] = piece
+    return out

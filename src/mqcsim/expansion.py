@@ -4,7 +4,7 @@ The experiment applies pulse 1 at time zero and pulse 2 after a delay,
 then integrates fluorescence.  Each pulse kick splits into five optical
 phase harmonics per atom (:func:`mqcsim.atom.kick_decomposition`), and
 the pair interaction is linear in the coupling-tensor entries
-(:func:`mqcsim.coupling.interaction_pieces`).  Rather than evaluating
+(:func:`mqcsim.coupling.sparse_interaction_pieces`).  Rather than evaluating
 phases and tensor entries numerically, the pipeline carries them as
 symbols.  A vector is a plain dict mapping
 

@@ -43,7 +43,7 @@ import numpy as np
 
 from .atom import (DETECTION_DIRECTIONS, SECOND_POLARIZATION,
                    detection_observable, dipole_components, dipole_lowering)
-from .basis import NUM_OPS_PAIR, build_single_atom_basis, matrix_unit
+from .basis import NUM_OPS_PAIR, matrix_unit
 from .coupling import TAG_KEYS, coupling_tensor, tensor_tag_value
 from .disorder import SEPARATION_WINDOW
 from .expansion import two_pulse_chain
@@ -126,21 +126,6 @@ def pair_generator(xi: float, n_hat, mode: str = "exact") -> np.ndarray:
     out[diagonal, diagonal] -= right.T
     out[:, :, diagonal, diagonal] -= left[:, :, None]
     return out.transpose(0, 2, 1, 3).reshape(NUM_OPS_PAIR, NUM_OPS_PAIR)
-
-
-@functools.cache
-def pair_basis_columns() -> np.ndarray:
-    """Unitary mapping operator-basis coefficients to vectorized states.
-
-    Column 16 i + j is the vectorized product of single-atom basis
-    operators i and j; the basis is trace-orthonormal, so the conjugate
-    transpose inverts the map.
-    """
-    single = build_single_atom_basis()
-    cols = [np.kron(a, b).reshape(-1) for a in single for b in single]
-    out = np.stack(cols, axis=1)
-    out.flags.writeable = False
-    return out
 
 
 def pulse_unitary(theta: float, polarization, phase: float) -> np.ndarray:

@@ -266,15 +266,6 @@ def dipole_from_gamma(gamma: float, omega0: float) -> float:
                    * gamma / omega0**3)
 
 
-def gamma_from_dipole(dipole: float, omega0: float) -> float:
-    """Spontaneous decay rate of a transition dipole at angular
-    frequency ``omega0`` (SI units)."""
-    if dipole <= 0 or omega0 <= 0:
-        raise ValueError("dipole and omega0 must be positive")
-    return omega0**3 * dipole**2 / (3.0 * np.pi * _EPSILON_0 * _HBAR
-                                    * _C_LIGHT**3)
-
-
 def pulse_area_from_energy(pulse_energy: float, duration: float,
                            beam_cross_section: float, dipole: float) -> float:
     """Area of a Gaussian pulse from its energy budget (SI units).

@@ -1,0 +1,81 @@
+"""Independent dense references that the tests check the library against.
+
+None of these is on a run's path: the chain applies the decay
+resolvent through ``atom.decay_eigensystem`` and the interaction
+through the sparse pieces, and the oracle works on vectorized states.
+"""
+
+import functools
+
+import numpy as np
+
+from mqcsim.atom import dipole_components
+from mqcsim.basis import (HILBERT_DIM, NUM_OPS, build_single_atom_basis,
+                          sandwich_matrix)
+from mqcsim.coupling import sparse_interaction_pieces, tensor_tag_value
+
+
+def excited_projector() -> np.ndarray:
+    return np.diag(np.array([0, 1, 1, 1], dtype=complex))
+
+
+def ground_projector() -> np.ndarray:
+    return np.diag(np.array([1, 0, 0, 0], dtype=complex))
+
+
+def reconstruct(coeffs: np.ndarray) -> np.ndarray:
+    """Operator sum_n c_n Q_n from a one- or two-atom coefficient vector."""
+    if len(coeffs) == NUM_OPS:
+        return np.tensordot(coeffs, build_single_atom_basis(), axes=1)
+    return (pair_basis_columns() @ coeffs).reshape(HILBERT_DIM**2, -1)
+
+
+def _feed_matrix() -> np.ndarray:
+    """Map collecting decayed excited weight into the ground sector."""
+    return sum(sandwich_matrix(d, d.conj().T) for d in dipole_components())
+
+
+def _propagator_pieces():
+    pe = excited_projector()
+    pg = ground_projector()
+    cross = sandwich_matrix(pe, pg) + sandwich_matrix(pg, pe)
+    gg = sandwich_matrix(pg, pg)
+    ee = sandwich_matrix(pe, pe)
+    return cross, gg, ee, _feed_matrix()
+
+
+def free_propagator(t: float) -> np.ndarray:
+    """Exact single-atom decay propagator over the operator basis, 16x16.
+
+    rho(t) = Pe rho Pg e^{-t/2} + Pg rho Pe e^{-t/2} + Pg rho Pg
+    + Pe rho Pe e^{-t} + (sum_k D_k rho D_k^dag) (1 - e^{-t}).
+    """
+    cross, gg, ee, feed = _propagator_pieces()
+    full = np.exp(-t)
+    return cross * np.exp(-t / 2.0) + gg + ee * full + feed * (1.0 - full)
+
+
+def decay_generator() -> np.ndarray:
+    """Matrix of the single-atom spontaneous-decay generator, 16x16."""
+    pe = excited_projector()
+    eye = np.eye(HILBERT_DIM, dtype=complex)
+    anti = sandwich_matrix(pe, eye) + sandwich_matrix(eye, pe)
+    return _feed_matrix() - anti / 2.0
+
+
+@functools.cache
+def pair_basis_columns() -> np.ndarray:
+    """Unitary mapping pair operator-basis coefficients to vectorized
+    states: column 16 i + j is the vectorized Q_i (x) Q_j."""
+    single = build_single_atom_basis()
+    out = np.stack([np.kron(a, b).reshape(-1) for a in single for b in single],
+                   axis=1)
+    out.flags.writeable = False   # cached: every caller gets this array
+    return out
+
+
+def interaction_generator(tensor: np.ndarray) -> np.ndarray:
+    """Pair-interaction generator at a concrete coupling tensor, 256x256:
+    every sparse piece times the value of its formal factor."""
+    return sum(tensor_tag_value(tensor, tag) * piece
+               for tag, piece in sparse_interaction_pieces().items()).toarray()

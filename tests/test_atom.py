@@ -5,30 +5,32 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mqcsim.atom import (
-    _pulse_unitary,
+    SECOND_POLARIZATION,
     decay_eigensystem,
-    decay_generator,
     dipole_components,
     dipole_lowering,
-    excited_projector,
-    free_propagator,
-    ground_projector,
     kick_decomposition,
-    two_pulse_pure_states,
 )
-from mqcsim.basis import (
-    build_single_atom_basis,
-    dagger_permutation,
-    expand,
-    matrix_unit,
-    reconstruct,
-    sandwich_matrix,
-)
+from mqcsim.basis import build_single_atom_basis, expand, matrix_unit, sandwich_matrix
+from mqcsim.oracle import pulse_unitary
+from reference import (decay_generator, excited_projector, free_propagator,
+                       ground_projector, reconstruct)
+
+GROUND = np.array([1.0, 0, 0, 0], dtype=complex)
+KET_X = np.array([0, -1.0, 0, 1.0], dtype=complex) / np.sqrt(2)
+KET_Y = np.array([0, 1.0, 0, 1.0], dtype=complex) / (np.sqrt(2) * 1j)
 
 
 def _assembled(kick, phi):
     """The kick's density-operator map at optical phase phi."""
     return sum(np.exp(1j * p * phi) * harmonic for p, harmonic in kick.items())
+
+
+def _two_pulse_state(theta, channel, phi1, phi2):
+    """Pure state after pulse 1 (x) and pulse 2 on a ground-state atom."""
+    u1 = pulse_unitary(theta, "x", phi1)
+    u2 = pulse_unitary(theta, SECOND_POLARIZATION[channel], phi2)
+    return u2 @ u1 @ GROUND
 
 
 def _random_hermitian(rng):
@@ -70,7 +72,7 @@ def test_kick_harmonics_assemble_to_unitary_conjugation(seed):
     pol = rng.choice(["x", "y", "z"])
     kick = kick_decomposition(theta, pol)
     assert sorted(kick) == [-2, -1, 0, 1, 2]
-    u = _pulse_unitary(theta, pol, phi)
+    u = pulse_unitary(theta, pol, phi)
     assert np.allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
     assembled = _assembled(kick, phi)
     assert np.allclose(assembled, sandwich_matrix(u, u.conj().T), atol=1e-12)
@@ -94,42 +96,45 @@ def test_kick_preserves_trace_and_hermiticity():
 
 
 def test_kick_on_ground_state():
-    theta, phi = 0.9, 0.4
-    ground = np.array([1.0, 0, 0, 0], dtype=complex)
-    psi = _pulse_unitary(theta, "x", phi) @ ground
-    ket_x = np.array([0, -1.0, 0, 1.0], dtype=complex) / np.sqrt(2)
-    want = np.cos(theta / 2) * ground - 1j * np.exp(1j * phi) * np.sin(theta / 2) * ket_x
-    assert np.allclose(psi, want, atol=1e-14)
+    phi = 0.4
+    # theta = 0 leaves the atom alone and theta = 2 pi returns it with a
+    # sign flip
+    for theta in (0.9, 0.0, 2 * np.pi):
+        psi = pulse_unitary(theta, "x", phi) @ GROUND
+        want = (np.cos(theta / 2) * GROUND
+                - 1j * np.exp(1j * phi) * np.sin(theta / 2) * KET_X)
+        assert np.allclose(psi, want, atol=1e-14)
 
 
 def test_two_pulse_states_match_closed_forms():
-    theta, phi1, phi2 = 0.8, 0.3, 1.9
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    ket_x = np.array([0, -1.0, 0, 1.0], dtype=complex) / np.sqrt(2)
-    ket_y = np.array([0, 1.0, 0, 1.0], dtype=complex) / (np.sqrt(2) * 1j)
-    ground = np.array([1.0, 0, 0, 0], dtype=complex)
+    # closed forms with c = cos(theta/2), s = sin(theta/2):
+    #   parallel:      (c^2 - e^{i(phi1-phi2)} s^2)|1>
+    #                  - i (e^{i phi1} + e^{i phi2}) s c |x>
+    #   perpendicular: c^2 |1> - i e^{i phi1} s |x> - i e^{i phi2} s c |y>
+    phi1, phi2 = 0.3, 1.9
+    for theta in (0.8, 0.0, 2 * np.pi):
+        c, s = np.cos(theta / 2), np.sin(theta / 2)
+        psi_par = _two_pulse_state(theta, "parallel", phi1, phi2)
+        want = ((c**2 - np.exp(1j * (phi1 - phi2)) * s**2) * GROUND
+                - 1j * (np.exp(1j * phi1) + np.exp(1j * phi2)) * s * c * KET_X)
+        assert np.allclose(psi_par, want, atol=1e-14)
+        assert np.isclose(np.linalg.norm(psi_par), 1.0, atol=1e-14)
 
-    psi_par, coeffs_par = two_pulse_pure_states(theta, "parallel", phi1, phi2)
-    want = ((c**2 - np.exp(1j * (phi1 - phi2)) * s**2) * ground
-            - 1j * (np.exp(1j * phi1) + np.exp(1j * phi2)) * s * c * ket_x)
-    assert np.allclose(psi_par, want, atol=1e-14)
-    assert np.isclose(np.linalg.norm(psi_par), 1.0, atol=1e-14)
-    assert np.allclose(reconstruct(coeffs_par), np.outer(psi_par, psi_par.conj()))
+        psi_perp = _two_pulse_state(theta, "perpendicular", phi1, phi2)
+        want = (c**2 * GROUND - 1j * np.exp(1j * phi1) * s * KET_X
+                - 1j * np.exp(1j * phi2) * s * c * KET_Y)
+        assert np.allclose(psi_perp, want, atol=1e-14)
+        assert np.isclose(np.linalg.norm(psi_perp), 1.0, atol=1e-14)
 
-    psi_perp, _ = two_pulse_pure_states(theta, "perpendicular", phi1, phi2)
-    want = (c**2 * ground - 1j * np.exp(1j * phi1) * s * ket_x
-            - 1j * np.exp(1j * phi2) * s * c * ket_y)
-    assert np.allclose(psi_perp, want, atol=1e-14)
-    assert np.isclose(np.linalg.norm(psi_perp), 1.0, atol=1e-14)
-
-    # the |x><y| coherence Tr{rho |x><y|} = <y|rho|x> oscillates at the
-    # pulse phase difference
-    got = np.vdot(ket_y, psi_perp) * np.vdot(psi_perp, ket_x)
-    assert np.isclose(got, s**2 * c * np.exp(-1j * (phi1 - phi2)), atol=1e-14)
+        # the |x><y| coherence Tr{rho |x><y|} = <y|rho|x> oscillates at
+        # the pulse phase difference
+        got = np.vdot(KET_Y, psi_perp) * np.vdot(psi_perp, KET_X)
+        assert np.isclose(got, s**2 * c * np.exp(-1j * (phi1 - phi2)),
+                          atol=1e-14)
 
 
 def test_in_phase_half_pulses_compose_to_full_pulse():
-    psi, _ = two_pulse_pure_states(np.pi / 2, "parallel", 0.7, 0.7)
+    psi = _two_pulse_state(np.pi / 2, "parallel", 0.7, 0.7)
     assert abs(psi[0]) < 1e-14
 
 
@@ -142,9 +147,8 @@ def test_propagator_identity_semigroup_and_adjoint():
     # the propagator commutes with the operator adjoint: hermitian
     # inputs stay hermitian
     rho = expand(_random_hermitian(np.random.default_rng(7)))
-    forward = free_propagator(0.9) @ rho
-    assert np.allclose(np.conj(forward)[dagger_permutation()], forward,
-                       atol=1e-13)
+    forward = reconstruct(free_propagator(0.9) @ rho)
+    assert np.allclose(forward.conj().T, forward, atol=1e-13)
 
 
 def test_propagator_moves_population_to_ground():

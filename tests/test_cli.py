@@ -67,8 +67,7 @@ def _parameters(name):
 
 #: the only functions taking an SI decay rate; everything else works in
 #: units of the decay rate
-SI_HELPERS = ("mean_scattering_cross_section", "dipole_from_gamma",
-              "gamma_from_dipole")
+SI_HELPERS = ("mean_scattering_cross_section", "dipole_from_gamma")
 
 
 @pytest.mark.parametrize("name", [
@@ -113,6 +112,52 @@ def test_no_library_module_calls_print(path):
              if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Name) and node.func.id == "print"]
     assert not calls, f"print called at {path.name} lines {calls}"
+
+
+#: library definitions that no run calls, kept as the independent
+#: references the tests check the fast paths against
+KEPT_REFERENCES = {
+    "average_state": "disorder average of a full state, behind averaged_solution",
+    "scattering_solution": "forward chain, behind the detector-first chain",
+    "detection_projection": "detector rows of a full state, behind the tails",
+    "spectrum": "one-series view of directional_spectra, read by the bench",
+    "time_domain_evolve": "transient oracle, behind demodulated_laplace",
+    "numeric_demodulate": "phase scan of the transient oracle",
+}
+
+
+def _names_read(node):
+    return {child.id if isinstance(child, ast.Name) else child.attr
+            for child in ast.walk(node)
+            if isinstance(child, (ast.Name, ast.Attribute))}
+
+
+def test_every_library_definition_is_reached_by_a_run():
+    # code that exists only for the tests lives under tests/: every
+    # top-level function and class is read by module-level code, by a
+    # kept reference or dunder, or by a definition those reach in turn
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in
+             sorted(Path(mqcsim.__file__).parent.glob("*.py"))]
+    definitions = {node.name: node for tree in trees for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    module_reads = set().union(*(
+        _names_read(node) for tree in trees for node in tree.body
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef))))
+    reads = {name: _names_read(node) - {name}
+             for name, node in definitions.items()}
+    for name in KEPT_REFERENCES:
+        assert name in definitions
+        assert name not in module_reads, name
+        assert not any(name in names for names in reads.values()), name
+    live = {name for name in definitions if name in module_reads
+            or name in KEPT_REFERENCES or name.startswith("__")}
+    while True:
+        reached = live | {name for name in definitions
+                          if any(name in reads[other] for other in live)}
+        if reached == live:
+            break
+        live = reached
+    assert sorted(set(definitions) - live) == []
 
 
 def test_gamma_flag_leaves_spectrum_data_unchanged(tmp_path):
@@ -254,6 +299,25 @@ def test_fuzzed_flags_exit_zero_or_two(reals, integers):
         lines = err.getvalue().strip().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("invalid configuration: ")
+
+
+@pytest.mark.parametrize("argv", [
+    SMALL_SPECTRUM, ["table1"], ["oracle-check", "--oracle-directions", "1"],
+    ["mc-average", "--mc-samples", "10"], ["cross-section"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+def test_unusable_output_dir_exits_with_two(tmp_path, capsys, argv, below):
+    # an existing file, or a path through one, cannot be the directory
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    target = blocker / "run" if below else blocker
+    assert main(argv + ["--output-dir", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("invalid configuration: output_dir ")
+    assert blocker.read_text() == "kept"
 
 
 def test_unexpected_exceptions_exit_with_three(tmp_path, capsys,

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mqcsim import expansion
-from mqcsim.atom import PoleError, decay_generator, kick_decomposition
+from mqcsim.atom import PoleError, kick_decomposition
 from mqcsim.basis import expand, matrix_unit, pair_operator
-from mqcsim.coupling import (coupling_tensor, interaction_matrices,
-                             tensor_tag_value)
+from mqcsim.coupling import coupling_tensor, tensor_tag_value
 from mqcsim.disorder import _effective_final_insertions
 from mqcsim.expansion import (
     PhaseMonomial,
@@ -23,6 +22,7 @@ from mqcsim.expansion import (
     scattering_solution,
     two_pulse_chain,
 )
+from reference import decay_generator, interaction_generator
 
 #: ket-minus-bra excitation grade of each single-atom basis element
 BASIS_GRADES = np.array([0, 0, 0, 0, -1, 1, -1, 1, -1, 1, 0, 0, 0, 0, 0, 0])
@@ -126,7 +126,7 @@ def _dense_phase_evaluation(theta, channel, phases, tensor, order, solve1,
     net1, net2 = (None, None) if kappa is None else (-kappa, kappa)
     kick1 = _dense_kick(theta, "x", phases[0], phases[2], net1)
     kick2 = _dense_kick(theta, second_pol, phases[1], phases[3], net2)
-    v_total = interaction_matrices(tensor).total
+    v_total = interaction_generator(tensor)
     state = kick1 @ expand(pair_operator(matrix_unit(1, 1), matrix_unit(1, 1)))
     total = np.zeros(256, dtype=complex)
     for between in range(order + 1):
@@ -439,7 +439,7 @@ def test_apply_interaction_matches_assembled_generator():
     for monomial, _ in tagged.items():
         assert monomial.degree == 1
     got = _evaluate(tagged, phases, tensor)
-    want = interaction_matrices(tensor).total @ _evaluate(vec, phases)
+    want = interaction_generator(tensor) @ _evaluate(vec, phases)
     assert np.allclose(got, want, atol=1e-12)
 
 

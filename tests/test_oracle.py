@@ -6,10 +6,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 from scipy.linalg import expm
 
-from mqcsim.atom import (_pulse_unitary, decay_generator, excited_projector,
-                         free_propagator)
-from mqcsim.coupling import (coupling_tensor, interaction_matrices,
-                             tensor_tag_value)
+from mqcsim.atom import kick_decomposition
+from mqcsim.basis import sandwich_matrix
+from mqcsim.coupling import coupling_tensor, tensor_tag_value
 from mqcsim.disorder import angular_average, mean_inverse_xi_squared
 from mqcsim.oracle import (
     MC_BATCH,
@@ -25,7 +24,6 @@ from mqcsim.oracle import (
     ground_pair_vec,
     monte_carlo_pair_averages,
     monte_carlo_spectrum,
-    pair_basis_columns,
     pair_generator,
     pair_kick,
     pulse_unitary,
@@ -36,6 +34,8 @@ from mqcsim.expansion import _detection_covector, scattering_solution
 from mqcsim.spectra import DETECTION_DIRECTIONS, spectrum
 from mqcsim.transient import (IntegrationError, OracleRun, _propagate,
                               numeric_demodulate, time_domain_evolve)
+from reference import (decay_generator, excited_projector, free_propagator,
+                       interaction_generator, pair_basis_columns)
 
 #: pulse area and geometry used throughout unless a test needs otherwise
 THETA = 0.14 * np.pi
@@ -66,7 +66,7 @@ def test_pair_generator_matches_operator_basis_assembly(mode):
     eye = np.eye(16)
     basis_space = np.kron(decay, eye) + np.kron(eye, decay)
     tensor = coupling_tensor(xi, n_hat, mode=mode)
-    basis_space = basis_space + interaction_matrices(tensor).total
+    basis_space = basis_space + interaction_generator(tensor)
     columns = pair_basis_columns()
     mapped = columns @ basis_space @ columns.conj().T
     assert np.max(np.abs(gen - mapped)) < 1e-12
@@ -105,10 +105,17 @@ def test_decay_part_matches_closed_form_free_propagator():
 
 
 def test_pulse_unitary_matches_kick_decomposition():
-    # the eigh unitary against the closed form behind the kick harmonics
-    for phi in (0.0, 0.9, 4.1):
-        assert np.allclose(pulse_unitary(0.8, "x", phi),
-                           _pulse_unitary(0.8, "x", phi), atol=1e-12)
+    # the eigh unitary conjugates as the kick harmonics, summed at the
+    # optical phase, map the density operator
+    for theta in (0.8, 0.0, 2 * np.pi):
+        for polarization in ("x", "y", "z"):
+            kick = kick_decomposition(theta, polarization)
+            for phi in (0.0, 0.9, 4.1):
+                u = pulse_unitary(theta, polarization, phi)
+                assembled = sum(np.exp(1j * p * phi) * harmonic
+                                for p, harmonic in kick.items())
+                assert np.allclose(sandwich_matrix(u, u.conj().T), assembled,
+                                   atol=1e-12)
 
 
 def test_pair_kick_factorizes_over_atoms():
