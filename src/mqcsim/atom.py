@@ -42,7 +42,10 @@ _SQRT2 = np.sqrt(2.0)
 
 _CART_LABELS = {"x": 0, "y": 1, "z": 2}
 
-#: polarization of the second pulse in each channel; the first is always x
+#: polarization of the first pulse, the same in every channel
+FIRST_POLARIZATION = "x"
+
+#: polarization of the second pulse in each channel
 SECOND_POLARIZATION = {"parallel": "x", "perpendicular": "y"}
 
 #: detector labels: a detector looks along one Cartesian axis

@@ -32,9 +32,10 @@ import numpy as np
 
 from . import __version__
 from .disorder import SEPARATION_WINDOW, mean_inverse_xi_squared
-from .spectra import (_C_LIGHT, POLARIZATION_CHANNELS, dipole_from_gamma,
-                      mean_free_path, mean_scattering_cross_section,
-                      pulse_area_from_energy)
+from .spectra import (_C_LIGHT, DEFAULT_DETUNING_COUNT,
+                      DEFAULT_DETUNING_HALF_RANGE, POLARIZATION_CHANNELS,
+                      dipole_from_gamma, mean_free_path,
+                      mean_scattering_cross_section, pulse_area_from_energy)
 
 #: mean nearest-neighbour distance in a uniform gas of density rho
 #: is approximately PACKING_CONSTANT * rho^(-1/3)
@@ -64,6 +65,11 @@ MAX_DETUNING_COUNT = 10001
 #: Xeon VM, one BLAS thread), so a run at the cap takes about 7 minutes;
 #: an uncapped count such as 1e11 would fail allocating its axes.
 MAX_ORACLE_DIRECTIONS = 10000
+
+#: smallest Monte-Carlo sample.  The family-wise z limit of mc-average
+#: assumes normal sample means: at 300 samples correct code still failed
+#: in 5 of 2000 seeds, at 1000 in 2, against ``cli.MC_FALSE_ALARM``.
+MIN_MC_SAMPLES = 1000
 
 #: largest Monte-Carlo sample.  Memory does not grow with the count
 #: (``oracle.MC_BATCH`` draws at a time) but time does, by about 6 us a
@@ -118,8 +124,8 @@ class RunConfig:
     # spectrum selection
     channels: tuple = POLARIZATION_CHANNELS
     kappas: tuple = (1, 2)
-    detuning_half_range: float = 10.0
-    detuning_count: int = 801
+    detuning_half_range: float = DEFAULT_DETUNING_HALF_RANGE
+    detuning_count: int = DEFAULT_DETUNING_COUNT
     tensor_mode: str = "exact"
     gamma_to_zero: bool = False
     interactions_between_pulses: bool = True
@@ -151,7 +157,7 @@ class RunConfig:
             if not isinstance(value, bool):
                 raise ConfigError(f"{name} must be true or false, "
                                   f"got {value!r}")
-        if not isinstance(self.output_dir, str):
+        if not isinstance(self.output_dir, str) or not self.output_dir:
             raise ConfigError(f"output_dir must be a path, "
                               f"got {self.output_dir!r}")
         if (len(self.window) != 2
@@ -213,9 +219,9 @@ class RunConfig:
             raise ConfigError(
                 f"detuning_half_range = {self.detuning_half_range!r} over "
                 f"{self.detuning_count} points gives no usable grid spacing")
-        if self.mc_samples < 2:
-            raise ConfigError("mc_samples must be at least 2 for a "
-                              "standard error")
+        if self.mc_samples < MIN_MC_SAMPLES:
+            raise ConfigError(f"mc_samples must be at least "
+                              f"{MIN_MC_SAMPLES}, got {self.mc_samples}")
         if self.mc_samples > MAX_MC_SAMPLES:
             raise ConfigError(f"mc_samples must be at most "
                               f"{MAX_MC_SAMPLES}, got {self.mc_samples}")

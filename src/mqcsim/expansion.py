@@ -75,9 +75,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atom import (DETECTION_DIRECTIONS, SECOND_POLARIZATION, PoleError,
-                   decay_eigensystem, detection_observable,
-                   kick_decomposition)
+from .atom import (DETECTION_DIRECTIONS, FIRST_POLARIZATION,
+                   SECOND_POLARIZATION, PoleError, decay_eigensystem,
+                   detection_observable, kick_decomposition)
 from .basis import (
     NUM_OPS,
     NUM_OPS_PAIR,
@@ -610,7 +610,7 @@ def two_pulse_chain(orders, z1, theta: float, channel: str, kappa: int,
         return closed
 
     prefix = apply_resolvent(apply_kick(
-        initial_vector(), 1, theta, "x",
+        initial_vector(), 1, theta, FIRST_POLARIZATION,
         keep=lambda monomial: monomial.pulse_net[0] == -kappa), axis)
     # with closing, no order needs the plain prefix of top insertions
     for between in splits if closing is None else splits[:max(top, 1)]:
@@ -669,8 +669,8 @@ def scattering_solution(order: int, z1, theta: float,
         keep2 = lambda m: m.pulse_net == (-kappa, kappa)
     second_pol = SECOND_POLARIZATION[channel]
     splits = (0,) if fast else tuple(range(order + 1))
-    prefixes = [apply_resolvent(
-        apply_kick(initial_vector(), 1, theta, "x", keep=keep1), z1)]
+    prefixes = [apply_resolvent(apply_kick(
+        initial_vector(), 1, theta, FIRST_POLARIZATION, keep=keep1), z1)]
     for _ in range(splits[-1]):
         prefixes.append(apply_resolvent(apply_interaction(prefixes[-1]), z1))
     total = {}

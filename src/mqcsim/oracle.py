@@ -2,19 +2,20 @@
 
 The Laplace oracle here shares no code with the symbolic machinery it
 checks.  States are vectorized 16x16 pair density matrices (row-major),
-the master-equation generator and the pulse kicks are assembled from
-Kronecker products of explicit 4x4 blocks, and the two time integrals
-are direct linear solves: :func:`demodulated_laplace` computes the
-fixed-configuration Laplace components as resolvent solves, with the
-pulse phases removed by harmonic binning of the kick matrices, so the
-result is directly comparable to the perturbative chain, the only
-difference being the neglected interaction orders.  Each solve runs on
-the coherence orders n(a) - n(b) of the entries rho_ab that its states
-occupy (:func:`coherence_orders`): the generator conserves the order
-and kick harmonic p shifts it by p, so the interpulse states of
-harmonic -kappa lie in order -kappa and the detected states in order 0;
-for kappas (1, 2) the solves take 69 and 118 of the 256 entries.  The
-time-domain transients on the same generator and kicks live in
+the master-equation generator (the only 256x256 matrix here) and the
+pair pulse unitaries are assembled from Kronecker products of explicit
+4x4 blocks, and the two time integrals are direct linear solves:
+:func:`demodulated_laplace` computes the fixed-configuration Laplace
+components as resolvent solves, with the pulse phases removed by
+harmonic binning of the pair unitary, so the result is directly
+comparable to the perturbative chain, the only difference being the
+neglected interaction orders.  Each solve runs on the coherence orders
+n(a) - n(b) of the entries rho_ab that its states occupy
+(:func:`coherence_orders`): the generator conserves the order and kick
+harmonic p shifts it by p, so the interpulse states of harmonic -kappa
+lie in order -kappa and the detected states in order 0; for kappas
+(1, 2) the solves take 69 and 118 of the 256 entries.  The time-domain
+transients on the same generator and pulses live in
 :mod:`mqcsim.transient`.
 
 The perturbative side of every comparison is built on the chain it is
@@ -41,13 +42,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .atom import (DETECTION_DIRECTIONS, SECOND_POLARIZATION,
-                   detection_observable, dipole_components, dipole_lowering)
+from .atom import (DETECTION_DIRECTIONS, FIRST_POLARIZATION,
+                   SECOND_POLARIZATION, detection_observable,
+                   dipole_components, dipole_lowering)
 from .basis import NUM_OPS_PAIR, matrix_unit
 from .coupling import TAG_KEYS, coupling_tensor, tensor_tag_value
 from .disorder import SEPARATION_WINDOW
 from .expansion import two_pulse_chain
-from .spectra import SpectrumSeries
+from .spectra import SPECTRAL_DENSITY_NORM, SpectrumSeries
 
 _EYE4 = np.eye(4, dtype=complex)
 _EYE16 = np.eye(16, dtype=complex)
@@ -67,11 +69,6 @@ KICK_PHASES = 9
 #: harmonics of the pair unitary: each atom's unitary carries the laser
 #: phase through at most one unit
 UNITARY_HARMONICS = range(-2, 3)
-
-
-def _left_right(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Matrix of rho -> left rho right on row-major vectorized states."""
-    return np.kron(left, right.T)
 
 
 def ground_pair_vec() -> np.ndarray:
@@ -138,54 +135,31 @@ def pulse_unitary(theta: float, polarization, phase: float) -> np.ndarray:
     return _EYE4 + (vectors * shift) @ vectors.conj().T
 
 
-def pair_kick(theta: float, polarization, laser_phase: float,
-              position_phase: float) -> np.ndarray:
-    """Kick superoperator for one pulse hitting both atoms, 256x256.
-
-    Atom 1 sees the laser phase advanced by ``position_phase`` (its
-    offset along the propagation axis); atom 2 sees the bare phase.
-    """
-    u1 = pulse_unitary(theta, polarization, laser_phase + position_phase)
-    u2 = pulse_unitary(theta, polarization, laser_phase)
-    u_pair = np.kron(u1, u2)
-    return _left_right(u_pair, u_pair.conj().T)
-
-
-def binned_kick(theta: float, polarization, harmonics,
-                position_phase: float) -> dict:
-    """Laser-phase harmonics of the kick superoperator.
+def binned_kick(theta: float, polarization, position_phase: float) -> dict:
+    """Laser-phase harmonics U_q of the pair unitary, {q: 16x16}.
 
     The pair unitary u(phase) = u1(phase + position) kron u2(phase) is
-    band-limited to harmonics |q| <= 2, so a discrete Fourier transform
-    over ``KICK_PHASES`` = 9 equally spaced phases gives its 16x16
-    harmonics U_q exactly.  The kick is u kron conj(u), so its harmonic
-    p is K_p = sum_q U_q kron conj(U_{q-p}) over |q|, |q - p| <= 2
-    (zero for |p| > 4): one (256 x n_q)(n_q x 256) product of the
-    flattened factors, then one axis transpose into Kronecker order.
-
-    Returns:
-        dict mapping each p in ``harmonics`` to its 256x256 coefficient.
+    band-limited to |q| <= 2, so a discrete Fourier transform over
+    ``KICK_PHASES`` = 9 equally spaced phases gives its harmonics
+    exactly.  Atom 1 sees the laser phase advanced by
+    ``position_phase``, its offset along the propagation axis.
     """
     phases = 2.0 * np.pi * np.arange(KICK_PHASES) / KICK_PHASES
     samples = np.stack([
         np.kron(pulse_unitary(theta, polarization, phase + position_phase),
                 pulse_unitary(theta, polarization, phase))
         for phase in phases])
-    unitary = {q: np.tensordot(np.exp(-1j * q * phases), samples, axes=1)
-               / KICK_PHASES for q in UNITARY_HARMONICS}
-    out = {}
-    for p in harmonics:
-        qs = [q for q in UNITARY_HARMONICS if q - p in unitary]
-        # a 16x16 factor flattens to NUM_OPS_PAIR entries
-        left = np.array([unitary[q] for q in qs]).reshape(len(qs),
-                                                          NUM_OPS_PAIR)
-        right = np.array([unitary[q - p].conj() for q in qs]).reshape(
-            len(qs), NUM_OPS_PAIR)
-        # (i j),(k l) -> (i k),(j l): kron(A, B)[ik, jl] = A[ij] B[kl]
-        product = (left.T @ right).reshape(16, 16, 16, 16)
-        out[p] = product.transpose(0, 2, 1, 3).reshape(NUM_OPS_PAIR,
-                                                       NUM_OPS_PAIR)
-    return out
+    return {q: np.tensordot(np.exp(-1j * q * phases), samples, axes=1)
+            / KICK_PHASES for q in UNITARY_HARMONICS}
+
+
+def kick_harmonic(unitary: dict, p: int, states: np.ndarray) -> np.ndarray:
+    """Harmonic p of the kick rho -> u rho u^dag on stacked states
+    (..., 16, 16): sum_q U_q rho U_{q-p}^dag over the harmonics U_q of
+    :func:`binned_kick`, zero for |p| > 4."""
+    return sum((unitary[q] @ states @ unitary[q - p].conj().T
+                for q in unitary if q - p in unitary),
+               np.zeros(np.shape(states), dtype=complex))
 
 
 @functools.cache
@@ -233,12 +207,10 @@ def demodulated_laplace(xi: float, n_hat, theta: float, kappas, channels,
     Computes, without any perturbative truncation, the coefficient of
     e^{i kappa (phase_2 - phase_1)} in the fluorescence intensity,
     Laplace transformed in the interpulse delay and integrated over the
-    detection time: the pulse phases are removed by harmonic binning of
-    the exact kick matrices and the two time integrals are exact
-    resolvent solves of the full generator, the second at z2 = 0.  One
-    :func:`binned_kick` per pulse polarization gives every harmonic the
-    pulses need (-kappa of the x pulse 1, +kappa of each pulse 2) from
-    the harmonics of the 16x16 pair unitary.
+    detection time: :func:`kick_harmonic` applies harmonic -kappa of
+    pulse 1 and +kappa of each pulse 2 to 16x16 states, and the two time
+    integrals are exact resolvent solves of the full generator, the
+    second at z2 = 0.
 
     Each solve runs on the coherence orders its states occupy.  The
     rotating-wave generator conserves the order n(a) - n(b): a jump
@@ -246,17 +218,15 @@ def demodulated_laplace(xi: float, n_hat, theta: float, kappas, channels,
     L_a^dag L_b keeps one side's count.  Kick harmonic p shifts the
     order by exactly p: each atom's unitary carries the laser phase as
     e^{+i phase} per raising and e^{-i phase} per lowering, so U_q
-    changes the excitation count by q and U_q kron conj(U_{q-p}) the
-    order by p.  Pulse 1's harmonic -kappa takes the ground pair to
-    order -kappa (60 entries for kappa = 1, 9 for kappa = 2), and each
-    pulse 2's +kappa takes it back to order 0 (118 entries), where the
-    detector covectors and the deflation live.  One generator serves
-    every (kappa, channel); each z1 point takes one solve on the union
-    of the -kappa orders, whose right-hand sides are the pulse-1 states
-    of every kappa, and one z2 = 0 solve on order 0 takes every
-    (kappa, channel) block of z1 columns as right-hand sides:
-    len(z1_values) + 1 solves in all, 69x69 and 118x118 for
-    kappas (1, 2).
+    changes the excitation count by q and U_q rho U_{q-p}^dag the order
+    by p.  Pulse 1's harmonic -kappa takes the ground pair to order
+    -kappa (60 entries for kappa = 1, 9 for kappa = 2), and each pulse
+    2's +kappa takes it back to order 0 (118 entries), where the
+    detector covectors and the deflation live.  Each z1 point takes one
+    solve on the union of the -kappa orders, with the pulse-1 states of
+    every kappa as right-hand sides, and one z2 = 0 solve on order 0
+    takes every (kappa, channel) block of z1 columns: len(z1_values) + 1
+    solves in all, 69x69 and 118x118 for kappas (1, 2).
 
     Returns:
         dict mapping (kappa, channel, direction) to an array of
@@ -271,23 +241,25 @@ def demodulated_laplace(xi: float, n_hat, theta: float, kappas, channels,
     covectors = np.stack([detection_covector_vec(d)
                           for d in DETECTION_DIRECTIONS])[:, detected]
     z1_arr = np.atleast_1d(np.asarray(z1_values, dtype=complex))
-    wanted = {"x": [-kappa for kappa in kappas]}
-    for channel in channels:
-        wanted.setdefault(SECOND_POLARIZATION[channel], []).extend(kappas)
-    kicks = {polarization: binned_kick(theta, polarization,
-                                       sorted(set(harmonics)), position)
-             for polarization, harmonics in wanted.items()}
-    first = np.stack([kicks["x"][-kappa][interpulse] @ ground_pair_vec()
+    unitaries = {pol: binned_kick(theta, pol, position) for pol in
+                 {FIRST_POLARIZATION, *map(SECOND_POLARIZATION.get, channels)}}
+    ground = ground_pair_vec().reshape(16, 16)
+    first = np.stack([kick_harmonic(unitaries[FIRST_POLARIZATION], -kappa,
+                                    ground).reshape(-1)[interpulse]
                       for kappa in kappas], axis=1)
     # between[:, k, j]: pulse 1's -kappas[k] harmonic resolved at z1_arr[j]
     between = np.stack([_deflated_solve(generator, z1, first, interpulse)
                         for z1 in z1_arr], axis=2)
+    # the same solutions as 16x16 states[k, j], zero outside interpulse
+    states = np.zeros((len(kappas), len(z1_arr), NUM_OPS_PAIR), dtype=complex)
+    states[..., interpulse] = between.transpose(1, 2, 0)
+    states = states.reshape(len(kappas), len(z1_arr), 16, 16)
     blocks = [(k, kappa, channel) for k, kappa in enumerate(kappas)
               for channel in channels]
-    second = np.ix_(detected, interpulse)
-    rhs = np.concatenate([kicks[SECOND_POLARIZATION[channel]][kappa][second]
-                          @ between[:, k] for k, kappa, channel in blocks],
-                         axis=1)
+    rhs = np.concatenate([
+        kick_harmonic(unitaries[SECOND_POLARIZATION[channel]], kappa,
+                      states[k]).reshape(len(z1_arr), -1)[:, detected].T
+        for k, kappa, channel in blocks], axis=1)
     values = (covectors @ _deflated_solve(generator, 0.0, rhs,
                                           detected)).reshape(
         len(DETECTION_DIRECTIONS), len(blocks), len(z1_arr))
@@ -487,7 +459,7 @@ def monte_carlo_spectrum(table: TermTable, n_samples: int, *, seed: int,
     detunings = table.z1_values.imag.copy()
     mean_weight, scatter = _weight_moments(
         table.phase_exponents, table.tags, n_samples, seed, window, mode)
-    rows = table.coeffs / np.sqrt(2.0 * np.pi)
+    rows = table.coeffs / SPECTRAL_DENSITY_NORM
     mean = np.tensordot(mean_weight, rows, axes=(0, 0))
 
     def variance(forms):

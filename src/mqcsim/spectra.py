@@ -50,8 +50,13 @@ POLARIZATION_CHANNELS = tuple(SECOND_POLARIZATION)
 DEMODULATION_ORDERS = (1, 2)
 
 #: default detuning grid (units of gamma), wide enough to resolve the
-#: gamma/2-scale line shapes with margin
-DEFAULT_DETUNINGS = np.linspace(-10.0, 10.0, 801)
+#: gamma/2-scale line shapes with margin: its half range and its count
+DEFAULT_DETUNING_HALF_RANGE = 10.0
+DEFAULT_DETUNING_COUNT = 801
+
+#: a spectrum is the chain's detected rows at z1 = i * detuning over
+#: this factor, in the closed-form average and the Monte Carlo alike
+SPECTRAL_DENSITY_NORM = np.sqrt(2.0 * np.pi)
 
 
 def detection_projection(vector: dict, direction) -> dict:
@@ -162,7 +167,9 @@ def directional_spectra(kappa: int, channel: str, directions, theta: float,
     if channel not in POLARIZATION_CHANNELS:
         raise ValueError(f"unknown polarization channel {channel!r}")
     if detunings is None:
-        detunings = DEFAULT_DETUNINGS
+        detunings = np.linspace(-DEFAULT_DETUNING_HALF_RANGE,
+                                DEFAULT_DETUNING_HALF_RANGE,
+                                DEFAULT_DETUNING_COUNT)
     detunings = np.asarray(detunings, dtype=float)
     if detunings.ndim != 1 or detunings.size == 0:
         raise ValueError("detunings must be a non-empty 1d grid")
@@ -171,7 +178,7 @@ def directional_spectra(kappa: int, channel: str, directions, theta: float,
     rows = averaged_solution(
         1j * detunings, theta, channel=channel, kappa=kappa,
         inv_xi_squared=inv_xi_squared, mode=average_mode,
-        fast=fast) / np.sqrt(2.0 * np.pi)
+        fast=fast) / SPECTRAL_DENSITY_NORM
     return tuple(SpectrumSeries(detunings=detunings, values=rows[index],
                                 kappa=kappa, channel=channel,
                                 direction=direction)

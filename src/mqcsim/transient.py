@@ -1,15 +1,15 @@
 """Fixed-configuration transients of the untruncated pair dynamics.
 
 The time-domain counterpart of the Laplace oracle in
-:mod:`mqcsim.oracle`, on the same generator, kicks and detection
+:mod:`mqcsim.oracle`, on the same generator, pulses and detection
 covectors: :func:`time_domain_evolve` integrates the full
-256-dimensional linear system between exact matrix kicks with an
-adaptive ODE integrator and reads the fluorescence intensity on a time
-grid, and :func:`numeric_demodulate` extracts one harmonic of the
-pulse-phase difference from equally spaced phase samples.  It shares no
-code with the symbolic chain.  No subcommand uses it; the tests check
-the Laplace oracle against it, and it is the only module that loads
-``scipy.integrate``.
+256-dimensional linear system between exact pulses rho -> u rho u^dag
+with an adaptive ODE integrator and reads the fluorescence intensity
+on a time grid, and :func:`numeric_demodulate` extracts one harmonic
+of the pulse-phase difference from equally spaced phase samples.  It
+shares no code with the symbolic chain.  No subcommand uses it; the
+tests check the Laplace oracle against it, and it is the only module
+that loads ``scipy.integrate``.
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .atom import SECOND_POLARIZATION
+from .atom import (DETECTION_DIRECTIONS, FIRST_POLARIZATION,
+                   SECOND_POLARIZATION)
 from .oracle import (detection_covector_vec, ground_pair_vec, pair_generator,
-                     pair_kick)
+                     pulse_unitary)
 
 
 class IntegrationError(RuntimeError):
@@ -87,15 +88,21 @@ def time_domain_evolve(run: OracleRun) -> dict:
     tau = np.asarray(run.tau_grid, dtype=float)
     t_fl = np.asarray(run.t_fl_grid, dtype=float)
     phis = np.asarray(run.phi_samples, dtype=float)
-    covectors = {d: detection_covector_vec(d) for d in ("x", "y")}
+    covectors = {d: detection_covector_vec(d) for d in DETECTION_DIRECTIONS}
     out = {d: np.empty((len(phis), len(tau), len(t_fl))) for d in covectors}
-    first = pair_kick(run.theta, "x", 0.0, position) @ ground_pair_vec()
+
+    def kick(polarization, phase, states):   # vectorized, one a row
+        u = np.kron(pulse_unitary(run.theta, polarization, phase + position),
+                    pulse_unitary(run.theta, polarization, phase))
+        rho = states.reshape(-1, 16, 16)
+        return (u @ rho @ u.conj().T).reshape(states.shape)
+
+    first = kick(FIRST_POLARIZATION, 0.0, ground_pair_vec())
     between = _propagate(generator, first, tau, run.rtol)
     for i, phi in enumerate(phis):
-        kick2 = pair_kick(run.theta, second_pol, phi, position)
+        kicked = kick(second_pol, phi, between.T)
         for j in range(len(tau)):
-            states = _propagate(generator, kick2 @ between[:, j], t_fl,
-                                run.rtol)
+            states = _propagate(generator, kicked[j], t_fl, run.rtol)
             for d, w in covectors.items():
                 out[d][i, j] = (w @ states).real
     return out

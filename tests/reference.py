@@ -2,7 +2,8 @@
 
 None of these is on a run's path: the chain applies the decay
 resolvent through ``atom.decay_eigensystem`` and the interaction
-through the sparse pieces, and the oracle works on vectorized states.
+through the sparse pieces, and the oracle works on vectorized states
+and applies each pulse as a 16x16 pair unitary.
 """
 
 import functools
@@ -13,6 +14,7 @@ from mqcsim.atom import dipole_components
 from mqcsim.basis import (HILBERT_DIM, NUM_OPS, build_single_atom_basis,
                           sandwich_matrix)
 from mqcsim.coupling import sparse_interaction_pieces, tensor_tag_value
+from mqcsim.oracle import pulse_unitary
 
 
 def excited_projector() -> np.ndarray:
@@ -79,3 +81,18 @@ def interaction_generator(tensor: np.ndarray) -> np.ndarray:
     every sparse piece times the value of its formal factor."""
     return sum(tensor_tag_value(tensor, tag) * piece
                for tag, piece in sparse_interaction_pieces().items()).toarray()
+
+
+def pair_kick(theta: float, polarization, laser_phase: float,
+              position_phase: float) -> np.ndarray:
+    """Kick superoperator for one pulse hitting both atoms, 256x256.
+
+    On row-major vectorized states, vec(u rho u^dag) = (u kron conj(u))
+    vec(rho), with u = u1 kron u2.  Atom 1 sees the laser phase advanced
+    by ``position_phase`` (its offset along the propagation axis); atom
+    2 sees the bare phase.
+    """
+    u1 = pulse_unitary(theta, polarization, laser_phase + position_phase)
+    u2 = pulse_unitary(theta, polarization, laser_phase)
+    u_pair = np.kron(u1, u2)
+    return np.kron(u_pair, u_pair.conj())

@@ -15,14 +15,13 @@ from scipy.integrate import quad
 from mqcsim.basis import build_single_atom_basis
 from mqcsim.cli import run_mc_average, run_oracle_check
 from mqcsim.config import RunConfig
-from mqcsim.oracle import pair_kick
 from mqcsim.spectra import (
     leading_order_peaks,
     mean_free_path,
     mean_scattering_cross_section,
     spectrum,
 )
-from reference import free_propagator, pair_basis_columns
+from reference import free_propagator, pair_basis_columns, pair_kick
 
 THETA = 0.01 * np.pi
 XI_BAR = 80.0

@@ -12,6 +12,7 @@ from mqcsim.config import (
     ConfigError,
     MAX_DETUNING_COUNT,
     MAX_MC_SAMPLES,
+    MIN_MC_SAMPLES,
     MAX_ORACLE_DIRECTIONS,
     PACKING_CONSTANT,
     RunConfig,
@@ -105,6 +106,8 @@ def test_separation_sources_resolve_and_conflict():
     {"mc_samples": MAX_MC_SAMPLES + 1},
     {"oracle_directions": MAX_ORACLE_DIRECTIONS + 1},
     {"oracle_directions": 10**11},
+    {"output_dir": ""},
+    {"mc_samples": MIN_MC_SAMPLES - 1},
 ])
 def test_invalid_fields_are_rejected(fields):
     with pytest.raises(ConfigError):
@@ -130,6 +133,7 @@ def test_count_caps_admit_the_defaults_and_themselves():
     assert defaults.oracle_directions <= MAX_ORACLE_DIRECTIONS
     RunConfig(mc_samples=MAX_MC_SAMPLES,
               oracle_directions=MAX_ORACLE_DIRECTIONS)
+    RunConfig(mc_samples=MIN_MC_SAMPLES)
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)

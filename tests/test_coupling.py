@@ -63,6 +63,22 @@ def test_far_field_limit_and_decomposition():
     assert np.allclose(far.imag, (3 / 4) * np.cos(xi) / xi * transverse, atol=1e-12)
 
 
+def test_far_field_pair_products_are_real():
+    # every far-field element carries the same phase e^{i xi}, so a
+    # product T_kl T*_mn is real: mc-average scores only the real part
+    # of these moments, whose imaginary parts are roundoff
+    rng = np.random.default_rng(3)
+    xi = rng.uniform(67.2, 92.8, 200)
+    tensors = coupling_tensor(xi, rng.normal(size=(200, 3)),
+                              mode="far_field")
+    pairs = [(k, l, m, n) for k in range(3) for l in range(k, 3)
+             for m in range(3) for n in range(m, 3)]
+    products = np.stack([tensors[:, k, l] * np.conj(tensors[:, m, n])
+                         for k, l, m, n in pairs])
+    assert np.all(np.abs(products.imag) <= 1e-12 * np.abs(products))
+    assert np.min(np.abs(products)) > 0.0
+
+
 def test_near_field_limit():
     n = np.array([0.0, 0.0, 1.0])
     xi = 1.0e-3

@@ -18,6 +18,8 @@ from pathlib import Path
 
 import pytest
 
+from mqcsim.config import MIN_MC_SAMPLES
+
 ROOT = Path(__file__).resolve().parents[1]
 
 #: modules no subcommand needs
@@ -34,9 +36,9 @@ RUNS = {
     "table1": (["table1"], SPECTRUM_FREE),
     "cross-section": (["cross-section"], SPECTRUM_FREE),
     "oracle-check": (["oracle-check", "--oracle-directions", "1"], UNUSED),
-    "mc-average": (["mc-average", "--mc-samples", "200", "--kappas", "2",
-                    "--channels", "parallel", "--detuning-count", "5"],
-                   UNUSED),
+    "mc-average": (["mc-average", "--mc-samples", str(MIN_MC_SAMPLES),
+                    "--kappas", "2", "--channels", "parallel",
+                    "--detuning-count", "5"], UNUSED),
 }
 
 

@@ -22,10 +22,10 @@ from mqcsim.oracle import (
     detection_covector_vec,
     fixed_configuration_components,
     ground_pair_vec,
+    kick_harmonic,
     monte_carlo_pair_averages,
     monte_carlo_spectrum,
     pair_generator,
-    pair_kick,
     pulse_unitary,
     sample_configurations,
     surviving_term_table,
@@ -35,7 +35,7 @@ from mqcsim.spectra import DETECTION_DIRECTIONS, spectrum
 from mqcsim.transient import (IntegrationError, OracleRun, _propagate,
                               numeric_demodulate, time_domain_evolve)
 from reference import (decay_generator, excited_projector, free_propagator,
-                       interaction_generator, pair_basis_columns)
+                       interaction_generator, pair_basis_columns, pair_kick)
 
 #: pulse area and geometry used throughout unless a test needs otherwise
 THETA = 0.14 * np.pi
@@ -46,6 +46,23 @@ def _random_axis(seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     axis = rng.normal(size=3)
     return axis / np.linalg.norm(axis)
+
+
+def _random_hermitian_states(seed: int, count: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    raw = (rng.normal(size=(count, 16, 16))
+           + 1j * rng.normal(size=(count, 16, 16)))
+    return raw + raw.conj().transpose(0, 2, 1)
+
+
+def _reference_kick_harmonics(theta, polarization, position_phase) -> dict:
+    # a 64-sample discrete Fourier transform of the 256x256 reference
+    # kick resolves every harmonic up to 31 without aliasing
+    phases = 2.0 * np.pi * np.arange(64) / 64
+    kicks = np.stack([pair_kick(theta, polarization, phase, position_phase)
+                      for phase in phases])
+    return {p: np.tensordot(np.exp(-1j * p * phases), kicks, axes=1) / 64
+            for p in range(-5, 6)}
 
 
 def _uncoupled_generator() -> np.ndarray:
@@ -131,34 +148,45 @@ def test_pair_kick_factorizes_over_atoms():
 
 
 def test_binned_kick_is_exact_at_band_limit():
-    # a 64-sample discrete Fourier transform of the pair kick resolves
-    # every harmonic up to 31 without aliasing
-    phases = 2.0 * np.pi * np.arange(64) / 64
-    kicks = np.stack([pair_kick(0.44, "x", phase, 0.7) for phase in phases])
-    reference = {p: np.tensordot(np.exp(-1j * p * phases), kicks, axes=1) / 64
-                 for p in range(-5, 6)}
-    binned = binned_kick(0.44, "x", range(-4, 5), 0.7)
-    assert sorted(binned) == list(range(-4, 5))
-    for p, harmonic in binned.items():
-        assert np.max(np.abs(harmonic - reference[p])) < 1e-13
+    # the nine-phase harmonics of the 16x16 pair unitary reproduce every
+    # harmonic of the reference kick, on random Hermitian states as on
+    # the ground pair
+    unitary = binned_kick(0.44, "x", 0.7)
+    assert sorted(unitary) == list(range(-2, 3))
+    assert all(u.shape == (16, 16) for u in unitary.values())
+    reference = _reference_kick_harmonics(0.44, "x", 0.7)
+    states = np.concatenate([_random_hermitian_states(0, 4),
+                             ground_pair_vec().reshape(1, 16, 16)])
+    size = np.max(np.abs(states), axis=(1, 2))
+    for p, harmonic in reference.items():
+        want = (states.reshape(len(states), -1) @ harmonic.T).reshape(
+            states.shape)
+        got = kick_harmonic(unitary, p, states)
+        assert got.shape == states.shape
+        assert np.all(np.max(np.abs(got - want), axis=(1, 2)) < 1e-13 * size)
     # the pair kick really does carry the +-4 harmonics that make fewer
     # than nine phases alias, and nothing beyond them
     for p in (-4, 4):
         assert np.max(np.abs(reference[p])) > 1e-5
     for p in (-5, 5):
         assert np.max(np.abs(reference[p])) < 1e-14
+        assert not np.any(kick_harmonic(unitary, p, states))
 
 
 @pytest.mark.parametrize("polarization", ["x", "y"])
 def test_kick_harmonics_resum_to_the_pair_kick_off_grid(polarization):
-    # the harmonics assembled from the pair unitary's rebuild the kick at
-    # a phase none of the nine samples sits on
+    # the harmonics of the pair unitary rebuild the kick at a phase none
+    # of the nine samples sits on
     theta, phase, position = 0.44, 0.3, 0.7
-    harmonics = binned_kick(theta, polarization, range(-4, 5), position)
-    resummed = sum(kick * np.exp(1j * p * phase)
-                   for p, kick in harmonics.items())
-    direct = pair_kick(theta, polarization, phase, position)
-    assert np.max(np.abs(resummed - direct)) < 1e-13
+    unitary = binned_kick(theta, polarization, position)
+    states = _random_hermitian_states(1, 3)
+    resummed = sum(kick_harmonic(unitary, p, states) * np.exp(1j * p * phase)
+                   for p in range(-4, 5))
+    direct = (states.reshape(len(states), -1)
+              @ pair_kick(theta, polarization, phase, position).T)
+    size = np.max(np.abs(states), axis=(1, 2))
+    assert np.all(np.max(np.abs(resummed.reshape(len(states), -1) - direct),
+                         axis=1) < 1e-13 * size)
 
 
 def test_coherence_orders_are_the_excitation_number_commutator():
@@ -202,16 +230,21 @@ def test_kick_harmonics_shift_coherence_order_by_their_index(polarization):
     orders = coherence_orders()
     for theta in (THETA, 0.9, 2.5):
         for position in (0.0, 12.0, -37.3):
-            kicks = binned_kick(theta, polarization, (-2, -1, 1, 2),
-                                position)
+            unitary = binned_kick(theta, polarization, position)
             scale = np.max(np.abs(pair_kick(theta, polarization, 0.0,
                                             position)))
             for kappa in (1, 2):
-                first = kicks[-kappa] @ ground_pair_vec()
-                second = kicks[kappa][:, orders == -kappa]
+                first = kick_harmonic(unitary, -kappa,
+                                      ground_pair_vec().reshape(16, 16))
+                first = first.reshape(-1)
+                # the images of every matrix unit of order -kappa, one per
+                # row: the columns of the kick harmonic on that order
+                units = np.eye(256)[orders == -kappa].reshape(-1, 16, 16)
+                second = kick_harmonic(unitary, kappa, units).reshape(
+                    len(units), -1)
                 assert np.max(np.abs(first[orders != -kappa])) \
                     < 1e-14 * scale
-                assert np.max(np.abs(second[orders != 0])) < 1e-14 * scale
+                assert np.max(np.abs(second[:, orders != 0])) < 1e-14 * scale
                 assert np.max(np.abs(first)) > 1e-3 * scale
                 assert np.max(np.abs(second)) > 1e-3 * scale
 
@@ -222,11 +255,13 @@ def test_deflated_solve_is_exact_resolvent_on_trace_free_input():
     # deflation acts; each solution, put back into the full space,
     # solves the full resolvent equation
     gen = pair_generator(30.0, _random_axis(3))
-    kicks = binned_kick(THETA, "x", (-2, -1, 1, 2), 12.0)
+    unitary = binned_kick(THETA, "x", 12.0)
     trace_covector = np.eye(16, dtype=complex).reshape(-1)
-    first = np.stack([kicks[-kappa] @ ground_pair_vec() for kappa in (1, 2)],
-                     axis=1)
-    second = np.stack([kicks[kappa] @ first[:, k]
+    ground = ground_pair_vec().reshape(16, 16)
+    first = np.stack([kick_harmonic(unitary, -kappa, ground).reshape(-1)
+                      for kappa in (1, 2)], axis=1)
+    second = np.stack([kick_harmonic(unitary, kappa,
+                                     first[:, k].reshape(16, 16)).reshape(-1)
                        for k, kappa in enumerate((1, 2))], axis=1)
     orders = coherence_orders()
     for rhs, sector in ((first, np.flatnonzero(orders < 0)),
@@ -375,11 +410,12 @@ def test_time_integral_of_transient_matches_resolvent_component():
     z1 = 0.4 + 0.9j
     position = xi * n_hat[2]
     gen = pair_generator(xi, n_hat)
-    kicks = binned_kick(THETA, "x", (-kappa, kappa), position)
-    first = kicks[-kappa] @ ground_pair_vec()
+    unitary = binned_kick(THETA, "x", position)
+    first = kick_harmonic(unitary, -kappa, ground_pair_vec().reshape(16, 16))
     tau = np.linspace(0.0, 30.0, 1201)
-    between = _propagate(gen, first, tau, 1e-12)
-    kicked = kicks[kappa] @ between
+    between = _propagate(gen, first.reshape(-1), tau, 1e-12)
+    kicked = kick_harmonic(unitary, kappa, between.T.reshape(-1, 16, 16))
+    kicked = kicked.reshape(len(tau), -1).T
     deflation = np.outer(ground_pair_vec(), np.eye(16).reshape(-1))
     collected = np.linalg.solve(-gen + deflation, kicked)
     reference = demodulated_laplace(xi, n_hat, THETA, (kappa,),
@@ -465,7 +501,8 @@ def test_sector_laplace_matches_full_space_solve():
     got = demodulated_laplace(xi, n_hat, THETA, kappas, channels, z1)
     gen = pair_generator(xi, n_hat)
     deflation = np.outer(ground_pair_vec(), np.eye(16).reshape(-1))
-    kicks = {pol: binned_kick(THETA, pol, (-2, -1, 1, 2), xi * n_hat[2])
+    # the harmonics of the 256x256 reference kick
+    kicks = {pol: _reference_kick_harmonics(THETA, pol, xi * n_hat[2])
              for pol in ("x", "y")}
     second = {"parallel": "x", "perpendicular": "y"}
     # the kappa = 2 perpendicular components are a cancellation far
