@@ -19,8 +19,10 @@ Free evolution is spontaneous decay at rate gamma, which sets the unit
 of time and frequency throughout (gamma = 1): optical coherences decay
 at 1/2, excited populations and Zeeman coherences at 1, and the ground
 population collects the emitted weight.  :func:`decay_eigensystem`
-diagonalizes that generator exactly; the resolvent that the
-perturbative chain applies through it is
+diagonalizes that generator exactly and lists its modes in
+operator-basis order: four population modes on the diagonal basis
+indices, then every off-diagonal basis element as a mode of its own.
+The resolvent that the perturbative chain applies through it is
 :func:`mqcsim.expansion.apply_resolvent`.
 
 Every map here acts on density-operator coefficients (the Schrodinger
@@ -36,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import HILBERT_DIM, expand, matrix_unit, sandwich_matrix
+from .basis import (HILBERT_DIM, NUM_OPS, build_single_atom_basis, expand,
+                    matrix_unit, sandwich_matrix)
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -133,13 +136,22 @@ def kick_decomposition(theta: float, polarization: str = "x") -> dict:
     }
 
 
+#: the population decay modes span the diagonal basis indices 0-3;
+#: every other basis element is a decay mode on its own
+POPULATION_BLOCK = 4
+
+
 @dataclass(frozen=True)
 class DecayEigensystem:
     """Diagonalized density-operator decay generator.
 
     ``modes`` columns are coefficient vectors of the eigen-operators,
-    ``rates`` the matching eigenvalues (0, -1/2, -1 patterns).  The
-    stationary mode sigma_11 sits first.
+    ``rates`` the matching eigenvalues, both in operator-basis order:
+    the population modes sigma_11 (rate 0) and sigma_kk - sigma_11
+    (rate -1) at indices 0-3, which span the diagonal basis indices
+    only, and then each off-diagonal basis element as its own mode,
+    at rate -1/2 if it touches the ground level and -1 otherwise.  So
+    ``modes`` is a 4x4 block and a 12x12 identity.
     """
 
     modes: np.ndarray
@@ -149,18 +161,12 @@ class DecayEigensystem:
 @functools.cache
 def decay_eigensystem() -> DecayEigensystem:
     """Exact eigen-decomposition of the decay generator."""
-    ops = [matrix_unit(1, 1)]
-    rates = [0.0]
-    for k in (2, 3, 4):
-        ops += [matrix_unit(1, k), matrix_unit(k, 1)]
-        rates += [-0.5, -0.5]
-    for k in (2, 3, 4):
-        for l in (2, 3, 4):
-            if k != l:
-                ops.append(matrix_unit(k, l))
-                rates.append(-1.0)
-    for k in (2, 3, 4):
-        ops.append(matrix_unit(k, k) - matrix_unit(1, 1))
-        rates.append(-1.0)
-    modes = np.stack([expand(op) for op in ops], axis=1)
+    p = POPULATION_BLOCK
+    ground = matrix_unit(1, 1)
+    population = [ground] + [matrix_unit(k, k) - ground for k in (2, 3, 4)]
+    modes = np.eye(NUM_OPS, dtype=complex)
+    modes[:p, :p] = expand(np.array(population))[:, :p].T
+    rates = [0.0, -1.0, -1.0, -1.0] + [
+        -0.5 if op[0].any() or op[:, 0].any() else -1.0
+        for op in build_single_atom_basis()[p:]]
     return DecayEigensystem(modes=modes, rates=np.array(rates))

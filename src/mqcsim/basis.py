@@ -1,4 +1,4 @@
-"""Trace-orthonormal operator bases for one and two four-level atoms.
+"""Trace-orthonormal operator basis of a four-level atom, and of the pair.
 
 The single-atom level scheme is a J = 0 ground state |1> and three excited
 Zeeman sublevels |2>, |3>, |4> (magnetic quantum numbers m = -1, 0, +1).
@@ -9,7 +9,14 @@ orthonormal under the Hilbert-Schmidt product Tr{A^dag B} and closed under
 Hermitian conjugation.
 
 Two-atom operators live on the 256-element product basis Q_i (x) Q_j with
-the flat index n = 16*i + j; atom 1 is the left tensor factor.
+the flat index n = 16*i + j; atom 1 is the left tensor factor.  Every
+pair object the package uses is built from single-atom ones by the
+Kronecker rule: A (x) B has the coefficients np.kron(expand(A),
+expand(B)), and the map O1 (x) O2 -> (X1 O1 Y1) (x) (X2 O2 Y2) the
+matrix np.kron(sandwich_matrix(X1, Y1), sandwich_matrix(X2, Y2)),
+applied by :func:`apply_factorized`.  So :func:`expand` and
+:func:`sandwich_matrix` take 4x4 operators only, and no 256x256 change
+of basis is ever built.
 """
 
 from __future__ import annotations
@@ -66,50 +73,35 @@ def _flat_single() -> np.ndarray:
     return out
 
 
-@functools.cache
-def _flat_pair() -> np.ndarray:
-    """Row n = vec(Q_i (x) Q_j) with n = 16*i + j, shape (256, 256)."""
-    b = build_single_atom_basis()
-    # (Q_i (x) Q_j)[4a+c, 4b+d] = Q_i[a,b] * Q_j[c,d]
-    prod = np.einsum("iab,jcd->ijacbd", b, b)
-    out = prod.reshape(NUM_OPS_PAIR, HILBERT_DIM**2 * HILBERT_DIM**2).copy()
-    out.flags.writeable = False
-    return out
-
-
-def _flat_for_dim(dim: int) -> np.ndarray:
-    if dim == HILBERT_DIM:
-        return _flat_single()
-    if dim == HILBERT_DIM**2:
-        return _flat_pair()
-    raise ValueError(f"operator dimension {dim} is neither one- nor two-atom")
-
-
 def expand(op: np.ndarray) -> np.ndarray:
-    """Coefficients c_n = Tr{Q_n^dag O} of a one- or two-atom operator.
+    """Coefficients c_n = Tr{Q_n^dag O} of a single-atom operator.
 
-    Accepts a single operator or a batch with leading axes.
+    Accepts a single 4x4 operator or a batch with leading axes.
+
+    Raises:
+        ValueError: ``op`` is not made of 4x4 operators.
     """
     op = np.asarray(op, dtype=complex)
-    flat = _flat_for_dim(op.shape[-1])
+    if op.shape[-2:] != (HILBERT_DIM, HILBERT_DIM):
+        raise ValueError(f"expected 4x4 operators, got shape {op.shape}")
     vec = op.reshape(op.shape[:-2] + (-1,))
-    return vec @ np.conj(flat).T
-
-
-def pair_operator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Two-atom operator A (x) B as a 16 x 16 matrix (atom 1 left)."""
-    return np.kron(a, b)
+    return vec @ np.conj(_flat_single()).T
 
 
 def sandwich_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Coefficient-space matrix of the linear map O -> X O Y.
+    """Coefficient-space matrix of the single-atom map O -> X O Y.
 
-    Accepts 4x4 (single-atom) or 16x16 (two-atom) factors; the result
-    satisfies expand(X O Y) = M @ expand(O).
+    The result satisfies expand(X O Y) = M @ expand(O).
+
+    Raises:
+        ValueError: ``x`` or ``y`` is not 4x4.
     """
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
-    flat = _flat_for_dim(x.shape[0])
+    if x.shape != (HILBERT_DIM, HILBERT_DIM) or x.shape != y.shape:
+        raise ValueError(f"expected 4x4 factors, got shapes {x.shape} "
+                         f"and {y.shape}")
+    flat = _flat_single()
     # row-major vec: vec(X O Y) = (X kron Y^T) vec(O)
     return np.conj(flat) @ np.kron(x, y.T) @ flat.T
 

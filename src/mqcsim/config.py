@@ -33,9 +33,10 @@ import numpy as np
 from . import __version__
 from .disorder import SEPARATION_WINDOW, mean_inverse_xi_squared
 from .spectra import (_C_LIGHT, DEFAULT_DETUNING_COUNT,
-                      DEFAULT_DETUNING_HALF_RANGE, POLARIZATION_CHANNELS,
-                      dipole_from_gamma, mean_free_path,
-                      mean_scattering_cross_section, pulse_area_from_energy)
+                      DEFAULT_DETUNING_HALF_RANGE, DEMODULATION_ORDERS,
+                      POLARIZATION_CHANNELS, dipole_from_gamma,
+                      mean_free_path, mean_scattering_cross_section,
+                      pulse_area_from_energy)
 
 #: mean nearest-neighbour distance in a uniform gas of density rho
 #: is approximately PACKING_CONSTANT * rho^(-1/3)
@@ -55,8 +56,8 @@ MAX_PULSE_AREA = 4.0 * np.pi
 
 #: largest detuning grid.  A grid longer than the chain's pole labels
 #: costs only its final evaluation and its files: at 10,001 points a
-#: spectrum run of 8 series peaked at 68 MB, and mc-average with 2e4
-#: samples at 205 MB (one BLAS thread).  At the default half range of
+#: spectrum run of 8 series peaked at 61 MB, and mc-average with 2e4
+#: samples at 82 MB (one BLAS thread).  At the default half range of
 #: 10 that is a spacing of 0.002 gamma.
 MAX_DETUNING_COUNT = 10001
 
@@ -187,9 +188,10 @@ class RunConfig:
                     f"(implied {implied:.4g} m, off by {mismatch:.1%})")
         if not self.kappas:
             raise ConfigError("kappas must not be empty")
-        if any(not _is_integer(k) or k not in (1, 2) for k in self.kappas):
-            raise ConfigError(f"kappas must be drawn from (1, 2), "
-                              f"got {self.kappas!r}")
+        if any(not _is_integer(k) or k not in DEMODULATION_ORDERS
+               for k in self.kappas):
+            raise ConfigError(f"kappas must be drawn from "
+                              f"{DEMODULATION_ORDERS}, got {self.kappas!r}")
         if not self.channels:
             raise ConfigError("channels must not be empty")
         if any(c not in POLARIZATION_CHANNELS for c in self.channels):

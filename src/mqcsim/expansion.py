@@ -12,7 +12,11 @@ symbols.  A vector is a plain dict mapping
     phases (pulse j at atom alpha) and the multiset of coupling factors
     picked up from interaction insertions, to
   * its coefficients over the two-atom operator basis (256 entries,
-    optionally with a trailing z axis).
+    optionally with a trailing z axis).  Pair objects are Kronecker
+    products of single-atom ones (:mod:`mqcsim.basis`): the ground
+    pair and the detector covectors are np.kron of single-atom
+    coefficients, and a kick harmonic pair acts as the Kronecker
+    product of two 16x16 maps.
 
 Demodulation then reduces to selecting exponent combinations, and the
 disorder average to replacing factor multisets by scalar weights
@@ -34,7 +38,8 @@ components (kappa != 0) are trace-free and have no weight on it at
 all, so for them the projection is exact.
 
 The decay eigendecomposition is block structured in the operator
-basis.  Twelve of the sixteen single-atom decay modes are basis
+basis, and :func:`mqcsim.atom.decay_eigensystem` lists it in basis
+order.  Twelve of the sixteen single-atom decay modes are basis
 elements themselves: the optical coherences sigma_1k, sigma_k1 (basis
 indices 4-9, rate -1/2) and the Zeeman coherences sigma_kl (indices
 10-15, rate -1).  The other four modes, sigma_11 (rate 0) and
@@ -56,12 +61,14 @@ the rate sums -1/2, -1, -3/2 and -2, so a chain of M z1 resolvents is an
 exact sum of c / (z1 - p)^m with m <= M.  The prefixes therefore carry
 z1 as the K = 1 + 4 M coefficients of these partial fractions
 (:class:`PoleBasis`, M set by the highest order) when that is shorter
-than the grid, and the rows are evaluated on it only at the end; a short
-grid, or one with a point on a pole, is carried as it is.  The detection stage does not depend on z1, so it runs once
-from the other end: the conjugated detector rows times R(0) are pulled
-back through one insertion (a transposed sparse piece) and one R(0) per
-step, with no z1 axis.  These tails are merged by the sorted multiset of
-their tags: 1, 12, 78 and 364 of them for 0-3 insertions.  Each prefix
+than the grid, and the rows are evaluated on it only at the end, after
+the roundoff keys are dropped (``TERM_FLOOR``); a short grid, or one
+with a point on a pole, is carried as it is.  The detection stage does
+not depend on z1, so it runs once from the other end: the conjugated
+detector rows times R(0) are pulled back through one insertion (a
+transposed sparse piece) and one R(0) per step, with no z1 axis.  These
+tails are merged by the sorted multiset of their tags: 1, 12, 78 and 364
+of them for 0-3 insertions.  Each prefix
 monomial meets all tails of every remaining length, through every kick-2
 harmonic pair, in one stacked matrix product per length.
 :func:`scattering_solution` keeps the whole forward state of one order
@@ -76,21 +83,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atom import (DETECTION_DIRECTIONS, FIRST_POLARIZATION,
-                   SECOND_POLARIZATION, PoleError, decay_eigensystem,
-                   detection_observable, kick_decomposition)
-from .basis import (
-    NUM_OPS,
-    NUM_OPS_PAIR,
-    apply_factorized,
-    expand,
-    matrix_unit,
-    pair_operator,
-)
+                   POPULATION_BLOCK, SECOND_POLARIZATION, PoleError,
+                   decay_eigensystem, detection_observable, kick_decomposition)
+from .basis import (HILBERT_DIM, NUM_OPS, NUM_OPS_PAIR, apply_factorized,
+                    expand, matrix_unit)
 from .coupling import sparse_interaction_pieces
 
-#: basis indices spanned by the population decay modes; every other
-#: basis element is a decay mode on its own
-POPULATION_BLOCK = 4
+#: keys of a chain with no row entry above this fraction of the chain's
+#: largest entry are roundoff where the exact value is zero
+TERM_FLOOR = 1e-13
 
 #: kick harmonics (p_atom1, p_atom2) of one pulse on the pair
 _HARMONIC_PAIRS = tuple((p1, p2) for p1 in range(-2, 3) for p2 in range(-2, 3))
@@ -152,8 +153,8 @@ def _merge(terms: dict, key, value) -> None:
 
 def initial_vector() -> dict:
     """Both atoms in the ground state, no phase exponents, no factors."""
-    ground = expand(pair_operator(matrix_unit(1, 1), matrix_unit(1, 1)))
-    return {PhaseMonomial((0, 0, 0, 0)): ground}
+    ground = expand(matrix_unit(1, 1))
+    return {PhaseMonomial((0, 0, 0, 0)): np.kron(ground, ground)}
 
 
 def apply_kick(vector: dict, pulse_index: int, theta: float,
@@ -187,19 +188,12 @@ def _decay_blocks():
 
     Returns ``(to_eigen, from_eigen, rates)``: the 4x4 maps between the
     diagonal basis indices 0-3 and the population modes (the stationary
-    mode sigma_11 first), and the decay rate of every basis index, with
-    the population-mode rates in the first four places.
+    mode sigma_11 first), and the decay rate of every basis index, which
+    :func:`mqcsim.atom.decay_eigensystem` lists in basis order.
     """
     eig = decay_eigensystem()
-    population = [m for m in range(NUM_OPS)
-                  if not np.any(eig.modes[POPULATION_BLOCK:, m])]
-    rates = np.empty(NUM_OPS)
-    rates[:POPULATION_BLOCK] = eig.rates[population]
-    for m in sorted(set(range(NUM_OPS)) - set(population)):
-        (n,) = np.flatnonzero(eig.modes[:, m])
-        rates[n] = eig.rates[m]
-    from_eigen = eig.modes[:POPULATION_BLOCK, population]
-    return np.linalg.inv(from_eigen), from_eigen, rates
+    from_eigen = eig.modes[:POPULATION_BLOCK, :POPULATION_BLOCK]
+    return np.linalg.inv(from_eigen), from_eigen, eig.rates
 
 
 def _map_population_block(matrix: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -409,10 +403,9 @@ def _detection_covector(direction) -> np.ndarray:
     """Coefficients of the observable a detector along ``direction``
     reads, summed over both atoms; a state's detected value is the
     conjugate covector times its coefficients."""
-    single = detection_observable(direction)
-    identity = np.eye(4, dtype=complex)
-    pair = pair_operator(single, identity) + pair_operator(identity, single)
-    return expand(pair)
+    single = expand(detection_observable(direction))
+    identity = expand(np.eye(HILBERT_DIM))
+    return np.kron(single, identity) + np.kron(identity, single)
 
 
 @functools.cache
@@ -432,13 +425,6 @@ def _detection_resolvent() -> tuple:
     rows = np.stack([_detection_covector(d).conj()
                      for d in DETECTION_DIRECTIONS])
     return transposed, transposed @ rows.T
-
-
-@functools.cache
-def _transposed_pieces() -> dict:
-    """Interaction pieces as transposed CSR matrices, for covectors."""
-    return {tag: piece.T.tocsr()
-            for tag, piece in sparse_interaction_pieces().items()}
 
 
 def _grow_tails(tails: dict, steps) -> dict:
@@ -463,11 +449,13 @@ def _interaction_tails(length: int) -> dict:
     shares them."""
     if length == 0:
         return {(): _detection_resolvent()[1]}
-    pieces = _transposed_pieces()
+    # transposed views, made once here: each costs about 40 us
+    transposed = {tag: piece.T
+                  for tag, piece in sparse_interaction_pieces().items()}
     return _grow_tails(
         _interaction_tails(length - 1),
         lambda tags: ((tuple(sorted(tags + (tag,))), piece)
-                      for tag, piece in pieces.items()))
+                      for tag, piece in transposed.items()))
 
 
 def _detection_tails(length: int, closing=None) -> list:
@@ -482,11 +470,12 @@ def _detection_tails(length: int, closing=None) -> list:
     """
     if closing is None:
         return [_interaction_tails(n) for n in range(length + 1)]
-    pieces = _transposed_pieces()
+    transposed = {tag: piece.T
+                  for tag, piece in sparse_interaction_pieces().items()}
 
     def steps(tags):
         if tags:
-            return (((), pieces[tags[0]]),)
+            return (((), transposed[tags[0]]),)
         return (((tag,), matrix.T) for tag, matrix in closing.items())
 
     tails = [_interaction_tails(0)]
@@ -536,11 +525,15 @@ def two_pulse_chain(orders, z1, theta: float, channel: str, kappa: int,
     :func:`apply_interaction`.  The other arguments are those of
     :func:`scattering_solution`.
 
+    Keys with no entry above ``TERM_FLOOR`` of the largest entry, both
+    measured on the z1 axis (pole labels or grid), are the roundoff of
+    exactly cancelling monomials; they are dropped before the rows are
+    evaluated on ``z1``, so a long grid costs only the kept keys.
+
     Returns:
         dict mapping (net atom-1 phase exponent, sorted tags) to the
         detected rows, shape (len(DETECTION_DIRECTIONS), len(z1)), of
-        the monomials with that key.  Keys whose rows cancel to zero may
-        be present.
+        the monomials with that key.
     """
     z1 = np.atleast_1d(np.asarray(z1, dtype=complex))
     top = max(orders)
@@ -623,6 +616,9 @@ def two_pulse_chain(orders, z1, theta: float, channel: str, kappa: int,
                 contract(prefix, n - between)
         if closing is not None and not fast and between + 1 in orders:
             contract(apply_resolvent(close(prefix), axis), 0)
+    largest = {key: np.max(np.abs(rows)) for key, rows in out.items()}
+    floor = TERM_FLOOR * max(largest.values(), default=0.0)
+    out = {key: rows for key, rows in out.items() if largest[key] > floor}
     if axis is z1 or not out:
         return out
     values = np.stack(list(out.values())) @ axis.evaluation(z1)

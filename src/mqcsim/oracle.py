@@ -22,7 +22,8 @@ The perturbative side of every comparison is built on the chain it is
 compared with, :func:`mqcsim.expansion.two_pulse_chain`:
 
   * term tables (:func:`demodulated_term_table`) hold the chain's
-    detected rows per phase exponent and coupling-factor multiset, and
+    detected rows per phase exponent and coupling-factor multiset,
+    without the keys that the chain drops as roundoff, and
     :func:`fixed_configuration_components` prices one at a single
     configuration;
   * Monte-Carlo configuration averages (:func:`monte_carlo_spectrum`)
@@ -57,10 +58,6 @@ _EYE16 = np.eye(16, dtype=complex)
 #: configurations drawn and weighed together by every Monte-Carlo estimate;
 #: it bounds the (terms, MC_BATCH) weights held at once
 MC_BATCH = 4096
-
-#: term-table keys with no row entry above this fraction of the table's
-#: largest entry are roundoff where the exact value is zero
-TERM_FLOOR = 1e-13
 
 #: laser phases sampled by :func:`binned_kick`; the pair unitary is
 #: band-limited to harmonics |q| <= 2, so nine samples bin it exactly
@@ -297,19 +294,15 @@ def demodulated_term_table(orders, theta: float, channel: str, kappa: int,
 
     One :func:`mqcsim.expansion.two_pulse_chain` call runs every order
     in ``orders`` on shared interpulse prefixes and one z1 axis; keys of
-    different orders differ in their number of tags.  Keys with no row
-    entry above ``TERM_FLOOR`` of the table's largest entry are roundoff
-    of exactly cancelling terms and are left out; a chain that keeps no
+    different orders differ in their number of tags.  The chain has left
+    out the roundoff of exactly cancelling terms
+    (:data:`mqcsim.expansion.TERM_FLOOR`); a chain that keeps no
     monomial (a zero pulse area prunes them all) gives a table of no
     terms, with ``coeffs`` of shape (0, 2, len(z1)).
     """
     z1_arr = np.atleast_1d(np.asarray(z1_values, dtype=complex))
     merged = two_pulse_chain(orders, z1_arr, theta, channel, kappa)
-    largest = {key: np.max(np.abs(value), initial=0.0)
-               for key, value in merged.items()}
-    floor = TERM_FLOOR * max(largest.values(), default=0.0)
-    keys = sorted((key for key, value in largest.items() if value > floor),
-                  key=repr)
+    keys = sorted(merged, key=repr)
     shape = (len(keys), len(DETECTION_DIRECTIONS), len(z1_arr))
     return TermTable(
         phase_exponents=tuple(k[0] for k in keys),

@@ -2,8 +2,11 @@
 
 None of these is on a run's path: the chain applies the decay
 resolvent through ``atom.decay_eigensystem`` and the interaction
-through the sparse pieces, and the oracle works on vectorized states
-and applies each pulse as a 16x16 pair unitary.
+through the sparse pieces, it builds its pair coefficients as
+Kronecker products of single-atom ones, and the oracle works on
+vectorized states and applies each pulse as a 16x16 pair unitary.
+The pair-operator algebra here goes through the 256x256 basis change
+:func:`pair_basis_columns` instead.
 """
 
 import functools
@@ -74,6 +77,22 @@ def pair_basis_columns() -> np.ndarray:
                    axis=1)
     out.flags.writeable = False   # cached: every caller gets this array
     return out
+
+
+def pair_expand(op: np.ndarray) -> np.ndarray:
+    """Pair operator-basis coefficients of 16x16 two-atom operators
+    (leading batch axes allowed), through :func:`pair_basis_columns`."""
+    op = np.asarray(op, dtype=complex)
+    assert op.shape[-2:] == (HILBERT_DIM**2, HILBERT_DIM**2), op.shape
+    return op.reshape(op.shape[:-2] + (-1,)) @ pair_basis_columns().conj()
+
+
+def pair_sandwich_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pair coefficient-space matrix of O -> X O Y for 16x16 factors,
+    256x256: pair_expand(X O Y) = M @ pair_expand(O)."""
+    columns = pair_basis_columns()
+    # row-major vec: vec(X O Y) = (X kron Y^T) vec(O)
+    return columns.conj().T @ np.kron(x, np.transpose(y)) @ columns
 
 
 def interaction_generator(tensor: np.ndarray) -> np.ndarray:

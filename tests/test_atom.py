@@ -183,3 +183,8 @@ def test_decay_eigensystem_diagonalizes_generator():
     counts = {0.0: 1, -0.5: 6, -1.0: 9}
     for rate, num in counts.items():
         assert np.sum(np.isclose(eig.rates, rate)) == num
+    # operator-basis order: the population modes span the diagonal
+    # indices 0-3, every off-diagonal basis element is its own mode
+    assert np.array_equal(eig.modes[4:, 4:], np.eye(12))
+    assert not eig.modes[4:, :4].any() and not eig.modes[:4, 4:].any()
+    assert np.array_equal(eig.rates, [0, -1, -1, -1] + [-0.5] * 6 + [-1] * 6)

@@ -1,11 +1,16 @@
-"""Structural checks of the one- and two-atom operator bases."""
+"""Structural checks of the one- and two-atom operator bases.
+
+The library maps single-atom operators only and builds pair objects by
+the Kronecker rule; the pair checks hold it against the 256x256 basis
+change of the test reference."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mqcsim import basis
-from reference import reconstruct
+from reference import pair_expand, pair_sandwich_matrix, reconstruct
 
 
 def random_op(rng, dim):
@@ -55,15 +60,30 @@ def test_expand_reconstruct_roundtrip_single(seed):
 def test_expand_reconstruct_roundtrip_pair(seed):
     rng = np.random.default_rng(seed)
     op = random_op(rng, 16)
-    assert np.allclose(reconstruct(basis.expand(op)), op, atol=1e-12)
+    assert np.allclose(reconstruct(pair_expand(op)), op, atol=1e-12)
 
 
-def test_pair_expansion_factorizes():
-    rng = np.random.default_rng(7)
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_pair_expansion_factorizes(seed):
+    # the Kronecker rule the chain builds its pair coefficients by
+    rng = np.random.default_rng(seed)
     a, b = random_op(rng, 4), random_op(rng, 4)
-    cp = basis.expand(basis.pair_operator(a, b))
-    ca, cb = basis.expand(a), basis.expand(b)
-    assert np.allclose(cp, np.outer(ca, cb).ravel(), atol=1e-12)
+    cp = pair_expand(np.kron(a, b))
+    assert np.allclose(np.kron(basis.expand(a), basis.expand(b)), cp,
+                       atol=1e-12)
+
+
+def test_single_atom_maps_refuse_pair_operators():
+    rng = np.random.default_rng(11)
+    pair, single = random_op(rng, 16), random_op(rng, 4)
+    with pytest.raises(ValueError):
+        basis.expand(pair)
+    with pytest.raises(ValueError):
+        basis.expand(pair.reshape(2, 8, 16))
+    for x, y in ((pair, pair), (single, pair), (pair, single)):
+        with pytest.raises(ValueError):
+            basis.sandwich_matrix(x, y)
 
 
 def test_dagger_permutation_involution_and_action():
@@ -73,8 +93,9 @@ def test_dagger_permutation_involution_and_action():
         p = _dagger_permutation(pair)
         assert np.array_equal(p[p], np.arange(p.size))
         op = random_op(rng, dim)
-        c = basis.expand(op)
-        cd = basis.expand(op.conj().T)
+        expand = pair_expand if pair else basis.expand
+        c = expand(op)
+        cd = expand(op.conj().T)
         assert np.allclose(cd, np.conj(c)[p], atol=1e-12)
 
 
@@ -101,8 +122,14 @@ def test_sandwich_matrix_single(seed):
 def test_sandwich_matrix_pair():
     rng = np.random.default_rng(5)
     x, y, op = (random_op(rng, 16) for _ in range(3))
-    m = basis.sandwich_matrix(x, y)
-    assert np.allclose(m @ basis.expand(op), basis.expand(x @ op @ y), atol=1e-10)
+    m = pair_sandwich_matrix(x, y)
+    assert np.allclose(m @ pair_expand(op), pair_expand(x @ op @ y), atol=1e-10)
+    # on product factors the pair map is the Kronecker product of the
+    # single-atom maps
+    x1, y1, x2, y2 = (random_op(rng, 4) for _ in range(4))
+    assert np.allclose(pair_sandwich_matrix(np.kron(x1, x2), np.kron(y1, y2)),
+                       np.kron(basis.sandwich_matrix(x1, y1),
+                               basis.sandwich_matrix(x2, y2)), atol=1e-10)
 
 
 def test_kron_superop_and_factorized_apply():

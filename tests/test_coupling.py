@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mqcsim.atom import dipole_components
-from mqcsim.basis import expand, matrix_unit, pair_operator, sandwich_matrix
+from mqcsim.basis import matrix_unit
 from mqcsim.coupling import TAG_KEYS, coupling_tensor, sparse_interaction_pieces
-from reference import interaction_generator, reconstruct
+from reference import (interaction_generator, pair_expand,
+                       pair_sandwich_matrix, reconstruct)
 
 RNG_DIRECTIONS = [
     np.array([0.0, 0.0, 1.0]),
@@ -105,14 +106,14 @@ def _dense_generator(tensor):
         for l in range(3):
             _, lower_l = _atom_ops(l)
             for first, second in (((raise_k, lower_l)), ((lower_l, raise_k))):
-                pair = pair_operator(first, second)
+                pair = np.kron(first, second)
                 shift_op += tensor[k, l] * pair
             weight = tensor[k, l] + np.conj(tensor[k, l])
             feed += weight * (
-                sandwich_matrix(pair_operator(raise_k, eye4), pair_operator(eye4, lower_l))
-                + sandwich_matrix(pair_operator(eye4, raise_k), pair_operator(lower_l, eye4)))
-    level_shift = (-sandwich_matrix(shift_op, eye16)
-                   - sandwich_matrix(eye16, shift_op.conj().T))
+                pair_sandwich_matrix(np.kron(raise_k, eye4), np.kron(eye4, lower_l))
+                + pair_sandwich_matrix(np.kron(eye4, raise_k), np.kron(lower_l, eye4)))
+    level_shift = (-pair_sandwich_matrix(shift_op, eye16)
+                   - pair_sandwich_matrix(eye16, shift_op.conj().T))
     return level_shift, feed
 
 
@@ -145,7 +146,7 @@ def test_level_shift_action_on_ground_excited_projector():
     _, feed = _dense_generator(tensor)
     for f in range(3):
         raise_f, lower_f = _atom_ops(f)
-        start = expand(pair_operator(matrix_unit(1, 1), raise_f @ lower_f))
+        start = pair_expand(np.kron(matrix_unit(1, 1), raise_f @ lower_f))
         # the cross feed vanishes on these states
         assert np.allclose(feed @ start, 0.0, atol=1e-14)
         got = reconstruct(v1 @ start)
@@ -153,8 +154,8 @@ def test_level_shift_action_on_ground_excited_projector():
         for r in range(3):
             raise_r, lower_r = _atom_ops(r)
             weight = -1j * tensor[r, f].imag - tensor[r, f].real
-            want += weight * pair_operator(raise_r, lower_f)
-            want += np.conj(weight) * pair_operator(lower_r, raise_f)
+            want += weight * np.kron(raise_r, lower_f)
+            want += np.conj(weight) * np.kron(lower_r, raise_f)
         assert np.allclose(got, want, atol=1e-12)
 
 
@@ -164,12 +165,12 @@ def test_level_shift_transfers_excitation_between_atoms():
     _, feed = _dense_generator(tensor)
     v1 = interaction_generator(tensor).conj().T - feed
     raise_x, _ = _atom_ops(0)
-    start = expand(pair_operator(raise_x, matrix_unit(1, 1)))
+    start = pair_expand(np.kron(raise_x, matrix_unit(1, 1)))
     got = reconstruct(v1 @ start)
     want = np.zeros((16, 16), dtype=complex)
     for k in range(3):
         raise_k, _ = _atom_ops(k)
-        want -= tensor[k, 0] * pair_operator(matrix_unit(1, 1), raise_k)
+        want -= tensor[k, 0] * np.kron(matrix_unit(1, 1), raise_k)
     assert np.allclose(got, want, atol=1e-12)
 
 
@@ -181,7 +182,7 @@ def test_cross_feed_action_on_pair_coherence():
     j, r = 1, 2
     _, lower_j = _atom_ops(j)
     raise_r, _ = _atom_ops(r)
-    start = expand(pair_operator(lower_j, raise_r))
+    start = pair_expand(np.kron(lower_j, raise_r))
     got = reconstruct(v2 @ start)
     want = np.zeros((16, 16), dtype=complex)
     for f in range(3):
@@ -189,7 +190,7 @@ def test_cross_feed_action_on_pair_coherence():
         for l in range(3):
             _, lower_l = _atom_ops(l)
             want += (2 * tensor[f, l].real
-                     * pair_operator(raise_f @ lower_j, raise_r @ lower_l))
+                     * np.kron(raise_f @ lower_j, raise_r @ lower_l))
     assert np.allclose(got, want, atol=1e-12)
 
 
@@ -218,12 +219,12 @@ def test_state_picture_properties():
     v_state = interaction_generator(tensor)
     # both atoms in the ground state radiate nothing: the generator
     # annihilates the ground-ground projector
-    ground_pair = expand(pair_operator(matrix_unit(1, 1), matrix_unit(1, 1)))
+    ground_pair = pair_expand(np.kron(matrix_unit(1, 1), matrix_unit(1, 1)))
     assert np.allclose(v_state @ ground_pair, 0.0, atol=1e-13)
     # hermiticity preservation
     m = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     rho = m + m.conj().T
-    out = reconstruct(v_state @ expand(rho))
+    out = reconstruct(v_state @ pair_expand(rho))
     assert np.allclose(out, out.conj().T, atol=1e-12)
 
 
@@ -244,21 +245,21 @@ def test_state_picture_matches_standard_master_equation_form():
             for a_first, b_second in ((True, False), (False, True)):
                 # raising on one atom, lowering on the other, both orders
                 if a_first:
-                    raise_part = pair_operator(raise_k, eye4)
-                    lower_part = pair_operator(eye4, lower_l)
-                    jump = pair_operator(lower_k, eye4), pair_operator(eye4, raise_l)
+                    raise_part = np.kron(raise_k, eye4)
+                    lower_part = np.kron(eye4, lower_l)
+                    jump = np.kron(lower_k, eye4), np.kron(eye4, raise_l)
                 else:
-                    raise_part = pair_operator(eye4, raise_k)
-                    lower_part = pair_operator(lower_l, eye4)
-                    jump = pair_operator(eye4, lower_k), pair_operator(raise_l, eye4)
+                    raise_part = np.kron(eye4, raise_k)
+                    lower_part = np.kron(lower_l, eye4)
+                    jump = np.kron(eye4, lower_k), np.kron(raise_l, eye4)
                 product = raise_part @ lower_part
                 hamiltonian -= omega[k, l] * product
                 anticomm += gamma_t[k, l] * product
-                dissipator += 2 * gamma_t[k, l] * sandwich_matrix(jump[0], jump[1])
-    commutator = -1j * (sandwich_matrix(hamiltonian, eye16)
-                        - sandwich_matrix(eye16, hamiltonian))
-    relax = dissipator - (sandwich_matrix(anticomm, eye16)
-                          + sandwich_matrix(eye16, anticomm))
+                dissipator += 2 * gamma_t[k, l] * pair_sandwich_matrix(jump[0], jump[1])
+    commutator = -1j * (pair_sandwich_matrix(hamiltonian, eye16)
+                        - pair_sandwich_matrix(eye16, hamiltonian))
+    relax = dissipator - (pair_sandwich_matrix(anticomm, eye16)
+                          + pair_sandwich_matrix(eye16, anticomm))
     want = commutator + relax
     got = interaction_generator(tensor)
     assert np.allclose(got, want, atol=1e-12)

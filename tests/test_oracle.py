@@ -1,5 +1,7 @@
 """Tests for the brute-force oracle against the perturbative pipeline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,6 @@ from mqcsim.coupling import coupling_tensor, tensor_tag_value
 from mqcsim.disorder import angular_average, mean_inverse_xi_squared
 from mqcsim.oracle import (
     MC_BATCH,
-    TERM_FLOOR,
     _deflated_solve,
     _term_weights,
     binned_kick,
@@ -30,7 +31,8 @@ from mqcsim.oracle import (
     sample_configurations,
     surviving_term_table,
 )
-from mqcsim.expansion import _detection_covector, scattering_solution
+from mqcsim.expansion import (TERM_FLOOR, _detection_covector,
+                              scattering_solution)
 from mqcsim.spectra import DETECTION_DIRECTIONS, spectrum
 from mqcsim.transient import (IntegrationError, OracleRun, _propagate,
                               numeric_demodulate, time_domain_evolve)
@@ -604,9 +606,14 @@ def test_term_table_matches_forward_chain(kappa, channel):
 
 def test_term_table_holds_only_contributing_terms():
     """Every kept key has a row entry above TERM_FLOOR of the table's
-    largest entry; the roundoff of exactly cancelling keys is left out."""
-    z1 = 1j * np.linspace(-3.0, 3.0, 7)
-    for kappa, channel in ((1, "parallel"), (2, "perpendicular")):
+    largest entry; the roundoff of exactly cancelling keys is left out.
+    The chain carries 7 points as a grid and 41 on its 13 pole labels,
+    where it applies the floor before evaluating on the grid."""
+    cases = [(kappa, channel, count)
+             for kappa, channel in ((1, "parallel"), (2, "perpendicular"))
+             for count in (7, 41)]
+    for kappa, channel, count in cases:
+        z1 = 1j * np.linspace(-3.0, 3.0, count)
         table = demodulated_term_table((0, 1, 2), THETA, channel, kappa, z1)
         assert len(table.tags) > 0
         peak = np.max(np.abs(table.coeffs))
@@ -622,6 +629,21 @@ def test_term_table_holds_only_contributing_terms():
         assert {key for key, rows in forward.items()
                 if np.max(np.abs(rows)) > TERM_FLOOR * peak} == set(
                     zip(table.phase_exponents, table.tags))
+
+
+def test_term_table_on_a_long_grid_holds_little_beyond_its_rows():
+    """The chain drops its roundoff keys before it evaluates its pole
+    labels on the grid: at 10,001 points the kept 16 keys hold 5.1 MB,
+    where evaluating all 395 keys first peaked at 135 MB."""
+    z1 = 1j * np.linspace(-10.0, 10.0, 10001)
+    tracemalloc.start()
+    try:
+        table = demodulated_term_table((0, 2), THETA, "parallel", 1, z1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.coeffs.nbytes < 6e6
+    assert peak < 40e6
 
 
 def _surviving_table(kappa, channel, detunings):

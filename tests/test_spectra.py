@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from scipy.special import erfcx
 
 from mqcsim.atom import dipole_lowering
-from mqcsim.basis import expand, matrix_unit, pair_operator
+from mqcsim.basis import matrix_unit
 from mqcsim.disorder import average_state, averaged_solution, mean_inverse_xi_squared
 from mqcsim.expansion import PhaseMonomial, scattering_solution
 from mqcsim import spectra
@@ -27,10 +27,11 @@ from mqcsim.spectra import (
     directional_spectra,
     spectrum,
 )
+from reference import pair_expand
 
 
 def _single_state_vector(atom1, atom2):
-    coeffs = expand(pair_operator(atom1, atom2))
+    coeffs = pair_expand(np.kron(atom1, atom2))
     return {PhaseMonomial((0, 0, 0, 0)): coeffs}
 
 
