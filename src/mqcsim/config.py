@@ -11,7 +11,8 @@ command-line flags.
 
 Data files are UTF-8 delimited text with a ``#``-prefixed metadata
 header; every run also writes a JSON sidecar carrying the full
-configuration, the package version, and the only timestamp of the run,
+configuration, the package version, the Python and numpy versions and
+BLAS thread settings, and the only timestamp of the run,
 so the data files themselves are byte-identical across reruns.  Every
 file is written to a temporary file in its directory and renamed onto
 its name, so no output is ever left half written.
@@ -391,8 +392,23 @@ def write_report(path, lines, metadata: dict) -> None:
                 _format_header(metadata) + "\n" + "\n".join(lines) + "\n")
 
 
+def _environment() -> dict:
+    """The Python and numpy versions and the BLAS thread settings of the
+    run, and scipy's version only if something loaded it: recording it
+    must not import it."""
+    record = {"python": ".".join(map(str, sys.version_info[:3])),
+              "numpy": np.__version__}
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        record[name] = os.environ.get(name)
+    if "scipy" in sys.modules:
+        record["scipy"] = sys.modules["scipy"].__version__
+    return record
+
+
 def write_sidecar(path, payload: dict) -> None:
-    """Write the JSON sidecar; the run timestamp lives only here."""
+    """Write the JSON sidecar; the run timestamp and the environment
+    record (:func:`_environment`) live only here."""
     record = dict(payload)
+    record["environment"] = _environment()
     record["timestamp"] = datetime.now(timezone.utc).isoformat()
     _write_text(path, json.dumps(record, indent=2, sort_keys=True) + "\n")

@@ -20,10 +20,22 @@ feed.
 For the perturbative expansion the generator is kept symbolic in the
 tensor entries: ``sparse_interaction_pieces`` returns, per formal factor
 (the tensor entry itself or its complex conjugate, indices k <= l with
-the symmetric partner folded in), the 256x256 CSR matrix multiplying
-that factor, built as sparse Kronecker products of single-atom sandwich
-maps.  Contracting the pieces with a concrete tensor, each piece times
+the symmetric partner folded in), the 256x256 matrix multiplying that
+factor.  Contracting the pieces with a concrete tensor, each piece times
 its factor's value, reproduces the assembled generator.
+
+The pieces are plain numpy CSR arrays (indptr, indices, data), and only
+this module reads them.  Each is built from the nonzeros of the 16x16
+single-atom sandwich maps: a Kronecker product of two maps' entries has
+row 16 i1 + i2, column 16 j1 + j2 and value a b, and the shift and feed
+products are summed in a fixed order, as CSR sums add them, so the
+arrays are those a scipy.sparse build gives.  One kernel applies them,
+:func:`csr_transposed_product`: it visits only the rows where its
+argument is nonzero, and sums every output entry left to right, in the
+order of a CSR product, so entries that cancel are exact zeros as they
+were.  The transposed pieces, cached beside the pieces, are the pieces'
+column-compressed form; :func:`interaction_products` applies all twelve
+pieces, or all twelve transposes, in one pass.
 
 Superoperator matrices follow the conventions of :mod:`mqcsim.basis`
 and act on density-operator coefficients, as the master equation does.
@@ -38,7 +50,7 @@ import functools
 import numpy as np
 
 from .atom import dipole_components
-from .basis import sandwich_matrix
+from .basis import NUM_OPS, NUM_OPS_PAIR, sandwich_matrix
 
 #: formal factor kinds: the tensor entry itself or its complex conjugate
 TAG_KINDS = ("direct", "conj")
@@ -95,34 +107,55 @@ def tensor_tag_value(tensor: np.ndarray, tag):
 
 @functools.cache
 def _sandwich_maps():
-    """Sparse 16x16 maps O -> X O Y of one atom, by (X, Y) label.
+    """Nonzeros of the 16x16 maps O -> X O Y of one atom, by (X, Y)
+    label, as (rows, columns, values) in row-major order.
 
     Labels: ("low", k) for D_k, ("raise", l) for D_l^dag and "eye" for
     the identity; only the sides the pieces use are built.
     """
-    # scipy.sparse is imported on first use here and in _pair_map, so
-    # that --version and cross-section, which build no piece, do not
-    # pay about 0.1 s for loading it
-    from scipy.sparse import csr_array
-
     dips = dipole_components()
     ops = {"eye": np.eye(4, dtype=complex)}
     for k in range(3):
         ops[("low", k)] = dips[k]
         ops[("raise", k)] = dips[k].conj().T
-    return {(left, right): csr_array(sandwich_matrix(ops[left], ops[right]))
-            for left in ops for right in ops
-            if (left == "eye") != (right == "eye")}
+    out = {}
+    for left in ops:
+        for right in ops:
+            if (left == "eye") != (right == "eye"):
+                dense = sandwich_matrix(ops[left], ops[right])
+                rows, cols = np.nonzero(dense)
+                out[(left, right)] = rows, cols, dense[rows, cols]
+    return out
+
+
+def _add(a, b):
+    """Sum of two canonical (keys, values) matrices as a CSR sum makes
+    it: a + b where both hold an entry, a + 0 or 0 + b where one does,
+    exact zeros dropped.  Canonical means sorted by the flat index
+    row * 256 + column, with no index twice."""
+    keys = np.sort(np.concatenate([a[0], b[0]]))
+    keys = keys[np.append(True, keys[1:] != keys[:-1])]
+    left, right = np.zeros((2, len(keys)), dtype=complex)
+    left[np.searchsorted(keys, a[0])] = a[1]
+    right[np.searchsorted(keys, b[0])] = b[1]
+    summed = left + right
+    kept = summed != 0
+    return keys[kept], summed[kept]
 
 
 @functools.cache
 def _pair_map(left1, right1, left2, right2):
-    """CSR matrix of O1 x O2 -> (L1 O1 R1) x (L2 O2 R2), by labels; the
-    feed parts of the two factor kinds share theirs."""
-    from scipy.sparse import kron
-
+    """Canonical (keys, values) of O1 x O2 -> (L1 O1 R1) x (L2 O2 R2),
+    the Kronecker product of two single-atom maps, by labels; the feed
+    parts of the two factor kinds share theirs."""
     maps = _sandwich_maps()
-    return kron(maps[(left1, right1)], maps[(left2, right2)], format="csr")
+    r1, c1, v1 = maps[(left1, right1)]
+    r2, c2, v2 = maps[(left2, right2)]
+    rows = (NUM_OPS * r1[:, None] + r2).ravel()
+    cols = (NUM_OPS * c1[:, None] + c2).ravel()
+    keys = rows * NUM_OPS_PAIR + cols
+    order = np.argsort(keys)
+    return keys[order], (v1[:, None] * v2).ravel()[order]
 
 
 def _ordered_piece(kind: str, k: int, l: int):
@@ -133,29 +166,141 @@ def _ordered_piece(kind: str, k: int, l: int):
     # operator always sits on atom alpha, left of the density operator
     # for the conjugate factor and right of it for the direct one
     if kind == "conj":
-        shift = -(_pair_map(dk, eye, dl_dag, eye)
-                  + _pair_map(dl_dag, eye, dk, eye))
+        keys, shift = _add(_pair_map(dk, eye, dl_dag, eye),
+                           _pair_map(dl_dag, eye, dk, eye))
     else:
-        shift = -(_pair_map(eye, dk, eye, dl_dag)
-                  + _pair_map(eye, dl_dag, eye, dk))
-    feed = _pair_map(dk, eye, eye, dl_dag) + _pair_map(eye, dl_dag, dk, eye)
-    return shift + feed
+        keys, shift = _add(_pair_map(eye, dk, eye, dl_dag),
+                           _pair_map(eye, dl_dag, eye, dk))
+    feed = _add(_pair_map(dk, eye, eye, dl_dag),
+                _pair_map(eye, dl_dag, dk, eye))
+    return _add((keys, -shift), feed)
+
+
+def _compressed(major, minor, values, size: int):
+    """Compressed arrays (indptr, indices, data) of entries grouped by
+    ``major`` (``size`` groups), in increasing ``minor`` within each."""
+    order = np.lexsort((minor, major))
+    indptr = np.zeros(size + 1, dtype=np.intp)
+    np.cumsum(np.bincount(major, minlength=size), out=indptr[1:])
+    return indptr, minor[order].astype(np.intp), values[order]
+
+
+def _csr(keys, values, transpose: bool = False):
+    """CSR arrays (indptr, indices, data) of canonical (keys, values),
+    or of their transpose."""
+    rows, cols = np.divmod(keys, NUM_OPS_PAIR)
+    if transpose:
+        rows, cols = cols, rows
+    return _compressed(rows, cols, values, NUM_OPS_PAIR)
+
+
+def _keys(matrix):
+    """Canonical (keys, values) of 256x256 CSR arrays."""
+    indptr, indices, data = matrix
+    rows = np.repeat(np.arange(NUM_OPS_PAIR), np.diff(indptr))
+    return rows * NUM_OPS_PAIR + indices, data
+
+
+@functools.cache
+def _pieces():
+    out = {}
+    for kind, k, l in TAG_KEYS:
+        piece = _ordered_piece(kind, k, l)
+        if k != l:
+            piece = _add(piece, _ordered_piece(kind, l, k))
+        out[(kind, k, l)] = piece
+    return out
 
 
 @functools.cache
 def sparse_interaction_pieces():
-    """Canonical tag -> CSR matrix multiplying that formal factor, for
-    applying it to coefficient vectors: each piece holds 160-640
-    nonzeros of 65,536.
+    """Canonical tag -> CSR arrays (indptr, indices, data) of the
+    256x256 matrix multiplying that formal factor: each piece holds
+    160-640 nonzeros of 65,536, with sorted, duplicate-free columns in
+    every row.
 
     The generator is sum over tags of (tensor factor value) x (piece);
     see ``tensor_tag_value`` for the factor values.  Canonicalization
     folds the symmetric partner (l, k) into the (k, l) piece.
     """
-    out = {}
-    for kind, k, l in TAG_KEYS:
-        piece = _ordered_piece(kind, k, l)
-        if k != l:
-            piece = piece + _ordered_piece(kind, l, k)
-        out[(kind, k, l)] = piece
+    return {tag: _csr(*piece) for tag, piece in _pieces().items()}
+
+
+@functools.cache
+def transposed_interaction_pieces():
+    """Canonical tag -> CSR arrays of the transposed piece: the
+    column-compressed form of the piece, which applies it in
+    :func:`interaction_products`."""
+    return {tag: _csr(*piece, transpose=True)
+            for tag, piece in _pieces().items()}
+
+
+@functools.cache
+def _side_by_side(transposed: bool) -> tuple:
+    """CSR arrays of the 256 x (12 * 256) matrix [M_1 ... M_12], in
+    ``TAG_KEYS`` order, whose transpose stacks the pieces: M_i is the
+    transposed piece, or with ``transposed`` the piece itself, whose
+    transpose is then stacked."""
+    pieces = (sparse_interaction_pieces() if transposed
+              else transposed_interaction_pieces())
+    rows, cols, values = [], [], []
+    for i, tag in enumerate(TAG_KEYS):
+        keys, data = _keys(pieces[tag])
+        row, col = np.divmod(keys, NUM_OPS_PAIR)
+        rows.append(row)
+        cols.append(col + i * NUM_OPS_PAIR)
+        values.append(data)
+    return _compressed(np.concatenate(rows), np.concatenate(cols),
+                       np.concatenate(values), NUM_OPS_PAIR)
+
+
+def interaction_products(x: np.ndarray, transposed: bool = False):
+    """Every piece, or every transposed piece, times ``x`` (shape (256,)
+    or (256, K)), in ``TAG_KEYS`` order: shape (12, 256) + x.shape[1:].
+
+    One :func:`csr_transposed_product` of the blocks side by side
+    (:func:`_side_by_side`), so that one pass over the support of ``x``
+    serves all twelve.
+    """
+    out = csr_transposed_product(_side_by_side(transposed), x,
+                                 len(TAG_KEYS) * NUM_OPS_PAIR)
+    return out.reshape((len(TAG_KEYS), NUM_OPS_PAIR) + x.shape[1:])
+
+
+def csr_transpose(matrix):
+    """CSR arrays of the transpose of the matrix held by ``matrix``."""
+    return _csr(*_keys(matrix), transpose=True)
+
+
+def csr_weighted_sum(terms):
+    """CSR arrays of sum weight * matrix over (weight, matrix) pairs of
+    256x256 CSR arrays, added left to right as CSR sums add."""
+    total = None
+    for weight, matrix in terms:
+        keys, data = _keys(matrix)
+        term = keys, weight * data
+        total = term if total is None else _add(total, term)
+    return _csr(*total)
+
+
+def csr_transposed_product(matrix, x: np.ndarray,
+                           size: int = NUM_OPS_PAIR) -> np.ndarray:
+    """M^T @ x for the CSR arrays ``matrix`` of a matrix M with ``size``
+    columns, and ``x`` of shape (rows of M,) or (rows of M, K).
+
+    Only the rows j of M where ``x`` has a nonzero row are visited, in
+    increasing order, each adding its entries times x[j] to the output
+    rows that its column indices name.  So every output entry sums its
+    terms left to right from +0, in the order of a CSR product of M^T,
+    and leaving out terms that are all zero changes no bit: entries that
+    cancel are exact zeros there too, and the chain prunes the same
+    monomials.  The cost follows the support of ``x``: the chain's
+    vectors and covectors are nonzero on a few dozen rows of 256.
+    """
+    indptr, indices, data = matrix
+    scale = data.reshape((-1,) + (1,) * (x.ndim - 1))
+    out = np.zeros((size,) + x.shape[1:], dtype=complex)
+    for j in np.flatnonzero(x.reshape(len(x), -1).any(axis=1)):
+        lo, hi = indptr[j], indptr[j + 1]
+        out[indices[lo:hi]] += scale[lo:hi] * x[j]
     return out

@@ -47,7 +47,7 @@ import functools
 import numpy as np
 
 from .atom import DETECTION_DIRECTIONS
-from .coupling import sparse_interaction_pieces
+from .coupling import csr_weighted_sum, sparse_interaction_pieces
 from .expansion import PhaseMonomial, _merge, two_pulse_chain
 
 AVERAGE_MODES = ("full", "level_shift_only")
@@ -120,19 +120,20 @@ def angular_average(tags, inv_xi_squared: float,
 
 @functools.cache
 def _effective_final_insertions(inv_xi_squared: float, mode: str) -> dict:
-    """Per open factor, the CSR matrix performing the last insertion and
-    the factor-pair average in one step: sum over closing factors of the
-    averaged pair weight times that factor's insertion piece.  Cached per
-    argument pair; callers only read the matrices."""
+    """Per open factor, the CSR arrays of the matrix performing the last
+    insertion and the factor-pair average in one step: sum over closing
+    factors of the averaged pair weight times that factor's insertion
+    piece (:func:`mqcsim.coupling.csr_weighted_sum`).  Cached per
+    argument pair; callers only read the arrays."""
     pieces = sparse_interaction_pieces()
     out = {}
     for first in pieces:
         weights = {second: angular_average((first, second), inv_xi_squared,
                                            mode)
                    for second in pieces}
-        out[first] = sum(weight * pieces[second]
-                         for second, weight in weights.items()
-                         if weight != 0.0)
+        out[first] = csr_weighted_sum(
+            (weight, pieces[second]) for second, weight in weights.items()
+            if weight != 0.0)
     return out
 
 

@@ -47,8 +47,9 @@ sigma_kk - sigma_11 (rate -1), span only the diagonal indices 0-3.  The
 pair resolvent therefore needs no dense change of basis: a 4x4 map on
 the diagonal block of each atom index, one elementwise multiply by
 1/(z - r_i - r_j), and the inverse 4x4 maps.  The interaction pieces
-hold a few hundred nonzeros out of 65,536 and are applied as sparse
-matrices.
+hold a few hundred nonzeros out of 65,536, and a vector is nonzero on a
+few dozen of its 256 rows; :func:`mqcsim.coupling.interaction_products`
+applies all twelve pieces to it in one pass over those rows.
 
 One driver, :func:`two_pulse_chain`, yields the detected rows of the
 chain for :func:`mqcsim.oracle.demodulated_term_table` and
@@ -66,7 +67,8 @@ the roundoff keys are dropped (``TERM_FLOOR``); a short grid, or one
 with a point on a pole, is carried as it is.  The detection stage does
 not depend on z1, so it runs once from the other end: the conjugated
 detector rows times R(0) are pulled back through one insertion (a
-transposed sparse piece) and one R(0) per step, with no z1 axis.  These
+transposed piece, all twelve at once on all tails side by side) and
+one R(0) per step, with no z1 axis.  These
 tails are merged by the sorted multiset of their tags: 1, 12, 78 and 364
 of them for 0-3 insertions.  Each prefix
 monomial meets all tails of every remaining length, through every kick-2
@@ -87,7 +89,8 @@ from .atom import (DETECTION_DIRECTIONS, FIRST_POLARIZATION,
                    decay_eigensystem, detection_observable, kick_decomposition)
 from .basis import (HILBERT_DIM, NUM_OPS, NUM_OPS_PAIR, apply_factorized,
                     expand, matrix_unit)
-from .coupling import sparse_interaction_pieces
+from .coupling import (TAG_KEYS, csr_transpose, csr_transposed_product,
+                       interaction_products, sparse_interaction_pieces)
 
 #: keys of a chain with no row entry above this fraction of the chain's
 #: largest entry are roundoff where the exact value is zero
@@ -385,17 +388,18 @@ def apply_interaction(vector: dict) -> dict:
     """One pair-interaction insertion, branching over coupling factors.
 
     Each component acquires one symbolic tensor factor per canonical
-    tag, with the matching 256x256 piece (held sparse) applied to its
-    coefficients.
+    tag, with the matching 256x256 piece applied to its coefficients
+    (:func:`mqcsim.coupling.interaction_products`); exactly zero
+    products are dropped.
     """
-    pieces = sparse_interaction_pieces()
     out = {}
     for monomial, coeffs in vector.items():
-        for tag, piece in pieces.items():
-            new = piece @ coeffs
-            if not np.any(new):
-                continue
-            _merge(out, monomial.tagged(tag), new)
+        products = interaction_products(coeffs)
+        nonzero = products.reshape(len(TAG_KEYS), -1).any(axis=1)
+        for tag, new, kept in zip(TAG_KEYS, products, nonzero):
+            if kept:
+                # a copy, so that the zero products are freed
+                _merge(out, monomial.tagged(tag), new.copy())
     return out
 
 
@@ -427,16 +431,15 @@ def _detection_resolvent() -> tuple:
     return transposed, transposed @ rows.T
 
 
-def _grow_tails(tails: dict, steps) -> dict:
-    """Tails one insertion longer: ``steps(tags)`` yields the new tag
-    tuple and the transposed insertion matrix of every way to extend a
-    tail tagged ``tags``; the extended tails are merged by tag tuple and
+def _grow_tails(extended) -> dict:
+    """Tails one insertion longer: ``extended`` yields the new tag tuple
+    and the transposed covectors of every tail extended by one
+    insertion; they are merged by tag tuple, in that order, and
     multiplied by R(0), all in one product."""
     resolvent, _ = _detection_resolvent()
     grown = {}
-    for tags, block in tails.items():
-        for key, piece in steps(tags):
-            _merge(grown, key, piece @ block)
+    for key, block in extended:
+        _merge(grown, key, block)
     keys = list(grown)
     stacked = resolvent @ np.concatenate([grown[k] for k in keys], axis=1)
     return {key: stacked[:, 2 * i:2 * i + 2] for i, key in enumerate(keys)}
@@ -446,16 +449,17 @@ def _grow_tails(tails: dict, steps) -> dict:
 def _interaction_tails(length: int) -> dict:
     """Tails of ``length`` plain insertions, merged by the sorted
     multiset of their tags; they depend on nothing else, so every chain
-    shares them."""
+    shares them.  Each insertion applies every transposed piece to all
+    shorter tails side by side in one product."""
     if length == 0:
         return {(): _detection_resolvent()[1]}
-    # transposed views, made once here: each costs about 40 us
-    transposed = {tag: piece.T
-                  for tag, piece in sparse_interaction_pieces().items()}
+    tails = _interaction_tails(length - 1)
+    products = interaction_products(
+        np.concatenate(list(tails.values()), axis=1), transposed=True)
     return _grow_tails(
-        _interaction_tails(length - 1),
-        lambda tags: ((tuple(sorted(tags + (tag,))), piece)
-                      for tag, piece in transposed.items()))
+        (tuple(sorted(tags + (tag,))), product[:, 2 * i:2 * i + 2])
+        for i, tags in enumerate(tails)
+        for tag, product in zip(TAG_KEYS, products))
 
 
 def _detection_tails(length: int, closing=None) -> list:
@@ -470,17 +474,19 @@ def _detection_tails(length: int, closing=None) -> list:
     """
     if closing is None:
         return [_interaction_tails(n) for n in range(length + 1)]
-    transposed = {tag: piece.T
-                  for tag, piece in sparse_interaction_pieces().items()}
+    pieces = sparse_interaction_pieces()
 
-    def steps(tags):
-        if tags:
-            return (((), transposed[tags[0]]),)
-        return (((tag,), matrix.T) for tag, matrix in closing.items())
+    def extended(tails):
+        for tags, block in tails.items():
+            if tags:
+                yield (), csr_transposed_product(pieces[tags[0]], block)
+            else:
+                for tag, matrix in closing.items():
+                    yield (tag,), csr_transposed_product(matrix, block)
 
     tails = [_interaction_tails(0)]
     for _ in range(length):
-        tails.append(_grow_tails(tails[-1], steps))
+        tails.append(_grow_tails(extended(tails[-1])))
     return tails
 
 
@@ -594,10 +600,13 @@ def two_pulse_chain(orders, z1, theta: float, channel: str, kappa: int,
             _merge(out, key, sums[i])
 
     def close(vector):
+        # the arrays of M^T make csr_transposed_product apply M
+        transposed = {tag: csr_transpose(matrix)
+                      for tag, matrix in closing.items()}
         closed = {}
         for monomial, coeffs in vector.items():
             (tag,) = monomial.tags
-            new = closing[tag] @ coeffs
+            new = csr_transposed_product(transposed[tag], coeffs)
             if np.any(new):
                 _merge(closed, PhaseMonomial(monomial.powers), new)
         return closed

@@ -2,21 +2,24 @@
 
 None of these is on a run's path: the chain applies the decay
 resolvent through ``atom.decay_eigensystem`` and the interaction
-through the sparse pieces, it builds its pair coefficients as
-Kronecker products of single-atom ones, and the oracle works on
-vectorized states and applies each pulse as a 16x16 pair unitary.
-The pair-operator algebra here goes through the 256x256 basis change
-:func:`pair_basis_columns` instead.
+through the numpy CSR pieces of :mod:`mqcsim.coupling`, it builds its
+pair coefficients as Kronecker products of single-atom ones, and the
+oracle works on vectorized states and applies each pulse as a 16x16
+pair unitary.  The pair-operator algebra here goes through the
+256x256 basis change :func:`pair_basis_columns` instead, and the
+interaction pieces are built with ``scipy.sparse``.
 """
 
 import functools
 
 import numpy as np
+from scipy.sparse import csr_array, kron
 
 from mqcsim.atom import dipole_components
 from mqcsim.basis import (HILBERT_DIM, NUM_OPS, build_single_atom_basis,
                           sandwich_matrix)
-from mqcsim.coupling import sparse_interaction_pieces, tensor_tag_value
+from mqcsim.coupling import (TAG_KEYS, sparse_interaction_pieces,
+                             tensor_tag_value)
 from mqcsim.oracle import pulse_unitary
 
 
@@ -95,11 +98,64 @@ def pair_sandwich_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return columns.conj().T @ np.kron(x, np.transpose(y)) @ columns
 
 
+@functools.cache
+def _sandwich_maps() -> dict:
+    """scipy CSR 16x16 maps O -> X O Y of one atom, by (X, Y) label:
+    ("low", k) for D_k, ("raise", l) for D_l^dag, "eye" for 1."""
+    dips = dipole_components()
+    ops = {"eye": np.eye(HILBERT_DIM, dtype=complex)}
+    for k in range(3):
+        ops[("low", k)] = dips[k]
+        ops[("raise", k)] = dips[k].conj().T
+    return {(left, right): csr_array(sandwich_matrix(ops[left], ops[right]))
+            for left in ops for right in ops
+            if (left == "eye") != (right == "eye")}
+
+
+def _pair_map(left1, right1, left2, right2):
+    maps = _sandwich_maps()
+    return kron(maps[(left1, right1)], maps[(left2, right2)], format="csr")
+
+
+def _ordered_piece(kind: str, k: int, l: int):
+    dk, dl_dag, eye = ("low", k), ("raise", l), "eye"
+    if kind == "conj":
+        shift = -(_pair_map(dk, eye, dl_dag, eye)
+                  + _pair_map(dl_dag, eye, dk, eye))
+    else:
+        shift = -(_pair_map(eye, dk, eye, dl_dag)
+                  + _pair_map(eye, dl_dag, eye, dk))
+    feed = _pair_map(dk, eye, eye, dl_dag) + _pair_map(eye, dl_dag, dk, eye)
+    return shift + feed
+
+
+@functools.cache
+def interaction_pieces() -> dict:
+    """Canonical tag -> scipy CSR piece, 256x256: the shift plus feed
+    maps of both atom orderings as sparse Kronecker products of
+    single-atom maps, with the symmetric partner (l, k) added to the
+    (k, l) piece."""
+    out = {}
+    for kind, k, l in TAG_KEYS:
+        piece = _ordered_piece(kind, k, l)
+        if k != l:
+            piece = piece + _ordered_piece(kind, l, k)
+        out[(kind, k, l)] = piece
+    return out
+
+
+def csr_dense(piece) -> np.ndarray:
+    """Dense 256x256 matrix of numpy CSR arrays (indptr, indices, data)."""
+    indptr, indices, data = piece
+    return csr_array((data, indices, indptr),
+                     shape=(len(indptr) - 1,) * 2).toarray()
+
+
 def interaction_generator(tensor: np.ndarray) -> np.ndarray:
     """Pair-interaction generator at a concrete coupling tensor, 256x256:
-    every sparse piece times the value of its formal factor."""
-    return sum(tensor_tag_value(tensor, tag) * piece
-               for tag, piece in sparse_interaction_pieces().items()).toarray()
+    every library piece times the value of its formal factor."""
+    return sum(tensor_tag_value(tensor, tag) * csr_dense(piece)
+               for tag, piece in sparse_interaction_pieces().items())
 
 
 def pair_kick(theta: float, polarization, laser_phase: float,

@@ -6,9 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from mqcsim.atom import dipole_components
 from mqcsim.basis import matrix_unit
-from mqcsim.coupling import TAG_KEYS, coupling_tensor, sparse_interaction_pieces
-from reference import (interaction_generator, pair_expand,
-                       pair_sandwich_matrix, reconstruct)
+from mqcsim.coupling import (TAG_KEYS, coupling_tensor, csr_transpose,
+                             csr_transposed_product, csr_weighted_sum,
+                             interaction_products, sparse_interaction_pieces,
+                             transposed_interaction_pieces)
+from reference import (csr_dense, interaction_generator, interaction_pieces,
+                       pair_expand, pair_sandwich_matrix, reconstruct)
 
 RNG_DIRECTIONS = [
     np.array([0.0, 0.0, 1.0]),
@@ -205,12 +208,92 @@ def test_sparse_pieces_match_direct_operator_algebra():
                            for scale in (1.0, 1j))
         adjoint = (real + (1j if kind == "direct" else -1j) * imaginary) / 2
         piece = sparse_interaction_pieces()[(kind, k, l)]
-        assert piece.format == "csr" and piece.has_sorted_indices
-        for row in range(piece.shape[0]):
-            columns = piece.indices[piece.indptr[row]:piece.indptr[row + 1]]
+        indptr, indices, data = piece
+        assert indptr.shape == (257,) and indptr[0] == 0
+        assert indices.shape == data.shape == (indptr[-1],)
+        for row in range(256):
+            columns = indices[indptr[row]:indptr[row + 1]]
             assert np.all(np.diff(columns) > 0)
-        np.testing.assert_allclose(piece.toarray(), adjoint.conj().T,
+        np.testing.assert_allclose(csr_dense(piece), adjoint.conj().T,
                                    rtol=0, atol=1e-15)
+
+
+def _assert_same_csr(got, want):
+    # want is a scipy CSR matrix; the data must match bit for bit
+    for array, wanted in zip(got, (want.indptr, want.indices)):
+        assert np.array_equal(array, wanted)
+    assert got[2].dtype == want.data.dtype
+    assert got[2].tobytes() == want.data.tobytes()
+
+
+@pytest.mark.parametrize("tag", TAG_KEYS)
+def test_pieces_equal_the_scipy_reference_build(tag):
+    want = interaction_pieces()[tag]
+    assert want.has_canonical_format
+    _assert_same_csr(sparse_interaction_pieces()[tag], want)
+    _assert_same_csr(transposed_interaction_pieces()[tag], want.T.tocsr())
+    _assert_same_csr(csr_transpose(sparse_interaction_pieces()[tag]),
+                     want.T.tocsr())
+
+
+def test_weighted_sum_of_pieces_equals_the_scipy_sum():
+    rng = np.random.default_rng(41)
+    weights = rng.normal(size=len(TAG_KEYS))
+    weights[::4] = 0.0
+    terms = [(w, tag) for w, tag in zip(weights, TAG_KEYS) if w != 0.0]
+    want = sum(w * interaction_pieces()[tag] for w, tag in terms)
+    got = csr_weighted_sum((w, sparse_interaction_pieces()[tag])
+                           for w, tag in terms)
+    _assert_same_csr(got, want)
+
+
+def _blocks(rng, shape):
+    """A block with most rows zero, as the chain's vectors are, and an
+    all-zero block."""
+    block = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    block[rng.random(shape[0]) < 0.7] = 0.0
+    return block, np.zeros(shape, dtype=complex)
+
+
+def _assert_matches_csr_product(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    # exact zeros where the CSR product has them, so that the chain
+    # prunes the same monomials
+    assert np.array_equal(got == 0, want == 0)
+    assert np.max(np.abs(got - want), initial=0.0) <= (
+        1e-15 * np.max(np.abs(want), initial=0.0))
+
+
+@pytest.mark.parametrize("columns", [None, 1, 2, 13])
+@pytest.mark.parametrize("transposed", [False, True])
+def test_csr_transposed_product_matches_scipy_product(columns, transposed):
+    # a transposed piece's CSR arrays apply the piece itself
+    rng = np.random.default_rng(7 + (columns or 0))
+    shape = (256,) if columns is None else (256, columns)
+    pieces = (transposed_interaction_pieces() if transposed
+              else sparse_interaction_pieces())
+    for tag in TAG_KEYS:
+        want_matrix = interaction_pieces()[tag]
+        if not transposed:
+            want_matrix = want_matrix.T
+        for block in _blocks(rng, shape):
+            _assert_matches_csr_product(
+                csr_transposed_product(pieces[tag], block),
+                want_matrix @ block)
+
+
+@pytest.mark.parametrize("columns", [None, 1, 2, 13])
+@pytest.mark.parametrize("transposed", [False, True])
+def test_interaction_products_match_scipy_products(columns, transposed):
+    rng = np.random.default_rng(11 + (columns or 0))
+    shape = (256,) if columns is None else (256, columns)
+    for block in _blocks(rng, shape) + (rng.normal(size=shape) + 0j,):
+        got = interaction_products(block, transposed)
+        assert got.shape == (len(TAG_KEYS),) + shape
+        for tag, product in zip(TAG_KEYS, got):
+            matrix = interaction_pieces()[tag]
+            _assert_matches_csr_product(
+                product, (matrix.T if transposed else matrix) @ block)
 
 
 def test_state_picture_properties():

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mqcsim import expansion
-from mqcsim.atom import PoleError, kick_decomposition
+from mqcsim.atom import FIRST_POLARIZATION, PoleError, kick_decomposition
 from mqcsim.basis import matrix_unit
-from mqcsim.coupling import coupling_tensor, tensor_tag_value
+from mqcsim.coupling import TAG_KEYS, coupling_tensor, tensor_tag_value
 from mqcsim.disorder import _effective_final_insertions
 from mqcsim.expansion import (
     PhaseMonomial,
@@ -22,7 +22,8 @@ from mqcsim.expansion import (
     scattering_solution,
     two_pulse_chain,
 )
-from reference import decay_generator, interaction_generator, pair_expand
+from reference import (decay_generator, interaction_generator,
+                       interaction_pieces, pair_expand)
 
 #: ket-minus-bra excitation grade of each single-atom basis element
 BASIS_GRADES = np.array([0, 0, 0, 0, -1, 1, -1, 1, -1, 1, 0, 0, 0, 0, 0, 0])
@@ -454,3 +455,54 @@ def test_total_grade_equals_total_phase_exponent(seed):
     for monomial, coeffs in vec.items():
         net = sum(monomial.powers)
         assert np.allclose(coeffs[total_grade != net], 0.0, atol=1e-13)
+
+
+def _interpulse_prefixes(theta, kappa, z1):
+    """Monomials of the kick-1 prefix and of 1-3 insertions after it,
+    each followed by a z1 resolvent, as ``two_pulse_chain`` builds them."""
+    prefix = apply_resolvent(apply_kick(
+        initial_vector(), 1, theta, FIRST_POLARIZATION,
+        keep=lambda monomial: monomial.pulse_net[0] == -kappa), z1)
+    out = [prefix]
+    for _ in range(3):
+        out.append(apply_resolvent(apply_interaction(out[-1]), z1))
+    return out
+
+
+def _scipy_products(x, transposed=False):
+    pieces = interaction_pieces()
+    return np.stack([(pieces[tag].T if transposed else pieces[tag]) @ x
+                     for tag in TAG_KEYS])
+
+
+@pytest.mark.parametrize("theta, sizes", [
+    (0.5 * np.pi, [2, 20, 111, 490]),
+    (0.14 * np.pi, [2, 22, 118, 547]),
+    (1.3, [2, 22, 123, 555]),
+])
+def test_insertions_prune_the_monomials_the_csr_product_prunes(
+        theta, sizes, monkeypatch):
+    # the pieces' products are exact zeros wherever scipy's CSR products
+    # are, so the np.any skips of apply_interaction keep the same
+    # monomials; sizes are the oracle check's kappa = 1 prefixes on its
+    # 7-point grid
+    z1 = 1j * np.linspace(-3.0, 3.0, 7)
+    got = _interpulse_prefixes(theta, 1, z1)
+    monkeypatch.setattr(expansion, "interaction_products", _scipy_products)
+    want = _interpulse_prefixes(theta, 1, z1)
+    assert [len(prefix) for prefix in got] == sizes
+    for mine, theirs in zip(got, want):
+        assert list(mine) == list(theirs)
+        for monomial, coeffs in mine.items():
+            assert np.array_equal(coeffs == 0, theirs[monomial] == 0)
+            np.testing.assert_allclose(coeffs, theirs[monomial], rtol=1e-13,
+                                       atol=1e-15 * np.max(np.abs(coeffs)))
+
+
+@pytest.mark.parametrize("theta", [0.5 * np.pi, 0.14 * np.pi, 1.3])
+def test_kappa_2_interpulse_insertions_give_no_monomial(theta):
+    # pulse 1's harmonic (-1, -1) leaves |gg><ee'|, which decay keeps in
+    # that form, and every term of every piece then lowers a ground ket
+    # or raises an excited bra
+    prefixes = _interpulse_prefixes(theta, 2, 1j * np.linspace(-3.0, 3.0, 7))
+    assert [len(prefix) for prefix in prefixes] == [1, 0, 0, 0]

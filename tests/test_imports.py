@@ -2,12 +2,12 @@
 
 A run pays at start-up for every module its imports pull in.  The
 command line loads the oracle only for the subcommands that compare
-against it, no subcommand loads the transient integrator
-(``scipy.integrate``, which pulls in ``scipy.optimize``),
-``scipy.linalg`` or ``scipy.special``, and the SI constants are
-literals.  The package
-re-exports the oracle and transient names lazily, so ``import mqcsim``
-loads neither.
+against it, and no subcommand loads any part of scipy: the interaction
+pieces are numpy arrays, the SI constants are literals, and the
+transient integrator (``scipy.integrate``) is only re-exported, lazily.
+Runs with scipy made unimportable still finish.  The package re-exports
+the oracle and transient names lazily, so ``import mqcsim`` loads
+neither.
 """
 
 import json
@@ -16,15 +16,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mqcsim.config import MIN_MC_SAMPLES
 
 ROOT = Path(__file__).resolve().parents[1]
 
-#: modules no subcommand needs
-UNUSED = ("scipy.integrate", "scipy.optimize", "scipy.constants",
-          "scipy.linalg", "scipy.special")
+#: packages no subcommand needs; a loaded submodule loads its package
+UNUSED = ("scipy",)
 
 #: modules no spectrum-side run needs
 SPECTRUM_FREE = UNUSED + ("mqcsim.oracle",)
@@ -59,7 +59,7 @@ def _loaded_after(statements: str, watched) -> dict:
                   f"if m in sys.modules]))")
 
 
-def test_importing_the_cli_loads_no_oracle_and_no_scipy_extras():
+def test_importing_the_cli_loads_no_oracle_and_no_scipy():
     watched = SPECTRUM_FREE + ("mqcsim.transient",)
     assert _loaded_after("import mqcsim.cli", watched) == []
 
@@ -71,6 +71,46 @@ def test_a_run_loads_only_what_its_subcommand_uses(kind, tmp_path):
     statements = ("from mqcsim.cli import main\n"
                   f"assert main({argv!r}) == 0")
     assert _loaded_after(statements, unwanted) == []
+
+
+#: a finder, first on sys.meta_path, that makes scipy unimportable
+BLOCK_SCIPY = """
+import sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
+"""
+
+
+@pytest.mark.parametrize("kind", ["spectrum", "oracle-check"])
+def test_a_run_needs_no_scipy(kind, tmp_path):
+    argv = RUNS[kind][0] + ["--output-dir", str(tmp_path)]
+    done = _fresh(BLOCK_SCIPY + "import json\n"
+                  "from mqcsim.cli import main\n"
+                  f"code = main({argv!r})\n"
+                  "print(json.dumps({'code': code,\n"
+                  "                  'scipy': 'scipy' in sys.modules}))")
+    assert done == {"code": 0, "scipy": False}
+
+
+def test_sidecar_records_numpy_and_no_scipy(tmp_path):
+    argv = RUNS["spectrum"][0] + ["--output-dir", str(tmp_path)]
+    _fresh("import json\n"
+           "from mqcsim.cli import main\n"
+           f"assert main({argv!r}) == 0\n"
+           "print(json.dumps(None))")
+    environment = json.loads(
+        (tmp_path / "spectrum.json").read_text())["environment"]
+    assert environment["numpy"] == np.__version__
+    assert environment["python"] == ".".join(map(str, sys.version_info[:3]))
+    assert "scipy" not in environment
+    assert set(environment) == {"python", "numpy", "OPENBLAS_NUM_THREADS",
+                                "OMP_NUM_THREADS"}
 
 
 def test_lazy_package_names_resolve():
