@@ -310,9 +310,11 @@ class RunConfig:
         """
         values = {}
         if config_file is not None:
+            # UnicodeDecodeError and JSONDecodeError are ValueErrors; a
+            # deeply nested file exhausts the decoder's recursion limit
             try:
                 values = json.loads(Path(config_file).read_text())
-            except (OSError, json.JSONDecodeError) as err:
+            except (OSError, ValueError, RecursionError) as err:
                 raise ConfigError(f"cannot read config file: {err}") from err
             if not isinstance(values, dict):
                 raise ConfigError("config file must hold a JSON object")
@@ -360,12 +362,9 @@ def write_table(path, columns: dict, metadata: dict) -> None:
     rendered in full double precision so reruns are byte-identical.
     """
     names = list(columns)
-    rows = zip(*(columns[name] for name in names))
-    body = ["\t".join(names)]
-    for row in rows:
-        body.append("\t".join(
-            f"{value:.17g}" if isinstance(value, float) else str(value)
-            for value in row))
+    cells = [[f"{value:.17g}" if isinstance(value, float) else str(value)
+              for value in columns[name]] for name in names]
+    body = ["\t".join(names)] + ["\t".join(row) for row in zip(*cells)]
     _write_text(path,
                 _format_header(metadata) + "\n" + "\n".join(body) + "\n")
 

@@ -33,9 +33,8 @@ arrays are those a scipy.sparse build gives.  One kernel applies them,
 :func:`csr_transposed_product`: it visits only the rows where its
 argument is nonzero, and sums every output entry left to right, in the
 order of a CSR product, so entries that cancel are exact zeros as they
-were.  The transposed pieces, cached beside the pieces, are the pieces'
-column-compressed form; :func:`interaction_products` applies all twelve
-pieces, or all twelve transposes, in one pass.
+were.  :func:`interaction_products` applies all twelve pieces, or all
+twelve transposes, in one pass over the pieces' arrays side by side.
 
 Superoperator matrices follow the conventions of :mod:`mqcsim.basis`
 and act on density-operator coefficients, as the master equation does.
@@ -185,24 +184,9 @@ def _compressed(major, minor, values, size: int):
     return indptr, minor[order].astype(np.intp), values[order]
 
 
-def _csr(keys, values, transpose: bool = False):
-    """CSR arrays (indptr, indices, data) of canonical (keys, values),
-    or of their transpose."""
-    rows, cols = np.divmod(keys, NUM_OPS_PAIR)
-    if transpose:
-        rows, cols = cols, rows
-    return _compressed(rows, cols, values, NUM_OPS_PAIR)
-
-
-def _keys(matrix):
-    """Canonical (keys, values) of 256x256 CSR arrays."""
-    indptr, indices, data = matrix
-    rows = np.repeat(np.arange(NUM_OPS_PAIR), np.diff(indptr))
-    return rows * NUM_OPS_PAIR + indices, data
-
-
 @functools.cache
 def _pieces():
+    """Canonical (keys, values) of every piece, by tag."""
     out = {}
     for kind, k, l in TAG_KEYS:
         piece = _ordered_piece(kind, k, l)
@@ -223,16 +207,9 @@ def sparse_interaction_pieces():
     see ``tensor_tag_value`` for the factor values.  Canonicalization
     folds the symmetric partner (l, k) into the (k, l) piece.
     """
-    return {tag: _csr(*piece) for tag, piece in _pieces().items()}
-
-
-@functools.cache
-def transposed_interaction_pieces():
-    """Canonical tag -> CSR arrays of the transposed piece: the
-    column-compressed form of the piece, which applies it in
-    :func:`interaction_products`."""
-    return {tag: _csr(*piece, transpose=True)
-            for tag, piece in _pieces().items()}
+    return {tag: _compressed(*np.divmod(keys, NUM_OPS_PAIR), data,
+                             NUM_OPS_PAIR)
+            for tag, (keys, data) in _pieces().items()}
 
 
 @functools.cache
@@ -241,12 +218,12 @@ def _side_by_side(transposed: bool) -> tuple:
     ``TAG_KEYS`` order, whose transpose stacks the pieces: M_i is the
     transposed piece, or with ``transposed`` the piece itself, whose
     transpose is then stacked."""
-    pieces = (sparse_interaction_pieces() if transposed
-              else transposed_interaction_pieces())
     rows, cols, values = [], [], []
     for i, tag in enumerate(TAG_KEYS):
-        keys, data = _keys(pieces[tag])
+        keys, data = _pieces()[tag]
         row, col = np.divmod(keys, NUM_OPS_PAIR)
+        if not transposed:
+            row, col = col, row
         rows.append(row)
         cols.append(col + i * NUM_OPS_PAIR)
         values.append(data)
@@ -265,22 +242,6 @@ def interaction_products(x: np.ndarray, transposed: bool = False):
     out = csr_transposed_product(_side_by_side(transposed), x,
                                  len(TAG_KEYS) * NUM_OPS_PAIR)
     return out.reshape((len(TAG_KEYS), NUM_OPS_PAIR) + x.shape[1:])
-
-
-def csr_transpose(matrix):
-    """CSR arrays of the transpose of the matrix held by ``matrix``."""
-    return _csr(*_keys(matrix), transpose=True)
-
-
-def csr_weighted_sum(terms):
-    """CSR arrays of sum weight * matrix over (weight, matrix) pairs of
-    256x256 CSR arrays, added left to right as CSR sums add."""
-    total = None
-    for weight, matrix in terms:
-        keys, data = _keys(matrix)
-        term = keys, weight * data
-        total = term if total is None else _add(total, term)
-    return _csr(*total)
 
 
 def csr_transposed_product(matrix, x: np.ndarray,

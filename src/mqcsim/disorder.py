@@ -30,14 +30,11 @@ coupling switched off); same-kind pairs then survive with weight
 :func:`averaged_solution` runs the split driver of the expansion,
 :func:`mqcsim.expansion.two_pulse_chain`, once over interaction orders
 0 and 2 with the average interleaved, and returns the sum of their
-detected rows.  Passing the averaged closing insertions makes the
-second kick keep only the harmonic pairs that cancel the position
-phases, and the last insertion of every split carries the factor-pair
-weights (:func:`_effective_final_insertions`).  In the detection stage,
-which the driver runs backward from the detectors, that insertion is
-the first matrix of every tail: a tail of one insertion is tagged by the
-factor it still needs, and the next insertion, or an interpulse prefix
-carrying that factor, closes it.
+detected rows.  It passes the pair weights as numbers, one 12 x 12
+table of :func:`angular_average` per (<1/xi^2>, mode): the second kick
+then keeps only the harmonic pairs that cancel the position phases,
+and the last insertion of every split weights the pieces that close
+the factor the split picked up first.
 """
 
 from __future__ import annotations
@@ -47,7 +44,7 @@ import functools
 import numpy as np
 
 from .atom import DETECTION_DIRECTIONS
-from .coupling import csr_weighted_sum, sparse_interaction_pieces
+from .coupling import TAG_KEYS
 from .expansion import PhaseMonomial, _merge, two_pulse_chain
 
 AVERAGE_MODES = ("full", "level_shift_only")
@@ -119,22 +116,14 @@ def angular_average(tags, inv_xi_squared: float,
 
 
 @functools.cache
-def _effective_final_insertions(inv_xi_squared: float, mode: str) -> dict:
-    """Per open factor, the CSR arrays of the matrix performing the last
-    insertion and the factor-pair average in one step: sum over closing
-    factors of the averaged pair weight times that factor's insertion
-    piece (:func:`mqcsim.coupling.csr_weighted_sum`).  Cached per
-    argument pair; callers only read the arrays."""
-    pieces = sparse_interaction_pieces()
-    out = {}
-    for first in pieces:
-        weights = {second: angular_average((first, second), inv_xi_squared,
-                                           mode)
-                   for second in pieces}
-        out[first] = csr_weighted_sum(
-            (weight, pieces[second]) for second, weight in weights.items()
-            if weight != 0.0)
-    return out
+def _pair_weights(inv_xi_squared: float, mode: str) -> np.ndarray:
+    """Read-only 12 x 12 table of :func:`angular_average` over every
+    pair of tags, in ``TAG_KEYS`` order; cached per argument pair."""
+    weights = np.array([[angular_average((first, second), inv_xi_squared,
+                                         mode) for second in TAG_KEYS]
+                        for first in TAG_KEYS])
+    weights.flags.writeable = False
+    return weights
 
 
 def averaged_solution(z1, theta: float, channel: str = "parallel",
@@ -151,8 +140,9 @@ def averaged_solution(z1, theta: float, channel: str = "parallel",
     (p1 = -a, p2 = -c; later insertions never change the phase
     exponents), and the last insertion of each split applies the
     factor-pair weights directly, as the first matrix of every detection
-    tail or as the last of the interpulse prefix.  The detection stage is integrated over time
-    (z2 = 0), as in :func:`mqcsim.expansion.scattering_solution`.
+    tail or as the last of the interpulse prefix.  The detection stage
+    is integrated over time (z2 = 0), as in
+    :func:`mqcsim.expansion.scattering_solution`.
 
     Returns:
         array of shape (len(DETECTION_DIRECTIONS), len(z1)): the
@@ -161,7 +151,7 @@ def averaged_solution(z1, theta: float, channel: str = "parallel",
     """
     rows = two_pulse_chain(
         (0, 2), z1, theta, channel, kappa,
-        closing=_effective_final_insertions(inv_xi_squared, mode), fast=fast)
+        weights=_pair_weights(inv_xi_squared, mode), fast=fast)
     return sum(rows.values(), np.zeros((len(DETECTION_DIRECTIONS),
                                         np.size(z1)), dtype=complex))
 

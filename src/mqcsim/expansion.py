@@ -70,7 +70,9 @@ detector rows times R(0) are pulled back through one insertion (a
 transposed piece, all twelve at once on all tails side by side) and
 one R(0) per step, with no z1 axis.  These
 tails are merged by the sorted multiset of their tags: 1, 12, 78 and 364
-of them for 0-3 insertions.  Each prefix
+of them for 0-3 insertions.  The averaged chain weights the twelve
+one-insertion tails by the 12 x 12 factor-pair averages instead of
+carrying the pairs' tags (:func:`_closed_tails`).  Each prefix
 monomial meets all tails of every remaining length, through every kick-2
 harmonic pair, in one stacked matrix product per length.
 :func:`scattering_solution` keeps the whole forward state of one order
@@ -89,8 +91,8 @@ from .atom import (DETECTION_DIRECTIONS, FIRST_POLARIZATION,
                    decay_eigensystem, detection_observable, kick_decomposition)
 from .basis import (HILBERT_DIM, NUM_OPS, NUM_OPS_PAIR, apply_factorized,
                     expand, matrix_unit)
-from .coupling import (TAG_KEYS, csr_transpose, csr_transposed_product,
-                       interaction_products, sparse_interaction_pieces)
+from .coupling import (TAG_KEYS, csr_transposed_product, interaction_products,
+                       sparse_interaction_pieces)
 
 #: keys of a chain with no row entry above this fraction of the chain's
 #: largest entry are roundoff where the exact value is zero
@@ -161,22 +163,24 @@ def initial_vector() -> dict:
 
 
 def apply_kick(vector: dict, pulse_index: int, theta: float,
-               polarization: str, keep=None) -> dict:
+               polarization: str, kappa=None) -> dict:
     """Kick both atoms with one pulse, branching over phase harmonics.
 
     The pulse reaches the atoms with individual phases (the monomials
     track them separately), so the pair map is the product of one
-    five-harmonic decomposition per atom: 25 branches, pruned by the
-    optional ``keep`` predicate on the resulting monomial and by exact
-    structural zeros.
+    five-harmonic decomposition per atom: 25 branches, pruned by exact
+    structural zeros and, with ``kappa``, to the monomials that
+    demodulation at harmonic kappa reads: pulse 1 keeps net pulse-1
+    exponent -kappa, pulse 2 net pulse exponents (-kappa, kappa).
     """
     mats = kick_decomposition(theta, polarization)
+    read = None if kappa is None else (-kappa, kappa)[:pulse_index]
     out = {}
     for monomial, coeffs in vector.items():
         for p1 in range(-2, 3):
             for p2 in range(-2, 3):
                 kicked = monomial.kicked(pulse_index, p1, p2)
-                if keep is not None and not keep(kicked):
+                if read is not None and kicked.pulse_net[:pulse_index] != read:
                     continue
                 new = apply_factorized(mats[p1], mats[p2], coeffs)
                 if not np.any(new):
@@ -431,63 +435,49 @@ def _detection_resolvent() -> tuple:
     return transposed, transposed @ rows.T
 
 
-def _grow_tails(extended) -> dict:
-    """Tails one insertion longer: ``extended`` yields the new tag tuple
-    and the transposed covectors of every tail extended by one
-    insertion; they are merged by tag tuple, in that order, and
-    multiplied by R(0), all in one product."""
-    resolvent, _ = _detection_resolvent()
-    grown = {}
-    for key, block in extended:
-        _merge(grown, key, block)
-    keys = list(grown)
-    stacked = resolvent @ np.concatenate([grown[k] for k in keys], axis=1)
-    return {key: stacked[:, 2 * i:2 * i + 2] for i, key in enumerate(keys)}
-
-
 @functools.cache
 def _interaction_tails(length: int) -> dict:
-    """Tails of ``length`` plain insertions, merged by the sorted
-    multiset of their tags; they depend on nothing else, so every chain
-    shares them.  Each insertion applies every transposed piece to all
-    shorter tails side by side in one product."""
+    """Tails of ``length`` plain insertions: the transposed covectors
+    (256, 2) of the detector rows times R(0) (V R(0))^length, merged by
+    the sorted multiset of their tags.  They depend on nothing else, so
+    every chain shares them.  Each insertion applies every transposed
+    piece to all shorter tails side by side in one product, and R(0) to
+    all merged tails in another."""
+    resolvent, rows = _detection_resolvent()
     if length == 0:
-        return {(): _detection_resolvent()[1]}
+        return {(): rows}
     tails = _interaction_tails(length - 1)
     products = interaction_products(
         np.concatenate(list(tails.values()), axis=1), transposed=True)
-    return _grow_tails(
-        (tuple(sorted(tags + (tag,))), product[:, 2 * i:2 * i + 2])
-        for i, tags in enumerate(tails)
-        for tag, product in zip(TAG_KEYS, products))
+    grown = {}
+    for i, tags in enumerate(tails):
+        for tag, product in zip(TAG_KEYS, products):
+            _merge(grown, tuple(sorted(tags + (tag,))),
+                   product[:, 2 * i:2 * i + 2])
+    stacked = resolvent @ np.concatenate(list(grown.values()), axis=1)
+    return {key: stacked[:, 2 * i:2 * i + 2] for i, key in enumerate(grown)}
 
 
-def _detection_tails(length: int, closing=None) -> list:
-    """Detector rows pulled back through the detection stage.
+def _closed_tails(weights: np.ndarray) -> list:
+    """Detection tails of the averaged chain, of 0, 1 and 2 insertions.
 
-    Entry n maps tag tuples to the transposed covectors (256, 2) of all
-    tails of n insertions, detector rows times R(0) (V R(0))^n, merged
-    by the sorted multiset of the insertions' tags.  With ``closing``
-    (the averaged chain), the insertion nearest the detector is
-    ``closing[t]`` and the tail's tag (t,) names the factor it still
-    needs; the next insertion, V_t, closes it to a tag-free tail.
+    The insertion nearest the detector carries the factor-pair average:
+    tail (t,) of one insertion is row t of ``weights`` times the plain
+    one-insertion tails, sum over s of w[t, s] times tail (s,), and
+    names the factor t that it still needs.  The next insertion, V_t,
+    closes each of them, and their sum times R(0) is the one tag-free
+    tail of two insertions.
     """
-    if closing is None:
-        return [_interaction_tails(n) for n in range(length + 1)]
+    resolvent, _ = _detection_resolvent()
+    plain = _interaction_tails(1)
+    closed = np.tensordot(
+        weights, np.stack([plain[(tag,)] for tag in TAG_KEYS]), axes=1)
     pieces = sparse_interaction_pieces()
-
-    def extended(tails):
-        for tags, block in tails.items():
-            if tags:
-                yield (), csr_transposed_product(pieces[tags[0]], block)
-            else:
-                for tag, matrix in closing.items():
-                    yield (tag,), csr_transposed_product(matrix, block)
-
-    tails = [_interaction_tails(0)]
-    for _ in range(length):
-        tails.append(_grow_tails(extended(tails[-1])))
-    return tails
+    pulled = sum(csr_transposed_product(pieces[tag], block)
+                 for tag, block in zip(TAG_KEYS, closed))
+    return [_interaction_tails(0),
+            {(tag,): block for tag, block in zip(TAG_KEYS, closed)},
+            {(): resolvent @ pulled}]
 
 
 def _interpulse_axis(z1: np.ndarray, resolvents: int):
@@ -501,14 +491,14 @@ def _interpulse_axis(z1: np.ndarray, resolvents: int):
 
 
 def two_pulse_chain(orders, z1, theta: float, channel: str, kappa: int,
-                    *, closing=None, fast: bool = False) -> dict:
+                    *, weights=None, fast: bool = False) -> dict:
     """Detected rows of the two-pulse chain over ``orders``, summed over
     interaction splits and merged by key.
 
     Split s of order n puts s of its n insertions before the second kick
     (resolvents at ``z1``) and the rest after it, in the detection stage
     (resolvents at z2 = 0, run backward from the detectors once with no
-    z1 axis, :func:`_detection_tails`).  Kick 1 runs once, and prefix s,
+    z1 axis, :func:`_interaction_tails`).  Kick 1 runs once, and prefix s,
     s insertions each followed by a z1 resolvent, is built once from
     prefix s - 1; each of its monomials meets the tails of n - s
     insertions of every order n >= s by one stacked product per kick-2
@@ -522,12 +512,16 @@ def two_pulse_chain(orders, z1, theta: float, channel: str, kappa: int,
 
     Only the monomials read out at demodulation harmonic ``kappa`` are
     kept: kick 1 keeps net pulse-1 exponent -kappa, kick 2 net pulse
-    exponents (-kappa, kappa).  ``closing`` optionally maps, per tag, the
-    last insertion of every split to a tag-free monomial (the averaged
-    chain; a full-length prefix is then prefix n - 1 closed and carried
-    through one more z1 resolvent).  Its pair weights assume that the
-    position phases have averaged away, so with it kick 2 also keeps
-    only zero net exponent on each atom.  Without it, every insertion is
+    exponents (-kappa, kappa).  ``weights`` optionally gives the averaged
+    chain of orders up to 2: the 12 x 12 factor-pair averages in
+    ``TAG_KEYS`` order (:func:`mqcsim.disorder.angular_average`).  The
+    last insertion of every split then closes the factor of the one
+    before it, with weights[t, s] on piece s after factor t: in the
+    detection stage through :func:`_closed_tails`, and in a full-length
+    prefix, which is prefix n - 1 closed and carried through one more
+    z1 resolvent.  The weights assume that the position phases have
+    averaged away, so with them kick 2 also keeps only zero net exponent
+    on each atom.  Without them, every insertion is
     :func:`apply_interaction`.  The other arguments are those of
     :func:`scattering_solution`.
 
@@ -545,16 +539,17 @@ def two_pulse_chain(orders, z1, theta: float, channel: str, kappa: int,
     top = max(orders)
     splits = (0,) if fast else tuple(range(top + 1))
     axis = _interpulse_axis(z1, len(splits))
-    tails = _detection_tails(top, closing)
+    tails = ([_interaction_tails(n) for n in range(top + 1)]
+             if weights is None else _closed_tails(weights))
     transposed = {p: harmonic.T for p, harmonic in kick_decomposition(
         theta, SECOND_POLARIZATION[channel]).items()}
 
     def keep2(monomial):
         return monomial.pulse_net == (-kappa, kappa) and (
-            closing is None or monomial.atom_net == (0, 0))
+            weights is None or monomial.atom_net == (0, 0))
 
     def join(prefix_tags, tail_tags):
-        if closing is None:
+        if weights is None:
             return tuple(sorted(prefix_tags + tail_tags))
         return () if prefix_tags == tail_tags else None
 
@@ -600,30 +595,28 @@ def two_pulse_chain(orders, z1, theta: float, channel: str, kappa: int,
             _merge(out, key, sums[i])
 
     def close(vector):
-        # the arrays of M^T make csr_transposed_product apply M
-        transposed = {tag: csr_transpose(matrix)
-                      for tag, matrix in closing.items()}
+        # a monomial carrying factor t closes on row t of the weights
         closed = {}
         for monomial, coeffs in vector.items():
             (tag,) = monomial.tags
-            new = csr_transposed_product(transposed[tag], coeffs)
+            new = np.tensordot(weights[TAG_KEYS.index(tag)],
+                               interaction_products(coeffs), axes=1)
             if np.any(new):
                 _merge(closed, PhaseMonomial(monomial.powers), new)
         return closed
 
     prefix = apply_resolvent(apply_kick(
-        initial_vector(), 1, theta, FIRST_POLARIZATION,
-        keep=lambda monomial: monomial.pulse_net[0] == -kappa), axis)
-    # with closing, no order needs the plain prefix of top insertions
-    for between in splits if closing is None else splits[:max(top, 1)]:
+        initial_vector(), 1, theta, FIRST_POLARIZATION, kappa), axis)
+    # with weights, no order needs the plain prefix of top insertions
+    for between in splits if weights is None else splits[:max(top, 1)]:
         if between:
             # two statements, so that the shorter prefix is freed first
             prefix = apply_interaction(prefix)
             prefix = apply_resolvent(prefix, axis)
         for n in orders:
-            if n > between or n == between and (closing is None or n == 0):
+            if n > between or n == between and (weights is None or n == 0):
                 contract(prefix, n - between)
-        if closing is not None and not fast and between + 1 in orders:
+        if weights is not None and not fast and between + 1 in orders:
             contract(apply_resolvent(close(prefix), axis), 0)
     largest = {key: np.max(np.abs(rows)) for key, rows in out.items()}
     floor = TERM_FLOOR * max(largest.values(), default=0.0)
@@ -668,20 +661,16 @@ def scattering_solution(order: int, z1, theta: float,
         to its coefficients; the sum over interaction splits is already
         performed.
     """
-    keep1 = keep2 = None
-    if kappa is not None:
-        keep1 = lambda m: m.pulse_net[0] == -kappa
-        keep2 = lambda m: m.pulse_net == (-kappa, kappa)
     second_pol = SECOND_POLARIZATION[channel]
     splits = (0,) if fast else tuple(range(order + 1))
     prefixes = [apply_resolvent(apply_kick(
-        initial_vector(), 1, theta, FIRST_POLARIZATION, keep=keep1), z1)]
+        initial_vector(), 1, theta, FIRST_POLARIZATION, kappa), z1)]
     for _ in range(splits[-1]):
         prefixes.append(apply_resolvent(apply_interaction(prefixes[-1]), z1))
     total = {}
     for between in splits:
         part = apply_resolvent(
-            apply_kick(prefixes[between], 2, theta, second_pol, keep=keep2),
+            apply_kick(prefixes[between], 2, theta, second_pol, kappa),
             0.0)
         for _ in range(between, order):
             part = apply_resolvent(apply_interaction(part), 0.0)

@@ -201,6 +201,14 @@ def test_invalid_configuration_exits_with_two(tmp_path, capsys):
     assert "invalid configuration" in capsys.readouterr().err
 
 
+def test_unreadable_config_file_exits_with_two(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    for content in (b'{"theta": "\xff"}', b"[" * 100_000 + b"]" * 100_000):
+        bad.write_bytes(content)
+        assert main(["cross-section", "--config", str(bad)]) == 2
+        assert "cannot read config file" in capsys.readouterr().err
+
+
 SMALL_SPECTRUM = ["spectrum", "--kappas", "2", "--channels", "parallel",
                   "--detuning-count", "5"]
 

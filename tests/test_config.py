@@ -199,6 +199,16 @@ def test_from_sources_merges_file_and_overrides(tmp_path):
         RunConfig.from_sources(config_file)
     with pytest.raises(ConfigError):
         RunConfig.from_sources(tmp_path / "missing.json")
+    for content in UNREADABLE_CONFIGS:
+        config_file.write_bytes(content)
+        with pytest.raises(ConfigError, match="cannot read config file"):
+            RunConfig.from_sources(config_file)
+
+
+#: a file that is not UTF-8, and a JSON array nested deeper than the
+#: decoder's recursion limit
+UNREADABLE_CONFIGS = (b'{"theta": "\xff"}',
+                      b"[" * 100_000 + b"]" * 100_000)
 
 
 def test_metadata_is_json_serializable_and_complete():
@@ -225,6 +235,18 @@ def test_write_table_is_byte_identical_and_parseable(tmp_path):
     assert body[0].split("\t") == ["name", "value"]
     # full double precision survives the round trip
     assert float(body[1].split("\t")[1]) == 1.0 / 3.0
+
+
+def test_write_table_text_of_mixed_columns(tmp_path):
+    target = tmp_path / "mixed.tsv"
+    write_table(target, {"n": [1, -2, 3], "label": ["a", "b c", ""],
+                         "x": [-0.0, float("nan"), 1e-300]}, {"seed": 1})
+    assert target.read_text() == (
+        "# seed = 1\n"
+        "n\tlabel\tx\n"
+        "1\ta\t-0\n"
+        "-2\tb c\tnan\n"
+        "3\t\t1e-300\n")
 
 
 @pytest.mark.parametrize("write", [

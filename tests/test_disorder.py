@@ -6,8 +6,10 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
-from mqcsim.coupling import coupling_tensor
+from mqcsim.coupling import TAG_KEYS, coupling_tensor
 from mqcsim.disorder import (
+    AVERAGE_MODES,
+    _pair_weights,
     angular_average,
     average_state,
     isotropic_projector_moment,
@@ -103,6 +105,23 @@ def test_angular_average_values_and_symmetry():
         pytest.approx(-0.5 * scale / 15.0))
     with pytest.raises(ValueError):
         angular_average(mixed, inv2, mode="bogus")
+
+
+@pytest.mark.parametrize("mode", AVERAGE_MODES)
+def test_pair_weights_table_is_the_angular_average(mode):
+    inv2 = mean_inverse_xi_squared(window=WINDOW)
+    weights = _pair_weights(inv2, mode)
+    assert weights.shape == (12, 12) and weights.dtype == float
+    for i, first in enumerate(TAG_KEYS):
+        for j, second in enumerate(TAG_KEYS):
+            assert weights[i, j] == angular_average((first, second), inv2,
+                                                    mode)
+    assert np.array_equal(weights, weights.T)
+    assert np.count_nonzero(weights)
+    assert not weights.flags.writeable
+    with pytest.raises(ValueError):
+        weights[0, 0] = 1.0
+    assert _pair_weights(inv2, mode) is weights
 
 
 def _window_pair_average(k, l, m, n, conjugate_second, transform=None):

@@ -8,7 +8,7 @@ from mqcsim import expansion
 from mqcsim.atom import FIRST_POLARIZATION, PoleError, kick_decomposition
 from mqcsim.basis import matrix_unit
 from mqcsim.coupling import TAG_KEYS, coupling_tensor, tensor_tag_value
-from mqcsim.disorder import _effective_final_insertions
+from mqcsim.disorder import _pair_weights
 from mqcsim.expansion import (
     PhaseMonomial,
     PoleBasis,
@@ -80,8 +80,7 @@ def test_kick_components_carry_matching_grades():
 
 
 def test_kick_keep_filter_prunes_monomials():
-    keep = lambda m: m.pulse_net[0] == -2
-    vec = apply_kick(initial_vector(), 1, 0.8, "x", keep=keep)
+    vec = apply_kick(initial_vector(), 1, 0.8, "x", kappa=2)
     assert {m.powers for m, _ in vec.items()} == {(-1, 0, -1, 0)}
 
 
@@ -399,7 +398,7 @@ def test_each_interpulse_prefix_is_built_once(monkeypatch, points):
     # the averaged chain closes its order-2 prefix instead of inserting
     rows, counts = _count_chain_steps(
         monkeypatch, (0, 2), z1, 0.7, "parallel", 1,
-        closing=_effective_final_insertions(1e-2, "full"))
+        weights=_pair_weights(1e-2, "full"))
     assert rows
     assert counts == {"kicks": 1, "z1_resolvents": 3, "insertions": 1}
 
@@ -461,8 +460,7 @@ def _interpulse_prefixes(theta, kappa, z1):
     """Monomials of the kick-1 prefix and of 1-3 insertions after it,
     each followed by a z1 resolvent, as ``two_pulse_chain`` builds them."""
     prefix = apply_resolvent(apply_kick(
-        initial_vector(), 1, theta, FIRST_POLARIZATION,
-        keep=lambda monomial: monomial.pulse_net[0] == -kappa), z1)
+        initial_vector(), 1, theta, FIRST_POLARIZATION, kappa), z1)
     out = [prefix]
     for _ in range(3):
         out.append(apply_resolvent(apply_interaction(out[-1]), z1))
