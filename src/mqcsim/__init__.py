@@ -43,8 +43,7 @@ from .spectra import (
 )
 
 #: names loaded on first access (PEP 562) and their modules: no
-#: spectrum run should pay for the oracle, nor any run for the
-#: transients' scipy.integrate
+#: spectrum run should pay for the oracle, which the transients import
 _LAZY = {
     **dict.fromkeys(("demodulated_laplace", "fixed_configuration_components",
                      "monte_carlo_pair_averages", "monte_carlo_spectrum",

@@ -18,23 +18,25 @@ decay kernel: it is the collective analogue of the single-atom decay
 feed.
 
 For the perturbative expansion the generator is kept symbolic in the
-tensor entries: ``sparse_interaction_pieces`` returns, per formal factor
-(the tensor entry itself or its complex conjugate, indices k <= l with
-the symmetric partner folded in), the 256x256 matrix multiplying that
-factor.  Contracting the pieces with a concrete tensor, each piece times
-its factor's value, reproduces the assembled generator.
+tensor entries: there is one piece per formal factor (the tensor entry
+itself or its complex conjugate, indices k <= l with the symmetric
+partner folded in), the 256x256 matrix multiplying that factor, and
+``interaction_products`` applies all twelve.  Contracting the pieces
+with a concrete tensor, each piece times its factor's value, reproduces
+the assembled generator.
 
-The pieces are plain numpy CSR arrays (indptr, indices, data), and only
-this module reads them.  Each is built from the nonzeros of the 16x16
-single-atom sandwich maps: a Kronecker product of two maps' entries has
-row 16 i1 + i2, column 16 j1 + j2 and value a b, and the shift and feed
-products are summed in a fixed order, as CSR sums add them, so the
-arrays are those a scipy.sparse build gives.  One kernel applies them,
-:func:`csr_transposed_product`: it visits only the rows where its
-argument is nonzero, and sums every output entry left to right, in the
-order of a CSR product, so entries that cancel are exact zeros as they
-were.  :func:`interaction_products` applies all twelve pieces, or all
-twelve transposes, in one pass over the pieces' arrays side by side.
+The pieces are plain numpy arrays, and only this module reads them.
+Each is built from the nonzeros of the 16x16 single-atom sandwich maps:
+a Kronecker product of two maps' entries has row 16 i1 + i2, column
+16 j1 + j2 and value a b, and the shift and feed products are summed in
+a fixed order, as CSR sums add them, so the entries are those a
+scipy.sparse build gives.  One kernel applies them,
+:func:`csr_transposed_product`, to numpy CSR arrays (indptr, indices,
+data): it visits only the rows where its argument is nonzero, and sums
+every output entry left to right, in the order of a CSR product, so
+entries that cancel are exact zeros as they were.
+:func:`interaction_products` applies all twelve pieces, or all twelve
+transposes, in one pass over the pieces' CSR arrays side by side.
 
 Superoperator matrices follow the conventions of :mod:`mqcsim.basis`
 and act on density-operator coefficients, as the master equation does.
@@ -194,22 +196,6 @@ def _pieces():
             piece = _add(piece, _ordered_piece(kind, l, k))
         out[(kind, k, l)] = piece
     return out
-
-
-@functools.cache
-def sparse_interaction_pieces():
-    """Canonical tag -> CSR arrays (indptr, indices, data) of the
-    256x256 matrix multiplying that formal factor: each piece holds
-    160-640 nonzeros of 65,536, with sorted, duplicate-free columns in
-    every row.
-
-    The generator is sum over tags of (tensor factor value) x (piece);
-    see ``tensor_tag_value`` for the factor values.  Canonicalization
-    folds the symmetric partner (l, k) into the (k, l) piece.
-    """
-    return {tag: _compressed(*np.divmod(keys, NUM_OPS_PAIR), data,
-                             NUM_OPS_PAIR)
-            for tag, (keys, data) in _pieces().items()}
 
 
 @functools.cache

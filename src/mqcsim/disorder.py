@@ -27,14 +27,19 @@ imaginary part before averaging (the collective-decay part of the
 coupling switched off); same-kind pairs then survive with weight
 -<Omega Omega> because only half of each product oscillates.
 
-:func:`averaged_solution` runs the split driver of the expansion,
-:func:`mqcsim.expansion.two_pulse_chain`, once over interaction orders
-0 and 2 with the average interleaved, and returns the sum of their
-detected rows.  It passes the pair weights as numbers, one 12 x 12
-table of :func:`angular_average` per (<1/xi^2>, mode): the second kick
-then keeps only the harmonic pairs that cancel the position phases,
-and the last insertion of every split weights the pieces that close
-the factor the split picked up first.
+:func:`averaged_solution` is therefore a weighted sum of the chain's
+keys.  It runs the split driver of the expansion,
+:func:`mqcsim.expansion._chain_rows`, once over interaction orders 0
+and 2, with the second kick keeping only zero net atom phase, and
+weights every key by the :func:`angular_average` of its two tags, read
+from one 12 x 12 table per (<1/xi^2>, mode); a tag-free key has weight
+1.  The chain holds no weights, so one chain serves both modes and
+every separation.  Its rows are summed on the chain's own z1 axis with
+no key dropped, and the sum is evaluated on the grid once.  No floor
+applies here: ``TERM_FLOOR`` would measure keys before they are
+weighted, and the order-2 weights are about 1e-4 at xi_bar = 80, so a
+key below it can still count against a series that only order 2
+carries, as every two-quantum series is.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ import numpy as np
 
 from .atom import DETECTION_DIRECTIONS
 from .coupling import TAG_KEYS
-from .expansion import PhaseMonomial, _merge, two_pulse_chain
+from .expansion import PhaseMonomial, _chain_rows, _merge, _on_grid
 
 AVERAGE_MODES = ("full", "level_shift_only")
 
@@ -126,6 +131,24 @@ def _pair_weights(inv_xi_squared: float, mode: str) -> np.ndarray:
     return weights
 
 
+@functools.lru_cache(maxsize=4)
+def _zero_phase_chain(z1: tuple, theta: float, channel: str, kappa: int,
+                      fast: bool) -> tuple:
+    """The zero-phase chain of orders 0 and 2 on its z1 axis: the axis,
+    the tags of every key, and their rows stacked, read-only, of shape
+    (keys, 2, axis size).
+
+    Cached by the grid's points, for the four (kappa, channel) chains
+    that a fig4 run weights once per average mode.
+    """
+    axis, rows = _chain_rows((0, 2), np.array(z1), theta, channel, kappa,
+                             zero_phase=True, fast=fast)
+    stacked = np.array(list(rows.values()), dtype=complex).reshape(
+        len(rows), len(DETECTION_DIRECTIONS), axis.size)
+    stacked.flags.writeable = False
+    return axis, tuple(tags for _, tags in rows), stacked
+
+
 def averaged_solution(z1, theta: float, channel: str = "parallel",
                       kappa: int = 1, *, inv_xi_squared: float,
                       mode: str = "full", fast: bool = False) -> np.ndarray:
@@ -134,26 +157,25 @@ def averaged_solution(z1, theta: float, channel: str = "parallel",
     double-scattering terms that survive the average.
 
     Equal to the full expansion of each order followed by
-    ``average_state`` and the detector projection, but both orders share
-    one chain call and the average is interleaved with it: the second
-    kick keeps only the harmonic pair that cancels the position phases
-    (p1 = -a, p2 = -c; later insertions never change the phase
-    exponents), and the last insertion of each split applies the
-    factor-pair weights directly, as the first matrix of every detection
-    tail or as the last of the interpulse prefix.  The detection stage
-    is integrated over time (z2 = 0), as in
-    :func:`mqcsim.expansion.scattering_solution`.
+    ``average_state`` and the detector projection: the chain's second
+    kick keeps only zero net atom phase (later insertions never change
+    the phase exponents), and each key of two tags is weighted by their
+    :func:`angular_average`.  The detection stage is integrated over
+    time (z2 = 0), as in :func:`mqcsim.expansion.scattering_solution`.
 
     Returns:
         array of shape (len(DETECTION_DIRECTIONS), len(z1)): the
         detected value per detector (rows in ``DETECTION_DIRECTIONS``
         order) over the z1 grid.
     """
-    rows = two_pulse_chain(
-        (0, 2), z1, theta, channel, kappa,
-        weights=_pair_weights(inv_xi_squared, mode), fast=fast)
-    return sum(rows.values(), np.zeros((len(DETECTION_DIRECTIONS),
-                                        np.size(z1)), dtype=complex))
+    z1 = np.atleast_1d(np.asarray(z1, dtype=complex))
+    axis, tags, rows = _zero_phase_chain(tuple(z1), theta, channel, kappa,
+                                         fast)
+    table = _pair_weights(inv_xi_squared, mode)
+    column = {tag: i for i, tag in enumerate(TAG_KEYS)}
+    weights = [table[column[pair[0]], column[pair[1]]] if pair else 1.0
+               for pair in tags]
+    return _on_grid(axis, np.tensordot(weights, rows, axes=1), z1)
 
 
 def average_state(vector: dict, inv_xi_squared: float,

@@ -4,7 +4,7 @@ The experiment applies pulse 1 at time zero and pulse 2 after a delay,
 then integrates fluorescence.  Each pulse kick splits into five optical
 phase harmonics per atom (:func:`mqcsim.atom.kick_decomposition`), and
 the pair interaction is linear in the coupling-tensor entries
-(:func:`mqcsim.coupling.sparse_interaction_pieces`).  Rather than evaluating
+(:func:`mqcsim.coupling.interaction_products`).  Rather than evaluating
 phases and tensor entries numerically, the pipeline carries them as
 symbols.  A vector is a plain dict mapping
 
@@ -51,32 +51,36 @@ hold a few hundred nonzeros out of 65,536, and a vector is nonzero on a
 few dozen of its 256 rows; :func:`mqcsim.coupling.interaction_products`
 applies all twelve pieces to it in one pass over those rows.
 
-One driver, :func:`two_pulse_chain`, yields the detected rows of the
-chain for :func:`mqcsim.oracle.demodulated_term_table` and
-:func:`mqcsim.disorder.averaged_solution` alike, over the set of orders
-each sums, split by split.  The interpulse stage runs forward along z1:
-kick 1 runs once, and each prefix, the state after kick 1 and s
-insertions, is built once from the one before and serves every order.
-With the stationary mode projected out, a resolvent has poles only at
-the rate sums -1/2, -1, -3/2 and -2, so a chain of M z1 resolvents is an
-exact sum of c / (z1 - p)^m with m <= M.  The prefixes therefore carry
-z1 as the K = 1 + 4 M coefficients of these partial fractions
-(:class:`PoleBasis`, M set by the highest order) when that is shorter
-than the grid, and the rows are evaluated on it only at the end, after
-the roundoff keys are dropped (``TERM_FLOOR``); a short grid, or one
-with a point on a pole, is carried as it is.  The detection stage does
-not depend on z1, so it runs once from the other end: the conjugated
-detector rows times R(0) are pulled back through one insertion (a
-transposed piece, all twelve at once on all tails side by side) and
-one R(0) per step, with no z1 axis.  These
-tails are merged by the sorted multiset of their tags: 1, 12, 78 and 364
-of them for 0-3 insertions.  The averaged chain weights the twelve
-one-insertion tails by the 12 x 12 factor-pair averages instead of
-carrying the pairs' tags (:func:`_closed_tails`).  Each prefix
-monomial meets all tails of every remaining length, through every kick-2
-harmonic pair, in one stacked matrix product per length.
-:func:`scattering_solution` keeps the whole forward state of one order
-and is the reference that the tests check the driver against.
+One driver, :func:`_chain_rows`, yields the detected rows of the chain
+over the set of orders a caller sums, split by split, on the chain's own
+z1 axis.  The interpulse stage runs forward along z1: kick 1 runs once,
+and each prefix, the state after kick 1 and s insertions, is built once
+from the one before and serves every order; the last prefix, which only
+the highest order reads, is contracted monomial by monomial as it is
+made.  With the stationary mode projected out, a resolvent has poles
+only at the rate sums -1/2, -1, -3/2 and -2, so a chain of M z1
+resolvents is an exact sum of c / (z1 - p)^m with m <= M.  The prefixes
+therefore carry z1 as the K = 1 + 4 M coefficients of these partial
+fractions (:class:`PoleBasis`, M set by the highest order) when that is
+shorter than the grid; a short grid, or one with a point on a pole, is
+carried as it is.  The detection stage does not depend on z1, so it runs
+once from the other end: the conjugated detector rows times R(0) are
+pulled back through one insertion (a transposed piece, all twelve at
+once on all tails side by side) and one R(0) per step, with no z1 axis.
+These tails are merged by the sorted multiset of their tags: 1, 12, 78
+and 364 of them for 0-3 insertions.  Each prefix monomial meets all
+tails of every remaining length, through every kick-2 harmonic pair, in
+one stacked matrix product per length.
+
+The chain has two readers.  :func:`two_pulse_chain`, behind the term
+tables of :mod:`mqcsim.oracle`, drops the keys below ``TERM_FLOOR`` on
+the z1 axis and evaluates the rest on the grid.
+:func:`mqcsim.disorder.averaged_solution` runs the chain with kick 2
+keeping only zero net atom phase, weights every key by its factor-pair
+average and evaluates the weighted sum once, with no key dropped: the
+chain itself holds no weights.  :func:`scattering_solution` keeps the
+whole forward state of one order and is the reference that the tests
+check the driver against.
 """
 
 from __future__ import annotations
@@ -91,8 +95,7 @@ from .atom import (DETECTION_DIRECTIONS, FIRST_POLARIZATION,
                    decay_eigensystem, detection_observable, kick_decomposition)
 from .basis import (HILBERT_DIM, NUM_OPS, NUM_OPS_PAIR, apply_factorized,
                     expand, matrix_unit)
-from .coupling import (TAG_KEYS, csr_transposed_product, interaction_products,
-                       sparse_interaction_pieces)
+from .coupling import TAG_KEYS, interaction_products
 
 #: keys of a chain with no row entry above this fraction of the chain's
 #: largest entry are roundoff where the exact value is zero
@@ -436,48 +439,29 @@ def _detection_resolvent() -> tuple:
 
 
 @functools.cache
-def _interaction_tails(length: int) -> dict:
+def _interaction_tails(length: int) -> tuple:
     """Tails of ``length`` plain insertions: the transposed covectors
     (256, 2) of the detector rows times R(0) (V R(0))^length, merged by
     the sorted multiset of their tags.  They depend on nothing else, so
-    every chain shares them.  Each insertion applies every transposed
-    piece to all shorter tails side by side in one product, and R(0) to
-    all merged tails in another."""
+    every chain shares them.  Returns the multisets and one array of the
+    tails side by side, columns 2 i and 2 i + 1 for multiset i.  Each
+    insertion applies every transposed piece to all shorter tails in one
+    product, adds the products into one array by multiset, and applies
+    R(0) to all of them in another product."""
     resolvent, rows = _detection_resolvent()
     if length == 0:
-        return {(): rows}
-    tails = _interaction_tails(length - 1)
-    products = interaction_products(
-        np.concatenate(list(tails.values()), axis=1), transposed=True)
-    grown = {}
-    for i, tags in enumerate(tails):
-        for tag, product in zip(TAG_KEYS, products):
-            _merge(grown, tuple(sorted(tags + (tag,))),
-                   product[:, 2 * i:2 * i + 2])
-    stacked = resolvent @ np.concatenate(list(grown.values()), axis=1)
-    return {key: stacked[:, 2 * i:2 * i + 2] for i, key in enumerate(grown)}
-
-
-def _closed_tails(weights: np.ndarray) -> list:
-    """Detection tails of the averaged chain, of 0, 1 and 2 insertions.
-
-    The insertion nearest the detector carries the factor-pair average:
-    tail (t,) of one insertion is row t of ``weights`` times the plain
-    one-insertion tails, sum over s of w[t, s] times tail (s,), and
-    names the factor t that it still needs.  The next insertion, V_t,
-    closes each of them, and their sum times R(0) is the one tag-free
-    tail of two insertions.
-    """
-    resolvent, _ = _detection_resolvent()
-    plain = _interaction_tails(1)
-    closed = np.tensordot(
-        weights, np.stack([plain[(tag,)] for tag in TAG_KEYS]), axes=1)
-    pieces = sparse_interaction_pieces()
-    pulled = sum(csr_transposed_product(pieces[tag], block)
-                 for tag, block in zip(TAG_KEYS, closed))
-    return [_interaction_tails(0),
-            {(tag,): block for tag, block in zip(TAG_KEYS, closed)},
-            {(): resolvent @ pulled}]
+        return ((),), rows
+    keys, tails = _interaction_tails(length - 1)
+    products = interaction_products(tails, transposed=True).reshape(
+        len(TAG_KEYS), NUM_OPS_PAIR, len(keys), 2)
+    index = {}
+    targets = [[index.setdefault(tuple(sorted(tags + (tag,))), len(index))
+                for tag in TAG_KEYS] for tags in keys]
+    grown = np.zeros((NUM_OPS_PAIR, len(index), 2), dtype=complex)
+    for i, row in enumerate(targets):
+        for j, k in enumerate(row):
+            grown[:, k] += products[j, :, i]
+    return tuple(index), resolvent @ grown.reshape(NUM_OPS_PAIR, -1)
 
 
 def _interpulse_axis(z1: np.ndarray, resolvents: int):
@@ -490,10 +474,19 @@ def _interpulse_axis(z1: np.ndarray, resolvents: int):
     return basis if basis.size < z1.size and not on_pole.any() else z1
 
 
-def two_pulse_chain(orders, z1, theta: float, channel: str, kappa: int,
-                    *, weights=None, fast: bool = False) -> dict:
+def _inserted(vector: dict, axis):
+    """The monomials of one insertion and one z1 resolvent on ``vector``,
+    made one monomial of ``vector`` at a time and not merged by key, so
+    that the next prefix is never held whole."""
+    for monomial, coeffs in vector.items():
+        yield from apply_resolvent(
+            apply_interaction({monomial: coeffs}), axis).items()
+
+
+def _chain_rows(orders, z1, theta: float, channel: str, kappa: int, *,
+                zero_phase: bool = False, fast: bool = False) -> tuple:
     """Detected rows of the two-pulse chain over ``orders``, summed over
-    interaction splits and merged by key.
+    interaction splits and merged by key, on the chain's own z1 axis.
 
     Split s of order n puts s of its n insertions before the second kick
     (resolvents at ``z1``) and the rest after it, in the detection stage
@@ -502,91 +495,64 @@ def two_pulse_chain(orders, z1, theta: float, channel: str, kappa: int,
     s insertions each followed by a z1 resolvent, is built once from
     prefix s - 1; each of its monomials meets the tails of n - s
     insertions of every order n >= s by one stacked product per kick-2
-    harmonic pair (p1, p2).
+    harmonic pair (p1, p2).  Only the highest order reads the last
+    prefix, so its monomials are contracted as they are made
+    (:func:`_inserted`).
 
     All orders share the z1 axis (:func:`_interpulse_axis`) of the
     splits of the highest order: its exact :class:`PoleBasis` when that
     has fewer labels than ``z1`` has points and no point of ``z1`` lies
-    on a pole, the grid ``z1`` otherwise.  On the pole basis, each key's
-    rows are evaluated on ``z1`` at the end.
+    on a pole, the grid ``z1`` otherwise.
 
     Only the monomials read out at demodulation harmonic ``kappa`` are
     kept: kick 1 keeps net pulse-1 exponent -kappa, kick 2 net pulse
-    exponents (-kappa, kappa).  ``weights`` optionally gives the averaged
-    chain of orders up to 2: the 12 x 12 factor-pair averages in
-    ``TAG_KEYS`` order (:func:`mqcsim.disorder.angular_average`).  The
-    last insertion of every split then closes the factor of the one
-    before it, with weights[t, s] on piece s after factor t: in the
-    detection stage through :func:`_closed_tails`, and in a full-length
-    prefix, which is prefix n - 1 closed and carried through one more
-    z1 resolvent.  The weights assume that the position phases have
-    averaged away, so with them kick 2 also keeps only zero net exponent
-    on each atom.  Without them, every insertion is
-    :func:`apply_interaction`.  The other arguments are those of
-    :func:`scattering_solution`.
-
-    Keys with no entry above ``TERM_FLOOR`` of the largest entry, both
-    measured on the z1 axis (pole labels or grid), are the roundoff of
-    exactly cancelling monomials; they are dropped before the rows are
-    evaluated on ``z1``, so a long grid costs only the kept keys.
+    exponents (-kappa, kappa).  With ``zero_phase``, kick 2 also keeps
+    only zero net exponent on each atom, the monomials whose position
+    phases survive the disorder average (:mod:`mqcsim.disorder`).  The
+    other arguments are those of :func:`scattering_solution`.
 
     Returns:
-        dict mapping (net atom-1 phase exponent, sorted tags) to the
-        detected rows, shape (len(DETECTION_DIRECTIONS), len(z1)), of
-        the monomials with that key.
+        the axis, and a dict mapping (net atom-1 phase exponent, sorted
+        tags) to the detected rows of the monomials with that key, shape
+        (len(DETECTION_DIRECTIONS), axis size), with no key dropped.
     """
     z1 = np.atleast_1d(np.asarray(z1, dtype=complex))
     top = max(orders)
     splits = (0,) if fast else tuple(range(top + 1))
     axis = _interpulse_axis(z1, len(splits))
-    tails = ([_interaction_tails(n) for n in range(top + 1)]
-             if weights is None else _closed_tails(weights))
     transposed = {p: harmonic.T for p, harmonic in kick_decomposition(
         theta, SECOND_POLARIZATION[channel]).items()}
 
     def keep2(monomial):
         return monomial.pulse_net == (-kappa, kappa) and (
-            weights is None or monomial.atom_net == (0, 0))
-
-    def join(prefix_tags, tail_tags):
-        if weights is None:
-            return tuple(sorted(prefix_tags + tail_tags))
-        return () if prefix_tags == tail_tags else None
+            not zero_phase or monomial.atom_net == (0, 0))
 
     out = {}
 
-    def contract(prefix, length):
-        # every prefix monomial against all tails it joins, for each kick-2
-        # pair, over the basis rows where the monomial is nonzero; the
-        # rows are summed per key once the split's keys are known
-        tail_tags = list(tails[length])
-        block = np.concatenate([tails[length][t] for t in tail_tags], axis=1)
+    def contract(monomials, length):
+        # every prefix monomial against all tails of ``length``, for each
+        # kick-2 pair, over the basis rows where the monomial is nonzero;
+        # the rows are summed per key once the split's keys are known
+        tail_tags, block = _interaction_tails(length)
         joined, kept, kicked, index, pending = {}, {}, {}, {}, []
-        for monomial, coeffs in prefix.items():
+        for monomial, coeffs in monomials:
             if monomial.tags not in joined:
-                targets = [(i, join(monomial.tags, t))
-                           for i, t in enumerate(tail_tags)]
-                targets = [(i, key) for i, key in targets if key is not None]
-                chosen = (slice(None) if len(targets) == len(tail_tags)
-                          else [i for i, _ in targets])
-                joined[monomial.tags] = chosen, [key for _, key in targets]
-            chosen, keys = joined[monomial.tags]
+                joined[monomial.tags] = [tuple(sorted(monomial.tags + t))
+                                         for t in tail_tags]
             if monomial.powers not in kept:
                 kept[monomial.powers] = [
                     pair for pair in _HARMONIC_PAIRS
                     if keep2(monomial.kicked(2, *pair))]
             support = np.flatnonzero(np.any(coeffs, axis=1))
-            for p1, p2 in kept[monomial.powers] if keys else ():
+            for p1, p2 in kept[monomial.powers]:
                 if (p1, p2) not in kicked:
                     kicked[(p1, p2)] = np.ascontiguousarray(apply_factorized(
-                        transposed[p1], transposed[p2], block).T).reshape(
-                            len(tail_tags), -1, NUM_OPS_PAIR)
-                rows = kicked[(p1, p2)][chosen].reshape(
-                    -1, NUM_OPS_PAIR)[:, support] @ coeffs[support]
+                        transposed[p1], transposed[p2], block).T)
+                rows = kicked[(p1, p2)][:, support] @ coeffs[support]
                 a = monomial.powers[0] + p1
                 pending.append((
-                    [index.setdefault((a, tags), len(index)) for tags in keys],
-                    rows))
+                    [index.setdefault((a, tags), len(index))
+                     for tags in joined[monomial.tags]], rows))
         sums = np.zeros((len(index), len(DETECTION_DIRECTIONS), axis.size),
                         dtype=complex)
         for rows_at, rows in pending:
@@ -594,37 +560,53 @@ def two_pulse_chain(orders, z1, theta: float, channel: str, kappa: int,
         for key, i in index.items():
             _merge(out, key, sums[i])
 
-    def close(vector):
-        # a monomial carrying factor t closes on row t of the weights
-        closed = {}
-        for monomial, coeffs in vector.items():
-            (tag,) = monomial.tags
-            new = np.tensordot(weights[TAG_KEYS.index(tag)],
-                               interaction_products(coeffs), axes=1)
-            if np.any(new):
-                _merge(closed, PhaseMonomial(monomial.powers), new)
-        return closed
-
     prefix = apply_resolvent(apply_kick(
         initial_vector(), 1, theta, FIRST_POLARIZATION, kappa), axis)
-    # with weights, no order needs the plain prefix of top insertions
-    for between in splits if weights is None else splits[:max(top, 1)]:
+    for between in splits:
+        if between == top > 0:
+            contract(_inserted(prefix, axis), 0)
+            break
         if between:
             # two statements, so that the shorter prefix is freed first
             prefix = apply_interaction(prefix)
             prefix = apply_resolvent(prefix, axis)
         for n in orders:
-            if n > between or n == between and (weights is None or n == 0):
-                contract(prefix, n - between)
-        if weights is not None and not fast and between + 1 in orders:
-            contract(apply_resolvent(close(prefix), axis), 0)
+            if n >= between:
+                contract(prefix.items(), n - between)
+    return axis, out
+
+
+def _on_grid(axis, rows: np.ndarray, z1) -> np.ndarray:
+    """Rows on a chain's z1 axis, of shape (..., axis size), evaluated
+    on the grid ``z1``; rows on the grid itself are returned as they
+    are."""
+    if isinstance(axis, PoleBasis):
+        return rows @ axis.evaluation(z1)
+    return rows
+
+
+def two_pulse_chain(orders, z1, theta: float, channel: str, kappa: int,
+                    *, fast: bool = False) -> dict:
+    """The rows of :func:`_chain_rows` on the grid ``z1``, without the
+    roundoff of exactly cancelling monomials: the term tables' chain.
+
+    Keys with no entry above ``TERM_FLOOR`` of the largest entry, both
+    measured on the chain's z1 axis (pole labels or grid), are that
+    roundoff; they are dropped before the rows are evaluated on ``z1``,
+    so a long grid costs only the kept keys.
+
+    Returns:
+        dict mapping (net atom-1 phase exponent, sorted tags) to the
+        detected rows, shape (len(DETECTION_DIRECTIONS), len(z1)), of
+        the monomials with that key.
+    """
+    axis, out = _chain_rows(orders, z1, theta, channel, kappa, fast=fast)
     largest = {key: np.max(np.abs(rows)) for key, rows in out.items()}
     floor = TERM_FLOOR * max(largest.values(), default=0.0)
     out = {key: rows for key, rows in out.items() if largest[key] > floor}
-    if axis is z1 or not out:
+    if not out:
         return out
-    values = np.stack(list(out.values())) @ axis.evaluation(z1)
-    return dict(zip(out, values))
+    return dict(zip(out, _on_grid(axis, np.stack(list(out.values())), z1)))
 
 
 def scattering_solution(order: int, z1, theta: float,

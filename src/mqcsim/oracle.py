@@ -23,12 +23,18 @@ compared with, :func:`mqcsim.expansion.two_pulse_chain`:
 
   * term tables (:func:`demodulated_term_table`) hold the chain's
     detected rows per phase exponent and coupling-factor multiset,
-    without the keys that the chain drops as roundoff, and
-    :func:`fixed_configuration_components` prices one at a single
-    configuration;
+    without the keys below ``TERM_FLOOR`` that the chain drops as
+    roundoff, and :func:`fixed_configuration_components` prices one at
+    a single configuration;
   * Monte-Carlo configuration averages (:func:`monte_carlo_spectrum`)
     price a term table over random geometry and average it with
     standard errors.
+
+The closed form that the Monte Carlo checks,
+:func:`mqcsim.disorder.averaged_solution`, runs the same chain with its
+second kick keeping only zero net atom phase, and weights its keys with
+no floor; the tables here keep every phase exponent, and
+:func:`surviving_term_table` selects the averaged families from them.
 
 Geometry conventions: both pulses propagate along +z with linear
 polarizations in the x-y plane, atom 2 sits at the origin, and atom 1

@@ -8,8 +8,9 @@ with an adaptive ODE integrator and reads the fluorescence intensity
 on a time grid, and :func:`numeric_demodulate` extracts one harmonic
 of the pulse-phase difference from equally spaced phase samples.  It
 shares no code with the symbolic chain.  No subcommand uses it; the
-tests check the Laplace oracle against it, and it is the only module
-that loads ``scipy.integrate``.
+tests check the Laplace oracle against it.  It is the only module that
+needs scipy, which the package installs only with its ``test`` extra,
+so it loads ``scipy.integrate`` when it integrates, not on import.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .atom import (DETECTION_DIRECTIONS, FIRST_POLARIZATION,
                    SECOND_POLARIZATION)
@@ -59,6 +59,8 @@ def _propagate(generator: np.ndarray, start: np.ndarray, grid: np.ndarray,
         raise ValueError("time grid must be nonnegative and increasing")
     if grid[-1] == 0.0:
         return start[:, None].copy()
+    from scipy.integrate import solve_ivp
+
     result = solve_ivp(lambda _, y: generator @ y, (0.0, grid[-1]), start,
                        t_eval=grid, method="DOP853", rtol=rtol, atol=1e-14)
     if not result.success:

@@ -2,7 +2,7 @@
 
 None of these is on a run's path: the chain applies the decay
 resolvent through ``atom.decay_eigensystem`` and the interaction
-through the numpy CSR pieces of :mod:`mqcsim.coupling`, it builds its
+through the pieces of :mod:`mqcsim.coupling`, it builds its
 pair coefficients as Kronecker products of single-atom ones, and the
 oracle works on vectorized states and applies each pulse as a 16x16
 pair unitary.  The pair-operator algebra here goes through the
@@ -16,10 +16,9 @@ import numpy as np
 from scipy.sparse import csr_array, kron
 
 from mqcsim.atom import dipole_components
-from mqcsim.basis import (HILBERT_DIM, NUM_OPS, build_single_atom_basis,
-                          sandwich_matrix)
-from mqcsim.coupling import (TAG_KEYS, sparse_interaction_pieces,
-                             tensor_tag_value)
+from mqcsim.basis import (HILBERT_DIM, NUM_OPS, NUM_OPS_PAIR,
+                          build_single_atom_basis, sandwich_matrix)
+from mqcsim.coupling import TAG_KEYS, _compressed, _pieces, tensor_tag_value
 from mqcsim.oracle import pulse_unitary
 
 
@@ -142,6 +141,22 @@ def interaction_pieces() -> dict:
             piece = piece + _ordered_piece(kind, l, k)
         out[(kind, k, l)] = piece
     return out
+
+
+@functools.cache
+def sparse_interaction_pieces():
+    """Canonical tag -> numpy CSR arrays (indptr, indices, data) of the
+    library's 256x256 piece multiplying that formal factor: each holds
+    160-640 nonzeros of 65,536, with sorted, duplicate-free columns in
+    every row.
+
+    The generator is sum over tags of (tensor factor value) x (piece);
+    see ``tensor_tag_value`` for the factor values.  Canonicalization
+    folds the symmetric partner (l, k) into the (k, l) piece.
+    """
+    return {tag: _compressed(*np.divmod(keys, NUM_OPS_PAIR), data,
+                             NUM_OPS_PAIR)
+            for tag, (keys, data) in _pieces().items()}
 
 
 def csr_dense(piece) -> np.ndarray:

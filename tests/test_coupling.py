@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 from mqcsim.atom import dipole_components
 from mqcsim.basis import matrix_unit
 from mqcsim.coupling import (TAG_KEYS, coupling_tensor, csr_transposed_product,
-                             interaction_products, sparse_interaction_pieces)
+                             interaction_products)
 from reference import (csr_dense, interaction_generator, interaction_pieces,
-                       pair_expand, pair_sandwich_matrix, reconstruct)
+                       pair_expand, pair_sandwich_matrix, reconstruct,
+                       sparse_interaction_pieces)
 
 RNG_DIRECTIONS = [
     np.array([0.0, 0.0, 1.0]),

@@ -8,10 +8,10 @@ from mqcsim import expansion
 from mqcsim.atom import FIRST_POLARIZATION, PoleError, kick_decomposition
 from mqcsim.basis import matrix_unit
 from mqcsim.coupling import TAG_KEYS, coupling_tensor, tensor_tag_value
-from mqcsim.disorder import _pair_weights
 from mqcsim.expansion import (
     PhaseMonomial,
     PoleBasis,
+    _chain_rows,
     _detection_resolvent,
     _interpulse_axis,
     _pole_sectors,
@@ -366,11 +366,13 @@ def test_long_grid_with_a_point_on_a_pole_raises_as_before():
 
 
 def _count_chain_steps(monkeypatch, *args, **kwargs):
-    """Rows of ``two_pulse_chain(*args, **kwargs)`` and the kicks, z1
-    resolvents and plain insertions it makes.  The detection stage's
-    only resolvent, R(0), is cached before counting."""
+    """Rows of ``_chain_rows(*args, **kwargs)``, the kicks and z1
+    resolvents it makes, and the monomials it inserts into, in order.
+    The detection stage's only resolvent, R(0), is cached before
+    counting."""
     _detection_resolvent()
-    counts = {"kicks": 0, "z1_resolvents": 0, "insertions": 0}
+    counts = {"kicks": 0, "z1_resolvents": 0}
+    inserted = []
 
     def counted(name, original):
         def call(*call_args, **call_kwargs):
@@ -378,29 +380,52 @@ def _count_chain_steps(monkeypatch, *args, **kwargs):
             return original(*call_args, **call_kwargs)
         return call
 
-    for name, original in (("kicks", apply_kick),
-                           ("z1_resolvents", apply_resolvent),
-                           ("insertions", apply_interaction)):
-        monkeypatch.setattr(expansion, original.__name__,
-                            counted(name, original))
-    return two_pulse_chain(*args, **kwargs), counts
+    def insertion(vector):
+        inserted.extend(vector)
+        return apply_interaction(vector)
+
+    monkeypatch.setattr(expansion, "apply_kick", counted("kicks", apply_kick))
+    monkeypatch.setattr(expansion, "apply_resolvent",
+                        counted("z1_resolvents", apply_resolvent))
+    monkeypatch.setattr(expansion, "apply_interaction", insertion)
+    _, rows = _chain_rows(*args, **kwargs)
+    return rows, counts, inserted
 
 
 @pytest.mark.parametrize("points", [7, 41])
 def test_each_interpulse_prefix_is_built_once(monkeypatch, points):
-    """A chain over several orders runs kick 1 once and builds prefix s
-    once, from prefix s - 1, on the grid and on pole labels alike."""
+    """A chain over several orders runs kick 1 once and inserts once
+    into every monomial of prefixes 0 to top - 1, on the grid and on
+    pole labels alike.  The last prefix is contracted as it is made:
+    one z1 resolvent per monomial of the prefix before it."""
     z1 = 1j * np.linspace(-3.0, 3.0, points)
-    rows, counts = _count_chain_steps(
-        monkeypatch, (0, 1, 2, 3), z1, 0.7, "parallel", 1)
-    assert rows
-    assert counts == {"kicks": 1, "z1_resolvents": 4, "insertions": 3}
-    # the averaged chain closes its order-2 prefix instead of inserting
-    rows, counts = _count_chain_steps(
-        monkeypatch, (0, 2), z1, 0.7, "parallel", 1,
-        weights=_pair_weights(1e-2, "full"))
-    assert rows
-    assert counts == {"kicks": 1, "z1_resolvents": 3, "insertions": 1}
+    for orders, zero_phase in (((0, 1, 2, 3), False), ((0, 2), True)):
+        top = max(orders)
+        prefixes = _interpulse_prefixes(
+            0.7, 1, _interpulse_axis(z1, top + 1), top - 1)
+        rows, counts, inserted = _count_chain_steps(
+            monkeypatch, orders, z1, 0.7, "parallel", 1,
+            zero_phase=zero_phase)
+        assert rows
+        assert inserted == [m for prefix in prefixes for m in prefix]
+        assert counts == {"kicks": 1,
+                          "z1_resolvents": top + len(prefixes[-1])}
+
+
+@pytest.mark.parametrize("kappa, channel", [(1, "parallel"),
+                                            (2, "perpendicular")])
+def test_zero_phase_chain_keeps_the_plain_chains_zero_phase_rows(kappa,
+                                                                 channel):
+    # the keep rule of the averaged chain, checked against the chain
+    # without it on the oracle check's grid: the same rows, key for key
+    z1 = 1j * np.linspace(-3.0, 3.0, 7)
+    args = ((0, 1, 2, 3), z1, 0.14 * np.pi, channel, kappa)
+    _, plain = _chain_rows(*args)
+    _, zero = _chain_rows(*args, zero_phase=True)
+    assert set(zero) == {key for key in plain if key[0] == 0}
+    assert {len(tags) for _, tags in zero} == {0, 1, 2, 3}
+    for key, rows in zero.items():
+        assert np.array_equal(rows, plain[key])
 
 
 def test_resolvent_broadcasts_over_a_grid_of_z_values():
@@ -456,13 +481,14 @@ def test_total_grade_equals_total_phase_exponent(seed):
         assert np.allclose(coeffs[total_grade != net], 0.0, atol=1e-13)
 
 
-def _interpulse_prefixes(theta, kappa, z1):
-    """Monomials of the kick-1 prefix and of 1-3 insertions after it,
-    each followed by a z1 resolvent, as ``two_pulse_chain`` builds them."""
+def _interpulse_prefixes(theta, kappa, z1, insertions=3):
+    """Monomials of the kick-1 prefix and of 1 to ``insertions``
+    insertions after it, each followed by a z1 resolvent, as the chain
+    builds them."""
     prefix = apply_resolvent(apply_kick(
         initial_vector(), 1, theta, FIRST_POLARIZATION, kappa), z1)
     out = [prefix]
-    for _ in range(3):
+    for _ in range(insertions):
         out.append(apply_resolvent(apply_interaction(out[-1]), z1))
     return out
 

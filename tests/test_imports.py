@@ -4,10 +4,11 @@ A run pays at start-up for every module its imports pull in.  The
 command line loads the oracle only for the subcommands that compare
 against it, and no subcommand loads any part of scipy: the interaction
 pieces are numpy arrays, the SI constants are literals, and the
-transient integrator (``scipy.integrate``) is only re-exported, lazily.
-Runs with scipy made unimportable still finish.  The package re-exports
-the oracle and transient names lazily, so ``import mqcsim`` loads
-neither.
+transient integrator loads ``scipy.integrate`` only when it runs.
+scipy is a dependency of the tests alone, and runs with scipy made
+unimportable still finish.  The package re-exports the oracle and
+transient names lazily, so ``import mqcsim`` loads neither, and
+importing the transient names loads no scipy.
 """
 
 import json
@@ -126,5 +127,6 @@ def test_lazy_package_names_resolve():
         "same = OracleRun is transient_run and monte_carlo_spectrum is oracle_mc\n"
         "missing = [n for n in mqcsim.__all__ if not hasattr(mqcsim, n)]\n"
         "print(json.dumps({'eager': eager, 'same': same, "
-        "'missing': missing}))")
-    assert resolved == {"eager": [], "same": True, "missing": []}
+        "'missing': missing, 'scipy': 'scipy' in sys.modules}))")
+    assert resolved == {"eager": [], "same": True, "missing": [],
+                        "scipy": False}

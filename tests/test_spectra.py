@@ -2,6 +2,7 @@
 closed-form observables."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from mqcsim.atom import dipole_lowering
 from mqcsim.basis import matrix_unit
 from mqcsim.disorder import average_state, averaged_solution, mean_inverse_xi_squared
 from mqcsim.expansion import PhaseMonomial, scattering_solution
-from mqcsim import spectra
+from mqcsim import atom, basis, coupling, disorder, expansion, spectra
 from mqcsim.spectra import (
     DETECTION_DIRECTIONS,
     SpectrumSeries,
@@ -101,7 +102,8 @@ GRIDS = ((np.array([0.3 + 0.2j]), 1),
          (1j * np.linspace(-10.0, 10.0, 801), 100))
 
 
-@pytest.mark.parametrize("kappa,channel,mode", [
+#: (kappa, channel, mode) of every averaged case
+AVERAGED_CASES = (
     (1, "parallel", "full"),
     (2, "perpendicular", "full"),
     (1, "perpendicular", "full"),
@@ -110,9 +112,25 @@ GRIDS = ((np.array([0.3 + 0.2j]), 1),
     (2, "parallel", "level_shift_only"),
     (2, "perpendicular", "level_shift_only"),
     (1, "perpendicular", "level_shift_only"),
-])
-def test_averaged_solution_matches_reference_chain(kappa, channel, mode):
-    inv2 = mean_inverse_xi_squared(xi_bar=80.0)
+)
+
+
+def _averaged_case(kappa, channel, mode, theta, xi_bar):
+    """One case, named by (kappa, channel, mode), with the pulse area
+    and the separation appended unless they are 0.8 and 80."""
+    name = f"{kappa}-{channel}-{mode}"
+    if (theta, xi_bar) != (0.8, 80.0):
+        name += f"-theta{theta:.3g}-xi{xi_bar:g}"
+    return pytest.param(kappa, channel, mode, theta, xi_bar, id=name)
+
+
+@pytest.mark.parametrize("kappa,channel,mode,theta,xi_bar", [
+    _averaged_case(*case, theta, xi_bar)
+    for theta in (0.8, 0.14 * np.pi, 1.3) for xi_bar in (80.0, 20.0)
+    for case in AVERAGED_CASES])
+def test_averaged_solution_matches_reference_chain(kappa, channel, mode,
+                                                   theta, xi_bar):
+    inv2 = mean_inverse_xi_squared(xi_bar=xi_bar)
     # crossed pulses leave no one-quantum signal: those rows are roundoff,
     # about 1e-17 from order 0 (against an order-0 parallel peak of 0.3)
     # and 1e-21 from order 2; without collective decay they leave no
@@ -123,7 +141,7 @@ def test_averaged_solution_matches_reference_chain(kappa, channel, mode):
         vanishing = 1e-18
     for z1, every in GRIDS:
         _assert_matches_summed_references(
-            z1, every, 0.8, channel, kappa, inv2, mode, False, vanishing)
+            z1, every, theta, channel, kappa, inv2, mode, False, vanishing)
 
 
 def _assert_rows_match(got, want, vanishing=None):
@@ -209,6 +227,44 @@ def test_spectrum_line_shape_symmetry():
                            atol=1e-10 * scale)
         assert np.allclose(s.values.imag, -s.values.imag[::-1],
                            atol=1e-10 * scale)
+
+
+def _clear_caches():
+    """Empty every cache that the spectra's modules fill."""
+    for module in (atom, basis, coupling, disorder, expansion, spectra):
+        for value in vars(module).values():
+            if (hasattr(value, "cache_clear")
+                    and value.__module__ == module.__name__):
+                value.cache_clear()
+
+
+def test_fig4_builds_one_chain_per_kappa_and_channel(monkeypatch):
+    # both average modes weight the same chain, which holds no weights,
+    # and its last prefix is never held whole: from cold caches, the
+    # eight calls of a fig4 run make four kick-1 calls and hold at most
+    # 8 MB at once (5.4 MB measured; 14.4 MB with the last prefix stored)
+    _clear_caches()
+    apply_kick = expansion.apply_kick
+    kicks = []
+
+    def counted(*args, **kwargs):
+        kicks.append(args[1])
+        return apply_kick(*args, **kwargs)
+
+    monkeypatch.setattr(expansion, "apply_kick", counted)
+    tracemalloc.start()
+    try:
+        for mode in ("full", "level_shift_only"):
+            for kappa in (1, 2):
+                for channel in ("parallel", "perpendicular"):
+                    directional_spectra(kappa, channel, DETECTION_DIRECTIONS,
+                                        0.14 * np.pi, xi_bar=80.0,
+                                        average_mode=mode)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kicks == [1] * 4
+    assert peak < 8e6
 
 
 def test_negative_pulse_area_gives_the_same_spectra():
