@@ -63,10 +63,6 @@ FIT_AREAS = (0.006 * np.pi, 0.01 * np.pi, 0.014 * np.pi)
 ORACLE_ORDERS = (0, 1, 2, 3)
 ORACLE_POINTS = ((1000.0, 1e-4), (80.0, 2e-2))
 
-#: interaction orders of the sampled chain in mc-average; the surviving
-#: families carry no or two coupling factors, so order 1 would be dropped
-MC_ORDERS = (0, 2)
-
 #: chance that one mc-average run of correct code reports a failure, the
 #: two-sided three-sigma level
 MC_FALSE_ALARM = 0.0027
@@ -334,8 +330,8 @@ def run_oracle_check(config: RunConfig) -> int:
 
 def run_mc_average(config: RunConfig) -> int:
     """Monte-Carlo averages against their closed forms, within errors."""
-    from .oracle import (demodulated_term_table, monte_carlo_pair_averages,
-                         monte_carlo_spectrum, surviving_term_table)
+    from .oracle import (monte_carlo_pair_averages, monte_carlo_spectrum,
+                         surviving_term_table)
 
     directory = _prepare_output(config)
     theta = config.resolved_theta()
@@ -373,11 +369,11 @@ def run_mc_average(config: RunConfig) -> int:
     written = []
     for kappa in config.kappas:
         for channel in config.channels:
-            # seed-independent: built once per channel, restricted to the
-            # families the closed-form average keeps; one draw prices
-            # both detectors
-            table = surviving_term_table(demodulated_term_table(
-                MC_ORDERS, theta, channel, kappa, 1j * detunings))
+            # seed-independent: the families the closed-form average
+            # keeps, off the chain it weights, which the closed form then
+            # takes from the cache; one draw prices both detectors
+            table = surviving_term_table(theta, channel, kappa,
+                                         1j * detunings)
             closed_pair = directional_spectra(
                 kappa, channel, DETECTION_DIRECTIONS, theta, detunings,
                 window=window)

@@ -72,13 +72,13 @@ and 364 of them for 0-3 insertions.  Each prefix monomial meets all
 tails of every remaining length, through every kick-2 harmonic pair, in
 one stacked matrix product per length.
 
-The chain has two readers.  :func:`two_pulse_chain`, behind the term
-tables of :mod:`mqcsim.oracle`, drops the keys below ``TERM_FLOOR`` on
-the z1 axis and evaluates the rest on the grid.
-:func:`mqcsim.disorder.averaged_solution` runs the chain with kick 2
-keeping only zero net atom phase, weights every key by its factor-pair
-average and evaluates the weighted sum once, with no key dropped: the
-chain itself holds no weights.  :func:`scattering_solution` keeps the
+The chain has two readers.  :func:`mqcsim.disorder.averaged_solution`
+runs it with kick 2 keeping only zero net atom phase, weights every key
+by its factor-pair average and evaluates the weighted sum once, with no
+key dropped: the chain itself holds no weights.  The term tables of
+:mod:`mqcsim.oracle` read either that zero-phase chain or the chain of
+every phase, drop the keys below ``TERM_FLOOR`` on the z1 axis and
+evaluate the rest on the grid.  :func:`scattering_solution` keeps the
 whole forward state of one order and is the reference that the tests
 check the driver against.
 """
@@ -223,8 +223,8 @@ def _pole_rates() -> tuple:
     stationary sector (0, 0): the only poles a resolvent leaves on the
     z axis, in increasing order."""
     _, _, rates = _decay_blocks()
-    sums = np.unique(rates[:, None] + rates[None, :])
-    return tuple(float(r) for r in sums if r != 0.0)
+    sums = {float(r) for r in (rates[:, None] + rates[None, :]).flat}
+    return tuple(sorted(sums - {0.0}))
 
 
 @dataclass(frozen=True)
@@ -583,30 +583,6 @@ def _on_grid(axis, rows: np.ndarray, z1) -> np.ndarray:
     if isinstance(axis, PoleBasis):
         return rows @ axis.evaluation(z1)
     return rows
-
-
-def two_pulse_chain(orders, z1, theta: float, channel: str, kappa: int,
-                    *, fast: bool = False) -> dict:
-    """The rows of :func:`_chain_rows` on the grid ``z1``, without the
-    roundoff of exactly cancelling monomials: the term tables' chain.
-
-    Keys with no entry above ``TERM_FLOOR`` of the largest entry, both
-    measured on the chain's z1 axis (pole labels or grid), are that
-    roundoff; they are dropped before the rows are evaluated on ``z1``,
-    so a long grid costs only the kept keys.
-
-    Returns:
-        dict mapping (net atom-1 phase exponent, sorted tags) to the
-        detected rows, shape (len(DETECTION_DIRECTIONS), len(z1)), of
-        the monomials with that key.
-    """
-    axis, out = _chain_rows(orders, z1, theta, channel, kappa, fast=fast)
-    largest = {key: np.max(np.abs(rows)) for key, rows in out.items()}
-    floor = TERM_FLOOR * max(largest.values(), default=0.0)
-    out = {key: rows for key, rows in out.items() if largest[key] > floor}
-    if not out:
-        return out
-    return dict(zip(out, _on_grid(axis, np.stack(list(out.values())), z1)))
 
 
 def scattering_solution(order: int, z1, theta: float,

@@ -19,22 +19,24 @@ transients on the same generator and pulses live in
 :mod:`mqcsim.transient`.
 
 The perturbative side of every comparison is built on the chain it is
-compared with, :func:`mqcsim.expansion.two_pulse_chain`:
+compared with, :func:`mqcsim.expansion._chain_rows`:
 
-  * term tables (:func:`demodulated_term_table`) hold the chain's
-    detected rows per phase exponent and coupling-factor multiset,
-    without the keys below ``TERM_FLOOR`` that the chain drops as
-    roundoff, and :func:`fixed_configuration_components` prices one at
-    a single configuration;
+  * term tables hold the chain's detected rows per phase exponent and
+    coupling-factor multiset, without the keys below ``TERM_FLOOR``,
+    the roundoff of exactly cancelling monomials.
+    :func:`demodulated_term_table` keeps every phase exponent, and
+    :func:`fixed_configuration_components` prices it at a single
+    configuration;
   * Monte-Carlo configuration averages (:func:`monte_carlo_spectrum`)
     price a term table over random geometry and average it with
     standard errors.
 
 The closed form that the Monte Carlo checks,
-:func:`mqcsim.disorder.averaged_solution`, runs the same chain with its
-second kick keeping only zero net atom phase, and weights its keys with
-no floor; the tables here keep every phase exponent, and
-:func:`surviving_term_table` selects the averaged families from them.
+:func:`mqcsim.disorder.averaged_solution`, weights the keys of the
+chain whose second kick keeps only zero net atom phase, with no floor.
+:func:`surviving_term_table` reads the same cached chain and keeps the
+keys whose average survives, so a run that builds both builds the chain
+once.
 
 Geometry conventions: both pulses propagate along +z with linear
 polarizations in the x-y plane, atom 2 sits at the origin, and atom 1
@@ -45,7 +47,7 @@ so its pulse phases are offset by xi * n_hat_z.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,8 +56,8 @@ from .atom import (DETECTION_DIRECTIONS, FIRST_POLARIZATION,
                    dipole_components, dipole_lowering)
 from .basis import NUM_OPS_PAIR, matrix_unit
 from .coupling import TAG_KEYS, coupling_tensor, tensor_tag_value
-from .disorder import SEPARATION_WINDOW
-from .expansion import two_pulse_chain
+from .disorder import SEPARATION_WINDOW, _zero_phase_chain
+from .expansion import TERM_FLOOR, _chain_rows, _on_grid
 from .spectra import SPECTRAL_DENSITY_NORM, SpectrumSeries
 
 _EYE4 = np.eye(4, dtype=complex)
@@ -293,31 +295,46 @@ class TermTable:
     channel: str
 
 
+def _term_table(axis, rows: dict, z1: np.ndarray, kappa: int,
+                channel: str) -> TermTable:
+    """Term table of a chain's ``rows`` on its z1 ``axis``, a dict from
+    (phase exponent, tags) to rows of shape (2, axis size).
+
+    Keys with no entry above ``TERM_FLOOR`` of the largest entry among
+    ``rows``, both measured on the axis, are the roundoff of exactly
+    cancelling monomials.  They are dropped before the rest, sorted by
+    ``repr``, are evaluated on the grid ``z1``, so a long grid costs only
+    the kept keys.  With no key kept (a zero pulse area prunes every
+    monomial), ``coeffs`` has shape (0, 2, len(z1)).
+    """
+    largest = {key: np.max(np.abs(row)) for key, row in rows.items()}
+    floor = TERM_FLOOR * max(largest.values(), default=0.0)
+    keys = sorted((key for key in rows if largest[key] > floor), key=repr)
+    stacked = np.array([rows[key] for key in keys], dtype=complex).reshape(
+        len(keys), len(DETECTION_DIRECTIONS), axis.size)
+    return TermTable(
+        phase_exponents=tuple(key[0] for key in keys),
+        tags=tuple(key[1] for key in keys),
+        coeffs=_on_grid(axis, stacked, z1),
+        z1_values=z1,
+        kappa=kappa,
+        channel=channel,
+    )
+
+
 def demodulated_term_table(orders, theta: float, channel: str, kappa: int,
                            z1_values) -> TermTable:
     """Collect the detected rows of the demodulated perturbative chain
     into a term table, one term per (phase exponent, tags) key.
 
-    One :func:`mqcsim.expansion.two_pulse_chain` call runs every order
-    in ``orders`` on shared interpulse prefixes and one z1 axis; keys of
-    different orders differ in their number of tags.  The chain has left
-    out the roundoff of exactly cancelling terms
-    (:data:`mqcsim.expansion.TERM_FLOOR`); a chain that keeps no
-    monomial (a zero pulse area prunes them all) gives a table of no
-    terms, with ``coeffs`` of shape (0, 2, len(z1)).
+    One :func:`mqcsim.expansion._chain_rows` call runs every order in
+    ``orders`` on shared interpulse prefixes and one z1 axis; keys of
+    different orders differ in their number of tags.  The table leaves
+    out the keys below ``TERM_FLOOR`` (:func:`_term_table`).
     """
-    z1_arr = np.atleast_1d(np.asarray(z1_values, dtype=complex))
-    merged = two_pulse_chain(orders, z1_arr, theta, channel, kappa)
-    keys = sorted(merged, key=repr)
-    shape = (len(keys), len(DETECTION_DIRECTIONS), len(z1_arr))
-    return TermTable(
-        phase_exponents=tuple(k[0] for k in keys),
-        tags=tuple(k[1] for k in keys),
-        coeffs=np.array([merged[k] for k in keys], complex).reshape(shape),
-        z1_values=z1_arr,
-        kappa=kappa,
-        channel=channel,
-    )
+    z1 = np.atleast_1d(np.asarray(z1_values, dtype=complex))
+    axis, rows = _chain_rows(orders, z1, theta, channel, kappa)
+    return _term_table(axis, rows, z1, kappa, channel)
 
 
 def _term_weights(phase_exponents, tags, xi: np.ndarray, n_hat: np.ndarray,
@@ -364,28 +381,29 @@ def sample_configurations(rng: np.random.Generator, count: int,
     return xi, n_hat
 
 
-def surviving_term_table(table: TermTable) -> TermTable:
-    """Restrict a term table to the monomials whose average survives.
+def surviving_term_table(theta: float, channel: str, kappa: int,
+                         z1_values) -> TermTable:
+    """Term table of the monomials whose disorder average survives.
 
     The closed-form disorder average keeps exactly the terms with zero
     net position phase that carry either no coupling factor or a
     factor-conjugate pair; every other term averages to zero only up to
     window-endpoint oscillation residues of relative order
-    1/(xi window width).  Restricting the sampled chain to the same
-    families makes the Monte-Carlo mean an unbiased estimate of the
-    closed form.
+    1/(xi window width).  Sampling only these families makes the
+    Monte-Carlo mean an unbiased estimate of the closed form.
+
+    The table reads the zero-phase chain of orders 0 and 2 that
+    :func:`mqcsim.disorder.averaged_solution` weights, from the same
+    cache, and keeps its keys with no tag or a mixed-kind tag pair, less
+    those below ``TERM_FLOOR`` of the largest kept key
+    (:func:`_term_table`).
     """
-    keep = [t for t, (exponent, tags) in
-            enumerate(zip(table.phase_exponents, table.tags))
-            if exponent == 0 and (
-                len(tags) == 0
-                or (len(tags) == 2 and tags[0][0] != tags[1][0]))]
-    return replace(
-        table,
-        phase_exponents=tuple(table.phase_exponents[t] for t in keep),
-        tags=tuple(table.tags[t] for t in keep),
-        coeffs=table.coeffs[keep],
-    )
+    z1 = np.atleast_1d(np.asarray(z1_values, dtype=complex))
+    axis, tags, rows = _zero_phase_chain(tuple(z1), theta, channel, kappa,
+                                         False)
+    kept = {(0, pair): row for pair, row in zip(tags, rows)
+            if not pair or pair[0][0] != pair[1][0]}
+    return _term_table(axis, kept, z1, kappa, channel)
 
 
 def _weight_moments(phase_exponents, tags, n_samples: int, seed: int,
@@ -436,11 +454,11 @@ def monte_carlo_spectrum(table: TermTable, n_samples: int, *, seed: int,
     of the mean, real and imaginary parts packed as a complex number.
 
     Args:
-        table: term table from :func:`demodulated_term_table`.  Pass
-            :func:`surviving_term_table` of it to sample only the phase
-            monomials the closed-form average keeps, so the mean is an
-            unbiased estimate of the closed form.  The full table
-            samples the whole truncated chain; its mean retains
+        table: term table from :func:`surviving_term_table`, which
+            holds only the phase monomials the closed-form average
+            keeps, so the mean is an unbiased estimate of the closed
+            form; or from :func:`demodulated_term_table`, which samples
+            the whole truncated chain, whose mean retains
             window-endpoint residues of the oscillating families, a
             relative bias of order 1/(xi window width) that the small
             perpendicular two-quantum channel resolves at the percent

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import ndtri
 
 import mqcsim
-from mqcsim import __version__
+from mqcsim import __version__, disorder, expansion, oracle
 from mqcsim.cli import MC_FALSE_ALARM, family_z_limit, main
 from mqcsim.config import (MAX_DETUNING_COUNT, MAX_MC_SAMPLES,
                            MAX_ORACLE_DIRECTIONS, MIN_MC_SAMPLES, RunConfig)
@@ -112,9 +112,9 @@ FIXED_SETTINGS = ("z2", "restrict_stationary", "initial", "orders",
 @pytest.mark.parametrize("name", LIBRARY_NAMES)
 def test_no_function_takes_a_fixed_setting(name):
     fixed = set(FIXED_SETTINGS)
-    if name in ("oracle.demodulated_term_table", "expansion.two_pulse_chain"):
+    if name == "oracle.demodulated_term_table":
         # the chain runs to different orders in different runs: spectrum
-        # (0, 2), mc-average 0-2 and oracle-check 0-3
+        # and mc-average (0, 2), oracle-check 0-3
         fixed.discard("orders")
     assert not fixed & set(_parameters(name))
 
@@ -597,6 +597,26 @@ def test_mc_average_passes_and_writes_report(tmp_path):
         line = next(c for c in checks if f"mc_peak kappa={kappa} "
                     "channel=parallel direction=y " in c)
         assert f"peak_z={z:.2f} " in line
+
+
+def test_mc_average_builds_one_chain_per_kappa_and_channel(monkeypatch,
+                                                           tmp_path):
+    # the sampled table and the closed form read one cached zero-phase
+    # chain per (kappa, channel), built from a cold cache
+    disorder._zero_phase_chain.cache_clear()
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append((args[4], args[3]))
+        return chain_rows(*args, **kwargs)
+
+    chain_rows = expansion._chain_rows
+    for module in (expansion, disorder, oracle):
+        monkeypatch.setattr(module, "_chain_rows", counted)
+    assert main(["mc-average", "--mc-samples", "1000", "--detuning-count",
+                 "5", "--output-dir", str(tmp_path)]) == 0
+    assert sorted(built) == [(1, "parallel"), (1, "perpendicular"),
+                             (2, "parallel"), (2, "perpendicular")]
 
 
 def test_family_z_limit_holds_a_run_at_three_sigma():

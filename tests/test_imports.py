@@ -6,7 +6,8 @@ against it, and no subcommand loads any part of scipy: the interaction
 pieces are numpy arrays, the SI constants are literals, and the
 transient integrator loads ``scipy.integrate`` only when it runs.
 scipy is a dependency of the tests alone, and runs with scipy made
-unimportable still finish.  The package re-exports the oracle and
+unimportable still finish.  Nor does any subcommand load ``numpy.ma``,
+which ``np.unique`` imports on its first call.  The package re-exports the oracle and
 transient names lazily, so ``import mqcsim`` loads neither, and
 importing the transient names loads no scipy.
 """
@@ -25,7 +26,7 @@ from mqcsim.config import MIN_MC_SAMPLES
 ROOT = Path(__file__).resolve().parents[1]
 
 #: packages no subcommand needs; a loaded submodule loads its package
-UNUSED = ("scipy",)
+UNUSED = ("scipy", "numpy.ma")
 
 #: modules no spectrum-side run needs
 SPECTRUM_FREE = UNUSED + ("mqcsim.oracle",)

@@ -647,8 +647,36 @@ def test_term_table_on_a_long_grid_holds_little_beyond_its_rows():
 
 
 def _surviving_table(kappa, channel, detunings):
-    return surviving_term_table(demodulated_term_table(
-        (0, 1, 2), THETA, channel, kappa, 1j * detunings))
+    return surviving_term_table(THETA, channel, kappa, 1j * detunings)
+
+
+@pytest.mark.parametrize("kappa, channel", [
+    (1, "parallel"), (1, "perpendicular"), (2, "parallel"),
+    (2, "perpendicular")])
+@pytest.mark.parametrize("points", [7, 41])
+@pytest.mark.parametrize("theta", [THETA, 0.8, 1.3])
+def test_surviving_table_holds_the_surviving_keys_of_the_chain(
+        theta, points, kappa, channel):
+    # the zero-phase chain's table against the table of every phase,
+    # cut down to the families the average keeps: zero phase exponent,
+    # and no tag or two tags of different kinds
+    z1 = 1j * np.linspace(-3.0, 3.0, points)
+    full = demodulated_term_table((0, 2), theta, channel, kappa, z1)
+    want = [t for t, (exponent, tags) in
+            enumerate(zip(full.phase_exponents, full.tags))
+            if exponent == 0 and (
+                not tags or (len(tags) == 2 and tags[0][0] != tags[1][0]))]
+    kept = surviving_term_table(theta, channel, kappa, z1)
+    assert kept.phase_exponents == tuple(full.phase_exponents[t]
+                                         for t in want)
+    assert kept.tags == tuple(full.tags[t] for t in want)
+    assert np.array_equal(kept.coeffs, full.coeffs[want])
+    assert np.array_equal(kept.z1_values, z1)
+    assert (kept.kappa, kept.channel) == (kappa, channel)
+    # keys in one fixed order, so that a run sums the terms in one order
+    for table in (full, kept):
+        keys = list(zip(table.phase_exponents, table.tags))
+        assert keys == sorted(keys, key=repr)
 
 
 def test_monte_carlo_is_deterministic():
@@ -739,7 +767,8 @@ def test_monte_carlo_series_takes_its_chain_from_the_table():
     for kappa, channel in ((1, "perpendicular"), (2, "parallel")):
         table = demodulated_term_table((0, 1, 2), THETA, channel, kappa,
                                        1j * detunings)
-        for passed in (table, surviving_term_table(table)):
+        for passed in (table, surviving_term_table(THETA, channel, kappa,
+                                                   1j * detunings)):
             for series in monte_carlo_spectrum(passed, 10, seed=11):
                 assert (series.kappa, series.channel) == (kappa, channel)
                 assert np.array_equal(series.detunings, detunings)
@@ -776,7 +805,7 @@ def test_surviving_families_average_to_closed_form_exactly():
     """
     z1 = np.array([0.0 + 0.0j])
     full = demodulated_term_table((0, 1, 2), THETA, "perpendicular", 2, z1)
-    kept = surviving_term_table(full)
+    kept = surviving_term_table(THETA, "perpendicular", 2, z1)
     assert 0 < len(kept.tags) < len(full.tags)
     for exponent, tags in zip(kept.phase_exponents, kept.tags):
         assert exponent == 0
