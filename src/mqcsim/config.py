@@ -57,14 +57,14 @@ MAX_PULSE_AREA = 4.0 * np.pi
 
 #: largest detuning grid.  A grid longer than the chain's pole labels
 #: costs only its final evaluation and its files: at 10,001 points a
-#: spectrum run of 8 series peaked at 61 MB, and mc-average with 2e4
-#: samples at 82 MB (one BLAS thread).  At the default half range of
+#: spectrum run of 8 series peaked at 44 MB, and mc-average with 2e4
+#: samples at 60 MB (one BLAS thread).  At the default half range of
 #: 10 that is a spacing of 0.002 gamma.
 MAX_DETUNING_COUNT = 10001
 
 #: largest oracle-check orientation sample.  An orientation costs about
-#: 0.04 s (two exact Laplace calls and their chain components; 2-core
-#: Xeon VM, one BLAS thread), so a run at the cap takes about 7 minutes;
+#: 0.022 s (two exact Laplace calls and their chain components; 2-core
+#: Xeon VM, one BLAS thread), so a run at the cap takes about 4 minutes;
 #: an uncapped count such as 1e11 would fail allocating its axes.
 MAX_ORACLE_DIRECTIONS = 10000
 
@@ -74,8 +74,8 @@ MAX_ORACLE_DIRECTIONS = 10000
 MIN_MC_SAMPLES = 1000
 
 #: largest Monte-Carlo sample.  Memory does not grow with the count
-#: (``oracle.MC_BATCH`` draws at a time) but time does, by about 6 us a
-#: sample in mc-average: about 10 minutes at the cap (2-core Xeon VM,
+#: (``oracle.MC_BATCH`` draws at a time) but time does, by about 5 us a
+#: sample in mc-average: about 8 minutes at the cap (2-core Xeon VM,
 #: one BLAS thread).
 MAX_MC_SAMPLES = 10**8
 

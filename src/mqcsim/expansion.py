@@ -69,8 +69,11 @@ pulled back through one insertion (a transposed piece, all twelve at
 once on all tails side by side) and one R(0) per step, with no z1 axis.
 These tails are merged by the sorted multiset of their tags: 1, 12, 78
 and 364 of them for 0-3 insertions.  Each prefix monomial meets all
-tails of every remaining length, through every kick-2 harmonic pair, in
-one stacked matrix product per length.
+tails of a remaining length, through each kept kick-2 harmonic pair, in
+one stacked matrix product.  The products are summed per (net atom-1
+exponent, prefix tags) as they are made, and only then split over the
+tails and merged under the joined tags, so the join runs once per
+distinct prefix key and tail.
 
 The chain has two readers.  :func:`mqcsim.disorder.averaged_solution`
 runs it with kick 2 keeping only zero net atom phase, weights every key
@@ -446,22 +449,20 @@ def _interaction_tails(length: int) -> tuple:
     every chain shares them.  Returns the multisets and one array of the
     tails side by side, columns 2 i and 2 i + 1 for multiset i.  Each
     insertion applies every transposed piece to all shorter tails in one
-    product, adds the products into one array by multiset, and applies
-    R(0) to all of them in another product."""
+    product, merges the products by sorted multiset, and applies R(0) to
+    all of them, side by side, in another product."""
     resolvent, rows = _detection_resolvent()
     if length == 0:
         return ((),), rows
     keys, tails = _interaction_tails(length - 1)
     products = interaction_products(tails, transposed=True).reshape(
         len(TAG_KEYS), NUM_OPS_PAIR, len(keys), 2)
-    index = {}
-    targets = [[index.setdefault(tuple(sorted(tags + (tag,))), len(index))
-                for tag in TAG_KEYS] for tags in keys]
-    grown = np.zeros((NUM_OPS_PAIR, len(index), 2), dtype=complex)
-    for i, row in enumerate(targets):
-        for j, k in enumerate(row):
-            grown[:, k] += products[j, :, i]
-    return tuple(index), resolvent @ grown.reshape(NUM_OPS_PAIR, -1)
+    grown = {}
+    for i, tags in enumerate(keys):
+        for tag, product in zip(TAG_KEYS, products[:, :, i]):
+            _merge(grown, tuple(sorted(tags + (tag,))), product)
+    return tuple(grown), resolvent @ np.concatenate(list(grown.values()),
+                                                    axis=1)
 
 
 def _interpulse_axis(z1: np.ndarray, resolvents: int):
@@ -494,10 +495,12 @@ def _chain_rows(orders, z1, theta: float, channel: str, kappa: int, *,
     z1 axis, :func:`_interaction_tails`).  Kick 1 runs once, and prefix s,
     s insertions each followed by a z1 resolvent, is built once from
     prefix s - 1; each of its monomials meets the tails of n - s
-    insertions of every order n >= s by one stacked product per kick-2
-    harmonic pair (p1, p2).  Only the highest order reads the last
-    prefix, so its monomials are contracted as they are made
-    (:func:`_inserted`).
+    insertions of every order n >= s by one stacked product per kept
+    kick-2 harmonic pair (p1, p2).  The products are summed per (net
+    atom-1 exponent, prefix tags); once a prefix is consumed, each sum
+    is split over the tails and merged under the joined tags.  Only the
+    highest order reads the last prefix, so its monomials are contracted
+    as they are made (:func:`_inserted`).
 
     All orders share the z1 axis (:func:`_interpulse_axis`) of the
     splits of the highest order: its exact :class:`PoleBasis` when that
@@ -531,34 +534,25 @@ def _chain_rows(orders, z1, theta: float, channel: str, kappa: int, *,
 
     def contract(monomials, length):
         # every prefix monomial against all tails of ``length``, for each
-        # kick-2 pair, over the basis rows where the monomial is nonzero;
-        # the rows are summed per key once the split's keys are known
+        # kept kick-2 pair, over the basis rows where the monomial is
+        # nonzero, summed per (exponent, prefix tags); each sum is then
+        # split over the tails
         tail_tags, block = _interaction_tails(length)
-        joined, kept, kicked, index, pending = {}, {}, {}, {}, []
+        kicked, by_prefix = {}, {}
         for monomial, coeffs in monomials:
-            if monomial.tags not in joined:
-                joined[monomial.tags] = [tuple(sorted(monomial.tags + t))
-                                         for t in tail_tags]
-            if monomial.powers not in kept:
-                kept[monomial.powers] = [
-                    pair for pair in _HARMONIC_PAIRS
-                    if keep2(monomial.kicked(2, *pair))]
             support = np.flatnonzero(np.any(coeffs, axis=1))
-            for p1, p2 in kept[monomial.powers]:
+            for p1, p2 in _HARMONIC_PAIRS:
+                if not keep2(monomial.kicked(2, p1, p2)):
+                    continue
                 if (p1, p2) not in kicked:
                     kicked[(p1, p2)] = np.ascontiguousarray(apply_factorized(
                         transposed[p1], transposed[p2], block).T)
-                rows = kicked[(p1, p2)][:, support] @ coeffs[support]
-                a = monomial.powers[0] + p1
-                pending.append((
-                    [index.setdefault((a, tags), len(index))
-                     for tags in joined[monomial.tags]], rows))
-        sums = np.zeros((len(index), len(DETECTION_DIRECTIONS), axis.size),
-                        dtype=complex)
-        for rows_at, rows in pending:
-            sums[rows_at] += rows.reshape(len(rows_at), -1, axis.size)
-        for key, i in index.items():
-            _merge(out, key, sums[i])
+                _merge(by_prefix, (monomial.powers[0] + p1, monomial.tags),
+                       kicked[(p1, p2)][:, support] @ coeffs[support])
+        for (a, tags), rows in by_prefix.items():
+            parts = rows.reshape(len(tail_tags), -1, axis.size)
+            for tail, part in zip(tail_tags, parts):
+                _merge(out, (a, tuple(sorted(tags + tail))), part)
 
     prefix = apply_resolvent(apply_kick(
         initial_vector(), 1, theta, FIRST_POLARIZATION, kappa), axis)

@@ -1,18 +1,23 @@
 """Tests for the phase-tagged expansion through the pulse sequence."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mqcsim import expansion
-from mqcsim.atom import FIRST_POLARIZATION, PoleError, kick_decomposition
+from mqcsim.atom import (DETECTION_DIRECTIONS, FIRST_POLARIZATION, PoleError,
+                         kick_decomposition)
 from mqcsim.basis import matrix_unit
 from mqcsim.coupling import TAG_KEYS, coupling_tensor, tensor_tag_value
 from mqcsim.expansion import (
     PhaseMonomial,
     PoleBasis,
     _chain_rows,
+    _detection_covector,
     _detection_resolvent,
+    _interaction_tails,
     _interpulse_axis,
     _pole_sectors,
     apply_interaction,
@@ -425,6 +430,38 @@ def test_zero_phase_chain_keeps_the_plain_chains_zero_phase_rows(kappa,
     assert {len(tags) for _, tags in zero} == {0, 1, 2, 3}
     for key, rows in zero.items():
         assert np.array_equal(rows, plain[key])
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 3])
+def test_interaction_tails_contract_like_the_forward_insertions(length):
+    # the tails run the detection stage backward from the detectors; the
+    # forward maps run it on a state: R(0), then ``length`` rounds of one
+    # insertion and R(0), read by the conjugated detection covectors
+    tags, block = _interaction_tails(length)
+    multisets = {tuple(sorted(c)) for c in
+                 itertools.combinations_with_replacement(TAG_KEYS, length)}
+    assert len(tags) == len(set(tags)) == (1, 12, 78, 364)[length]
+    assert set(tags) == multisets
+    assert block.shape == (256, 2 * len(tags))
+
+    rng = np.random.default_rng(length)
+    x = np.zeros(256, dtype=complex)
+    support = rng.choice(256, size=24, replace=False)
+    x[support] = rng.normal(size=24) + 1j * rng.normal(size=24)
+    state = apply_resolvent({PhaseMonomial((0, 0, 0, 0)): x}, 0.0)
+    for _ in range(length):
+        state = apply_resolvent(apply_interaction(state), 0.0)
+    covectors = np.stack([_detection_covector(d).conj()
+                          for d in DETECTION_DIRECTIONS])
+    # every monomial has powers (0, 0, 0, 0), so keys differ by tags only
+    forward = {m.tags: covectors @ coeffs for m, coeffs in state.items()}
+    assert set(forward) <= multisets
+    peak = max(np.max(np.abs(rows)) for rows in forward.values())
+    assert peak > 0
+    for i, multiset in enumerate(tags):
+        want = forward.get(multiset, np.zeros(len(DETECTION_DIRECTIONS)))
+        np.testing.assert_allclose(block[:, 2 * i:2 * i + 2].T @ x, want,
+                                   rtol=0, atol=1e-13 * peak)
 
 
 def test_resolvent_broadcasts_over_a_grid_of_z_values():
