@@ -68,12 +68,42 @@ once from the other end: the conjugated detector rows times R(0) are
 pulled back through one insertion (a transposed piece, all twelve at
 once on all tails side by side) and one R(0) per step, with no z1 axis.
 These tails are merged by the sorted multiset of their tags: 1, 12, 78
-and 364 of them for 0-3 insertions.  Each prefix monomial meets all
-tails of a remaining length, through each kept kick-2 harmonic pair, in
-one stacked matrix product.  The products are summed per (net atom-1
-exponent, prefix tags) as they are made, and only then split over the
-tails and merged under the joined tags, so the join runs once per
-distinct prefix key and tail.
+and 364 of them for 0-3 insertions.  Each prefix monomial meets the
+tails of a remaining length that the selection rules below allow,
+through each kick-2 harmonic pair they allow, in one stacked matrix
+product.  The products are summed per (net atom-1 exponent, prefix
+tags) as they are made, and only then split over the tails and merged
+under the joined tags, so the join runs once per distinct prefix key
+and tail.
+
+Two selection rules make most (net atom-1 exponent, tags) keys exactly
+zero, and the chain never builds them:
+
+  * Atom-phase parity: the exponent has the parity of the key's order,
+    its number of tags.  Detection reads coherence order 0 on each
+    atom.  A kick harmonic p shifts atom 1's coherence order by p, free
+    decay keeps it, and each interaction insertion moves it by +-1.
+  * Cartesian parity: counting both axis indices of every tag, each
+    axis appears an even number of times in a key's tags, except in the
+    perpendicular channel, where x and y appear kappa mod 2 times.
+    Reflecting one axis is a symmetry of the isotropic J = 0 -> 1 atom,
+    its decay and its detectors, whose observables are quadratic in the
+    dipole; a coupling factor T_kl changes sign once per index on that
+    axis.  The reflection flips a pulse polarized along the axis, which
+    multiplies its harmonic p by (-1)^p, so the pulse's net harmonic
+    -+kappa by (-1)^kappa.  Pulse 1 is along x and pulse 2 along x
+    (parallel) or y (perpendicular): reflecting x flips both pulses in
+    the parallel channel, whose signs cancel, but only pulse 1 in the
+    perpendicular one; reflecting y flips pulse 2 there alone; and
+    reflecting z flips neither.
+
+Kick 1 leaves a prefix monomial the powers (a, 0, c, 0) with
+a + c = -kappa, so its kick-2 pairs are p2 = kappa - p1 (p1 = -a with
+zero net atom phase) of the allowed atom-phase parity; they depend only
+on its powers and the parity of the order it feeds.  The tails of each
+length are grouped by the axis parity of their tags
+(:func:`_tail_groups`), and a prefix monomial meets only the group that
+completes its own to the key's.
 
 The chain has two readers.  :func:`mqcsim.disorder.averaged_solution`
 runs it with kick 2 keeping only zero net atom phase, weights every key
@@ -103,9 +133,6 @@ from .coupling import TAG_KEYS, interaction_products
 #: keys of a chain with no row entry above this fraction of the chain's
 #: largest entry are roundoff where the exact value is zero
 TERM_FLOOR = 1e-13
-
-#: kick harmonics (p_atom1, p_atom2) of one pulse on the pair
-_HARMONIC_PAIRS = tuple((p1, p2) for p1 in range(-2, 3) for p2 in range(-2, 3))
 
 
 @dataclass(frozen=True)
@@ -465,6 +492,31 @@ def _interaction_tails(length: int) -> tuple:
                                                     axis=1)
 
 
+@functools.cache
+def _axis_parity(tags) -> int:
+    """Parity of the count of each Cartesian axis index in ``tags``, as
+    bits: bit k is set when axis k appears an odd number of times."""
+    parity = 0
+    for _, k, l in tags:
+        parity ^= (1 << k) ^ (1 << l)
+    return parity
+
+
+@functools.cache
+def _tail_groups(length: int) -> dict:
+    """The tails of :func:`_interaction_tails` of ``length`` grouped by
+    the :func:`_axis_parity` of their multisets: a dict from the parity
+    to the group's multisets and their columns of the tail block, both
+    in the tails' order."""
+    tags, _ = _interaction_tails(length)
+    members = {}
+    for i, multiset in enumerate(tags):
+        members.setdefault(_axis_parity(multiset), []).append(i)
+    return {parity: (tuple(tags[i] for i in group),
+                     np.array([c for i in group for c in (2 * i, 2 * i + 1)]))
+            for parity, group in members.items()}
+
+
 def _interpulse_axis(z1: np.ndarray, resolvents: int):
     """The z1 axis of every prefix of a chain whose longest prefix has
     ``resolvents`` z1 resolvents: the exact :class:`PoleBasis` when it
@@ -495,12 +547,12 @@ def _chain_rows(orders, z1, theta: float, channel: str, kappa: int, *,
     z1 axis, :func:`_interaction_tails`).  Kick 1 runs once, and prefix s,
     s insertions each followed by a z1 resolvent, is built once from
     prefix s - 1; each of its monomials meets the tails of n - s
-    insertions of every order n >= s by one stacked product per kept
-    kick-2 harmonic pair (p1, p2).  The products are summed per (net
-    atom-1 exponent, prefix tags); once a prefix is consumed, each sum
-    is split over the tails and merged under the joined tags.  Only the
-    highest order reads the last prefix, so its monomials are contracted
-    as they are made (:func:`_inserted`).
+    insertions of every order n >= s by one stacked product per kick-2
+    harmonic pair (p1, p2).  The products are summed per (net atom-1
+    exponent, prefix tags); once a prefix is consumed, each sum is split
+    over the tails and merged under the joined tags.  Only the highest
+    order reads the last prefix, so its monomials are contracted as they
+    are made (:func:`_inserted`).
 
     All orders share the z1 axis (:func:`_interpulse_axis`) of the
     splits of the highest order: its exact :class:`PoleBasis` when that
@@ -514,10 +566,25 @@ def _chain_rows(orders, z1, theta: float, channel: str, kappa: int, *,
     phases survive the disorder average (:mod:`mqcsim.disorder`).  The
     other arguments are those of :func:`scattering_solution`.
 
+    Keys that break a selection rule (see the module docstring) are
+    exact zeros and are never built.  Atom-phase parity: the net atom-1
+    exponent has the parity of the order, since kick harmonic p moves
+    atom 1's coherence order by p, each insertion by +-1, and detection
+    reads order 0.  So kick 2 keeps only the pairs p2 = kappa - p1 with
+    that parity, and with ``zero_phase`` no odd order survives.
+    Cartesian parity: each axis index appears an even number of times in
+    a key's tags, but x and y kappa mod 2 times in the perpendicular
+    channel, since reflecting an axis leaves atom, coupling and
+    detectors alone up to one sign per index on it and multiplies the
+    net harmonic -+kappa of a pulse polarized along it by (-1)^kappa.
+    So each prefix monomial meets only the tails whose axis parity
+    completes its own (:func:`_tail_groups`).
+
     Returns:
         the axis, and a dict mapping (net atom-1 phase exponent, sorted
         tags) to the detected rows of the monomials with that key, shape
-        (len(DETECTION_DIRECTIONS), axis size), with no key dropped.
+        (len(DETECTION_DIRECTIONS), axis size), with no key that obeys
+        both selection rules dropped.
     """
     z1 = np.atleast_1d(np.asarray(z1, dtype=complex))
     top = max(orders)
@@ -525,33 +592,49 @@ def _chain_rows(orders, z1, theta: float, channel: str, kappa: int, *,
     axis = _interpulse_axis(z1, len(splits))
     transposed = {p: harmonic.T for p, harmonic in kick_decomposition(
         theta, SECOND_POLARIZATION[channel]).items()}
+    # the axis parity of every key: x and y odd only in the perpendicular
+    # channel at odd kappa, where each pulse flips under its own axis
+    wanted = 0b011 if channel == "perpendicular" and kappa % 2 else 0
 
-    def keep2(monomial):
-        return monomial.pulse_net == (-kappa, kappa) and (
-            not zero_phase or monomial.atom_net == (0, 0))
+    @functools.cache
+    def kick2_pairs(powers, parity):
+        # the kick-2 harmonic pairs read at kappa (p1 + p2 = kappa, as
+        # kick 1 left a + c = -kappa; p1 = -a with ``zero_phase``) whose
+        # net atom-1 exponent has the parity of the key's order
+        a = powers[0]
+        firsts = (-a,) if zero_phase else range(-2, 3)
+        return tuple((p1, kappa - p1) for p1 in firsts
+                     if abs(p1) <= 2 and abs(kappa - p1) <= 2
+                     and (a + p1 - parity) % 2 == 0)
 
     out = {}
 
     def contract(monomials, length):
-        # every prefix monomial against all tails of ``length``, for each
-        # kept kick-2 pair, over the basis rows where the monomial is
-        # nonzero, summed per (exponent, prefix tags); each sum is then
-        # split over the tails
-        tail_tags, block = _interaction_tails(length)
+        # every prefix monomial against the tails of ``length`` that its
+        # axis parity allows, for each kick-2 pair its order allows, over
+        # the basis rows where the monomial is nonzero, summed per
+        # (exponent, prefix tags); each sum is then split over the tails
+        groups = _tail_groups(length)
+        _, block = _interaction_tails(length)
         kicked, by_prefix = {}, {}
         for monomial, coeffs in monomials:
+            group = _axis_parity(monomial.tags) ^ wanted
+            pairs = kick2_pairs(monomial.powers,
+                                (len(monomial.tags) + length) % 2)
+            if group not in groups or not pairs:
+                continue
             support = np.flatnonzero(np.any(coeffs, axis=1))
-            for p1, p2 in _HARMONIC_PAIRS:
-                if not keep2(monomial.kicked(2, p1, p2)):
-                    continue
-                if (p1, p2) not in kicked:
-                    kicked[(p1, p2)] = np.ascontiguousarray(apply_factorized(
-                        transposed[p1], transposed[p2], block).T)
+            for p1, p2 in pairs:
+                if (p1, p2, group) not in kicked:
+                    kicked[p1, p2, group] = np.ascontiguousarray(
+                        apply_factorized(transposed[p1], transposed[p2],
+                                         block[:, groups[group][1]]).T)
                 _merge(by_prefix, (monomial.powers[0] + p1, monomial.tags),
-                       kicked[(p1, p2)][:, support] @ coeffs[support])
+                       kicked[p1, p2, group][:, support] @ coeffs[support])
         for (a, tags), rows in by_prefix.items():
-            parts = rows.reshape(len(tail_tags), -1, axis.size)
-            for tail, part in zip(tail_tags, parts):
+            tails, _ = groups[_axis_parity(tags) ^ wanted]
+            parts = rows.reshape(len(tails), -1, axis.size)
+            for tail, part in zip(tails, parts):
                 _merge(out, (a, tuple(sorted(tags + tail))), part)
 
     prefix = apply_resolvent(apply_kick(

@@ -427,9 +427,56 @@ def test_zero_phase_chain_keeps_the_plain_chains_zero_phase_rows(kappa,
     _, plain = _chain_rows(*args)
     _, zero = _chain_rows(*args, zero_phase=True)
     assert set(zero) == {key for key in plain if key[0] == 0}
-    assert {len(tags) for _, tags in zero} == {0, 1, 2, 3}
+    assert {len(tags) for _, tags in zero} == {0, 2}
     for key, rows in zero.items():
         assert np.array_equal(rows, plain[key])
+
+
+def _obeys_selection_rules(key, kappa, channel):
+    """Atom-phase parity: the net atom-1 exponent has the parity of the
+    order.  Cartesian parity: each axis index appears an even number of
+    times in the tags, except x and y in the perpendicular channel,
+    which appear kappa mod 2 times."""
+    exponent, tags = key
+    counts = [0, 0, 0]
+    for _, k, l in tags:
+        counts[k] += 1
+        counts[l] += 1
+    odd = kappa % 2 if channel == "perpendicular" else 0
+    return ((exponent - len(tags)) % 2 == 0
+            and [c % 2 for c in counts] == [odd, odd, 0])
+
+
+@pytest.mark.parametrize("theta", [0.14 * np.pi, 0.8, 1.3])
+@pytest.mark.parametrize("kappa, channel, count", [
+    (1, "parallel", 341), (1, "perpendicular", 216),
+    (2, "parallel", 279), (2, "perpendicular", 279)])
+def test_selection_rules_hold_on_the_forward_chain(theta, kappa, channel,
+                                                   count):
+    # the forward chain keeps every key, so the keys that break a rule
+    # must be roundoff there; the chain driver skips them and keeps only
+    # keys that obey both rules
+    z1 = 1j * np.linspace(-3.0, 3.0, 7)
+    covectors = np.stack([_detection_covector(d).conj()
+                          for d in DETECTION_DIRECTIONS])
+    forward = {}
+    for order in range(4):
+        for monomial, coeffs in scattering_solution(
+                order, z1, theta, channel, kappa).items():
+            key = (monomial.atom_net[0], monomial.tags)
+            forward[key] = forward.get(key, 0.0) + covectors @ coeffs
+    peak = max(np.max(np.abs(rows)) for rows in forward.values())
+    assert peak > 1e-4
+    broken = [np.max(np.abs(rows)) for key, rows in forward.items()
+              if not _obeys_selection_rules(key, kappa, channel)]
+    assert broken and max(broken) < 1e-15 * peak
+    for zero_phase in (False, True):
+        _, rows = _chain_rows((0, 1, 2, 3), z1, theta, channel, kappa,
+                              zero_phase=zero_phase)
+        assert all(_obeys_selection_rules(key, kappa, channel)
+                   for key in rows)
+        if theta == 0.14 * np.pi and not zero_phase:
+            assert len(rows) == count
 
 
 @pytest.mark.parametrize("length", [0, 1, 2, 3])

@@ -131,10 +131,11 @@ def _averaged_case(kappa, channel, mode, theta, xi_bar):
 def test_averaged_solution_matches_reference_chain(kappa, channel, mode,
                                                    theta, xi_bar):
     inv2 = mean_inverse_xi_squared(xi_bar=xi_bar)
-    # crossed pulses leave no one-quantum signal: those rows are roundoff,
-    # about 1e-17 from order 0 (against an order-0 parallel peak of 0.3)
-    # and 1e-21 from order 2; without collective decay they leave no
-    # two-quantum signal either (the kappa = 2 interpulse insertions
+    # crossed pulses leave no one-quantum signal: the chain keeps only
+    # keys whose tags hold x and y an odd number of times, which the
+    # average weights by zero, so those rows are exactly zero (against an
+    # order-0 parallel peak of 0.3); without collective decay they leave
+    # no two-quantum signal either (the kappa = 2 interpulse insertions
     # vanish, so this is the fast chain's case below)
     vanishing = 1e-16 if (kappa, channel) == (1, "perpendicular") else None
     if (kappa, channel, mode) == (2, "perpendicular", "level_shift_only"):
