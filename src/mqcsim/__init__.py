@@ -5,8 +5,7 @@ Two phase-tagged ultrashort pulses drive a pair of J = 0 -> J = 1 atoms;
 the demodulated fluorescence carries one- and two-quantum coherence
 signatures whose disorder-averaged line shapes this package computes
 analytically (single plus double scattering) and validates against
-non-perturbative time-domain integration and Monte Carlo configuration
-averages.
+an exact Laplace-domain oracle and Monte Carlo configuration averages.
 """
 
 import importlib
@@ -42,23 +41,17 @@ from .spectra import (
     pulse_area_from_energy,
 )
 
-#: names loaded on first access (PEP 562) and their modules: no
-#: spectrum run should pay for the oracle, which the transients import
-_LAZY = {
-    **dict.fromkeys(("demodulated_laplace", "fixed_configuration_components",
-                     "monte_carlo_pair_averages", "monte_carlo_spectrum",
-                     "pair_generator", "sample_configurations",
-                     "surviving_term_table"), "oracle"),
-    **dict.fromkeys(("IntegrationError", "OracleRun", "numeric_demodulate",
-                     "time_domain_evolve"), "transient"),
-}
+#: names loaded on first access (PEP 562): no spectrum run should pay
+#: for the oracle
+_LAZY = ("demodulated_laplace", "fixed_configuration_components",
+         "monte_carlo_pair_averages", "monte_carlo_spectrum",
+         "pair_generator", "sample_configurations", "surviving_term_table")
 
 
 def __getattr__(name):
-    module = _LAZY.get(name)
-    if module is None:
+    if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    value = getattr(importlib.import_module(".oracle", __name__), name)
     globals()[name] = value
     return value
 
@@ -77,9 +70,7 @@ __all__ = [
     "directional_spectra", "spectrum", "leading_order_peaks", "mean_scattering_cross_section",
     "mean_free_path", "dipole_from_gamma",
     "pulse_area_from_energy",
-    "IntegrationError", "OracleRun",
     "demodulated_laplace", "fixed_configuration_components",
     "monte_carlo_pair_averages", "monte_carlo_spectrum",
-    "numeric_demodulate", "pair_generator", "sample_configurations",
-    "surviving_term_table", "time_domain_evolve",
+    "pair_generator", "sample_configurations", "surviving_term_table",
 ]

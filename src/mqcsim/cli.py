@@ -71,6 +71,13 @@ MC_FALSE_ALARM = 0.0027
 #: line; it sets every other one itself
 PRESET_FIELDS = ("seed", "output_dir")
 
+#: configuration fields that one subcommand alone reads, and that
+#: subcommand; every other refuses a value besides the default rather
+#: than record a setting that its numbers ignore
+SINGLE_READER_FIELDS = {"gamma_to_zero": "spectrum",
+                        "interactions_between_pulses": "spectrum",
+                        "tensor_mode": "mc-average"}
+
 
 def family_z_limit(count: int) -> float:
     """|z| limit for ``count`` real z-scores judged together.
@@ -142,7 +149,14 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     fields = set(RunConfig.__dataclass_fields__)
     overrides = {key: value for key, value in vars(args).items()
                  if key in fields}
-    return RunConfig.from_sources(args.config, **overrides)
+    config = RunConfig.from_sources(args.config, **overrides)
+    ignored = [f"{name} = {getattr(config, name)!r}"
+               for name, reader in SINGLE_READER_FIELDS.items()
+               if reader != args.command
+               and getattr(config, name) != getattr(RunConfig, name)]
+    if ignored:
+        raise ConfigError(f"{args.command} ignores {', '.join(ignored)}")
+    return config
 
 
 def _spectrum_config(args: argparse.Namespace, flags: dict) -> RunConfig:

@@ -50,7 +50,8 @@ import numpy as np
 
 from .atom import DETECTION_DIRECTIONS
 from .coupling import TAG_KEYS
-from .expansion import PhaseMonomial, _chain_rows, _merge, _on_grid
+from .expansion import (PhaseMonomial, _chain_rows, _key_parity, _merge,
+                        _on_grid)
 
 AVERAGE_MODES = ("full", "level_shift_only")
 
@@ -138,8 +139,8 @@ def _zero_phase_chain(z1: tuple, theta: float, channel: str, kappa: int,
     the tags of every key, and their rows stacked, read-only, of shape
     (keys, 2, axis size).
 
-    Cached by the grid's points, for the four (kappa, channel) chains
-    that a fig4 run weights once per average mode.
+    Cached by the grid's points, for the (kappa, channel) chains that a
+    fig4 run weights once per average mode.
     """
     axis, rows = _chain_rows((0, 2), np.array(z1), theta, channel, kappa,
                              zero_phase=True, fast=fast)
@@ -169,9 +170,14 @@ def averaged_solution(z1, theta: float, channel: str = "parallel",
         order) over the z1 grid.
     """
     z1 = np.atleast_1d(np.asarray(z1, dtype=complex))
+    table = _pair_weights(inv_xi_squared, mode)
+    if _key_parity(channel, kappa):
+        # every key has odd x and y counts, and the isotropic moment of
+        # a factor pair vanishes unless each axis index appears an even
+        # number of times: every weight is 0, so no chain is built
+        return np.zeros((len(DETECTION_DIRECTIONS), z1.size), dtype=complex)
     axis, tags, rows = _zero_phase_chain(tuple(z1), theta, channel, kappa,
                                          fast)
-    table = _pair_weights(inv_xi_squared, mode)
     column = {tag: i for i, tag in enumerate(TAG_KEYS)}
     weights = [table[column[pair[0]], column[pair[1]]] if pair else 1.0
                for pair in tags]

@@ -67,14 +67,16 @@ carried as it is.  The detection stage does not depend on z1, so it runs
 once from the other end: the conjugated detector rows times R(0) are
 pulled back through one insertion (a transposed piece, all twelve at
 once on all tails side by side) and one R(0) per step, with no z1 axis.
-These tails are merged by the sorted multiset of their tags: 1, 12, 78
-and 364 of them for 0-3 insertions.  Each prefix monomial meets the
-tails of a remaining length that the selection rules below allow,
-through each kick-2 harmonic pair they allow, in one stacked matrix
-product.  The products are summed per (net atom-1 exponent, prefix
-tags) as they are made, and only then split over the tails and merged
-under the joined tags, so the join runs once per distinct prefix key
-and tail.
+R(0) acts on them transposed, in the same block form as every z1
+resolvent, so no run builds it as a 256x256 matrix.  These tails are
+merged by the sorted multiset of their tags, 1, 12, 78 and 364 of them
+for 0-3 insertions, and grouped as they are built.  Each prefix
+monomial meets the tails of a remaining length that the selection rules
+below allow, through each kick-2 harmonic pair they allow, in one
+stacked matrix product.  The products are summed per (net atom-1
+exponent, prefix tags) as they are made, and only then split over the
+tails and merged under the joined tags, so the join runs once per
+distinct prefix key and tail.
 
 Two selection rules make most (net atom-1 exponent, tags) keys exactly
 zero, and the chain never builds them:
@@ -102,13 +104,15 @@ a + c = -kappa, so its kick-2 pairs are p2 = kappa - p1 (p1 = -a with
 zero net atom phase) of the allowed atom-phase parity; they depend only
 on its powers and the parity of the order it feeds.  The tails of each
 length are grouped by the axis parity of their tags
-(:func:`_tail_groups`), and a prefix monomial meets only the group that
-completes its own to the key's.
+(:func:`_interaction_tails`), and a prefix monomial meets only the
+group that completes its own to the key's.
 
 The chain has two readers.  :func:`mqcsim.disorder.averaged_solution`
 runs it with kick 2 keeping only zero net atom phase, weights every key
 by its factor-pair average and evaluates the weighted sum once, with no
-key dropped: the chain itself holds no weights.  The term tables of
+key dropped: the chain itself holds no weights.  Where the Cartesian
+parity leaves every key an odd count of x and y (:func:`_key_parity`),
+every weight is zero, and it builds no chain.  The term tables of
 :mod:`mqcsim.oracle` read either that zero-phase chain or the chain of
 every phase, drop the keys below ``TERM_FLOOR`` on the z1 axis and
 evaluate the rest on the grid.  :func:`scattering_solution` keeps the
@@ -450,49 +454,6 @@ def _detection_covector(direction) -> np.ndarray:
 
 
 @functools.cache
-def _detection_resolvent() -> tuple:
-    """R(0) transposed, and the detector rows times R(0), transposed.
-
-    R(0) is :func:`apply_resolvent` at z = 0 applied to the identity, so
-    the detection tails project out the stationary mode exactly as the
-    forward chain does.  The detector rows are the conjugated detection
-    covectors in ``DETECTION_DIRECTIONS`` order, and the second array,
-    of shape (256, 2), starts every tail.
-    """
-    identity = {PhaseMonomial((0, 0, 0, 0)):
-                np.eye(NUM_OPS_PAIR, dtype=complex)}
-    [(_, resolvent)] = apply_resolvent(identity, 0.0).items()
-    transposed = np.ascontiguousarray(resolvent.T)
-    rows = np.stack([_detection_covector(d).conj()
-                     for d in DETECTION_DIRECTIONS])
-    return transposed, transposed @ rows.T
-
-
-@functools.cache
-def _interaction_tails(length: int) -> tuple:
-    """Tails of ``length`` plain insertions: the transposed covectors
-    (256, 2) of the detector rows times R(0) (V R(0))^length, merged by
-    the sorted multiset of their tags.  They depend on nothing else, so
-    every chain shares them.  Returns the multisets and one array of the
-    tails side by side, columns 2 i and 2 i + 1 for multiset i.  Each
-    insertion applies every transposed piece to all shorter tails in one
-    product, merges the products by sorted multiset, and applies R(0) to
-    all of them, side by side, in another product."""
-    resolvent, rows = _detection_resolvent()
-    if length == 0:
-        return ((),), rows
-    keys, tails = _interaction_tails(length - 1)
-    products = interaction_products(tails, transposed=True).reshape(
-        len(TAG_KEYS), NUM_OPS_PAIR, len(keys), 2)
-    grown = {}
-    for i, tags in enumerate(keys):
-        for tag, product in zip(TAG_KEYS, products[:, :, i]):
-            _merge(grown, tuple(sorted(tags + (tag,))), product)
-    return tuple(grown), resolvent @ np.concatenate(list(grown.values()),
-                                                    axis=1)
-
-
-@functools.cache
 def _axis_parity(tags) -> int:
     """Parity of the count of each Cartesian axis index in ``tags``, as
     bits: bit k is set when axis k appears an odd number of times."""
@@ -502,19 +463,55 @@ def _axis_parity(tags) -> int:
     return parity
 
 
+def _key_parity(channel: str, kappa: int) -> int:
+    """The :func:`_axis_parity` of every key that the chain at ``kappa``
+    in ``channel`` can hold: x and y odd only in the perpendicular
+    channel at odd kappa, where each pulse flips under its own axis."""
+    return 0b011 if channel == "perpendicular" and kappa % 2 else 0
+
+
+def _transposed_resolvent(tails: np.ndarray) -> np.ndarray:
+    """R(0) transposed times ``tails`` (256, V), which it overwrites: the
+    block form of :func:`apply_resolvent` at z = 0 with the transposed
+    4x4 maps in reverse order, so that the tails project out the
+    stationary mode exactly as the forward chain does."""
+    to_eigen, from_eigen, _ = _decay_blocks()
+    block = tails.reshape(NUM_OPS, NUM_OPS, -1)
+    eigen = _grid_division(0.0)(_map_population_block(from_eigen.T, block))
+    return _map_population_block(to_eigen.T, eigen).reshape(tails.shape)
+
+
 @functools.cache
-def _tail_groups(length: int) -> dict:
-    """The tails of :func:`_interaction_tails` of ``length`` grouped by
-    the :func:`_axis_parity` of their multisets: a dict from the parity
-    to the group's multisets and their columns of the tail block, both
-    in the tails' order."""
-    tags, _ = _interaction_tails(length)
-    members = {}
-    for i, multiset in enumerate(tags):
-        members.setdefault(_axis_parity(multiset), []).append(i)
-    return {parity: (tuple(tags[i] for i in group),
-                     np.array([c for i in group for c in (2 * i, 2 * i + 1)]))
-            for parity, group in members.items()}
+def _interaction_tails(length: int) -> dict:
+    """Tails of ``length`` plain insertions: the transposed covectors
+    (256, 2) of the detector rows times R(0) (V R(0))^length, merged by
+    the sorted multiset of their tags and grouped by its
+    :func:`_axis_parity`.  They depend on nothing else, so every chain
+    shares them.  Returns a dict from the parity to the group's
+    multisets and one array of its tails side by side, columns 2 i and
+    2 i + 1 for multiset i.  Each insertion applies every transposed
+    piece to the shorter tails of all groups in one product and merges
+    the products by sorted multiset; R(0) then acts on each group's
+    tails side by side (:func:`_transposed_resolvent`)."""
+    if length == 0:
+        groups = {0: {(): np.stack([_detection_covector(d).conj()
+                                    for d in DETECTION_DIRECTIONS], axis=1)}}
+    else:
+        shorter = _interaction_tails(length - 1).values()
+        keys = [tags for multisets, _ in shorter for tags in multisets]
+        products = interaction_products(
+            np.concatenate([tails for _, tails in shorter], axis=1),
+            transposed=True).reshape(len(TAG_KEYS), NUM_OPS_PAIR,
+                                     len(keys), 2)
+        groups = {}
+        for i, tags in enumerate(keys):
+            for tag, product in zip(TAG_KEYS, products[:, :, i]):
+                multiset = tuple(sorted(tags + (tag,)))
+                _merge(groups.setdefault(_axis_parity(multiset), {}),
+                       multiset, product)
+    return {parity: (tuple(group), _transposed_resolvent(
+                np.concatenate(list(group.values()), axis=1)))
+            for parity, group in groups.items()}
 
 
 def _interpulse_axis(z1: np.ndarray, resolvents: int):
@@ -544,15 +541,15 @@ def _chain_rows(orders, z1, theta: float, channel: str, kappa: int, *,
     Split s of order n puts s of its n insertions before the second kick
     (resolvents at ``z1``) and the rest after it, in the detection stage
     (resolvents at z2 = 0, run backward from the detectors once with no
-    z1 axis, :func:`_interaction_tails`).  Kick 1 runs once, and prefix s,
-    s insertions each followed by a z1 resolvent, is built once from
-    prefix s - 1; each of its monomials meets the tails of n - s
-    insertions of every order n >= s by one stacked product per kick-2
-    harmonic pair (p1, p2).  The products are summed per (net atom-1
-    exponent, prefix tags); once a prefix is consumed, each sum is split
-    over the tails and merged under the joined tags.  Only the highest
-    order reads the last prefix, so its monomials are contracted as they
-    are made (:func:`_inserted`).
+    z1 axis and grouped by axis parity, :func:`_interaction_tails`).
+    Kick 1 runs once, and prefix s, s insertions each followed by a z1
+    resolvent, is built once from prefix s - 1; each of its monomials
+    meets the tails of n - s insertions of every order n >= s by one
+    stacked product per kick-2 harmonic pair (p1, p2).  The products are
+    summed per (net atom-1 exponent, prefix tags); once a prefix is
+    consumed, each sum is split over the tails and merged under the
+    joined tags.  Only the highest order reads the last prefix, so its
+    monomials are contracted as they are made (:func:`_inserted`).
 
     All orders share the z1 axis (:func:`_interpulse_axis`) of the
     splits of the highest order: its exact :class:`PoleBasis` when that
@@ -567,18 +564,12 @@ def _chain_rows(orders, z1, theta: float, channel: str, kappa: int, *,
     other arguments are those of :func:`scattering_solution`.
 
     Keys that break a selection rule (see the module docstring) are
-    exact zeros and are never built.  Atom-phase parity: the net atom-1
-    exponent has the parity of the order, since kick harmonic p moves
-    atom 1's coherence order by p, each insertion by +-1, and detection
-    reads order 0.  So kick 2 keeps only the pairs p2 = kappa - p1 with
-    that parity, and with ``zero_phase`` no odd order survives.
-    Cartesian parity: each axis index appears an even number of times in
-    a key's tags, but x and y kappa mod 2 times in the perpendicular
-    channel, since reflecting an axis leaves atom, coupling and
-    detectors alone up to one sign per index on it and multiplies the
-    net harmonic -+kappa of a pulse polarized along it by (-1)^kappa.
-    So each prefix monomial meets only the tails whose axis parity
-    completes its own (:func:`_tail_groups`).
+    exact zeros and are never built.  By atom-phase parity, kick 2 keeps
+    only the pairs p2 = kappa - p1 whose net atom-1 exponent has the
+    parity of the order, so with ``zero_phase`` no odd order survives.
+    By Cartesian parity, each prefix monomial meets only the group of
+    tails whose axis parity completes its own to :func:`_key_parity`, a
+    contiguous block of :func:`_interaction_tails`.
 
     Returns:
         the axis, and a dict mapping (net atom-1 phase exponent, sorted
@@ -592,9 +583,7 @@ def _chain_rows(orders, z1, theta: float, channel: str, kappa: int, *,
     axis = _interpulse_axis(z1, len(splits))
     transposed = {p: harmonic.T for p, harmonic in kick_decomposition(
         theta, SECOND_POLARIZATION[channel]).items()}
-    # the axis parity of every key: x and y odd only in the perpendicular
-    # channel at odd kappa, where each pulse flips under its own axis
-    wanted = 0b011 if channel == "perpendicular" and kappa % 2 else 0
+    wanted = _key_parity(channel, kappa)
 
     @functools.cache
     def kick2_pairs(powers, parity):
@@ -614,8 +603,7 @@ def _chain_rows(orders, z1, theta: float, channel: str, kappa: int, *,
         # axis parity allows, for each kick-2 pair its order allows, over
         # the basis rows where the monomial is nonzero, summed per
         # (exponent, prefix tags); each sum is then split over the tails
-        groups = _tail_groups(length)
-        _, block = _interaction_tails(length)
+        groups = _interaction_tails(length)
         kicked, by_prefix = {}, {}
         for monomial, coeffs in monomials:
             group = _axis_parity(monomial.tags) ^ wanted
@@ -628,7 +616,7 @@ def _chain_rows(orders, z1, theta: float, channel: str, kappa: int, *,
                 if (p1, p2, group) not in kicked:
                     kicked[p1, p2, group] = np.ascontiguousarray(
                         apply_factorized(transposed[p1], transposed[p2],
-                                         block[:, groups[group][1]]).T)
+                                         groups[group][1]).T)
                 _merge(by_prefix, (monomial.powers[0] + p1, monomial.tags),
                        kicked[p1, p2, group][:, support] @ coeffs[support])
         for (a, tags), rows in by_prefix.items():

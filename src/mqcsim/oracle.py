@@ -14,9 +14,8 @@ n(a) - n(b) of the entries rho_ab that its states occupy
 (:func:`coherence_orders`): the generator conserves the order and kick
 harmonic p shifts it by p, so the interpulse states of harmonic -kappa
 lie in order -kappa and the detected states in order 0; for kappas
-(1, 2) the solves take 69 and 118 of the 256 entries.  The time-domain
-transients on the same generator and pulses live in
-:mod:`mqcsim.transient`.
+(1, 2) the solves take 69 and 118 of the 256 entries.  The tests hold
+the time-domain transients on the same generator and pulses.
 
 The perturbative side of every comparison is built on the chain it is
 compared with, :func:`mqcsim.expansion._chain_rows`:
@@ -33,10 +32,10 @@ compared with, :func:`mqcsim.expansion._chain_rows`:
 
 The closed form that the Monte Carlo checks,
 :func:`mqcsim.disorder.averaged_solution`, weights the keys of the
-chain whose second kick keeps only zero net atom phase, with no floor.
-:func:`surviving_term_table` reads the same cached chain and keeps the
-keys whose average survives, so a run that builds both builds the chain
-once.
+chain whose second kick keeps only zero net atom phase, with no floor,
+and builds none where every weight is zero.  :func:`surviving_term_table`
+reads the same cached chain, built where the closed form is zero too,
+and keeps the keys whose average survives.
 
 Geometry conventions: both pulses propagate along +z with linear
 polarizations in the x-y plane, atom 2 sits at the origin, and atom 1

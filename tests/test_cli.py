@@ -138,8 +138,6 @@ KEPT_REFERENCES = {
     "scattering_solution": "forward chain, behind the detector-first chain",
     "detection_projection": "detector rows of a full state, behind the tails",
     "spectrum": "one-series view of directional_spectra, read by the bench",
-    "time_domain_evolve": "transient oracle, behind demodulated_laplace",
-    "numeric_demodulate": "phase scan of the transient oracle",
 }
 
 
@@ -190,6 +188,40 @@ def test_gamma_flag_leaves_spectrum_data_unchanged(tmp_path):
             for path in sorted(out.glob("*.tsv"))}
     assert len(rows["default"]) == 2
     assert rows["gamma"] == rows["default"]
+
+
+#: settings that one subcommand alone reads: that subcommand, the flag,
+#: and the value other than the default that a config file can hold
+SINGLE_READER_SETTINGS = {
+    "gamma_to_zero": ("spectrum", ["--gamma-to-zero"], True),
+    "interactions_between_pulses": (
+        "spectrum", ["--no-interactions-between-pulses"], False),
+    "tensor_mode": ("mc-average", ["--tensor-mode", "far_field"],
+                    "far_field"),
+}
+
+
+@pytest.mark.parametrize("command, setting", [
+    (command, setting) for setting, (reader, _, _) in
+    SINGLE_READER_SETTINGS.items()
+    for command in ("spectrum", "table1", "oracle-check", "mc-average",
+                    "cross-section") if command != reader])
+def test_a_setting_the_subcommand_ignores_exits_with_two(command, setting,
+                                                         tmp_path, capsys):
+    # recorded in the sidecar, the setting would claim numbers that it
+    # never changed; from a flag or a config file alike, the run stops
+    # before it makes its output directory
+    _, flag, value = SINGLE_READER_SETTINGS[setting]
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({setting: value}))
+    out = tmp_path / "run"
+    for extra in (flag, ["--config", str(config)]):
+        assert main([command, *extra, "--seed", "3",
+                     "--output-dir", str(out)]) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("invalid configuration: ")
+        assert setting in line
+    assert not out.exists()
 
 
 def test_invalid_configuration_exits_with_two(tmp_path, capsys):

@@ -6,17 +6,20 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
+from mqcsim import disorder
 from mqcsim.coupling import TAG_KEYS, coupling_tensor
 from mqcsim.disorder import (
     AVERAGE_MODES,
     _pair_weights,
     angular_average,
     average_state,
+    averaged_solution,
     isotropic_projector_moment,
     mean_inverse_xi_squared,
     survival_filter,
 )
-from mqcsim.expansion import PhaseMonomial, scattering_solution
+from mqcsim.expansion import (PhaseMonomial, _chain_rows, _on_grid,
+                              scattering_solution)
 
 WINDOW = (67.2, 92.8)
 
@@ -213,3 +216,24 @@ def test_average_state_on_demodulated_chain():
     for monomial, coeffs in out.items():
         assert monomial.tags == ()
         assert np.any(coeffs != 0.0)
+
+
+@pytest.mark.parametrize("mode", AVERAGE_MODES)
+def test_averaged_solution_builds_no_chain_whose_weights_are_all_zero(
+        monkeypatch, mode):
+    # at kappa = 1 in the perpendicular channel every key of the chain
+    # has odd x and y counts, and the isotropic moment of its factor pair
+    # is zero: the result read without the chain is its weighted sum
+    z1 = 1j * np.linspace(-3.0, 3.0, 7)
+    args = (0.14 * np.pi, "perpendicular", 1)
+    inv2 = mean_inverse_xi_squared(xi_bar=80.0)
+    axis, rows = _chain_rows((0, 2), z1, *args, zero_phase=True)
+    assert rows and all(len(tags) == 2 for _, tags in rows)
+    weights = _pair_weights(inv2, mode)
+    column = {tag: i for i, tag in enumerate(TAG_KEYS)}
+    weighted = sum(weights[column[a], column[b]] * part
+                   for (_, (a, b)), part in rows.items())
+    monkeypatch.setattr(disorder, "_zero_phase_chain", None)
+    got = averaged_solution(z1, *args, inv_xi_squared=inv2, mode=mode)
+    np.testing.assert_array_equal(got, _on_grid(axis, weighted, z1))
+    assert got.shape == (2, z1.size) and not np.any(got)

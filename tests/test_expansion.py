@@ -15,11 +15,12 @@ from mqcsim.expansion import (
     PhaseMonomial,
     PoleBasis,
     _chain_rows,
+    _axis_parity,
     _detection_covector,
-    _detection_resolvent,
     _interaction_tails,
     _interpulse_axis,
     _pole_sectors,
+    _transposed_resolvent,
     apply_interaction,
     apply_kick,
     apply_resolvent,
@@ -371,10 +372,7 @@ def test_long_grid_with_a_point_on_a_pole_raises_as_before():
 
 def _count_chain_steps(monkeypatch, *args, **kwargs):
     """Rows of ``_chain_rows(*args, **kwargs)``, the kicks and z1
-    resolvents it makes, and the monomials it inserts into, in order.
-    The detection stage's only resolvent, R(0), is cached before
-    counting."""
-    _detection_resolvent()
+    resolvents it makes, and the monomials it inserts into, in order."""
     counts = {"kicks": 0, "z1_resolvents": 0}
     inserted = []
 
@@ -479,17 +477,42 @@ def test_selection_rules_hold_on_the_forward_chain(theta, kappa, channel,
             assert len(rows) == count
 
 
+def test_transposed_resolvent_is_the_dense_resolvent_transposed():
+    # the block form against R(0) built densely: apply_resolvent at z = 0
+    # on every basis vector, with the stationary mode projected out
+    identity = {PhaseMonomial((0, 0, 0, 0)): np.eye(256, dtype=complex)}
+    [(_, dense)] = apply_resolvent(identity, 0.0).items()
+    block = _transposed_resolvent(np.eye(256, dtype=complex))
+    assert np.count_nonzero(dense) == 360
+    np.testing.assert_allclose(block, dense.T, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 3])
+def test_interaction_tails_are_grouped_by_axis_parity(length):
+    # the groups partition the multisets of ``length`` tags, and each
+    # group's multisets all carry its parity
+    groups = _interaction_tails(length)
+    multisets = {tuple(sorted(c)) for c in
+                 itertools.combinations_with_replacement(TAG_KEYS, length)}
+    tags = [t for members, _ in groups.values() for t in members]
+    assert len(tags) == len(set(tags)) == (1, 12, 78, 364)[length]
+    assert set(tags) == multisets
+    for parity, (members, block) in groups.items():
+        assert {_axis_parity(t) for t in members} == {parity}
+        assert block.shape == (256, 2 * len(members))
+        assert block.flags.c_contiguous
+
+
 @pytest.mark.parametrize("length", [0, 1, 2, 3])
 def test_interaction_tails_contract_like_the_forward_insertions(length):
     # the tails run the detection stage backward from the detectors; the
     # forward maps run it on a state: R(0), then ``length`` rounds of one
     # insertion and R(0), read by the conjugated detection covectors
-    tags, block = _interaction_tails(length)
+    tails = {t: block[:, 2 * i:2 * i + 2]
+             for members, block in _interaction_tails(length).values()
+             for i, t in enumerate(members)}
     multisets = {tuple(sorted(c)) for c in
                  itertools.combinations_with_replacement(TAG_KEYS, length)}
-    assert len(tags) == len(set(tags)) == (1, 12, 78, 364)[length]
-    assert set(tags) == multisets
-    assert block.shape == (256, 2 * len(tags))
 
     rng = np.random.default_rng(length)
     x = np.zeros(256, dtype=complex)
@@ -505,9 +528,9 @@ def test_interaction_tails_contract_like_the_forward_insertions(length):
     assert set(forward) <= multisets
     peak = max(np.max(np.abs(rows)) for rows in forward.values())
     assert peak > 0
-    for i, multiset in enumerate(tags):
+    for multiset, tail in tails.items():
         want = forward.get(multiset, np.zeros(len(DETECTION_DIRECTIONS)))
-        np.testing.assert_allclose(block[:, 2 * i:2 * i + 2].T @ x, want,
+        np.testing.assert_allclose(tail.T @ x, want,
                                    rtol=0, atol=1e-13 * peak)
 
 

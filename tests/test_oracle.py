@@ -34,10 +34,10 @@ from mqcsim.oracle import (
 from mqcsim.expansion import (TERM_FLOOR, _detection_covector,
                               scattering_solution)
 from mqcsim.spectra import DETECTION_DIRECTIONS, spectrum
-from mqcsim.transient import (IntegrationError, OracleRun, _propagate,
-                              numeric_demodulate, time_domain_evolve)
 from reference import (decay_generator, excited_projector, free_propagator,
                        interaction_generator, pair_basis_columns, pair_kick)
+from transient import (IntegrationError, OracleRun, _propagate,
+                       numeric_demodulate, time_domain_evolve)
 
 #: pulse area and geometry used throughout unless a test needs otherwise
 THETA = 0.14 * np.pi

@@ -7,10 +7,10 @@ covectors: :func:`time_domain_evolve` integrates the full
 with an adaptive ODE integrator and reads the fluorescence intensity
 on a time grid, and :func:`numeric_demodulate` extracts one harmonic
 of the pulse-phase difference from equally spaced phase samples.  It
-shares no code with the symbolic chain.  No subcommand uses it; the
-tests check the Laplace oracle against it.  It is the only module that
-needs scipy, which the package installs only with its ``test`` extra,
-so it loads ``scipy.integrate`` when it integrates, not on import.
+shares no code with the symbolic chain.  No subcommand uses it, so it
+lives with the tests, which check the Laplace oracle against it.  It
+loads ``scipy.integrate``, a dependency of the tests alone, when it
+integrates, not on import.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atom import (DETECTION_DIRECTIONS, FIRST_POLARIZATION,
-                   SECOND_POLARIZATION)
-from .oracle import (detection_covector_vec, ground_pair_vec, pair_generator,
-                     pulse_unitary)
+from mqcsim.atom import (DETECTION_DIRECTIONS, FIRST_POLARIZATION,
+                         SECOND_POLARIZATION)
+from mqcsim.oracle import (detection_covector_vec, ground_pair_vec,
+                           pair_generator, pulse_unitary)
 
 
 class IntegrationError(RuntimeError):
