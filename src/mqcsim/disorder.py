@@ -142,8 +142,9 @@ def _zero_phase_chain(z1: tuple, theta: float, channel: str, kappa: int,
     Cached by the grid's points, for the (kappa, channel) chains that a
     fig4 run weights once per average mode.
     """
-    axis, rows = _chain_rows((0, 2), np.array(z1), theta, channel, kappa,
+    axis, rows = _chain_rows((0, 2), np.array(z1), theta, (channel,), kappa,
                              zero_phase=True, fast=fast)
+    rows = rows[channel]
     stacked = np.array(list(rows.values()), dtype=complex).reshape(
         len(rows), len(DETECTION_DIRECTIONS), axis.size)
     stacked.flags.writeable = False

@@ -52,18 +52,21 @@ few dozen of its 256 rows; :func:`mqcsim.coupling.interaction_products`
 applies all twelve pieces to it in one pass over those rows.
 
 One driver, :func:`_chain_rows`, yields the detected rows of the chain
-over the set of orders a caller sums, split by split, on the chain's own
-z1 axis.  The interpulse stage runs forward along z1: kick 1 runs once,
-and each prefix, the state after kick 1 and s insertions, is built once
-from the one before and serves every order; the last prefix, which only
-the highest order reads, is contracted monomial by monomial as it is
-made.  With the stationary mode projected out, a resolvent has poles
-only at the rate sums -1/2, -1, -3/2 and -2, so a chain of M z1
-resolvents is an exact sum of c / (z1 - p)^m with m <= M.  The prefixes
-therefore carry z1 as the K = 1 + 4 M coefficients of these partial
-fractions (:class:`PoleBasis`, M set by the highest order) when that is
-shorter than the grid; a short grid, or one with a point on a pole, is
-carried as it is.  The detection stage does not depend on z1, so it runs
+over the set of orders and the set of channels a caller reads, split by
+split, on the chain's own z1 axis.  The interpulse stage runs forward
+along z1: kick 1 runs once, and each prefix, the state after kick 1 and
+s insertions, is built once from the one before and serves every order
+and every channel, since only pulse 2's polarization tells the channels
+apart; the last prefix, which only the highest order reads, is
+contracted monomial by monomial as it is made, each monomial's
+insertion followed by one z1 resolvent over all its products.  With the
+stationary mode projected out, a resolvent has poles only at the rate
+sums -1/2, -1, -3/2 and -2, so a chain of M z1 resolvents is an exact
+sum of c / (z1 - p)^m with m <= M.  The prefixes therefore carry z1 as
+the K = 1 + 4 M coefficients of these partial fractions
+(:class:`PoleBasis`, M set by the highest order) when that is shorter
+than the grid; a short grid, or one with a point on a pole, is carried
+as it is.  The detection stage does not depend on z1, so it runs
 once from the other end: the conjugated detector rows times R(0) are
 pulled back through one insertion (a transposed piece, all twelve at
 once on all tails side by side) and one R(0) per step, with no z1 axis.
@@ -114,10 +117,10 @@ key dropped: the chain itself holds no weights.  Where the Cartesian
 parity leaves every key an odd count of x and y (:func:`_key_parity`),
 every weight is zero, and it builds no chain.  The term tables of
 :mod:`mqcsim.oracle` read either that zero-phase chain or the chain of
-every phase, drop the keys below ``TERM_FLOOR`` on the z1 axis and
-evaluate the rest on the grid.  :func:`scattering_solution` keeps the
-whole forward state of one order and is the reference that the tests
-check the driver against.
+every phase, built once per kappa for both channels, drop the keys
+below ``TERM_FLOOR`` on the z1 axis and evaluate the rest on the grid.
+:func:`scattering_solution` keeps the whole forward state of one order
+and is the reference that the tests check the driver against.
 """
 
 from __future__ import annotations
@@ -243,11 +246,14 @@ def _decay_blocks():
 def _map_population_block(matrix: np.ndarray, block: np.ndarray) -> np.ndarray:
     """Apply ``matrix`` to the population indices of both atoms, in place.
 
-    ``block`` has shape (16, 16, V): atom 1 index, atom 2 index, batch.
+    ``block`` has shape (..., 16, 16, V): optional stack axes, atom 1
+    index, atom 2 index, batch.
     """
     p = POPULATION_BLOCK
-    block[:p] = (matrix @ block[:p].reshape(p, -1)).reshape(block[:p].shape)
-    block[:, :p] = np.matmul(matrix, block[:, :p])
+    first = block[..., :p, :, :]
+    block[..., :p, :, :] = np.matmul(
+        matrix, first.reshape(first.shape[:-3] + (p, -1))).reshape(first.shape)
+    block[..., :p, :] = np.matmul(matrix, block[..., :p, :])
     return block
 
 
@@ -328,29 +334,32 @@ def _pole_sectors(basis: PoleBasis) -> tuple:
 
 
 def _pole_division(basis: PoleBasis):
-    """Division of decay-mode coefficients (16, 16, K) by z - r_i - r_j
-    on the labels of ``basis``, with the stationary sector sent to 0 and
-    the overflow guard of :func:`apply_resolvent`."""
+    """Division of decay-mode coefficients (..., 16, 16, K), which it
+    overwrites, by z - r_i - r_j on the labels of ``basis``, with the
+    stationary sector sent to 0 and the overflow guard of
+    :func:`apply_resolvent`."""
     sectors = _pole_sectors(basis)
 
     def divide(eigen):
-        flat = eigen.reshape(NUM_OPS_PAIR, basis.size)
-        out = np.zeros_like(flat)
+        flat = eigen.reshape(eigen.shape[:-3] + (NUM_OPS_PAIR, basis.size))
         for rows, step, top in sectors:
-            part = flat[rows]
-            if np.any(part[:, top]):
+            part = flat[..., rows, :]
+            if np.any(part[..., top]):
                 raise PoleError(
                     f"pole multiplicity above {basis.multiplicity} of {basis}")
-            out[rows] = part @ step
-        return out.reshape(eigen.shape)
+            flat[..., rows, :] = part @ step
+        # the stationary sector, the one that no pole sector covers
+        eigen[..., 0, 0, :] = 0.0
+        return eigen
 
     return divide
 
 
 def _grid_division(z):
-    """Elementwise division of decay-mode coefficients (16, 16, ...) by
-    z - r_i - r_j over the grid ``z``, with the stationary sector sent
-    to 0 and the pole guard of :func:`apply_resolvent`."""
+    """Elementwise division of decay-mode coefficients (..., 16, 16, V)
+    by z - r_i - r_j over the grid ``z``, with the stationary sector sent
+    to 0 and the pole guard of :func:`apply_resolvent`, which measures
+    each coefficient array of the leading stack axes on its own."""
     _, _, rates = _decay_blocks()
     denom = np.asarray(z, dtype=complex).reshape(1, 1, -1) - (
         rates[:, None, None] + rates[None, :, None])
@@ -364,14 +373,30 @@ def _grid_division(z):
     def divide(eigen):
         if any_pole:
             magnitude = np.abs(eigen)
-            magnitude[0, 0] = 0.0
-            scale = max(np.max(magnitude), 1e-300)
+            magnitude[..., 0, 0, :] = 0.0
+            scale = np.maximum(np.max(magnitude, axis=(-3, -2, -1),
+                                      keepdims=True), 1e-300)
             if np.any(on_pole & (magnitude > 1e-9 * scale)):
                 raise PoleError(
                     f"pair resolvent evaluated on a pole at z = {z}")
         return eigen * inverse
 
     return divide
+
+
+def _division(z):
+    """The division by z - r_i - r_j of :func:`apply_resolvent` on the
+    grid or :class:`PoleBasis` ``z``."""
+    return _pole_division(z) if isinstance(z, PoleBasis) else _grid_division(z)
+
+
+def _resolved(block: np.ndarray, divide) -> np.ndarray:
+    """The resolvent of :func:`apply_resolvent` on coefficients
+    (..., 16, 16, V), which it overwrites, with ``divide`` from
+    :func:`_division`."""
+    to_eigen, from_eigen, _ = _decay_blocks()
+    eigen = _map_population_block(to_eigen, block)
+    return _map_population_block(from_eigen, divide(eigen))
 
 
 def apply_resolvent(vector: dict, z) -> dict:
@@ -407,9 +432,8 @@ def apply_resolvent(vector: dict, z) -> dict:
             (r, multiplicity) of its own sector r, which the division
             would raise past the basis.
     """
-    to_eigen, from_eigen, _ = _decay_blocks()
     basis = z if isinstance(z, PoleBasis) else None
-    divide = _grid_division(z) if basis is None else _pole_division(basis)
+    divide = _division(z)
     out = {}
     for monomial, coeffs in vector.items():
         if basis is not None and coeffs.ndim == 1:
@@ -417,8 +441,7 @@ def apply_resolvent(vector: dict, z) -> dict:
             constant[:, 0] = coeffs
             coeffs = constant
         block = np.array(coeffs, dtype=complex).reshape(NUM_OPS, NUM_OPS, -1)
-        eigen = _map_population_block(to_eigen, block)
-        solved = _map_population_block(from_eigen, divide(eigen))
+        solved = _resolved(block, divide)
         scalar_out = coeffs.ndim == 1 and np.ndim(z) == 0
         out[monomial] = (solved.reshape(-1) if scalar_out
                          else solved.reshape(NUM_OPS_PAIR, -1))
@@ -527,16 +550,38 @@ def _interpulse_axis(z1: np.ndarray, resolvents: int):
 def _inserted(vector: dict, axis):
     """The monomials of one insertion and one z1 resolvent on ``vector``,
     made one monomial of ``vector`` at a time and not merged by key, so
-    that the next prefix is never held whole."""
+    that the next prefix is never held whole
+    (:func:`_insertion_resolved`)."""
+    divide = _division(axis)
     for monomial, coeffs in vector.items():
-        yield from apply_resolvent(
-            apply_interaction({monomial: coeffs}), axis).items()
+        yield from _insertion_resolved(monomial, coeffs, divide)
 
 
-def _chain_rows(orders, z1, theta: float, channel: str, kappa: int, *,
+def _insertion_resolved(monomial: PhaseMonomial, coeffs: np.ndarray,
+                        divide):
+    """The tagged monomials of one insertion on ``monomial`` and one z1
+    resolvent, as :func:`apply_interaction` and :func:`apply_resolvent`
+    make them.  The resolvent acts once on the nonzero products of
+    :func:`mqcsim.coupling.interaction_products` stacked, each of which
+    the pole guard measures on its own."""
+    products = interaction_products(coeffs)
+    kept = np.flatnonzero(products.reshape(len(TAG_KEYS), -1).any(axis=1))
+    if not kept.size:
+        return
+    # a copy, so that the zero products are freed before the resolvent
+    products = products[kept]
+    solved = _resolved(products.reshape(len(kept), NUM_OPS, NUM_OPS, -1),
+                       divide)
+    for i, new in zip(kept, solved.reshape(products.shape)):
+        # a copy, so that a reader holding it does not hold the stack
+        yield monomial.tagged(TAG_KEYS[i]), new.copy()
+
+
+def _chain_rows(orders, z1, theta: float, channels, kappa: int, *,
                 zero_phase: bool = False, fast: bool = False) -> tuple:
     """Detected rows of the two-pulse chain over ``orders``, summed over
-    interaction splits and merged by key, on the chain's own z1 axis.
+    interaction splits and merged by key, on the chain's own z1 axis,
+    for each of ``channels``.
 
     Split s of order n puts s of its n insertions before the second kick
     (resolvents at ``z1``) and the rest after it, in the detection stage
@@ -550,6 +595,16 @@ def _chain_rows(orders, z1, theta: float, channel: str, kappa: int, *,
     consumed, each sum is split over the tails and merged under the
     joined tags.  Only the highest order reads the last prefix, so its
     monomials are contracted as they are made (:func:`_inserted`).
+
+    Kick 1 and the prefixes do not depend on the channel, the
+    polarization of pulse 2, so one interpulse stage serves every
+    channel.  Kick 2 and its keep rule, the key parity and the rows are
+    per channel.  A held prefix is contracted one channel at a time, so
+    that only one channel's kicked tails are alive; each monomial of the
+    last prefix feeds every channel's contraction as it is made.  At
+    ``kappa`` = 2 every prefix after kick 1 is empty (pulse 1's harmonic
+    (-1, -1) leaves |gg><ee'|, on which every interaction piece
+    vanishes), so there the shared stage costs nothing.
 
     All orders share the z1 axis (:func:`_interpulse_axis`) of the
     splits of the highest order: its exact :class:`PoleBasis` when that
@@ -572,64 +627,78 @@ def _chain_rows(orders, z1, theta: float, channel: str, kappa: int, *,
     contiguous block of :func:`_interaction_tails`.
 
     Returns:
-        the axis, and a dict mapping (net atom-1 phase exponent, sorted
-        tags) to the detected rows of the monomials with that key, shape
-        (len(DETECTION_DIRECTIONS), axis size), with no key that obeys
-        both selection rules dropped.
+        the axis, and a dict from each channel to a dict mapping (net
+        atom-1 phase exponent, sorted tags) to the detected rows of the
+        monomials with that key, shape (len(DETECTION_DIRECTIONS), axis
+        size), with no key that obeys both selection rules dropped.
     """
     z1 = np.atleast_1d(np.asarray(z1, dtype=complex))
     top = max(orders)
     splits = (0,) if fast else tuple(range(top + 1))
     axis = _interpulse_axis(z1, len(splits))
-    transposed = {p: harmonic.T for p, harmonic in kick_decomposition(
-        theta, SECOND_POLARIZATION[channel]).items()}
-    wanted = _key_parity(channel, kappa)
+    transposed, wanted = {}, {}
+    for channel in channels:
+        harmonics = kick_decomposition(theta, SECOND_POLARIZATION[channel])
+        transposed[channel] = {p: h.T for p, h in harmonics.items()}
+        wanted[channel] = _key_parity(channel, kappa)
 
     @functools.cache
     def kick2_pairs(powers, parity):
         # the kick-2 harmonic pairs read at kappa (p1 + p2 = kappa, as
         # kick 1 left a + c = -kappa; p1 = -a with ``zero_phase``) whose
-        # net atom-1 exponent has the parity of the key's order
+        # net atom-1 exponent has the parity of the key's order; the
+        # rule is the same in every channel
         a = powers[0]
         firsts = (-a,) if zero_phase else range(-2, 3)
         return tuple((p1, kappa - p1) for p1 in firsts
                      if abs(p1) <= 2 and abs(kappa - p1) <= 2
                      and (a + p1 - parity) % 2 == 0)
 
-    out = {}
+    out = {channel: {} for channel in channels}
 
-    def contract(monomials, length):
+    def contract(monomials, length, readers):
         # every prefix monomial against the tails of ``length`` that its
-        # axis parity allows, for each kick-2 pair its order allows, over
-        # the basis rows where the monomial is nonzero, summed per
-        # (exponent, prefix tags); each sum is then split over the tails
+        # axis parity allows in each channel of ``readers``, for each
+        # kick-2 pair its order allows, over the basis rows where the
+        # monomial is nonzero, summed per (exponent, prefix tags); each
+        # sum is then split over the tails
         groups = _interaction_tails(length)
-        kicked, by_prefix = {}, {}
+        kicked = {}
+        by_prefix = {channel: {} for channel in readers}
         for monomial, coeffs in monomials:
-            group = _axis_parity(monomial.tags) ^ wanted
             pairs = kick2_pairs(monomial.powers,
                                 (len(monomial.tags) + length) % 2)
-            if group not in groups or not pairs:
+            if not pairs:
                 continue
-            support = np.flatnonzero(np.any(coeffs, axis=1))
-            for p1, p2 in pairs:
-                if (p1, p2, group) not in kicked:
-                    kicked[p1, p2, group] = np.ascontiguousarray(
-                        apply_factorized(transposed[p1], transposed[p2],
-                                         groups[group][1]).T)
-                _merge(by_prefix, (monomial.powers[0] + p1, monomial.tags),
-                       kicked[p1, p2, group][:, support] @ coeffs[support])
-        for (a, tags), rows in by_prefix.items():
-            tails, _ = groups[_axis_parity(tags) ^ wanted]
-            parts = rows.reshape(len(tails), -1, axis.size)
-            for tail, part in zip(tails, parts):
-                _merge(out, (a, tuple(sorted(tags + tail))), part)
+            support = None
+            for channel in readers:
+                group = _axis_parity(monomial.tags) ^ wanted[channel]
+                if group not in groups:
+                    continue
+                if support is None:
+                    support = np.flatnonzero(np.any(coeffs, axis=1))
+                for p1, p2 in pairs:
+                    step = (channel, p1, p2, group)
+                    if step not in kicked:
+                        kicked[step] = np.ascontiguousarray(apply_factorized(
+                            transposed[channel][p1], transposed[channel][p2],
+                            groups[group][1]).T)
+                    _merge(by_prefix[channel],
+                           (monomial.powers[0] + p1, monomial.tags),
+                           kicked[step][:, support] @ coeffs[support])
+        for channel, sums in by_prefix.items():
+            for (a, tags), rows in sums.items():
+                tails, _ = groups[_axis_parity(tags) ^ wanted[channel]]
+                parts = rows.reshape(len(tails), -1, axis.size)
+                for tail, part in zip(tails, parts):
+                    _merge(out[channel], (a, tuple(sorted(tags + tail))),
+                           part)
 
     prefix = apply_resolvent(apply_kick(
         initial_vector(), 1, theta, FIRST_POLARIZATION, kappa), axis)
     for between in splits:
         if between == top > 0:
-            contract(_inserted(prefix, axis), 0)
+            contract(_inserted(prefix, axis), 0, channels)
             break
         if between:
             # two statements, so that the shorter prefix is freed first
@@ -637,7 +706,8 @@ def _chain_rows(orders, z1, theta: float, channel: str, kappa: int, *,
             prefix = apply_resolvent(prefix, axis)
         for n in orders:
             if n >= between:
-                contract(prefix.items(), n - between)
+                for channel in channels:
+                    contract(prefix.items(), n - between, (channel,))
     return axis, out
 
 

@@ -25,7 +25,8 @@ compared with, :func:`mqcsim.expansion._chain_rows`:
     the roundoff of exactly cancelling monomials.
     :func:`demodulated_term_table` keeps every phase exponent, and
     :func:`fixed_configuration_components` prices it at a single
-    configuration;
+    configuration.  The tables of both channels at one kappa read one
+    chain, whose kick 1 and interpulse prefixes serve both;
   * Monte-Carlo configuration averages (:func:`monte_carlo_spectrum`)
     price a term table over random geometry and average it with
     standard errors.
@@ -57,7 +58,8 @@ from .basis import NUM_OPS_PAIR, matrix_unit
 from .coupling import TAG_KEYS, coupling_tensor, tensor_tag_value
 from .disorder import SEPARATION_WINDOW, _zero_phase_chain
 from .expansion import TERM_FLOOR, _chain_rows, _on_grid
-from .spectra import SPECTRAL_DENSITY_NORM, SpectrumSeries
+from .spectra import (POLARIZATION_CHANNELS, SPECTRAL_DENSITY_NORM,
+                      SpectrumSeries)
 
 _EYE4 = np.eye(4, dtype=complex)
 _EYE16 = np.eye(16, dtype=complex)
@@ -326,14 +328,34 @@ def demodulated_term_table(orders, theta: float, channel: str, kappa: int,
     """Collect the detected rows of the demodulated perturbative chain
     into a term table, one term per (phase exponent, tags) key.
 
-    One :func:`mqcsim.expansion._chain_rows` call runs every order in
-    ``orders`` on shared interpulse prefixes and one z1 axis; keys of
-    different orders differ in their number of tags.  The table leaves
-    out the keys below ``TERM_FLOOR`` (:func:`_term_table`).
+    The rows come from :func:`_channel_rows`, one chain over every
+    order in ``orders`` and every channel, so the table of the other
+    channel at the same arguments reuses them.  The table leaves out the
+    keys below ``TERM_FLOOR`` (:func:`_term_table`).
     """
     z1 = np.atleast_1d(np.asarray(z1_values, dtype=complex))
-    axis, rows = _chain_rows(orders, z1, theta, channel, kappa)
-    return _term_table(axis, rows, z1, kappa, channel)
+    axis, rows = _channel_rows(tuple(orders), tuple(z1), theta, kappa)
+    return _term_table(axis, rows[channel], z1, kappa, channel)
+
+
+@functools.lru_cache(maxsize=1)
+def _channel_rows(orders: tuple, z1: tuple, theta: float,
+                  kappa: int) -> tuple:
+    """The chain of every phase over ``orders`` on its z1 axis, in every
+    channel: the axis and a dict from channel to read-only rows by key.
+
+    One :func:`mqcsim.expansion._chain_rows` call runs every order on
+    shared interpulse prefixes and one z1 axis, and its kick 1 and
+    prefixes serve both channels; keys of different orders differ in
+    their number of tags.  Cached for the last arguments, which the
+    tables of both channels at one kappa share.
+    """
+    axis, rows = _chain_rows(orders, np.array(z1), theta,
+                             POLARIZATION_CHANNELS, kappa)
+    for by_key in rows.values():
+        for row in by_key.values():
+            row.flags.writeable = False
+    return axis, rows
 
 
 def _term_weights(phase_exponents, tags, xi: np.ndarray, n_hat: np.ndarray,

@@ -647,8 +647,26 @@ def test_mc_average_builds_one_chain_per_kappa_and_channel(monkeypatch,
         monkeypatch.setattr(module, "_chain_rows", counted)
     assert main(["mc-average", "--mc-samples", "1000", "--detuning-count",
                  "5", "--output-dir", str(tmp_path)]) == 0
-    assert sorted(built) == [(1, "parallel"), (1, "perpendicular"),
-                             (2, "parallel"), (2, "perpendicular")]
+    assert sorted(built) == [(1, ("parallel",)), (1, ("perpendicular",)),
+                             (2, ("parallel",)), (2, ("perpendicular",))]
+
+
+def test_oracle_check_builds_one_chain_per_kappa(monkeypatch, tmp_path):
+    # the term tables of both channels at one kappa read one chain, whose
+    # kick 1 and interpulse prefixes serve both, built from a cold cache
+    oracle._channel_rows.cache_clear()
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append((args[4], args[3]))
+        return chain_rows(*args, **kwargs)
+
+    chain_rows = expansion._chain_rows
+    for module in (expansion, disorder, oracle):
+        monkeypatch.setattr(module, "_chain_rows", counted)
+    assert main(["oracle-check", "--output-dir", str(tmp_path)]) == 0
+    assert built == [(1, ("parallel", "perpendicular")),
+                     (2, ("parallel", "perpendicular"))]
 
 
 def test_family_z_limit_holds_a_run_at_three_sigma():

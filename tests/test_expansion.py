@@ -17,6 +17,9 @@ from mqcsim.expansion import (
     _chain_rows,
     _axis_parity,
     _detection_covector,
+    _division,
+    _grid_division,
+    _insertion_resolved,
     _interaction_tails,
     _interpulse_axis,
     _pole_sectors,
@@ -362,17 +365,19 @@ def test_interpulse_axis_is_chosen_by_size_and_poles():
 
 def test_long_grid_with_a_point_on_a_pole_raises_as_before():
     grid = 1j * np.linspace(-2.0, 2.0, 41)
-    _, rows = _chain_rows((2,), grid, 0.7, "parallel", 1)
-    assert rows
+    _, rows = _chain_rows((2,), grid, 0.7, ("parallel",), 1)
+    assert rows["parallel"]
     # kick 1 leaves optical coherences of rate sum -1/2 in the prefix
     grid[5] = -0.5
     with pytest.raises(PoleError):
-        _chain_rows((2,), grid, 0.7, "parallel", 1)
+        _chain_rows((2,), grid, 0.7, ("parallel",), 1)
 
 
 def _count_chain_steps(monkeypatch, *args, **kwargs):
     """Rows of ``_chain_rows(*args, **kwargs)``, the kicks and z1
-    resolvents it makes, and the monomials it inserts into, in order."""
+    resolvents it makes, and the monomials it inserts into, in order.
+    An insertion into one monomial of the last prefix makes its z1
+    resolvent too (``_insertion_resolved``)."""
     counts = {"kicks": 0, "z1_resolvents": 0}
     inserted = []
 
@@ -386,32 +391,104 @@ def _count_chain_steps(monkeypatch, *args, **kwargs):
         inserted.extend(vector)
         return apply_interaction(vector)
 
+    def fused(monomial, coeffs, divide):
+        inserted.append(monomial)
+        counts["z1_resolvents"] += 1
+        return _insertion_resolved(monomial, coeffs, divide)
+
     monkeypatch.setattr(expansion, "apply_kick", counted("kicks", apply_kick))
     monkeypatch.setattr(expansion, "apply_resolvent",
                         counted("z1_resolvents", apply_resolvent))
     monkeypatch.setattr(expansion, "apply_interaction", insertion)
+    monkeypatch.setattr(expansion, "_insertion_resolved", fused)
     _, rows = _chain_rows(*args, **kwargs)
     return rows, counts, inserted
 
 
+@pytest.mark.parametrize("channels", [("parallel",),
+                                      ("parallel", "perpendicular")])
 @pytest.mark.parametrize("points", [7, 41])
-def test_each_interpulse_prefix_is_built_once(monkeypatch, points):
+def test_each_interpulse_prefix_is_built_once(monkeypatch, points,
+                                              channels):
     """A chain over several orders runs kick 1 once and inserts once
     into every monomial of prefixes 0 to top - 1, on the grid and on
-    pole labels alike.  The last prefix is contracted as it is made:
-    one z1 resolvent per monomial of the prefix before it."""
+    pole labels alike, however many channels read them.  The last
+    prefix is contracted as it is made: one z1 resolvent per monomial of
+    the prefix before it, over all the products of its insertion."""
     z1 = 1j * np.linspace(-3.0, 3.0, points)
     for orders, zero_phase in (((0, 1, 2, 3), False), ((0, 2), True)):
         top = max(orders)
         prefixes = _interpulse_prefixes(
             0.7, 1, _interpulse_axis(z1, top + 1), top - 1)
         rows, counts, inserted = _count_chain_steps(
-            monkeypatch, orders, z1, 0.7, "parallel", 1,
+            monkeypatch, orders, z1, 0.7, channels, 1,
             zero_phase=zero_phase)
-        assert rows
+        assert list(rows) == list(channels)
+        assert all(rows.values())
         assert inserted == [m for prefix in prefixes for m in prefix]
         assert counts == {"kicks": 1,
                           "z1_resolvents": top + len(prefixes[-1])}
+
+
+@pytest.mark.parametrize("zero_phase", [False, True])
+@pytest.mark.parametrize("kappa", [1, 2])
+@pytest.mark.parametrize("points", [7, 41])
+def test_shared_interpulse_stage_gives_each_channel_its_own_rows(
+        points, kappa, zero_phase):
+    # one chain over both channels against one chain per channel, on the
+    # grid and on pole labels: the same keys in the same order, and the
+    # same rows bit for bit
+    z1 = 1j * np.linspace(-3.0, 3.0, points)
+    args = ((0, 1, 2, 3), z1, 0.14 * np.pi)
+    channels = ("parallel", "perpendicular")
+    axis, both = _chain_rows(*args, channels, kappa, zero_phase=zero_phase)
+    assert isinstance(axis, PoleBasis) == (points == 41)
+    assert list(both) == list(channels)
+    for channel in channels:
+        one_axis, one = _chain_rows(*args, (channel,), kappa,
+                                    zero_phase=zero_phase)
+        assert list(one) == [channel]
+        assert type(one_axis) is type(axis)
+        assert one[channel]
+        assert list(both[channel]) == list(one[channel])
+        for key, rows in one[channel].items():
+            assert np.array_equal(both[channel][key], rows)
+
+
+@pytest.mark.parametrize("kappa", [1, 2])
+@pytest.mark.parametrize("points", [7, 41])
+def test_fused_insertion_is_the_insertion_then_the_resolvent(points, kappa):
+    # one resolvent over the stacked products of a monomial's insertion
+    # against apply_interaction, then apply_resolvent: the same tagged
+    # monomials in the same order, bit for bit, on the grid and on pole
+    # labels; at kappa = 2 the insertion into kick 1's monomial gives none
+    z1 = 1j * np.linspace(-3.0, 3.0, points)
+    axis = _interpulse_axis(z1, 4)
+    for prefix in _interpulse_prefixes(0.14 * np.pi, kappa, axis, 2):
+        for monomial, coeffs in prefix.items():
+            fused = list(_insertion_resolved(monomial, coeffs,
+                                             _division(axis)))
+            plain = list(apply_resolvent(
+                apply_interaction({monomial: coeffs}), axis).items())
+            assert [m for m, _ in fused] == [m for m, _ in plain]
+            for (_, got), (_, want) in zip(fused, plain):
+                assert got.flags.owndata
+                assert np.array_equal(got, want)
+
+
+def test_stacked_grid_division_guards_each_product_on_its_own():
+    # weight 1e-12 on the pole at z = -1/2 (atom 2 optical, atom 1 in
+    # the stationary mode) is negligible beside a unit entry of the same
+    # product, but not in a product of its own
+    z = np.array([-0.5, 1j])
+    eigen = np.zeros((2, 16, 16, 2), dtype=complex)
+    eigen[0, 5, 5] = 1.0
+    eigen[:, 0, 4, 0] = 1e-12
+    divide = _grid_division(z)
+    divided = divide(eigen[:1].copy())
+    assert divided[0, 0, 4, 0] == 0.0 and divided[0, 5, 5, 1] == 1.0 / (1j + 1)
+    with pytest.raises(PoleError):
+        divide(eigen)
 
 
 @pytest.mark.parametrize("kappa, channel", [(1, "parallel"),
@@ -421,9 +498,9 @@ def test_zero_phase_chain_keeps_the_plain_chains_zero_phase_rows(kappa,
     # the keep rule of the averaged chain, checked against the chain
     # without it on the oracle check's grid: the same rows, key for key
     z1 = 1j * np.linspace(-3.0, 3.0, 7)
-    args = ((0, 1, 2, 3), z1, 0.14 * np.pi, channel, kappa)
-    _, plain = _chain_rows(*args)
-    _, zero = _chain_rows(*args, zero_phase=True)
+    args = ((0, 1, 2, 3), z1, 0.14 * np.pi, (channel,), kappa)
+    plain = _chain_rows(*args)[1][channel]
+    zero = _chain_rows(*args, zero_phase=True)[1][channel]
     assert set(zero) == {key for key in plain if key[0] == 0}
     assert {len(tags) for _, tags in zero} == {0, 2}
     for key, rows in zero.items():
@@ -469,8 +546,9 @@ def test_selection_rules_hold_on_the_forward_chain(theta, kappa, channel,
               if not _obeys_selection_rules(key, kappa, channel)]
     assert broken and max(broken) < 1e-15 * peak
     for zero_phase in (False, True):
-        _, rows = _chain_rows((0, 1, 2, 3), z1, theta, channel, kappa,
+        _, rows = _chain_rows((0, 1, 2, 3), z1, theta, (channel,), kappa,
                               zero_phase=zero_phase)
+        rows = rows[channel]
         assert all(_obeys_selection_rules(key, kappa, channel)
                    for key in rows)
         if theta == 0.14 * np.pi and not zero_phase:
