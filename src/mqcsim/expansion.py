@@ -110,6 +110,31 @@ length are grouped by the axis parity of their tags
 (:func:`_interaction_tails`), and a prefix monomial meets only the
 group that completes its own to the key's.
 
+A third symmetry halves the interpulse stage.  The atoms are identical
+and see the same pulses, so the atom exchange S, pair index 16 i + j
+to 16 j + i, maps the chain onto itself: the ground pair, the decay
+generator and so every resolvent are invariant; each of the twelve
+interaction pieces maps to itself, since the coupling tensor is
+symmetric and each piece sums both atom orders; the detectors sum over
+both atoms, so the covectors and every tail are invariant; and a kick
+harmonic pair (p1, p2) maps to (p2, p1).  S therefore maps the prefix
+monomial (a, 0, c, 0, tags) to (c, 0, a, 0, tags), its coefficients
+permuted by S, and its contraction through the pair (p1, p2) to the
+mirror's through (p2, p1), which gives the same rows.  The key's
+exponent e = a + p1 becomes c + p2 = -e, as a + c = -kappa and
+p1 + p2 = kappa.  Insertions keep the powers, so the chain runs kick 1's
+monomials with a < c as they are and drops those with a > c
+(:func:`_mirror_half`).  Every prefix and contraction then builds the
+rows P of one half, and the chain's rows are
+rows(e, tags) = P(e, tags) + P(-e, tags) (:func:`_mirror_folded`):
+2 P(0, tags) at e = 0, and mirror keys with bit-equal rows.  A monomial
+with a == c, (-1, 0, -1, 0) at kappa = 2, is its own mirror: its rows
+at e and -e are already each other's, so the fold would count it twice,
+and it runs at weight 1/2, exact in floating point.  The pole
+guard is unaffected: S maps each decay sector to one of the same rate
+sum, and the guard measures every monomial against its own entries, so
+the kept half raises exactly where the dropped half would.
+
 The chain has two readers.  :func:`mqcsim.disorder.averaged_solution`
 runs it with kick 2 keeping only zero net atom phase, weights every key
 by its factor-pair average and evaluates the weighted sum once, with no
@@ -119,8 +144,9 @@ every weight is zero, and it builds no chain.  The term tables of
 :mod:`mqcsim.oracle` read either that zero-phase chain or the chain of
 every phase, built once per kappa for both channels, drop the keys
 below ``TERM_FLOOR`` on the z1 axis and evaluate the rest on the grid.
-:func:`scattering_solution` keeps the whole forward state of one order
-and is the reference that the tests check the driver against.
+:func:`scattering_solution` keeps the whole forward state of one order,
+both mirror halves included, and is the reference that the tests check
+the driver against.
 """
 
 from __future__ import annotations
@@ -587,14 +613,20 @@ def _chain_rows(orders, z1, theta: float, channels, kappa: int, *,
     (resolvents at ``z1``) and the rest after it, in the detection stage
     (resolvents at z2 = 0, run backward from the detectors once with no
     z1 axis and grouped by axis parity, :func:`_interaction_tails`).
-    Kick 1 runs once, and prefix s, s insertions each followed by a z1
-    resolvent, is built once from prefix s - 1; each of its monomials
+    Kick 1 runs once and keeps one atom-exchange mirror half of its
+    monomials (:func:`_mirror_half`), and prefix s, s insertions each
+    followed by a z1 resolvent, is built once from prefix s - 1 of that
+    half; each of its monomials
     meets the tails of n - s insertions of every order n >= s by one
     stacked product per kick-2 harmonic pair (p1, p2).  The products are
     summed per (net atom-1 exponent, prefix tags); once a prefix is
     consumed, each sum is split over the tails and merged under the
     joined tags.  Only the highest order reads the last prefix, so its
     monomials are contracted as they are made (:func:`_inserted`).
+    Before it returns, each channel's rows of the half are folded onto
+    their mirror keys, rows(e, tags) = P(e, tags) + P(-e, tags)
+    (:func:`_mirror_folded`), so every key (e, tags) comes with
+    (-e, tags) and the same rows bit for bit.
 
     Kick 1 and the prefixes do not depend on the channel, the
     polarization of pulse 2, so one interpulse stage serves every
@@ -615,8 +647,9 @@ def _chain_rows(orders, z1, theta: float, channels, kappa: int, *,
     kept: kick 1 keeps net pulse-1 exponent -kappa, kick 2 net pulse
     exponents (-kappa, kappa).  With ``zero_phase``, kick 2 also keeps
     only zero net exponent on each atom, the monomials whose position
-    phases survive the disorder average (:mod:`mqcsim.disorder`).  The
-    other arguments are those of :func:`scattering_solution`.
+    phases survive the disorder average (:mod:`mqcsim.disorder`); every
+    key then has e = 0, and the fold doubles its rows.  The other
+    arguments are those of :func:`scattering_solution`.
 
     Keys that break a selection rule (see the module docstring) are
     exact zeros and are never built.  By atom-phase parity, kick 2 keeps
@@ -694,8 +727,8 @@ def _chain_rows(orders, z1, theta: float, channels, kappa: int, *,
                     _merge(out[channel], (a, tuple(sorted(tags + tail))),
                            part)
 
-    prefix = apply_resolvent(apply_kick(
-        initial_vector(), 1, theta, FIRST_POLARIZATION, kappa), axis)
+    prefix = apply_resolvent(_mirror_half(apply_kick(
+        initial_vector(), 1, theta, FIRST_POLARIZATION, kappa)), axis)
     for between in splits:
         if between == top > 0:
             contract(_inserted(prefix, axis), 0, channels)
@@ -708,7 +741,39 @@ def _chain_rows(orders, z1, theta: float, channels, kappa: int, *,
             if n >= between:
                 for channel in channels:
                     contract(prefix.items(), n - between, (channel,))
-    return axis, out
+    return axis, {channel: _mirror_folded(half)
+                  for channel, half in out.items()}
+
+
+def _mirror_half(vector: dict) -> dict:
+    """One representative of each atom-exchange mirror pair among kick
+    1's monomials, powers (a, 0, c, 0): those with a < c as they are,
+    those with a == c (their own mirrors) times 1/2, and none with
+    a > c (see the module docstring)."""
+    out = {}
+    for monomial, coeffs in vector.items():
+        a, _, c, _ = monomial.powers
+        if a < c:
+            out[monomial] = coeffs
+        elif a == c:
+            out[monomial] = 0.5 * coeffs
+    return out
+
+
+def _mirror_folded(half: dict) -> dict:
+    """The rows of the whole chain from the rows ``half`` of the mirror
+    half of :func:`_mirror_half`: rows(e, tags) = half(e, tags) +
+    half(-e, tags), 2 half(0, tags) at e = 0, and a key that only one
+    side holds copied to the other."""
+    out = {}
+    for (exponent, tags), rows in half.items():
+        mirror = half.get((-exponent, tags))
+        if mirror is None:
+            out[(exponent, tags)] = rows
+            out[(-exponent, tags)] = rows.copy()
+        else:
+            out[(exponent, tags)] = rows + mirror
+    return out
 
 
 def _on_grid(axis, rows: np.ndarray, z1) -> np.ndarray:

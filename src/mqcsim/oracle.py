@@ -184,10 +184,15 @@ def coherence_orders() -> np.ndarray:
     return out
 
 
-def _deflated_solve(generator: np.ndarray, z: complex, rhs: np.ndarray,
+def _deflated_solve(generator: np.ndarray, z, rhs: np.ndarray,
                     sector: np.ndarray) -> np.ndarray:
     """Solve (z - generator) x = rhs on the entries ``sector``, with the
     stationary pole removed.
+
+    ``z`` is one point or a 1d array of points.  For an array, the
+    restricted generator and the deflation are gathered once, the
+    systems of all points are solved in one stacked call, and the
+    solution has a leading axis over the points.
 
     ``rhs`` and the solution hold only the entries ``sector``: every
     entry of one or more coherence orders (:func:`coherence_orders`).
@@ -200,10 +205,12 @@ def _deflated_solve(generator: np.ndarray, z: complex, rhs: np.ndarray,
     Both vectors of the update lie in order 0, so it vanishes on every
     other order.
     """
+    z = np.asarray(z)
     deflation = np.outer(ground_pair_vec()[sector],
                          _EYE16.reshape(-1)[sector])
     block = generator[np.ix_(sector, sector)]
-    return np.linalg.solve(z * np.eye(len(sector)) - block + deflation, rhs)
+    system = z[..., None, None] * np.eye(len(sector)) - block + deflation
+    return np.linalg.solve(system, np.broadcast_to(rhs, z.shape + rhs.shape))
 
 
 def demodulated_laplace(xi: float, n_hat, theta: float, kappas, channels,
@@ -230,9 +237,10 @@ def demodulated_laplace(xi: float, n_hat, theta: float, kappas, channels,
     2's +kappa takes it back to order 0 (118 entries), where the
     detector covectors and the deflation live.  Each z1 point takes one
     solve on the union of the -kappa orders, with the pulse-1 states of
-    every kappa as right-hand sides, and one z2 = 0 solve on order 0
-    takes every (kappa, channel) block of z1 columns: len(z1_values) + 1
-    solves in all, 69x69 and 118x118 for kappas (1, 2).
+    every kappa as right-hand sides, the solves of all points stacked in
+    one call, and one z2 = 0 solve on order 0 takes every (kappa,
+    channel) block of z1 columns: len(z1_values) + 1 solves in all,
+    69x69 and 118x118 for kappas (1, 2).
 
     Returns:
         dict mapping (kappa, channel, direction) to an array of
@@ -253,12 +261,11 @@ def demodulated_laplace(xi: float, n_hat, theta: float, kappas, channels,
     first = np.stack([kick_harmonic(unitaries[FIRST_POLARIZATION], -kappa,
                                     ground).reshape(-1)[interpulse]
                       for kappa in kappas], axis=1)
-    # between[:, k, j]: pulse 1's -kappas[k] harmonic resolved at z1_arr[j]
-    between = np.stack([_deflated_solve(generator, z1, first, interpulse)
-                        for z1 in z1_arr], axis=2)
+    # between[j, :, k]: pulse 1's -kappas[k] harmonic resolved at z1_arr[j]
+    between = _deflated_solve(generator, z1_arr, first, interpulse)
     # the same solutions as 16x16 states[k, j], zero outside interpulse
     states = np.zeros((len(kappas), len(z1_arr), NUM_OPS_PAIR), dtype=complex)
-    states[..., interpulse] = between.transpose(1, 2, 0)
+    states[..., interpulse] = between.transpose(2, 0, 1)
     states = states.reshape(len(kappas), len(z1_arr), 16, 16)
     blocks = [(k, kappa, channel) for k, kappa in enumerate(kappas)
               for channel in channels]

@@ -285,6 +285,21 @@ def test_interaction_products_match_scipy_products(columns, transposed):
                 product, (matrix.T if transposed else matrix) @ block)
 
 
+@pytest.mark.parametrize("transposed", [False, True])
+def test_every_piece_commutes_with_the_atom_swap(transposed):
+    # swapping the atoms maps pair index 16 i + j to 16 j + i; the tensor
+    # is symmetric and each piece sums both atom orders, so S P S = P for
+    # every tag, which the chain's atom-exchange fold relies on
+    swap = np.arange(256).reshape(16, 16).T.reshape(-1)
+    rng = np.random.default_rng(41)
+    x = rng.normal(size=(256, 3)) + 1j * rng.normal(size=(256, 3))
+    products = interaction_products(x, transposed)
+    assert np.max(np.abs(products)) > 0.1
+    np.testing.assert_allclose(interaction_products(x[swap], transposed),
+                               products[:, swap], rtol=0, atol=1e-15 * np.max(
+                                   np.abs(products)))
+
+
 def test_state_picture_properties():
     rng = np.random.default_rng(29)
     tensor = coupling_tensor(3.1, RNG_DIRECTIONS[2])

@@ -411,15 +411,18 @@ def _count_chain_steps(monkeypatch, *args, **kwargs):
 def test_each_interpulse_prefix_is_built_once(monkeypatch, points,
                                               channels):
     """A chain over several orders runs kick 1 once and inserts once
-    into every monomial of prefixes 0 to top - 1, on the grid and on
-    pole labels alike, however many channels read them.  The last
-    prefix is contracted as it is made: one z1 resolvent per monomial of
-    the prefix before it, over all the products of its insertion."""
+    into the mirror representative of every monomial of prefixes 0 to
+    top - 1, powers (a, 0, c, 0) with a <= c, on the grid and on pole
+    labels alike, however many channels read them.  The last prefix is
+    contracted as it is made: one z1 resolvent per representative of the
+    prefix before it, over all the products of its insertion."""
     z1 = 1j * np.linspace(-3.0, 3.0, points)
     for orders, zero_phase in (((0, 1, 2, 3), False), ((0, 2), True)):
         top = max(orders)
-        prefixes = _interpulse_prefixes(
-            0.7, 1, _interpulse_axis(z1, top + 1), top - 1)
+        prefixes = [[m for m in prefix if m.powers[0] <= m.powers[2]]
+                    for prefix in _interpulse_prefixes(
+                        0.7, 1, _interpulse_axis(z1, top + 1), top - 1)]
+        assert all(prefixes)
         rows, counts, inserted = _count_chain_steps(
             monkeypatch, orders, z1, 0.7, channels, 1,
             zero_phase=zero_phase)
@@ -453,6 +456,22 @@ def test_shared_interpulse_stage_gives_each_channel_its_own_rows(
         assert list(both[channel]) == list(one[channel])
         for key, rows in one[channel].items():
             assert np.array_equal(both[channel][key], rows)
+
+
+@pytest.mark.parametrize("kappa", [1, 2])
+@pytest.mark.parametrize("points", [7, 41])
+def test_chain_rows_are_folded_onto_their_atom_exchange_mirror(points,
+                                                               kappa):
+    # the chain builds one mirror half of its interpulse stage and folds
+    # its rows, so every key (e, tags) has its mirror (-e, tags) with the
+    # same rows bit for bit, on the grid and on pole labels
+    z1 = 1j * np.linspace(-3.0, 3.0, points)
+    _, rows = _chain_rows((0, 1, 2, 3), z1, 0.14 * np.pi,
+                          ("parallel", "perpendicular"), kappa)
+    for by_key in rows.values():
+        assert any(exponent for exponent, _ in by_key)
+        for (exponent, tags), value in by_key.items():
+            assert np.array_equal(by_key[(-exponent, tags)], value)
 
 
 @pytest.mark.parametrize("kappa", [1, 2])

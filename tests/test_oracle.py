@@ -275,6 +275,15 @@ def test_deflated_solve_is_exact_resolvent_on_trace_free_input():
             residual = z * solution - gen @ solution - rhs
             assert np.max(np.abs(residual)) < 1e-12
             assert np.max(np.abs(trace_covector @ solution)) < 1e-12
+        # an array of points solves every point's system in one stacked
+        # call, with the solutions along a leading axis
+        points = np.array([0.0, 0.3 + 1.1j, -0.2j])
+        stacked = _deflated_solve(gen, points, rhs[sector], sector)
+        assert stacked.shape == (len(points),) + rhs[sector].shape
+        for z, solution in zip(points, stacked):
+            np.testing.assert_allclose(
+                solution, _deflated_solve(gen, z, rhs[sector], sector),
+                rtol=0, atol=1e-13)
 
 
 def test_time_domain_evolve_matches_matrix_exponential():
@@ -483,7 +492,7 @@ def test_demodulated_laplace_solves_once_per_z1_and_once_at_z2(monkeypatch):
     solve = np.linalg.solve
 
     def counted(matrix, rhs):
-        calls.append(rhs.shape)
+        calls.append((matrix.shape, rhs.shape))
         return solve(matrix, rhs)
 
     monkeypatch.setattr(np.linalg, "solve", counted)
@@ -491,8 +500,9 @@ def test_demodulated_laplace_solves_once_per_z1_and_once_at_z2(monkeypatch):
     demodulated_laplace(80.0, _random_axis(2), THETA, (1, 2),
                         ("parallel", "perpendicular"), z1)
     # seven z1 solves of both kappas on orders -1 and -2 (60 + 9
-    # entries), one z2 solve of 4 blocks of 7 on order 0
-    assert calls == [(69, 2)] * 7 + [(118, 28)]
+    # entries), stacked in one call, and one z2 solve of 4 blocks of 7
+    # on order 0
+    assert calls == [((7, 69, 69), (7, 69, 2)), ((118, 118), (118, 28))]
 
 
 def test_sector_laplace_matches_full_space_solve():
@@ -550,6 +560,29 @@ def _forward_rows(order, z1, kappa, channel):
         key = (monomial.atom_net[0], monomial.tags)
         merged[key] = merged.get(key, 0.0) + covectors @ coeffs
     return merged
+
+
+@pytest.mark.parametrize("kappa", [1, 2])
+@pytest.mark.parametrize("channel", ["parallel", "perpendicular"])
+def test_forward_chain_is_symmetric_under_atom_exchange(kappa, channel):
+    """Swapping the atoms maps the key (e, tags) to (-e, tags), and the
+    state, pulses, decay, interaction and detectors are all invariant
+    under it, so the unhalved forward chain, which builds both mirror
+    halves, holds equal rows at e and -e; the chain driver builds one
+    half and folds it onto the other.  Keys of different orders differ
+    in their number of tags, so orders 0-3 share one dict and one peak."""
+    z1 = 1j * np.linspace(-3.0, 3.0, 7)
+    rows = {key: value for order in (0, 1, 2, 3)
+            for key, value in _forward_rows(order, z1, kappa,
+                                            channel).items()}
+    peak = max(np.max(np.abs(value)) for value in rows.values())
+    assert peak > 1e-4
+    mirrored = [key for key in rows if key[0] != 0]
+    assert len(mirrored) > 400
+    for exponent, tags in mirrored:
+        mirror = rows.get((-exponent, tags), 0.0)
+        assert np.max(np.abs(rows[(exponent, tags)] - mirror)) <= (
+            1e-15 * peak), (exponent, tags)
 
 
 @pytest.mark.parametrize("kappa", [1, 2])
