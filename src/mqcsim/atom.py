@@ -113,6 +113,10 @@ def kick_decomposition(theta: float, polarization: str = "x") -> dict:
     sum_p e^{i p phi} R_p with p = -2..2; the harmonics R_p are
     phase-free, so all phi dependence is in the prefactors.
 
+    The pulse conserves the trace at every phase, so for p != 0 the
+    trace row of R_p (row 0, the Id/2 coefficient) vanishes; it is set
+    to exact zeros rather than left to the roundoff of its terms.
+
     Args:
         theta: pulse area.
         polarization: 'x', 'y' or 'z'.
@@ -126,7 +130,7 @@ def kick_decomposition(theta: float, polarization: str = "x") -> dict:
     proj = s_op.conj().T @ s_op + s_op @ s_op.conj().T
     cap = np.eye(HILBERT_DIM) - proj + np.cos(theta / 2.0) * proj
     s_dag = s_bar.conj().T
-    return {
+    out = {
         0: (sandwich_matrix(cap, cap) + sandwich_matrix(s_dag, s_bar)
             + sandwich_matrix(s_bar, s_dag)),
         +1: 1j * (sandwich_matrix(cap, s_dag) - sandwich_matrix(s_dag, cap)),
@@ -134,6 +138,9 @@ def kick_decomposition(theta: float, polarization: str = "x") -> dict:
         +2: sandwich_matrix(s_dag, s_dag),
         -2: sandwich_matrix(s_bar, s_bar),
     }
+    for p in (-2, -1, 1, 2):
+        out[p][0] = 0.0
+    return out
 
 
 #: the population decay modes span the diagonal basis indices 0-3;

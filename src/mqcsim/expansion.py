@@ -81,6 +81,15 @@ exponent, prefix tags) as they are made, and only then split over the
 tails and merged under the joined tags, so the join runs once per
 distinct prefix key and tail.
 
+Split 0 of the highest order n alone would need the tails of n
+insertions, the longest and by far the most.  Its prefix, kick 1's few
+monomials, runs one step further forward instead: kick 2 through each
+pair it allows, R(0) in the same block form, and one insertion, whose
+exactly zero products are dropped.  Each product then meets the tails
+of n - 1 insertions of the group its axis parity allows.  So a chain of
+highest order n builds tails of at most n - 1 insertions, and a key
+whose every forward product is exactly zero is not built at all.
+
 Two selection rules make most (net atom-1 exponent, tags) keys exactly
 zero, and the chain never builds them:
 
@@ -623,6 +632,13 @@ def _chain_rows(orders, z1, theta: float, channels, kappa: int, *,
     consumed, each sum is split over the tails and merged under the
     joined tags.  Only the highest order reads the last prefix, so its
     monomials are contracted as they are made (:func:`_inserted`).
+    Split 0 of the highest order n > 0 meets the detection stage one
+    insertion later: each monomial of prefix 0 is kicked by pulse 2
+    through each pair its order allows, in each channel, and resolved at
+    z2 = 0, and each nonzero product of one insertion on it meets the
+    tails of n - 1 insertions in one matrix product; its sums are keyed
+    by the prefix tags plus the inserted tag.  So no tail is longer than
+    n - 1 insertions.
     Before it returns, each channel's rows of the half are folded onto
     their mirror keys, rows(e, tags) = P(e, tags) + P(-e, tags)
     (:func:`_mirror_folded`), so every key (e, tags) comes with
@@ -663,16 +679,17 @@ def _chain_rows(orders, z1, theta: float, channels, kappa: int, *,
         the axis, and a dict from each channel to a dict mapping (net
         atom-1 phase exponent, sorted tags) to the detected rows of the
         monomials with that key, shape (len(DETECTION_DIRECTIONS), axis
-        size), with no key that obeys both selection rules dropped.
+        size).  No key that obeys both selection rules is dropped, except
+        one whose every product is exactly zero, which is not built.
     """
     z1 = np.atleast_1d(np.asarray(z1, dtype=complex))
     top = max(orders)
     splits = (0,) if fast else tuple(range(top + 1))
     axis = _interpulse_axis(z1, len(splits))
-    transposed, wanted = {}, {}
+    harmonics, wanted = {}, {}
     for channel in channels:
-        harmonics = kick_decomposition(theta, SECOND_POLARIZATION[channel])
-        transposed[channel] = {p: h.T for p, h in harmonics.items()}
+        harmonics[channel] = kick_decomposition(
+            theta, SECOND_POLARIZATION[channel])
         wanted[channel] = _key_parity(channel, kappa)
 
     @functools.cache
@@ -714,11 +731,42 @@ def _chain_rows(orders, z1, theta: float, channels, kappa: int, *,
                     step = (channel, p1, p2, group)
                     if step not in kicked:
                         kicked[step] = np.ascontiguousarray(apply_factorized(
-                            transposed[channel][p1], transposed[channel][p2],
-                            groups[group][1]).T)
+                            harmonics[channel][p1].T,
+                            harmonics[channel][p2].T, groups[group][1]).T)
                     _merge(by_prefix[channel],
                            (monomial.powers[0] + p1, monomial.tags),
                            kicked[step][:, support] @ coeffs[support])
+        joined(by_prefix, groups)
+
+    def forward(monomials, length):
+        # split 0 of the top order: kick 2, R(0) and one insertion run
+        # forward on each prefix monomial, for each kick-2 pair its order
+        # allows in each channel, and each nonzero product meets the
+        # tails of ``length`` = top - 1 that its axis parity allows
+        groups = _interaction_tails(length)
+        at_zero = _grid_division(0.0)
+        by_prefix = {channel: {} for channel in channels}
+        for monomial, coeffs in monomials:
+            for p1, p2 in kick2_pairs(monomial.powers,
+                                      (len(monomial.tags) + length + 1) % 2):
+                for channel in channels:
+                    kicked = apply_factorized(harmonics[channel][p1],
+                                              harmonics[channel][p2], coeffs)
+                    resolved = _resolved(kicked.reshape(NUM_OPS, NUM_OPS, -1),
+                                         at_zero).reshape(kicked.shape)
+                    for tag, product in zip(TAG_KEYS,
+                                            interaction_products(resolved)):
+                        tags = monomial.tagged(tag).tags
+                        group = _axis_parity(tags) ^ wanted[channel]
+                        if group in groups and product.any():
+                            _merge(by_prefix[channel],
+                                   (monomial.powers[0] + p1, tags),
+                                   groups[group][1].T @ product)
+        joined(by_prefix, groups)
+
+    def joined(by_prefix, groups):
+        # each channel's sums per (exponent, prefix tags), split over the
+        # tails they met and merged under the joined tags
         for channel, sums in by_prefix.items():
             for (a, tags), rows in sums.items():
                 tails, _ = groups[_axis_parity(tags) ^ wanted[channel]]
@@ -738,7 +786,9 @@ def _chain_rows(orders, z1, theta: float, channels, kappa: int, *,
             prefix = apply_interaction(prefix)
             prefix = apply_resolvent(prefix, axis)
         for n in orders:
-            if n >= between:
+            if n == top > between == 0:
+                forward(prefix.items(), top - 1)
+            elif n >= between:
                 for channel in channels:
                     contract(prefix.items(), n - between, (channel,))
     return axis, {channel: _mirror_folded(half)

@@ -368,16 +368,34 @@ def _channel_rows(orders: tuple, z1: tuple, theta: float,
 def _term_weights(phase_exponents, tags, xi: np.ndarray, n_hat: np.ndarray,
                   mode: str) -> np.ndarray:
     """Numeric weight of every term per configuration, (T, B): its phase
-    e^{i m xi n_z} times the product of its coupling factors."""
+    e^{i m xi n_z} times the product of its coupling factors.
+
+    The phase is computed once per distinct exponent, and the factors
+    are gathered one tag position at a time, shorter tag lists padded
+    with a row of exact ones, so each term multiplies its factors in
+    its own order, as a loop over terms would."""
     tensors = coupling_tensor(xi, n_hat, mode)
-    factors = {tag: tensor_tag_value(tensors, tag) for tag in TAG_KEYS}
     position = np.asarray(xi) * np.asarray(n_hat)[:, 2]
+    factors = np.array([tensor_tag_value(tensors, tag) for tag in TAG_KEYS]
+                       + [np.ones(len(position))], dtype=complex)
+    column = {tag: i for i, tag in enumerate(TAG_KEYS)}
+    depth = max(map(len, tags), default=0)
+    gathered = np.full((depth, len(tags)), len(TAG_KEYS))
+    for t, term in enumerate(tags):
+        gathered[:len(term), t] = [column[tag] for tag in term]
+    exponents, which = np.unique(np.asarray(phase_exponents, dtype=int),
+                                 return_inverse=True)
+    phases = np.empty((len(exponents), len(position)), dtype=complex)
+    for i, exponent in enumerate(exponents.tolist()):
+        phases[i] = np.exp(1j * exponent * position)
+    # blocks of terms, so that a temporary holds at most 2^15 weights
     weights = np.empty((len(tags), len(position)), dtype=complex)
-    for t, (exponent, term) in enumerate(zip(phase_exponents, tags)):
-        w = np.exp(1j * exponent * position)
-        for tag in term:
-            w = w * factors[tag]
-        weights[t] = w
+    step = max(1, 2**15 // len(position))
+    for lo in range(0, len(tags), step):
+        block = phases[which[lo:lo + step]]
+        for rows in gathered[:, lo:lo + step]:
+            block *= factors[rows]
+        weights[lo:lo + step] = block
     return weights
 
 

@@ -95,6 +95,20 @@ def test_kick_preserves_trace_and_hermiticity():
         assert np.allclose(mat.conj().T @ mat, np.eye(16), atol=1e-12)
 
 
+@pytest.mark.parametrize("theta", [0.44, 0.8])
+@pytest.mark.parametrize("pol", ["x", "y"])
+def test_kick_harmonics_off_zero_have_an_exactly_zero_trace_row(theta, pol):
+    # the trace row of R_p is Tr(R_p O) / 2, zero at every p != 0 since
+    # each kick conserves the trace; it holds no roundoff either
+    kick = kick_decomposition(theta, pol)
+    for p in (-2, -1, 1, 2):
+        assert not np.any(kick[p][0])
+    assert np.any(kick[1]) and np.any(kick[-1])
+    want = np.zeros(16)
+    want[0] = 1.0
+    np.testing.assert_allclose(kick[0][0], want, rtol=0, atol=1e-15)
+
+
 def test_kick_on_ground_state():
     phi = 0.4
     # theta = 0 leaves the atom alone and theta = 2 pi returns it with a

@@ -433,6 +433,27 @@ def test_each_interpulse_prefix_is_built_once(monkeypatch, points,
                           "z1_resolvents": top + len(prefixes[-1])}
 
 
+@pytest.mark.parametrize("orders, zero_phase, fast", [
+    ((0, 1, 2, 3), False, False), ((0, 2), True, False),
+    ((0, 1, 2, 3), False, True), ((0, 2, 4), True, False)])
+def test_no_detection_tail_is_longer_than_top_minus_one(
+        monkeypatch, orders, zero_phase, fast):
+    # split 0 of the top order runs one insertion forward, so a chain of
+    # top order n asks for tails of at most n - 1 insertions
+    lengths = []
+
+    def recorded(length):
+        lengths.append(length)
+        return _interaction_tails(length)
+
+    monkeypatch.setattr(expansion, "_interaction_tails", recorded)
+    _, rows = _chain_rows(orders, 1j * np.linspace(-3.0, 3.0, 7),
+                          0.14 * np.pi, ("parallel", "perpendicular"), 1,
+                          zero_phase=zero_phase, fast=fast)
+    assert rows["parallel"]
+    assert max(lengths) == max(orders) - 1
+
+
 @pytest.mark.parametrize("zero_phase", [False, True])
 @pytest.mark.parametrize("kappa", [1, 2])
 @pytest.mark.parametrize("points", [7, 41])
@@ -541,15 +562,27 @@ def _obeys_selection_rules(key, kappa, channel):
             and [c % 2 for c in counts] == [odd, odd, 0])
 
 
+@pytest.mark.parametrize("theta", [0.44, 0.8])
+def test_order_zero_at_kappa_two_is_exactly_zero(theta):
+    # at kappa = 2 the order-0 key reads the trace row of the p = +-1
+    # kick-2 harmonics, which is exactly zero
+    _, rows = _chain_rows((0,), 1j * np.linspace(-3.0, 3.0, 7), theta,
+                          ("parallel", "perpendicular"), 2)
+    for channel_rows in rows.values():
+        assert list(channel_rows) == [(0, ())]
+        assert not np.any(channel_rows[(0, ())])
+
+
 @pytest.mark.parametrize("theta", [0.14 * np.pi, 0.8, 1.3])
 @pytest.mark.parametrize("kappa, channel, count", [
-    (1, "parallel", 341), (1, "perpendicular", 216),
-    (2, "parallel", 279), (2, "perpendicular", 279)])
+    (1, "parallel", 339), (1, "perpendicular", 216),
+    (2, "parallel", 253), (2, "perpendicular", 253)])
 def test_selection_rules_hold_on_the_forward_chain(theta, kappa, channel,
                                                    count):
     # the forward chain keeps every key, so the keys that break a rule
     # must be roundoff there; the chain driver skips them and keeps only
-    # keys that obey both rules
+    # keys that obey both rules, and every key above roundoff that obeys
+    # them; a key whose every product is exactly zero is not built
     z1 = 1j * np.linspace(-3.0, 3.0, 7)
     covectors = np.stack([_detection_covector(d).conj()
                           for d in DETECTION_DIRECTIONS])
@@ -570,6 +603,11 @@ def test_selection_rules_hold_on_the_forward_chain(theta, kappa, channel,
         rows = rows[channel]
         assert all(_obeys_selection_rules(key, kappa, channel)
                    for key in rows)
+        held = {key for key, values in forward.items()
+                if _obeys_selection_rules(key, kappa, channel)
+                and np.max(np.abs(values)) > 1e-15 * peak
+                and (key[0] == 0 or not zero_phase)}
+        assert held and held <= set(rows)
         if theta == 0.14 * np.pi and not zero_phase:
             assert len(rows) == count
 

@@ -664,6 +664,32 @@ def test_term_table_holds_only_contributing_terms():
                     zip(table.phase_exponents, table.tags))
 
 
+@pytest.mark.parametrize("mode", ["exact", "far_field"])
+def test_term_weights_are_the_per_term_products(mode):
+    """The gathered weights against a loop over terms, each its phase
+    times its factors in order, bit for bit, on a table of terms of 0 to
+    3 tags: at one configuration, and on a batch whose terms are
+    weighted a few at a time."""
+    table = demodulated_term_table((0, 1, 2, 3), THETA, "parallel", 1,
+                                   1j * np.linspace(-3.0, 3.0, 7))
+    assert {len(term) for term in table.tags} == {0, 1, 2, 3}
+    rng = np.random.default_rng(3)
+    for count in (1, MC_BATCH):
+        xi, n_hat = sample_configurations(rng, count, (20.0, 80.0))
+        tensors = coupling_tensor(xi, n_hat, mode)
+        position = xi * n_hat[:, 2]
+        want = []
+        for exponent, term in zip(table.phase_exponents, table.tags):
+            w = np.exp(1j * exponent * position)
+            for tag in term:
+                w = w * tensor_tag_value(tensors, tag)
+            want.append(w)
+        got = _term_weights(table.phase_exponents, table.tags, xi, n_hat,
+                            mode)
+        assert np.array_equal(got, np.array(want))
+    assert _term_weights((), (), xi, n_hat, mode).shape == (0, count)
+
+
 def test_term_table_on_a_long_grid_holds_little_beyond_its_rows():
     """The chain drops its roundoff keys before it evaluates its pole
     labels on the grid: at 10,001 points the kept 16 keys hold 5.1 MB,
