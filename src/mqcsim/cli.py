@@ -24,6 +24,7 @@ configuration, 3 numeric or any other unexpected failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -500,5 +501,23 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC_FAILURE
 
 
+def script(argv=None) -> int:
+    """Entry of ``python -m mqcsim.cli`` and the ``mqcsim`` script:
+    :func:`main`, then a frozen heap for the exit.
+
+    However ``main`` ends (a return, argparse's ``SystemExit`` or an
+    exception), every object it leaves is moved to the permanent
+    generation, so the interpreter's final collections have nothing to
+    scan.  Their only other work, running finalizers of cyclic garbage,
+    is not guaranteed at exit anyway, and every output file is closed
+    and renamed before ``main`` returns.  In-process callers of
+    ``main`` keep normal collection.
+    """
+    try:
+        return main(argv)
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(script())

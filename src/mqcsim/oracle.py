@@ -9,13 +9,17 @@ pair pulse unitaries are assembled from Kronecker products of explicit
 components as resolvent solves, with the pulse phases removed by
 harmonic binning of the pair unitary, so the result is directly
 comparable to the perturbative chain, the only difference being the
-neglected interaction orders.  Each solve runs on the coherence orders
-n(a) - n(b) of the entries rho_ab that its states occupy
-(:func:`coherence_orders`): the generator conserves the order and kick
-harmonic p shifts it by p, so the interpulse states of harmonic -kappa
-lie in order -kappa and the detected states in order 0; for kappas
-(1, 2) the solves take 69 and 118 of the 256 entries.  The tests hold
-the time-domain transients on the same generator and pulses.
+neglected interaction orders.  The harmonics are exact in closed form:
+the laser phase enters a pulse unitary only as a phase per excitation,
+so :func:`binned_kick` sorts the entries of one zero-phase unitary by
+their change of the excitation number.  Each solve runs on the
+coherence orders n(a) - n(b) of the entries rho_ab that its states
+occupy (:func:`coherence_orders`): the generator conserves the order
+and kick harmonic p shifts it by p, so the interpulse states of
+harmonic -kappa lie in order -kappa and the detected states in order
+0; for kappas (1, 2) the solves take 69 and 118 of the 256 entries.
+The tests hold the time-domain transients on the same generator and
+pulses.
 
 The perturbative side of every comparison is built on the chain it is
 compared with, :func:`mqcsim.expansion._chain_rows`:
@@ -68,13 +72,13 @@ _EYE16 = np.eye(16, dtype=complex)
 #: it bounds the (terms, MC_BATCH) weights held at once
 MC_BATCH = 4096
 
-#: laser phases sampled by :func:`binned_kick`; the pair unitary is
-#: band-limited to harmonics |q| <= 2, so nine samples bin it exactly
-KICK_PHASES = 9
-
 #: harmonics of the pair unitary: each atom's unitary carries the laser
 #: phase through at most one unit
 UNITARY_HARMONICS = range(-2, 3)
+
+#: excitation number of each single-atom level: the ground level |1>
+#: and the three excited levels
+EXCITATIONS = np.array([0, 1, 1, 1])
 
 
 def ground_pair_vec() -> np.ndarray:
@@ -141,22 +145,41 @@ def pulse_unitary(theta: float, polarization, phase: float) -> np.ndarray:
     return _EYE4 + (vectors * shift) @ vectors.conj().T
 
 
+@functools.lru_cache(maxsize=8)
+def _atom_harmonics(theta: float, polarization) -> dict:
+    """Laser-phase harmonics u_q of the single-atom pulse unitary,
+    {q: read-only 4x4} for q in (-1, 0, 1).
+
+    The drive L^dag e^{i phase} + L e^{-i phase} is D (L^dag + L) D^dag
+    with D = diag(e^{i phase n}), n the excitation number, so the
+    unitary at any phase has the entries u(phase)_ab = e^{i phase
+    (n_a - n_b)} u(0)_ab: harmonic q is u(0) on the entries with
+    n_a - n_b = q.  Cached, as a run kicks with one pulse area and at
+    most two polarizations.
+    """
+    unitary = pulse_unitary(theta, polarization, 0.0)
+    change = np.subtract.outer(EXCITATIONS, EXCITATIONS)
+    harmonics = {q: np.where(change == q, unitary, 0.0) for q in (-1, 0, 1)}
+    for harmonic in harmonics.values():
+        harmonic.flags.writeable = False
+    return harmonics
+
+
 def binned_kick(theta: float, polarization, position_phase: float) -> dict:
     """Laser-phase harmonics U_q of the pair unitary, {q: 16x16}.
 
-    The pair unitary u(phase) = u1(phase + position) kron u2(phase) is
-    band-limited to |q| <= 2, so a discrete Fourier transform over
-    ``KICK_PHASES`` = 9 equally spaced phases gives its harmonics
-    exactly.  Atom 1 sees the laser phase advanced by
-    ``position_phase``, its offset along the propagation axis.
+    The pair unitary u(phase) = u1(phase + position) kron u2(phase) has
+    the harmonics U_q = sum over q1 + q2 = q of e^{i q1 position}
+    u_q1 kron u_q2, from the single-atom harmonics u of
+    :func:`_atom_harmonics`: exact, and band-limited to |q| <= 2.  Atom
+    1 sees the laser phase advanced by ``position_phase``, its offset
+    along the propagation axis.
     """
-    phases = 2.0 * np.pi * np.arange(KICK_PHASES) / KICK_PHASES
-    samples = np.stack([
-        np.kron(pulse_unitary(theta, polarization, phase + position_phase),
-                pulse_unitary(theta, polarization, phase))
-        for phase in phases])
-    return {q: np.tensordot(np.exp(-1j * q * phases), samples, axes=1)
-            / KICK_PHASES for q in UNITARY_HARMONICS}
+    atom = _atom_harmonics(theta, polarization)
+    return {q: sum(np.exp(1j * q1 * position_phase)
+                   * np.kron(atom[q1], atom[q - q1])
+                   for q1 in atom if q - q1 in atom)
+            for q in UNITARY_HARMONICS}
 
 
 def kick_harmonic(unitary: dict, p: int, states: np.ndarray) -> np.ndarray:
@@ -177,8 +200,7 @@ def coherence_orders() -> np.ndarray:
     level a2.  Its order is n(a) - n(b), where n counts the atoms
     outside the ground level |1>.
     """
-    excited = np.array([0, 1, 1, 1])
-    pair = np.add.outer(excited, excited).reshape(-1)
+    pair = np.add.outer(EXCITATIONS, EXCITATIONS).reshape(-1)
     out = np.subtract.outer(pair, pair).reshape(-1)
     out.flags.writeable = False
     return out
@@ -211,6 +233,21 @@ def _deflated_solve(generator: np.ndarray, z, rhs: np.ndarray,
     block = generator[np.ix_(sector, sector)]
     system = z[..., None, None] * np.eye(len(sector)) - block + deflation
     return np.linalg.solve(system, np.broadcast_to(rhs, z.shape + rhs.shape))
+
+
+@functools.lru_cache(maxsize=4)
+def _sectors(kappas: tuple) -> tuple:
+    """Entries of order 0 and of the orders -kappa, and the detector
+    covectors on order 0: what :func:`demodulated_laplace` restricts
+    its solves and its detection to, the same for every configuration."""
+    orders = coherence_orders()
+    detected = np.flatnonzero(orders == 0)
+    interpulse = np.flatnonzero(np.isin(orders, [-kappa for kappa in kappas]))
+    covectors = np.stack([detection_covector_vec(d)
+                          for d in DETECTION_DIRECTIONS])[:, detected]
+    for part in (detected, interpulse, covectors):
+        part.flags.writeable = False
+    return detected, interpulse, covectors
 
 
 def demodulated_laplace(xi: float, n_hat, theta: float, kappas, channels,
@@ -249,11 +286,7 @@ def demodulated_laplace(xi: float, n_hat, theta: float, kappas, channels,
     n = np.asarray(n_hat, dtype=float)
     position = xi * n[2] / np.linalg.norm(n)
     generator = pair_generator(xi, n)
-    orders = coherence_orders()
-    detected = np.flatnonzero(orders == 0)
-    interpulse = np.flatnonzero(np.isin(orders, [-kappa for kappa in kappas]))
-    covectors = np.stack([detection_covector_vec(d)
-                          for d in DETECTION_DIRECTIONS])[:, detected]
+    detected, interpulse, covectors = _sectors(tuple(kappas))
     z1_arr = np.atleast_1d(np.asarray(z1_values, dtype=complex))
     unitaries = {pol: binned_kick(theta, pol, position) for pol in
                  {FIRST_POLARIZATION, *map(SECOND_POLARIZATION.get, channels)}}

@@ -2,10 +2,14 @@
 
 import ast
 import contextlib
+import gc
 import importlib
 import inspect
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -16,7 +20,7 @@ from scipy.special import ndtri
 
 import mqcsim
 from mqcsim import __version__, disorder, expansion, oracle
-from mqcsim.cli import MC_FALSE_ALARM, family_z_limit, main
+from mqcsim.cli import MC_FALSE_ALARM, family_z_limit, main, script
 from mqcsim.config import (MAX_DETUNING_COUNT, MAX_MC_SAMPLES,
                            MAX_ORACLE_DIRECTIONS, MIN_MC_SAMPLES, RunConfig)
 from mqcsim.spectra import (
@@ -46,6 +50,91 @@ def test_version_flag_reports_package_version(capsys):
         main(["--version"])
     assert info.value.code == 0
     assert __version__ in capsys.readouterr().out
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _spawn(argv, cwd):
+    """``python -m mqcsim.cli argv`` in a fresh interpreter, its output
+    piped."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-m", "mqcsim.cli", *argv],
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=300)
+
+
+def test_console_script_enters_through_the_script_entry():
+    project = (ROOT / "pyproject.toml").read_text()
+    scripts = project.split("[project.scripts]\n")[1].split("\n\n")[0]
+    assert scripts == 'mqcsim = "mqcsim.cli:script"'
+
+
+def test_script_reports_version(tmp_path):
+    done = _spawn(["--version"], tmp_path)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0.1.0\n", "")
+    assert __version__ == "0.1.0"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", "--theta", "abc"], "invalid float value: 'abc'"),
+    (["cross-section", "--density", "-1"],
+     "invalid configuration: density must be positive, got -1.0"),
+], ids=["flag", "configuration"])
+def test_script_exits_two_on_invalid_input(tmp_path, argv, message):
+    done = _spawn(argv + ["--output-dir", str(tmp_path / "out")], tmp_path)
+    assert done.returncode == 2
+    assert message in done.stderr
+    assert done.stdout == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_script_writes_its_whole_stdout_to_a_pipe(tmp_path, capsys):
+    # the frozen heap at exit loses no buffered output: a piped run
+    # prints what an in-process run prints, and writes the same table
+    argv = ["cross-section", "--density", "1e14", "--output-dir"]
+    done = _spawn(argv + ["piped"], tmp_path)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert main(argv + [str(tmp_path / "direct")]) == 0
+    assert done.stdout == capsys.readouterr().out
+    assert [line.split(" = ")[0] for line in done.stdout.splitlines()] == [
+        "mean_cross_section", "cold_limit", "mean_free_path"]
+    piped, direct = ([line for line in
+                      (tmp_path / name / "cross_section.tsv").read_text()
+                      .splitlines() if not line.startswith("# output_dir")]
+                     for name in ("piped", "direct"))
+    assert piped == direct
+
+
+def test_main_leaves_the_heap_unfrozen(tmp_path):
+    assert gc.get_freeze_count() == 0
+    assert main(["cross-section", "--output-dir", str(tmp_path)]) == 0
+    with pytest.raises(SystemExit):
+        main(["--version"])
+    assert gc.get_freeze_count() == 0
+
+
+@pytest.mark.parametrize("ending", ["return", "exit", "raise"])
+def test_script_freezes_the_heap_however_main_ends(monkeypatch, ending):
+    def fake_main(argv):
+        if ending == "exit":
+            raise SystemExit(2)
+        if ending == "raise":
+            raise KeyboardInterrupt
+        return 0
+
+    monkeypatch.setattr("mqcsim.cli.main", fake_main)
+    try:
+        if ending == "return":
+            assert script([]) == 0
+        else:
+            with pytest.raises((SystemExit, KeyboardInterrupt)):
+                script([])
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+    assert gc.get_freeze_count() == 0
 
 
 def test_every_exported_name_resolves():

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -297,6 +299,104 @@ def test_write_series_emits_error_columns_when_present(tmp_path):
     header = path.read_text()
     assert '# kappa = 1' in header
     assert '# channel = "parallel"' in header
+
+
+def _per_cell_body(columns: dict) -> str:
+    """The table body as a writer formatting one cell at a time renders
+    it: the reference of the column-wise writer."""
+    names = list(columns)
+    cells = [[f"{value:.17g}" if isinstance(value, float) else str(value)
+              for value in columns[name]] for name in names]
+    return "\n".join(["\t".join(names)]
+                     + ["\t".join(row) for row in zip(*cells)]) + "\n"
+
+
+def _body(path) -> str:
+    return "".join(line for line in path.read_text().splitlines(True)
+                   if not line.startswith("# "))
+
+
+#: doubles whose text is easy to get wrong: signed zeros, nan, the
+#: infinities, subnormals, the extremes and 17-digit values
+SPECIAL_FLOATS = [0.0, -0.0, float("nan"), float("inf"), float("-inf"),
+                  5e-324, -5e-324, 2.2250738585072009e-308,
+                  2.2250738585072014e-308, 1.7976931348623157e308,
+                  -1.7976931348623157e308, 0.1, 1.0 / 3.0, 1e16, 1e17,
+                  123456789012345680.0, -2.5, 1e-300]
+
+
+def test_write_table_matches_the_per_cell_text(tmp_path):
+    columns = {"x": SPECIAL_FLOATS, "y": SPECIAL_FLOATS[::-1],
+               "n": list(range(len(SPECIAL_FLOATS)))}
+    write_table(tmp_path / "special.tsv", columns, {"seed": 1})
+    assert _body(tmp_path / "special.tsv") == _per_cell_body(columns)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=40),
+       st.lists(st.one_of(st.floats(), st.integers(), st.booleans(),
+                          st.text(alphabet="ab c"), st.none()),
+                min_size=40, max_size=40))
+def test_write_table_matches_the_per_cell_text_on_any_column(floats, mixed):
+    # a column of floats alone is formatted in one piece, any other cell
+    # by cell; a float subclass such as numpy's takes the same text
+    columns = {"f": floats, "mixed": mixed[:len(floats)],
+               "numpy": list(np.array(floats))}
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "any.tsv")
+        write_table(path, columns, {"seed": 1})
+        assert _body(Path(path)) == _per_cell_body(columns)
+
+
+def test_a_recurring_grid_is_not_confused_with_an_equal_length_one(
+        tmp_path):
+    # grids of one length that differ in value, or only in the sign of
+    # a zero, each keep their own text however they alternate
+    grids = [[-1.0, 0.0, 1.0], [-1.0, -0.0, 1.0], [-2.0, 0.5, 3.0],
+             [-1.0, 0.0, 1.0], [-1.0, -0.0, 1.0]]
+    for i, grid in enumerate(grids):
+        columns = {"grid": grid, "value": [float(i)] * 3}
+        write_table(tmp_path / f"{i}.tsv", columns, {"seed": 1})
+        assert _body(tmp_path / f"{i}.tsv") == _per_cell_body(columns)
+
+
+@pytest.mark.parametrize("argv", [
+    ["table1"],
+    ["cross-section", "--density", "1e14"],
+    ["mc-average", "--mc-samples", str(MIN_MC_SAMPLES), "--kappas", "2",
+     "--detuning-count", "5"],
+], ids=lambda argv: argv[0])
+def test_written_tables_match_the_per_cell_text(tmp_path, monkeypatch,
+                                                argv):
+    # the mixed int, str and float columns of table1 and cross-section,
+    # and the series with error columns of mc-average, as one value at a
+    # time renders them; a series' columns as its writer took them
+    from mqcsim import cli
+
+    expected = {}
+    write_table_, write_series_ = cli.write_table, cli.write_series
+
+    def table(path, columns, metadata):
+        expected[Path(path).name] = _per_cell_body(columns)
+        write_table_(path, columns, metadata)
+
+    def series(path, series, metadata):
+        columns = {"omega_detuning_over_gamma":
+                   [float(d) for d in series.detunings],
+                   "Re_S": [float(v) for v in series.values.real],
+                   "Im_S": [float(v) for v in series.values.imag],
+                   "Re_err": [float(e) for e in series.errors.real],
+                   "Im_err": [float(e) for e in series.errors.imag]}
+        expected[Path(path).name] = _per_cell_body(columns)
+        write_series_(path, series, metadata)
+
+    monkeypatch.setattr(cli, "write_table", table)
+    monkeypatch.setattr(cli, "write_series", series)
+    assert cli.main(argv + ["--output-dir", str(tmp_path)]) == 0
+    assert len(expected) == {"table1": 1, "cross-section": 1,
+                             "mc-average": 4}[argv[0]]
+    for name, body in expected.items():
+        assert _body(tmp_path / name) == body, name
 
 
 def test_sidecar_carries_the_only_timestamp(tmp_path):

@@ -6,7 +6,8 @@ against it, and no subcommand loads any part of scipy: the interaction
 pieces are numpy arrays and the SI constants are literals.  scipy is a
 dependency of the tests alone, and runs with scipy made unimportable
 still finish.  Nor does any subcommand load ``numpy.ma``, which
-``np.unique`` imports on its first call.  The package re-exports the
+``np.unique`` imports on its first call, and no spectrum, table1 or
+cross-section run loads ``numpy.random``.  The package re-exports the
 oracle names lazily, so ``import mqcsim`` does not load the oracle.
 The time-domain transients live with the tests (``tests/transient.py``)
 and load ``scipy.integrate`` only when they integrate, so importing
@@ -29,8 +30,10 @@ ROOT = Path(__file__).resolve().parents[1]
 #: packages no subcommand needs; a loaded submodule loads its package
 UNUSED = ("scipy", "numpy.ma")
 
-#: modules no spectrum-side run needs
-SPECTRUM_FREE = UNUSED + ("mqcsim.oracle",)
+#: modules no spectrum-side run needs; numpy.random alone adds about
+#: 5.4 MB of peak RSS and 8-10 ms to a run, and only the oracle and the
+#: oracle-check orientations draw random numbers
+SPECTRUM_FREE = UNUSED + ("mqcsim.oracle", "numpy.random")
 
 #: small runs of each subcommand kind and the modules each must not load
 RUNS = {

@@ -150,7 +150,7 @@ def test_pair_kick_factorizes_over_atoms():
 
 
 def test_binned_kick_is_exact_at_band_limit():
-    # the nine-phase harmonics of the 16x16 pair unitary reproduce every
+    # the closed-form harmonics of the 16x16 pair unitary reproduce every
     # harmonic of the reference kick, on random Hermitian states as on
     # the ground pair
     unitary = binned_kick(0.44, "x", 0.7)
@@ -166,8 +166,8 @@ def test_binned_kick_is_exact_at_band_limit():
         got = kick_harmonic(unitary, p, states)
         assert got.shape == states.shape
         assert np.all(np.max(np.abs(got - want), axis=(1, 2)) < 1e-13 * size)
-    # the pair kick really does carry the +-4 harmonics that make fewer
-    # than nine phases alias, and nothing beyond them
+    # the pair kick really does carry the +-4 harmonics, the products of
+    # the unitary's +-2 ones, and nothing beyond them
     for p in (-4, 4):
         assert np.max(np.abs(reference[p])) > 1e-5
     for p in (-5, 5):
@@ -177,8 +177,8 @@ def test_binned_kick_is_exact_at_band_limit():
 
 @pytest.mark.parametrize("polarization", ["x", "y"])
 def test_kick_harmonics_resum_to_the_pair_kick_off_grid(polarization):
-    # the harmonics of the pair unitary rebuild the kick at a phase none
-    # of the nine samples sits on
+    # the harmonics of the pair unitary rebuild the kick at an arbitrary
+    # laser phase
     theta, phase, position = 0.44, 0.3, 0.7
     unitary = binned_kick(theta, polarization, position)
     states = _random_hermitian_states(1, 3)
@@ -225,10 +225,9 @@ def test_detection_and_deflation_lie_in_order_zero():
 
 @pytest.mark.parametrize("polarization", ["x", "y"])
 def test_kick_harmonics_shift_coherence_order_by_their_index(polarization):
-    # harmonic p moves a state's order by exactly p; the part it puts
-    # anywhere else is the binning's roundoff, relative to the kick it
-    # bins (measured up to 1.1e-15, or 1.2e-14 of the in-order part of
-    # the small kappa = 2 harmonic at THETA)
+    # harmonic p moves a state's order by exactly p: each harmonic of
+    # the unitary is exactly zero off its change of excitation number,
+    # so the kick puts nothing, not even roundoff, anywhere else
     orders = coherence_orders()
     for theta in (THETA, 0.9, 2.5):
         for position in (0.0, 12.0, -37.3):
@@ -244,9 +243,8 @@ def test_kick_harmonics_shift_coherence_order_by_their_index(polarization):
                 units = np.eye(256)[orders == -kappa].reshape(-1, 16, 16)
                 second = kick_harmonic(unitary, kappa, units).reshape(
                     len(units), -1)
-                assert np.max(np.abs(first[orders != -kappa])) \
-                    < 1e-14 * scale
-                assert np.max(np.abs(second[:, orders != 0])) < 1e-14 * scale
+                assert not np.any(first[orders != -kappa])
+                assert not np.any(second[:, orders != 0])
                 assert np.max(np.abs(first)) > 1e-3 * scale
                 assert np.max(np.abs(second)) > 1e-3 * scale
 
