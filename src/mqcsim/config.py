@@ -372,19 +372,20 @@ def _float_text(packed: bytes) -> str:
 
 def _cells(column) -> list:
     """Text of each value of a column: a float in full double precision
-    (``%.17g``, as ``f"{value:.17g}"``), anything else by ``str``."""
-    values = list(column)
-    if values and all(isinstance(value, float) for value in values):
-        return _float_text(np.array(values).tobytes()).splitlines()
+    (``%.17g``, as ``f"{value:.17g}"``), anything else by ``str``; a
+    float64 array in one piece (:func:`_float_text`)."""
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        return _float_text(column.tobytes()).splitlines()
     return [f"{value:.17g}" if isinstance(value, float) else str(value)
-            for value in values]
+            for value in column]
 
 
 def write_table(path, columns: dict, metadata: dict) -> None:
     """Write named columns as delimited text under a metadata header.
 
-    ``columns`` maps column names to equal-length sequences; floats are
-    rendered in full double precision so reruns are byte-identical.
+    ``columns`` maps column names to equal-length sequences or float64
+    arrays; floats are rendered in full double precision so reruns are
+    byte-identical.
     """
     names = list(columns)
     cells = [_cells(columns[name]) for name in names]
@@ -395,17 +396,15 @@ def write_table(path, columns: dict, metadata: dict) -> None:
 
 def write_series(path, series, metadata: dict) -> None:
     """Write one spectrum as [detuning, Re, Im(, Re_err, Im_err)] rows."""
-    def floats(values):
-        return np.asarray(values, dtype=float).tolist()
-
     columns = {
-        "omega_detuning_over_gamma": floats(series.detunings),
-        "Re_S": floats(series.values.real),
-        "Im_S": floats(series.values.imag),
+        "omega_detuning_over_gamma": np.asarray(series.detunings,
+                                                dtype=float),
+        "Re_S": np.asarray(series.values.real, dtype=float),
+        "Im_S": np.asarray(series.values.imag, dtype=float),
     }
     if series.errors is not None:
-        columns["Re_err"] = floats(series.errors.real)
-        columns["Im_err"] = floats(series.errors.imag)
+        columns["Re_err"] = np.asarray(series.errors.real, dtype=float)
+        columns["Im_err"] = np.asarray(series.errors.imag, dtype=float)
     meta = dict(metadata)
     meta.update(kappa=series.kappa, channel=series.channel,
                 direction=series.direction, units=series.units)

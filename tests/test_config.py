@@ -303,10 +303,14 @@ def test_write_series_emits_error_columns_when_present(tmp_path):
 
 def _per_cell_body(columns: dict) -> str:
     """The table body as a writer formatting one cell at a time renders
-    it: the reference of the column-wise writer."""
+    it, an array column taken as a list of Python floats: the reference
+    of the column-wise writer."""
     names = list(columns)
+    values = [[float(value) for value in column]
+              if isinstance(column, np.ndarray) else column
+              for column in columns.values()]
     cells = [[f"{value:.17g}" if isinstance(value, float) else str(value)
-              for value in columns[name]] for name in names]
+              for value in column] for column in values]
     return "\n".join(["\t".join(names)]
                      + ["\t".join(row) for row in zip(*cells)]) + "\n"
 
@@ -326,8 +330,10 @@ SPECIAL_FLOATS = [0.0, -0.0, float("nan"), float("inf"), float("-inf"),
 
 
 def test_write_table_matches_the_per_cell_text(tmp_path):
-    columns = {"x": SPECIAL_FLOATS, "y": SPECIAL_FLOATS[::-1],
-               "n": list(range(len(SPECIAL_FLOATS)))}
+    columns = {"x": np.array(SPECIAL_FLOATS),
+               "y": np.array(SPECIAL_FLOATS[::-1]),
+               "n": list(range(len(SPECIAL_FLOATS))),
+               "listed": SPECIAL_FLOATS}
     write_table(tmp_path / "special.tsv", columns, {"seed": 1})
     assert _body(tmp_path / "special.tsv") == _per_cell_body(columns)
 
@@ -338,10 +344,12 @@ def test_write_table_matches_the_per_cell_text(tmp_path):
                           st.text(alphabet="ab c"), st.none()),
                 min_size=40, max_size=40))
 def test_write_table_matches_the_per_cell_text_on_any_column(floats, mixed):
-    # a column of floats alone is formatted in one piece, any other cell
+    # a float64 array is formatted in one piece, any other column cell
     # by cell; a float subclass such as numpy's takes the same text
-    columns = {"f": floats, "mixed": mixed[:len(floats)],
-               "numpy": list(np.array(floats))}
+    columns = {"array": np.array(floats), "listed": floats,
+               "mixed": mixed[:len(floats)],
+               "scalars": list(np.array(floats)),
+               "strided": np.array(floats + floats)[::2]}
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "any.tsv")
         write_table(path, columns, {"seed": 1})
@@ -355,7 +363,7 @@ def test_a_recurring_grid_is_not_confused_with_an_equal_length_one(
     grids = [[-1.0, 0.0, 1.0], [-1.0, -0.0, 1.0], [-2.0, 0.5, 3.0],
              [-1.0, 0.0, 1.0], [-1.0, -0.0, 1.0]]
     for i, grid in enumerate(grids):
-        columns = {"grid": grid, "value": [float(i)] * 3}
+        columns = {"grid": np.array(grid), "value": np.full(3, float(i))}
         write_table(tmp_path / f"{i}.tsv", columns, {"seed": 1})
         assert _body(tmp_path / f"{i}.tsv") == _per_cell_body(columns)
 
