@@ -418,11 +418,14 @@ def write_report(path, lines, metadata: dict) -> None:
 
 
 def _environment() -> dict:
-    """The Python and numpy versions and the BLAS thread settings of the
+    """The Python and numpy versions, the name and version of the BLAS
+    library numpy was built with, and the BLAS thread settings of the
     run, and scipy's version only if something loaded it: recording it
     must not import it."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     record = {"python": ".".join(map(str, sys.version_info[:3])),
-              "numpy": np.__version__}
+              "numpy": np.__version__,
+              "blas": {key: blas.get(key) for key in ("name", "version")}}
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         record[name] = os.environ.get(name)
     if "scipy" in sys.modules:

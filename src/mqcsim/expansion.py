@@ -57,9 +57,11 @@ split, on the chain's own z1 axis.  The interpulse stage runs forward
 along z1: kick 1 runs once, and each prefix, the state after kick 1 and
 s insertions, is built once from the one before and serves every order
 and every channel, since only pulse 2's polarization tells the channels
-apart; the last prefix, which only the highest order reads, is
-contracted monomial by monomial as it is made, each monomial's
-insertion followed by one z1 resolvent over all its products.  With the
+apart.  One step builds every prefix after kick 1, monomial by
+monomial: each monomial's insertion followed by one z1 resolvent over
+all its products.  The step's output is merged by key only where a
+longer prefix reads it; the last prefix, which only the highest order
+reads, is contracted as it is made.  With the
 stationary mode projected out, a resolvent has poles only at the rate
 sums -1/2, -1, -3/2 and -2, so a chain of M z1 resolvents is an exact
 sum of c / (z1 - p)^m with m <= M.  The prefixes therefore carry z1 as
@@ -75,8 +77,10 @@ resolvent, so no run builds it as a 256x256 matrix.  These tails are
 merged by the sorted multiset of their tags, 1, 12, 78 and 364 of them
 for 0-3 insertions, and grouped as they are built.  Each prefix
 monomial meets the tails of a remaining length that the selection rules
-below allow, through each kick-2 harmonic pair they allow, in one
-stacked matrix product.  The products are summed per (net atom-1
+below allow, kicked by the transpose of each kick-2 harmonic pair they
+allow, in one stacked matrix product.  A chain kicks each group of
+tails once per channel and pair, and keeps it only while a later split
+can read it.  The products are summed per (net atom-1
 exponent, prefix tags) as they are made, and only then split over the
 tails and merged under the joined tags, so the join runs once per
 distinct prefix key and tail.
@@ -582,16 +586,6 @@ def _interpulse_axis(z1: np.ndarray, resolvents: int):
     return basis if basis.size < z1.size and not on_pole.any() else z1
 
 
-def _inserted(vector: dict, axis):
-    """The monomials of one insertion and one z1 resolvent on ``vector``,
-    made one monomial of ``vector`` at a time and not merged by key, so
-    that the next prefix is never held whole
-    (:func:`_insertion_resolved`)."""
-    divide = _division(axis)
-    for monomial, coeffs in vector.items():
-        yield from _insertion_resolved(monomial, coeffs, divide)
-
-
 def _insertion_resolved(monomial: PhaseMonomial, coeffs: np.ndarray,
                         divide):
     """The tagged monomials of one insertion on ``monomial`` and one z1
@@ -623,22 +617,24 @@ def _chain_rows(orders, z1, theta: float, channels, kappa: int, *,
     (resolvents at z2 = 0, run backward from the detectors once with no
     z1 axis and grouped by axis parity, :func:`_interaction_tails`).
     Kick 1 runs once and keeps one atom-exchange mirror half of its
-    monomials (:func:`_mirror_half`), and prefix s, s insertions each
-    followed by a z1 resolvent, is built once from prefix s - 1 of that
-    half; each of its monomials
-    meets the tails of n - s insertions of every order n >= s by one
-    stacked product per kick-2 harmonic pair (p1, p2).  The products are
+    monomials (:func:`_mirror_half`).  Every later prefix s comes from
+    prefix s - 1 by one step, each monomial's insertion followed by one
+    z1 resolvent over all its products (:func:`_insertion_resolved`).
+    It is merged by key only where a longer prefix reads it: the last
+    prefix, which only the highest order reads, is contracted as it is
+    made.
+    One loop contracts each monomial of prefix s with the tails of n - s
+    insertions of every order n >= s, through each kick-2 harmonic pair
+    (p1, p2) its order allows, in one stacked product with the tails
+    kicked by the transposed pair.  A kicked tail is made once per chain
+    and dropped once no later split can read it.  The products are
     summed per (net atom-1 exponent, prefix tags); once a prefix is
     consumed, each sum is split over the tails and merged under the
-    joined tags.  Only the highest order reads the last prefix, so its
-    monomials are contracted as they are made (:func:`_inserted`).
-    Split 0 of the highest order n > 0 meets the detection stage one
-    insertion later: each monomial of prefix 0 is kicked by pulse 2
-    through each pair its order allows, in each channel, and resolved at
-    z2 = 0, and each nonzero product of one insertion on it meets the
-    tails of n - 1 insertions in one matrix product; its sums are keyed
-    by the prefix tags plus the inserted tag.  So no tail is longer than
-    n - 1 insertions.
+    joined tags.  Split 0 of the highest order n > 0 runs in the same
+    loop one insertion later: kick 2, R(0) and one insertion act on each
+    monomial of prefix 0, and each nonzero product meets the plain tails
+    of n - 1 insertions, keyed by the prefix tags plus the inserted tag.
+    So no tail is longer than n - 1 insertions.
     Before it returns, each channel's rows of the half are folded onto
     their mirror keys, rows(e, tags) = P(e, tags) + P(-e, tags)
     (:func:`_mirror_folded`), so every key (e, tags) comes with
@@ -646,13 +642,14 @@ def _chain_rows(orders, z1, theta: float, channels, kappa: int, *,
 
     Kick 1 and the prefixes do not depend on the channel, the
     polarization of pulse 2, so one interpulse stage serves every
-    channel.  Kick 2 and its keep rule, the key parity and the rows are
-    per channel.  A held prefix is contracted one channel at a time, so
-    that only one channel's kicked tails are alive; each monomial of the
-    last prefix feeds every channel's contraction as it is made.  At
-    ``kappa`` = 2 every prefix after kick 1 is empty (pulse 1's harmonic
-    (-1, -1) leaves |gg><ee'|, on which every interaction piece
-    vanishes), so there the shared stage costs nothing.
+    channel.  Kick 2 and its keep rule, the key parity, the kicked tails
+    and the rows are per channel.  A held prefix is contracted one
+    channel at a time, so that only one channel's kicked tails of a
+    length are alive; each monomial of the last prefix feeds every
+    channel's contraction as it is made.  At ``kappa`` = 2 every prefix
+    after kick 1 is empty (pulse 1's harmonic (-1, -1) leaves |gg><ee'|,
+    on which every interaction piece vanishes), so there the shared
+    stage costs nothing.
 
     All orders share the z1 axis (:func:`_interpulse_axis`) of the
     splits of the highest order: its exact :class:`PoleBasis` when that
@@ -705,92 +702,89 @@ def _chain_rows(orders, z1, theta: float, channels, kappa: int, *,
                      and (a + p1 - parity) % 2 == 0)
 
     out = {channel: {} for channel in channels}
+    # the transposed tails kicked by (channel, p1, p2, length, group)
+    kicked = {}
 
-    def contract(monomials, length, readers):
-        # every prefix monomial against the tails of ``length`` that its
-        # axis parity allows in each channel of ``readers``, for each
-        # kick-2 pair its order allows, over the basis rows where the
-        # monomial is nonzero, summed per (exponent, prefix tags); each
-        # sum is then split over the tails
+    def contract(monomials, between, order, readers):
+        # split ``between`` of ``order`` in each channel of ``readers``:
+        # the kicked tails over the rows where each prefix monomial is
+        # nonzero or, ``forward``, the plain tails on each nonzero product
+        # of kick 2, R(0) and one insertion on it
+        forward = order == top > between == 0
+        length = order - between - forward
         groups = _interaction_tails(length)
-        kicked = {}
-        by_prefix = {channel: {} for channel in readers}
+        sums = {channel: {} for channel in readers}
         for monomial, coeffs in monomials:
-            pairs = kick2_pairs(monomial.powers,
-                                (len(monomial.tags) + length) % 2)
-            if not pairs:
-                continue
-            support = None
+            pairs = kick2_pairs(monomial.powers, order % 2)
+            held = [(monomial.tags, coeffs)]
+            support = slice(None) if forward else None
             for channel in readers:
-                group = _axis_parity(monomial.tags) ^ wanted[channel]
-                if group not in groups:
-                    continue
-                if support is None:
-                    support = np.flatnonzero(np.any(coeffs, axis=1))
+                kick = harmonics[channel]
                 for p1, p2 in pairs:
-                    step = (channel, p1, p2, group)
-                    if step not in kicked:
-                        kicked[step] = np.ascontiguousarray(apply_factorized(
-                            harmonics[channel][p1].T,
-                            harmonics[channel][p2].T, groups[group][1]).T)
-                    _merge(by_prefix[channel],
-                           (monomial.powers[0] + p1, monomial.tags),
-                           kicked[step][:, support] @ coeffs[support])
-        joined(by_prefix, groups)
-
-    def forward(monomials, length):
-        # split 0 of the top order: kick 2, R(0) and one insertion run
-        # forward on each prefix monomial, for each kick-2 pair its order
-        # allows in each channel, and each nonzero product meets the
-        # tails of ``length`` = top - 1 that its axis parity allows
-        groups = _interaction_tails(length)
-        at_zero = _grid_division(0.0)
-        by_prefix = {channel: {} for channel in channels}
-        for monomial, coeffs in monomials:
-            for p1, p2 in kick2_pairs(monomial.powers,
-                                      (len(monomial.tags) + length + 1) % 2):
-                for channel in channels:
-                    kicked = apply_factorized(harmonics[channel][p1],
-                                              harmonics[channel][p2], coeffs)
-                    resolved = _resolved(kicked.reshape(NUM_OPS, NUM_OPS, -1),
-                                         at_zero).reshape(kicked.shape)
-                    for tag, product in zip(TAG_KEYS,
-                                            interaction_products(resolved)):
-                        tags = monomial.tagged(tag).tags
+                    met = held
+                    if forward:
+                        state = apply_factorized(kick[p1], kick[p2], coeffs)
+                        state = _resolved(
+                            state.reshape(NUM_OPS, NUM_OPS, -1),
+                            _grid_division(0.0)).reshape(coeffs.shape)
+                        met = [(monomial.tagged(tag).tags, product)
+                               for tag, product in zip(
+                                   TAG_KEYS, interaction_products(state))
+                               if product.any()]
+                    for tags, product in met:
                         group = _axis_parity(tags) ^ wanted[channel]
-                        if group in groups and product.any():
-                            _merge(by_prefix[channel],
-                                   (monomial.powers[0] + p1, tags),
-                                   groups[group][1].T @ product)
-        joined(by_prefix, groups)
-
-    def joined(by_prefix, groups):
-        # each channel's sums per (exponent, prefix tags), split over the
-        # tails they met and merged under the joined tags
-        for channel, sums in by_prefix.items():
-            for (a, tags), rows in sums.items():
+                        if group not in groups:
+                            continue
+                        step = (channel, p1, p2, length, group)
+                        if forward:
+                            tails = groups[group][1].T
+                        elif step in kicked:
+                            tails = kicked[step]
+                        else:
+                            tails = kicked[step] = np.ascontiguousarray(
+                                apply_factorized(kick[p1].T, kick[p2].T,
+                                                 groups[group][1]).T)
+                        if support is None:
+                            support = np.flatnonzero(np.any(coeffs, axis=1))
+                        _merge(sums[channel], (monomial.powers[0] + p1, tags),
+                               tails[:, support] @ product[support])
+        # each sum split over the tails it met, merged under the joined tags
+        for channel, by_prefix in sums.items():
+            for (a, tags), rows in by_prefix.items():
                 tails, _ = groups[_axis_parity(tags) ^ wanted[channel]]
                 parts = rows.reshape(len(tails), -1, axis.size)
                 for tail, part in zip(tails, parts):
                     _merge(out[channel], (a, tuple(sorted(tags + tail))),
                            part)
+        # then drop the readers' kicked tails of this length whose pair no
+        # later split reads at this length for any of kick 1's powers
+        later = {pair for s in splits[between + 1:] if s + length in orders
+                 for powers in first_powers
+                 for pair in kick2_pairs(powers, (s + length) % 2)}
+        for step in [step for step in kicked if step[0] in readers
+                     and step[3] == length and step[1:3] not in later]:
+            del kicked[step]
 
     prefix = apply_resolvent(_mirror_half(apply_kick(
         initial_vector(), 1, theta, FIRST_POLARIZATION, kappa)), axis)
+    first_powers = {monomial.powers for monomial in prefix}
+    divide = _division(axis)
     for between in splits:
-        if between == top > 0:
-            contract(_inserted(prefix, axis), 0, channels)
-            break
         if between:
-            # two statements, so that the shorter prefix is freed first
-            prefix = apply_interaction(prefix)
-            prefix = apply_resolvent(prefix, axis)
+            # one monomial of the prefix before at a time, not merged by key
+            made = (new for monomial, coeffs in prefix.items()
+                    for new in _insertion_resolved(monomial, coeffs, divide))
+            if between == top:
+                contract(made, top, top, channels)
+                break
+            prefix = {}
+            for monomial, coeffs in made:
+                _merge(prefix, monomial, coeffs)
         for n in orders:
-            if n == top > between == 0:
-                forward(prefix.items(), top - 1)
-            elif n >= between:
+            if n >= between:
+                # one channel at a time: only its kicked tails are alive
                 for channel in channels:
-                    contract(prefix.items(), n - between, (channel,))
+                    contract(prefix.items(), between, n, (channel,))
     return axis, {channel: _mirror_folded(half)
                   for channel, half in out.items()}
 

@@ -1,6 +1,7 @@
 """Tests for the phase-tagged expansion through the pulse sequence."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from mqcsim import expansion
 from mqcsim.atom import (DETECTION_DIRECTIONS, FIRST_POLARIZATION, PoleError,
                          kick_decomposition)
-from mqcsim.basis import matrix_unit
+from mqcsim.basis import apply_factorized, matrix_unit
 from mqcsim.coupling import TAG_KEYS, coupling_tensor, tensor_tag_value
 from mqcsim.expansion import (
     PhaseMonomial,
@@ -374,11 +375,11 @@ def test_long_grid_with_a_point_on_a_pole_raises_as_before():
 
 
 def _count_chain_steps(monkeypatch, *args, **kwargs):
-    """Rows of ``_chain_rows(*args, **kwargs)``, the kicks and z1
-    resolvents it makes, and the monomials it inserts into, in order.
-    An insertion into one monomial of the last prefix makes its z1
-    resolvent too (``_insertion_resolved``)."""
-    counts = {"kicks": 0, "z1_resolvents": 0}
+    """Rows of ``_chain_rows(*args, **kwargs)``, the kicks, plain
+    insertions and z1 resolvents it makes, and the monomials it inserts
+    into, in order.  An insertion fused with its z1 resolvent
+    (``_insertion_resolved``) counts as one z1 resolvent."""
+    counts = {"kicks": 0, "insertions": 0, "z1_resolvents": 0}
     inserted = []
 
     def counted(name, original):
@@ -386,10 +387,6 @@ def _count_chain_steps(monkeypatch, *args, **kwargs):
             counts[name] += 1
             return original(*call_args, **call_kwargs)
         return call
-
-    def insertion(vector):
-        inserted.extend(vector)
-        return apply_interaction(vector)
 
     def fused(monomial, coeffs, divide):
         inserted.append(monomial)
@@ -399,7 +396,8 @@ def _count_chain_steps(monkeypatch, *args, **kwargs):
     monkeypatch.setattr(expansion, "apply_kick", counted("kicks", apply_kick))
     monkeypatch.setattr(expansion, "apply_resolvent",
                         counted("z1_resolvents", apply_resolvent))
-    monkeypatch.setattr(expansion, "apply_interaction", insertion)
+    monkeypatch.setattr(expansion, "apply_interaction",
+                        counted("insertions", apply_interaction))
     monkeypatch.setattr(expansion, "_insertion_resolved", fused)
     _, rows = _chain_rows(*args, **kwargs)
     return rows, counts, inserted
@@ -413,9 +411,10 @@ def test_each_interpulse_prefix_is_built_once(monkeypatch, points,
     """A chain over several orders runs kick 1 once and inserts once
     into the mirror representative of every monomial of prefixes 0 to
     top - 1, powers (a, 0, c, 0) with a <= c, on the grid and on pole
-    labels alike, however many channels read them.  The last prefix is
-    contracted as it is made: one z1 resolvent per representative of the
-    prefix before it, over all the products of its insertion."""
+    labels alike, however many channels read them.  Every insertion is
+    fused with its z1 resolvent, one over all the products of the
+    monomial it inserts into, so the chain makes no plain insertion and
+    one z1 resolvent for kick 1 and one per representative."""
     z1 = 1j * np.linspace(-3.0, 3.0, points)
     for orders, zero_phase in (((0, 1, 2, 3), False), ((0, 2), True)):
         top = max(orders)
@@ -429,8 +428,8 @@ def test_each_interpulse_prefix_is_built_once(monkeypatch, points,
         assert list(rows) == list(channels)
         assert all(rows.values())
         assert inserted == [m for prefix in prefixes for m in prefix]
-        assert counts == {"kicks": 1,
-                          "z1_resolvents": top + len(prefixes[-1])}
+        assert counts == {"kicks": 1, "insertions": 0,
+                          "z1_resolvents": 1 + sum(map(len, prefixes))}
 
 
 @pytest.mark.parametrize("orders, zero_phase, fast", [
@@ -452,6 +451,47 @@ def test_no_detection_tail_is_longer_than_top_minus_one(
                           zero_phase=zero_phase, fast=fast)
     assert rows["parallel"]
     assert max(lengths) == max(orders) - 1
+
+
+#: the oracle check's kappa = 1 chain: orders 0-3 on its 7-point grid,
+#: both channels
+ORACLE_CHAIN = ((0, 1, 2, 3), 1j * np.linspace(-3.0, 3.0, 7), 0.14 * np.pi,
+                ("parallel", "perpendicular"), 1)
+
+
+def test_no_kicked_tail_is_made_twice(monkeypatch):
+    # every (channel, p1, p2, tail length, parity group) is kicked once
+    # per chain: the harmonic pair names the channel and the pair, the
+    # cached tail group its length and parity
+    groups = {id(tails): length for length in range(3)
+              for _, tails in _interaction_tails(length).values()}
+    kicked = []
+
+    def recorded(first, second, coeffs):
+        if id(coeffs) in groups:
+            kicked.append((first.tobytes(), second.tobytes(), id(coeffs)))
+        return apply_factorized(first, second, coeffs)
+
+    monkeypatch.setattr(expansion, "apply_factorized", recorded)
+    _, rows = _chain_rows(*ORACLE_CHAIN)
+    assert all(rows.values())
+    assert {groups[group] for _, _, group in kicked} == {0, 1, 2}
+    assert len(kicked) == len(set(kicked))
+
+
+def test_chain_allocation_peak_is_bounded():
+    # the traced peak of the oracle check's kappa = 1 chain with its
+    # cached constants warmed: no prefix is held unresolved beside its
+    # resolved copy, a held prefix is contracted one channel at a time,
+    # and each kicked tail leaves once no later split can read it
+    _chain_rows(*ORACLE_CHAIN)
+    tracemalloc.start()
+    try:
+        _chain_rows(*ORACLE_CHAIN)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.25 * 2**20
 
 
 @pytest.mark.parametrize("zero_phase", [False, True])

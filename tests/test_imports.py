@@ -114,8 +114,11 @@ def test_sidecar_records_numpy_and_no_scipy(tmp_path):
     assert environment["numpy"] == np.__version__
     assert environment["python"] == ".".join(map(str, sys.version_info[:3]))
     assert "scipy" not in environment
-    assert set(environment) == {"python", "numpy", "OPENBLAS_NUM_THREADS",
-                                "OMP_NUM_THREADS"}
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert environment["blas"] == {"name": blas["name"],
+                                   "version": blas["version"]}
+    assert set(environment) == {"python", "numpy", "blas",
+                                "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
 
 
 def test_lazy_package_names_resolve():
