@@ -315,15 +315,19 @@ def run_oracle_check(config: RunConfig) -> int:
         # therefore measured against the channel's signal scale over the
         # whole orientation sample.
         residual, scale = {}, {}
-        for axis in axes:
+        # every orientation of a table priced in one call
+        approx = {key: fixed_configuration_components(
+                      table, np.full(len(axes), xi), axes)
+                  for key, table in tables.items()}
+        for b, axis in enumerate(axes):
             exact = demodulated_laplace(xi, axis, theta, config.kappas,
                                         config.channels, z1_grid)
-            for (kappa, channel), table in tables.items():
-                approx = fixed_configuration_components(table, xi, axis)
+            for (kappa, channel), components in approx.items():
                 for d in DETECTION_DIRECTIONS:
                     key = (kappa, channel, d)
-                    residual[key] = max(residual.get(key, 0.0),
-                                        np.max(np.abs(approx[d] - exact[key])))
+                    residual[key] = max(
+                        residual.get(key, 0.0),
+                        np.max(np.abs(components[d][b] - exact[key])))
                     scale[key] = max(scale.get(key, 0.0),
                                      np.max(np.abs(exact[key])))
         worst = max([residual[key] / scale[key] for key in scale

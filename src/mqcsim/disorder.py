@@ -132,23 +132,38 @@ def _pair_weights(inv_xi_squared: float, mode: str) -> np.ndarray:
     return weights
 
 
-@functools.lru_cache(maxsize=4)
-def _zero_phase_chain(z1: tuple, theta: float, channel: str, kappa: int,
-                      fast: bool) -> tuple:
-    """The zero-phase chain of orders 0 and 2 on its z1 axis: the axis,
-    the tags of every key, and their rows stacked, read-only, of shape
-    (keys, 2, axis size).
+@functools.lru_cache(maxsize=2)
+def _zero_phase_chains(z1: tuple, theta: float, kappa: int,
+                       fast: bool) -> dict:
+    """The zero-phase chains built so far at these arguments, by channel,
+    which :func:`_zero_phase_chain` fills.  Cached by the grid's points,
+    for the kappa whose chains a run weights once per average mode and
+    samples once per channel."""
+    return {}
 
-    Cached by the grid's points, for the (kappa, channel) chains that a
-    fig4 run weights once per average mode.
+
+def _zero_phase_chain(z1: tuple, theta: float, channels: tuple, kappa: int,
+                      fast: bool) -> dict:
+    """The zero-phase chain of orders 0 and 2 in each of ``channels`` on
+    its z1 axis: a dict from channel to the axis, the tags of every key,
+    and their rows stacked, read-only, of shape (keys, 2, axis size).
+
+    A channel already built at these arguments is read back; one
+    :func:`_chain_rows` call, whose interpulse stage serves every
+    channel, builds the others (:func:`_zero_phase_chains`).
     """
-    axis, rows = _chain_rows((0, 2), np.array(z1), theta, (channel,), kappa,
-                             zero_phase=True, fast=fast)
-    rows = rows[channel]
-    stacked = np.array(list(rows.values()), dtype=complex).reshape(
-        len(rows), len(DETECTION_DIRECTIONS), axis.size)
-    stacked.flags.writeable = False
-    return axis, tuple(tags for _, tags in rows), stacked
+    held = _zero_phase_chains(z1, theta, kappa, fast)
+    missing = tuple(channel for channel in channels if channel not in held)
+    if missing:
+        axis, rows = _chain_rows((0, 2), np.array(z1), theta, missing, kappa,
+                                 zero_phase=True, fast=fast)
+        for channel in missing:
+            by_key = rows[channel]
+            stacked = np.array(list(by_key.values()), dtype=complex).reshape(
+                len(by_key), len(DETECTION_DIRECTIONS), axis.size)
+            stacked.flags.writeable = False
+            held[channel] = axis, tuple(tags for _, tags in by_key), stacked
+    return {channel: held[channel] for channel in channels}
 
 
 def averaged_solution(z1, theta: float, channel: str = "parallel",
@@ -177,8 +192,8 @@ def averaged_solution(z1, theta: float, channel: str = "parallel",
         # a factor pair vanishes unless each axis index appears an even
         # number of times: every weight is 0, so no chain is built
         return np.zeros((len(DETECTION_DIRECTIONS), z1.size), dtype=complex)
-    axis, tags, rows = _zero_phase_chain(tuple(z1), theta, channel, kappa,
-                                         fast)
+    axis, tags, rows = _zero_phase_chain(tuple(z1), theta, (channel,),
+                                         kappa, fast)[channel]
     column = {tag: i for i, tag in enumerate(TAG_KEYS)}
     weights = [table[column[pair[0]], column[pair[1]]] if pair else 1.0
                for pair in tags]

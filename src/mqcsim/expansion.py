@@ -59,9 +59,8 @@ s insertions, is built once from the one before and serves every order
 and every channel, since only pulse 2's polarization tells the channels
 apart.  One step builds every prefix after kick 1, monomial by
 monomial: each monomial's insertion followed by one z1 resolvent over
-all its products.  The step's output is merged by key only where a
-longer prefix reads it; the last prefix, which only the highest order
-reads, is contracted as it is made.  With the
+all its products, merged by key.  Prefix n of the highest order n, which
+only split n would read, is not built (see below).  With the
 stationary mode projected out, a resolvent has poles only at the rate
 sums -1/2, -1, -3/2 and -2, so a chain of M z1 resolvents is an exact
 sum of c / (z1 - p)^m with m <= M.  The prefixes therefore carry z1 as
@@ -93,6 +92,44 @@ exactly zero products are dropped.  Each product then meets the tails
 of n - 1 insertions of the group its axis parity allows.  So a chain of
 highest order n builds tails of at most n - 1 insertions, and a key
 whose every forward product is exactly zero is not built at all.
+
+Split n of the highest order is the mirror case: it alone would need
+prefix n, the longest and by far the largest prefix, each of whose
+monomials meets only the two detector rows of each kick-2 pair.  It
+meets prefix n - 1 one step further back instead, from the detector
+side.  With R(z1) = F D T (T to decay modes, D the division by
+z1 - r_i - r_j, F back), c a kicked tail of no insertion (a conjugated
+detector row times R(0) and the pair's kick) and x a monomial of prefix
+n - 1, the split's rows through the tag of piece V are
+
+    c^T F D T V x = sum_s ((V^T T^T P_s F^T c)^T x) o D_s,
+
+with P_s the projection on the decay sector of rate sum s and D_s the
+factor 1 / (z1 - s) on the z1 axis (o), s over the four poles: the
+stationary sector is dropped, as the forward division drops it.  The
+pulled-back covectors V^T T^T P_s F^T c carry no z1 axis: one transposed
+insertion, all twelve tags at once, acts on the four sector parts of a
+kicked tail, once per channel and pair (:func:`_pulled_back`).  Prefix
+n - 1 meets them in blocks of monomials, one stacked product per block,
+and each sector's division then acts on the contracted rows instead of
+on 256-row products: the step matrices of :func:`_pole_sectors` on a
+pole basis, 1 / (z1 - s) on a grid (:func:`_sector_division`).  So a
+chain of highest order n builds no prefix and no tail longer than n - 1
+insertions.  Split n - 1 has already built every key that split n
+reaches, since each monomial of prefix n - 1 meets every tail of one
+insertion of its group there, so split n builds a key only where its
+rows are nonzero; that changes no key set above order 1.
+
+Both pole guards hold at split n.  On a pole basis the forward division
+would raise on weight in the label (r, n + 1) of a product's own sector
+r.  A monomial of prefix n - 1 has been through n z1 resolvents, so it
+and every product of an insertion on it carry at most the labels
+(r, n), and the guard cannot fire.  On a grid with a point on a pole,
+split n runs the forward step's guard on the decay modes of the
+products of each monomial's insertion and discards their quotients; on
+a grid with no point on a pole there is nothing to guard.  A grid point
+on a pole whose weight the guard lets pass gets the factor 0, as in the
+forward division.
 
 Two selection rules make most (net atom-1 exponent, tags) keys exactly
 zero, and the chain never builds them:
@@ -179,6 +216,10 @@ from .coupling import TAG_KEYS, interaction_products
 #: keys of a chain with no row entry above this fraction of the chain's
 #: largest entry are roundoff where the exact value is zero
 TERM_FLOOR = 1e-13
+
+#: monomials of prefix top - 1 that meet the pulled-back tails of the
+#: chain's last split in one stacked product
+LAST_SPLIT_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -576,14 +617,83 @@ def _interaction_tails(length: int) -> dict:
             for parity, group in groups.items()}
 
 
+def _on_pole(z1: np.ndarray) -> np.ndarray:
+    """Mask (len(z1), poles) of the grid points that lie on each pole of
+    :func:`_pole_rates`."""
+    return np.abs(z1[:, None] - np.array(_pole_rates())) < 1e-12
+
+
 def _interpulse_axis(z1: np.ndarray, resolvents: int):
     """The z1 axis of every prefix of a chain whose longest prefix has
     ``resolvents`` z1 resolvents: the exact :class:`PoleBasis` when it
     has fewer labels than the grid has points and no grid point lies on
     a pole, otherwise the grid, whose pole guard then reports a pole."""
     basis = PoleBasis(resolvents)
-    on_pole = np.abs(z1[:, None] - np.array(_pole_rates())) < 1e-12
-    return basis if basis.size < z1.size and not on_pole.any() else z1
+    return basis if basis.size < z1.size and not _on_pole(z1).any() else z1
+
+
+def _sector_division(axis):
+    """The division by z1 - r of the rows of each pole sector r, applied
+    after the contraction: a function taking rows (..., poles, 2, B,
+    axis size), sector by sector in :func:`_pole_rates` order, to their
+    sum over sectors, each divided, of shape (..., 2, B, axis size).  On
+    a :class:`PoleBasis` each sector's rows go through its step matrix
+    of :func:`_pole_sectors`, all sectors in one product; on a grid they
+    are multiplied by 1 / (z1 - r), which is 0 on a grid point on r, as
+    the forward division drops weight on a pole that its guard lets
+    pass."""
+    if isinstance(axis, PoleBasis):
+        steps = np.concatenate([step for _, step, _ in _pole_sectors(axis)])
+
+        def divide(rows):
+            # sector and label axes side by side, then one product
+            joined = np.moveaxis(rows, -4, -2)
+            return (joined.reshape(-1, steps.shape[0]) @ steps).reshape(
+                joined.shape[:-2] + (axis.size,))
+        return divide
+    on_pole = _on_pole(axis).T
+    inverse = 1.0 / np.where(on_pole, 1.0,
+                             axis[None, :] - np.array(_pole_rates())[:, None])
+    inverse[on_pole] = 0.0
+    return lambda rows: np.einsum("...sdbv,sv->...dbv", rows, inverse)
+
+
+def _pulled_back(tails: np.ndarray) -> np.ndarray:
+    """Kicked tails (2, 256), rows the conjugated detectors, pulled back
+    through one z1 resolvent, split by decay sector, and one transposed
+    insertion: (Vᵀ Tᵀ P_s Fᵀ) tailsᵀ for every tag and every pole sector
+    s, of shape (12, 256, poles, 2), with R(z1) = F D T as in
+    :func:`apply_resolvent`, P_s the projection on the decay sector of
+    rate sum s and V the tag's interaction piece.  The stationary sector
+    is in none of them, as the forward division drops it."""
+    to_eigen, from_eigen, rates = _decay_blocks()
+    sums = rates[:, None] + rates[None, :]
+    eigen = _map_population_block(
+        from_eigen.T, tails.T.copy().reshape(NUM_OPS, NUM_OPS, -1))
+    poles = _pole_rates()
+    split = np.zeros((NUM_OPS, NUM_OPS, len(poles), len(tails)),
+                     dtype=complex)
+    for i, rate in enumerate(poles):
+        split[sums == rate, i] = eigen[sums == rate]
+    split = _map_population_block(
+        to_eigen.T, split.reshape(NUM_OPS, NUM_OPS, -1))
+    return interaction_products(split.reshape(NUM_OPS_PAIR, -1),
+                                transposed=True).reshape(
+        len(TAG_KEYS), NUM_OPS_PAIR, len(poles), len(tails))
+
+
+def _contracted(pulled: np.ndarray, tags, block) -> np.ndarray:
+    """The pulled-back tails of :func:`_pulled_back` of the tag indices
+    ``tags`` times the coefficients (256, V) of each of the B monomials
+    in ``block``, in one stacked product over the rows where any of them
+    is nonzero: rows (len(tags), poles, 2, B, V)."""
+    support = np.flatnonzero(np.any([np.any(coeffs, axis=1)
+                                     for coeffs in block], axis=0))
+    stacked = np.stack([coeffs[support] for coeffs in block], axis=1)
+    part = pulled[np.ix_(tags, support)].reshape(len(tags), len(support), -1)
+    return np.matmul(part.transpose(0, 2, 1),
+                     stacked.reshape(len(support), -1)).reshape(
+        (len(tags),) + pulled.shape[2:] + stacked.shape[1:])
 
 
 def _insertion_resolved(monomial: PhaseMonomial, coeffs: np.ndarray,
@@ -619,10 +729,8 @@ def _chain_rows(orders, z1, theta: float, channels, kappa: int, *,
     Kick 1 runs once and keeps one atom-exchange mirror half of its
     monomials (:func:`_mirror_half`).  Every later prefix s comes from
     prefix s - 1 by one step, each monomial's insertion followed by one
-    z1 resolvent over all its products (:func:`_insertion_resolved`).
-    It is merged by key only where a longer prefix reads it: the last
-    prefix, which only the highest order reads, is contracted as it is
-    made.
+    z1 resolvent over all its products (:func:`_insertion_resolved`),
+    merged by key, up to prefix top - 1 of the highest order top.
     One loop contracts each monomial of prefix s with the tails of n - s
     insertions of every order n >= s, through each kick-2 harmonic pair
     (p1, p2) its order allows, in one stacked product with the tails
@@ -634,7 +742,13 @@ def _chain_rows(orders, z1, theta: float, channels, kappa: int, *,
     loop one insertion later: kick 2, R(0) and one insertion act on each
     monomial of prefix 0, and each nonzero product meets the plain tails
     of n - 1 insertions, keyed by the prefix tags plus the inserted tag.
-    So no tail is longer than n - 1 insertions.
+    Split n meets prefix n - 1 from the detector side: the kicked tails
+    of no insertion, pulled back through one z1 resolvent sector by
+    sector and one transposed insertion (:func:`_pulled_back`), meet the
+    prefix in blocks of monomials (:func:`_contracted`), and each
+    sector's division by z1 - r acts on the rows
+    (:func:`_sector_division`); a key is built where its rows are
+    nonzero.  So no prefix and no tail is longer than n - 1 insertions.
     Before it returns, each channel's rows of the half are folded onto
     their mirror keys, rows(e, tags) = P(e, tags) + P(-e, tags)
     (:func:`_mirror_folded`), so every key (e, tags) comes with
@@ -643,10 +757,10 @@ def _chain_rows(orders, z1, theta: float, channels, kappa: int, *,
     Kick 1 and the prefixes do not depend on the channel, the
     polarization of pulse 2, so one interpulse stage serves every
     channel.  Kick 2 and its keep rule, the key parity, the kicked tails
-    and the rows are per channel.  A held prefix is contracted one
-    channel at a time, so that only one channel's kicked tails of a
-    length are alive; each monomial of the last prefix feeds every
-    channel's contraction as it is made.  At ``kappa`` = 2 every prefix
+    and the rows are per channel.  A prefix is contracted one channel at
+    a time, so that only one channel's kicked tails of a length are
+    alive, and split n makes one pulled-back array at a time.  At
+    ``kappa`` = 2 every prefix
     after kick 1 is empty (pulse 1's harmonic (-1, -1) leaves |gg><ee'|,
     on which every interaction piece vanishes), so there the shared
     stage costs nothing.
@@ -677,7 +791,9 @@ def _chain_rows(orders, z1, theta: float, channels, kappa: int, *,
         atom-1 phase exponent, sorted tags) to the detected rows of the
         monomials with that key, shape (len(DETECTION_DIRECTIONS), axis
         size).  No key that obeys both selection rules is dropped, except
-        one whose every product is exactly zero, which is not built.
+        one whose every product is exactly zero, which is not built, and
+        at highest order 1 one whose rows split 1 alone makes and makes
+        exactly zero.
     """
     z1 = np.atleast_1d(np.asarray(z1, dtype=complex))
     top = max(orders)
@@ -705,78 +821,116 @@ def _chain_rows(orders, z1, theta: float, channels, kappa: int, *,
     # the transposed tails kicked by (channel, p1, p2, length, group)
     kicked = {}
 
-    def contract(monomials, between, order, readers):
-        # split ``between`` of ``order`` in each channel of ``readers``:
-        # the kicked tails over the rows where each prefix monomial is
-        # nonzero or, ``forward``, the plain tails on each nonzero product
-        # of kick 2, R(0) and one insertion on it
+    def kicked_tails(channel, p1, p2, length, group):
+        step = (channel, p1, p2, length, group)
+        if step not in kicked:
+            kick = harmonics[channel]
+            kicked[step] = np.ascontiguousarray(apply_factorized(
+                kick[p1].T, kick[p2].T,
+                _interaction_tails(length)[group][1]).T)
+        return kicked[step]
+
+    def contract(monomials, between, order, channel):
+        # split ``between`` of ``order`` in ``channel``: the kicked tails
+        # over the rows where each prefix monomial is nonzero or,
+        # ``forward``, the plain tails on each nonzero product of kick 2,
+        # R(0) and one insertion on it
         forward = order == top > between == 0
         length = order - between - forward
         groups = _interaction_tails(length)
-        sums = {channel: {} for channel in readers}
+        kick = harmonics[channel]
+        sums = {}
         for monomial, coeffs in monomials:
-            pairs = kick2_pairs(monomial.powers, order % 2)
             held = [(monomial.tags, coeffs)]
             support = slice(None) if forward else None
-            for channel in readers:
-                kick = harmonics[channel]
-                for p1, p2 in pairs:
-                    met = held
-                    if forward:
-                        state = apply_factorized(kick[p1], kick[p2], coeffs)
-                        state = _resolved(
-                            state.reshape(NUM_OPS, NUM_OPS, -1),
-                            _grid_division(0.0)).reshape(coeffs.shape)
-                        met = [(monomial.tagged(tag).tags, product)
-                               for tag, product in zip(
-                                   TAG_KEYS, interaction_products(state))
-                               if product.any()]
-                    for tags, product in met:
-                        group = _axis_parity(tags) ^ wanted[channel]
-                        if group not in groups:
-                            continue
-                        step = (channel, p1, p2, length, group)
-                        if forward:
-                            tails = groups[group][1].T
-                        elif step in kicked:
-                            tails = kicked[step]
-                        else:
-                            tails = kicked[step] = np.ascontiguousarray(
-                                apply_factorized(kick[p1].T, kick[p2].T,
-                                                 groups[group][1]).T)
-                        if support is None:
-                            support = np.flatnonzero(np.any(coeffs, axis=1))
-                        _merge(sums[channel], (monomial.powers[0] + p1, tags),
-                               tails[:, support] @ product[support])
+            for p1, p2 in kick2_pairs(monomial.powers, order % 2):
+                met = held
+                if forward:
+                    state = apply_factorized(kick[p1], kick[p2], coeffs)
+                    state = _resolved(
+                        state.reshape(NUM_OPS, NUM_OPS, -1),
+                        _grid_division(0.0)).reshape(coeffs.shape)
+                    met = [(monomial.tagged(tag).tags, product)
+                           for tag, product in zip(
+                               TAG_KEYS, interaction_products(state))
+                           if product.any()]
+                for tags, product in met:
+                    group = _axis_parity(tags) ^ wanted[channel]
+                    if group not in groups:
+                        continue
+                    tails = (groups[group][1].T if forward else
+                             kicked_tails(channel, p1, p2, length, group))
+                    if support is None:
+                        support = np.flatnonzero(np.any(coeffs, axis=1))
+                    _merge(sums, (monomial.powers[0] + p1, tags),
+                           tails[:, support] @ product[support])
         # each sum split over the tails it met, merged under the joined tags
-        for channel, by_prefix in sums.items():
-            for (a, tags), rows in by_prefix.items():
-                tails, _ = groups[_axis_parity(tags) ^ wanted[channel]]
-                parts = rows.reshape(len(tails), -1, axis.size)
-                for tail, part in zip(tails, parts):
-                    _merge(out[channel], (a, tuple(sorted(tags + tail))),
-                           part)
-        # then drop the readers' kicked tails of this length whose pair no
-        # later split reads at this length for any of kick 1's powers
+        for (a, tags), rows in sums.items():
+            tails, _ = groups[_axis_parity(tags) ^ wanted[channel]]
+            parts = rows.reshape(len(tails), -1, axis.size)
+            for tail, part in zip(tails, parts):
+                _merge(out[channel], (a, tuple(sorted(tags + tail))), part)
+        # then drop the channel's kicked tails of this length whose pair
+        # no later split reads at this length for any of kick 1's powers
         later = {pair for s in splits[between + 1:] if s + length in orders
                  for powers in first_powers
                  for pair in kick2_pairs(powers, (s + length) % 2)}
-        for step in [step for step in kicked if step[0] in readers
+        for step in [step for step in kicked if step[0] == channel
                      and step[3] == length and step[1:3] not in later]:
             del kicked[step]
+
+    def met_from_detectors(monomials):
+        # split top of order top: prefix top - 1 meets the length-0 tails
+        # kicked by each pair and pulled back through one z1 resolvent,
+        # sector by sector, and one transposed insertion, in blocks of
+        # monomials; a key is built where its rows are nonzero
+        if not isinstance(axis, PoleBasis) and _on_pole(axis).any():
+            # the forward step's pole guard, on the products it would
+            # divide; the quotients are not needed
+            to_eigen, _, _ = _decay_blocks()
+            for coeffs in monomials.values():
+                divide(_map_population_block(to_eigen, interaction_products(
+                    coeffs).reshape(len(TAG_KEYS), NUM_OPS, NUM_OPS, -1)))
+        sector_division = _sector_division(axis)
+        # the monomials by powers, which fix their kick-2 pairs, and by
+        # the axis parity of their tags, which fixes the tags they meet
+        classes = {}
+        for monomial, coeffs in monomials.items():
+            classes.setdefault((monomial.powers, _axis_parity(monomial.tags)),
+                               []).append((monomial, coeffs))
+        pairs = sorted({pair for powers, _ in classes
+                        for pair in kick2_pairs(powers, top % 2)})
+        for channel in channels:
+            for p1, p2 in pairs:
+                pulled = _pulled_back(kicked_tails(channel, p1, p2, 0, 0))
+                for (powers, parity), members in classes.items():
+                    if (p1, p2) not in kick2_pairs(powers, top % 2):
+                        continue
+                    tags = [i for i, tag in enumerate(TAG_KEYS) if
+                            _axis_parity((tag,)) == parity ^ wanted[channel]]
+                    for lo in range(0, len(members), LAST_SPLIT_BLOCK):
+                        block = members[lo:lo + LAST_SPLIT_BLOCK]
+                        rows = sector_division(_contracted(
+                            pulled, tags, [coeffs for _, coeffs in block]))
+                        for t, b in zip(*np.nonzero(rows.any(axis=(1, 3)))):
+                            tagged = block[b][0].tagged(TAG_KEYS[tags[t]])
+                            _merge(out[channel], (powers[0] + p1, tagged.tags),
+                                   rows[t, :, b])
+                # one pulled-back array alive at a time
+                del pulled
 
     prefix = apply_resolvent(_mirror_half(apply_kick(
         initial_vector(), 1, theta, FIRST_POLARIZATION, kappa)), axis)
     first_powers = {monomial.powers for monomial in prefix}
     divide = _division(axis)
     for between in splits:
+        if between == top > 0:
+            met_from_detectors(prefix)
+            break
         if between:
-            # one monomial of the prefix before at a time, not merged by key
+            # one monomial of the prefix before at a time, merged by key
             made = (new for monomial, coeffs in prefix.items()
                     for new in _insertion_resolved(monomial, coeffs, divide))
-            if between == top:
-                contract(made, top, top, channels)
-                break
             prefix = {}
             for monomial, coeffs in made:
                 _merge(prefix, monomial, coeffs)
@@ -784,7 +938,7 @@ def _chain_rows(orders, z1, theta: float, channels, kappa: int, *,
             if n >= between:
                 # one channel at a time: only its kicked tails are alive
                 for channel in channels:
-                    contract(prefix.items(), between, n, (channel,))
+                    contract(prefix.items(), between, n, channel)
     return axis, {channel: _mirror_folded(half)
                   for channel, half in out.items()}
 

@@ -432,19 +432,28 @@ def _term_weights(phase_exponents, tags, xi: np.ndarray, n_hat: np.ndarray,
     return weights
 
 
-def fixed_configuration_components(table: TermTable, xi: float,
+def fixed_configuration_components(table: TermTable, xi,
                                    n_hat) -> dict:
     """Demodulated detected components of the truncated chain held in
-    ``table`` (from :func:`demodulated_term_table`) at one
-    configuration, on the table's z1 grid, with the exact coupling
+    ``table`` (from :func:`demodulated_term_table`) at one configuration
+    or a batch of them, on the table's z1 grid, with the exact coupling
     tensor; the perturbative counterpart of :func:`demodulated_laplace`.
+
+    ``xi`` is a scalar and ``n_hat`` a 3-vector, or ``xi`` has shape (B,)
+    and ``n_hat`` shape (B, 3); the values per direction then have shape
+    (B, z1 points).  One :func:`_term_weights` call prices every
+    configuration.
     """
+    xi = np.asarray(xi, dtype=float)
     n = np.asarray(n_hat, dtype=float)
-    n = n / np.linalg.norm(n)
+    n = n / np.linalg.norm(n, axis=-1, keepdims=True)
     weights = _term_weights(table.phase_exponents, table.tags,
-                            np.array([xi]), n[None, :], "exact")
-    values = np.tensordot(weights[:, 0], table.coeffs, axes=(0, 0))
-    return dict(zip(DETECTION_DIRECTIONS, values))
+                            xi.reshape(-1), n.reshape(-1, 3), "exact")
+    # one product per configuration: each is summed as if priced alone
+    values = np.stack([np.tensordot(column, table.coeffs, axes=(0, 0))
+                       for column in weights.T], axis=1)
+    return dict(zip(DETECTION_DIRECTIONS,
+                    values.reshape(values.shape[:1] + xi.shape + (-1,))))
 
 
 def sample_configurations(rng: np.random.Generator, count: int,
@@ -475,11 +484,14 @@ def surviving_term_table(theta: float, channel: str, kappa: int,
     :func:`mqcsim.disorder.averaged_solution` weights, from the same
     cache, and keeps its keys with no tag or a mixed-kind tag pair, less
     those below ``TERM_FLOOR`` of the largest kept key
-    (:func:`_term_table`).
+    (:func:`_term_table`).  The chain is built for both channels at
+    once, so the table of the other channel at the same arguments, and
+    the closed form of either, read it back.
     """
     z1 = np.atleast_1d(np.asarray(z1_values, dtype=complex))
-    axis, tags, rows = _zero_phase_chain(tuple(z1), theta, channel, kappa,
-                                         False)
+    axis, tags, rows = _zero_phase_chain(tuple(z1), theta,
+                                         POLARIZATION_CHANNELS, kappa,
+                                         False)[channel]
     kept = {(0, pair): row for pair, row in zip(tags, rows)
             if not pair or pair[0][0] != pair[1][0]}
     return _term_table(axis, kept, z1, kappa, channel)

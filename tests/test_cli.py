@@ -722,9 +722,9 @@ def test_mc_average_passes_and_writes_report(tmp_path):
 
 def test_mc_average_builds_one_chain_per_kappa_and_channel(monkeypatch,
                                                            tmp_path):
-    # the sampled table and the closed form read one cached zero-phase
-    # chain per (kappa, channel), built from a cold cache
-    disorder._zero_phase_chain.cache_clear()
+    # the sampled tables and the closed forms read one cached zero-phase
+    # chain per kappa, which serves both channels, built from a cold cache
+    disorder._zero_phase_chains.cache_clear()
     built = []
 
     def counted(*args, **kwargs):
@@ -736,8 +736,8 @@ def test_mc_average_builds_one_chain_per_kappa_and_channel(monkeypatch,
         monkeypatch.setattr(module, "_chain_rows", counted)
     assert main(["mc-average", "--mc-samples", "1000", "--detuning-count",
                  "5", "--output-dir", str(tmp_path)]) == 0
-    assert sorted(built) == [(1, ("parallel",)), (1, ("perpendicular",)),
-                             (2, ("parallel",)), (2, ("perpendicular",))]
+    assert sorted(built) == [(1, ("parallel", "perpendicular")),
+                             (2, ("parallel", "perpendicular"))]
 
 
 def test_oracle_check_builds_one_chain_per_kappa(monkeypatch, tmp_path):

@@ -1,6 +1,8 @@
 """Tests for the phase-tagged expansion through the pulse sequence."""
 
+import functools
 import itertools
+import traceback
 import tracemalloc
 
 import numpy as np
@@ -13,6 +15,7 @@ from mqcsim.atom import (DETECTION_DIRECTIONS, FIRST_POLARIZATION, PoleError,
 from mqcsim.basis import apply_factorized, matrix_unit
 from mqcsim.coupling import TAG_KEYS, coupling_tensor, tensor_tag_value
 from mqcsim.expansion import (
+    TERM_FLOOR,
     PhaseMonomial,
     PoleBasis,
     _chain_rows,
@@ -23,6 +26,8 @@ from mqcsim.expansion import (
     _insertion_resolved,
     _interaction_tails,
     _interpulse_axis,
+    _on_grid,
+    _pole_rates,
     _pole_sectors,
     _transposed_resolvent,
     apply_interaction,
@@ -410,7 +415,7 @@ def test_each_interpulse_prefix_is_built_once(monkeypatch, points,
                                               channels):
     """A chain over several orders runs kick 1 once and inserts once
     into the mirror representative of every monomial of prefixes 0 to
-    top - 1, powers (a, 0, c, 0) with a <= c, on the grid and on pole
+    top - 2, powers (a, 0, c, 0) with a <= c, on the grid and on pole
     labels alike, however many channels read them.  Every insertion is
     fused with its z1 resolvent, one over all the products of the
     monomial it inserts into, so the chain makes no plain insertion and
@@ -420,7 +425,7 @@ def test_each_interpulse_prefix_is_built_once(monkeypatch, points,
         top = max(orders)
         prefixes = [[m for m in prefix if m.powers[0] <= m.powers[2]]
                     for prefix in _interpulse_prefixes(
-                        0.7, 1, _interpulse_axis(z1, top + 1), top - 1)]
+                        0.7, 1, _interpulse_axis(z1, top + 1), top - 2)]
         assert all(prefixes)
         rows, counts, inserted = _count_chain_steps(
             monkeypatch, orders, z1, 0.7, channels, 1,
@@ -451,6 +456,28 @@ def test_no_detection_tail_is_longer_than_top_minus_one(
                           zero_phase=zero_phase, fast=fast)
     assert rows["parallel"]
     assert max(lengths) == max(orders) - 1
+
+
+@pytest.mark.parametrize("orders, zero_phase, fast", [
+    ((0, 1, 2, 3), False, False), ((0, 2), True, False),
+    ((0, 1, 2, 3), False, True), ((0, 2, 4), True, False)])
+def test_no_interpulse_prefix_is_longer_than_top_minus_one(
+        monkeypatch, orders, zero_phase, fast):
+    # the last split meets prefix top - 1 from the detector side, so a
+    # chain of top order n inserts into no monomial of prefix n - 1, whose
+    # monomials carry n - 1 tags, and builds no prefix longer than n - 1
+    degrees = []
+
+    def recorded(monomial, coeffs, divide):
+        degrees.append(monomial.degree)
+        return _insertion_resolved(monomial, coeffs, divide)
+
+    monkeypatch.setattr(expansion, "_insertion_resolved", recorded)
+    _, rows = _chain_rows(orders, 1j * np.linspace(-3.0, 3.0, 7),
+                          0.14 * np.pi, ("parallel", "perpendicular"), 1,
+                          zero_phase=zero_phase, fast=fast)
+    assert rows["parallel"]
+    assert max(degrees, default=None) == (None if fast else max(orders) - 2)
 
 
 #: the oracle check's kappa = 1 chain: orders 0-3 on its 7-point grid,
@@ -650,6 +677,100 @@ def test_selection_rules_hold_on_the_forward_chain(theta, kappa, channel,
         assert held and held <= set(rows)
         if theta == 0.14 * np.pi and not zero_phase:
             assert len(rows) == count
+
+
+#: the grid of the forward reference, and of the chains on a grid
+FORWARD_GRID = 1j * np.linspace(-3.0, 3.0, 7)
+
+
+@functools.cache
+def _forward_rows(order, points, theta, channel, kappa):
+    """Detected rows of :func:`scattering_solution` of one order at the
+    ``points`` of ``FORWARD_GRID``, summed by (net atom-1 exponent,
+    tags)."""
+    covectors = np.stack([_detection_covector(d).conj()
+                          for d in DETECTION_DIRECTIONS])
+    rows = {}
+    for monomial, coeffs in scattering_solution(
+            order, FORWARD_GRID[list(points)], theta, channel,
+            kappa).items():
+        key = (monomial.atom_net[0], monomial.tags)
+        rows[key] = rows.get(key, 0.0) + covectors @ coeffs
+    return rows
+
+
+@pytest.mark.parametrize("kappa", [1, 2])
+@pytest.mark.parametrize("orders, z1, zero_phase, points", [
+    ((0, 1, 2, 3), FORWARD_GRID, False, range(7)),
+    ((0, 1, 2, 3), FORWARD_GRID, True, range(7)),
+    ((0, 1, 2, 3), 1j * np.linspace(-3.0, 3.0, 41), False, range(7)),
+    ((0, 1, 2, 3), 1j * np.linspace(-3.0, 3.0, 41), True, range(7)),
+    ((0, 2), 1j * np.linspace(-10.0, 10.0, 801), True, range(7)),
+    ((0, 2, 4), FORWARD_GRID, True, (1,))],
+    ids=["grid", "grid-zero-phase", "poles", "poles-zero-phase",
+         "fig4-poles", "order4-grid"])
+def test_chain_rows_match_the_forward_reference(orders, z1, zero_phase,
+                                                points, kappa):
+    # the chain, whose last split meets prefix top - 1 from the detector
+    # side, against the forward state of each order at the points of
+    # FORWARD_GRID, pole labels evaluated there (the order-4 chain at one
+    # point, where the forward state of order 4 is affordable): the same
+    # keys above roundoff, and the rows of every key of either within
+    # 1e-15 of the peak
+    theta, channels, points = 0.14 * np.pi, ("parallel", "perpendicular"), \
+        list(points)
+    axis, rows = _chain_rows(orders, z1, theta, channels, kappa,
+                             zero_phase=zero_phase)
+    assert isinstance(axis, PoleBasis) == (z1.size > 7)
+    for channel in channels:
+        forward = {}
+        for order in orders:
+            for key, value in _forward_rows(order, tuple(points), theta,
+                                            channel, kappa).items():
+                if key[0] == 0 or not zero_phase:
+                    forward[key] = forward.get(key, 0.0) + value
+        chain = {key: (_on_grid(axis, value, FORWARD_GRID[points])
+                       if isinstance(axis, PoleBasis) else value[:, points])
+                 for key, value in rows[channel].items()}
+        peak = max(np.max(np.abs(value)) for value in forward.values())
+        assert peak > 1e-4
+        for key in forward.keys() | chain.keys():
+            difference = chain.get(key, 0.0) - forward.get(key, 0.0)
+            assert np.max(np.abs(difference)) <= 1e-15 * peak, key
+
+        def above(by_key):
+            return {key for key, value in by_key.items()
+                    if np.max(np.abs(value)) > TERM_FLOOR * peak}
+
+        assert above(chain) and above(chain) == above(forward)
+
+
+@pytest.mark.parametrize("orders", [(2,), (0, 1, 2, 3)])
+def test_pole_guard_raises_where_kick_one_leaves_weight_on_the_pole(orders):
+    # a point of a 41-point grid on each pole in turn: the chain raises
+    # where kick 1 leaves weight above the guard's 1e-9 in that pole's
+    # sector, and only there, and every raise comes from kick 1's
+    # resolvent: the rate -1/2 sector of an optical coherence beside a
+    # population at kappa = 1, its rate -3/2 part once theta is large
+    # enough, and the rate -1 sector of |gg><ee'| at kappa = 2
+    thetas = (1e-6, 1e-5, 1e-3, 0.7)
+    raised = set()
+    for theta in thetas:
+        for kappa in (1, 2):
+            for pole in _pole_rates():
+                z1 = 1j * np.linspace(-2.0, 2.0, 41)
+                z1[5] = pole
+                try:
+                    _chain_rows(orders, z1, theta,
+                                ("parallel", "perpendicular"), kappa)
+                except PoleError as error:
+                    frames = traceback.extract_tb(error.__traceback__)
+                    assert [frame.name for frame in frames[1:3]] == [
+                        "_chain_rows", "apply_resolvent"]
+                    raised.add((kappa, pole, theta))
+    assert raised == ({(1, -0.5, theta) for theta in thetas}
+                      | {(1, -1.5, theta) for theta in (1e-3, 0.7)}
+                      | {(2, -1.0, theta) for theta in thetas})
 
 
 def test_transposed_resolvent_is_the_dense_resolvent_transposed():

@@ -532,6 +532,23 @@ def test_sector_laplace_matches_full_space_solve():
                                      - want)) < 1e-12 * scale
 
 
+def test_a_batch_of_configurations_is_priced_as_each_alone():
+    # one call over B configurations, unnormalized axes included, gives
+    # each configuration's components bit for bit as a call for it alone
+    z1 = 1j * np.linspace(-3.0, 3.0, 7)
+    table = demodulated_term_table((0, 1, 2, 3), THETA, "parallel", 1, z1)
+    xi = np.array([40.0, 80.0, 80.0, 1000.0])
+    axes = np.stack([3.0 * _random_axis(seed) for seed in range(4)])
+    batch = fixed_configuration_components(table, xi, axes)
+    assert list(batch) == list(DETECTION_DIRECTIONS)
+    for b in range(len(xi)):
+        alone = fixed_configuration_components(table, xi[b], axes[b])
+        for direction, values in alone.items():
+            assert values.shape == (7,)
+            assert batch[direction].shape == (len(xi), 7)
+            assert np.array_equal(batch[direction][b], values)
+
+
 def test_single_exchange_component_is_even_in_axis_sign():
     # the odd-order detected components pair their +-m position-phase
     # families into a cosine, so flipping the separation axis leaves
