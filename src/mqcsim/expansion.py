@@ -74,33 +74,41 @@ once on all tails side by side) and one R(0) per step, with no z1 axis.
 R(0) acts on them transposed, in the same block form as every z1
 resolvent, so no run builds it as a 256x256 matrix.  These tails are
 merged by the sorted multiset of their tags, 1, 12, 78 and 364 of them
-for 0-3 insertions, and grouped as they are built.  Each prefix
-monomial meets the tails of a remaining length that the selection rules
-below allow, kicked by the transpose of each kick-2 harmonic pair they
-allow, in one stacked matrix product.  A chain kicks each group of
-tails once per channel and pair, and keeps it only while a later split
-can read it.  The products are summed per (net atom-1
-exponent, prefix tags) as they are made, and only then split over the
-tails and merged under the joined tags, so the join runs once per
-distinct prefix key and tail.
+for 0-3 insertions, and grouped as they are built.
 
-Split 0 of the highest order n alone would need the tails of n
-insertions, the longest and by far the most.  Its prefix, kick 1's few
-monomials, runs one step further forward instead: kick 2 through each
-pair it allows, R(0) in the same block form, and one insertion, whose
-exactly zero products are dropped.  Each product then meets the tails
-of n - 1 insertions of the group its axis parity allows.  So a chain of
-highest order n builds tails of at most n - 1 insertions, and a key
-whose every forward product is exactly zero is not built at all.
+One loop contracts every split.  Each prefix is grouped once by class,
+the powers of its monomials, which fix the kick-2 harmonic pairs they
+allow, and the axis parity of their tags, which fixes the tails they
+meet (see the selection rules below), and each class is stacked in
+blocks of ``CHAIN_BLOCK`` monomials over the rows where any of them is
+nonzero.  Through each pair, every block meets what its split reads in
+one stacked matrix product, summed per (net atom-1 exponent, block
+tags plus the tag the split inserts, if any); once the split is done,
+each sum is split over the tails it met and merged under the joined
+tags, so the join runs once per distinct key and tail.  The splits
+differ only in what they read and in one step after the product.
+Split s of order n reads the tails of n - s insertions, kicked by the
+transpose of the pair; a chain kicks each group of tails once per
+channel and pair, and keeps it only while a later split can read it.
+The first and the last split of the highest order n alone would need
+the tails of n insertions or prefix n, by far the most of each, and
+both stop one insertion short instead.
 
-Split n of the highest order is the mirror case: it alone would need
-prefix n, the longest and by far the largest prefix, each of whose
-monomials meets only the two detector rows of each kick-2 pair.  It
-meets prefix n - 1 one step further back instead, from the detector
-side.  With R(z1) = F D T (T to decay modes, D the division by
-z1 - r_i - r_j, F back), c a kicked tail of no insertion (a conjugated
-detector row times R(0) and the pair's kick) and x a monomial of prefix
-n - 1, the split's rows through the tag of piece V are
+Split 0 of the highest order runs kick 1's few monomials one step
+further forward: kick 2 through each pair, R(0) in the same block
+form, and one insertion, whose exactly zero products are dropped.  Each
+product reads the plain tails of n - 1 insertions of the group its axis
+parity allows.  So a chain of highest order n builds tails of at most
+n - 1 insertions, and a key whose every forward product is exactly zero
+is not built at all.
+
+Split n of the highest order, whose prefix monomials would meet only
+the two detector rows of each pair, meets prefix n - 1 one step further
+back, from the detector side.  With R(z1) = F D T (T to decay modes, D
+the division by z1 - r_i - r_j, F back), c a kicked tail of no
+insertion (a conjugated detector row times R(0) and the pair's kick)
+and x a monomial of prefix n - 1, the split's rows through the tag of
+piece V are
 
     c^T F D T V x = sum_s ((V^T T^T P_s F^T c)^T x) o D_s,
 
@@ -109,27 +117,27 @@ factor 1 / (z1 - s) on the z1 axis (o), s over the four poles: the
 stationary sector is dropped, as the forward division drops it.  The
 pulled-back covectors V^T T^T P_s F^T c carry no z1 axis: one transposed
 insertion, all twelve tags at once, acts on the four sector parts of a
-kicked tail, once per channel and pair (:func:`_pulled_back`).  Prefix
-n - 1 meets them in blocks of monomials, one stacked product per block,
-and each sector's division then acts on the contracted rows instead of
-on 256-row products: the step matrices of :func:`_pole_sectors` on a
-pole basis, 1 / (z1 - s) on a grid (:func:`_sector_division`).  So a
-chain of highest order n builds no prefix and no tail longer than n - 1
-insertions.  Split n - 1 has already built every key that split n
-reaches, since each monomial of prefix n - 1 meets every tail of one
-insertion of its group there, so split n builds a key only where its
-rows are nonzero; that changes no key set above order 1.
+kicked tail, once per channel and pair (:func:`_pulled_back`).  Split
+n reads them, and the step after its product is each sector's
+division, on the contracted rows instead of on 256-row products: the
+step matrices of :func:`_pole_sectors` on a pole basis, 1 / (z1 - s) on
+a grid (:func:`_sector_division`).  So a chain of highest order n builds no
+prefix and no tail longer than n - 1 insertions.  Split n - 1 has
+already built every key that split n reaches, since each monomial of
+prefix n - 1 meets every tail of one insertion of its group there, so
+split n builds a key only where its rows are nonzero; that changes no
+key set above order 1.
 
 Both pole guards hold at split n.  On a pole basis the forward division
 would raise on weight in the label (r, n + 1) of a product's own sector
 r.  A monomial of prefix n - 1 has been through n z1 resolvents, so it
 and every product of an insertion on it carry at most the labels
 (r, n), and the guard cannot fire.  On a grid with a point on a pole,
-split n runs the forward step's guard on the decay modes of the
-products of each monomial's insertion and discards their quotients; on
-a grid with no point on a pole there is nothing to guard.  A grid point
-on a pole whose weight the guard lets pass gets the factor 0, as in the
-forward division.
+split n runs the forward step, insertion and z1 resolvent, on each
+monomial of prefix n - 1 for its guard alone and discards the
+quotients; on a grid with no point on a pole there is nothing to
+guard.  A grid point on a pole whose weight the guard lets pass gets
+the factor 0, as in the forward division.
 
 Two selection rules make most (net atom-1 exponent, tags) keys exactly
 zero, and the chain never builds them:
@@ -217,9 +225,9 @@ from .coupling import TAG_KEYS, interaction_products
 #: largest entry are roundoff where the exact value is zero
 TERM_FLOOR = 1e-13
 
-#: monomials of prefix top - 1 that meet the pulled-back tails of the
-#: chain's last split in one stacked product
-LAST_SPLIT_BLOCK = 16
+#: prefix monomials of one class that meet the tails of a split in one
+#: stacked product
+CHAIN_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -662,7 +670,8 @@ def _pulled_back(tails: np.ndarray) -> np.ndarray:
     """Kicked tails (2, 256), rows the conjugated detectors, pulled back
     through one z1 resolvent, split by decay sector, and one transposed
     insertion: (Vᵀ Tᵀ P_s Fᵀ) tailsᵀ for every tag and every pole sector
-    s, of shape (12, 256, poles, 2), with R(z1) = F D T as in
+    s, of shape (12, 256, poles x 2), column 2 s + d for the detector
+    row d of sector s, with R(z1) = F D T as in
     :func:`apply_resolvent`, P_s the projection on the decay sector of
     rate sum s and V the tag's interaction piece.  The stationary sector
     is in none of them, as the forward division drops it."""
@@ -678,22 +687,7 @@ def _pulled_back(tails: np.ndarray) -> np.ndarray:
     split = _map_population_block(
         to_eigen.T, split.reshape(NUM_OPS, NUM_OPS, -1))
     return interaction_products(split.reshape(NUM_OPS_PAIR, -1),
-                                transposed=True).reshape(
-        len(TAG_KEYS), NUM_OPS_PAIR, len(poles), len(tails))
-
-
-def _contracted(pulled: np.ndarray, tags, block) -> np.ndarray:
-    """The pulled-back tails of :func:`_pulled_back` of the tag indices
-    ``tags`` times the coefficients (256, V) of each of the B monomials
-    in ``block``, in one stacked product over the rows where any of them
-    is nonzero: rows (len(tags), poles, 2, B, V)."""
-    support = np.flatnonzero(np.any([np.any(coeffs, axis=1)
-                                     for coeffs in block], axis=0))
-    stacked = np.stack([coeffs[support] for coeffs in block], axis=1)
-    part = pulled[np.ix_(tags, support)].reshape(len(tags), len(support), -1)
-    return np.matmul(part.transpose(0, 2, 1),
-                     stacked.reshape(len(support), -1)).reshape(
-        (len(tags),) + pulled.shape[2:] + stacked.shape[1:])
+                                transposed=True)
 
 
 def _insertion_resolved(monomial: PhaseMonomial, coeffs: np.ndarray,
@@ -731,23 +725,23 @@ def _chain_rows(orders, z1, theta: float, channels, kappa: int, *,
     prefix s - 1 by one step, each monomial's insertion followed by one
     z1 resolvent over all its products (:func:`_insertion_resolved`),
     merged by key, up to prefix top - 1 of the highest order top.
-    One loop contracts each monomial of prefix s with the tails of n - s
-    insertions of every order n >= s, through each kick-2 harmonic pair
-    (p1, p2) its order allows, in one stacked product with the tails
-    kicked by the transposed pair.  A kicked tail is made once per chain
-    and dropped once no later split can read it.  The products are
-    summed per (net atom-1 exponent, prefix tags); once a prefix is
-    consumed, each sum is split over the tails and merged under the
-    joined tags.  Split 0 of the highest order n > 0 runs in the same
-    loop one insertion later: kick 2, R(0) and one insertion act on each
-    monomial of prefix 0, and each nonzero product meets the plain tails
-    of n - 1 insertions, keyed by the prefix tags plus the inserted tag.
-    Split n meets prefix n - 1 from the detector side: the kicked tails
-    of no insertion, pulled back through one z1 resolvent sector by
-    sector and one transposed insertion (:func:`_pulled_back`), meet the
-    prefix in blocks of monomials (:func:`_contracted`), and each
-    sector's division by z1 - r acts on the rows
-    (:func:`_sector_division`); a key is built where its rows are
+    Each prefix is grouped once by (powers, tag axis parity) and stacked
+    in blocks of ``CHAIN_BLOCK`` monomials, and one loop contracts every
+    split of every order n >= s on prefix s: through each kick-2
+    harmonic pair (p1, p2) its order allows, each block meets what the
+    split reads in one stacked product, summed per (net atom-1
+    exponent, block tags plus the tag the split inserts); once the split
+    is done, each sum is split over the tails it met and merged under
+    the joined tags.  Split s of order n reads the tails of n - s
+    insertions kicked by the transposed pair, each made once per chain
+    and dropped once no later split can read it.  Split 0 of the highest
+    order n > 0 first runs kick 2, R(0) and one insertion on the block,
+    and each nonzero product reads the plain tails of n - 1 insertions.
+    Split n reads prefix n - 1 and the kicked tails of no insertion
+    pulled back through one z1 resolvent sector by sector and one
+    transposed insertion (:func:`_pulled_back`), and each sector's
+    division by z1 - r then acts on its rows
+    (:func:`_sector_division`); it builds a key only where its rows are
     nonzero.  So no prefix and no tail is longer than n - 1 insertions.
     Before it returns, each channel's rows of the half are folded onto
     their mirror keys, rows(e, tags) = P(e, tags) + P(-e, tags)
@@ -759,11 +753,10 @@ def _chain_rows(orders, z1, theta: float, channels, kappa: int, *,
     channel.  Kick 2 and its keep rule, the key parity, the kicked tails
     and the rows are per channel.  A prefix is contracted one channel at
     a time, so that only one channel's kicked tails of a length are
-    alive, and split n makes one pulled-back array at a time.  At
-    ``kappa`` = 2 every prefix
-    after kick 1 is empty (pulse 1's harmonic (-1, -1) leaves |gg><ee'|,
-    on which every interaction piece vanishes), so there the shared
-    stage costs nothing.
+    alive, and split n keeps one pulled-back array alive at a time.  At
+    ``kappa`` = 2 every prefix after kick 1 is empty (pulse 1's
+    harmonic (-1, -1) leaves |gg><ee'|, on which every interaction piece
+    vanishes), so there the shared stage costs nothing.
 
     All orders share the z1 axis (:func:`_interpulse_axis`) of the
     splits of the highest order: its exact :class:`PoleBasis` when that
@@ -830,40 +823,79 @@ def _chain_rows(orders, z1, theta: float, channels, kappa: int, *,
                 _interaction_tails(length)[group][1]).T)
         return kicked[step]
 
-    def contract(monomials, between, order, channel):
-        # split ``between`` of ``order`` in ``channel``: the kicked tails
-        # over the rows where each prefix monomial is nonzero or,
-        # ``forward``, the plain tails on each nonzero product of kick 2,
-        # R(0) and one insertion on it
-        forward = order == top > between == 0
+    def blocked(prefix):
+        # the prefix by class, its powers, which fix the kick-2 pairs, and
+        # the axis parity of its tags, which fixes the tails it meets; each
+        # block of a class stacked once, (rows, monomials x axis), over the
+        # rows where any of its monomials is nonzero
+        classes, blocks = {}, []
+        for monomial, coeffs in prefix.items():
+            classes.setdefault((monomial.powers, _axis_parity(monomial.tags)),
+                               []).append((monomial.tags, coeffs))
+        for (powers, parity), members in classes.items():
+            for lo in range(0, len(members), CHAIN_BLOCK):
+                tags, block = zip(*members[lo:lo + CHAIN_BLOCK])
+                support = np.flatnonzero(np.any(
+                    [np.any(coeffs, axis=1) for coeffs in block], axis=0))
+                blocks.append((powers, parity, tags, support, np.stack(
+                    [coeffs[support] for coeffs in block], axis=1).reshape(
+                        len(support), -1)))
+        return blocks
+
+    def contract(blocks, between, order, channel):
+        # split ``between`` of ``order`` in ``channel``: through each
+        # kick-2 pair, every block meets what its split reads in one
+        # stacked product, (inserted tags, readers, columns), and its rows
+        # are summed per (net atom-1 exponent, block tags plus inserted tag)
+        last, forward = between == top > 0, order == top > between == 0
         length = order - between - forward
-        groups = _interaction_tails(length)
-        kick = harmonics[channel]
-        sums = {}
-        for monomial, coeffs in monomials:
-            held = [(monomial.tags, coeffs)]
-            support = slice(None) if forward else None
-            for p1, p2 in kick2_pairs(monomial.powers, order % 2):
-                met = held
-                if forward:
-                    state = apply_factorized(kick[p1], kick[p2], coeffs)
-                    state = _resolved(
-                        state.reshape(NUM_OPS, NUM_OPS, -1),
-                        _grid_division(0.0)).reshape(coeffs.shape)
-                    met = [(monomial.tagged(tag).tags, product)
-                           for tag, product in zip(
-                               TAG_KEYS, interaction_products(state))
-                           if product.any()]
-                for tags, product in met:
-                    group = _axis_parity(tags) ^ wanted[channel]
-                    if group not in groups:
-                        continue
-                    tails = (groups[group][1].T if forward else
-                             kicked_tails(channel, p1, p2, length, group))
-                    if support is None:
-                        support = np.flatnonzero(np.any(coeffs, axis=1))
-                    _merge(sums, (monomial.powers[0] + p1, tags),
-                           tails[:, support] @ product[support])
+        groups, kick, sums = _interaction_tails(length), harmonics[channel], {}
+        for p1, p2 in sorted({pair for powers, *_ in blocks
+                              for pair in kick2_pairs(powers, order % 2)}):
+            pulled = last and _pulled_back(kicked_tails(channel, p1, p2, 0, 0))
+            for powers, parity, tags, support, columns in blocks:
+                group = parity ^ wanted[channel]
+                if (p1, p2) not in kick2_pairs(powers, order % 2):
+                    continue
+                if last:
+                    # the tags that complete the block's parity to the key's
+                    inserted = [i for i, tag in enumerate(TAG_KEYS)
+                                if _axis_parity((tag,)) == group]
+                    met = [([(TAG_KEYS[i],) for i in inserted], pulled[
+                        np.ix_(inserted, support)].transpose(0, 2, 1), columns)]
+                elif forward:
+                    # kick 2, R(0) and one insertion on the block, one
+                    # monomial of kick 1 here, as no two share powers; each
+                    # nonzero product meets the plain tails of its group
+                    state = np.zeros((NUM_OPS_PAIR, columns.shape[1]), complex)
+                    state[support] = columns
+                    state = _resolved(apply_factorized(
+                        kick[p1], kick[p2], state).reshape(NUM_OPS, NUM_OPS, -1),
+                        _grid_division(0.0)).reshape(state.shape)
+                    met = [([(tag,)], groups[other][1].T, product)
+                           for tag, product in zip(TAG_KEYS,
+                                                   interaction_products(state))
+                           if product.any() and (other := group ^ _axis_parity(
+                               (tag,))) in groups]
+                elif group in groups:
+                    met = [([()], kicked_tails(channel, p1, p2, length, group)[
+                        :, support], columns)]
+                else:
+                    continue
+                for inserted, readers, right in met:
+                    rows = np.matmul(readers, right).reshape(
+                        len(inserted), -1, len(tags), axis.size)
+                    if last:
+                        rows = division(rows.reshape(
+                            len(inserted), -1, 2, len(tags), axis.size))
+                    # split top builds a key only where its rows are nonzero
+                    for i, b in zip(*np.nonzero(rows.any(axis=(1, 3))
+                                                | (not last))):
+                        _merge(sums, (powers[0] + p1,
+                                      tuple(sorted(tags[b] + inserted[i]))),
+                               rows[i, :, b])
+            # one pulled-back array alive at a time
+            del pulled
         # each sum split over the tails it met, merged under the joined tags
         for (a, tags), rows in sums.items():
             tails, _ = groups[_axis_parity(tags) ^ wanted[channel]]
@@ -879,66 +911,31 @@ def _chain_rows(orders, z1, theta: float, channels, kappa: int, *,
                      and step[3] == length and step[1:3] not in later]:
             del kicked[step]
 
-    def met_from_detectors(monomials):
-        # split top of order top: prefix top - 1 meets the length-0 tails
-        # kicked by each pair and pulled back through one z1 resolvent,
-        # sector by sector, and one transposed insertion, in blocks of
-        # monomials; a key is built where its rows are nonzero
-        if not isinstance(axis, PoleBasis) and _on_pole(axis).any():
-            # the forward step's pole guard, on the products it would
-            # divide; the quotients are not needed
-            to_eigen, _, _ = _decay_blocks()
-            for coeffs in monomials.values():
-                divide(_map_population_block(to_eigen, interaction_products(
-                    coeffs).reshape(len(TAG_KEYS), NUM_OPS, NUM_OPS, -1)))
-        sector_division = _sector_division(axis)
-        # the monomials by powers, which fix their kick-2 pairs, and by
-        # the axis parity of their tags, which fixes the tags they meet
-        classes = {}
-        for monomial, coeffs in monomials.items():
-            classes.setdefault((monomial.powers, _axis_parity(monomial.tags)),
-                               []).append((monomial, coeffs))
-        pairs = sorted({pair for powers, _ in classes
-                        for pair in kick2_pairs(powers, top % 2)})
-        for channel in channels:
-            for p1, p2 in pairs:
-                pulled = _pulled_back(kicked_tails(channel, p1, p2, 0, 0))
-                for (powers, parity), members in classes.items():
-                    if (p1, p2) not in kick2_pairs(powers, top % 2):
-                        continue
-                    tags = [i for i, tag in enumerate(TAG_KEYS) if
-                            _axis_parity((tag,)) == parity ^ wanted[channel]]
-                    for lo in range(0, len(members), LAST_SPLIT_BLOCK):
-                        block = members[lo:lo + LAST_SPLIT_BLOCK]
-                        rows = sector_division(_contracted(
-                            pulled, tags, [coeffs for _, coeffs in block]))
-                        for t, b in zip(*np.nonzero(rows.any(axis=(1, 3)))):
-                            tagged = block[b][0].tagged(TAG_KEYS[tags[t]])
-                            _merge(out[channel], (powers[0] + p1, tagged.tags),
-                                   rows[t, :, b])
-                # one pulled-back array alive at a time
-                del pulled
-
     prefix = apply_resolvent(_mirror_half(apply_kick(
         initial_vector(), 1, theta, FIRST_POLARIZATION, kappa)), axis)
     first_powers = {monomial.powers for monomial in prefix}
-    divide = _division(axis)
+    divide, division = _division(axis), _sector_division(axis)
+    blocks = blocked(prefix)
     for between in splits:
-        if between == top > 0:
-            met_from_detectors(prefix)
-            break
-        if between:
+        if 0 < between < top:
             # one monomial of the prefix before at a time, merged by key
             made = (new for monomial, coeffs in prefix.items()
                     for new in _insertion_resolved(monomial, coeffs, divide))
             prefix = {}
             for monomial, coeffs in made:
                 _merge(prefix, monomial, coeffs)
+            blocks = blocked(prefix)
+        elif between and not isinstance(axis, PoleBasis) and _on_pole(
+                axis).any():
+            # split top: the forward step's pole guard on the products it
+            # would divide; the quotients are not needed
+            for monomial, coeffs in prefix.items():
+                list(_insertion_resolved(monomial, coeffs, divide))
         for n in orders:
             if n >= between:
                 # one channel at a time: only its kicked tails are alive
                 for channel in channels:
-                    contract(prefix.items(), between, n, channel)
+                    contract(blocks, between, n, channel)
     return axis, {channel: _mirror_folded(half)
                   for channel, half in out.items()}
 

@@ -4,6 +4,7 @@ import functools
 import itertools
 import traceback
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from mqcsim.expansion import (
     _on_grid,
     _pole_rates,
     _pole_sectors,
+    _pulled_back,
     _transposed_resolvent,
     apply_interaction,
     apply_kick,
@@ -506,19 +508,67 @@ def test_no_kicked_tail_is_made_twice(monkeypatch):
     assert len(kicked) == len(set(kicked))
 
 
-def test_chain_allocation_peak_is_bounded():
-    # the traced peak of the oracle check's kappa = 1 chain with its
-    # cached constants warmed: no prefix is held unresolved beside its
-    # resolved copy, a held prefix is contracted one channel at a time,
-    # and each kicked tail leaves once no later split can read it
-    _chain_rows(*ORACLE_CHAIN)
+#: ROADMAP item 4's order-4 chain: orders 0, 2 and 4 with zero net atom
+#: phase on the oracle check's grid, both channels
+ORDER4_CHAIN = ((0, 2, 4),) + ORACLE_CHAIN[1:]
+
+
+@pytest.mark.parametrize("chain, zero_phase, mebibytes", [
+    (ORACLE_CHAIN, False, 3.25), (ORDER4_CHAIN, True, 11.0)],
+    ids=["oracle", "order4"])
+def test_chain_allocation_peak_is_bounded(chain, zero_phase, mebibytes):
+    # the traced peak of a chain with its cached constants warmed: no
+    # prefix is held unresolved beside its resolved copy, a held prefix
+    # is contracted one channel at a time, and each kicked tail leaves
+    # once no later split can read it
+    _chain_rows(*chain, zero_phase=zero_phase)
     tracemalloc.start()
     try:
-        _chain_rows(*ORACLE_CHAIN)
+        _chain_rows(*chain, zero_phase=zero_phase)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3.25 * 2**20
+    assert peak < mebibytes * 2**20
+
+
+def test_last_split_keeps_one_pulled_back_array_alive(monkeypatch):
+    # split top pulls back the kicked tails of no insertion once per
+    # channel and kick-2 pair, and each pulled-back array is freed before
+    # the next is made
+    made = []
+
+    def recorded(tails):
+        assert all(ref() is None for ref in made)
+        pulled = _pulled_back(tails)
+        made.append(weakref.ref(pulled))
+        return pulled
+
+    monkeypatch.setattr(expansion, "_pulled_back", recorded)
+    _, rows = _chain_rows(*ORACLE_CHAIN)
+    assert all(rows.values())
+    assert len(made) == 4
+
+
+@pytest.mark.parametrize("block", [1, 10**6])
+@pytest.mark.parametrize("points", [7, 41])
+def test_chain_rows_do_not_depend_on_the_block_size(monkeypatch, points,
+                                                    block):
+    # every split meets its prefix in stacked blocks of one class: one
+    # monomial per block, or one block per class, against the default,
+    # on the grid and on pole labels: the same keys, and rows within
+    # 1e-15 of the chain's peak
+    orders, _, theta, channels, kappa = ORACLE_CHAIN
+    z1 = 1j * np.linspace(-3.0, 3.0, points)
+    axis, rows = _chain_rows(orders, z1, theta, channels, kappa)
+    assert isinstance(axis, PoleBasis) == (points == 41)
+    monkeypatch.setattr(expansion, "CHAIN_BLOCK", block)
+    _, blocked = _chain_rows(orders, z1, theta, channels, kappa)
+    for channel in channels:
+        assert set(blocked[channel]) == set(rows[channel])
+        peak = max(np.max(np.abs(value)) for value in rows[channel].values())
+        for key, value in rows[channel].items():
+            assert np.max(np.abs(blocked[channel][key] - value)) <= (
+                1e-15 * peak), key
 
 
 @pytest.mark.parametrize("zero_phase", [False, True])
@@ -684,49 +734,53 @@ FORWARD_GRID = 1j * np.linspace(-3.0, 3.0, 7)
 
 
 @functools.cache
-def _forward_rows(order, points, theta, channel, kappa):
+def _forward_rows(order, points, theta, channel, kappa, fast=False):
     """Detected rows of :func:`scattering_solution` of one order at the
-    ``points`` of ``FORWARD_GRID``, summed by (net atom-1 exponent,
-    tags)."""
+    ``points`` of ``FORWARD_GRID``, every insertion after kick 2 with
+    ``fast``, summed by (net atom-1 exponent, tags)."""
     covectors = np.stack([_detection_covector(d).conj()
                           for d in DETECTION_DIRECTIONS])
     rows = {}
     for monomial, coeffs in scattering_solution(
-            order, FORWARD_GRID[list(points)], theta, channel,
-            kappa).items():
+            order, FORWARD_GRID[list(points)], theta, channel, kappa,
+            fast).items():
         key = (monomial.atom_net[0], monomial.tags)
         rows[key] = rows.get(key, 0.0) + covectors @ coeffs
     return rows
 
 
 @pytest.mark.parametrize("kappa", [1, 2])
-@pytest.mark.parametrize("orders, z1, zero_phase, points", [
-    ((0, 1, 2, 3), FORWARD_GRID, False, range(7)),
-    ((0, 1, 2, 3), FORWARD_GRID, True, range(7)),
-    ((0, 1, 2, 3), 1j * np.linspace(-3.0, 3.0, 41), False, range(7)),
-    ((0, 1, 2, 3), 1j * np.linspace(-3.0, 3.0, 41), True, range(7)),
-    ((0, 2), 1j * np.linspace(-10.0, 10.0, 801), True, range(7)),
-    ((0, 2, 4), FORWARD_GRID, True, (1,))],
+@pytest.mark.parametrize("orders, z1, zero_phase, fast, points", [
+    ((0, 1, 2, 3), FORWARD_GRID, False, False, range(7)),
+    ((0, 1, 2, 3), FORWARD_GRID, True, False, range(7)),
+    ((0, 1, 2, 3), 1j * np.linspace(-3.0, 3.0, 41), False, False, range(7)),
+    ((0, 1, 2, 3), 1j * np.linspace(-3.0, 3.0, 41), True, False, range(7)),
+    ((0, 2), 1j * np.linspace(-10.0, 10.0, 801), True, False, range(7)),
+    ((0, 2, 4), FORWARD_GRID, True, False, (1,)),
+    ((0, 1, 2, 3), FORWARD_GRID, False, True, range(7))],
     ids=["grid", "grid-zero-phase", "poles", "poles-zero-phase",
-         "fig4-poles", "order4-grid"])
+         "fig4-poles", "order4-grid", "fast"])
 def test_chain_rows_match_the_forward_reference(orders, z1, zero_phase,
-                                                points, kappa):
-    # the chain, whose last split meets prefix top - 1 from the detector
-    # side, against the forward state of each order at the points of
-    # FORWARD_GRID, pole labels evaluated there (the order-4 chain at one
-    # point, where the forward state of order 4 is affordable): the same
-    # keys above roundoff, and the rows of every key of either within
-    # 1e-15 of the peak
+                                                fast, points, kappa):
+    # the chain, whose first split runs one insertion forward and whose
+    # last split meets prefix top - 1 from the detector side, against the
+    # forward state of each order at the points of FORWARD_GRID, pole
+    # labels evaluated there (the order-4 chain at one point, where the
+    # forward state of order 4 is affordable); with ``fast``, every
+    # insertion after kick 2, so split 0 of the top order runs forward on
+    # its own: the same keys above roundoff, and the rows of every key of
+    # either within 1e-15 of the peak
     theta, channels, points = 0.14 * np.pi, ("parallel", "perpendicular"), \
         list(points)
     axis, rows = _chain_rows(orders, z1, theta, channels, kappa,
-                             zero_phase=zero_phase)
-    assert isinstance(axis, PoleBasis) == (z1.size > 7)
+                             zero_phase=zero_phase, fast=fast)
+    # one z1 resolvent with ``fast``: 5 pole labels, fewer than 7 points
+    assert isinstance(axis, PoleBasis) == (z1.size > 7 or fast)
     for channel in channels:
         forward = {}
         for order in orders:
             for key, value in _forward_rows(order, tuple(points), theta,
-                                            channel, kappa).items():
+                                            channel, kappa, fast).items():
                 if key[0] == 0 or not zero_phase:
                     forward[key] = forward.get(key, 0.0) + value
         chain = {key: (_on_grid(axis, value, FORWARD_GRID[points])
