@@ -79,14 +79,14 @@ for 0-3 insertions, and grouped as they are built.
 One loop contracts every split.  Each prefix is grouped once by class,
 the powers of its monomials, which fix the kick-2 harmonic pairs they
 allow, and the axis parity of their tags, which fixes the tails they
-meet (see the selection rules below), and each class is stacked in
-blocks of ``CHAIN_BLOCK`` monomials over the rows where any of them is
-nonzero.  Through each pair, every block meets what its split reads in
-one stacked matrix product, summed per (net atom-1 exponent, block
-tags plus the tag the split inserts, if any); once the split is done,
-each sum is split over the tails it met and merged under the joined
-tags, so the join runs once per distinct key and tail.  The splits
-differ only in what they read and in one step after the product.
+meet (see the selection rules below), and each class is stacked once
+over the rows where any of its monomials is nonzero.  Through each
+pair, every class meets what its split reads in one stacked matrix
+product, summed per (net atom-1 exponent, monomial tags plus the tag
+the split inserts, if any); once the split is done, each sum is split
+over the tails it met and merged under the joined tags, so the join
+runs once per distinct key and tail.  The splits differ only in what
+they read and in one step after the product.
 Split s of order n reads the tails of n - s insertions, kicked by the
 transpose of the pair; a chain kicks each group of tails once per
 channel and pair, and keeps it only while a later split can read it.
@@ -121,8 +121,8 @@ kicked tail, once per channel and pair (:func:`_pulled_back`).  Split
 n reads them, and the step after its product is each sector's
 division, on the contracted rows instead of on 256-row products: the
 step matrices of :func:`_pole_sectors` on a pole basis, 1 / (z1 - s) on
-a grid (:func:`_sector_division`).  So a chain of highest order n builds no
-prefix and no tail longer than n - 1 insertions.  Split n - 1 has
+a grid (:func:`_sector_division`).  So a chain of highest order n builds
+no prefix and no tail longer than n - 1 insertions.  Split n - 1 has
 already built every key that split n reaches, since each monomial of
 prefix n - 1 meets every tail of one insertion of its group there, so
 split n builds a key only where its rows are nonzero; that changes no
@@ -224,10 +224,6 @@ from .coupling import TAG_KEYS, interaction_products
 #: keys of a chain with no row entry above this fraction of the chain's
 #: largest entry are roundoff where the exact value is zero
 TERM_FLOOR = 1e-13
-
-#: prefix monomials of one class that meet the tails of a split in one
-#: stacked product
-CHAIN_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -725,18 +721,18 @@ def _chain_rows(orders, z1, theta: float, channels, kappa: int, *,
     prefix s - 1 by one step, each monomial's insertion followed by one
     z1 resolvent over all its products (:func:`_insertion_resolved`),
     merged by key, up to prefix top - 1 of the highest order top.
-    Each prefix is grouped once by (powers, tag axis parity) and stacked
-    in blocks of ``CHAIN_BLOCK`` monomials, and one loop contracts every
-    split of every order n >= s on prefix s: through each kick-2
-    harmonic pair (p1, p2) its order allows, each block meets what the
-    split reads in one stacked product, summed per (net atom-1
-    exponent, block tags plus the tag the split inserts); once the split
-    is done, each sum is split over the tails it met and merged under
-    the joined tags.  Split s of order n reads the tails of n - s
-    insertions kicked by the transposed pair, each made once per chain
-    and dropped once no later split can read it.  Split 0 of the highest
-    order n > 0 first runs kick 2, R(0) and one insertion on the block,
-    and each nonzero product reads the plain tails of n - 1 insertions.
+    Each prefix is grouped once by (powers, tag axis parity), each class
+    stacked once, and one loop contracts every split of every order
+    n >= s on prefix s: through each kick-2 harmonic pair (p1, p2) its
+    order allows, each class meets what the split reads in one stacked
+    product, summed per (net atom-1 exponent, monomial tags plus the
+    tag the split inserts); once the split is done, each sum is split
+    over the tails it met and merged under the joined tags.  Split s of
+    order n reads the tails of n - s insertions kicked by the transposed
+    pair, each made once per chain and dropped once no later split can
+    read it.  Split 0 of the highest order n > 0 first runs kick 2, R(0)
+    and one insertion on the class, and each nonzero product reads the
+    plain tails of n - 1 insertions.
     Split n reads prefix n - 1 and the kicked tails of no insertion
     pulled back through one z1 resolvent sector by sector and one
     transposed insertion (:func:`_pulled_back`), and each sector's
@@ -826,27 +822,26 @@ def _chain_rows(orders, z1, theta: float, channels, kappa: int, *,
     def blocked(prefix):
         # the prefix by class, its powers, which fix the kick-2 pairs, and
         # the axis parity of its tags, which fixes the tails it meets; each
-        # block of a class stacked once, (rows, monomials x axis), over the
-        # rows where any of its monomials is nonzero
+        # class stacked once, (rows, monomials x axis), over the rows where
+        # any of its monomials is nonzero
         classes, blocks = {}, []
         for monomial, coeffs in prefix.items():
             classes.setdefault((monomial.powers, _axis_parity(monomial.tags)),
                                []).append((monomial.tags, coeffs))
         for (powers, parity), members in classes.items():
-            for lo in range(0, len(members), CHAIN_BLOCK):
-                tags, block = zip(*members[lo:lo + CHAIN_BLOCK])
-                support = np.flatnonzero(np.any(
-                    [np.any(coeffs, axis=1) for coeffs in block], axis=0))
-                blocks.append((powers, parity, tags, support, np.stack(
-                    [coeffs[support] for coeffs in block], axis=1).reshape(
-                        len(support), -1)))
+            tags, block = zip(*members)
+            support = np.flatnonzero(np.any(
+                [np.any(coeffs, axis=1) for coeffs in block], axis=0))
+            blocks.append((powers, parity, tags, support, np.stack(
+                [coeffs[support] for coeffs in block], axis=1).reshape(
+                    len(support), -1)))
         return blocks
 
     def contract(blocks, between, order, channel):
         # split ``between`` of ``order`` in ``channel``: through each
-        # kick-2 pair, every block meets what its split reads in one
+        # kick-2 pair, every class meets what its split reads in one
         # stacked product, (inserted tags, readers, columns), and its rows
-        # are summed per (net atom-1 exponent, block tags plus inserted tag)
+        # are summed per (net atom-1 exponent, its tags plus inserted tag)
         last, forward = between == top > 0, order == top > between == 0
         length = order - between - forward
         groups, kick, sums = _interaction_tails(length), harmonics[channel], {}
@@ -858,13 +853,13 @@ def _chain_rows(orders, z1, theta: float, channels, kappa: int, *,
                 if (p1, p2) not in kick2_pairs(powers, order % 2):
                     continue
                 if last:
-                    # the tags that complete the block's parity to the key's
+                    # the tags that complete the class's parity to the key's
                     inserted = [i for i, tag in enumerate(TAG_KEYS)
                                 if _axis_parity((tag,)) == group]
                     met = [([(TAG_KEYS[i],) for i in inserted], pulled[
                         np.ix_(inserted, support)].transpose(0, 2, 1), columns)]
                 elif forward:
-                    # kick 2, R(0) and one insertion on the block, one
+                    # kick 2, R(0) and one insertion on the class, one
                     # monomial of kick 1 here, as no two share powers; each
                     # nonzero product meets the plain tails of its group
                     state = np.zeros((NUM_OPS_PAIR, columns.shape[1]), complex)

@@ -549,28 +549,6 @@ def test_last_split_keeps_one_pulled_back_array_alive(monkeypatch):
     assert len(made) == 4
 
 
-@pytest.mark.parametrize("block", [1, 10**6])
-@pytest.mark.parametrize("points", [7, 41])
-def test_chain_rows_do_not_depend_on_the_block_size(monkeypatch, points,
-                                                    block):
-    # every split meets its prefix in stacked blocks of one class: one
-    # monomial per block, or one block per class, against the default,
-    # on the grid and on pole labels: the same keys, and rows within
-    # 1e-15 of the chain's peak
-    orders, _, theta, channels, kappa = ORACLE_CHAIN
-    z1 = 1j * np.linspace(-3.0, 3.0, points)
-    axis, rows = _chain_rows(orders, z1, theta, channels, kappa)
-    assert isinstance(axis, PoleBasis) == (points == 41)
-    monkeypatch.setattr(expansion, "CHAIN_BLOCK", block)
-    _, blocked = _chain_rows(orders, z1, theta, channels, kappa)
-    for channel in channels:
-        assert set(blocked[channel]) == set(rows[channel])
-        peak = max(np.max(np.abs(value)) for value in rows[channel].values())
-        for key, value in rows[channel].items():
-            assert np.max(np.abs(blocked[channel][key] - value)) <= (
-                1e-15 * peak), key
-
-
 @pytest.mark.parametrize("zero_phase", [False, True])
 @pytest.mark.parametrize("kappa", [1, 2])
 @pytest.mark.parametrize("points", [7, 41])
