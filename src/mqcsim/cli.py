@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import math
 import sys
 from pathlib import Path
 
@@ -293,15 +294,26 @@ def run_table1(config: RunConfig) -> int:
 
 def run_oracle_check(config: RunConfig) -> int:
     """Compare analytic demodulated components with the exact oracle."""
+    import random
+
     from .oracle import (demodulated_laplace, demodulated_term_table,
                          fixed_configuration_components)
 
     directory = _prepare_output(config)
     theta = config.resolved_theta()
     z1_grid = 1j * np.linspace(-3.0, 3.0, 7)
-    rng = np.random.default_rng(config.seed)
-    axes = rng.normal(size=(config.oracle_directions, 3))
-    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    # isotropic axes, as oracle.sample_configurations draws them: cos of
+    # the polar angle uniform on [-1, 1], then the azimuth on [0, 2 pi);
+    # the standard library fixes random()'s sequence for an int seed
+    draw = random.Random(config.seed).random
+    axes = []
+    for _ in range(config.oracle_directions):
+        cos_polar = 2.0 * draw() - 1.0
+        azimuth = 2.0 * math.pi * draw()
+        sin_polar = math.sqrt(1.0 - cos_polar**2)
+        axes.append((sin_polar * math.cos(azimuth),
+                     sin_polar * math.sin(azimuth), cos_polar))
+    axes = np.array(axes)
     tables = {
         (kappa, channel): demodulated_term_table(
             ORACLE_ORDERS, theta, channel, kappa, z1_grid)

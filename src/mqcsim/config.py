@@ -64,9 +64,10 @@ MAX_PULSE_AREA = 4.0 * np.pi
 MAX_DETUNING_COUNT = 10001
 
 #: largest oracle-check orientation sample.  An orientation costs about
-#: 0.022 s (two exact Laplace calls and their chain components; 2-core
-#: Xeon VM, one BLAS thread), so a run at the cap takes about 4 minutes;
-#: an uncapped count such as 1e11 would fail allocating its axes.
+#: 0.006 s of CPU time (two exact Laplace calls and their chain
+#: components; 2-core Xeon VM, one BLAS thread), so a run at the cap
+#: takes about a minute; an uncapped count such as 1e11 would fail
+#: allocating its axes.
 MAX_ORACLE_DIRECTIONS = 10000
 
 #: smallest Monte-Carlo sample.  The family-wise z limit of mc-average

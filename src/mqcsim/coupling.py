@@ -144,11 +144,9 @@ def _add(a, b):
     return keys[kept], summed[kept]
 
 
-@functools.cache
 def _pair_map(left1, right1, left2, right2):
     """Canonical (keys, values) of O1 x O2 -> (L1 O1 R1) x (L2 O2 R2),
-    the Kronecker product of two single-atom maps, by labels; the feed
-    parts of the two factor kinds share theirs."""
+    the Kronecker product of two single-atom maps, by labels."""
     maps = _sandwich_maps()
     r1, c1, v1 = maps[(left1, right1)]
     r2, c2, v2 = maps[(left2, right2)]
@@ -159,21 +157,22 @@ def _pair_map(left1, right1, left2, right2):
     return keys[order], (v1[:, None] * v2).ravel()[order]
 
 
-def _ordered_piece(kind: str, k: int, l: int):
+def _ordered_piece(pair_map, kind: str, k: int, l: int):
     """Shift plus feed matrix for the ordered, un-symmetrized index pair
-    (k, l) and factor kind, with both atom orderings summed."""
+    (k, l) and factor kind, with both atom orderings summed, from
+    ``pair_map``: :func:`_pair_map` or a cache of it."""
     dk, dl_dag, eye = ("low", k), ("raise", l), "eye"
     # atom orderings (alpha, beta) = (1, 2) and (2, 1); the lowering
     # operator always sits on atom alpha, left of the density operator
     # for the conjugate factor and right of it for the direct one
     if kind == "conj":
-        keys, shift = _add(_pair_map(dk, eye, dl_dag, eye),
-                           _pair_map(dl_dag, eye, dk, eye))
+        keys, shift = _add(pair_map(dk, eye, dl_dag, eye),
+                           pair_map(dl_dag, eye, dk, eye))
     else:
-        keys, shift = _add(_pair_map(eye, dk, eye, dl_dag),
-                           _pair_map(eye, dl_dag, eye, dk))
-    feed = _add(_pair_map(dk, eye, eye, dl_dag),
-                _pair_map(eye, dl_dag, dk, eye))
+        keys, shift = _add(pair_map(eye, dk, eye, dl_dag),
+                           pair_map(eye, dl_dag, eye, dk))
+    feed = _add(pair_map(dk, eye, eye, dl_dag),
+                pair_map(eye, dl_dag, dk, eye))
     return _add((keys, -shift), feed)
 
 
@@ -186,35 +185,44 @@ def _compressed(major, minor, values, size: int):
     return indptr, minor[order].astype(np.intp), values[order]
 
 
-@functools.cache
 def _pieces():
-    """Canonical (keys, values) of every piece, by tag."""
+    """Canonical (keys, values) of every piece, by tag.  The feed parts
+    of the two factor kinds share their pair maps, cached for this build
+    only."""
+    pair_map = functools.cache(_pair_map)
     out = {}
     for kind, k, l in TAG_KEYS:
-        piece = _ordered_piece(kind, k, l)
+        piece = _ordered_piece(pair_map, kind, k, l)
         if k != l:
-            piece = _add(piece, _ordered_piece(kind, l, k))
+            piece = _add(piece, _ordered_piece(pair_map, kind, l, k))
         out[(kind, k, l)] = piece
     return out
 
 
 @functools.cache
-def _side_by_side(transposed: bool) -> tuple:
+def _side_by_side() -> tuple:
     """CSR arrays of the 256 x (12 * 256) matrix [M_1 ... M_12], in
-    ``TAG_KEYS`` order, whose transpose stacks the pieces: M_i is the
-    transposed piece, or with ``transposed`` the piece itself, whose
-    transpose is then stacked."""
-    rows, cols, values = [], [], []
-    for i, tag in enumerate(TAG_KEYS):
-        keys, data = _pieces()[tag]
-        row, col = np.divmod(keys, NUM_OPS_PAIR)
-        if not transposed:
-            row, col = col, row
-        rows.append(row)
-        cols.append(col + i * NUM_OPS_PAIR)
-        values.append(data)
-    return _compressed(np.concatenate(rows), np.concatenate(cols),
-                       np.concatenate(values), NUM_OPS_PAIR)
+    ``TAG_KEYS`` order, whose transpose stacks the pieces, indexed by
+    ``transposed``: M_i is the transposed piece, or with ``transposed``
+    the piece itself, whose transpose is then stacked.
+
+    Both are built from one pass over the pieces, and only they are
+    kept for the run."""
+    pieces = _pieces()
+    out = []
+    for transposed in (False, True):
+        rows, cols, values = [], [], []
+        for i, tag in enumerate(TAG_KEYS):
+            keys, data = pieces[tag]
+            row, col = np.divmod(keys, NUM_OPS_PAIR)
+            if not transposed:
+                row, col = col, row
+            rows.append(row)
+            cols.append(col + i * NUM_OPS_PAIR)
+            values.append(data)
+        out.append(_compressed(np.concatenate(rows), np.concatenate(cols),
+                               np.concatenate(values), NUM_OPS_PAIR))
+    return tuple(out)
 
 
 def interaction_products(x: np.ndarray, transposed: bool = False):
@@ -225,7 +233,7 @@ def interaction_products(x: np.ndarray, transposed: bool = False):
     (:func:`_side_by_side`), so that one pass over the support of ``x``
     serves all twelve.
     """
-    out = csr_transposed_product(_side_by_side(transposed), x,
+    out = csr_transposed_product(_side_by_side()[transposed], x,
                                  len(TAG_KEYS) * NUM_OPS_PAIR)
     return out.reshape((len(TAG_KEYS), NUM_OPS_PAIR) + x.shape[1:])
 

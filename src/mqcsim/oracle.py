@@ -16,10 +16,14 @@ their change of the excitation number.  Each solve runs on the
 coherence orders n(a) - n(b) of the entries rho_ab that its states
 occupy (:func:`coherence_orders`): the generator conserves the order
 and kick harmonic p shifts it by p, so the interpulse states of
-harmonic -kappa lie in order -kappa and the detected states in order
-0; for kappas (1, 2) the solves take 69 and 118 of the 256 entries.
-The tests hold the time-domain transients on the same generator and
-pulses.
+harmonic -kappa lie in order -kappa and what the detectors read in
+order 0.  Detection runs from the detector side: one transposed solve
+at z2 = 0 on order 0 resolves the two detector covectors, exactly
+despite the transposed deflation, because they read nothing on the
+ground pair; each is pulled back through pulse 2's harmonic and dotted
+with the z1 solutions, so no detected state is built.  For kappas
+(1, 2) the solves take 69 and 118 of the 256 entries.  The tests hold
+the time-domain transients on the same generator and pulses.
 
 The perturbative side of every comparison is built on the chain it is
 compared with, :func:`mqcsim.expansion._chain_rows`:
@@ -99,6 +103,17 @@ def detection_covector_vec(direction) -> np.ndarray:
     return pair.T.reshape(-1)
 
 
+@functools.cache
+def _pair_lowering() -> np.ndarray:
+    """The six pair lowering operators L_a, a = (atom, Cartesian axis):
+    D_k of atom 1, then of atom 2, as read-only 16x16 blocks."""
+    dips = dipole_components()
+    out = np.concatenate([np.kron(dips, _EYE4[None]),
+                          np.kron(_EYE4[None], dips)])
+    out.flags.writeable = False
+    return out
+
+
 def pair_generator(xi: float, n_hat, mode: str = "exact") -> np.ndarray:
     """Full master-equation generator on vectorized pair states, 256x256.
 
@@ -113,16 +128,16 @@ def pair_generator(xi: float, n_hat, mode: str = "exact") -> np.ndarray:
         rho -> sum_ab [2 Re A_ab L_b rho L_a^dag
                        - A_ab rho L_a^dag L_b - A_ab^* L_a^dag L_b rho].
     """
-    dips = dipole_components()
-    lowering = np.concatenate([np.kron(dips, _EYE4[None]),
-                               np.kron(_EYE4[None], dips)])
+    lowering = _pair_lowering()
     tensor = coupling_tensor(xi, n_hat, mode)
     rates = np.block([[0.5 * np.eye(3), tensor],
                       [tensor, 0.5 * np.eye(3)]])
-    # vec(L_b rho L_a^dag) = (L_b kron conj(L_a)) vec(rho), row-major;
-    # out[i, k, j, l] is the entry (16 i + j, 16 k + l)
+    # vec(L_b rho L_a^dag) = (L_b kron conj(L_a)) vec(rho), row-major:
+    # out[i, j, k, l], the entry (16 i + j, 16 k + l), sums
+    # L_b[i, k] W_b[j, l] over b, one 16x6 by 6x16 product per (i, j)
     weighted = np.einsum("ab,ajl->bjl", 2.0 * rates.real, lowering.conj())
-    out = np.tensordot(lowering, weighted, axes=(0, 0))
+    out = np.matmul(lowering.transpose(1, 2, 0)[:, None],
+                    weighted.transpose(1, 0, 2)[None])
     # sum_ab A_ab L_a^dag L_b, summed over a and the rows of L_a
     daggered = lowering.conj().reshape(-1, 16).T
     right = daggered @ np.tensordot(rates, lowering, axes=1).reshape(-1, 16)
@@ -130,9 +145,9 @@ def pair_generator(xi: float, n_hat, mode: str = "exact") -> np.ndarray:
                                    axes=1).reshape(-1, 16)
     diagonal = np.arange(16)
     # rho -> rho right and rho -> left rho
-    out[diagonal, diagonal] -= right.T
-    out[:, :, diagonal, diagonal] -= left[:, :, None]
-    return out.transpose(0, 2, 1, 3).reshape(NUM_OPS_PAIR, NUM_OPS_PAIR)
+    out[diagonal, :, diagonal] -= right.T
+    out[:, diagonal, :, diagonal] -= left
+    return out.reshape(NUM_OPS_PAIR, NUM_OPS_PAIR)
 
 
 def pulse_unitary(theta: float, polarization, phase: float) -> np.ndarray:
@@ -146,9 +161,10 @@ def pulse_unitary(theta: float, polarization, phase: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _atom_harmonics(theta: float, polarization) -> dict:
-    """Laser-phase harmonics u_q of the single-atom pulse unitary,
-    {q: read-only 4x4} for q in (-1, 0, 1).
+def _harmonic_products(theta: float, polarization) -> dict:
+    """Kronecker products u_q1 kron u_q2 of the laser-phase harmonics
+    of the single-atom pulse unitary, {(q1, q2): read-only 16x16} for
+    q1, q2 in (-1, 0, 1).
 
     The drive L^dag e^{i phase} + L e^{-i phase} is D (L^dag + L) D^dag
     with D = diag(e^{i phase n}), n the excitation number, so the
@@ -159,10 +175,12 @@ def _atom_harmonics(theta: float, polarization) -> dict:
     """
     unitary = pulse_unitary(theta, polarization, 0.0)
     change = np.subtract.outer(EXCITATIONS, EXCITATIONS)
-    harmonics = {q: np.where(change == q, unitary, 0.0) for q in (-1, 0, 1)}
-    for harmonic in harmonics.values():
-        harmonic.flags.writeable = False
-    return harmonics
+    atom = {q: np.where(change == q, unitary, 0.0) for q in (-1, 0, 1)}
+    products = {(q1, q2): np.kron(atom[q1], atom[q2])
+                for q1 in atom for q2 in atom}
+    for product in products.values():
+        product.flags.writeable = False
+    return products
 
 
 def binned_kick(theta: float, polarization, position_phase: float) -> dict:
@@ -171,14 +189,13 @@ def binned_kick(theta: float, polarization, position_phase: float) -> dict:
     The pair unitary u(phase) = u1(phase + position) kron u2(phase) has
     the harmonics U_q = sum over q1 + q2 = q of e^{i q1 position}
     u_q1 kron u_q2, from the single-atom harmonics u of
-    :func:`_atom_harmonics`: exact, and band-limited to |q| <= 2.  Atom
-    1 sees the laser phase advanced by ``position_phase``, its offset
-    along the propagation axis.
+    :func:`_harmonic_products`: exact, and band-limited to |q| <= 2.
+    Atom 1 sees the laser phase advanced by ``position_phase``, its
+    offset along the propagation axis.
     """
-    atom = _atom_harmonics(theta, polarization)
-    return {q: sum(np.exp(1j * q1 * position_phase)
-                   * np.kron(atom[q1], atom[q - q1])
-                   for q1 in atom if q - q1 in atom)
+    products = _harmonic_products(theta, polarization)
+    return {q: sum(np.exp(1j * q1 * position_phase) * product
+                   for (q1, q2), product in products.items() if q1 + q2 == q)
             for q in UNITARY_HARMONICS}
 
 
@@ -206,10 +223,21 @@ def coherence_orders() -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=4)
+def _deflation(sector: tuple) -> np.ndarray:
+    """The rank-one update of :func:`_deflated_solve` on the entries
+    ``sector``, read-only: the ground pair times the trace covector."""
+    entries = list(sector)
+    out = np.outer(ground_pair_vec()[entries], _EYE16.reshape(-1)[entries])
+    out.flags.writeable = False
+    return out
+
+
 def _deflated_solve(generator: np.ndarray, z, rhs: np.ndarray,
-                    sector: np.ndarray) -> np.ndarray:
+                    sector: np.ndarray, transposed: bool = False) -> np.ndarray:
     """Solve (z - generator) x = rhs on the entries ``sector``, with the
-    stationary pole removed.
+    stationary pole removed, or with ``transposed`` the transposed
+    system, whose solutions are covectors.
 
     ``z`` is one point or a 1d array of points.  For an array, the
     restricted generator and the deflation are gathered once, the
@@ -225,13 +253,22 @@ def _deflated_solve(generator: np.ndarray, z, rhs: np.ndarray,
     the solution unchanged on trace-free right-hand sides (which is all
     the demodulated harmonics produce); any nonzero shift would do.
     Both vectors of the update lie in order 0, so it vanishes on every
-    other order.
+    other order.  The transposed update is exact on right-hand sides
+    that read nothing on the ground pair, as the detector covectors do:
+    dotting the transposed system with the ground pair leaves (z + 1)
+    times the solution's reading of the ground pair on the left and
+    zero on the right, so the solution reads nothing there either, the
+    update drops out, and what is left is the transposed resolvent
+    equation.  At z = 0 that equation fixes its solution only up to
+    multiples of the trace covector, which read nothing on the
+    trace-free states the solution is dotted with.
     """
     z = np.asarray(z)
-    deflation = np.outer(ground_pair_vec()[sector],
-                         _EYE16.reshape(-1)[sector])
     block = generator[np.ix_(sector, sector)]
-    system = z[..., None, None] * np.eye(len(sector)) - block + deflation
+    system = (z[..., None, None] * np.eye(len(sector)) - block
+              + _deflation(tuple(sector.tolist())))
+    if transposed:
+        system = system.swapaxes(-1, -2)
     return np.linalg.solve(system, np.broadcast_to(rhs, z.shape + rhs.shape))
 
 
@@ -257,9 +294,9 @@ def demodulated_laplace(xi: float, n_hat, theta: float, kappas, channels,
     Computes, without any perturbative truncation, the coefficient of
     e^{i kappa (phase_2 - phase_1)} in the fluorescence intensity,
     Laplace transformed in the interpulse delay and integrated over the
-    detection time: :func:`kick_harmonic` applies harmonic -kappa of
-    pulse 1 and +kappa of each pulse 2 to 16x16 states, and the two time
-    integrals are exact resolvent solves of the full generator, the
+    detection time: harmonic -kappa of pulse 1 and +kappa of each pulse
+    2 (:func:`kick_harmonic`) on 16x16 states, and the two time
+    integrals as exact resolvent solves of the full generator, the
     second at z2 = 0.
 
     Each solve runs on the coherence orders its states occupy.  The
@@ -275,9 +312,18 @@ def demodulated_laplace(xi: float, n_hat, theta: float, kappas, channels,
     detector covectors and the deflation live.  Each z1 point takes one
     solve on the union of the -kappa orders, with the pulse-1 states of
     every kappa as right-hand sides, the solves of all points stacked in
-    one call, and one z2 = 0 solve on order 0 takes every (kappa,
-    channel) block of z1 columns: len(z1_values) + 1 solves in all,
-    69x69 and 118x118 for kappas (1, 2).
+    one call.
+
+    Detection runs from the detector side.  A component is c R0 K r:
+    c a detector covector, R0 the resolvent at z2 = 0, K pulse 2's
+    harmonic kappa and r a z1 solution.  One transposed z2 = 0 solve on
+    order 0, with the two covectors as its right-hand sides, gives the
+    readers y = R0^T c (:func:`_deflated_solve` says why its deflation
+    is exact there).  Each reader is pulled back through K as
+    W = sum_q U_q^T Y conj(U_{q-kappa}), Y the reader as a 16x16
+    matrix, which lies in order -kappa, and dotted with the z1
+    solutions: len(z1_values) + 1 solves in all, 69x69 and 118x118 for
+    kappas (1, 2), and no detected state is built.
 
     Returns:
         dict mapping (kappa, channel, direction) to an array of
@@ -296,22 +342,26 @@ def demodulated_laplace(xi: float, n_hat, theta: float, kappas, channels,
                       for kappa in kappas], axis=1)
     # between[j, :, k]: pulse 1's -kappas[k] harmonic resolved at z1_arr[j]
     between = _deflated_solve(generator, z1_arr, first, interpulse)
-    # the same solutions as 16x16 states[k, j], zero outside interpulse
-    states = np.zeros((len(kappas), len(z1_arr), NUM_OPS_PAIR), dtype=complex)
-    states[..., interpulse] = between.transpose(2, 0, 1)
-    states = states.reshape(len(kappas), len(z1_arr), 16, 16)
-    blocks = [(k, kappa, channel) for k, kappa in enumerate(kappas)
-              for channel in channels]
-    rhs = np.concatenate([
-        kick_harmonic(unitaries[SECOND_POLARIZATION[channel]], kappa,
-                      states[k]).reshape(len(z1_arr), -1)[:, detected].T
-        for k, kappa, channel in blocks], axis=1)
-    values = (covectors @ _deflated_solve(generator, 0.0, rhs,
-                                          detected)).reshape(
-        len(DETECTION_DIRECTIONS), len(blocks), len(z1_arr))
-    return {(kappa, channel, d): values[i, b]
-            for b, (_, kappa, channel) in enumerate(blocks)
-            for i, d in enumerate(DETECTION_DIRECTIONS)}
+    # readers[i]: detector i's covector resolved at z2 = 0, a 16x16
+    # matrix, zero outside order 0
+    readers = np.zeros((len(DETECTION_DIRECTIONS), NUM_OPS_PAIR),
+                       dtype=complex)
+    readers[:, detected] = _deflated_solve(generator, 0.0, covectors.T,
+                                           detected, transposed=True).T
+    readers = readers.reshape(-1, 16, 16)
+    out = {}
+    for k, kappa in enumerate(kappas):
+        for channel in channels:
+            unitary = unitaries[SECOND_POLARIZATION[channel]]
+            # kick_harmonic on the transposed harmonics: sum_q U_q^T Y
+            # conj(U_{q-kappa}), read on the z1 solutions' entries
+            pulled = kick_harmonic({q: u.T for q, u in unitary.items()},
+                                   kappa, readers)
+            values = (pulled.reshape(len(readers), -1)[:, interpulse]
+                      @ between[:, :, k].T)
+            for i, d in enumerate(DETECTION_DIRECTIONS):
+                out[(kappa, channel, d)] = values[i]
+    return out
 
 
 @dataclass(frozen=True)
@@ -348,11 +398,15 @@ def _term_table(axis, rows: dict, z1: np.ndarray, kappa: int,
     the kept keys.  With no key kept (a zero pulse area prunes every
     monomial), ``coeffs`` has shape (0, 2, len(z1)).
     """
-    largest = {key: np.max(np.abs(row)) for key, row in rows.items()}
-    floor = TERM_FLOOR * max(largest.values(), default=0.0)
-    keys = sorted((key for key in rows if largest[key] > floor), key=repr)
-    stacked = np.array([rows[key] for key in keys], dtype=complex).reshape(
+    keys = list(rows)
+    every = np.array([rows[key] for key in keys], dtype=complex).reshape(
         len(keys), len(DETECTION_DIRECTIONS), axis.size)
+    largest = np.abs(every).max(axis=(1, 2), initial=0.0)
+    floor = TERM_FLOOR * largest.max(initial=0.0)
+    kept = sorted(np.flatnonzero(largest > floor).tolist(),
+                  key=lambda t: repr(keys[t]))
+    keys = [keys[t] for t in kept]
+    stacked = every[kept]
     return TermTable(
         phase_exponents=tuple(key[0] for key in keys),
         tags=tuple(key[1] for key in keys),

@@ -8,6 +8,7 @@ import inspect
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -812,3 +813,34 @@ def test_oracle_check_passes_at_one_orientation(tmp_path):
     assert "FAIL" not in report
     sidecar = json.loads((out / "oracle_check.json").read_text())
     assert sidecar["files"] == ["oracle_check.txt"]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_oracle_check_prices_isotropic_axes_of_its_seed(seed, monkeypatch,
+                                                        tmp_path):
+    # each orientation takes two random() draws of a standard-library
+    # generator seeded with the run's seed, cos of the polar angle and
+    # then the azimuth: the isotropic law of oracle.sample_configurations
+    priced = []
+    price = oracle.fixed_configuration_components
+
+    def captured(table, xi, n_hat):
+        priced.append(np.array(n_hat))
+        return price(table, xi, n_hat)
+
+    monkeypatch.setattr(oracle, "fixed_configuration_components", captured)
+    assert main(["oracle-check", "--oracle-directions", "3", "--seed",
+                 str(seed), "--output-dir", str(tmp_path)]) == 0
+    draw = random.Random(seed).random
+    want = []
+    for _ in range(3):
+        cos_polar = 2.0 * draw() - 1.0
+        azimuth = 2.0 * np.pi * draw()
+        sin_polar = np.sqrt(1.0 - cos_polar**2)
+        want.append([sin_polar * np.cos(azimuth),
+                     sin_polar * np.sin(azimuth), cos_polar])
+    # one call per term table and checked separation
+    assert len(priced) == 4 * 2
+    for axes in priced:
+        np.testing.assert_allclose(axes, want, rtol=0, atol=1e-15)
+        assert np.all(np.abs(np.linalg.norm(axes, axis=1) - 1.0) <= 1e-15)

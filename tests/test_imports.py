@@ -6,8 +6,9 @@ against it, and no subcommand loads any part of scipy: the interaction
 pieces are numpy arrays and the SI constants are literals.  scipy is a
 dependency of the tests alone, and runs with scipy made unimportable
 still finish.  Nor does any subcommand load ``numpy.ma``, which
-``np.unique`` imports on its first call, and no spectrum, table1 or
-cross-section run loads ``numpy.random``.  The package re-exports the
+``np.unique`` imports on its first call, and only mc-average loads
+``numpy.random``: oracle-check draws its orientations from the standard
+library's ``random``.  The package re-exports the
 oracle names lazily, so ``import mqcsim`` does not load the oracle.
 The time-domain transients live with the tests (``tests/transient.py``)
 and load ``scipy.integrate`` only when they integrate, so importing
@@ -31,8 +32,9 @@ ROOT = Path(__file__).resolve().parents[1]
 UNUSED = ("scipy", "numpy.ma")
 
 #: modules no spectrum-side run needs; numpy.random alone adds about
-#: 5.4 MB of peak RSS and 8-10 ms to a run, and only the oracle and the
-#: oracle-check orientations draw random numbers
+#: 5.4 MB of peak RSS and 8-10 ms to a run, and only the oracle's Monte
+#: Carlo draws from it: oracle-check draws its orientations from the
+#: standard library's random
 SPECTRUM_FREE = UNUSED + ("mqcsim.oracle", "numpy.random")
 
 #: small runs of each subcommand kind and the modules each must not load
@@ -41,7 +43,8 @@ RUNS = {
                   "--channels", "parallel"], SPECTRUM_FREE),
     "table1": (["table1"], SPECTRUM_FREE),
     "cross-section": (["cross-section"], SPECTRUM_FREE),
-    "oracle-check": (["oracle-check", "--oracle-directions", "1"], UNUSED),
+    "oracle-check": (["oracle-check", "--oracle-directions", "1"],
+                     UNUSED + ("numpy.random",)),
     "mc-average": (["mc-average", "--mc-samples", str(MIN_MC_SAMPLES),
                     "--kappas", "2", "--channels", "parallel",
                     "--detuning-count", "5"], UNUSED),

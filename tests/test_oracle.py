@@ -498,9 +498,9 @@ def test_demodulated_laplace_solves_once_per_z1_and_once_at_z2(monkeypatch):
     demodulated_laplace(80.0, _random_axis(2), THETA, (1, 2),
                         ("parallel", "perpendicular"), z1)
     # seven z1 solves of both kappas on orders -1 and -2 (60 + 9
-    # entries), stacked in one call, and one z2 solve of 4 blocks of 7
-    # on order 0
-    assert calls == [((7, 69, 69), (7, 69, 2)), ((118, 118), (118, 28))]
+    # entries), stacked in one call, and one transposed z2 solve on
+    # order 0 with the two detector covectors as right-hand sides
+    assert calls == [((7, 69, 69), (7, 69, 2)), ((118, 118), (118, 2))]
 
 
 def test_sector_laplace_matches_full_space_solve():
