@@ -64,9 +64,9 @@ MAX_PULSE_AREA = 4.0 * np.pi
 MAX_DETUNING_COUNT = 10001
 
 #: largest oracle-check orientation sample.  An orientation costs about
-#: 0.006 s of CPU time (two exact Laplace calls and their chain
+#: 0.004 s of CPU time (two exact Laplace calls and their chain
 #: components; 2-core Xeon VM, one BLAS thread), so a run at the cap
-#: takes about a minute; an uncapped count such as 1e11 would fail
+#: takes about 40 s; an uncapped count such as 1e11 would fail
 #: allocating its axes.
 MAX_ORACLE_DIRECTIONS = 10000
 

@@ -2,9 +2,9 @@
 
 The Laplace oracle here shares no code with the symbolic machinery it
 checks.  States are vectorized 16x16 pair density matrices (row-major),
-the master-equation generator (the only 256x256 matrix here) and the
-pair pulse unitaries are assembled from Kronecker products of explicit
-4x4 blocks, and the two time integrals are direct linear solves:
+the master-equation generator and the pair pulse unitaries are
+assembled from Kronecker products of explicit 4x4 blocks, and the two
+time integrals are direct linear solves:
 :func:`demodulated_laplace` computes the fixed-configuration Laplace
 components as resolvent solves, with the pulse phases removed by
 harmonic binning of the pair unitary, so the result is directly
@@ -12,18 +12,21 @@ comparable to the perturbative chain, the only difference being the
 neglected interaction orders.  The harmonics are exact in closed form:
 the laser phase enters a pulse unitary only as a phase per excitation,
 so :func:`binned_kick` sorts the entries of one zero-phase unitary by
-their change of the excitation number.  Each solve runs on the
-coherence orders n(a) - n(b) of the entries rho_ab that its states
+their change of the excitation number.  Each solve runs on the one
+coherence order n(a) - n(b) of the entries rho_ab that its states
 occupy (:func:`coherence_orders`): the generator conserves the order
 and kick harmonic p shifts it by p, so the interpulse states of
 harmonic -kappa lie in order -kappa and what the detectors read in
-order 0.  Detection runs from the detector side: one transposed solve
-at z2 = 0 on order 0 resolves the two detector covectors, exactly
-despite the transposed deflation, because they read nothing on the
-ground pair; each is pulled back through pulse 2's harmonic and dotted
-with the z1 solutions, so no detected state is built.  For kappas
-(1, 2) the solves take 69 and 118 of the 256 entries.  The tests hold
-the time-domain transients on the same generator and pulses.
+order 0.  The generator's block on one order is assembled directly
+(:func:`_order_block`), so an oracle call builds no 256x256 matrix:
+60x60 for kappa = 1, 9x9 for kappa = 2 and 118x118 on order 0.
+:func:`pair_generator` builds the full matrix, the blocks' reference.
+Detection runs from the detector side: one transposed solve at z2 = 0
+on order 0 resolves the two detector covectors, exactly despite the
+transposed deflation, because they read nothing on the ground pair;
+each is pulled back through pulse 2's harmonic and dotted with the z1
+solutions, so no detected state is built.  The tests hold the
+time-domain transients on the full generator and the same pulses.
 
 The perturbative side of every comparison is built on the chain it is
 compared with, :func:`mqcsim.expansion._chain_rows`:
@@ -114,6 +117,24 @@ def _pair_lowering() -> np.ndarray:
     return out
 
 
+def _generator_terms(xi: float, n_hat, mode: str) -> tuple:
+    """What the generator of one configuration is built from: the
+    weighted conjugate lowering operators W_b = sum_a 2 Re A_ab conj(L_a),
+    (6, 16, 16), and the 16x16 matrices right = sum_ab A_ab L_a^dag L_b
+    and left = sum_ab A_ab^* L_a^dag L_b (:func:`pair_generator`)."""
+    lowering = _pair_lowering()
+    tensor = coupling_tensor(xi, n_hat, mode)
+    rates = np.block([[0.5 * np.eye(3), tensor],
+                      [tensor, 0.5 * np.eye(3)]])
+    weighted = np.einsum("ab,ajl->bjl", 2.0 * rates.real, lowering.conj())
+    # summed over a and the rows of L_a
+    daggered = lowering.conj().reshape(-1, 16).T
+    right = daggered @ np.tensordot(rates, lowering, axes=1).reshape(-1, 16)
+    left = daggered @ np.tensordot(rates.conj(), lowering,
+                                   axes=1).reshape(-1, 16)
+    return weighted, right, left
+
+
 def pair_generator(xi: float, n_hat, mode: str = "exact") -> np.ndarray:
     """Full master-equation generator on vectorized pair states, 256x256.
 
@@ -127,22 +148,17 @@ def pair_generator(xi: float, n_hat, mode: str = "exact") -> np.ndarray:
 
         rho -> sum_ab [2 Re A_ab L_b rho L_a^dag
                        - A_ab rho L_a^dag L_b - A_ab^* L_a^dag L_b rho].
+
+    The oracle's solves build only its blocks on single coherence orders
+    (:func:`_order_block`); the full matrix is their reference.
     """
     lowering = _pair_lowering()
-    tensor = coupling_tensor(xi, n_hat, mode)
-    rates = np.block([[0.5 * np.eye(3), tensor],
-                      [tensor, 0.5 * np.eye(3)]])
+    weighted, right, left = _generator_terms(xi, n_hat, mode)
     # vec(L_b rho L_a^dag) = (L_b kron conj(L_a)) vec(rho), row-major:
     # out[i, j, k, l], the entry (16 i + j, 16 k + l), sums
     # L_b[i, k] W_b[j, l] over b, one 16x6 by 6x16 product per (i, j)
-    weighted = np.einsum("ab,ajl->bjl", 2.0 * rates.real, lowering.conj())
     out = np.matmul(lowering.transpose(1, 2, 0)[:, None],
                     weighted.transpose(1, 0, 2)[None])
-    # sum_ab A_ab L_a^dag L_b, summed over a and the rows of L_a
-    daggered = lowering.conj().reshape(-1, 16).T
-    right = daggered @ np.tensordot(rates, lowering, axes=1).reshape(-1, 16)
-    left = daggered @ np.tensordot(rates.conj(), lowering,
-                                   axes=1).reshape(-1, 16)
     diagonal = np.arange(16)
     # rho -> rho right and rho -> left rho
     out[diagonal, :, diagonal] -= right.T
@@ -151,13 +167,19 @@ def pair_generator(xi: float, n_hat, mode: str = "exact") -> np.ndarray:
 
 
 def pulse_unitary(theta: float, polarization, phase: float) -> np.ndarray:
-    """Single-atom pulse unitary at a given optical phase, via eigh, as
-    Id + V (e^{-i theta lambda / 2} - 1) V^dag: exactly Id at theta = 0."""
+    """Single-atom pulse unitary at a given optical phase, in closed form.
+
+    The drive H = L^dag e^{i phase} + L e^{-i phase} couples the ground
+    level to one excited sublevel with unit strength, so H^3 = H and
+    e^{-i theta H / 2} = Id + (cos(theta / 2) - 1) H^2 - i sin(theta / 2) H:
+    exactly Id at theta = 0.  No eigendecomposition: an oracle-check
+    run makes no other LAPACK eigensolver call, and the first one pages
+    in about 1 MB of library code.
+    """
     low = dipole_lowering(polarization)
     drive = low.conj().T * np.exp(1j * phase) + low * np.exp(-1j * phase)
-    values, vectors = np.linalg.eigh(drive)
-    shift = np.exp(-0.5j * theta * values) - 1.0
-    return _EYE4 + (vectors * shift) @ vectors.conj().T
+    return (_EYE4 + (np.cos(0.5 * theta) - 1.0) * (drive @ drive)
+            - 1j * np.sin(0.5 * theta) * drive)
 
 
 @functools.lru_cache(maxsize=8)
@@ -223,68 +245,113 @@ def coherence_orders() -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=4)
-def _deflation(sector: tuple) -> np.ndarray:
-    """The rank-one update of :func:`_deflated_solve` on the entries
-    ``sector``, read-only: the ground pair times the trace covector."""
-    entries = list(sector)
+@functools.lru_cache(maxsize=5)
+def _order_layout(order: int) -> tuple:
+    """Index structure of the generator on one coherence order, the same
+    for every configuration: the order's entries, and the flat block
+    positions, the flat gathers from W, right and left laid end to end,
+    and the factors of :func:`_order_block`'s terms, all read-only.
+
+    Entry s of the order is rho_{i_s j_s}, entry 16 i_s + j_s of the
+    state.  Block entry (s, t) takes L_b[i_s, i_t] W_b[j_s, j_t] for
+    every b with L_b[i_s, i_t] nonzero, in increasing b, then
+    -right[j_t, j_s] where i_s = i_t, then -left[i_s, i_t] where
+    j_s = j_t: the terms of :func:`pair_generator` in its order of
+    summation, so the block equals the full generator's restriction.
+    """
+    entries = np.flatnonzero(coherence_orders() == order)
+    size = len(entries)
+    rows, cols = np.divmod(entries, 16)
+    lowering = _pair_lowering()
+    positions, gathers, factors = [], [], []
+    for b, single in enumerate(lowering):
+        s, t = np.nonzero(single[np.ix_(rows, rows)])
+        positions.append(s * size + t)
+        gathers.append(b * 256 + cols[s] * 16 + cols[t])
+        factors.append(single[rows[s], rows[t]])
+    # right and left follow the six W_b in the gathered source
+    s, t = np.nonzero(rows[:, None] == rows[None, :])
+    positions.append(s * size + t)
+    gathers.append(lowering.size + cols[t] * 16 + cols[s])
+    s, t = np.nonzero(cols[:, None] == cols[None, :])
+    positions.append(s * size + t)
+    gathers.append(lowering.size + 256 + rows[s] * 16 + rows[t])
+    factors.append(np.full(len(positions[-2]) + len(s), -1.0 + 0.0j))
+    out = (entries, np.concatenate(positions), np.concatenate(gathers),
+           np.concatenate(factors))
+    for part in out:
+        part.flags.writeable = False
+    return out
+
+
+def _order_block(terms: tuple, order: int) -> np.ndarray:
+    """The generator restricted to the entries of coherence order
+    ``order``, from the configuration's :func:`_generator_terms`: equal
+    to ``pair_generator(...)[np.ix_(entries, entries)]``, with no 256x256
+    matrix built.  One gather and one ``np.add.at`` over the cached
+    :func:`_order_layout`."""
+    entries, positions, gathers, factors = _order_layout(order)
+    source = np.concatenate([part.reshape(-1) for part in terms])
+    out = np.zeros(len(entries) ** 2, dtype=complex)
+    np.add.at(out, positions, factors * source[gathers])
+    return out.reshape(len(entries), len(entries))
+
+
+@functools.cache
+def _deflation() -> np.ndarray:
+    """The rank-one update of :func:`_order_solve` on order 0, read-only:
+    the ground pair times the trace covector."""
+    entries = _order_layout(0)[0]
     out = np.outer(ground_pair_vec()[entries], _EYE16.reshape(-1)[entries])
     out.flags.writeable = False
     return out
 
 
-def _deflated_solve(generator: np.ndarray, z, rhs: np.ndarray,
-                    sector: np.ndarray, transposed: bool = False) -> np.ndarray:
-    """Solve (z - generator) x = rhs on the entries ``sector``, with the
+def _order_solve(block: np.ndarray, order: int, z, rhs: np.ndarray,
+                 transposed: bool = False) -> np.ndarray:
+    """Solve (z - block) x = rhs on coherence order ``order``, whose
+    generator block is ``block`` (:func:`_order_block`), with the
     stationary pole removed, or with ``transposed`` the transposed
     system, whose solutions are covectors.
 
     ``z`` is one point or a 1d array of points.  For an array, the
-    restricted generator and the deflation are gathered once, the
     systems of all points are solved in one stacked call, and the
     solution has a leading axis over the points.
 
-    ``rhs`` and the solution hold only the entries ``sector``: every
-    entry of one or more coherence orders (:func:`coherence_orders`).
-    The generator conserves the order, so its restriction to such a
-    union is exact.  It annihilates the ground-pair state and
-    preserves the trace, so shifting that single eigenvalue by one with
-    a rank-one update makes the system regular at z = 0 while leaving
-    the solution unchanged on trace-free right-hand sides (which is all
-    the demodulated harmonics produce); any nonzero shift would do.
-    Both vectors of the update lie in order 0, so it vanishes on every
-    other order.  The transposed update is exact on right-hand sides
-    that read nothing on the ground pair, as the detector covectors do:
-    dotting the transposed system with the ground pair leaves (z + 1)
-    times the solution's reading of the ground pair on the left and
-    zero on the right, so the solution reads nothing there either, the
-    update drops out, and what is left is the transposed resolvent
-    equation.  At z = 0 that equation fixes its solution only up to
-    multiples of the trace covector, which read nothing on the
-    trace-free states the solution is dotted with.
+    The generator conserves the order (:func:`coherence_orders`), so its
+    restriction to one order is exact.  It annihilates the ground-pair
+    state and preserves the trace, so on order 0 shifting that single
+    eigenvalue by one with a rank-one update makes the system regular at
+    z = 0 while leaving the solution unchanged on trace-free right-hand
+    sides (which is all the demodulated harmonics produce); any nonzero
+    shift would do.  Both vectors of the update lie in order 0, so every
+    other order needs none.  The transposed update is exact on
+    right-hand sides that read nothing on the ground pair, as the
+    detector covectors do: dotting the transposed system with the ground
+    pair leaves (z + 1) times the solution's reading of the ground pair
+    on the left and zero on the right, so the solution reads nothing
+    there either, the update drops out, and what is left is the
+    transposed resolvent equation.  At z = 0 that equation fixes its
+    solution only up to multiples of the trace covector, which read
+    nothing on the trace-free states the solution is dotted with.
     """
     z = np.asarray(z)
-    block = generator[np.ix_(sector, sector)]
-    system = (z[..., None, None] * np.eye(len(sector)) - block
-              + _deflation(tuple(sector.tolist())))
+    system = z[..., None, None] * np.eye(len(block)) - block
+    if order == 0:
+        system += _deflation()
     if transposed:
         system = system.swapaxes(-1, -2)
     return np.linalg.solve(system, np.broadcast_to(rhs, z.shape + rhs.shape))
 
 
-@functools.lru_cache(maxsize=4)
-def _sectors(kappas: tuple) -> tuple:
-    """Entries of order 0 and of the orders -kappa, and the detector
-    covectors on order 0: what :func:`demodulated_laplace` restricts
-    its solves and its detection to, the same for every configuration."""
-    orders = coherence_orders()
-    detected = np.flatnonzero(orders == 0)
-    interpulse = np.flatnonzero(np.isin(orders, [-kappa for kappa in kappas]))
-    covectors = np.stack([detection_covector_vec(d)
-                          for d in DETECTION_DIRECTIONS])[:, detected]
-    for part in (detected, interpulse, covectors):
-        part.flags.writeable = False
-    return detected, interpulse, covectors
+@functools.cache
+def _detector_covectors() -> np.ndarray:
+    """The detector covectors on the entries of order 0, one row per
+    direction in ``DETECTION_DIRECTIONS``, read-only."""
+    out = np.stack([detection_covector_vec(d) for d in DETECTION_DIRECTIONS])
+    out = out[:, _order_layout(0)[0]]
+    out.flags.writeable = False
+    return out
 
 
 def demodulated_laplace(xi: float, n_hat, theta: float, kappas, channels,
@@ -299,31 +366,32 @@ def demodulated_laplace(xi: float, n_hat, theta: float, kappas, channels,
     integrals as exact resolvent solves of the full generator, the
     second at z2 = 0.
 
-    Each solve runs on the coherence orders its states occupy.  The
-    rotating-wave generator conserves the order n(a) - n(b): a jump
-    L_b rho L_a^dag lowers both sides by one excitation, and
-    L_a^dag L_b keeps one side's count.  Kick harmonic p shifts the
-    order by exactly p: each atom's unitary carries the laser phase as
-    e^{+i phase} per raising and e^{-i phase} per lowering, so U_q
-    changes the excitation count by q and U_q rho U_{q-p}^dag the order
-    by p.  Pulse 1's harmonic -kappa takes the ground pair to order
-    -kappa (60 entries for kappa = 1, 9 for kappa = 2), and each pulse
-    2's +kappa takes it back to order 0 (118 entries), where the
-    detector covectors and the deflation live.  Each z1 point takes one
-    solve on the union of the -kappa orders, with the pulse-1 states of
-    every kappa as right-hand sides, the solves of all points stacked in
-    one call.
+    Each solve runs on the one coherence order its states occupy, on
+    the generator's block there (:func:`_order_block`), and no 256x256
+    matrix is built.  The rotating-wave generator conserves the order
+    n(a) - n(b): a jump L_b rho L_a^dag lowers both sides by one
+    excitation, and L_a^dag L_b keeps one side's count.  Kick harmonic p
+    shifts the order by exactly p: each atom's unitary carries the laser
+    phase as e^{+i phase} per raising and e^{-i phase} per lowering, so
+    U_q changes the excitation count by q and U_q rho U_{q-p}^dag the
+    order by p.  Pulse 1's harmonic -kappa takes the ground pair to
+    order -kappa (60 entries for kappa = 1, 9 for kappa = 2), and each
+    pulse 2's +kappa takes it back to order 0 (118 entries), where the
+    detector covectors and the deflation live.  Each kappa takes one
+    stacked call that solves every z1 point on order -kappa, with no
+    deflation.
 
     Detection runs from the detector side.  A component is c R0 K r:
     c a detector covector, R0 the resolvent at z2 = 0, K pulse 2's
     harmonic kappa and r a z1 solution.  One transposed z2 = 0 solve on
     order 0, with the two covectors as its right-hand sides, gives the
-    readers y = R0^T c (:func:`_deflated_solve` says why its deflation
-    is exact there).  Each reader is pulled back through K as
+    readers y = R0^T c (:func:`_order_solve` says why its deflation is
+    exact there).  Each reader is pulled back through K as
     W = sum_q U_q^T Y conj(U_{q-kappa}), Y the reader as a 16x16
     matrix, which lies in order -kappa, and dotted with the z1
-    solutions: len(z1_values) + 1 solves in all, 69x69 and 118x118 for
-    kappas (1, 2), and no detected state is built.
+    solutions: len(z1_values) systems per kappa, 60x60 for kappa = 1
+    and 9x9 for kappa = 2, and one 118x118, and no detected state is
+    built.
 
     Returns:
         dict mapping (kappa, channel, direction) to an array of
@@ -331,26 +399,27 @@ def demodulated_laplace(xi: float, n_hat, theta: float, kappas, channels,
     """
     n = np.asarray(n_hat, dtype=float)
     position = xi * n[2] / np.linalg.norm(n)
-    generator = pair_generator(xi, n)
-    detected, interpulse, covectors = _sectors(tuple(kappas))
+    terms = _generator_terms(xi, n, "exact")
     z1_arr = np.atleast_1d(np.asarray(z1_values, dtype=complex))
     unitaries = {pol: binned_kick(theta, pol, position) for pol in
                  {FIRST_POLARIZATION, *map(SECOND_POLARIZATION.get, channels)}}
     ground = ground_pair_vec().reshape(16, 16)
-    first = np.stack([kick_harmonic(unitaries[FIRST_POLARIZATION], -kappa,
-                                    ground).reshape(-1)[interpulse]
-                      for kappa in kappas], axis=1)
-    # between[j, :, k]: pulse 1's -kappas[k] harmonic resolved at z1_arr[j]
-    between = _deflated_solve(generator, z1_arr, first, interpulse)
     # readers[i]: detector i's covector resolved at z2 = 0, a 16x16
     # matrix, zero outside order 0
     readers = np.zeros((len(DETECTION_DIRECTIONS), NUM_OPS_PAIR),
                        dtype=complex)
-    readers[:, detected] = _deflated_solve(generator, 0.0, covectors.T,
-                                           detected, transposed=True).T
+    readers[:, _order_layout(0)[0]] = _order_solve(
+        _order_block(terms, 0), 0, 0.0, _detector_covectors().T,
+        transposed=True).T
     readers = readers.reshape(-1, 16, 16)
     out = {}
-    for k, kappa in enumerate(kappas):
+    for kappa in kappas:
+        interpulse = _order_layout(-kappa)[0]
+        first = kick_harmonic(unitaries[FIRST_POLARIZATION], -kappa,
+                              ground).reshape(-1)[interpulse]
+        # between[j]: pulse 1's harmonic resolved at z1_arr[j]
+        between = _order_solve(_order_block(terms, -kappa), -kappa, z1_arr,
+                               first[:, None])[..., 0]
         for channel in channels:
             unitary = unitaries[SECOND_POLARIZATION[channel]]
             # kick_harmonic on the transposed harmonics: sum_q U_q^T Y
@@ -358,7 +427,7 @@ def demodulated_laplace(xi: float, n_hat, theta: float, kappas, channels,
             pulled = kick_harmonic({q: u.T for q, u in unitary.items()},
                                    kappa, readers)
             values = (pulled.reshape(len(readers), -1)[:, interpulse]
-                      @ between[:, :, k].T)
+                      @ between.T)
             for i, d in enumerate(DETECTION_DIRECTIONS):
                 out[(kappa, channel, d)] = values[i]
     return out

@@ -228,6 +228,8 @@ KEPT_REFERENCES = {
     "scattering_solution": "forward chain, behind the detector-first chain",
     "detection_projection": "detector rows of a full state, behind the tails",
     "spectrum": "one-series view of directional_spectra, read by the bench",
+    "pair_generator": "full generator, behind the order blocks and the "
+                      "transients",
 }
 
 

@@ -8,13 +8,16 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 from scipy.linalg import expm
 
-from mqcsim.atom import kick_decomposition
+from mqcsim import oracle
+from mqcsim.atom import dipole_lowering, kick_decomposition
 from mqcsim.basis import sandwich_matrix
 from mqcsim.coupling import coupling_tensor, tensor_tag_value
 from mqcsim.disorder import angular_average, mean_inverse_xi_squared
 from mqcsim.oracle import (
     MC_BATCH,
-    _deflated_solve,
+    _generator_terms,
+    _order_block,
+    _order_solve,
     _term_weights,
     binned_kick,
     coherence_orders,
@@ -123,8 +126,28 @@ def test_decay_part_matches_closed_form_free_propagator():
     assert np.max(np.abs(derivative - gen @ state)) < 1e-8
 
 
+def test_pulse_unitary_is_the_exponential_of_its_drive(monkeypatch):
+    # the closed form needs no eigensolver: an oracle-check run makes no
+    # other eigensolver call, whose first call pages in LAPACK code
+    def refused(*args, **kwargs):
+        raise AssertionError("eigensolver called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refused)
+    monkeypatch.setattr(np.linalg, "eig", refused)
+    for theta in (0.0, 0.14 * np.pi, 1.3, 2 * np.pi, 3.9 * np.pi):
+        for polarization in ("x", "y", "z"):
+            low = dipole_lowering(polarization)
+            for phi in (0.0, 0.9, -4.1):
+                drive = (low.conj().T * np.exp(1j * phi)
+                         + low * np.exp(-1j * phi))
+                u = pulse_unitary(theta, polarization, phi)
+                np.testing.assert_allclose(u, expm(-0.5j * theta * drive),
+                                           rtol=0, atol=1e-14)
+    assert np.array_equal(pulse_unitary(0.0, "y", 0.9), np.eye(4))
+
+
 def test_pulse_unitary_matches_kick_decomposition():
-    # the eigh unitary conjugates as the kick harmonics, summed at the
+    # the closed-form unitary conjugates as the kick harmonics, summed at the
     # optical phase, map the density operator
     for theta in (0.8, 0.0, 2 * np.pi):
         for polarization in ("x", "y", "z"):
@@ -249,12 +272,40 @@ def test_kick_harmonics_shift_coherence_order_by_their_index(polarization):
                 assert np.max(np.abs(second)) > 1e-3 * scale
 
 
+@pytest.mark.parametrize("xi", [0.7, 3.0, 80.0, 1000.0])
+def test_order_blocks_are_the_generator_restricted_to_each_order(xi):
+    # the blocks are summed term by term in the full generator's order,
+    # so they equal its restriction exactly, not to roundoff
+    orders = coherence_orders()
+    for seed in range(3):
+        n_hat = _random_axis(30 + seed)
+        gen = pair_generator(xi, n_hat)
+        terms = _generator_terms(xi, n_hat, "exact")
+        for order in range(-2, 3):
+            sector = np.flatnonzero(orders == order)
+            assert np.array_equal(_order_block(terms, order),
+                                  gen[np.ix_(sector, sector)])
+
+
+def test_demodulated_laplace_builds_no_full_generator(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("pair_generator called")
+
+    monkeypatch.setattr(oracle, "pair_generator", refused)
+    out = demodulated_laplace(80.0, _random_axis(2), THETA, (1, 2),
+                              ("parallel", "perpendicular"),
+                              1j * np.linspace(-3.0, 3.0, 7))
+    assert len(out) == 8
+
+
 def test_deflated_solve_is_exact_resolvent_on_trace_free_input():
-    # the two pulse-1 states at once on orders -1 and -2, as the oracle
-    # passes a z1 block, and their pulse-2 states on order 0, where the
+    # the pulse-1 states on orders -1 and -2, one solve per order as the
+    # oracle makes it, and their pulse-2 states on order 0, where the
     # deflation acts; each solution, put back into the full space,
     # solves the full resolvent equation
-    gen = pair_generator(30.0, _random_axis(3))
+    xi, n_hat = 30.0, _random_axis(3)
+    gen = pair_generator(xi, n_hat)
+    terms = _generator_terms(xi, n_hat, "exact")
     unitary = binned_kick(THETA, "x", 12.0)
     trace_covector = np.eye(16, dtype=complex).reshape(-1)
     ground = ground_pair_vec().reshape(16, 16)
@@ -264,23 +315,25 @@ def test_deflated_solve_is_exact_resolvent_on_trace_free_input():
                                      first[:, k].reshape(16, 16)).reshape(-1)
                        for k, kappa in enumerate((1, 2))], axis=1)
     orders = coherence_orders()
-    for rhs, sector in ((first, np.flatnonzero(orders < 0)),
-                        (second, np.flatnonzero(orders == 0))):
+    for rhs, order in ((first[:, :1], -1), (first[:, 1:], -2), (second, 0)):
+        sector = np.flatnonzero(orders == order)
+        block = _order_block(terms, order)
         assert np.max(np.abs(trace_covector @ rhs)) < 1e-14
+        assert not np.any(rhs[orders != order])
         for z in (0.0, 0.3 + 1.1j):
             solution = np.zeros_like(rhs)
-            solution[sector] = _deflated_solve(gen, z, rhs[sector], sector)
+            solution[sector] = _order_solve(block, order, z, rhs[sector])
             residual = z * solution - gen @ solution - rhs
             assert np.max(np.abs(residual)) < 1e-12
             assert np.max(np.abs(trace_covector @ solution)) < 1e-12
         # an array of points solves every point's system in one stacked
         # call, with the solutions along a leading axis
         points = np.array([0.0, 0.3 + 1.1j, -0.2j])
-        stacked = _deflated_solve(gen, points, rhs[sector], sector)
+        stacked = _order_solve(block, order, points, rhs[sector])
         assert stacked.shape == (len(points),) + rhs[sector].shape
         for z, solution in zip(points, stacked):
             np.testing.assert_allclose(
-                solution, _deflated_solve(gen, z, rhs[sector], sector),
+                solution, _order_solve(block, order, z, rhs[sector]),
                 rtol=0, atol=1e-13)
 
 
@@ -460,11 +513,12 @@ def test_demodulated_laplace_matches_truncated_chain():
 
 
 def test_stacked_laplace_equals_one_call_per_column():
-    # one call stacks every kappa's pulse-1 state per z1 solve and every
-    # (kappa, channel) block in the z2 solve; one call per column shares
-    # no block layout with it.  The kappa = 2 perpendicular components
-    # are 1e-10 of the largest, a cancellation whose roundoff is relative
-    # to the cancelling parts, so their bound is per entry and looser.
+    # one call shares the z2 solve between every (kappa, channel) and
+    # stacks the z1 points of each kappa in one solve; one call per
+    # column shares no stacking with it.  The kappa = 2 perpendicular
+    # components are 1e-10 of the largest, a cancellation whose roundoff
+    # is relative to the cancelling parts, so their bound is per entry
+    # and looser.
     xi, n_hat = 80.0, _random_axis(9)
     kappas, channels = (1, 2), ("parallel", "perpendicular")
     z1 = np.array([0.3 - 1.2j, -0.5j, 0.0, 0.7j, 1.0 + 2.3j])
@@ -497,10 +551,26 @@ def test_demodulated_laplace_solves_once_per_z1_and_once_at_z2(monkeypatch):
     z1 = 1j * np.linspace(-3.0, 3.0, 7)
     demodulated_laplace(80.0, _random_axis(2), THETA, (1, 2),
                         ("parallel", "perpendicular"), z1)
-    # seven z1 solves of both kappas on orders -1 and -2 (60 + 9
-    # entries), stacked in one call, and one transposed z2 solve on
-    # order 0 with the two detector covectors as right-hand sides
-    assert calls == [((7, 69, 69), (7, 69, 2)), ((118, 118), (118, 2))]
+    # one transposed z2 solve on order 0 with the two detector
+    # covectors as right-hand sides, then per kappa the seven z1 solves
+    # on order -kappa (60 and 9 entries), stacked in one call
+    assert calls == [((118, 118), (118, 2)), ((7, 60, 60), (7, 60, 1)),
+                     ((7, 9, 9), (7, 9, 1))]
+
+
+def test_laplace_allocation_peak_is_bounded():
+    # the traced peak of one warm call of oracle-check's shape: per-order
+    # blocks and solves, no 256x256 generator (2.14 MiB with one)
+    args = (80.0, _random_axis(2), THETA, (1, 2),
+            ("parallel", "perpendicular"), 1j * np.linspace(-3.0, 3.0, 7))
+    demodulated_laplace(*args)
+    tracemalloc.start()
+    try:
+        demodulated_laplace(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
 
 
 def test_sector_laplace_matches_full_space_solve():
