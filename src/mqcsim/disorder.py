@@ -28,13 +28,13 @@ coupling switched off); same-kind pairs then survive with weight
 -<Omega Omega> because only half of each product oscillates.
 
 :func:`averaged_solution` is therefore a weighted sum of the chain's
-keys.  It runs the split driver of the expansion,
-:func:`mqcsim.expansion._chain_rows`, once over interaction orders 0
-and 2, with the second kick keeping only zero net atom phase, and
+keys.  It reads the chain of the expansion over interaction orders 0
+and 2, with the second kick keeping only zero net atom phase, from the
+expansion's one chain cache (:func:`mqcsim.expansion._chain`), and
 weights every key by the :func:`angular_average` of its two tags, read
 from one 12 x 12 table per (<1/xi^2>, mode); a tag-free key has weight
-1.  The chain holds no weights, so one chain serves both modes and
-every separation.  Its rows are summed on the chain's own z1 axis with
+1.  The chain holds no weights, so one chain serves both channels,
+both modes and every separation.  Its rows are summed on the chain's own z1 axis with
 no key dropped, and the sum is evaluated on the grid once.  No floor
 applies here: ``TERM_FLOOR`` would measure keys before they are
 weighted, and the order-2 weights are about 1e-4 at xi_bar = 80, so a
@@ -50,8 +50,7 @@ import numpy as np
 
 from .atom import DETECTION_DIRECTIONS
 from .coupling import TAG_KEYS
-from .expansion import (PhaseMonomial, _chain_rows, _key_parity, _merge,
-                        _on_grid)
+from .expansion import PhaseMonomial, _chain, _key_parity, _merge, _on_grid
 
 AVERAGE_MODES = ("full", "level_shift_only")
 
@@ -132,40 +131,6 @@ def _pair_weights(inv_xi_squared: float, mode: str) -> np.ndarray:
     return weights
 
 
-@functools.lru_cache(maxsize=2)
-def _zero_phase_chains(z1: tuple, theta: float, kappa: int,
-                       fast: bool) -> dict:
-    """The zero-phase chains built so far at these arguments, by channel,
-    which :func:`_zero_phase_chain` fills.  Cached by the grid's points,
-    for the kappa whose chains a run weights once per average mode and
-    samples once per channel."""
-    return {}
-
-
-def _zero_phase_chain(z1: tuple, theta: float, channels: tuple, kappa: int,
-                      fast: bool) -> dict:
-    """The zero-phase chain of orders 0 and 2 in each of ``channels`` on
-    its z1 axis: a dict from channel to the axis, the tags of every key,
-    and their rows stacked, read-only, of shape (keys, 2, axis size).
-
-    A channel already built at these arguments is read back; one
-    :func:`_chain_rows` call, whose interpulse stage serves every
-    channel, builds the others (:func:`_zero_phase_chains`).
-    """
-    held = _zero_phase_chains(z1, theta, kappa, fast)
-    missing = tuple(channel for channel in channels if channel not in held)
-    if missing:
-        axis, rows = _chain_rows((0, 2), np.array(z1), theta, missing, kappa,
-                                 zero_phase=True, fast=fast)
-        for channel in missing:
-            by_key = rows[channel]
-            stacked = np.array(list(by_key.values()), dtype=complex).reshape(
-                len(by_key), len(DETECTION_DIRECTIONS), axis.size)
-            stacked.flags.writeable = False
-            held[channel] = axis, tuple(tags for _, tags in by_key), stacked
-    return {channel: held[channel] for channel in channels}
-
-
 def averaged_solution(z1, theta: float, channel: str = "parallel",
                       kappa: int = 1, *, inv_xi_squared: float,
                       mode: str = "full", fast: bool = False) -> np.ndarray:
@@ -190,13 +155,15 @@ def averaged_solution(z1, theta: float, channel: str = "parallel",
     if _key_parity(channel, kappa):
         # every key has odd x and y counts, and the isotropic moment of
         # a factor pair vanishes unless each axis index appears an even
-        # number of times: every weight is 0, so no chain is built
+        # number of times: every weight is 0, so no chain is read
         return np.zeros((len(DETECTION_DIRECTIONS), z1.size), dtype=complex)
-    axis, tags, rows = _zero_phase_chain(tuple(z1), theta, (channel,),
-                                         kappa, fast)[channel]
+    axis, chains = _chain((0, 2), tuple(z1), theta, kappa, True, fast)
+    by_key = chains[channel]
+    rows = np.array(list(by_key.values()), dtype=complex).reshape(
+        len(by_key), len(DETECTION_DIRECTIONS), axis.size)
     column = {tag: i for i, tag in enumerate(TAG_KEYS)}
     weights = [table[column[pair[0]], column[pair[1]]] if pair else 1.0
-               for pair in tags]
+               for _, pair in by_key]
     return _on_grid(axis, np.tensordot(weights, rows, axes=1), z1)
 
 

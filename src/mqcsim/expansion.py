@@ -32,10 +32,12 @@ analytic eigendecomposition of the single-atom decay generator.
 The chain computes only what is detected: fluorescence integrated over
 the detection time, which is the detection-stage Laplace variable at
 z2 = 0.  Every resolvent projects out the stationary (both atoms
-ground) decay mode, which keeps z = 0 regular.  That mode carries no
+ground) decay mode: with P0 = |ground pair><trace|, it is
+(z - L1 - L2 + P0)^-1 (1 - P0), regular at z = 0.  That mode carries no
 fluorescence and the pair interaction annihilates it; demodulated
 components (kappa != 0) are trace-free and have no weight on it at
-all, so for them the projection is exact.
+all, so for them the projection is exact, and only the unmodulated
+background (kappa = 0) loses its z = 0 pole.
 
 The decay eigendecomposition is block structured in the operator
 basis, and :func:`mqcsim.atom.decay_eigensystem` lists it in basis
@@ -52,11 +54,11 @@ few dozen of its 256 rows; :func:`mqcsim.coupling.interaction_products`
 applies all twelve pieces to it in one pass over those rows.
 
 One driver, :func:`_chain_rows`, yields the detected rows of the chain
-over the set of orders and the set of channels a caller reads, split by
+over the set of orders a caller reads, in both channels, split by
 split, on the chain's own z1 axis.  The interpulse stage runs forward
 along z1: kick 1 runs once, and each prefix, the state after kick 1 and
 s insertions, is built once from the one before and serves every order
-and every channel, since only pulse 2's polarization tells the channels
+and both channels, since only pulse 2's polarization tells the channels
 apart.  One step builds every prefix after kick 1, monomial by
 monomial: each monomial's insertion followed by one z1 resolvent over
 all its products, merged by key.  Prefix n of the highest order n, which
@@ -85,8 +87,10 @@ pair, every class meets what its split reads in one stacked matrix
 product, summed per (net atom-1 exponent, monomial tags plus the tag
 the split inserts, if any); once the split is done, each sum is split
 over the tails it met and merged under the joined tags, so the join
-runs once per distinct key and tail.  The splits differ only in what
-they read and in one step after the product.
+runs once per distinct key and tail.  Both steps keep only nonzero
+rows, so no split builds a key whose rows it makes exactly zero.  The
+splits differ only in what they read and in one step after the
+product.
 Split s of order n reads the tails of n - s insertions, kicked by the
 transpose of the pair; a chain kicks each group of tails once per
 channel and pair, and keeps it only while a later split can read it.
@@ -99,8 +103,7 @@ further forward: kick 2 through each pair, R(0) in the same block
 form, and one insertion, whose exactly zero products are dropped.  Each
 product reads the plain tails of n - 1 insertions of the group its axis
 parity allows.  So a chain of highest order n builds tails of at most
-n - 1 insertions, and a key whose every forward product is exactly zero
-is not built at all.
+n - 1 insertions.
 
 Split n of the highest order, whose prefix monomials would meet only
 the two detector rows of each pair, meets prefix n - 1 one step further
@@ -122,11 +125,7 @@ n reads them, and the step after its product is each sector's
 division, on the contracted rows instead of on 256-row products: the
 step matrices of :func:`_pole_sectors` on a pole basis, 1 / (z1 - s) on
 a grid (:func:`_sector_division`).  So a chain of highest order n builds
-no prefix and no tail longer than n - 1 insertions.  Split n - 1 has
-already built every key that split n reaches, since each monomial of
-prefix n - 1 meets every tail of one insertion of its group there, so
-split n builds a key only where its rows are nonzero; that changes no
-key set above order 1.
+no prefix and no tail longer than n - 1 insertions.
 
 Both pole guards hold at split n.  On a pole basis the forward division
 would raise on weight in the label (r, n + 1) of a product's own sector
@@ -193,15 +192,17 @@ guard is unaffected: S maps each decay sector to one of the same rate
 sum, and the guard measures every monomial against its own entries, so
 the kept half raises exactly where the dropped half would.
 
-The chain has two readers.  :func:`mqcsim.disorder.averaged_solution`
-runs it with kick 2 keeping only zero net atom phase, weights every key
-by its factor-pair average and evaluates the weighted sum once, with no
-key dropped: the chain itself holds no weights.  Where the Cartesian
-parity leaves every key an odd count of x and y (:func:`_key_parity`),
-every weight is zero, and it builds no chain.  The term tables of
-:mod:`mqcsim.oracle` read either that zero-phase chain or the chain of
-every phase, built once per kappa for both channels, drop the keys
-below ``TERM_FLOOR`` on the z1 axis and evaluate the rest on the grid.
+Every reader takes the chain from one cache, :func:`_chain`, which
+holds the last two chains built, both channels each, read-only.
+:func:`mqcsim.disorder.averaged_solution` reads the chain whose kick 2
+keeps only zero net atom phase, weights every key by its factor-pair
+average and evaluates the weighted sum once, with no key dropped: the
+chain itself holds no weights.  Where the Cartesian parity leaves every
+key an odd count of x and y (:func:`_key_parity`), every weight is
+zero, and it reads no chain.  The term tables of :mod:`mqcsim.oracle`
+read either that zero-phase chain or the chain of every phase, drop
+the keys below ``TERM_FLOOR`` on the z1 axis and evaluate the rest on
+the grid.
 :func:`scattering_solution` keeps the whole forward state of one order,
 both mirror halves included, and is the reference that the tests check
 the driver against.
@@ -353,15 +354,11 @@ def _pole_rates() -> tuple:
 
 @dataclass(frozen=True)
 class PoleBasis:
-    """Exact partial-fraction labels of a z axis, in place of a grid.
-
-    With the stationary mode projected out, every resolvent has poles
-    only at :func:`_pole_rates`, so a chain of at most ``multiplicity``
-    resolvents is exactly c_0 + sum over poles p and m <= multiplicity
-    of c_{p,m} / (z - p)^m.  Coefficients carry these K labels on their
+    """Exact partial-fraction labels of a z axis, in place of a grid,
+    for a chain of at most ``multiplicity`` resolvents (see the module
+    docstring).  Coefficients carry K = ``size`` labels on their
     trailing axis: the constant first, then (p, 1), ..., (p,
-    multiplicity) for each pole in turn.  ``size`` is K, the length of
-    that axis.
+    multiplicity) for each pole p of :func:`_pole_rates` in turn.
     """
 
     multiplicity: int
@@ -487,9 +484,10 @@ def apply_resolvent(vector: dict, z) -> dict:
     """Laplace-domain free evolution of every component (state picture).
 
     The exact pair resolvent (z - L1 - L2)^-1 in the block form of the
-    decay eigensystem (see the module docstring): the population block
-    of each atom index is mapped to decay modes, every entry is divided
-    by z - r_i - r_j, and the maps are undone.
+    decay eigensystem, with the stationary mode projected out (see the
+    module docstring): the population block of each atom index is
+    mapped to decay modes, every entry is divided by z - r_i - r_j, and
+    the maps are undone.
 
     ``z`` is a scalar, a 1d grid, or a :class:`PoleBasis`.  On a grid,
     coefficients may carry one trailing batch axis, which broadcasts
@@ -499,14 +497,6 @@ def apply_resolvent(vector: dict, z) -> dict:
     (coefficients without one are constant in z), and the division of
     each rate sector r is the exact K x K map of f -> f / (z - r)
     (:func:`_pole_sectors`).
-
-    The stationary (both atoms ground) decay mode is projected out
-    before inverting: with P0 = |ground pair><trace|, the map is
-    (z - L1 - L2 + P0)^-1 (1 - P0), regular at z = 0.  Trace-free
-    components, which are all that demodulation at kappa != 0 reads,
-    have no weight on that mode, so for them it is the plain resolvent.
-    Only the unmodulated background sector loses its z = 0 pole, and
-    the discarded mode is invisible to fluorescence detection.
 
     Raises:
         PoleError: on a grid, a component has weight, above 1e-9 of its
@@ -637,15 +627,12 @@ def _interpulse_axis(z1: np.ndarray, resolvents: int):
 
 
 def _sector_division(axis):
-    """The division by z1 - r of the rows of each pole sector r, applied
-    after the contraction: a function taking rows (..., poles, 2, B,
-    axis size), sector by sector in :func:`_pole_rates` order, to their
-    sum over sectors, each divided, of shape (..., 2, B, axis size).  On
-    a :class:`PoleBasis` each sector's rows go through its step matrix
-    of :func:`_pole_sectors`, all sectors in one product; on a grid they
-    are multiplied by 1 / (z1 - r), which is 0 on a grid point on r, as
-    the forward division drops weight on a pole that its guard lets
-    pass."""
+    """Split n's division by z1 - r of the rows of each pole sector r
+    (see the module docstring): a function taking rows (..., poles, 2,
+    B, axis size), sectors in :func:`_pole_rates` order, to their sum
+    over sectors, each divided, of shape (..., 2, B, axis size): by the
+    step matrices of :func:`_pole_sectors` in one product on a
+    :class:`PoleBasis`, by 1 / (z1 - r), 0 on a pole, on a grid."""
     if isinstance(axis, PoleBasis):
         steps = np.concatenate([step for _, step, _ in _pole_sectors(axis)])
 
@@ -663,14 +650,10 @@ def _sector_division(axis):
 
 
 def _pulled_back(tails: np.ndarray) -> np.ndarray:
-    """Kicked tails (2, 256), rows the conjugated detectors, pulled back
-    through one z1 resolvent, split by decay sector, and one transposed
-    insertion: (Vᵀ Tᵀ P_s Fᵀ) tailsᵀ for every tag and every pole sector
-    s, of shape (12, 256, poles x 2), column 2 s + d for the detector
-    row d of sector s, with R(z1) = F D T as in
-    :func:`apply_resolvent`, P_s the projection on the decay sector of
-    rate sum s and V the tag's interaction piece.  The stationary sector
-    is in none of them, as the forward division drops it."""
+    """Split n's pulled-back covectors V^T T^T P_s F^T c of the kicked
+    tails c (2, 256), rows the conjugated detectors (see the module
+    docstring): shape (12, 256, poles x 2), one per tag, column 2 s + d
+    for the detector row d of pole sector s."""
     to_eigen, from_eigen, rates = _decay_blocks()
     sums = rates[:, None] + rates[None, :]
     eigen = _map_population_block(
@@ -706,56 +689,20 @@ def _insertion_resolved(monomial: PhaseMonomial, coeffs: np.ndarray,
         yield monomial.tagged(TAG_KEYS[i]), new.copy()
 
 
-def _chain_rows(orders, z1, theta: float, channels, kappa: int, *,
+def _chain_rows(orders, z1, theta: float, kappa: int, *,
                 zero_phase: bool = False, fast: bool = False) -> tuple:
     """Detected rows of the two-pulse chain over ``orders``, summed over
     interaction splits and merged by key, on the chain's own z1 axis,
-    for each of ``channels``.
+    in both channels.
 
-    Split s of order n puts s of its n insertions before the second kick
-    (resolvents at ``z1``) and the rest after it, in the detection stage
-    (resolvents at z2 = 0, run backward from the detectors once with no
-    z1 axis and grouped by axis parity, :func:`_interaction_tails`).
-    Kick 1 runs once and keeps one atom-exchange mirror half of its
-    monomials (:func:`_mirror_half`).  Every later prefix s comes from
-    prefix s - 1 by one step, each monomial's insertion followed by one
-    z1 resolvent over all its products (:func:`_insertion_resolved`),
-    merged by key, up to prefix top - 1 of the highest order top.
-    Each prefix is grouped once by (powers, tag axis parity), each class
-    stacked once, and one loop contracts every split of every order
-    n >= s on prefix s: through each kick-2 harmonic pair (p1, p2) its
-    order allows, each class meets what the split reads in one stacked
-    product, summed per (net atom-1 exponent, monomial tags plus the
-    tag the split inserts); once the split is done, each sum is split
-    over the tails it met and merged under the joined tags.  Split s of
-    order n reads the tails of n - s insertions kicked by the transposed
-    pair, each made once per chain and dropped once no later split can
-    read it.  Split 0 of the highest order n > 0 first runs kick 2, R(0)
-    and one insertion on the class, and each nonzero product reads the
-    plain tails of n - 1 insertions.
-    Split n reads prefix n - 1 and the kicked tails of no insertion
-    pulled back through one z1 resolvent sector by sector and one
-    transposed insertion (:func:`_pulled_back`), and each sector's
-    division by z1 - r then acts on its rows
-    (:func:`_sector_division`); it builds a key only where its rows are
-    nonzero.  So no prefix and no tail is longer than n - 1 insertions.
-    Before it returns, each channel's rows of the half are folded onto
-    their mirror keys, rows(e, tags) = P(e, tags) + P(-e, tags)
-    (:func:`_mirror_folded`), so every key (e, tags) comes with
-    (-e, tags) and the same rows bit for bit.
+    The splits, the first and the last split of the highest order, the
+    selection rules and the mirror half are those of the module
+    docstring.  One interpulse stage serves both channels, and a prefix
+    is contracted one channel at a time, so that only one channel's
+    kicked tails of a length are alive.
 
-    Kick 1 and the prefixes do not depend on the channel, the
-    polarization of pulse 2, so one interpulse stage serves every
-    channel.  Kick 2 and its keep rule, the key parity, the kicked tails
-    and the rows are per channel.  A prefix is contracted one channel at
-    a time, so that only one channel's kicked tails of a length are
-    alive, and split n keeps one pulled-back array alive at a time.  At
-    ``kappa`` = 2 every prefix after kick 1 is empty (pulse 1's
-    harmonic (-1, -1) leaves |gg><ee'|, on which every interaction piece
-    vanishes), so there the shared stage costs nothing.
-
-    All orders share the z1 axis (:func:`_interpulse_axis`) of the
-    splits of the highest order: its exact :class:`PoleBasis` when that
+    All orders share the z1 axis of the splits of the highest order
+    (:func:`_interpulse_axis`): its exact :class:`PoleBasis` when that
     has fewer labels than ``z1`` has points and no point of ``z1`` lies
     on a pole, the grid ``z1`` otherwise.
 
@@ -763,36 +710,24 @@ def _chain_rows(orders, z1, theta: float, channels, kappa: int, *,
     kept: kick 1 keeps net pulse-1 exponent -kappa, kick 2 net pulse
     exponents (-kappa, kappa).  With ``zero_phase``, kick 2 also keeps
     only zero net exponent on each atom, the monomials whose position
-    phases survive the disorder average (:mod:`mqcsim.disorder`); every
-    key then has e = 0, and the fold doubles its rows.  The other
-    arguments are those of :func:`scattering_solution`.
-
-    Keys that break a selection rule (see the module docstring) are
-    exact zeros and are never built.  By atom-phase parity, kick 2 keeps
-    only the pairs p2 = kappa - p1 whose net atom-1 exponent has the
-    parity of the order, so with ``zero_phase`` no odd order survives.
-    By Cartesian parity, each prefix monomial meets only the group of
-    tails whose axis parity completes its own to :func:`_key_parity`, a
-    contiguous block of :func:`_interaction_tails`.
+    phases survive the disorder average (:mod:`mqcsim.disorder`), so
+    every key has e = 0 and no odd order survives.  The other arguments
+    are those of :func:`scattering_solution`.
 
     Returns:
         the axis, and a dict from each channel to a dict mapping (net
         atom-1 phase exponent, sorted tags) to the detected rows of the
         monomials with that key, shape (len(DETECTION_DIRECTIONS), axis
-        size).  No key that obeys both selection rules is dropped, except
-        one whose every product is exactly zero, which is not built, and
-        at highest order 1 one whose rows split 1 alone makes and makes
-        exactly zero.
+        size).  It holds every key to which some split gives a nonzero
+        part of its rows, and no other.
     """
     z1 = np.atleast_1d(np.asarray(z1, dtype=complex))
     top = max(orders)
     splits = (0,) if fast else tuple(range(top + 1))
     axis = _interpulse_axis(z1, len(splits))
-    harmonics, wanted = {}, {}
-    for channel in channels:
-        harmonics[channel] = kick_decomposition(
-            theta, SECOND_POLARIZATION[channel])
-        wanted[channel] = _key_parity(channel, kappa)
+    harmonics = {channel: kick_decomposition(theta, polarization)
+                 for channel, polarization in SECOND_POLARIZATION.items()}
+    wanted = {channel: _key_parity(channel, kappa) for channel in harmonics}
 
     @functools.cache
     def kick2_pairs(powers, parity):
@@ -806,7 +741,7 @@ def _chain_rows(orders, z1, theta: float, channels, kappa: int, *,
                      if abs(p1) <= 2 and abs(kappa - p1) <= 2
                      and (a + p1 - parity) % 2 == 0)
 
-    out = {channel: {} for channel in channels}
+    out = {channel: {} for channel in harmonics}
     # the transposed tails kicked by (channel, p1, p2, length, group)
     kicked = {}
 
@@ -883,20 +818,22 @@ def _chain_rows(orders, z1, theta: float, channels, kappa: int, *,
                     if last:
                         rows = division(rows.reshape(
                             len(inserted), -1, 2, len(tags), axis.size))
-                    # split top builds a key only where its rows are nonzero
-                    for i, b in zip(*np.nonzero(rows.any(axis=(1, 3))
-                                                | (not last))):
+                    # a key is built only where its rows are nonzero
+                    for i, b in zip(*np.nonzero(rows.any(axis=(1, 3)))):
                         _merge(sums, (powers[0] + p1,
                                       tuple(sorted(tags[b] + inserted[i]))),
                                rows[i, :, b])
             # one pulled-back array alive at a time
             del pulled
-        # each sum split over the tails it met, merged under the joined tags
+        # each sum split over the tails it met, its nonzero parts merged
+        # under the joined tags
         for (a, tags), rows in sums.items():
             tails, _ = groups[_axis_parity(tags) ^ wanted[channel]]
             parts = rows.reshape(len(tails), -1, axis.size)
             for tail, part in zip(tails, parts):
-                _merge(out[channel], (a, tuple(sorted(tags + tail))), part)
+                if part.any():
+                    _merge(out[channel], (a, tuple(sorted(tags + tail))),
+                           part)
         # then drop the channel's kicked tails of this length whose pair
         # no later split reads at this length for any of kick 1's powers
         later = {pair for s in splits[between + 1:] if s + length in orders
@@ -929,10 +866,25 @@ def _chain_rows(orders, z1, theta: float, channels, kappa: int, *,
         for n in orders:
             if n >= between:
                 # one channel at a time: only its kicked tails are alive
-                for channel in channels:
+                for channel in harmonics:
                     contract(blocks, between, n, channel)
     return axis, {channel: _mirror_folded(half)
                   for channel, half in out.items()}
+
+
+@functools.lru_cache(maxsize=2)
+def _chain(orders: tuple, z1: tuple, theta: float, kappa: int,
+           zero_phase: bool = False, fast: bool = False) -> tuple:
+    """The chain of :func:`_chain_rows` on the grid of the points ``z1``,
+    every row read-only: the one cache of the chain, which every reader
+    shares.  It holds the last two chains, so a run that reads one chain
+    per kappa builds each once."""
+    axis, rows = _chain_rows(orders, np.array(z1), theta, kappa,
+                             zero_phase=zero_phase, fast=fast)
+    for by_key in rows.values():
+        for row in by_key.values():
+            row.flags.writeable = False
+    return axis, rows
 
 
 def _mirror_half(vector: dict) -> dict:
@@ -982,12 +934,8 @@ def scattering_solution(order: int, z1, theta: float,
 
     The state is Laplace transformed in the interpulse delay (at ``z1``)
     and integrated over the detection time (z2 = 0), from both atoms
-    ground.  Every resolvent projects out the stationary ground-pair
-    mode (see :func:`apply_resolvent`), which keeps z2 = 0 regular.
-    Components demodulated at kappa != 0 are trace-free, so for them
-    the projection is exact; only the unmodulated background sector
-    (kappa = 0, reachable with ``kappa=None``) is truly altered, by a
-    mode that no detector sees.
+    ground, with the stationary mode projected out of every resolvent
+    (see the module docstring).
 
     Args:
         order: total number of pair-interaction insertions (0 keeps the

@@ -29,15 +29,15 @@ solutions, so no detected state is built.  The tests hold the
 time-domain transients on the full generator and the same pulses.
 
 The perturbative side of every comparison is built on the chain it is
-compared with, :func:`mqcsim.expansion._chain_rows`:
+compared with, read from the expansion's one chain cache
+(:func:`mqcsim.expansion._chain`), whose chains serve both channels:
 
   * term tables hold the chain's detected rows per phase exponent and
     coupling-factor multiset, without the keys below ``TERM_FLOOR``,
     the roundoff of exactly cancelling monomials.
     :func:`demodulated_term_table` keeps every phase exponent, and
     :func:`fixed_configuration_components` prices it at a single
-    configuration.  The tables of both channels at one kappa read one
-    chain, whose kick 1 and interpulse prefixes serve both;
+    configuration;
   * Monte-Carlo configuration averages (:func:`monte_carlo_spectrum`)
     price a term table over random geometry and average it with
     standard errors.
@@ -45,9 +45,9 @@ compared with, :func:`mqcsim.expansion._chain_rows`:
 The closed form that the Monte Carlo checks,
 :func:`mqcsim.disorder.averaged_solution`, weights the keys of the
 chain whose second kick keeps only zero net atom phase, with no floor,
-and builds none where every weight is zero.  :func:`surviving_term_table`
-reads the same cached chain, built where the closed form is zero too,
-and keeps the keys whose average survives.
+and reads none where every weight is zero.  :func:`surviving_term_table`
+reads the same cached chain, where the closed form is zero too, and
+keeps the keys whose average survives.
 
 Geometry conventions: both pulses propagate along +z with linear
 polarizations in the x-y plane, atom 2 sits at the origin, and atom 1
@@ -67,10 +67,9 @@ from .atom import (DETECTION_DIRECTIONS, FIRST_POLARIZATION,
                    dipole_components, dipole_lowering)
 from .basis import NUM_OPS_PAIR, matrix_unit
 from .coupling import TAG_KEYS, coupling_tensor, tensor_tag_value
-from .disorder import SEPARATION_WINDOW, _zero_phase_chain
-from .expansion import TERM_FLOOR, _chain_rows, _on_grid
-from .spectra import (POLARIZATION_CHANNELS, SPECTRAL_DENSITY_NORM,
-                      SpectrumSeries)
+from .disorder import SEPARATION_WINDOW
+from .expansion import TERM_FLOOR, _chain, _on_grid
+from .spectra import SPECTRAL_DENSITY_NORM, SpectrumSeries
 
 _EYE4 = np.eye(4, dtype=complex)
 _EYE16 = np.eye(16, dtype=complex)
@@ -491,34 +490,14 @@ def demodulated_term_table(orders, theta: float, channel: str, kappa: int,
     """Collect the detected rows of the demodulated perturbative chain
     into a term table, one term per (phase exponent, tags) key.
 
-    The rows come from :func:`_channel_rows`, one chain over every
-    order in ``orders`` and every channel, so the table of the other
-    channel at the same arguments reuses them.  The table leaves out the
+    The rows come from one cached chain over every order in ``orders``
+    (:func:`mqcsim.expansion._chain`), which the table of the other
+    channel at the same arguments reads too.  The table leaves out the
     keys below ``TERM_FLOOR`` (:func:`_term_table`).
     """
     z1 = np.atleast_1d(np.asarray(z1_values, dtype=complex))
-    axis, rows = _channel_rows(tuple(orders), tuple(z1), theta, kappa)
+    axis, rows = _chain(tuple(orders), tuple(z1), theta, kappa)
     return _term_table(axis, rows[channel], z1, kappa, channel)
-
-
-@functools.lru_cache(maxsize=1)
-def _channel_rows(orders: tuple, z1: tuple, theta: float,
-                  kappa: int) -> tuple:
-    """The chain of every phase over ``orders`` on its z1 axis, in every
-    channel: the axis and a dict from channel to read-only rows by key.
-
-    One :func:`mqcsim.expansion._chain_rows` call runs every order on
-    shared interpulse prefixes and one z1 axis, and its kick 1 and
-    prefixes serve both channels; keys of different orders differ in
-    their number of tags.  Cached for the last arguments, which the
-    tables of both channels at one kappa share.
-    """
-    axis, rows = _chain_rows(orders, np.array(z1), theta,
-                             POLARIZATION_CHANNELS, kappa)
-    for by_key in rows.values():
-        for row in by_key.values():
-            row.flags.writeable = False
-    return axis, rows
 
 
 def _term_weights(phase_exponents, tags, xi: np.ndarray, n_hat: np.ndarray,
@@ -607,15 +586,14 @@ def surviving_term_table(theta: float, channel: str, kappa: int,
     :func:`mqcsim.disorder.averaged_solution` weights, from the same
     cache, and keeps its keys with no tag or a mixed-kind tag pair, less
     those below ``TERM_FLOOR`` of the largest kept key
-    (:func:`_term_table`).  The chain is built for both channels at
-    once, so the table of the other channel at the same arguments, and
-    the closed form of either, read it back.
+    (:func:`_term_table`).  The chain serves both channels, so the table
+    of the other channel at the same arguments, and the closed form of
+    either, read it back.
     """
     z1 = np.atleast_1d(np.asarray(z1_values, dtype=complex))
-    axis, tags, rows = _zero_phase_chain(tuple(z1), theta,
-                                         POLARIZATION_CHANNELS, kappa,
-                                         False)[channel]
-    kept = {(0, pair): row for pair, row in zip(tags, rows)
+    axis, rows = _chain((0, 2), tuple(z1), theta, kappa, True, False)
+    kept = {(exponent, pair): row
+            for (exponent, pair), row in rows[channel].items()
             if not pair or pair[0][0] != pair[1][0]}
     return _term_table(axis, kept, z1, kappa, channel)
 

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import ndtri
 
 import mqcsim
-from mqcsim import __version__, disorder, expansion, oracle
+from mqcsim import __version__, expansion, oracle
 from mqcsim.cli import MC_FALSE_ALARM, family_z_limit, main, script
 from mqcsim.config import (MAX_DETUNING_COUNT, MAX_MC_SAMPLES,
                            MAX_ORACLE_DIRECTIONS, MIN_MC_SAMPLES, RunConfig)
@@ -727,38 +727,34 @@ def test_mc_average_builds_one_chain_per_kappa_and_channel(monkeypatch,
                                                            tmp_path):
     # the sampled tables and the closed forms read one cached zero-phase
     # chain per kappa, which serves both channels, built from a cold cache
-    disorder._zero_phase_chains.cache_clear()
+    expansion._chain.cache_clear()
     built = []
 
     def counted(*args, **kwargs):
-        built.append((args[4], args[3]))
+        built.append(args[3])
         return chain_rows(*args, **kwargs)
 
     chain_rows = expansion._chain_rows
-    for module in (expansion, disorder, oracle):
-        monkeypatch.setattr(module, "_chain_rows", counted)
+    monkeypatch.setattr(expansion, "_chain_rows", counted)
     assert main(["mc-average", "--mc-samples", "1000", "--detuning-count",
                  "5", "--output-dir", str(tmp_path)]) == 0
-    assert sorted(built) == [(1, ("parallel", "perpendicular")),
-                             (2, ("parallel", "perpendicular"))]
+    assert sorted(built) == [1, 2]
 
 
 def test_oracle_check_builds_one_chain_per_kappa(monkeypatch, tmp_path):
     # the term tables of both channels at one kappa read one chain, whose
     # kick 1 and interpulse prefixes serve both, built from a cold cache
-    oracle._channel_rows.cache_clear()
+    expansion._chain.cache_clear()
     built = []
 
     def counted(*args, **kwargs):
-        built.append((args[4], args[3]))
+        built.append(args[3])
         return chain_rows(*args, **kwargs)
 
     chain_rows = expansion._chain_rows
-    for module in (expansion, disorder, oracle):
-        monkeypatch.setattr(module, "_chain_rows", counted)
+    monkeypatch.setattr(expansion, "_chain_rows", counted)
     assert main(["oracle-check", "--output-dir", str(tmp_path)]) == 0
-    assert built == [(1, ("parallel", "perpendicular")),
-                     (2, ("parallel", "perpendicular"))]
+    assert built == [1, 2]
 
 
 def test_family_z_limit_holds_a_run_at_three_sigma():

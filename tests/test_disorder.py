@@ -227,15 +227,14 @@ def test_averaged_solution_builds_no_chain_whose_weights_are_all_zero(
     z1 = 1j * np.linspace(-3.0, 3.0, 7)
     theta, channel, kappa = 0.14 * np.pi, "perpendicular", 1
     inv2 = mean_inverse_xi_squared(xi_bar=80.0)
-    axis, rows = _chain_rows((0, 2), z1, theta, (channel,), kappa,
-                             zero_phase=True)
+    axis, rows = _chain_rows((0, 2), z1, theta, kappa, zero_phase=True)
     rows = rows[channel]
     assert rows and all(len(tags) == 2 for _, tags in rows)
     weights = _pair_weights(inv2, mode)
     column = {tag: i for i, tag in enumerate(TAG_KEYS)}
     weighted = sum(weights[column[a], column[b]] * part
                    for (_, (a, b)), part in rows.items())
-    monkeypatch.setattr(disorder, "_zero_phase_chain", None)
+    monkeypatch.setattr(disorder, "_chain", None)
     got = averaged_solution(z1, theta, channel, kappa, inv_xi_squared=inv2,
                             mode=mode)
     np.testing.assert_array_equal(got, _on_grid(axis, weighted, z1))

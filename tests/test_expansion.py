@@ -373,12 +373,12 @@ def test_interpulse_axis_is_chosen_by_size_and_poles():
 
 def test_long_grid_with_a_point_on_a_pole_raises_as_before():
     grid = 1j * np.linspace(-2.0, 2.0, 41)
-    _, rows = _chain_rows((2,), grid, 0.7, ("parallel",), 1)
+    _, rows = _chain_rows((2,), grid, 0.7, 1)
     assert rows["parallel"]
     # kick 1 leaves optical coherences of rate sum -1/2 in the prefix
     grid[5] = -0.5
     with pytest.raises(PoleError):
-        _chain_rows((2,), grid, 0.7, ("parallel",), 1)
+        _chain_rows((2,), grid, 0.7, 1)
 
 
 def _count_chain_steps(monkeypatch, *args, **kwargs):
@@ -410,18 +410,15 @@ def _count_chain_steps(monkeypatch, *args, **kwargs):
     return rows, counts, inserted
 
 
-@pytest.mark.parametrize("channels", [("parallel",),
-                                      ("parallel", "perpendicular")])
 @pytest.mark.parametrize("points", [7, 41])
-def test_each_interpulse_prefix_is_built_once(monkeypatch, points,
-                                              channels):
+def test_each_interpulse_prefix_is_built_once(monkeypatch, points):
     """A chain over several orders runs kick 1 once and inserts once
     into the mirror representative of every monomial of prefixes 0 to
     top - 2, powers (a, 0, c, 0) with a <= c, on the grid and on pole
-    labels alike, however many channels read them.  Every insertion is
-    fused with its z1 resolvent, one over all the products of the
-    monomial it inserts into, so the chain makes no plain insertion and
-    one z1 resolvent for kick 1 and one per representative."""
+    labels alike, for both channels.  Every insertion is fused with its
+    z1 resolvent, one over all the products of the monomial it inserts
+    into, so the chain makes no plain insertion and one z1 resolvent for
+    kick 1 and one per representative."""
     z1 = 1j * np.linspace(-3.0, 3.0, points)
     for orders, zero_phase in (((0, 1, 2, 3), False), ((0, 2), True)):
         top = max(orders)
@@ -430,9 +427,8 @@ def test_each_interpulse_prefix_is_built_once(monkeypatch, points,
                         0.7, 1, _interpulse_axis(z1, top + 1), top - 2)]
         assert all(prefixes)
         rows, counts, inserted = _count_chain_steps(
-            monkeypatch, orders, z1, 0.7, channels, 1,
-            zero_phase=zero_phase)
-        assert list(rows) == list(channels)
+            monkeypatch, orders, z1, 0.7, 1, zero_phase=zero_phase)
+        assert list(rows) == ["parallel", "perpendicular"]
         assert all(rows.values())
         assert inserted == [m for prefix in prefixes for m in prefix]
         assert counts == {"kicks": 1, "insertions": 0,
@@ -454,8 +450,7 @@ def test_no_detection_tail_is_longer_than_top_minus_one(
 
     monkeypatch.setattr(expansion, "_interaction_tails", recorded)
     _, rows = _chain_rows(orders, 1j * np.linspace(-3.0, 3.0, 7),
-                          0.14 * np.pi, ("parallel", "perpendicular"), 1,
-                          zero_phase=zero_phase, fast=fast)
+                          0.14 * np.pi, 1, zero_phase=zero_phase, fast=fast)
     assert rows["parallel"]
     assert max(lengths) == max(orders) - 1
 
@@ -476,16 +471,14 @@ def test_no_interpulse_prefix_is_longer_than_top_minus_one(
 
     monkeypatch.setattr(expansion, "_insertion_resolved", recorded)
     _, rows = _chain_rows(orders, 1j * np.linspace(-3.0, 3.0, 7),
-                          0.14 * np.pi, ("parallel", "perpendicular"), 1,
-                          zero_phase=zero_phase, fast=fast)
+                          0.14 * np.pi, 1, zero_phase=zero_phase, fast=fast)
     assert rows["parallel"]
     assert max(degrees, default=None) == (None if fast else max(orders) - 2)
 
 
-#: the oracle check's kappa = 1 chain: orders 0-3 on its 7-point grid,
-#: both channels
+#: the oracle check's kappa = 1 chain: orders 0-3 on its 7-point grid
 ORACLE_CHAIN = ((0, 1, 2, 3), 1j * np.linspace(-3.0, 3.0, 7), 0.14 * np.pi,
-                ("parallel", "perpendicular"), 1)
+                1)
 
 
 def test_no_kicked_tail_is_made_twice(monkeypatch):
@@ -509,7 +502,7 @@ def test_no_kicked_tail_is_made_twice(monkeypatch):
 
 
 #: ROADMAP item 4's order-4 chain: orders 0, 2 and 4 with zero net atom
-#: phase on the oracle check's grid, both channels
+#: phase on the oracle check's grid
 ORDER4_CHAIN = ((0, 2, 4),) + ORACLE_CHAIN[1:]
 
 
@@ -549,31 +542,6 @@ def test_last_split_keeps_one_pulled_back_array_alive(monkeypatch):
     assert len(made) == 4
 
 
-@pytest.mark.parametrize("zero_phase", [False, True])
-@pytest.mark.parametrize("kappa", [1, 2])
-@pytest.mark.parametrize("points", [7, 41])
-def test_shared_interpulse_stage_gives_each_channel_its_own_rows(
-        points, kappa, zero_phase):
-    # one chain over both channels against one chain per channel, on the
-    # grid and on pole labels: the same keys in the same order, and the
-    # same rows bit for bit
-    z1 = 1j * np.linspace(-3.0, 3.0, points)
-    args = ((0, 1, 2, 3), z1, 0.14 * np.pi)
-    channels = ("parallel", "perpendicular")
-    axis, both = _chain_rows(*args, channels, kappa, zero_phase=zero_phase)
-    assert isinstance(axis, PoleBasis) == (points == 41)
-    assert list(both) == list(channels)
-    for channel in channels:
-        one_axis, one = _chain_rows(*args, (channel,), kappa,
-                                    zero_phase=zero_phase)
-        assert list(one) == [channel]
-        assert type(one_axis) is type(axis)
-        assert one[channel]
-        assert list(both[channel]) == list(one[channel])
-        for key, rows in one[channel].items():
-            assert np.array_equal(both[channel][key], rows)
-
-
 @pytest.mark.parametrize("kappa", [1, 2])
 @pytest.mark.parametrize("points", [7, 41])
 def test_chain_rows_are_folded_onto_their_atom_exchange_mirror(points,
@@ -582,8 +550,7 @@ def test_chain_rows_are_folded_onto_their_atom_exchange_mirror(points,
     # its rows, so every key (e, tags) has its mirror (-e, tags) with the
     # same rows bit for bit, on the grid and on pole labels
     z1 = 1j * np.linspace(-3.0, 3.0, points)
-    _, rows = _chain_rows((0, 1, 2, 3), z1, 0.14 * np.pi,
-                          ("parallel", "perpendicular"), kappa)
+    _, rows = _chain_rows((0, 1, 2, 3), z1, 0.14 * np.pi, kappa)
     for by_key in rows.values():
         assert any(exponent for exponent, _ in by_key)
         for (exponent, tags), value in by_key.items():
@@ -633,11 +600,13 @@ def test_zero_phase_chain_keeps_the_plain_chains_zero_phase_rows(kappa,
     # the keep rule of the averaged chain, checked against the chain
     # without it on the oracle check's grid: the same rows, key for key
     z1 = 1j * np.linspace(-3.0, 3.0, 7)
-    args = ((0, 1, 2, 3), z1, 0.14 * np.pi, (channel,), kappa)
+    args = ((0, 1, 2, 3), z1, 0.14 * np.pi, kappa)
     plain = _chain_rows(*args)[1][channel]
     zero = _chain_rows(*args, zero_phase=True)[1][channel]
     assert set(zero) == {key for key in plain if key[0] == 0}
-    assert {len(tags) for _, tags in zero} == {0, 2}
+    # at kappa = 2 the order-0 key is exactly zero and not built
+    assert {len(tags) for _, tags in zero} == ({0, 2} if kappa == 1
+                                               else {2})
     for key, rows in zero.items():
         assert np.array_equal(rows, plain[key])
 
@@ -660,24 +629,21 @@ def _obeys_selection_rules(key, kappa, channel):
 @pytest.mark.parametrize("theta", [0.44, 0.8])
 def test_order_zero_at_kappa_two_is_exactly_zero(theta):
     # at kappa = 2 the order-0 key reads the trace row of the p = +-1
-    # kick-2 harmonics, which is exactly zero
-    _, rows = _chain_rows((0,), 1j * np.linspace(-3.0, 3.0, 7), theta,
-                          ("parallel", "perpendicular"), 2)
-    for channel_rows in rows.values():
-        assert list(channel_rows) == [(0, ())]
-        assert not np.any(channel_rows[(0, ())])
+    # kick-2 harmonics, which is exactly zero, so the chain has no key
+    _, rows = _chain_rows((0,), 1j * np.linspace(-3.0, 3.0, 7), theta, 2)
+    assert rows == {"parallel": {}, "perpendicular": {}}
 
 
 @pytest.mark.parametrize("theta", [0.14 * np.pi, 0.8, 1.3])
 @pytest.mark.parametrize("kappa, channel, count", [
-    (1, "parallel", 339), (1, "perpendicular", 216),
-    (2, "parallel", 253), (2, "perpendicular", 253)])
+    (1, "parallel", 233), (1, "perpendicular", 164),
+    (2, "parallel", 174), (2, "perpendicular", 186)])
 def test_selection_rules_hold_on_the_forward_chain(theta, kappa, channel,
                                                    count):
     # the forward chain keeps every key, so the keys that break a rule
     # must be roundoff there; the chain driver skips them and keeps only
     # keys that obey both rules, and every key above roundoff that obeys
-    # them; a key whose every product is exactly zero is not built
+    # them; no key whose rows are exactly zero is built
     z1 = 1j * np.linspace(-3.0, 3.0, 7)
     covectors = np.stack([_detection_covector(d).conj()
                           for d in DETECTION_DIRECTIONS])
@@ -693,11 +659,11 @@ def test_selection_rules_hold_on_the_forward_chain(theta, kappa, channel,
               if not _obeys_selection_rules(key, kappa, channel)]
     assert broken and max(broken) < 1e-15 * peak
     for zero_phase in (False, True):
-        _, rows = _chain_rows((0, 1, 2, 3), z1, theta, (channel,), kappa,
+        _, rows = _chain_rows((0, 1, 2, 3), z1, theta, kappa,
                               zero_phase=zero_phase)
         rows = rows[channel]
         assert all(_obeys_selection_rules(key, kappa, channel)
-                   for key in rows)
+                   and values.any() for key, values in rows.items())
         held = {key for key, values in forward.items()
                 if _obeys_selection_rules(key, kappa, channel)
                 and np.max(np.abs(values)) > 1e-15 * peak
@@ -748,13 +714,12 @@ def test_chain_rows_match_the_forward_reference(orders, z1, zero_phase,
     # insertion after kick 2, so split 0 of the top order runs forward on
     # its own: the same keys above roundoff, and the rows of every key of
     # either within 1e-15 of the peak
-    theta, channels, points = 0.14 * np.pi, ("parallel", "perpendicular"), \
-        list(points)
-    axis, rows = _chain_rows(orders, z1, theta, channels, kappa,
+    theta, points = 0.14 * np.pi, list(points)
+    axis, rows = _chain_rows(orders, z1, theta, kappa,
                              zero_phase=zero_phase, fast=fast)
     # one z1 resolvent with ``fast``: 5 pole labels, fewer than 7 points
     assert isinstance(axis, PoleBasis) == (z1.size > 7 or fast)
-    for channel in channels:
+    for channel in rows:
         forward = {}
         for order in orders:
             for key, value in _forward_rows(order, tuple(points), theta,
@@ -793,8 +758,7 @@ def test_pole_guard_raises_where_kick_one_leaves_weight_on_the_pole(orders):
                 z1 = 1j * np.linspace(-2.0, 2.0, 41)
                 z1[5] = pole
                 try:
-                    _chain_rows(orders, z1, theta,
-                                ("parallel", "perpendicular"), kappa)
+                    _chain_rows(orders, z1, theta, kappa)
                 except PoleError as error:
                     frames = traceback.extract_tb(error.__traceback__)
                     assert [frame.name for frame in frames[1:3]] == [

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 from scipy.linalg import expm
 
-from mqcsim import oracle
+from mqcsim import disorder, expansion, oracle
 from mqcsim.atom import dipole_lowering, kick_decomposition
 from mqcsim.basis import sandwich_matrix
 from mqcsim.coupling import coupling_tensor, tensor_tag_value
@@ -36,7 +36,8 @@ from mqcsim.oracle import (
 )
 from mqcsim.expansion import (TERM_FLOOR, _detection_covector,
                               scattering_solution)
-from mqcsim.spectra import DETECTION_DIRECTIONS, spectrum
+from mqcsim.spectra import (DETECTION_DIRECTIONS, directional_spectra,
+                            spectrum)
 from reference import (decay_generator, excited_projector, free_propagator,
                        interaction_generator, pair_basis_columns, pair_kick)
 from transient import (IntegrationError, OracleRun, _propagate,
@@ -821,6 +822,35 @@ def test_surviving_table_holds_the_surviving_keys_of_the_chain(
     for table in (full, kept):
         keys = list(zip(table.phase_exponents, table.tags))
         assert keys == sorted(keys, key=repr)
+
+
+def test_chain_cache_hands_every_reader_the_same_read_only_rows(
+        monkeypatch):
+    # the closed form and the sampled table at the same arguments read
+    # one cached chain, from a cold cache: the same arrays, none writable
+    expansion._chain.cache_clear()
+    read = []
+
+    def recorded(*args):
+        read.append(expansion._chain(*args))
+        return read[-1]
+
+    for module in (disorder, oracle):
+        monkeypatch.setattr(module, "_chain", recorded)
+    detunings = np.linspace(-2.0, 2.0, 9)
+    directional_spectra(1, "parallel", DETECTION_DIRECTIONS, THETA,
+                        detunings, xi_bar=80.0)
+    surviving_term_table(THETA, "parallel", 1, 1j * detunings)
+    assert len(read) == 2 and read[0] is read[1]
+    assert expansion._chain.cache_info().misses == 1
+    _, rows = read[0]
+    assert list(rows) == ["parallel", "perpendicular"]
+    for by_key in rows.values():
+        assert by_key
+        for row in by_key.values():
+            assert not row.flags.writeable
+            with pytest.raises(ValueError):
+                row[0, 0] = 1.0
 
 
 def test_monte_carlo_is_deterministic():

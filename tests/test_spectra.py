@@ -240,12 +240,11 @@ def _clear_caches():
 
 
 def test_fig4_builds_one_chain_per_kappa_and_channel(monkeypatch):
-    # both average modes weight the same chain, which holds no weights,
-    # and its last prefix is never held whole: from cold caches, the
-    # eight calls of a fig4 run make three kick-1 calls, as the kappa = 1
-    # perpendicular chain has only zero weights and is never built, and
-    # hold at most 8 MB at once (5.4 MB measured with all four chains;
-    # 14.4 MB with the last prefix stored)
+    # both average modes and both channels read the same chain at each
+    # kappa, which holds no weights, and its last prefix is never held
+    # whole: from cold caches, the eight calls of a fig4 run make two
+    # kick-1 calls, one per kappa, and hold at most 8 MB at once (5.4 MB
+    # measured with all four chains; 14.4 MB with the last prefix stored)
     _clear_caches()
     apply_kick = expansion.apply_kick
     kicks = []
@@ -266,7 +265,7 @@ def test_fig4_builds_one_chain_per_kappa_and_channel(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert kicks == [1] * 3
+    assert kicks == [1] * 2
     assert peak < 8e6
 
 
