@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mqcsim import expansion
-from mqcsim.atom import (DETECTION_DIRECTIONS, FIRST_POLARIZATION, PoleError,
-                         kick_decomposition)
+from mqcsim.atom import (DETECTION_DIRECTIONS, FIRST_POLARIZATION,
+                         SECOND_POLARIZATION, PoleError, kick_decomposition)
 from mqcsim.basis import apply_factorized, matrix_unit
 from mqcsim.coupling import TAG_KEYS, coupling_tensor, tensor_tag_value
 from mqcsim.expansion import (
@@ -410,15 +410,26 @@ def _count_chain_steps(monkeypatch, *args, **kwargs):
     return rows, counts, inserted
 
 
+def _only_channels(monkeypatch, channels):
+    """Make the chain contract only ``channels``, in that order, by
+    narrowing the second-pulse polarizations it reads."""
+    monkeypatch.setattr(expansion, "SECOND_POLARIZATION", {
+        channel: SECOND_POLARIZATION[channel] for channel in channels})
+
+
+@pytest.mark.parametrize("channels", [("parallel",),
+                                      ("parallel", "perpendicular")])
 @pytest.mark.parametrize("points", [7, 41])
-def test_each_interpulse_prefix_is_built_once(monkeypatch, points):
+def test_each_interpulse_prefix_is_built_once(monkeypatch, points,
+                                              channels):
     """A chain over several orders runs kick 1 once and inserts once
     into the mirror representative of every monomial of prefixes 0 to
     top - 2, powers (a, 0, c, 0) with a <= c, on the grid and on pole
-    labels alike, for both channels.  Every insertion is fused with its
-    z1 resolvent, one over all the products of the monomial it inserts
-    into, so the chain makes no plain insertion and one z1 resolvent for
-    kick 1 and one per representative."""
+    labels alike, however many channels read them.  Every insertion is
+    fused with its z1 resolvent, one over all the products of the
+    monomial it inserts into, so the chain makes no plain insertion and
+    one z1 resolvent for kick 1 and one per representative."""
+    _only_channels(monkeypatch, channels)
     z1 = 1j * np.linspace(-3.0, 3.0, points)
     for orders, zero_phase in (((0, 1, 2, 3), False), ((0, 2), True)):
         top = max(orders)
@@ -428,7 +439,7 @@ def test_each_interpulse_prefix_is_built_once(monkeypatch, points):
         assert all(prefixes)
         rows, counts, inserted = _count_chain_steps(
             monkeypatch, orders, z1, 0.7, 1, zero_phase=zero_phase)
-        assert list(rows) == ["parallel", "perpendicular"]
+        assert list(rows) == list(channels)
         assert all(rows.values())
         assert inserted == [m for prefix in prefixes for m in prefix]
         assert counts == {"kicks": 1, "insertions": 0,
@@ -540,6 +551,34 @@ def test_last_split_keeps_one_pulled_back_array_alive(monkeypatch):
     _, rows = _chain_rows(*ORACLE_CHAIN)
     assert all(rows.values())
     assert len(made) == 4
+
+
+@pytest.mark.parametrize("zero_phase", [False, True])
+@pytest.mark.parametrize("kappa", [1, 2])
+@pytest.mark.parametrize("points", [7, 41])
+def test_shared_interpulse_stage_gives_each_channel_its_own_rows(
+        monkeypatch, points, kappa, zero_phase):
+    # the chain over both channels against a chain narrowed to one
+    # channel, on the grid and on pole labels: the same keys in the same
+    # order, and the same rows bit for bit, none of them one array with a
+    # row of the other channel
+    z1 = 1j * np.linspace(-3.0, 3.0, points)
+    args = ((0, 1, 2, 3), z1, 0.14 * np.pi, kappa)
+    axis, both = _chain_rows(*args, zero_phase=zero_phase)
+    assert isinstance(axis, PoleBasis) == (points == 41)
+    assert list(both) == ["parallel", "perpendicular"]
+    assert not {id(row) for row in both["parallel"].values()} & {
+        id(row) for row in both["perpendicular"].values()}
+    for channel in both:
+        with monkeypatch.context() as narrowed:
+            _only_channels(narrowed, (channel,))
+            one_axis, one = _chain_rows(*args, zero_phase=zero_phase)
+        assert list(one) == [channel]
+        assert type(one_axis) is type(axis)
+        assert one[channel]
+        assert list(both[channel]) == list(one[channel])
+        for key, rows in one[channel].items():
+            assert np.array_equal(both[channel][key], rows)
 
 
 @pytest.mark.parametrize("kappa", [1, 2])
