@@ -71,11 +71,13 @@ def coupling_tensor(xi, n_hat, mode: str = "exact") -> np.ndarray:
         n_hat: unit vector along the interatomic axis (normalized here);
             shape (3,), or (B, 3) with a batch of separations.
         mode: "exact" keeps all retardation orders; "far_field" keeps the
-            1/xi transverse term only; "near_field" keeps the 1/xi^3
-            quasistatic term only.
+            1/xi transverse term only.
 
     Returns:
         The tensor, shape (3, 3), or (B, 3, 3) for a batch.
+
+    Raises:
+        ValueError: ``mode`` is neither "exact" nor "far_field".
 
     The real part is the collective-decay kernel, the imaginary part the
     collective level-shift kernel.  The tensor is symmetric and even
@@ -93,8 +95,6 @@ def coupling_tensor(xi, n_hat, mode: str = "exact") -> np.ndarray:
                                            + (1.0 / xi**2 - 1j / xi**3) * quasistatic)
     if mode == "far_field":
         return scale * (1j * np.exp(-1j * xi) / xi) * transverse
-    if mode == "near_field":
-        return scale * (-1j / xi**3) * quasistatic
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -60,19 +60,26 @@ SEPARATION_WINDOW = (67.2, 92.8)
 
 
 def mean_inverse_xi_squared(xi_bar: float = None, window=None) -> float:
-    """<1/xi^2> for a sharp separation xi_bar or a uniform window (lo, hi)."""
+    """<1/xi^2> for a sharp separation xi_bar or a uniform window (lo, hi).
+
+    Raises:
+        ValueError: not exactly one of the two is given, the one given
+            is invalid, or its <1/xi^2> under- or overflows.
+    """
     if (xi_bar is None) == (window is None):
         raise ValueError("give exactly one of xi_bar or window")
     if xi_bar is not None:
-        source = f"mean separation xi_bar = {xi_bar!r} must be positive"
+        given, rule = f"mean separation xi_bar = {xi_bar!r}", "be positive"
         valid, product = xi_bar > 0, xi_bar * xi_bar
     else:
         lo, hi = window
-        source = f"window {window!r} must satisfy 0 < lo < hi"
+        given, rule = f"window {window!r}", "satisfy 0 < lo < hi"
         valid, product = 0 < lo < hi, lo * hi
-    value = 1.0 / product if valid and product > 0 else 0.0
+    if not valid:
+        raise ValueError(f"{given} must {rule}")
+    value = 1.0 / product if product else float("inf")
     if not 0.0 < value < float("inf"):
-        raise ValueError(f"{source} with a positive finite <1/xi^2>")
+        raise ValueError(f"{given} gives <1/xi^2> = {value!r}, not in (0, inf)")
     return value
 
 

@@ -127,16 +127,13 @@ step matrices of :func:`_pole_sectors` on a pole basis, 1 / (z1 - s) on
 a grid (:func:`_sector_division`).  So a chain of highest order n builds
 no prefix and no tail longer than n - 1 insertions.
 
-Both pole guards hold at split n.  On a pole basis the forward division
-would raise on weight in the label (r, n + 1) of a product's own sector
-r.  A monomial of prefix n - 1 has been through n z1 resolvents, so it
-and every product of an insertion on it carry at most the labels
-(r, n), and the guard cannot fire.  On a grid with a point on a pole,
-split n runs the forward step, insertion and z1 resolvent, on each
-monomial of prefix n - 1 for its guard alone and discards the
-quotients; on a grid with no point on a pole there is nothing to
-guard.  A grid point on a pole whose weight the guard lets pass gets
-the factor 0, as in the forward division.
+Split n keeps both pole guards of :func:`apply_resolvent`.  On a pole
+basis, a monomial of prefix n - 1 has been through n z1 resolvents, so
+it and its insertions carry at most the labels (r, n), below the
+guarded (r, n + 1).  On a grid with a point on a pole, split n runs the
+forward step on prefix n - 1 for its guard alone and discards the
+quotients, and a pole whose weight the guard lets pass gets the factor
+0, as in the forward division.
 
 Two selection rules make most (net atom-1 exponent, tags) keys exactly
 zero, and the chain never builds them:
@@ -192,17 +189,8 @@ guard is unaffected: S maps each decay sector to one of the same rate
 sum, and the guard measures every monomial against its own entries, so
 the kept half raises exactly where the dropped half would.
 
-Every reader takes the chain from one cache, :func:`_chain`, which
-holds the last two chains built, both channels each, read-only.
-:func:`mqcsim.disorder.averaged_solution` reads the chain whose kick 2
-keeps only zero net atom phase, weights every key by its factor-pair
-average and evaluates the weighted sum once, with no key dropped: the
-chain itself holds no weights.  Where the Cartesian parity leaves every
-key an odd count of x and y (:func:`_key_parity`), every weight is
-zero, and it reads no chain.  The term tables of :mod:`mqcsim.oracle`
-read either that zero-phase chain or the chain of every phase, drop
-the keys below ``TERM_FLOOR`` on the z1 axis and evaluate the rest on
-the grid.
+Every reader takes the chain from one cache, :func:`_chain`;
+:mod:`mqcsim.disorder` and :mod:`mqcsim.oracle` say what they read.
 :func:`scattering_solution` keeps the whole forward state of one order,
 both mirror halves included, and is the reference that the tests check
 the driver against.
@@ -586,10 +574,7 @@ def _interaction_tails(length: int) -> dict:
     :func:`_axis_parity`.  They depend on nothing else, so every chain
     shares them.  Returns a dict from the parity to the group's
     multisets and one array of its tails side by side, columns 2 i and
-    2 i + 1 for multiset i.  Each insertion applies every transposed
-    piece to the shorter tails of all groups in one product and merges
-    the products by sorted multiset; R(0) then acts on each group's
-    tails side by side (:func:`_transposed_resolvent`)."""
+    2 i + 1 for multiset i."""
     if length == 0:
         groups = {0: {(): np.stack([_detection_covector(d).conj()
                                     for d in DETECTION_DIRECTIONS], axis=1)}}
@@ -702,17 +687,13 @@ def _chain_rows(orders, z1, theta: float, kappa: int, *,
     kicked tails of a length are alive.
 
     All orders share the z1 axis of the splits of the highest order
-    (:func:`_interpulse_axis`): its exact :class:`PoleBasis` when that
-    has fewer labels than ``z1`` has points and no point of ``z1`` lies
-    on a pole, the grid ``z1`` otherwise.
-
-    Only the monomials read out at demodulation harmonic ``kappa`` are
-    kept: kick 1 keeps net pulse-1 exponent -kappa, kick 2 net pulse
-    exponents (-kappa, kappa).  With ``zero_phase``, kick 2 also keeps
-    only zero net exponent on each atom, the monomials whose position
-    phases survive the disorder average (:mod:`mqcsim.disorder`), so
-    every key has e = 0 and no odd order survives.  The other arguments
-    are those of :func:`scattering_solution`.
+    (:func:`_interpulse_axis`).  Only the monomials read out at
+    demodulation harmonic ``kappa`` are kept, as :func:`apply_kick`
+    prunes them.  With ``zero_phase``, kick 2 also keeps only zero net
+    exponent on each atom, the monomials whose position phases survive
+    the disorder average (:mod:`mqcsim.disorder`), so every key has
+    e = 0 and no odd order survives.  The other arguments are those of
+    :func:`scattering_solution`.
 
     Returns:
         the axis, and a dict from each channel to a dict mapping (net
@@ -731,10 +712,8 @@ def _chain_rows(orders, z1, theta: float, kappa: int, *,
 
     @functools.cache
     def kick2_pairs(powers, parity):
-        # the kick-2 harmonic pairs read at kappa (p1 + p2 = kappa, as
-        # kick 1 left a + c = -kappa; p1 = -a with ``zero_phase``) whose
-        # net atom-1 exponent has the parity of the key's order; the
-        # rule is the same in every channel
+        # the kick-2 pairs of the module docstring, in every channel;
+        # p1 = -a alone with ``zero_phase``
         a = powers[0]
         firsts = (-a,) if zero_phase else range(-2, 3)
         return tuple((p1, kappa - p1) for p1 in firsts
@@ -755,10 +734,9 @@ def _chain_rows(orders, z1, theta: float, kappa: int, *,
         return kicked[step]
 
     def blocked(prefix):
-        # the prefix by class, its powers, which fix the kick-2 pairs, and
-        # the axis parity of its tags, which fixes the tails it meets; each
-        # class stacked once, (rows, monomials x axis), over the rows where
-        # any of its monomials is nonzero
+        # the prefix by class (see the module docstring), each class
+        # stacked once, (rows, monomials x axis), over the rows where any
+        # of its monomials is nonzero
         classes, blocks = {}, []
         for monomial, coeffs in prefix.items():
             classes.setdefault((monomial.powers, _axis_parity(monomial.tags)),

@@ -6,48 +6,22 @@ the master-equation generator and the pair pulse unitaries are
 assembled from Kronecker products of explicit 4x4 blocks, and the two
 time integrals are direct linear solves:
 :func:`demodulated_laplace` computes the fixed-configuration Laplace
-components as resolvent solves, with the pulse phases removed by
-harmonic binning of the pair unitary, so the result is directly
-comparable to the perturbative chain, the only difference being the
-neglected interaction orders.  The harmonics are exact in closed form:
-the laser phase enters a pulse unitary only as a phase per excitation,
-so :func:`binned_kick` sorts the entries of one zero-phase unitary by
-their change of the excitation number.  Each solve runs on the one
-coherence order n(a) - n(b) of the entries rho_ab that its states
-occupy (:func:`coherence_orders`): the generator conserves the order
-and kick harmonic p shifts it by p, so the interpulse states of
-harmonic -kappa lie in order -kappa and what the detectors read in
-order 0.  The generator's block on one order is assembled directly
-(:func:`_order_block`), so an oracle call builds no 256x256 matrix:
-60x60 for kappa = 1, 9x9 for kappa = 2 and 118x118 on order 0.
-:func:`pair_generator` builds the full matrix, the blocks' reference.
-Detection runs from the detector side: one transposed solve at z2 = 0
-on order 0 resolves the two detector covectors, exactly despite the
-transposed deflation, because they read nothing on the ground pair;
-each is pulled back through pulse 2's harmonic and dotted with the z1
-solutions, so no detected state is built.  The tests hold the
-time-domain transients on the full generator and the same pulses.
+components as resolvent solves, with the pulse phases removed by the
+exact harmonics of the pair unitary (:func:`binned_kick`), so the result
+is directly comparable to the perturbative chain, the only difference
+being the neglected interaction orders.  Each solve runs on one
+coherence order (see :func:`coherence_orders`), so an oracle call builds
+no 256x256 matrix; :func:`pair_generator` builds the full one, the
+reference of the order blocks.  The tests hold the time-domain
+transients on the full generator and the same pulses.
 
-The perturbative side of every comparison is built on the chain it is
-compared with, read from the expansion's one chain cache
-(:func:`mqcsim.expansion._chain`), whose chains serve both channels:
-
-  * term tables hold the chain's detected rows per phase exponent and
-    coupling-factor multiset, without the keys below ``TERM_FLOOR``,
-    the roundoff of exactly cancelling monomials.
-    :func:`demodulated_term_table` keeps every phase exponent, and
-    :func:`fixed_configuration_components` prices it at a single
-    configuration;
-  * Monte-Carlo configuration averages (:func:`monte_carlo_spectrum`)
-    price a term table over random geometry and average it with
-    standard errors.
-
-The closed form that the Monte Carlo checks,
-:func:`mqcsim.disorder.averaged_solution`, weights the keys of the
-chain whose second kick keeps only zero net atom phase, with no floor,
-and reads none where every weight is zero.  :func:`surviving_term_table`
-reads the same cached chain, where the closed form is zero too, and
-keeps the keys whose average survives.
+The perturbative side of every comparison reads the expansion's one
+chain cache (:func:`mqcsim.expansion._chain`).  Term tables
+(:func:`demodulated_term_table`, :func:`surviving_term_table`) hold a
+chain's detected rows per phase exponent and coupling-factor multiset,
+:func:`fixed_configuration_components` prices one at a single
+configuration, and :func:`monte_carlo_spectrum` averages one over random
+geometry with standard errors.
 
 Geometry conventions: both pulses propagate along +z with linear
 polarizations in the x-y plane, atom 2 sits at the origin, and atom 1
@@ -139,7 +113,8 @@ def pair_generator(xi: float, n_hat, mode: str = "exact") -> np.ndarray:
 
     Contains the independent-atom decay of both atoms and the complete
     dipole-dipole coupling for the given geometry; no perturbative
-    truncation.  ``mode`` selects the coupling-tensor variant.
+    truncation.  ``mode`` selects the coupling-tensor variant, "exact" or
+    "far_field".
 
     With the six pair lowering operators L_a, a = (atom, Cartesian
     axis), and the 6x6 rate matrix A holding I/2 on the two
@@ -148,8 +123,7 @@ def pair_generator(xi: float, n_hat, mode: str = "exact") -> np.ndarray:
         rho -> sum_ab [2 Re A_ab L_b rho L_a^dag
                        - A_ab rho L_a^dag L_b - A_ab^* L_a^dag L_b rho].
 
-    The oracle's solves build only its blocks on single coherence orders
-    (:func:`_order_block`); the full matrix is their reference.
+    The reference of the order blocks of :func:`_order_block`.
     """
     lowering = _pair_lowering()
     weighted, right, left = _generator_terms(xi, n_hat, mode)
@@ -237,6 +211,17 @@ def coherence_orders() -> np.ndarray:
     pair state a = 4 a1 + a2 holding atom 1 in level a1 and atom 2 in
     level a2.  Its order is n(a) - n(b), where n counts the atoms
     outside the ground level |1>.
+
+    The oracle solves on single orders.  The rotating-wave generator
+    conserves the order: a jump L_b rho L_a^dag lowers both sides by one
+    excitation, and L_a^dag L_b keeps one side's count.  Kick harmonic p
+    shifts it by exactly p: each atom's unitary carries the laser phase
+    as e^{+i phase} per raising and e^{-i phase} per lowering, so U_q
+    changes the excitation count by q and U_q rho U_{q-p}^dag the order
+    by p.  So pulse 1's harmonic -kappa takes the ground pair to order
+    -kappa (60 entries for kappa = 1, 9 for kappa = 2), and pulse 2's
+    +kappa takes it back to order 0 (118 entries), where the detector
+    covectors and the deflation of :func:`_order_solve` live.
     """
     pair = np.add.outer(EXCITATIONS, EXCITATIONS).reshape(-1)
     out = np.subtract.outer(pair, pair).reshape(-1)
@@ -363,22 +348,10 @@ def demodulated_laplace(xi: float, n_hat, theta: float, kappas, channels,
     detection time: harmonic -kappa of pulse 1 and +kappa of each pulse
     2 (:func:`kick_harmonic`) on 16x16 states, and the two time
     integrals as exact resolvent solves of the full generator, the
-    second at z2 = 0.
-
-    Each solve runs on the one coherence order its states occupy, on
-    the generator's block there (:func:`_order_block`), and no 256x256
-    matrix is built.  The rotating-wave generator conserves the order
-    n(a) - n(b): a jump L_b rho L_a^dag lowers both sides by one
-    excitation, and L_a^dag L_b keeps one side's count.  Kick harmonic p
-    shifts the order by exactly p: each atom's unitary carries the laser
-    phase as e^{+i phase} per raising and e^{-i phase} per lowering, so
-    U_q changes the excitation count by q and U_q rho U_{q-p}^dag the
-    order by p.  Pulse 1's harmonic -kappa takes the ground pair to
-    order -kappa (60 entries for kappa = 1, 9 for kappa = 2), and each
-    pulse 2's +kappa takes it back to order 0 (118 entries), where the
-    detector covectors and the deflation live.  Each kappa takes one
-    stacked call that solves every z1 point on order -kappa, with no
-    deflation.
+    second at z2 = 0.  Each solve runs on the generator's block
+    (:func:`_order_block`) on the one coherence order its states occupy
+    (see :func:`coherence_orders`), and each kappa takes one stacked call
+    that solves every z1 point on order -kappa, with no deflation.
 
     Detection runs from the detector side.  A component is c R0 K r:
     c a detector covector, R0 the resolvent at z2 = 0, K pulse 2's
@@ -388,9 +361,7 @@ def demodulated_laplace(xi: float, n_hat, theta: float, kappas, channels,
     exact there).  Each reader is pulled back through K as
     W = sum_q U_q^T Y conj(U_{q-kappa}), Y the reader as a 16x16
     matrix, which lies in order -kappa, and dotted with the z1
-    solutions: len(z1_values) systems per kappa, 60x60 for kappa = 1
-    and 9x9 for kappa = 2, and one 118x118, and no detected state is
-    built.
+    solutions, so no detected state is built.
 
     Returns:
         dict mapping (kappa, channel, direction) to an array of
@@ -586,9 +557,7 @@ def surviving_term_table(theta: float, channel: str, kappa: int,
     :func:`mqcsim.disorder.averaged_solution` weights, from the same
     cache, and keeps its keys with no tag or a mixed-kind tag pair, less
     those below ``TERM_FLOOR`` of the largest kept key
-    (:func:`_term_table`).  The chain serves both channels, so the table
-    of the other channel at the same arguments, and the closed form of
-    either, read it back.
+    (:func:`_term_table`).
     """
     z1 = np.atleast_1d(np.asarray(z1_values, dtype=complex))
     axis, rows = _chain((0, 2), tuple(z1), theta, kappa, True, False)
@@ -646,15 +615,12 @@ def monte_carlo_spectrum(table: TermTable, n_samples: int, *, seed: int,
     of the mean, real and imaginary parts packed as a complex number.
 
     Args:
-        table: term table from :func:`surviving_term_table`, which
-            holds only the phase monomials the closed-form average
-            keeps, so the mean is an unbiased estimate of the closed
-            form; or from :func:`demodulated_term_table`, which samples
-            the whole truncated chain, whose mean retains
-            window-endpoint residues of the oscillating families, a
-            relative bias of order 1/(xi window width) that the small
-            perpendicular two-quantum channel resolves at the percent
-            level.
+        table: term table from :func:`surviving_term_table`, whose
+            mean estimates the closed form without bias, or from
+            :func:`demodulated_term_table`, whose mean keeps the
+            window-endpoint residues that the former drops (see
+            there); the small perpendicular two-quantum channel
+            resolves them at the percent level.
         n_samples: configuration count, at least two so that the
             standard error is defined.
 

@@ -407,6 +407,21 @@ def test_bad_inputs_exit_with_two(tmp_path, capsys, argv, config):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--xi-bar", "1e300"],
+    ["mc-average", "--window", "1e300", "1e301"],
+], ids=["xi-bar", "window"])
+def test_underflowing_inverse_square_separation_is_named(tmp_path, capsys,
+                                                         argv):
+    # the input is positive and ordered; what fails is <1/xi^2>, which
+    # underflows to 0, and the refusal says so
+    assert main(argv + ["--output-dir", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "<1/xi^2> = 0.0" in err
+    assert "must be positive" not in err and "0 < lo < hi" not in err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("subcommand,flag,cap", [
     ("oracle-check", "--oracle-directions", MAX_ORACLE_DIRECTIONS),
     ("mc-average", "--mc-samples", MAX_MC_SAMPLES),

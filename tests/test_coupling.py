@@ -33,14 +33,14 @@ def _atom_ops(k):
 
 def test_tensor_symmetry_and_axis_parity():
     for n in RNG_DIRECTIONS:
-        for mode in ("exact", "far_field", "near_field"):
+        for mode in ("exact", "far_field"):
             t = coupling_tensor(3.7, n, mode=mode)
             assert np.allclose(t, t.T, atol=1e-14)
             assert np.allclose(t, coupling_tensor(3.7, -n, mode=mode),
                                atol=1e-14)
 
 
-@pytest.mark.parametrize("mode", ["exact", "far_field", "near_field"])
+@pytest.mark.parametrize("mode", ["exact", "far_field"])
 def test_coupling_tensor_batch_matches_single_calls(mode):
     rng = np.random.default_rng(3)
     xi = rng.uniform(5.0, 100.0, 6)
@@ -83,13 +83,18 @@ def test_far_field_pair_products_are_real():
 
 
 def test_near_field_limit():
+    # the exact tensor's quasistatic limit, 0.75 (-i / xi^3) (I - 3 n n)
     n = np.array([0.0, 0.0, 1.0])
     xi = 1.0e-3
     exact = coupling_tensor(xi, n)
-    near = coupling_tensor(xi, n, mode="near_field")
+    near = 0.75 * (-1j / xi**3) * (np.eye(3) - 3.0 * np.outer(n, n))
     assert np.linalg.norm(exact - near) < 5 * xi * np.linalg.norm(near)
-    with pytest.raises(ValueError):
-        coupling_tensor(1.0, n, mode="bogus")
+
+
+@pytest.mark.parametrize("mode", ["near_field", "bogus", "EXACT"])
+def test_coupling_tensor_accepts_only_exact_and_far_field(mode):
+    with pytest.raises(ValueError, match="unknown mode"):
+        coupling_tensor(1.0, np.array([0.0, 0.0, 1.0]), mode=mode)
 
 
 def _dense_generator(tensor):
