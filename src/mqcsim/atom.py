@@ -1,12 +1,11 @@
 """Single-atom structure and dynamics.
 
 The atom has a J = 0 ground state |1> and a J = 1 excited triplet
-|2>, |3>, |4> (m = -1, 0, +1).  In the Cartesian excited basis
-
-    |x> = (|4> - |2>)/sqrt(2),  |y> = (|4> + |2>)/(sqrt(2) i),  |z> = |3>,
-
-the lowering operator along a Cartesian direction k is simply |1><k|,
-which keeps the pulse and detection algebra transparent.
+carried in its Cartesian basis: |2>, |3>, |4> are |x>, |y>, |z>, the
+excited levels whose dipoles point along the three axes.  The lowering
+operator along axis k is then the matrix unit D_k = |1><k|, so every
+component that vanishes by symmetry is an exact zero.  (The m = -1, 0,
++1 sublevels are |m=+-1> = +-(|x> +- i|y>)/sqrt(2), |m=0> = |z>.)
 
 Pulses are impulsive: a pulse of area theta, linear polarization e, and
 optical phase phi applies U = exp(-i theta/2 (S^dag e^{i phi} + S e^{-i phi}))
@@ -17,8 +16,8 @@ select demodulation orders without scanning the phase numerically.
 
 Free evolution is spontaneous decay at rate gamma, which sets the unit
 of time and frequency throughout (gamma = 1): optical coherences decay
-at 1/2, excited populations and Zeeman coherences at 1, and the ground
-population collects the emitted weight.  :func:`decay_eigensystem`
+at 1/2, excited populations and excited-level coherences at 1, and the
+ground population collects the emitted weight.  :func:`decay_eigensystem`
 diagonalizes that generator exactly and lists its modes in
 operator-basis order: four population modes on the diagonal basis
 indices, then every off-diagonal basis element as a mode of its own.
@@ -41,8 +40,6 @@ import numpy as np
 from .basis import (HILBERT_DIM, NUM_OPS, build_single_atom_basis, expand,
                     matrix_unit, sandwich_matrix)
 
-_SQRT2 = np.sqrt(2.0)
-
 _CART_LABELS = {"x": 0, "y": 1, "z": 2}
 
 #: polarization of the first pulse, the same in every channel
@@ -61,16 +58,9 @@ class PoleError(ValueError):
 
 @functools.cache
 def dipole_components() -> np.ndarray:
-    """Cartesian lowering operators (D_x, D_y, D_z), shape (3, 4, 4).
-
-    D_k = |1><k| with |k> the Cartesian excited states; explicitly
-    D_x = (sigma_14 - sigma_12)/sqrt(2), D_y = i(sigma_14 + sigma_12)/sqrt(2),
-    D_z = sigma_13.
-    """
-    d_x = (matrix_unit(1, 4) - matrix_unit(1, 2)) / _SQRT2
-    d_y = 1j * (matrix_unit(1, 4) + matrix_unit(1, 2)) / _SQRT2
-    d_z = matrix_unit(1, 3)
-    out = np.array([d_x, d_y, d_z])
+    """Cartesian lowering operators (D_x, D_y, D_z), shape (3, 4, 4):
+    the matrix units D_k = |1><k + 2| = sigma_12, sigma_13, sigma_14."""
+    out = np.array([matrix_unit(1, k + 2) for k in range(3)])
     out.flags.writeable = False
     return out
 
@@ -97,7 +87,7 @@ def detection_observable(direction: str) -> np.ndarray:
 
     Emission toward the detector couples to the dipole components
     transverse to the line of sight, so the observable is the sum of
-    the two excited-sublevel populations whose dipoles are transverse:
+    the two excited-level populations whose dipoles are transverse:
     sum_kl (delta_kl - e_k e_l) D_k^dag D_l.
     """
     e_hat = np.eye(3)[detector_index(direction)]

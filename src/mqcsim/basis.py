@@ -1,7 +1,8 @@
 """Trace-orthonormal operator basis of a four-level atom, and of the pair.
 
-The single-atom level scheme is a J = 0 ground state |1> and three excited
-Zeeman sublevels |2>, |3>, |4> (magnetic quantum numbers m = -1, 0, +1).
+The single-atom level scheme is a J = 0 ground state |1> and the J = 1
+excited triplet in its Cartesian basis: |2>, |3>, |4> are |x>, |y>, |z>
+(:mod:`mqcsim.atom` relates them to the m = -1, 0, +1 sublevels).
 Dynamical maps in this package are stored as matrices over the 16-element
 operator basis assembled here: the normalized identity, three traceless
 diagonal combinations, and the twelve off-diagonal matrix units.  The set is

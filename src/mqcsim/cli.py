@@ -471,12 +471,17 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     commands = parser.add_subparsers(dest="command", required=True)
 
+    # the config flags are built once and shared by every subcommand;
+    # --preset is a parent too, so that it stays first in spectrum's help
+    config_flags = argparse.ArgumentParser(add_help=False)
+    _add_config_flags(config_flags)
+    preset = argparse.ArgumentParser(add_help=False)
+    preset.add_argument("--preset", choices=("fig4",),
+                        help="named parameter set; of the other flags it "
+                             "takes only --seed and --output-dir")
     sub = commands.add_parser(
-        "spectrum", help="disorder-averaged spectra, one file per series")
-    sub.add_argument("--preset", choices=("fig4",),
-                     help="named parameter set; of the other flags it "
-                          "takes only --seed and --output-dir")
-    _add_config_flags(sub)
+        "spectrum", help="disorder-averaged spectra, one file per series",
+        parents=[preset, config_flags])
     flags = {action.dest: action.option_strings[0]
              for action in sub._actions if action.dest != "preset"}
     sub.set_defaults(handler=lambda args: run_spectrum(
@@ -491,8 +496,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "Monte-Carlo averages against closed forms"),
             ("cross-section", run_cross_section,
              "Doppler-averaged scattering cross-section")):
-        sub = commands.add_parser(name, help=text)
-        _add_config_flags(sub)
+        sub = commands.add_parser(name, help=text, parents=[config_flags])
         sub.set_defaults(
             handler=lambda args, run=run: run(_config_from_args(args)))
     return parser

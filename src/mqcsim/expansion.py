@@ -43,8 +43,8 @@ The decay eigendecomposition is block structured in the operator
 basis, and :func:`mqcsim.atom.decay_eigensystem` lists it in basis
 order.  Twelve of the sixteen single-atom decay modes are basis
 elements themselves: the optical coherences sigma_1k, sigma_k1 (basis
-indices 4-9, rate -1/2) and the Zeeman coherences sigma_kl (indices
-10-15, rate -1).  The other four modes, sigma_11 (rate 0) and
+indices 4-9, rate -1/2) and the excited-level coherences sigma_kl
+(indices 10-15, rate -1).  The other four modes, sigma_11 (rate 0) and
 sigma_kk - sigma_11 (rate -1), span only the diagonal indices 0-3.  The
 pair resolvent therefore needs no dense change of basis: a 4x4 map on
 the diagonal block of each atom index, one elementwise multiply by
@@ -154,7 +154,11 @@ zero, and the chain never builds them:
     (parallel) or y (perpendicular): reflecting x flips both pulses in
     the parallel channel, whose signs cancel, but only pulse 1 in the
     perpendicular one; reflecting y flips pulse 2 there alone; and
-    reflecting z flips neither.
+    reflecting z flips neither.  The excited levels |2>, |3>, |4> are
+    |x>, |y>, |z> (:mod:`mqcsim.atom`), so a reflection only flips the
+    sign of one level and maps each basis element to plus or minus
+    itself: every key that breaks the rule is an exact zero, not
+    roundoff.
 
 Kick 1 leaves a prefix monomial the powers (a, 0, c, 0) with
 a + c = -kappa, so its kick-2 pairs are p2 = kappa - p1 (p1 = -a with

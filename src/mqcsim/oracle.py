@@ -143,7 +143,8 @@ def pulse_unitary(theta: float, polarization, phase: float) -> np.ndarray:
     """Single-atom pulse unitary at a given optical phase, in closed form.
 
     The drive H = L^dag e^{i phase} + L e^{-i phase} couples the ground
-    level to one excited sublevel with unit strength, so H^3 = H and
+    level to the excited level along the polarization with unit
+    strength, so H^3 = H and
     e^{-i theta H / 2} = Id + (cos(theta / 2) - 1) H^2 - i sin(theta / 2) H:
     exactly Id at theta = 0.  No eigendecomposition: an oracle-check
     run makes no other LAPACK eigensolver call, and the first one pages

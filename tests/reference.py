@@ -17,9 +17,21 @@ from scipy.sparse import csr_array, kron
 
 from mqcsim.atom import dipole_components
 from mqcsim.basis import (HILBERT_DIM, NUM_OPS, NUM_OPS_PAIR,
-                          build_single_atom_basis, sandwich_matrix)
+                          build_single_atom_basis, matrix_unit,
+                          sandwich_matrix)
 from mqcsim.coupling import TAG_KEYS, _compressed, _pieces, tensor_tag_value
 from mqcsim.oracle import pulse_unitary
+
+
+def m_basis_dipole_components() -> np.ndarray:
+    """The lowering operators (D_x, D_y, D_z) with the excited levels
+    |2>, |3>, |4> taken as the m = -1, 0, +1 sublevels instead of
+    |x>, |y>, |z>: D_x = (sigma_14 - sigma_12)/sqrt(2),
+    D_y = i(sigma_14 + sigma_12)/sqrt(2), D_z = sigma_13.  The physics
+    is the same in either frame; only roundoff differs."""
+    s12, s13, s14 = matrix_unit(1, 2), matrix_unit(1, 3), matrix_unit(1, 4)
+    return np.array([(s14 - s12) / np.sqrt(2), 1j * (s14 + s12) / np.sqrt(2),
+                     s13])
 
 
 def excited_projector() -> np.ndarray:
@@ -147,7 +159,7 @@ def interaction_pieces() -> dict:
 def sparse_interaction_pieces():
     """Canonical tag -> numpy CSR arrays (indptr, indices, data) of the
     library's 256x256 piece multiplying that formal factor: each holds
-    160-640 nonzeros of 65,536, with sorted, duplicate-free columns in
+    160 or 320 nonzeros of 65,536, with sorted, duplicate-free columns in
     every row.
 
     The generator is sum over tags of (tensor factor value) x (piece);

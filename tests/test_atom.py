@@ -16,9 +16,11 @@ from mqcsim.oracle import pulse_unitary
 from reference import (decay_generator, excited_projector, free_propagator,
                        ground_projector, reconstruct)
 
+# levels |1>, |2>, |3>, |4> are the ground level and the Cartesian
+# excited levels |x>, |y>, |z>
 GROUND = np.array([1.0, 0, 0, 0], dtype=complex)
-KET_X = np.array([0, -1.0, 0, 1.0], dtype=complex) / np.sqrt(2)
-KET_Y = np.array([0, 1.0, 0, 1.0], dtype=complex) / (np.sqrt(2) * 1j)
+KET_X = np.array([0, 1.0, 0, 0], dtype=complex)
+KET_Y = np.array([0, 0, 1.0, 0], dtype=complex)
 
 
 def _assembled(kick, phi):
@@ -39,16 +41,16 @@ def _random_hermitian(rng):
 
 
 def test_dipole_component_matrix_elements():
+    # D_k = |1><k| with |x>, |y>, |z> = |2>, |3>, |4>: plain matrix units
     d_x, d_y, d_z = dipole_components()
-    s12, s13, s14 = matrix_unit(1, 2), matrix_unit(1, 3), matrix_unit(1, 4)
-    assert np.allclose(d_x, (s14 - s12) / np.sqrt(2))
-    assert np.allclose(d_y, 1j * (s14 + s12) / np.sqrt(2))
-    assert np.allclose(d_z, s13)
+    assert np.array_equal(d_x, matrix_unit(1, 2))
+    assert np.array_equal(d_y, matrix_unit(1, 3))
+    assert np.array_equal(d_z, matrix_unit(1, 4))
     # lowering operators: ground row only, and D_k D_l^dag = delta_kl |1><1|
     for a in (d_x, d_y, d_z):
         for b in (d_x, d_y, d_z):
             want = ground_projector() if a is b else np.zeros((4, 4))
-            assert np.allclose(a @ b.conj().T, want, atol=1e-15)
+            assert np.array_equal(a @ b.conj().T, want)
 
 
 def test_dipole_lowering_accepts_labels_and_vectors():
@@ -110,34 +112,44 @@ def test_kick_harmonics_off_zero_have_an_exactly_zero_trace_row(theta, pol):
 
 
 def test_kick_on_ground_state():
-    phi = 0.4
+    # an x pulse drives H = |x><1| e^{i phi} + |1><x| e^{-i phi}, which
+    # squares to the identity on span{|1>, |x>}, so
+    # e^{-i theta H / 2} |1> = c |1> - i e^{i phi} s |x>, with
+    # c = cos(theta/2), s = sin(theta/2), and |y>, |z> stay empty;
     # theta = 0 leaves the atom alone and theta = 2 pi returns it with a
     # sign flip
+    phi = 0.4
     for theta in (0.9, 0.0, 2 * np.pi):
+        c, s = np.cos(theta / 2), np.sin(theta / 2)
         psi = pulse_unitary(theta, "x", phi) @ GROUND
-        want = (np.cos(theta / 2) * GROUND
-                - 1j * np.exp(1j * phi) * np.sin(theta / 2) * KET_X)
+        want = np.array([c, -1j * np.exp(1j * phi) * s, 0, 0])
         assert np.allclose(psi, want, atol=1e-14)
+        assert psi[2] == 0 and psi[3] == 0
 
 
 def test_two_pulse_states_match_closed_forms():
-    # closed forms with c = cos(theta/2), s = sin(theta/2):
-    #   parallel:      (c^2 - e^{i(phi1-phi2)} s^2)|1>
-    #                  - i (e^{i phi1} + e^{i phi2}) s c |x>
-    #   perpendicular: c^2 |1> - i e^{i phi1} s |x> - i e^{i phi2} s c |y>
+    # with c = cos(theta/2), s = sin(theta/2), a pulse along k at phase
+    # phi maps |1> -> c |1> - i e^{i phi} s |k> and |k> -> c |k>
+    # - i e^{-i phi} s |1>, and leaves the other two excited levels
+    # alone; pulse 1 along x, then pulse 2 gives
+    #   parallel (x):      (c^2 - e^{i(phi1-phi2)} s^2)|1>
+    #                      - i (e^{i phi1} + e^{i phi2}) s c |x>
+    #   perpendicular (y): c^2 |1> - i e^{i phi1} s |x> - i e^{i phi2} s c |y>
+    # and |z> stays empty in both
     phi1, phi2 = 0.3, 1.9
     for theta in (0.8, 0.0, 2 * np.pi):
         c, s = np.cos(theta / 2), np.sin(theta / 2)
+        e1, e2 = np.exp(1j * phi1), np.exp(1j * phi2)
         psi_par = _two_pulse_state(theta, "parallel", phi1, phi2)
-        want = ((c**2 - np.exp(1j * (phi1 - phi2)) * s**2) * GROUND
-                - 1j * (np.exp(1j * phi1) + np.exp(1j * phi2)) * s * c * KET_X)
+        want = np.array([c**2 - e1 / e2 * s**2, -1j * (e1 + e2) * s * c, 0, 0])
         assert np.allclose(psi_par, want, atol=1e-14)
+        assert psi_par[2] == 0 and psi_par[3] == 0
         assert np.isclose(np.linalg.norm(psi_par), 1.0, atol=1e-14)
 
         psi_perp = _two_pulse_state(theta, "perpendicular", phi1, phi2)
-        want = (c**2 * GROUND - 1j * np.exp(1j * phi1) * s * KET_X
-                - 1j * np.exp(1j * phi2) * s * c * KET_Y)
+        want = np.array([c**2, -1j * e1 * s, -1j * e2 * s * c, 0])
         assert np.allclose(psi_perp, want, atol=1e-14)
+        assert psi_perp[3] == 0
         assert np.isclose(np.linalg.norm(psi_perp), 1.0, atol=1e-14)
 
         # the |x><y| coherence Tr{rho |x><y|} = <y|rho|x> oscillates at

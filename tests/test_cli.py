@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, file layout, determinism."""
 
+import argparse
 import ast
 import contextlib
 import gc
@@ -20,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import ndtri
 
 import mqcsim
-from mqcsim import __version__, expansion, oracle
+from mqcsim import __version__, cli, expansion, oracle
 from mqcsim.cli import MC_FALSE_ALARM, family_z_limit, main, script
 from mqcsim.config import (MAX_DETUNING_COUNT, MAX_MC_SAMPLES,
                            MAX_ORACLE_DIRECTIONS, MIN_MC_SAMPLES, RunConfig)
@@ -51,6 +52,27 @@ def test_version_flag_reports_package_version(capsys):
         main(["--version"])
     assert info.value.code == 0
     assert __version__ in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["spectrum", "table1", "oracle-check",
+                                  "mc-average", "cross-section"])
+def test_subcommand_help_is_that_of_flags_added_to_it(name, monkeypatch,
+                                                      capsys):
+    # the config flags are built once and handed to every subcommand as
+    # an argparse parent; each --help reads exactly as when the flags
+    # were added to that subcommand itself, after spectrum's --preset
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        main([name, "--help"])
+    assert info.value.code == 0
+    subcommands = next(action for action in cli._build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    own = argparse.ArgumentParser(prog=f"mqcsim {name}")
+    if name == "spectrum":
+        preset = subcommands.choices[name]._option_string_actions["--preset"]
+        own.add_argument("--preset", choices=preset.choices, help=preset.help)
+    cli._add_config_flags(own)
+    assert capsys.readouterr().out == own.format_help()
 
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -237,6 +237,24 @@ def test_pieces_equal_the_scipy_reference_build(tag):
     _assert_same_csr(sparse_interaction_pieces()[tag], want)
 
 
+def test_cartesian_dipoles_give_exact_unit_pieces():
+    # the frame guard: with the excited levels |x>, |y>, |z> = |2>, |3>,
+    # |4>, each dipole D_k = |1><k + 2| is a plain matrix unit, so the
+    # sandwich maps hold only the basis's own entries, +-1/2 on its
+    # diagonal elements and 1 on its matrix units, and every piece entry
+    # is real and in {-1, -1/2, 1/2, 1}; a frame that mixes the excited
+    # levels brings in 1/sqrt(2) and i
+    dips = dipole_components()
+    for k in range(3):
+        want = np.zeros((4, 4))
+        want[0, k + 1] = 1.0
+        assert np.array_equal(dips[k], want)
+    for tag, (_, _, data) in sparse_interaction_pieces().items():
+        assert len(data) == (160 if tag[1] == tag[2] else 320), tag
+        assert not data.imag.any(), tag
+        assert set(data.real.tolist()) <= {-1.0, -0.5, 0.5, 1.0}, tag
+
+
 def _blocks(rng, shape):
     """A block with most rows zero, as the chain's vectors are, and an
     all-zero block."""

@@ -1,5 +1,6 @@
 """Tests for the brute-force oracle against the perturbative pipeline."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 from scipy.linalg import expm
 
-from mqcsim import disorder, expansion, oracle
+from mqcsim import atom, basis, coupling, disorder, expansion, oracle
 from mqcsim.atom import dipole_lowering, kick_decomposition
 from mqcsim.basis import sandwich_matrix
 from mqcsim.coupling import coupling_tensor, tensor_tag_value
@@ -39,7 +40,8 @@ from mqcsim.expansion import (TERM_FLOOR, _detection_covector,
 from mqcsim.spectra import (DETECTION_DIRECTIONS, directional_spectra,
                             spectrum)
 from reference import (decay_generator, excited_projector, free_propagator,
-                       interaction_generator, pair_basis_columns, pair_kick)
+                       interaction_generator, m_basis_dipole_components,
+                       pair_basis_columns, pair_kick)
 from transient import (IntegrationError, OracleRun, _propagate,
                        numeric_demodulate, time_domain_evolve)
 
@@ -653,6 +655,12 @@ def _forward_rows(order, z1, kappa, channel):
     return merged
 
 
+#: keys (e, tags) with e != 0 above the term floor in the forward chain
+#: of orders 0-3 on the 7-point grid, by (kappa, channel)
+MIRRORED_KEYS = {(1, "parallel"): 70, (1, "perpendicular"): 102,
+                 (2, "parallel"): 64, (2, "perpendicular"): 0}
+
+
 @pytest.mark.parametrize("kappa", [1, 2])
 @pytest.mark.parametrize("channel", ["parallel", "perpendicular"])
 def test_forward_chain_is_symmetric_under_atom_exchange(kappa, channel):
@@ -661,7 +669,9 @@ def test_forward_chain_is_symmetric_under_atom_exchange(kappa, channel):
     under it, so the unhalved forward chain, which builds both mirror
     halves, holds equal rows at e and -e; the chain driver builds one
     half and folds it onto the other.  Keys of different orders differ
-    in their number of tags, so orders 0-3 share one dict and one peak."""
+    in their number of tags, so orders 0-3 share one dict and one peak.
+    The mirror pairs counted are those above the term floor; the
+    kappa = 2 perpendicular chain holds no key with e != 0 at all."""
     z1 = 1j * np.linspace(-3.0, 3.0, 7)
     rows = {key: value for order in (0, 1, 2, 3)
             for key, value in _forward_rows(order, z1, kappa,
@@ -669,7 +679,9 @@ def test_forward_chain_is_symmetric_under_atom_exchange(kappa, channel):
     peak = max(np.max(np.abs(value)) for value in rows.values())
     assert peak > 1e-4
     mirrored = [key for key in rows if key[0] != 0]
-    assert len(mirrored) > 400
+    held = [key for key in mirrored
+            if np.max(np.abs(rows[key])) > TERM_FLOOR * peak]
+    assert len(held) == MIRRORED_KEYS[kappa, channel]
     for exponent, tags in mirrored:
         mirror = rows.get((-exponent, tags), 0.0)
         assert np.max(np.abs(rows[(exponent, tags)] - mirror)) <= (
@@ -827,6 +839,78 @@ def test_surviving_table_holds_the_surviving_keys_of_the_chain(
     for table in (full, kept):
         keys = list(zip(table.phase_exponents, table.tags))
         assert keys == sorted(keys, key=repr)
+
+
+def test_kappa_2_perpendicular_chain_holds_only_the_keys_its_table_keeps():
+    """With Cartesian dipoles a component that vanishes by symmetry is
+    an exact zero, which the chain prunes, not roundoff that the floor
+    would drop: the oracle check's kappa = 2 perpendicular chain (orders
+    0-3 on its 7-point grid) holds exactly the three keys its table
+    keeps."""
+    z1 = 1j * np.linspace(-3.0, 3.0, 7)
+    _, rows = expansion._chain((0, 1, 2, 3), tuple(z1), THETA, 2)
+    table = demodulated_term_table((0, 1, 2, 3), THETA, "perpendicular", 2,
+                                   z1)
+    kept = set(zip(table.phase_exponents, table.tags))
+    assert len(kept) == 3
+    assert set(rows["perpendicular"]) == kept
+
+
+def _clear_frame_caches():
+    """Empty every cache that holds something built from the dipoles."""
+    for module in (atom, basis, coupling, disorder, expansion, oracle):
+        for value in vars(module).values():
+            if (hasattr(value, "cache_clear")
+                    and value.__module__ == module.__name__):
+                value.cache_clear()
+
+
+def _oracle_check_outputs():
+    """The oracle's components at one configuration and the oracle
+    check's four term tables, by (kappa, channel)."""
+    z1 = 1j * np.linspace(-3.0, 3.0, 7)
+    exact = demodulated_laplace(80.0, _random_axis(3), THETA, (1, 2),
+                                ("parallel", "perpendicular"), z1)
+    tables = {(kappa, channel): demodulated_term_table(
+                  (0, 1, 2, 3), THETA, channel, kappa, z1)
+              for kappa in (1, 2) for channel in ("parallel", "perpendicular")}
+    return exact, tables
+
+
+def test_results_do_not_depend_on_the_excited_frame(monkeypatch):
+    """With the m-basis dipoles of the reference in place of the
+    Cartesian ones, and every cache built from them cleared, the
+    oracle's components agree within 1e-14 of the call's largest one,
+    and the oracle check's term tables keep the same keys with rows
+    within 1e-14 of each table's peak: the frame changes only which
+    zeros are exact."""
+    cartesian_exact, cartesian_tables = _oracle_check_outputs()
+    _clear_frame_caches()
+    try:
+        with monkeypatch.context() as frame:
+            dipoles = functools.cache(m_basis_dipole_components)
+            for module in (atom, coupling, oracle):
+                frame.setattr(module, "dipole_components", dipoles)
+            assert np.any(atom.dipole_components().imag)
+            m_exact, m_tables = _oracle_check_outputs()
+            # the chain was rebuilt in the m basis: it holds roundoff keys
+            # that its table's floor drops
+            _, rows = expansion._chain((0, 1, 2, 3), tuple(
+                m_tables[2, "perpendicular"].z1_values), THETA, 2)
+            assert len(rows["perpendicular"]) > 3
+    finally:
+        _clear_frame_caches()
+    assert set(m_exact) == set(cartesian_exact)
+    # roundoff of the solves is set by the largest component of the call
+    peak = max(np.max(np.abs(want)) for want in cartesian_exact.values())
+    for key, want in cartesian_exact.items():
+        assert np.max(np.abs(m_exact[key] - want)) <= 1e-14 * peak, key
+    for key, want in cartesian_tables.items():
+        got = m_tables[key]
+        assert got.phase_exponents == want.phase_exponents
+        assert got.tags == want.tags
+        peak = np.max(np.abs(want.coeffs))
+        assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-14 * peak, key
 
 
 def test_chain_cache_hands_every_reader_the_same_read_only_rows(
